@@ -26,14 +26,19 @@ func hostMicro(b *testing.B, name string) {
 // The scheduling fast path: a thread rescheduling itself.
 func BenchmarkHostEngineHandoff(b *testing.B) { hostMicro(b, "engine-handoff") }
 
-// A genuine parked-goroutine handoff on every scheduling decision.
+// A genuine thread-to-thread handoff on every scheduling decision.
 func BenchmarkHostEngineHandoffPingPong(b *testing.B) { hostMicro(b, "engine-handoff-pingpong") }
 
-// Thread spawn/teardown with pooled structs and worker goroutines.
+// Thread spawn/teardown with pooled structs and coroutines.
 func BenchmarkHostEngineSpawn(b *testing.B) { hostMicro(b, "engine-spawn") }
 
 // The truncated-run lifecycle: RunUntil a limit, then Drain.
 func BenchmarkHostEngineRunUntilDrain(b *testing.B) { hostMicro(b, "engine-rununtil-drain") }
+
+// Four threads contending on one simulated lock: block and wake on
+// nearly every acquire.
+func BenchmarkHostLockContendedMutex(b *testing.B) { hostMicro(b, "lock-contended-mutex-4t") }
+func BenchmarkHostLockContendedMCS(b *testing.B)   { hostMicro(b, "lock-contended-mcs-4t") }
 
 // Message view alloc/free through the per-processor free lists.
 func BenchmarkHostMsgAllocFree(b *testing.B) { hostMicro(b, "msg-alloc-free") }

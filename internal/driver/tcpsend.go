@@ -152,7 +152,9 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 					break
 				}
 			}
-			c.dupAcks = 0
+			if d.FaultRecovery {
+				c.dupAcks = 0
+			}
 		} else if d.FaultRecovery && c.estab.Load() && sg.DLen == 0 &&
 			off == cur && int32(off-uint32(c.next.Load())) < 0 {
 			// Duplicate ack while data is outstanding: the receiver is

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -66,6 +67,20 @@ func TestWorkersInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGOMAXPROCSInvariance runs the shared-connection receive figure —
+// every contended lock and Sync a switch between engine threads — with
+// one host thread and with four. The engine switches threads without
+// the Go scheduler, so how many Ps the runtime has must not show in the
+// output.
+func TestGOMAXPROCSInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := runWithWorkers(t, "fig08-09", 1)
+	runtime.GOMAXPROCS(4)
+	if got := runWithWorkers(t, "fig08-09", 1); got != want {
+		t.Error("output at GOMAXPROCS=4 differs from GOMAXPROCS=1")
 	}
 }
 

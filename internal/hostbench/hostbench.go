@@ -76,6 +76,8 @@ func MicroBenchmarks() []MicroSpec {
 		{"engine-handoff-pingpong", benchEngineHandoffPingPong},
 		{"engine-spawn", benchEngineSpawn},
 		{"engine-rununtil-drain", benchRunUntilDrain},
+		{"lock-contended-mutex-4t", benchContendedMutex},
+		{"lock-contended-mcs-4t", benchContendedMCS},
 		{"msg-alloc-free", benchMsgAllocFree},
 		{"msg-clone-free", benchMsgCloneFree},
 		{"msg-merge-absorb", benchMsgMergeAbsorb},
@@ -104,7 +106,8 @@ func benchEngineHandoff(b *testing.B) {
 }
 
 // benchEngineHandoffPingPong: two threads in lockstep, so every
-// scheduling decision parks one goroutine and resumes the other.
+// scheduling decision is a full handoff — the yielding thread's
+// coroutine switches back to the driver, which switches into the other.
 func benchEngineHandoffPingPong(b *testing.B) {
 	e := sim.New(cost.NewModel(cost.Challenge100), 1)
 	per := b.N/2 + 1
@@ -121,9 +124,33 @@ func benchEngineHandoffPingPong(b *testing.B) {
 	e.Run()
 }
 
+// benchContendedLock: four threads taking turns on one simulated lock
+// whose hold time exceeds their think time, so nearly every acquire
+// blocks and every release wakes a waiter — the shared-connection TCP
+// state lock's shape.
+func benchContendedLock(b *testing.B, l sim.Locker) {
+	e := sim.New(cost.NewModel(cost.Challenge100), 1)
+	per := b.N/4 + 1
+	for i := 0; i < 4; i++ {
+		e.Spawn(fmt.Sprintf("t%d", i), i, func(th *sim.Thread) {
+			for j := 0; j < per; j++ {
+				l.Acquire(th)
+				th.Charge(5000)
+				l.Release(th)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+func benchContendedMutex(b *testing.B) { benchContendedLock(b, &sim.Mutex{Name: "m"}) }
+func benchContendedMCS(b *testing.B)   { benchContendedLock(b, &sim.MCSLock{Name: "m"}) }
+
 // benchEngineSpawn: a chain of one-shot threads, each spawning its
 // successor — after the first link every Spawn reuses a pooled struct
-// and parked goroutine.
+// and its parked coroutine.
 func benchEngineSpawn(b *testing.B) {
 	e := sim.New(cost.NewModel(cost.Challenge100), 1)
 	var chain func(i int) func(*sim.Thread)

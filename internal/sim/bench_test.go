@@ -23,10 +23,10 @@ func BenchmarkEngineSyncHandoff(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineHandoffPingPong forces a genuine goroutine-to-goroutine
+// BenchmarkEngineHandoffPingPong forces a genuine thread-to-thread
 // handoff on every scheduling decision: two threads advance in lockstep,
-// so each Sync parks the yielder and resumes the peer (no same-thread
-// fast path).
+// so each Sync switches the yielder out to the driver and the peer in
+// (no same-thread fast path).
 func BenchmarkEngineHandoffPingPong(b *testing.B) {
 	e := New(cost.NewModel(cost.Challenge100), 1)
 	per := b.N/2 + 1
@@ -45,7 +45,7 @@ func BenchmarkEngineHandoffPingPong(b *testing.B) {
 
 // BenchmarkEngineSpawn measures thread creation and teardown: each
 // thread spawns its successor and exits, so every iteration after the
-// first reuses a pooled Thread struct and parked goroutine.
+// first reuses a pooled Thread struct and its parked coroutine.
 func BenchmarkEngineSpawn(b *testing.B) {
 	e := New(cost.NewModel(cost.Challenge100), 1)
 	var spawn func(i int) func(*Thread)

@@ -3,10 +3,12 @@
 // protocol stacks of this repository execute.
 //
 // The model: P virtual processors each run one protocol thread (the paper
-// wires one IRIX thread per CPU). Threads are goroutines, but the engine
-// resumes exactly one at a time — always the runnable thread with the
-// smallest virtual clock — so execution is sequential, race-free and
-// reproducible. Protocol code is real; only time is virtual: threads
+// wires one IRIX thread per CPU). Threads are coroutines (iter.Pull):
+// the RunUntil driver resumes exactly one at a time — always the
+// runnable thread with the smallest virtual clock — with a direct
+// goroutine switch that never enters the Go scheduler, so execution is
+// sequential, race-free and reproducible, and costs the same at any
+// GOMAXPROCS. Protocol code is real; only time is virtual: threads
 // charge virtual nanoseconds from the cost model (internal/cost) as they
 // work, and synchronize through simulated locks whose contention,
 // backoff-probe timing and cache-coherence penalties are modeled
@@ -36,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"sort"
 	"strings"
@@ -78,10 +81,10 @@ func (s threadState) String() string {
 // passes implicitly: per-processor resource caches and map-manager
 // counting locks key off Thread.Proc.
 //
-// Thread structs (and their worker goroutines and resume channels) are
-// pooled by the engine: when a thread's body returns, the struct parks
-// on a free list and the next Spawn reuses it instead of allocating a
-// new goroutine, stack and channel.
+// Thread structs (and their coroutines) are pooled by the engine: when a
+// thread's body returns, the struct parks on a free list with its
+// coroutine suspended, and the next Spawn reuses both instead of
+// allocating a new coroutine and stack.
 type Thread struct {
 	eng  *Engine
 	name string
@@ -95,38 +98,52 @@ type Thread struct {
 	vt      int64 // local virtual clock, ns
 	pushSeq int64 // FIFO tiebreak among equal clocks
 	state   threadState
-	resume  chan struct{} // capacity 1; the single reused handoff channel
+
+	// next resumes the thread's coroutine from the RunUntil driver and
+	// returns when the thread switches back; stop ends the coroutine
+	// (Drain, pool release); park, valid inside the coroutine, switches
+	// back to the driver and reports false when the coroutine was
+	// stopped rather than resumed. All three are nil on the host backend.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
+
+	// resume is the host backend's Block/Wake channel (capacity 1); nil
+	// in sim mode.
+	resume chan struct{}
 
 	// fn is the thread body for the current (or next) life of this
-	// struct's worker goroutine; nil while parked on the free list, and
-	// a nil fn on resume tells the worker to exit (pool shutdown).
+	// struct's coroutine; nil while parked on the free list.
 	fn func(*Thread)
 
 	rng Rand
 
-	// blockReason aids deadlock dumps.
-	blockReason string
+	// wait is the thread's record on the lock it is blocked on. It lives
+	// here rather than in a per-wait allocation because a thread waits
+	// on at most one lock at a time.
+	wait lockWait
 
-	// panicVal carries a panic from the thread goroutine to the Run
-	// caller.
-	panicVal any
+	// blockKind and blockName say what the thread is blocked on, for
+	// deadlock dumps; kept apart so a contended acquire formats nothing.
+	blockKind, blockName string
 }
 
 // drainSignal unwinds a parked thread's stack during Engine.Drain. It
-// is recovered by the worker loop and never escapes to user code.
+// is recovered by Engine.call and never escapes to user code.
 type drainSignal struct{}
 
 // Engine is the discrete-event scheduler.
 //
-// Scheduling uses direct parked-goroutine handoff: the goroutine that
-// is giving up control (a yielding thread, a finishing thread, or the
-// RunUntil driver) picks the next runnable thread itself and resumes it
-// over that thread's single reused channel, then parks on its own. One
-// channel operation pair per context switch — and none at all when the
+// Every thread is an iter.Pull coroutine and RunUntil is the driver
+// loop. Whoever gives up control (a yielding thread, a finishing
+// thread, or the driver itself) makes the scheduling decision in step,
+// which leaves the chosen thread in pending; a thread then switches
+// back to the driver, and the driver switches into pending. Both
+// switches are coroswitch — a direct goroutine-to-goroutine transfer
+// that bypasses the Go scheduler — and there is none at all when the
 // yielding thread is still the minimum and simply keeps running. The
-// engine's state stays serialized: exactly one goroutine holds the
-// scheduling token at any moment, and every handoff is a channel
-// operation, so the serialization is also a happens-before edge.
+// engine's state stays serialized: exactly one goroutine runs at any
+// moment, and iter.Pull orders each switch as a happens-before edge.
 type Engine struct {
 	C *cost.Model
 
@@ -141,21 +158,21 @@ type Engine struct {
 
 	// limit is the active RunUntil bound (-1 when unbounded).
 	limit int64
-	// stopC wakes the RunUntil driver: all threads done, limit reached,
-	// deadlock, or a thread panic. Exactly one signal per Run.
-	stopC chan struct{}
+	// pending is the thread step chose for the driver to resume next;
+	// nil ends the driver loop (all threads done, limit reached,
+	// deadlock, or a thread panic).
+	pending *Thread
 	// stopPanic carries a deadlock dump or thread panic to the driver.
 	stopPanic any
 	// threads registers every Thread struct ever spawned (live, parked
-	// and pooled); Drain walks it to release parked goroutines.
+	// and pooled); Drain walks it to release parked coroutines.
 	threads []*Thread
-	// free is the pool of done threads whose workers are parked awaiting
-	// another Spawn.
+	// free is the pool of done threads whose coroutines are suspended
+	// awaiting another Spawn.
 	free []*Thread
-	// draining makes every resumed thread unwind via drainSignal.
+	// draining makes every thread that tries to park unwind via
+	// drainSignal instead.
 	draining bool
-	// drainC acknowledges one unwound thread per Drain step.
-	drainC chan struct{}
 
 	// Trace, when non-nil, receives one line per scheduling decision;
 	// used by tests.
@@ -203,11 +220,9 @@ func NewBackend(model *cost.Model, seed uint64, backend Backend) *Engine {
 		model = cost.NewModel(cost.Challenge100)
 	}
 	e := &Engine{
-		C:      model,
-		stopC:  make(chan struct{}, 1),
-		drainC: make(chan struct{}),
-		limit:  -1,
-		rng:    NewRand(seed),
+		C:     model,
+		limit: -1,
+		rng:   NewRand(seed),
 	}
 	if backend == BackendHost {
 		e.host = &hostEngine{epoch: time.Now()}
@@ -226,7 +241,7 @@ func (e *Engine) Now() int64 {
 
 // Spawn creates a thread bound to processor proc and schedules it at the
 // current virtual time. It may be called before Run or from a running
-// thread. Thread structs and worker goroutines are reused from the
+// thread. Thread structs and their coroutines are reused from the
 // engine's pool when available.
 func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 	if h := e.host; h != nil {
@@ -256,25 +271,22 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 		t.Proc = proc
 		t.vt = e.now
 		t.state = stateNew
-		t.blockReason = ""
-		t.panicVal = nil
 		t.ID = e.nextID
 		t.rng = NewRand(e.rng.Uint64())
 		t.fn = fn
 	} else {
 		t = &Thread{
-			eng:    e,
-			name:   name,
-			ID:     e.nextID,
-			Proc:   proc,
-			vt:     e.now,
-			state:  stateNew,
-			resume: make(chan struct{}, 1),
-			rng:    NewRand(e.rng.Uint64()),
-			fn:     fn,
+			eng:   e,
+			name:  name,
+			ID:    e.nextID,
+			Proc:  proc,
+			vt:    e.now,
+			state: stateNew,
+			rng:   NewRand(e.rng.Uint64()),
+			fn:    fn,
 		}
+		t.next, t.stop = iter.Pull(t.lives)
 		e.threads = append(e.threads, t)
-		go e.worker(t)
 	}
 	e.nextID++
 	e.live++
@@ -282,41 +294,43 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 	return t
 }
 
-// worker is the long-lived goroutine behind a Thread struct. Each
-// iteration is one thread lifetime: park until resumed, run the body,
-// retire to the pool. A resume with a nil body is the pool-shutdown
-// signal.
-func (e *Engine) worker(t *Thread) {
+// lives is the coroutine behind a Thread struct. Each iteration is one
+// thread lifetime: run the body, retire to the pool, hand the schedule
+// onward, and park until the next Spawn's first resume. It returns —
+// ending the coroutine — when stopped: from inside a body by Drain
+// (which then does the bookkeeping), or from the pool.
+func (t *Thread) lives(park func(struct{}) bool) {
+	e := t.eng
+	t.park = park
 	for {
-		<-t.resume
-		if t.fn == nil {
-			return // pool released
+		if e.call(t) {
+			return
 		}
-		if e.draining {
-			// Spawned but never started: nothing to unwind.
-			e.retire(t)
-			e.drainC <- struct{}{}
-			continue
-		}
-		drained := e.call(t)
 		e.retire(t)
-		if drained {
-			e.drainC <- struct{}{}
-			continue
+		// Choose the next runnable thread, or leave pending nil so the
+		// driver stops: a panic to re-raise, or every thread done.
+		if e.stopPanic == nil && e.live > 0 {
+			e.step(nil)
 		}
-		e.finish(t)
+		if !park(struct{}{}) {
+			return
+		}
 	}
 }
 
 // call runs the thread body, capturing panics. A drainSignal panic
-// (from Drain unwinding the stack) is absorbed, not recorded.
+// (from Drain unwinding the stack) is absorbed and reported as drained;
+// any other is left in stopPanic for the driver — or for Drain, when a
+// deferred function raised it mid-unwind — to re-raise on its caller's
+// goroutine, so library users (and tests) can recover it.
 func (e *Engine) call(t *Thread) (drained bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(drainSignal); ok {
 				drained = true
 			} else {
-				t.panicVal = r
+				e.stopPanic = r
+				drained = e.draining
 			}
 		}
 	}()
@@ -332,41 +346,20 @@ func (e *Engine) retire(t *Thread) {
 	e.free = append(e.free, t)
 }
 
-// finish hands the scheduling token onward after a thread body returns:
-// forward a panic to the driver, declare completion, or dispatch the
-// next runnable thread.
-func (e *Engine) finish(t *Thread) {
-	if t.panicVal != nil {
-		// Re-raise the thread's panic on the Run caller's goroutine so
-		// library users (and tests) can recover it.
-		e.stopPanic = t.panicVal
-		t.panicVal = nil
-		e.signalStop()
-		return
-	}
-	if e.live == 0 {
-		e.signalStop()
-		return
-	}
-	e.step(nil)
-}
-
-// step makes one scheduling decision while holding the token: pop the
-// minimum-clock runnable thread and resume it. self, when non-nil, is
-// the calling thread; if it is itself the minimum, step returns true
-// and the caller keeps running with no handoff at all. When the
-// simulation cannot proceed (limit reached, deadlock), the driver is
-// woken instead and step returns false; the caller then parks.
+// step makes one scheduling decision: pop the minimum-clock runnable
+// thread and leave it in pending for the driver to resume. self, when
+// non-nil, is the calling thread; if it is itself the minimum, step
+// returns true and the caller keeps running with no switch at all.
+// When the simulation cannot proceed (limit reached, deadlock), pending
+// stays nil, which stops the driver once the caller has parked.
 func (e *Engine) step(self *Thread) bool {
 	next := e.pop()
 	if next == nil {
 		e.stopPanic = "sim: deadlock — all threads blocked\n" + e.dump()
-		e.signalStop()
 		return false
 	}
 	if e.limit >= 0 && next.vt > e.limit {
 		e.push(next)
-		e.signalStop()
 		return false
 	}
 	if next.vt > e.now {
@@ -385,13 +378,8 @@ func (e *Engine) step(self *Thread) bool {
 	if next == self {
 		return true
 	}
-	next.resume <- struct{}{}
+	e.pending = next
 	return false
-}
-
-// signalStop wakes the RunUntil driver (buffered; never blocks).
-func (e *Engine) signalStop() {
-	e.stopC <- struct{}{}
 }
 
 // Run drives the simulation until every thread has terminated. It panics
@@ -404,10 +392,13 @@ func (e *Engine) Run() {
 // virtual clock would pass limit (limit < 0 means no limit). It returns
 // the number of live threads remaining.
 //
-// When it returns non-zero, the remaining threads stay parked on their
-// goroutines; resume them with another RunUntil, or release them with
-// Drain. When it returns zero the worker pool is released, so a
+// When it returns non-zero, the remaining threads stay parked in their
+// coroutines; resume them with another RunUntil, or release them with
+// Drain. When it returns zero the thread pool is released, so a
 // completed engine holds no goroutines.
+//
+// A panic in a thread body is re-raised here, on the caller's
+// goroutine, and leaves the engine drainable.
 func (e *Engine) RunUntil(limit int64) int {
 	if h := e.host; h != nil {
 		if limit >= 0 {
@@ -425,7 +416,10 @@ func (e *Engine) RunUntil(limit int64) int {
 	e.limit = limit
 	if e.live > 0 {
 		e.step(nil)
-		<-e.stopC
+		for t := e.pending; t != nil; t = e.pending {
+			e.pending = nil
+			t.next()
+		}
 		if p := e.stopPanic; p != nil {
 			e.stopPanic = nil
 			panic(p)
@@ -439,11 +433,15 @@ func (e *Engine) RunUntil(limit int64) int {
 }
 
 // Drain releases every thread still parked in the engine — the threads
-// a limit-truncated RunUntil left behind — by unwinding their stacks,
-// then shuts down the pooled worker goroutines. After Drain the engine
-// holds no goroutines; it remains usable (new Spawns start fresh
-// workers). It must not be called while Run is in progress, nor from a
-// simulated thread.
+// a limit-truncated RunUntil left behind — by stopping their
+// coroutines: a thread parked inside its body unwinds its stack
+// (deferred functions run; one that tries to park again keeps
+// unwinding), a thread that never started has nothing to unwind. It
+// then releases the pooled coroutines. After Drain the engine holds no
+// goroutines; it remains usable (new Spawns start fresh coroutines).
+// A panic raised by a deferred function during the unwinding is
+// re-raised once everything is released. Drain must not be called while
+// Run is in progress, nor from a simulated thread.
 func (e *Engine) Drain() {
 	if e.host != nil {
 		panic("sim: Drain is sim-only")
@@ -456,23 +454,36 @@ func (e *Engine) Drain() {
 		if t.state == stateDone {
 			continue
 		}
-		t.resume <- struct{}{}
-		<-e.drainC
+		t.end()
+		t.state = stateDone
+		t.fn = nil
+		e.live--
 	}
 	e.draining = false
 	e.heap = e.heap[:0]
 	e.cur = nil
 	e.releasePool()
+	if p := e.stopPanic; p != nil {
+		e.stopPanic = nil
+		panic(p)
+	}
 }
 
-// releasePool exits the worker goroutines of all pooled done threads.
-// Their structs stay registered; a later Spawn starts new workers.
+// releasePool ends the coroutines of all pooled done threads. Their
+// structs stay registered; a later Spawn starts new coroutines.
 func (e *Engine) releasePool() {
 	for i, t := range e.free {
-		t.resume <- struct{}{} // fn == nil: worker exits
+		t.end()
 		e.free[i] = nil
 	}
 	e.free = e.free[:0]
+}
+
+// end stops the thread's coroutine and drops the struct's references to
+// it: the struct stays registered but is never resumed again.
+func (t *Thread) end() {
+	t.stop()
+	t.next, t.stop, t.park = nil, nil, nil
 }
 
 // Wake marks a blocked thread runnable no earlier than virtual time at.
@@ -555,8 +566,12 @@ func (e *Engine) dump() string {
 		if t.state == stateDone {
 			continue
 		}
+		reason := t.blockKind
+		if t.blockName != "" {
+			reason += " " + t.blockName
+		}
 		lines = append(lines, fmt.Sprintf("  %-24s proc=%d vt=%d state=%s reason=%s",
-			t.name, t.Proc, t.vt, t.state, t.blockReason))
+			t.name, t.Proc, t.vt, t.state, reason))
 	}
 	sort.Strings(lines)
 	b.WriteString(strings.Join(lines, "\n"))
@@ -607,11 +622,11 @@ func (t *Thread) ChargeBytes(rate float64, n int) {
 	t.Charge(cost.Bytes(rate, n))
 }
 
-// yield gives up control: the thread parks its own state, picks the
-// next runnable thread itself and resumes it directly, then waits on
-// its single reused channel. When the yielding thread is still the
-// minimum-clock runnable thread, no handoff (and no channel operation)
-// happens at all — it just keeps running.
+// yield gives up control: the thread records its own state, picks the
+// next runnable thread itself and switches back to the driver, which
+// resumes that thread. When the yielding thread is still the
+// minimum-clock runnable thread, no switch happens at all — it just
+// keeps running.
 func (t *Thread) yield(s threadState) {
 	e := t.eng
 	if e.draining {
@@ -627,9 +642,8 @@ func (t *Thread) yield(s threadState) {
 	if e.step(t) {
 		return // fast path: still the minimum, keep running
 	}
-	<-t.resume
-	if e.draining {
-		panic(drainSignal{})
+	if !t.park(struct{}{}) {
+		panic(drainSignal{}) // stopped by Drain: unwind this stack
 	}
 }
 
@@ -648,15 +662,20 @@ func (t *Thread) Sync() {
 // Block parks the thread until another thread calls Engine.Wake on it.
 // reason appears in deadlock dumps.
 func (t *Thread) Block(reason string) {
+	t.blockOn(reason, "")
+}
+
+// blockOn is Block with the reason in two parts — what kind of object
+// the thread waits on and that object's name — joined only if a
+// deadlock dump prints them.
+func (t *Thread) blockOn(kind, name string) {
+	t.blockKind, t.blockName = kind, name
 	if t.eng.host != nil {
-		t.blockReason = reason
 		<-t.resume
-		t.blockReason = ""
-		return
+	} else {
+		t.yield(stateBlocked)
 	}
-	t.blockReason = reason
-	t.yield(stateBlocked)
-	t.blockReason = ""
+	t.blockKind, t.blockName = "", ""
 }
 
 // Sleep advances the clock by d and parks until the engine catches up.

@@ -145,6 +145,46 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 	}
 }
 
+// TestRunUntilResumesWhereItStopped cuts one run into many RunUntil
+// slices: every thread — running ahead, ready, or blocked on the lock
+// when a limit lands — must pick up exactly where it parked, so the
+// scheduling log and the result match an uncut run.
+func TestRunUntilResumesWhereItStopped(t *testing.T) {
+	run := func(limits ...int64) (string, int64) {
+		e := newTestEngine(11)
+		var log strings.Builder
+		e.Trace = func(s string) { log.WriteString(s + "\n") }
+		var mu Mutex
+		var sum int64
+		for i := 0; i < 4; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
+				for j := 0; j < 25; j++ {
+					th.ChargeRand(3000)
+					mu.Acquire(th)
+					sum = sum*31 + int64(th.Proc)
+					th.ChargeRand(2000)
+					mu.Release(th)
+				}
+			})
+		}
+		for _, l := range limits {
+			if e.RunUntil(l) == 0 {
+				t.Fatalf("run finished before limit %d", l)
+			}
+		}
+		e.Run()
+		return log.String(), sum
+	}
+	wantLog, wantSum := run()
+	gotLog, gotSum := run(1, 777, 5000, 5001, 40_000, 100_000)
+	if gotSum != wantSum {
+		t.Errorf("sliced run computed %d, uncut run %d", gotSum, wantSum)
+	}
+	if gotLog != wantLog {
+		t.Errorf("sliced run scheduled differently from the uncut run:\n--- sliced\n%s--- uncut\n%s", gotLog, wantLog)
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func(seed uint64) string {
 		e := newTestEngine(seed)

@@ -5,6 +5,8 @@ package sim
 // unfair locks reordering contending threads, FIFO MCS locks preserving
 // order — emerge from the same mechanisms as on real hardware.
 
+import "slices"
+
 // Locker is the interface shared by all simulated lock kinds.
 type Locker interface {
 	Acquire(t *Thread)
@@ -30,6 +32,13 @@ func (s LockStats) WaitFraction(totalNs int64) float64 {
 		return 0
 	}
 	return float64(s.WaitNs) / float64(totalNs)
+}
+
+// lockWait is a blocked thread's record on the lock it waits for. It is
+// embedded in Thread, so a contended acquire allocates nothing.
+type lockWait struct {
+	start      int64 // virtual time the wait began
+	holderProc int   // processor holding the lock when the wait began
 }
 
 // chargeLine charges t a coherence penalty when a shared cache line was
@@ -61,22 +70,13 @@ type Mutex struct {
 	holder    *Thread
 	heldSince int64
 	lastProc  int
-	waiters   []*mutexWaiter
+	waiters   []*Thread
 	stats     LockStats
 	inited    bool
 
 	// hm is the host-backend lock state (see host.go); unused in sim
 	// mode.
 	hm hostMutex
-}
-
-type mutexWaiter struct {
-	t          *Thread
-	arrival    int64
-	gap        int64
-	nextProbe  int64
-	waitStart  int64
-	holderProc int // processor holding the lock when the wait began
 }
 
 func (m *Mutex) init() {
@@ -106,27 +106,22 @@ func (m *Mutex) Acquire(t *Thread) {
 		t.Charge(s.LockEnter)
 		return
 	}
-	w := &mutexWaiter{
-		t:          t,
-		arrival:    t.Now(),
-		gap:        t.rng.Jitter(s.BackoffMin, t.eng.C.JitterFrac),
-		waitStart:  t.Now(),
-		holderProc: m.holder.Proc,
-	}
-	if w.gap < 1 {
-		w.gap = 1
-	}
-	w.nextProbe = w.arrival + w.gap
-	m.waiters = append(m.waiters, w)
+	// The spinner's first backoff gap. The grant time is drawn at
+	// release, so only the draw itself matters here: it keeps the
+	// thread's random stream, and with it every golden, where it was.
+	t.rng.Jitter(s.BackoffMin, t.eng.C.JitterFrac)
+	w := &t.wait
+	*w = lockWait{start: t.Now(), holderProc: m.holder.Proc}
+	m.waiters = append(m.waiters, t)
 	m.stats.Contended++
 	if len(m.waiters) > m.stats.MaxWaiters {
 		m.stats.MaxWaiters = len(m.waiters)
 	}
-	t.Block("mutex " + m.Name)
+	t.blockOn("mutex", m.Name)
 	// The releaser has made us the holder and set our wake time.
-	wait := t.Now() - w.waitStart
+	wait := t.Now() - w.start
 	m.stats.WaitNs += wait
-	t.eng.Rec.LockWait(t.Proc, m.Name, w.waitStart, wait, w.holderProc)
+	t.eng.Rec.LockWait(t.Proc, m.Name, w.start, wait, w.holderProc)
 	t.eng.Tel.LockWait(t.Proc, m.Name, wait, w.holderProc)
 	t.Charge(s.LockEnter)
 }
@@ -167,19 +162,19 @@ func (m *Mutex) Release(t *Thread) {
 	}
 	best := t.rng.Intn(window)
 	w := m.waiters[best]
-	m.waiters = append(m.waiters[:best], m.waiters[best+1:]...)
+	m.waiters = slices.Delete(m.waiters, best, best+1)
 	gap := s.BackoffMin
 	if gap < 1 {
 		gap = 1
 	}
-	grantAt := r + int64(w.t.rng.Uint64()%uint64(gap)) + s.LockProbe
-	if !s.SyncBus && w.t.Proc != t.Proc {
+	grantAt := r + int64(w.rng.Uint64()%uint64(gap)) + s.LockProbe
+	if !s.SyncBus && w.Proc != t.Proc {
 		grantAt += s.Coherence
 	}
-	m.holder = w.t
+	m.holder = w
 	m.heldSince = grantAt
-	m.lastProc = w.t.Proc
-	t.eng.Wake(w.t, grantAt)
+	m.lastProc = w.Proc
+	t.eng.Wake(w, grantAt)
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -205,19 +200,13 @@ type MCSLock struct {
 	holder    *Thread
 	heldSince int64
 	lastProc  int
-	queue     []*mcsWaiter
+	queue     []*Thread
 	stats     LockStats
 	inited    bool
 
 	// hq is the host-backend FIFO lock state (see host.go); unused in
 	// sim mode.
 	hq hostMCS
-}
-
-type mcsWaiter struct {
-	t          *Thread
-	waitStart  int64
-	holderProc int
 }
 
 func (m *MCSLock) init() {
@@ -247,16 +236,17 @@ func (m *MCSLock) Acquire(t *Thread) {
 		t.Charge(s.LockEnter)
 		return
 	}
-	w := &mcsWaiter{t: t, waitStart: t.Now(), holderProc: m.holder.Proc}
-	m.queue = append(m.queue, w)
+	w := &t.wait
+	*w = lockWait{start: t.Now(), holderProc: m.holder.Proc}
+	m.queue = append(m.queue, t)
 	m.stats.Contended++
 	if len(m.queue) > m.stats.MaxWaiters {
 		m.stats.MaxWaiters = len(m.queue)
 	}
-	t.Block("mcs " + m.Name)
-	wait := t.Now() - w.waitStart
+	t.blockOn("mcs", m.Name)
+	wait := t.Now() - w.start
 	m.stats.WaitNs += wait
-	t.eng.Rec.LockWait(t.Proc, m.Name, w.waitStart, wait, w.holderProc)
+	t.eng.Rec.LockWait(t.Proc, m.Name, w.start, wait, w.holderProc)
 	t.eng.Tel.LockWait(t.Proc, m.Name, wait, w.holderProc)
 	t.Charge(s.LockEnter)
 }
@@ -283,12 +273,12 @@ func (m *MCSLock) Release(t *Thread) {
 		return
 	}
 	w := m.queue[0]
-	m.queue = m.queue[1:]
+	m.queue = slices.Delete(m.queue, 0, 1) // copies down: the queue keeps its backing array
 	grantAt := t.Now() + s.Handoff
-	m.holder = w.t
+	m.holder = w
 	m.heldSince = grantAt
-	m.lastProc = w.t.Proc
-	t.eng.Wake(w.t, grantAt)
+	m.lastProc = w.Proc
+	t.eng.Wake(w, grantAt)
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -311,7 +301,7 @@ type TicketLock struct {
 	holder    *Thread
 	heldSince int64
 	lastProc  int
-	queue     []*mcsWaiter
+	queue     []*Thread
 	stats     LockStats
 	inited    bool
 
@@ -347,16 +337,17 @@ func (l *TicketLock) Acquire(t *Thread) {
 		t.Charge(s.LockEnter)
 		return
 	}
-	w := &mcsWaiter{t: t, waitStart: t.Now(), holderProc: l.holder.Proc}
-	l.queue = append(l.queue, w)
+	w := &t.wait
+	*w = lockWait{start: t.Now(), holderProc: l.holder.Proc}
+	l.queue = append(l.queue, t)
 	l.stats.Contended++
 	if len(l.queue) > l.stats.MaxWaiters {
 		l.stats.MaxWaiters = len(l.queue)
 	}
-	t.Block("ticket " + l.Name)
-	wait := t.Now() - w.waitStart
+	t.blockOn("ticket", l.Name)
+	wait := t.Now() - w.start
 	l.stats.WaitNs += wait
-	t.eng.Rec.LockWait(t.Proc, l.Name, w.waitStart, wait, w.holderProc)
+	t.eng.Rec.LockWait(t.Proc, l.Name, w.start, wait, w.holderProc)
 	t.eng.Tel.LockWait(t.Proc, l.Name, wait, w.holderProc)
 	t.Charge(s.LockEnter)
 }
@@ -384,15 +375,15 @@ func (l *TicketLock) Release(t *Thread) {
 		return
 	}
 	w := l.queue[0]
-	l.queue = l.queue[1:]
+	l.queue = slices.Delete(l.queue, 0, 1) // copies down: the queue keeps its backing array
 	grantAt := t.Now() + s.Handoff
 	if !s.SyncBus {
 		grantAt += s.Coherence * int64(len(l.queue))
 	}
-	l.holder = w.t
+	l.holder = w
 	l.heldSince = grantAt
-	l.lastProc = w.t.Proc
-	t.eng.Wake(w.t, grantAt)
+	l.lastProc = w.Proc
+	t.eng.Wake(w, grantAt)
 }
 
 // Stats returns a copy of the accumulated statistics.

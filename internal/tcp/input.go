@@ -164,7 +164,12 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		}
 	}
 
-	var deliver []*msg.Message
+	// Segments to hand up once the state lock is released: the arriving
+	// one, or what a reassembly drain made contiguous. The stack array
+	// holds one per processor of the paper's largest machine; a longer
+	// drain spills to the heap.
+	var deliverBuf [8]*msg.Message
+	deliver := deliverBuf[:0]
 	needAckNow := false
 
 	if sg.dlen > 0 {
