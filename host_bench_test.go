@@ -26,6 +26,9 @@ func hostMicro(b *testing.B, name string) {
 // The scheduling fast path: a thread rescheduling itself.
 func BenchmarkHostEngineHandoff(b *testing.B) { hostMicro(b, "engine-handoff") }
 
+// The same fast path with seven other threads in the heap.
+func BenchmarkHostEngineSyncFastPath8(b *testing.B) { hostMicro(b, "engine-sync-fastpath-8t") }
+
 // A genuine thread-to-thread handoff on every scheduling decision.
 func BenchmarkHostEngineHandoffPingPong(b *testing.B) { hostMicro(b, "engine-handoff-pingpong") }
 
@@ -39,6 +42,10 @@ func BenchmarkHostEngineRunUntilDrain(b *testing.B) { hostMicro(b, "engine-runun
 // nearly every acquire.
 func BenchmarkHostLockContendedMutex(b *testing.B) { hostMicro(b, "lock-contended-mutex-4t") }
 func BenchmarkHostLockContendedMCS(b *testing.B)   { hostMicro(b, "lock-contended-mcs-4t") }
+
+// The Internet checksum over an IP header and over a 4 KB segment.
+func BenchmarkHostChksumSum20(b *testing.B) { hostMicro(b, "chksum-sum-20b") }
+func BenchmarkHostChksumSum4K(b *testing.B) { hostMicro(b, "chksum-sum-4k") }
 
 // Message view alloc/free through the per-processor free lists.
 func BenchmarkHostMsgAllocFree(b *testing.B) { hostMicro(b, "msg-alloc-free") }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -48,33 +49,61 @@ func TestHostComparisonSimOnly(t *testing.T) {
 // between the two single-connection variants is within scheduling
 // jitter, but one connection per processor removes the shared state
 // lock entirely and must win everywhere.
+//
+// The host half is a 40 ms wall-clock window per point, and on a small
+// shared machine one preempted window is enough to reorder the top two.
+// So the sweep runs three times, each strategy is judged by the median
+// of its three top-rung rates, and the winner is asserted only when it
+// leads the runner-up by more than either's own spread across the three
+// runs; otherwise the measurement cannot tell them apart and the
+// ordering is logged instead.
 func TestHostComparisonAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs wall-clock measurement windows")
 	}
-	hc, err := RunHostComparison(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hc.HostRan {
-		t.Fatal("default Params skipped the host half")
-	}
-	for _, v := range hc.Variants {
-		for i, y := range v.Host {
-			if y == 0 {
-				// Zero after the retry loop means the scheduler starved
-				// the run's head-of-line goroutine for entire windows —
-				// seen on single-CPU machines under the race detector.
-				// That is a property of the machine, not the substrate.
-				t.Skipf("host starved at %s @%dp; skipping agreement check", v.Label, hc.Procs[i])
+	const halves = 3
+	var hc HostComparison
+	top := make([][halves]float64, len(hostSweepVariants())) // per variant: top-rung host Mb/s of each run
+	for h := 0; h < halves; h++ {
+		var err error
+		if hc, err = RunHostComparison(tiny()); err != nil {
+			t.Fatal(err)
+		}
+		if !hc.HostRan {
+			t.Fatal("default Params skipped the host half")
+		}
+		for vi, v := range hc.Variants {
+			for i, y := range v.Host {
+				if y == 0 {
+					// Zero after the retry loop means the scheduler starved
+					// the run's head-of-line goroutine for entire windows —
+					// seen on single-CPU machines under the race detector.
+					// That is a property of the machine, not the substrate.
+					t.Skipf("host starved at %s @%dp; skipping agreement check", v.Label, hc.Procs[i])
+				}
 			}
+			top[vi][h] = v.Host[len(v.Host)-1]
 		}
 	}
-	if hc.SimOrder[0] != hc.HostOrder[0] {
-		t.Errorf("substrates disagree on the winning strategy: sim %v, host %v",
-			hc.SimOrder, hc.HostOrder)
+	rank := make([]int, len(top)) // variants by median, best first
+	for vi := range top {
+		sort.Float64s(top[vi][:])
+		rank[vi] = vi
 	}
-	t.Logf("sim order %v (knees %v), host order %v, full ordering agree=%v knees agree=%v",
+	sort.SliceStable(rank, func(a, b int) bool { return top[rank[a]][halves/2] > top[rank[b]][halves/2] })
+	first, second := rank[0], rank[1]
+	margin := top[first][halves/2] - top[second][halves/2]
+	spread := max(top[first][halves-1]-top[first][0], top[second][halves-1]-top[second][0])
+	winner, runnerUp := hc.Variants[first].Label, hc.Variants[second].Label
+	switch {
+	case margin <= spread:
+		t.Logf("host cannot separate %s from %s (median margin %.0f Mb/s, run-to-run spread %.0f): winner not asserted",
+			winner, runnerUp, margin, spread)
+	case winner != hc.SimOrder[0]:
+		t.Errorf("substrates disagree on the winning strategy: sim %v, host %s ahead of %s by %.0f Mb/s (spread %.0f)",
+			hc.SimOrder, winner, runnerUp, margin, spread)
+	}
+	t.Logf("sim order %v (knees %v), last host order %v, full ordering agree=%v knees agree=%v",
 		hc.SimOrder, knees(hc, func(v HostVariant) int { return v.SimKnee }),
 		hc.HostOrder, hc.OrderAgree, hc.KneeAgree)
 }

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chksum"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/experiments"
@@ -73,11 +74,14 @@ type MicroSpec struct {
 func MicroBenchmarks() []MicroSpec {
 	return []MicroSpec{
 		{"engine-handoff", benchEngineHandoff},
+		{"engine-sync-fastpath-8t", benchEngineSyncFastPath8},
 		{"engine-handoff-pingpong", benchEngineHandoffPingPong},
 		{"engine-spawn", benchEngineSpawn},
 		{"engine-rununtil-drain", benchRunUntilDrain},
 		{"lock-contended-mutex-4t", benchContendedMutex},
 		{"lock-contended-mcs-4t", benchContendedMCS},
+		{"chksum-sum-20b", benchChksumSum20},
+		{"chksum-sum-4k", benchChksumSum4K},
 		{"msg-alloc-free", benchMsgAllocFree},
 		{"msg-clone-free", benchMsgCloneFree},
 		{"msg-merge-absorb", benchMsgMergeAbsorb},
@@ -100,6 +104,28 @@ func benchEngineHandoff(b *testing.B) {
 			th.Sync()
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// benchEngineSyncFastPath8: the same fast path with seven other threads
+// runnable at later clocks — the shape of a packet's uncontended Syncs
+// on an 8-processor run. engine-handoff's heap is empty, which hides
+// what a push and a pop through three heap levels used to cost here.
+func benchEngineSyncFastPath8(b *testing.B) {
+	e := sim.New(cost.NewModel(cost.Challenge100), 1)
+	e.Spawn("hot", 0, func(th *sim.Thread) {
+		for i := 0; i < b.N; i++ {
+			th.Charge(10)
+			th.Sync()
+		}
+	})
+	for i := 1; i < 8; i++ {
+		e.Spawn(fmt.Sprintf("t%d", i), i, func(th *sim.Thread) {
+			th.SleepUntil(1<<60 + int64(th.Proc))
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
@@ -185,6 +211,28 @@ func benchRunUntilDrain(b *testing.B) {
 		e.Drain()
 	}
 }
+
+// benchChksumSum: the Internet checksum over an IP header (20 bytes:
+// call overhead and the tail loop) and over a 4 KB segment (the wide
+// kernel) — what every simulated packet pays for real on the host.
+func benchChksumSum(b *testing.B, n int) {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chksumSink += chksum.Sum(data)
+	}
+}
+
+// chksumSink keeps benchChksumSum's calls from being optimized away.
+var chksumSink uint16
+
+func benchChksumSum20(b *testing.B) { benchChksumSum(b, 20) }
+func benchChksumSum4K(b *testing.B) { benchChksumSum(b, 4096) }
 
 func benchMsgAllocFree(b *testing.B) {
 	a := msg.NewAllocator(msg.DefaultConfig(4))

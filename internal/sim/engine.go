@@ -346,22 +346,50 @@ func (e *Engine) retire(t *Thread) {
 	e.free = append(e.free, t)
 }
 
-// step makes one scheduling decision: pop the minimum-clock runnable
-// thread and leave it in pending for the driver to resume. self, when
-// non-nil, is the calling thread; if it is itself the minimum, step
-// returns true and the caller keeps running with no switch at all.
-// When the simulation cannot proceed (limit reached, deadlock), pending
-// stays nil, which stops the driver once the caller has parked.
-func (e *Engine) step(self *Thread) bool {
-	next := e.pop()
-	if next == nil {
-		e.stopPanic = "sim: deadlock — all threads blocked\n" + e.dump()
-		return false
+// step makes the scheduling decision for whoever gives up control and
+// leaves the chosen thread in pending for the driver to resume. self,
+// when non-nil, is a yielding thread that stays runnable and is already
+// known not to run next (yield's compare ruled that out): it re-enters
+// the heap behind every thread at its clock. When the simulation cannot
+// proceed (limit reached, deadlock), pending stays nil, which stops the
+// driver once the caller has parked.
+//
+// The limit is judged on the root before anything is popped: a thread
+// that has to wait for the next RunUntil keeps its place among its
+// equal-clock peers.
+func (e *Engine) step(self *Thread) {
+	if len(e.heap) == 0 || e.pastLimit(e.heap[0].vt) {
+		if self != nil {
+			e.push(self)
+		} else if len(e.heap) == 0 {
+			e.stopPanic = "sim: deadlock — all threads blocked\n" + e.dump()
+		}
+		return
 	}
-	if e.limit >= 0 && next.vt > e.limit {
-		e.push(next)
-		return false
+	next := e.heap[0]
+	if self != nil {
+		// The root leaves and self enters: one sift-down, not a
+		// push-then-pop.
+		e.stamp(self)
+		e.heap[0] = self
+		e.down()
+	} else {
+		e.pop()
 	}
+	e.dispatch(next)
+	e.pending = next
+}
+
+// pastLimit reports whether a thread at clock vt has to wait for a later
+// RunUntil: the limit is inclusive.
+func (e *Engine) pastLimit(vt int64) bool {
+	return e.limit >= 0 && vt > e.limit
+}
+
+// dispatch makes next the running thread: the engine clock advances to
+// its clock, telemetry samples any period boundary that passes, and
+// Trace logs the decision.
+func (e *Engine) dispatch(next *Thread) {
 	if next.vt > e.now {
 		e.now = next.vt
 	} else {
@@ -375,11 +403,6 @@ func (e *Engine) step(self *Thread) bool {
 	if e.Trace != nil {
 		e.Trace(fmt.Sprintf("t=%d run %s", e.now, next.name))
 	}
-	if next == self {
-		return true
-	}
-	e.pending = next
-	return false
 }
 
 // Run drives the simulation until every thread has terminated. It panics
@@ -505,11 +528,16 @@ func (e *Engine) Wake(t *Thread, at int64) {
 	e.push(t)
 }
 
-// push marks t ready and inserts it into the scheduler heap.
-func (e *Engine) push(t *Thread) {
+// stamp marks t ready and gives it the next place among equal clocks.
+func (e *Engine) stamp(t *Thread) {
 	t.state = stateReady
 	e.pushCtr++
 	t.pushSeq = e.pushCtr
+}
+
+// push marks t ready and inserts it into the scheduler heap.
+func (e *Engine) push(t *Thread) {
+	e.stamp(t)
 	e.heap = append(e.heap, t)
 	i := len(e.heap) - 1
 	for i > 0 {
@@ -522,16 +550,18 @@ func (e *Engine) push(t *Thread) {
 	}
 }
 
-func (e *Engine) pop() *Thread {
+// pop removes the root of a non-empty heap.
+func (e *Engine) pop() {
+	n := len(e.heap) - 1
+	e.heap[0] = e.heap[n]
+	e.heap[n] = nil
+	e.heap = e.heap[:n]
+	e.down()
+}
+
+// down restores heap order after the root was replaced.
+func (e *Engine) down() {
 	n := len(e.heap)
-	if n == 0 {
-		return nil
-	}
-	t := e.heap[0]
-	e.heap[0] = e.heap[n-1]
-	e.heap[n-1] = nil
-	e.heap = e.heap[:n-1]
-	n--
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -548,7 +578,6 @@ func (e *Engine) pop() *Thread {
 		e.heap[i], e.heap[m] = e.heap[m], e.heap[i]
 		i = m
 	}
-	return t
 }
 
 func threadLess(a, b *Thread) bool {
@@ -622,11 +651,15 @@ func (t *Thread) ChargeBytes(rate float64, n int) {
 	t.Charge(cost.Bytes(rate, n))
 }
 
-// yield gives up control: the thread records its own state, picks the
-// next runnable thread itself and switches back to the driver, which
-// resumes that thread. When the yielding thread is still the
-// minimum-clock runnable thread, no switch happens at all — it just
-// keeps running.
+// yield gives up control, with one of three outcomes. A thread that
+// stays runnable (s == stateReady) and whose clock is strictly below
+// every other runnable thread's, within the RunUntil limit, keeps
+// running: the engine does for it what a scheduling decision would —
+// clock, telemetry, Trace — and the heap is not touched. An equal clock
+// does not qualify: the thread that yielded first runs first. A runnable
+// thread that is not the minimum takes the root's place in the heap and
+// parks while the driver resumes the root. A blocking thread leaves the
+// schedule and parks until a Wake pushes it back.
 func (t *Thread) yield(s threadState) {
 	e := t.eng
 	if e.draining {
@@ -635,12 +668,15 @@ func (t *Thread) yield(s threadState) {
 		// unwinding.
 		panic(drainSignal{})
 	}
-	t.state = s
 	if s == stateReady {
-		e.push(t)
-	}
-	if e.step(t) {
-		return // fast path: still the minimum, keep running
+		if (len(e.heap) == 0 || t.vt < e.heap[0].vt) && !e.pastLimit(t.vt) {
+			e.dispatch(t)
+			return
+		}
+		e.step(t)
+	} else {
+		t.state = s
+		e.step(nil)
 	}
 	if !t.park(struct{}{}) {
 		panic(drainSignal{}) // stopped by Drain: unwind this stack

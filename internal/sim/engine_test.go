@@ -145,6 +145,37 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 	}
 }
 
+// TestRunUntilLimitIsInclusive: a thread whose clock equals the limit
+// runs before RunUntil returns, one a nanosecond later does not — the
+// same rule whether the thread reaches the limit while running or
+// parked, alone or handed to by another.
+func TestRunUntilLimitIsInclusive(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		e := newTestEngine(13)
+		steps := make([]int, threads)
+		for i := range steps {
+			e.Spawn(fmt.Sprintf("t%d", i), i, func(th *Thread) {
+				for j := 0; j < 10; j++ {
+					th.Sleep(100)
+					steps[th.Proc]++
+				}
+			})
+		}
+		for _, c := range []struct {
+			limit int64
+			want  int
+		}{{300, 3}, {300, 3}, {301, 3}, {399, 3}, {400, 4}, {600, 6}} {
+			e.RunUntil(c.limit)
+			for i, n := range steps {
+				if n != c.want {
+					t.Errorf("%d threads, RunUntil(%d): t%d took %d steps, want %d", threads, c.limit, i, n, c.want)
+				}
+			}
+		}
+		e.Drain()
+	}
+}
+
 // TestRunUntilResumesWhereItStopped cuts one run into many RunUntil
 // slices: every thread — running ahead, ready, or blocked on the lock
 // when a limit lands — must pick up exactly where it parked, so the
@@ -182,6 +213,81 @@ func TestRunUntilResumesWhereItStopped(t *testing.T) {
 	}
 	if gotLog != wantLog {
 		t.Errorf("sliced run scheduled differently from the uncut run:\n--- sliced\n%s--- uncut\n%s", gotLog, wantLog)
+	}
+}
+
+// TestRunUntilSliceKeepsTieOrder: a limit that lands while several
+// threads wait at one clock must not reshuffle them. The engine used to
+// pop the minimum to look at it and push it back behind its peers, so
+// the sliced run below logged w1 w2 w0 per round.
+func TestRunUntilSliceKeepsTieOrder(t *testing.T) {
+	run := func(limits ...int64) string {
+		e := newTestEngine(12)
+		var order []string
+		for i := 0; i < 3; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
+				for j := 0; j < 3; j++ {
+					th.Charge(100)
+					th.Sync()
+					order = append(order, th.Name())
+				}
+			})
+		}
+		for _, l := range limits {
+			e.RunUntil(l)
+		}
+		e.Run()
+		return strings.Join(order, " ")
+	}
+	const want = "w0 w1 w2 w0 w1 w2 w0 w1 w2"
+	if got := run(); got != want {
+		t.Fatalf("uncut run: %s, want %s", got, want)
+	}
+	for _, limits := range [][]int64{{50}, {0, 99}, {100, 150, 250}, {50, 50, 199, 299}} {
+		if got := run(limits...); got != want {
+			t.Errorf("RunUntil%v then Run: %s, want %s", limits, got, want)
+		}
+	}
+}
+
+// TestRunUntilResumesOnTies is TestRunUntilResumesWhereItStopped without
+// jitter: every charge is a round number, so clocks tie constantly — on
+// Syncs, on the lock, at the limits themselves — and each slice boundary
+// falls among equal-clock threads.
+func TestRunUntilResumesOnTies(t *testing.T) {
+	run := func(limits ...int64) (string, int64) {
+		e := newTestEngine(11)
+		var log strings.Builder
+		e.Trace = func(s string) { log.WriteString(s + "\n") }
+		var mu MCSLock
+		var sum int64
+		for i := 0; i < 4; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
+				for j := 0; j < 25; j++ {
+					th.Charge(3000)
+					th.Sync()
+					mu.Acquire(th)
+					sum = sum*31 + int64(th.Proc)
+					th.Charge(2000)
+					mu.Release(th)
+				}
+			})
+		}
+		for _, l := range limits {
+			if e.RunUntil(l) == 0 {
+				t.Fatalf("run finished before limit %d", l)
+			}
+		}
+		e.Run()
+		return log.String(), sum
+	}
+	wantLog, wantSum := run()
+	gotLog, gotSum := run(0, 2999, 3000, 3001, 5000, 12_000, 40_000, 100_000)
+	if gotSum != wantSum {
+		t.Errorf("sliced run computed %d, uncut run %d", gotSum, wantSum)
+	}
+	if gotLog != wantLog {
+		t.Errorf("sliced run scheduled differently from the uncut run:\n%s", firstDiff(gotLog, wantLog))
 	}
 }
 

@@ -6,11 +6,17 @@ package sim
 // preservation above TCP, condition variables, and shared counters.
 //
 // The shared cells (Flag, Counter, RefCount, CountingLock ownership)
-// use Go atomics. In sim mode the engine serializes execution so the
-// atomics cost nothing extra and values stay deterministic; in host
-// mode they are what makes concurrent access race-clean. Virtual-time
-// charging (Sync, Charge, chargeLine) is sim-only and skipped on the
-// host backend.
+// use Go atomics. In sim mode the engine serializes execution, so the
+// atomics are not needed for correctness and values stay deterministic;
+// in host mode they are what makes concurrent access race-clean. They
+// are not free in sim mode, though: an atomic store is an XCHG and an
+// atomic add a LOCK XADD, each a full fence, and with a Sync that keeps
+// running down to a compare they show: in a CPU profile of the
+// single-processor UDP receive workload of bench/ (udp-recv-1p-1k)
+// CountingLock's owner stores are 13 % of host CPU and RefCount's
+// Int32.Add 6 %, with Rand.Jitter's float arithmetic another 9 %
+// (ROADMAP, "Fewer handoffs per packet"). Virtual-time charging (Sync,
+// Charge, chargeLine) is sim-only and skipped on the host backend.
 
 import (
 	"sync"
