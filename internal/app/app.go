@@ -24,7 +24,7 @@ type Sink struct {
 
 	// pkts/bytes are written under lock (the paper's critical section)
 	// but read lock-free by measurement snapshots, which on the host
-	// backend run concurrently with deliveries — hence atomic adds.
+	// backend run concurrently with deliveries — hence Thread.Count.
 	lock  sim.Mutex
 	pkts  int64
 	bytes int64
@@ -67,8 +67,8 @@ func (s *Sink) Receive(t *sim.Thread, m *msg.Message) error {
 		first = m.Bytes()[0]
 	}
 	s.lock.Acquire(t)
-	atomic.AddInt64(&s.pkts, segs)
-	atomic.AddInt64(&s.bytes, int64(n))
+	t.Count(&s.pkts, segs)
+	t.Count(&s.bytes, int64(n))
 	s.LastFirstByte = first
 	s.lock.Release(t)
 	if s.Ordered && m.Ticketed && s.Seq != nil {

@@ -45,7 +45,7 @@ type SimTCPReceiver struct {
 	conns map[uint32]*simRecvConn
 	list  []*simRecvConn
 
-	// Aggregate counters (atomic adds: TX runs on whichever pump
+	// Aggregate counters (Thread.Count: TX runs on whichever pump
 	// thread carries the frame, concurrently on the host backend, and
 	// measurement snapshots read mid-run).
 	pkts     int64
@@ -151,7 +151,7 @@ func (d *SimTCPReceiver) TX(t *sim.Thread, m *msg.Message) error {
 	if d.Strict && len(frame) >= tcpFrameHdr &&
 		(frame[offTCP+18] != 0 || frame[offTCP+19] != 0) &&
 		!chksum.Verify(HostLocal, HostPeer, ip.ProtoTCP, frame[offTCP:]) {
-		atomic.AddInt64(&d.badSum, 1)
+		t.Count(&d.badSum, 1)
 		m.Free(t)
 		return nil
 	}
@@ -181,13 +181,13 @@ func (d *SimTCPReceiver) TX(t *sim.Thread, m *msg.Message) error {
 
 	case sg.DLen > 0:
 		end := sg.Seq + uint32(sg.DLen)
-		atomic.AddInt64(&d.wireSegs, 1)
+		t.Count(&d.wireSegs, 1)
 		c.mu.Lock()
 		if int32(sg.Seq-c.lastEnd) < 0 {
 			// This segment was passed by a later one below TCP
 			// ("threads pass each other ... before reaching the FDDI
 			// driver", Section 4.1).
-			atomic.AddInt64(&d.wireOOO, 1)
+			t.Count(&d.wireOOO, 1)
 		} else {
 			c.lastEnd = end
 		}
@@ -198,8 +198,8 @@ func (d *SimTCPReceiver) TX(t *sim.Thread, m *msg.Message) error {
 		if int32(end-c.maxEnd) > 0 {
 			c.maxEnd = end
 		}
-		atomic.AddInt64(&d.pkts, 1)
-		atomic.AddInt64(&d.bytes, int64(sg.DLen))
+		t.Count(&d.pkts, 1)
+		t.Count(&d.bytes, int64(sg.DLen))
 		t.Engine().Rec.Deliver(t.Proc, t.Now(), born)
 		c.unacked++
 		doAck := false
@@ -258,8 +258,8 @@ func (d *SimTCPReceiver) strictData(t *sim.Thread, c *simRecvConn, seq, end uint
 			counted += int64(end - newStart)
 		}
 		if counted > 0 {
-			atomic.AddInt64(&d.pkts, 1)
-			atomic.AddInt64(&d.bytes, counted)
+			t.Count(&d.pkts, 1)
+			t.Count(&d.bytes, counted)
 			t.Engine().Rec.Deliver(t.Proc, t.Now(), born)
 		}
 		filledGap := len(c.ranges) > 0
@@ -292,8 +292,8 @@ func (d *SimTCPReceiver) strictData(t *sim.Thread, c *simRecvConn, seq, end uint
 	default:
 		// Gap: park the range and tell the sender where we are, now.
 		if c.park(seq, end) {
-			atomic.AddInt64(&d.pkts, 1)
-			atomic.AddInt64(&d.bytes, int64(end-seq))
+			t.Count(&d.pkts, 1)
+			t.Count(&d.bytes, int64(end-seq))
 			t.Engine().Rec.Deliver(t.Proc, t.Now(), born)
 		}
 		c.unacked = 0

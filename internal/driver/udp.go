@@ -33,7 +33,7 @@ func PeerPort(i int) uint16 { return uint16(2000 + i + i>>16) }
 type UDPSink struct {
 	ring sim.Mutex
 	// Counted under the ring lock but snapshotted lock-free by
-	// mid-run measurement on the host backend — hence atomic.
+	// mid-run measurement on the host backend — hence Thread.Count.
 	pkts  int64
 	bytes int64
 }
@@ -52,8 +52,8 @@ func (s *UDPSink) TX(t *sim.Thread, m *msg.Message) error {
 	s.ring.Acquire(t)
 	t.ChargeRand(st.DriverRing)
 	if m.Len() >= udpFrameHdr {
-		atomic.AddInt64(&s.bytes, int64(m.Len()-udpFrameHdr))
-		atomic.AddInt64(&s.pkts, 1)
+		t.Count(&s.bytes, int64(m.Len()-udpFrameHdr))
+		t.Count(&s.pkts, 1)
 	}
 	s.ring.Release(t)
 	t.ChargeRand(st.DriverTX)

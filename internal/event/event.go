@@ -57,9 +57,9 @@ type Wheel struct {
 	perChain bool
 	single   sim.Locker
 	stop     *sim.Flag
-	nsched   atomic.Int64
-	ncancel  atomic.Int64
-	nfired   atomic.Int64
+	nsched   int64
+	ncancel  int64
+	nfired   int64
 }
 
 // Config controls wheel construction.
@@ -133,7 +133,7 @@ func (w *Wheel) Schedule(t *sim.Thread, fn func(*sim.Thread, any), arg any, dela
 		c.head.prev = e
 	}
 	c.head = e
-	w.nsched.Add(1)
+	t.Count(&w.nsched, 1)
 	c.lock.Release(t)
 	return e
 }
@@ -150,7 +150,7 @@ func (w *Wheel) Cancel(t *sim.Thread, e *Event) bool {
 	}
 	e.state.Store(int32(StateCancelled))
 	w.unlink(c, e)
-	w.ncancel.Add(1)
+	t.Count(&w.ncancel, 1)
 	c.lock.Release(t)
 	return true
 }
@@ -204,11 +204,11 @@ func (w *Wheel) runDue(t *sim.Thread, now int64) {
 	for _, e := range due {
 		e.fn(t, e.arg)
 		e.state.Store(int32(StateDone))
-		w.nfired.Add(1)
+		t.Count(&w.nfired, 1)
 	}
 }
 
 // Counts returns (scheduled, cancelled, fired) totals.
 func (w *Wheel) Counts() (int64, int64, int64) {
-	return w.nsched.Load(), w.ncancel.Load(), w.nfired.Load()
+	return atomic.LoadInt64(&w.nsched), atomic.LoadInt64(&w.ncancel), atomic.LoadInt64(&w.nfired)
 }

@@ -68,9 +68,9 @@ type Protocol struct {
 	stats Stats
 }
 
-// Stats counts IP activity. Counters are bumped with atomic adds so
-// concurrent pump threads on the host backend stay race-clean; under
-// the sim engine the atomics are free and deterministic.
+// Stats counts IP activity. Counters are bumped with Thread.Count:
+// atomic adds on the host backend, where pump threads run concurrently,
+// plain increments under the sim engine, which serializes them.
 type Stats struct {
 	Sent           int64
 	Received       int64
@@ -217,7 +217,7 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 			return err
 		}
 		writeHeader(h, m.Len(), id, 0, s.proto, s.src, s.dst)
-		atomic.AddInt64(&s.p.stats.Sent, 1)
+		t.Count(&s.p.stats.Sent, 1)
 		return s.lower.Push(t, m)
 	}
 	// Fragment: payload chunks are multiples of 8 bytes except the
@@ -245,8 +245,8 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 			flagsOff |= 0x2000 // MF
 		}
 		writeHeader(h, frag.Len(), id, flagsOff, s.proto, s.src, s.dst)
-		atomic.AddInt64(&s.p.stats.Sent, 1)
-		atomic.AddInt64(&s.p.stats.FragsOut, 1)
+		t.Count(&s.p.stats.Sent, 1)
+		t.Count(&s.p.stats.FragsOut, 1)
 		if err := s.lower.Push(t, frag); err != nil {
 			return err
 		}
@@ -296,7 +296,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		return ErrShort
 	}
 	if chksum.Sum(h) != 0 {
-		atomic.AddInt64(&p.stats.ChecksumBad, 1)
+		t.Count(&p.stats.ChecksumBad, 1)
 		m.Free(t)
 		return ErrBadChecksum
 	}
@@ -315,7 +315,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	var dst xkernel.IPAddr
 	copy(dst[:], h[16:20])
 	if !p.cfg.Promiscuous && dst != p.cfg.Local {
-		atomic.AddInt64(&p.stats.NotDeliverable, 1)
+		t.Count(&p.stats.NotDeliverable, 1)
 		m.Free(t)
 		return ErrNotOurs
 	}
@@ -336,12 +336,12 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		m = whole
 		copy(m.SrcAddr[:], h[12:16])
 		copy(m.DstAddr[:], h[16:20])
-		atomic.AddInt64(&p.stats.Reassembled, 1)
+		t.Count(&p.stats.Reassembled, 1)
 	}
-	atomic.AddInt64(&p.stats.Received, 1)
+	t.Count(&p.stats.Received, 1)
 	v, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
 	if !ok {
-		atomic.AddInt64(&p.stats.NotDeliverable, 1)
+		t.Count(&p.stats.NotDeliverable, 1)
 		m.Free(t)
 		return fmt.Errorf("ip: no transport for protocol %d", proto)
 	}
@@ -355,7 +355,7 @@ func (p *Protocol) reassemble(t *sim.Thread, k reassKey, flagsOff uint16, m *msg
 	st := &t.Engine().C.Stack
 	p.reassLock.Acquire(t)
 	t.ChargeRand(st.IPReass)
-	atomic.AddInt64(&p.stats.FragsIn, 1)
+	t.Count(&p.stats.FragsIn, 1)
 	e := p.reass[k]
 	if e == nil {
 		e = &reassEntry{total: -1}
@@ -410,7 +410,7 @@ func (p *Protocol) expire(t *sim.Thread, k reassKey) {
 	}
 	p.reassLock.Release(t)
 	if e != nil {
-		atomic.AddInt64(&p.stats.TimedOut, 1)
+		t.Count(&p.stats.TimedOut, 1)
 		for _, pc := range e.pieces {
 			pc.m.Free(t)
 		}

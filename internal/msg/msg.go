@@ -189,13 +189,13 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 			pc.free[cl] = n.next
 			pc.count[cl]--
 			n.next = nil
-			atomic.AddInt64(&a.stats.CacheHits, 1)
+			t.Count(&a.stats.CacheHits, 1)
 			t.ChargeRand(st.MsgAllocCached)
 			n.lastProc = t.Proc
 			n.ref.Init(a.cfg.RefMode, 1)
 			return n, nil
 		}
-		atomic.AddInt64(&a.stats.CacheMisses, 1)
+		t.Count(&a.stats.CacheMisses, 1)
 	}
 	// Global arena: the malloc path, serialized by one lock.
 	a.arenaLock.Acquire(t)
@@ -205,7 +205,7 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 		a.arena[cl] = n.next
 		n.next = nil
 	} else {
-		atomic.AddInt64(&a.stats.ArenaAllocs, 1)
+		t.Count(&a.stats.ArenaAllocs, 1)
 		n = &MNode{buf: make([]byte, classes[cl]), class: cl, alloc: a, lastProc: -1}
 	}
 	a.arenaLock.Release(t)
@@ -224,7 +224,7 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 func (a *Allocator) putNode(t *sim.Thread, n *MNode) {
 	st := &t.Engine().C.Stack
 	t.ChargeRand(st.MsgFree)
-	atomic.AddInt64(&a.stats.Frees, 1)
+	t.Count(&a.stats.Frees, 1)
 	if a.cfg.CacheEnabled {
 		pc := &a.perProc[t.Proc%len(a.perProc)]
 		if pc.count[n.class] < a.cfg.CacheDepth {

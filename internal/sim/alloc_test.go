@@ -76,3 +76,30 @@ func TestSequencerWaitDoesNotAllocate(t *testing.T) {
 		t.Errorf("Sequencer wait: %v allocs per slice, want 0", allocs)
 	}
 }
+
+// TestQueueAndCondDoNotAllocate pins the handoff queue and the two
+// condition variables inside it: two fast producers keep a two-slot
+// queue full, so they park on notFull and the slower consumers signal
+// them on every dequeue. Advancing a slice window (items[1:],
+// waiters[1:]) walks off the end of the backing array and reallocates
+// on every wrap; the ring and the copy-down list do not.
+func TestQueueAndCondDoNotAllocate(t *testing.T) {
+	const depth = 2
+	q := NewQueue("pinned", depth)
+	var waits int64
+	allocs := steadyStateAllocs(t, func(th *Thread) {
+		if th.Proc < 2 {
+			th.Charge(1000)
+			if q.Len() == depth {
+				waits++
+			}
+			q.Enqueue(th, th) // a pointer: boxing it allocates nothing
+		} else {
+			th.ChargeRand(20_000)
+			q.Dequeue(th)
+		}
+	}, func() int64 { return waits })
+	if allocs != 0 {
+		t.Errorf("queue enqueue/dequeue with blocked producers: %v allocs per slice, want 0", allocs)
+	}
+}

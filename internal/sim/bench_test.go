@@ -112,17 +112,42 @@ func BenchmarkContendedMCS4Threads(b *testing.B) {
 	e.Run()
 }
 
-func BenchmarkAtomicRefCount(b *testing.B) {
-	e := New(cost.NewModel(cost.Challenge100), 1)
+// benchCell times op on a single thread of each substrate: the sim
+// rows are the plain-memory paths, the host rows the sync/atomic ones.
+func benchCell(b *testing.B, op func(th *Thread)) {
+	for _, backend := range []Backend{BackendSim, BackendHost} {
+		b.Run(backend.String(), func(b *testing.B) {
+			e := NewBackend(nil, 1, backend)
+			b.ReportAllocs()
+			e.Spawn("t", 0, func(th *Thread) {
+				b.ResetTimer() // a host thread starts running at Spawn
+				for i := 0; i < b.N; i++ {
+					op(th)
+				}
+			})
+			e.Run()
+		})
+	}
+}
+
+func BenchmarkRefCountIncrDecr(b *testing.B) {
 	var rc RefCount
 	rc.Init(RefAtomic, 1)
-	e.Spawn("t", 0, func(th *Thread) {
-		for i := 0; i < b.N; i++ {
-			rc.Incr(th)
-			rc.Decr(th)
-		}
+	benchCell(b, func(th *Thread) {
+		rc.Incr(th)
+		rc.Decr(th)
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
+}
+
+func BenchmarkUncontendedCountingLock(b *testing.B) {
+	c := NewCountingLock(KindMutex, "map")
+	benchCell(b, func(th *Thread) {
+		c.Acquire(th)
+		c.Release(th)
+	})
+}
+
+func BenchmarkStatCount(b *testing.B) {
+	var stat int64
+	benchCell(b, func(th *Thread) { th.Count(&stat, 1) })
 }

@@ -24,9 +24,11 @@
 //     the minimum virtual time. Because the engine serializes execution,
 //     such accesses are free of data races in the Go sense; Sync ordering
 //     makes them correct in virtual time as well.
-//   - Statistics counters shared across threads use atomic operations:
-//     in sim mode the engine's serialization keeps them deterministic,
-//     and in host mode (below) they are what makes the code race-clean.
+//   - Statistics counters and the shared cells (Counter, RefCount,
+//     CountingLock, Queue) take the calling *Thread and pick plain
+//     memory (sim: the engine already serializes) or sync/atomic (host)
+//     inside this package; protocol packages never choose. Counters are
+//     bumped with Thread.Count and read with atomic loads (sync.go).
 //
 // The engine is a dual-mode execution substrate. NewBackend with
 // BackendHost builds an engine whose threads are real goroutines, whose
@@ -776,8 +778,7 @@ func (t *Thread) MigrateTo(proc int) {
 		return
 	}
 	t.Proc = proc
-	if t.eng.host != nil {
-		return // affinity penalties are the host scheduler's business
-	}
+	// A no-op on the host backend: affinity penalties are the host
+	// scheduler's business.
 	t.ChargeRand(t.eng.C.Stack.Migrate)
 }

@@ -2,7 +2,10 @@ package sim
 
 // Host backend: the same Engine/Thread/Locker API executed on real
 // goroutines, real atomics and the host monotonic clock instead of the
-// virtual-time discrete-event scheduler.
+// virtual-time discrete-event scheduler. This is the substrate the
+// shared cells and statistics counters keep their sync/atomic
+// operations for: each takes the thread and picks plain or atomic
+// inside this package (sync.go), never in a protocol package.
 //
 // In host mode:
 //
@@ -29,6 +32,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,7 +239,7 @@ func (q *hostMCS) release(t *Thread, stats *LockStats, name string) {
 		return
 	}
 	w := q.queue[0]
-	q.queue = q.queue[1:]
+	q.queue = slices.Delete(q.queue, 0, 1) // copies down: the queue keeps its backing array
 	q.holder = w.t
 	q.since = now
 	q.mu.Unlock()

@@ -14,9 +14,14 @@ import "sync/atomic"
 type Queue struct {
 	Name string
 
-	lock     Mutex
-	items    []any
-	capacity int
+	lock Mutex
+	// ring holds the queued items: n of them, oldest at head. It is
+	// allocated once, at capacity, so steady-state traffic never touches
+	// the heap. n changes only under the lock, through setLen; Len reads
+	// it without the lock.
+	ring     []any
+	head     int
+	n        int32
 	closed   bool
 	notEmpty Cond
 	notFull  Cond
@@ -24,10 +29,6 @@ type Queue struct {
 	enqueued int64
 	dequeued int64
 	maxDepth int
-
-	// depth mirrors len(items) so Len() is safe without the lock on
-	// the host backend.
-	depth atomic.Int32
 }
 
 // NewQueue builds a queue holding at most capacity items.
@@ -35,7 +36,7 @@ func NewQueue(name string, capacity int) *Queue {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	q := &Queue{Name: name, capacity: capacity}
+	q := &Queue{Name: name, ring: make([]any, capacity)}
 	q.lock.Name = "queue:" + name
 	q.notEmpty.L = &q.lock
 	q.notFull.L = &q.lock
@@ -46,20 +47,15 @@ func NewQueue(name string, capacity int) *Queue {
 // false if the queue was closed.
 func (q *Queue) Enqueue(t *Thread, item any) bool {
 	q.lock.Acquire(t)
-	for len(q.items) >= q.capacity && !q.closed {
-		q.notFull.Wait(t, "queue full: "+q.Name)
+	for int(q.n) == len(q.ring) && !q.closed {
+		q.notFull.wait(t, "queue full:", q.Name)
 	}
 	if q.closed {
 		q.lock.Release(t)
 		return false
 	}
 	t.Charge(t.eng.C.Stack.QueueOp)
-	q.items = append(q.items, item)
-	q.depth.Store(int32(len(q.items)))
-	if len(q.items) > q.maxDepth {
-		q.maxDepth = len(q.items)
-	}
-	q.enqueued++
+	q.push(t, item)
 	q.notEmpty.Signal(t)
 	q.lock.Release(t)
 	return true
@@ -71,19 +67,16 @@ func (q *Queue) Enqueue(t *Thread, item any) bool {
 // thread.
 func (q *Queue) Dequeue(t *Thread) (any, bool) {
 	q.lock.Acquire(t)
-	for len(q.items) == 0 && !q.closed {
-		q.notEmpty.Wait(t, "queue empty: "+q.Name)
+	for q.n == 0 && !q.closed {
+		q.notEmpty.wait(t, "queue empty:", q.Name)
 	}
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		q.lock.Release(t)
 		return nil, false
 	}
 	t.Charge(t.eng.C.Stack.QueueOp)
 	t.ChargeRand(t.eng.C.Stack.CtxSwitch)
-	item := q.items[0]
-	q.items = q.items[1:]
-	q.depth.Store(int32(len(q.items)))
-	q.dequeued++
+	item := q.pop(t)
 	q.notFull.Signal(t)
 	q.lock.Release(t)
 	return item, true
@@ -93,16 +86,13 @@ func (q *Queue) Dequeue(t *Thread) (any, bool) {
 // whether an item was available.
 func (q *Queue) TryDequeue(t *Thread) (any, bool) {
 	q.lock.Acquire(t)
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		q.lock.Release(t)
 		return nil, false
 	}
 	t.Charge(t.eng.C.Stack.QueueOp)
 	t.ChargeRand(t.eng.C.Stack.CtxSwitch)
-	item := q.items[0]
-	q.items = q.items[1:]
-	q.depth.Store(int32(len(q.items)))
-	q.dequeued++
+	item := q.pop(t)
 	q.notFull.Signal(t)
 	q.lock.Release(t)
 	return item, true
@@ -113,20 +103,52 @@ func (q *Queue) TryDequeue(t *Thread) (any, bool) {
 // queues) use this and service their own queues while retrying.
 func (q *Queue) TryEnqueue(t *Thread, item any) bool {
 	q.lock.Acquire(t)
-	if len(q.items) >= q.capacity || q.closed {
+	if int(q.n) == len(q.ring) || q.closed {
 		q.lock.Release(t)
 		return false
 	}
 	t.Charge(t.eng.C.Stack.QueueOp)
-	q.items = append(q.items, item)
-	q.depth.Store(int32(len(q.items)))
-	if len(q.items) > q.maxDepth {
-		q.maxDepth = len(q.items)
-	}
-	q.enqueued++
+	q.push(t, item)
 	q.notEmpty.Signal(t)
 	q.lock.Release(t)
 	return true
+}
+
+// push appends item to the ring; the caller holds the lock and has
+// checked there is room.
+func (q *Queue) push(t *Thread, item any) {
+	i := q.head + int(q.n)
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = item
+	q.setLen(t, q.n+1)
+	if int(q.n) > q.maxDepth {
+		q.maxDepth = int(q.n)
+	}
+	q.enqueued++
+}
+
+// pop removes the oldest item; the caller holds the lock and has
+// checked the ring is not empty.
+func (q *Queue) pop(t *Thread) any {
+	item := q.ring[q.head]
+	q.ring[q.head] = nil
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.setLen(t, q.n-1)
+	q.dequeued++
+	return item
+}
+
+// setLen stores n: host threads call Len without holding the lock.
+func (q *Queue) setLen(t *Thread, n int32) {
+	if t.eng.host != nil {
+		atomic.StoreInt32(&q.n, n)
+		return
+	}
+	q.n = n
 }
 
 // Close wakes every blocked producer and consumer; subsequent enqueues
@@ -141,7 +163,7 @@ func (q *Queue) Close(t *Thread) {
 
 // Len returns the current depth (lock-free snapshot; exact in sim mode,
 // racy-but-atomic on the host backend).
-func (q *Queue) Len() int { return int(q.depth.Load()) }
+func (q *Queue) Len() int { return int(atomic.LoadInt32(&q.n)) }
 
 // Stats returns (enqueued, dequeued, max depth).
 func (q *Queue) Stats() (int64, int64, int) { return q.enqueued, q.dequeued, q.maxDepth }

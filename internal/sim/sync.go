@@ -3,22 +3,31 @@ package sim
 // Higher-level synchronization objects built on the simulated locks:
 // counting (recursive) locks for the map manager, reference counts in
 // atomic or lock-based mode, the bakery sequencer used for order
-// preservation above TCP, condition variables, and shared counters.
+// preservation above TCP, condition variables, shared counters and the
+// statistics-counter add.
 //
-// The shared cells (Flag, Counter, RefCount, CountingLock ownership)
-// use Go atomics. In sim mode the engine serializes execution, so the
-// atomics are not needed for correctness and values stay deterministic;
-// in host mode they are what makes concurrent access race-clean. They
-// are not free in sim mode, though: an atomic store is an XCHG and an
-// atomic add a LOCK XADD, each a full fence, and with a Sync that keeps
-// running down to a compare they show: in a CPU profile of the
-// single-processor UDP receive workload of bench/ (udp-recv-1p-1k)
-// CountingLock's owner stores are 13 % of host CPU and RefCount's
-// Int32.Add 6 %, with Rand.Jitter's float arithmetic another 9 %
-// (ROADMAP, "Fewer handoffs per packet"). Virtual-time charging (Sync,
-// Charge, chargeLine) is sim-only and skipped on the host backend.
+// The rule for the shared cells (Counter, RefCount, CountingLock
+// ownership, Queue length) and the statistics counters: each operation
+// takes the calling *Thread and tests the substrate once, at the top.
+// Host threads really run concurrently, so there the cell moves with
+// sync/atomic; the sim engine runs one coroutine at a time with a
+// happens-before edge on every switch, so there it is a plain load,
+// store or increment. Protocol packages never choose. What has no
+// thread stays atomic on both: Flag (set from outside the engine) and
+// the snapshot readers (Value, Load, Len, the Stats methods), whose
+// atomic loads cost nothing extra.
+//
+// History: the cells were atomics on both substrates until the fences
+// showed in profiles — an atomic store is an XCHG and an atomic add a
+// LOCK XADD, and on the single-processor UDP receive workload of bench/
+// (udp-recv-1p-1k) CountingLock's owner stores were 13 % of host CPU
+// and RefCount's Int32.Add 6 %. Rand.Jitter's float arithmetic, another
+// 9 %, stays: it has no bit-identical shortcut. Virtual-time charging
+// (Sync, Charge, chargeLine) is sim-only and skipped on the host
+// backend.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -29,7 +38,11 @@ import (
 // (Section 2.1).
 type CountingLock struct {
 	inner Locker
-	owner atomic.Pointer[Thread]
+	// owner is the holding thread on the sim backend, hostOwner on the
+	// host backend, where a thread that does not hold the lock reads it
+	// while the holder writes it.
+	owner     *Thread
+	hostOwner atomic.Pointer[Thread]
 	// depth is only touched by the current owner, under the inner
 	// lock's happens-before edges.
 	depth int
@@ -42,23 +55,44 @@ func NewCountingLock(kind LockKind, name string) *CountingLock {
 
 // Acquire takes the lock, or increments the count if t already owns it.
 func (c *CountingLock) Acquire(t *Thread) {
-	if c.owner.Load() == t {
+	if t.eng.host != nil {
+		if c.hostOwner.Load() == t {
+			c.depth++
+			return
+		}
+		c.inner.Acquire(t)
+		c.hostOwner.Store(t)
+		c.depth = 1
+		return
+	}
+	if c.owner == t {
 		c.depth++
 		return
 	}
 	c.inner.Acquire(t)
-	c.owner.Store(t)
+	c.owner = t
 	c.depth = 1
 }
 
 // Release decrements the count, releasing the lock at zero.
 func (c *CountingLock) Release(t *Thread) {
-	if c.owner.Load() != t {
+	if t.eng.host != nil {
+		if c.hostOwner.Load() != t {
+			panic("sim: CountingLock.Release by non-owner")
+		}
+		c.depth--
+		if c.depth == 0 {
+			c.hostOwner.Store(nil)
+			c.inner.Release(t)
+		}
+		return
+	}
+	if c.owner != t {
 		panic("sim: CountingLock.Release by non-owner")
 	}
 	c.depth--
 	if c.depth == 0 {
-		c.owner.Store(nil)
+		c.owner = nil
 		c.inner.Release(t)
 	}
 }
@@ -92,95 +126,92 @@ func (m RefMode) String() string {
 // Section 5.2 eliminates. Both modes pay coherence when the count
 // bounces between processors.
 type RefCount struct {
-	mode     RefMode
-	v        atomic.Int32
+	mode RefMode
+	v    int32
+	// pool is 1 + the index of this count's lock in Engine.refPool, 0
+	// until the first RefLocked manipulation assigns one.
+	pool     int32
 	lastProc int
-	pool     atomic.Pointer[Mutex]
-	inited   bool
 }
 
-// Init sets the mode and initial value. Must be called before use.
+// Init sets the mode and initial value. The caller owns the object: it
+// is not yet (or, for a recycled one, no longer) visible to any other
+// thread, so the stores are plain on either substrate.
 func (r *RefCount) Init(mode RefMode, v int32) {
-	r.mode = mode
-	r.v.Store(v)
-	r.lastProc = -1
-	r.pool.Store(nil)
-	r.inited = true
+	*r = RefCount{mode: mode, v: v, lastProc: -1}
 }
 
-// lock resolves this count's static pool lock (assigned round-robin on
-// first use, deterministically per engine).
-func (r *RefCount) lock(t *Thread) *Mutex {
-	if p := r.pool.Load(); p != nil {
-		return p
-	}
-	e := t.eng
-	if h := e.host; h != nil {
-		h.mu.Lock()
-		if r.pool.Load() == nil {
-			r.pool.Store(&e.refPool[e.refSeq%len(e.refPool)])
-			e.refSeq++
-		}
-		h.mu.Unlock()
-		return r.pool.Load()
-	}
-	r.pool.Store(&e.refPool[e.refSeq%len(e.refPool)])
+// nextRefLock assigns the next static pool lock round-robin,
+// deterministically per engine, as 1 + its index.
+func (e *Engine) nextRefLock() int32 {
+	i := e.refSeq % len(e.refPool)
 	e.refSeq++
-	return r.pool.Load()
+	return int32(i) + 1
+}
+
+// hostLock resolves this count's static pool lock on the host backend,
+// assigning it on first use.
+func (r *RefCount) hostLock(e *Engine) *Mutex {
+	i := atomic.LoadInt32(&r.pool)
+	if i == 0 {
+		e.host.mu.Lock()
+		if i = atomic.LoadInt32(&r.pool); i == 0 {
+			i = e.nextRefLock()
+			atomic.StoreInt32(&r.pool, i)
+		}
+		e.host.mu.Unlock()
+	}
+	return &e.refPool[i-1]
+}
+
+// add moves the count by d and returns the new value.
+func (r *RefCount) add(t *Thread, d int32) int32 {
+	e := t.eng
+	if e.host != nil {
+		if r.mode == RefAtomic {
+			return atomic.AddInt32(&r.v, d)
+		}
+		lk := r.hostLock(e)
+		lk.Acquire(t)
+		nv := atomic.AddInt32(&r.v, d)
+		lk.Release(t)
+		return nv
+	}
+	if r.mode == RefAtomic {
+		t.Sync()
+		t.Charge(e.C.Sync.Atomic)
+		chargeLine(t, &r.lastProc)
+		r.v += d
+		return r.v
+	}
+	if r.pool == 0 {
+		r.pool = e.nextRefLock()
+	}
+	lk := &e.refPool[r.pool-1]
+	lk.Acquire(t)
+	t.Charge(e.C.Sync.RefLockedWork)
+	chargeLine(t, &r.lastProc)
+	r.v += d
+	nv := r.v
+	lk.Release(t)
+	return nv
 }
 
 // Incr atomically increments the count.
-func (r *RefCount) Incr(t *Thread) {
-	if r.mode == RefAtomic {
-		if t.eng.host == nil {
-			t.Sync()
-			t.Charge(t.eng.C.Sync.Atomic)
-			chargeLine(t, &r.lastProc)
-		}
-		r.v.Add(1)
-		return
-	}
-	lk := r.lock(t)
-	lk.Acquire(t)
-	if t.eng.host == nil {
-		t.Charge(t.eng.C.Sync.RefLockedWork)
-		chargeLine(t, &r.lastProc)
-	}
-	r.v.Add(1)
-	lk.Release(t)
-}
+func (r *RefCount) Incr(t *Thread) { r.add(t, 1) }
 
 // Decr atomically decrements the count and reports whether it reached
 // zero (the caller then frees the object).
 func (r *RefCount) Decr(t *Thread) bool {
-	if r.mode == RefAtomic {
-		if t.eng.host == nil {
-			t.Sync()
-			t.Charge(t.eng.C.Sync.Atomic)
-			chargeLine(t, &r.lastProc)
-		}
-		nv := r.v.Add(-1)
-		if nv < 0 {
-			panic("sim: RefCount underflow")
-		}
-		return nv == 0
-	}
-	lk := r.lock(t)
-	lk.Acquire(t)
-	if t.eng.host == nil {
-		t.Charge(t.eng.C.Sync.RefLockedWork)
-		chargeLine(t, &r.lastProc)
-	}
-	nv := r.v.Add(-1)
+	nv := r.add(t, -1)
 	if nv < 0 {
 		panic("sim: RefCount underflow")
 	}
-	lk.Release(t)
 	return nv == 0
 }
 
 // Value returns the current count.
-func (r *RefCount) Value() int32 { return r.v.Load() }
+func (r *RefCount) Value() int32 { return atomic.LoadInt32(&r.v) }
 
 // Sequencer implements the ticketing ("bakery") scheme of Section 4.2:
 // a thread takes an up-ticket while still holding the connection state
@@ -293,19 +324,20 @@ type Cond struct {
 // re-acquired before returning. reason appears in deadlock dumps.
 // Callers must re-check their predicate in a loop: host-mode wakeups
 // can be spurious with respect to the predicate.
-func (c *Cond) Wait(t *Thread, reason string) {
+func (c *Cond) Wait(t *Thread, reason string) { c.wait(t, reason, "") }
+
+// wait is Wait with the reason in two parts, as Thread.blockOn takes
+// it, so a caller with a named object formats nothing per wait.
+func (c *Cond) wait(t *Thread, kind, name string) {
 	if t.eng.host != nil {
 		c.hostMu.Lock()
 		c.waiters = append(c.waiters, t)
 		c.hostMu.Unlock()
-		c.L.Release(t)
-		t.Block(reason)
-		c.L.Acquire(t)
-		return
+	} else {
+		c.waiters = append(c.waiters, t)
 	}
-	c.waiters = append(c.waiters, t)
 	c.L.Release(t)
-	t.Block(reason)
+	t.blockOn(kind, name)
 	c.L.Acquire(t)
 }
 
@@ -338,7 +370,7 @@ func (c *Cond) Signal(t *Thread) {
 		var w *Thread
 		if len(c.waiters) > 0 {
 			w = c.waiters[0]
-			c.waiters = c.waiters[1:]
+			c.waiters = slices.Delete(c.waiters, 0, 1)
 		}
 		c.hostMu.Unlock()
 		if w != nil {
@@ -350,37 +382,55 @@ func (c *Cond) Signal(t *Thread) {
 		return
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	c.waiters = slices.Delete(c.waiters, 0, 1) // copies down: the list keeps its backing array
 	t.eng.Wake(w, t.Now()+t.eng.C.Sync.Coherence)
 }
 
 // Counter is a shared cell updated with atomic fetch-and-add (sequence
 // number allocation in the drivers, statistics that must be exact).
 type Counter struct {
-	v        atomic.Int64
+	v        int64
 	lastProc int
 	inited   bool
 }
 
 // Add charges one atomic op and returns the *previous* value.
 func (c *Counter) Add(t *Thread, delta int64) int64 {
-	if t.eng.host == nil {
-		t.Sync()
-		if !c.inited {
-			c.lastProc = -1
-			c.inited = true
-		}
-		t.Charge(t.eng.C.Sync.Atomic)
-		chargeLine(t, &c.lastProc)
+	if t.eng.host != nil {
+		return atomic.AddInt64(&c.v, delta) - delta
 	}
-	return c.v.Add(delta) - delta
+	t.Sync()
+	if !c.inited {
+		c.lastProc = -1
+		c.inited = true
+	}
+	t.Charge(t.eng.C.Sync.Atomic)
+	chargeLine(t, &c.lastProc)
+	old := c.v
+	c.v = old + delta
+	return old
 }
 
 // Load returns the current value without synchronization cost.
-func (c *Counter) Load() int64 { return c.v.Load() }
+func (c *Counter) Load() int64 { return atomic.LoadInt64(&c.v) }
 
 // Store sets the value (setup/reset paths only).
-func (c *Counter) Store(v int64) { c.v.Store(v) }
+func (c *Counter) Store(v int64) { atomic.StoreInt64(&c.v, v) }
+
+// Count adds delta to a statistics counter: a plain int64 that any
+// thread may bump and that is read only as a snapshot, with
+// atomic.LoadInt64 (mid-run on the host backend, after the run on the
+// sim). It charges no virtual time and implies no ordering. Every
+// add-only statistic in the protocol packages goes through here, so the
+// choice between a plain increment and a LOCK XADD is made in this
+// package alone.
+func (t *Thread) Count(c *int64, delta int64) {
+	if t.eng.host != nil {
+		atomic.AddInt64(c, delta)
+		return
+	}
+	*c += delta
+}
 
 // Flag is a shared boolean checked with relaxed reads (stop flags).
 type Flag struct{ v atomic.Bool }

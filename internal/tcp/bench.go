@@ -77,7 +77,7 @@ func NewBench(t *sim.Thread, cfg Config, alloc *msg.Allocator, n int) (*Protocol
 // BenchSlowTick runs one slow heartbeat through whichever timer
 // architecture the config selects, exactly as the recurring event would.
 func (p *Protocol) BenchSlowTick(t *sim.Thread) {
-	p.slowTicks.Add(1)
+	t.Count(&p.slowTicks, 1)
 	if p.cfg.TimerWheel {
 		p.wheelSlowTimo(t)
 	} else {

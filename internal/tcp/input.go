@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"sync/atomic"
-
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -24,18 +22,18 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 	st := &t.Engine().C.Stack
 	cfg := &tcb.p.cfg
 	p := tcb.p
-	atomic.AddInt64(&p.stats.SegsIn, 1)
+	t.Count(&p.stats.SegsIn, 1)
 
 	tcb.locks.lockState(t)
 
 	// Instrumentation for Table 1: a data segment whose sequence number
 	// is not the next expected arrived out of order at TCP.
 	if sg.dlen > 0 && tcb.state == stateEstablished {
-		atomic.AddInt64(&tcb.dataIn, 1)
-		atomic.AddInt64(&p.stats.DataSegsIn, 1)
+		t.Count(&tcb.dataIn, 1)
+		t.Count(&p.stats.DataSegsIn, 1)
 		if sg.seq != tcb.rcvNxt {
-			atomic.AddInt64(&tcb.oooIn, 1)
-			atomic.AddInt64(&p.stats.OOOSegsIn, 1)
+			t.Count(&tcb.oooIn, 1)
+			t.Count(&p.stats.OOOSegsIn, 1)
 			t.Engine().Rec.OutOfOrder(t.Proc, t.Now(), int64(sg.seq), int64(tcb.rcvNxt))
 		}
 	}
@@ -90,8 +88,8 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			seqGT(sg.ack, tcb.sndUna) && seqLEQ(sg.ack, tcb.sndMax) {
 			// Predicted pure ACK.
 			t.ChargeRand(st.TCPAckLocked)
-			atomic.AddInt64(&p.stats.AcksIn, 1)
-			atomic.AddInt64(&p.stats.Predicted, 1)
+			t.Count(&p.stats.AcksIn, 1)
+			t.Count(&p.stats.Predicted, 1)
 			t.Engine().Rec.PredictHit(t.Proc, t.Now(), int64(sg.ack))
 			tcb.processAck(t, sg)
 			tcb.notFull.Broadcast(t)
@@ -126,9 +124,9 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			// Accounted only after the fallible ack send and delivery:
 			// a failed step must not count as delivered traffic or the
 			// counters drift from the sink under fault injection.
-			atomic.AddInt64(&p.stats.Predicted, 1)
-			atomic.AddInt64(&p.stats.BytesIn, int64(dlen))
-			atomic.AddInt64(&p.stats.Delivered, 1)
+			t.Count(&p.stats.Predicted, 1)
+			t.Count(&p.stats.BytesIn, int64(dlen))
+			t.Count(&p.stats.Delivered, 1)
 			return nil
 		}
 	}
@@ -154,7 +152,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				}
 			}
 		default:
-			atomic.AddInt64(&p.stats.AcksIn, 1)
+			t.Count(&p.stats.AcksIn, 1)
 			tcb.dupAcks = 0
 			tcb.processAck(t, sg)
 			tcb.notFull.Broadcast(t)
@@ -200,7 +198,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				// Drop the whole segment and ack so the peer retransmits
 				// from our edge. Its FIN, if any, rides sequence space we
 				// just refused, so it must not be processed either.
-				atomic.AddInt64(&p.stats.Dropped, 1)
+				t.Count(&p.stats.Dropped, 1)
 				needAckNow = true
 				sg.flags &^= FlagFIN
 				m.Free(t)
@@ -210,7 +208,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		if m != nil {
 			if sg.seq == tcb.rcvNxt && len(tcb.reassQ) == 0 {
 				tcb.rcvNxt += uint32(sg.dlen)
-				atomic.AddInt64(&p.stats.BytesIn, int64(sg.dlen))
+				t.Count(&p.stats.BytesIn, int64(sg.dlen))
 				deliver = append(deliver, m)
 				m = nil
 				tcb.unacked++
@@ -240,7 +238,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 					drained++
 					t.ChargeRand(st.TCPReassDrain)
 					tcb.rcvNxt += uint32(rs.dlen)
-					atomic.AddInt64(&p.stats.BytesIn, int64(rs.dlen))
+					t.Count(&p.stats.BytesIn, int64(rs.dlen))
 					if rs.m != nil {
 						deliver = append(deliver, rs.m)
 					}
@@ -312,7 +310,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		if err := tcb.up.Receive(t, dm); err != nil {
 			return err
 		}
-		atomic.AddInt64(&p.stats.Delivered, 1)
+		t.Count(&p.stats.Delivered, 1)
 	}
 	return nil
 }

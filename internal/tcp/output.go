@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"sync/atomic"
-
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -144,8 +142,8 @@ func (tcb *TCB) sendSegment(t *sim.Thread, m *msg.Message, flags uint8) error {
 		tcb.locks.unlockState(t)
 	}
 
-	atomic.AddInt64(&tcb.p.stats.SegsOut, 1)
-	atomic.AddInt64(&tcb.p.stats.BytesOut, int64(dlen))
+	t.Count(&tcb.p.stats.SegsOut, 1)
+	t.Count(&tcb.p.stats.BytesOut, int64(dlen))
 	return tcb.lower.Push(t, m)
 }
 
@@ -182,8 +180,8 @@ func (tcb *TCB) sendAckNow(t *sim.Thread, ack uint32, win uint32) error {
 	if tcb.locks.layout == Layout6 {
 		tcb.locks.hprep.Release(t)
 	}
-	atomic.AddInt64(&tcb.p.stats.SegsOut, 1)
-	atomic.AddInt64(&tcb.p.stats.AcksOut, 1)
+	t.Count(&tcb.p.stats.SegsOut, 1)
+	t.Count(&tcb.p.stats.AcksOut, 1)
 	return tcb.lower.Push(t, m)
 }
 
@@ -230,9 +228,9 @@ func (tcb *TCB) retransmit(t *sim.Thread, fast bool) error {
 	tcb.locks.unlockState(t)
 
 	if fast {
-		atomic.AddInt64(&tcb.p.stats.FastRexmt, 1)
+		t.Count(&tcb.p.stats.FastRexmt, 1)
 	} else {
-		atomic.AddInt64(&tcb.p.stats.Rexmt, 1)
+		t.Count(&tcb.p.stats.Rexmt, 1)
 	}
 	t.Engine().Rec.Retransmit(t.Proc, t.Now(), int64(seqn), fast)
 	if m == nil {
@@ -249,7 +247,7 @@ func (tcb *TCB) retransmit(t *sim.Thread, fast bool) error {
 	}
 	putHeader(h, tcb.part.LocalPort, tcb.part.RemotePort, seqn, ack, flags, win)
 	tcb.finishChecksum(t, m)
-	atomic.AddInt64(&tcb.p.stats.SegsOut, 1)
+	t.Count(&tcb.p.stats.SegsOut, 1)
 	return tcb.lower.Push(t, m)
 }
 

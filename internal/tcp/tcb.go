@@ -252,7 +252,7 @@ type TCB struct {
 	// Ordering preservation (Section 4.2).
 	upSeq sim.Sequencer
 
-	// Per-connection instrumentation (atomic adds: read by control-side
+	// Per-connection instrumentation (Thread.Count: read by control-side
 	// order snapshots while pump threads are still counting on the host
 	// backend).
 	oooIn      int64
@@ -445,9 +445,9 @@ func (tcb *TCB) sendControl(t *sim.Thread, flags uint8, seqn, ack uint32) error 
 	}
 	putHeader(h, tcb.part.LocalPort, tcb.part.RemotePort, seqn, ack, flags, tcb.rcvWnd)
 	tcb.finishChecksum(t, m)
-	atomic.AddInt64(&tcb.p.stats.SegsOut, 1)
+	t.Count(&tcb.p.stats.SegsOut, 1)
 	if flags&FlagACK != 0 {
-		atomic.AddInt64(&tcb.p.stats.AcksOut, 1)
+		t.Count(&tcb.p.stats.AcksOut, 1)
 	}
 	return tcb.lower.Push(t, m)
 }

@@ -146,9 +146,10 @@ type IPSession interface {
 }
 
 // Stats aggregates protocol-wide counters. Fields are updated with
-// atomic adds: pump threads on different procs bump them concurrently
-// on the host backend (the sim engine serializes, so the atomics are
-// free there and the values stay deterministic).
+// Thread.Count: pump threads on different procs bump them concurrently
+// on the host backend, where it is an atomic add (the sim engine
+// serializes, so there it is a plain increment and the values stay
+// deterministic).
 type Stats struct {
 	SegsIn      int64
 	SegsOut     int64
@@ -194,7 +195,7 @@ type Protocol struct {
 	delackQ       []*TCB
 	delackScratch []*TCB
 	dueScratch    []*event.TimerNode
-	slowTicks     atomic.Int64
+	slowTicks     int64
 
 	// timerLog, when set (tests), observes every slow-timer expiry as
 	// (tcb, which, slow tick index) in both timer modes.
@@ -338,7 +339,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	t.ChargeRand(st.TCPRecvPre)
 	h, err := m.Peek(HdrLen)
 	if err != nil {
-		atomic.AddInt64(&p.stats.Dropped, 1)
+		t.Count(&p.stats.Dropped, 1)
 		m.Free(t)
 		return ErrShort
 	}
@@ -349,7 +350,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	key := xmap.AddrKey(dstOf(m), srcOf(m), sg.dport, sg.sport)
 	v, ok := p.tcbs.Resolve(t, key)
 	if !ok {
-		atomic.AddInt64(&p.stats.Dropped, 1)
+		t.Count(&p.stats.Dropped, 1)
 		m.Free(t)
 		return fmt.Errorf("tcp: no connection for %v", sg)
 	}
@@ -363,12 +364,12 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	if p.cfg.Checksum != ChecksumOff {
 		t.ChargeBytes(st.ChecksumByte, m.Len())
 		if !tcb.verifyChecksum(t, m) {
-			atomic.AddInt64(&p.stats.ChecksumBad, 1)
+			t.Count(&p.stats.ChecksumBad, 1)
 			if p.cfg.Checksum == ChecksumEnforce {
 				if p.cfg.Layout == Layout6 {
 					tcb.locks.hrem.Release(t)
 				}
-				atomic.AddInt64(&p.stats.Dropped, 1)
+				t.Count(&p.stats.Dropped, 1)
 				m.Free(t)
 				return ErrBadChecksum
 			}
@@ -378,7 +379,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		if p.cfg.Layout == Layout6 {
 			tcb.locks.hrem.Release(t)
 		}
-		atomic.AddInt64(&p.stats.Dropped, 1)
+		t.Count(&p.stats.Dropped, 1)
 		m.Free(t)
 		return ErrShort
 	}

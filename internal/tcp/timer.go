@@ -49,7 +49,7 @@ func (p *Protocol) StartTimers(t *sim.Thread) {
 		if p.stopTimers.Get() {
 			return
 		}
-		p.slowTicks.Add(1)
+		et.Count(&p.slowTicks, 1)
 		if p.cfg.TimerWheel {
 			p.wheelSlowTimo(et)
 		} else {
@@ -114,7 +114,7 @@ func (p *Protocol) slowTimo(t *sim.Thread) {
 	})
 	for _, f := range fired {
 		if p.timerLog != nil {
-			p.timerLog(f.tcb, f.which, p.slowTicks.Load())
+			p.timerLog(f.tcb, f.which, p.SlowTicks())
 		}
 		f.tcb.timeout(t, f.which)
 	}

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"sync/atomic"
+
 	"repro/internal/event"
 	"repro/internal/sim"
 )
@@ -31,7 +33,7 @@ func (tcb *TCB) setTimer(t *sim.Thread, which, ticks int) {
 		tcb.timerDeadline[which] = 0
 		return
 	}
-	d := tcb.p.slowTicks.Load() + int64(ticks)
+	d := tcb.p.SlowTicks() + int64(ticks)
 	tcb.timerDeadline[which] = d
 	if n := &tcb.timerNode[which]; !n.Armed() || n.Deadline() > d {
 		tcb.p.tw.Arm(t, n, d)
@@ -105,7 +107,7 @@ func (p *Protocol) wheelFastTimo(t *sim.Thread) {
 // due timers — O(expiring + cascades) where the scan locks every
 // connection to decrement its counters.
 func (p *Protocol) wheelSlowTimo(t *sim.Thread) {
-	tick := p.slowTicks.Load()
+	tick := p.SlowTicks()
 	due := p.tw.Advance(t, tick, p.dueScratch[:0])
 	fired := p.firedScratch[:0]
 	for _, n := range due {
@@ -169,7 +171,7 @@ func (p *Protocol) recycleTCB(tcb *TCB) {
 
 // SlowTicks returns the number of slow heartbeats run so far (both
 // timer modes count them; wheel deadlines are indices in this series).
-func (p *Protocol) SlowTicks() int64 { return p.slowTicks.Load() }
+func (p *Protocol) SlowTicks() int64 { return atomic.LoadInt64(&p.slowTicks) }
 
 // TickWheel exposes the wheel-mode timer wheel (nil in scan mode).
 func (p *Protocol) TickWheel() *event.TickWheel { return p.tw }

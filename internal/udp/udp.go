@@ -177,7 +177,7 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 		}
 		binary.BigEndian.PutUint16(h[6:8], ck)
 	}
-	atomic.AddInt64(&s.p.stats.Sent, 1)
+	t.Count(&s.p.stats.Sent, 1)
 	return s.lower.Push(t, m)
 }
 
@@ -215,7 +215,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	// Demux key from the receiver's perspective: local=dst port.
 	v, ok := p.sessions.Resolve(t, xmap.PortKey(dport, sport))
 	if !ok {
-		atomic.AddInt64(&p.stats.NoPort, 1)
+		t.Count(&p.stats.NoPort, 1)
 		m.Free(t)
 		return fmt.Errorf("udp: no session for ports %d<-%d", dport, sport)
 	}
@@ -224,7 +224,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		t.ChargeBytes(st.ChecksumByte, m.Len())
 		if binary.BigEndian.Uint16(h[6:8]) != 0 {
 			if !chksum.Verify(s.lower.Dst(), s.lower.Src(), 17, m.Bytes()) {
-				atomic.AddInt64(&p.stats.ChecksumBad, 1)
+				t.Count(&p.stats.ChecksumBad, 1)
 				if p.cfg.Checksum == ChecksumEnforce {
 					m.Free(t)
 					return ErrBadChecksum
@@ -241,7 +241,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	err = s.up.Receive(t, m)
 	s.ref.Decr(t)
 	if err == nil {
-		atomic.AddInt64(&p.stats.Delivered, 1)
+		t.Count(&p.stats.Delivered, 1)
 	}
 	return err
 }

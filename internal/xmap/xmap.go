@@ -32,7 +32,7 @@ type entry struct {
 	next *entry
 }
 
-// Stats counts map activity (atomic adds: callers on concurrent host
+// Stats counts map activity (Thread.Count: callers on concurrent host
 // threads bump them under the map lock, but Stats() snapshots without
 // it).
 type Stats struct {
@@ -126,7 +126,7 @@ func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
 	}
 	m.buckets[b] = &entry{key: k, val: v, next: m.buckets[b]}
 	m.n++
-	atomic.AddInt64(&m.stats.Binds, 1)
+	t.Count(&m.stats.Binds, 1)
 	if m.MaxLoad > 0 && m.n > m.MaxLoad*len(m.buckets) {
 		m.grow()
 	}
@@ -166,10 +166,10 @@ func (m *Map) Grows() int { return m.grows }
 func (m *Map) Resolve(t *sim.Thread, k Key) (any, bool) {
 	m.acquire(t)
 	defer m.release(t)
-	atomic.AddInt64(&m.stats.Resolves, 1)
+	t.Count(&m.stats.Resolves, 1)
 	st := &t.Engine().C.Stack
 	if !m.NoCache && m.cacheValid && m.cacheKey == k {
-		atomic.AddInt64(&m.stats.CacheHits, 1)
+		t.Count(&m.stats.CacheHits, 1)
 		t.ChargeRand(st.MapCacheHit)
 		return m.cacheVal, true
 	}
@@ -193,7 +193,7 @@ func (m *Map) Unbind(t *sim.Thread, k Key) error {
 		if (*pe).key == k {
 			*pe = (*pe).next
 			m.n--
-			atomic.AddInt64(&m.stats.Unbinds, 1)
+			t.Count(&m.stats.Unbinds, 1)
 			if m.cacheValid && m.cacheKey == k {
 				m.cacheValid = false
 			}
