@@ -557,6 +557,7 @@ func (s *Stack) setup(t *sim.Thread) error {
 			s.Sink = app.NewSink(false, nil)
 			up = s.Sink
 		}
+		s.udpSess = make([]*udp.Session, 0, cfg.Connections)
 		for i := 0; i < cfg.Connections; i++ {
 			part := xkernel.Part{
 				LocalIP: driver.HostLocal, RemoteIP: driver.HostPeer,
@@ -582,6 +583,7 @@ func (s *Stack) setup(t *sim.Thread) error {
 			}
 		}
 		s.TCP.StartTimers(t)
+		s.tcbs = make([]*tcp.TCB, 0, cfg.Connections)
 		for i := 0; i < cfg.Connections; i++ {
 			part := xkernel.Part{
 				LocalIP: driver.HostLocal, RemoteIP: driver.HostPeer,

@@ -1,0 +1,71 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/steer"
+)
+
+// setupCost is what bench/ reports as core.setup_allocs_per_conn and
+// core.setup_bytes_per_conn before dividing: heap allocations and bytes
+// of Build plus a set-up-only Run. The least of five passes, since the
+// runtime's own background allocations land in a pass now and then.
+func setupCost(t *testing.T, cfg Config) (mallocs, bytes uint64) {
+	t.Helper()
+	mallocs, bytes = ^uint64(0), ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		st, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Run(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		mallocs, bytes = min(mallocs, m1.Mallocs-m0.Mallocs), min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return mallocs, bytes
+}
+
+// TestSetupAllocsPerConn: sessions come from slabs and demux entries
+// from chunks, so a connection adds next to no allocations (four each
+// when every session and entry was its own heap object), while a
+// one-connection stack, whose slabs and chunks hold one element, costs
+// no more than it did then.
+func TestSetupAllocsPerConn(t *testing.T) {
+	// The shape of bench's steer-1m-skew-8p, at a size a test can afford.
+	steered := steeredConfig(steer.PolicyFlowDirector)
+	steered.Workload.CompactSlots = 8192 // as there: the sink's per-connection records are bounded
+	const conns = 10_000
+	steered.Connections = 1
+	fixed, _ := setupCost(t, steered)
+	steered.Connections = conns
+	all, _ := setupCost(t, steered)
+	if perConn := (float64(all) - float64(fixed)) / (conns - 1); perConn > 0.05 {
+		t.Errorf("steered UDP set-up: %.3f mallocs per connection (%d at %d connections, %d at one), want at most 0.05",
+			perConn, all, conns, fixed)
+	}
+
+	// Measured on the tree before slabs (PR 16, go1.24): a change that
+	// has to raise these has made every small run's set-up dearer.
+	udp := DefaultConfig()
+	udp.Side = SideRecv
+	tcp := udp
+	tcp.Proto = ProtoTCP
+	for _, c := range []struct {
+		name                 string
+		cfg                  Config
+		maxMallocs, maxBytes uint64
+	}{
+		{"udp", udp, 612, 121448},
+		{"tcp", tcp, 622, 123400},
+	} {
+		if m, b := setupCost(t, c.cfg); m > c.maxMallocs || b > c.maxBytes {
+			t.Errorf("one-connection %s set-up: %d mallocs, %d bytes; want at most %d and %d",
+				c.name, m, b, c.maxMallocs, c.maxBytes)
+		}
+	}
+}

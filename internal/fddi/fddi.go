@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/xkernel"
 	"repro/internal/xmap"
 )
@@ -48,6 +49,8 @@ type Protocol struct {
 	// sessLock serializes session creation only.
 	sessLock sim.Mutex
 	ref      sim.RefCount
+	// slab backs every Session; Open mutates it under sessLock.
+	slab slab.Slab[Session]
 }
 
 // New creates the FDDI layer above the given wire (driver).
@@ -87,7 +90,8 @@ type Session struct {
 func (p *Protocol) Open(t *sim.Thread, remote xkernel.MAC, proto uint16) (*Session, error) {
 	p.sessLock.Acquire(t)
 	defer p.sessLock.Release(t)
-	s := &Session{p: p}
+	s := p.slab.New()
+	s.p = p
 	s.hdr[0] = 0x50 // frame control: LLC frame
 	copy(s.hdr[1:7], remote[:])
 	copy(s.hdr[7:13], p.cfg.Self[:])
@@ -95,6 +99,9 @@ func (p *Protocol) Open(t *sim.Thread, remote xkernel.MAC, proto uint16) (*Sessi
 	s.ref.Init(p.cfg.RefMode, 1)
 	return s, nil
 }
+
+// Ref returns the session reference count.
+func (s *Session) Ref() *sim.RefCount { return &s.ref }
 
 // Push prepends the FDDI header and hands the frame to the driver. No
 // locking: outgoing data transfer is lock-free at this layer.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/xkernel"
 	"repro/internal/xmap"
 )
@@ -66,6 +67,11 @@ type Protocol struct {
 
 	ref   sim.RefCount
 	stats Stats
+
+	// slab backs every Session. Open has no lock of its own: its one
+	// caller per stack, the transport's Open, holds that transport's
+	// session lock across the call, and that is what serializes this.
+	slab slab.Slab[Session]
 }
 
 // Stats counts IP activity. Counters are bumped with Thread.Count:
@@ -164,7 +170,8 @@ func (p *Protocol) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (*Sessio
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
+	s := p.slab.New()
+	*s = Session{
 		p:     p,
 		lower: low,
 		src:   p.cfg.Local,
@@ -175,6 +182,9 @@ func (p *Protocol) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (*Sessio
 	s.ref.Init(p.cfg.RefMode, 1)
 	return s, nil
 }
+
+// Ref returns the session reference count.
+func (s *Session) Ref() *sim.RefCount { return &s.ref }
 
 // Src returns the session's source address.
 func (s *Session) Src() xkernel.IPAddr { return s.src }

@@ -44,12 +44,12 @@ type lockWait struct {
 // chargeLine charges t a coherence penalty when a shared cache line was
 // last touched by another processor. Sync-bus machines do not pay this
 // for synchronization traffic.
-func chargeLine(t *Thread, lastProc *int) {
+func chargeLine(t *Thread, lastProc *int32) {
 	s := &t.eng.C.Sync
-	if !s.SyncBus && *lastProc >= 0 && *lastProc != t.Proc {
+	if !s.SyncBus && *lastProc >= 0 && *lastProc != int32(t.Proc) {
 		t.Charge(s.Coherence)
 	}
-	*lastProc = t.Proc
+	*lastProc = int32(t.Proc)
 }
 
 // ---- Mutex: unfair test-and-set lock with exponential backoff ----
@@ -69,7 +69,7 @@ type Mutex struct {
 	held      bool
 	holder    *Thread
 	heldSince int64
-	lastProc  int
+	lastProc  int32
 	waiters   []*Thread
 	stats     LockStats
 	inited    bool
@@ -173,7 +173,7 @@ func (m *Mutex) Release(t *Thread) {
 	}
 	m.holder = w
 	m.heldSince = grantAt
-	m.lastProc = w.Proc
+	m.lastProc = int32(w.Proc)
 	t.eng.Wake(w, grantAt)
 }
 
@@ -199,7 +199,7 @@ type MCSLock struct {
 	held      bool
 	holder    *Thread
 	heldSince int64
-	lastProc  int
+	lastProc  int32
 	queue     []*Thread
 	stats     LockStats
 	inited    bool
@@ -277,7 +277,7 @@ func (m *MCSLock) Release(t *Thread) {
 	grantAt := t.Now() + s.Handoff
 	m.holder = w
 	m.heldSince = grantAt
-	m.lastProc = w.Proc
+	m.lastProc = int32(w.Proc)
 	t.eng.Wake(w, grantAt)
 }
 
@@ -300,7 +300,7 @@ type TicketLock struct {
 	held      bool
 	holder    *Thread
 	heldSince int64
-	lastProc  int
+	lastProc  int32
 	queue     []*Thread
 	stats     LockStats
 	inited    bool
@@ -382,7 +382,7 @@ func (l *TicketLock) Release(t *Thread) {
 	}
 	l.holder = w
 	l.heldSince = grantAt
-	l.lastProc = w.Proc
+	l.lastProc = int32(w.Proc)
 	t.eng.Wake(w, grantAt)
 }
 

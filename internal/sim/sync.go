@@ -126,19 +126,21 @@ func (m RefMode) String() string {
 // Section 5.2 eliminates. Both modes pay coherence when the count
 // bounces between processors.
 type RefCount struct {
-	mode RefMode
-	v    int32
+	v int32
 	// pool is 1 + the index of this count's lock in Engine.refPool, 0
 	// until the first RefLocked manipulation assigns one.
 	pool     int32
-	lastProc int
+	lastProc int32
+	// mode is the RefMode in one byte, which makes the count 16 bytes:
+	// there is one in every session, TCB and MNode.
+	mode uint8
 }
 
 // Init sets the mode and initial value. The caller owns the object: it
 // is not yet (or, for a recycled one, no longer) visible to any other
 // thread, so the stores are plain on either substrate.
 func (r *RefCount) Init(mode RefMode, v int32) {
-	*r = RefCount{mode: mode, v: v, lastProc: -1}
+	*r = RefCount{mode: uint8(mode), v: v, lastProc: -1}
 }
 
 // nextRefLock assigns the next static pool lock round-robin,
@@ -168,7 +170,7 @@ func (r *RefCount) hostLock(e *Engine) *Mutex {
 func (r *RefCount) add(t *Thread, d int32) int32 {
 	e := t.eng
 	if e.host != nil {
-		if r.mode == RefAtomic {
+		if RefMode(r.mode) == RefAtomic {
 			return atomic.AddInt32(&r.v, d)
 		}
 		lk := r.hostLock(e)
@@ -177,7 +179,7 @@ func (r *RefCount) add(t *Thread, d int32) int32 {
 		lk.Release(t)
 		return nv
 	}
-	if r.mode == RefAtomic {
+	if RefMode(r.mode) == RefAtomic {
 		t.Sync()
 		t.Charge(e.C.Sync.Atomic)
 		chargeLine(t, &r.lastProc)
@@ -220,7 +222,7 @@ func (r *RefCount) Value() int32 { return atomic.LoadInt32(&r.v) }
 type Sequencer struct {
 	next     uint64
 	serving  uint64
-	lastProc int
+	lastProc int32
 	waiters  map[uint64]*Thread
 	inited   bool
 
@@ -390,7 +392,7 @@ func (c *Cond) Signal(t *Thread) {
 // number allocation in the drivers, statistics that must be exact).
 type Counter struct {
 	v        int64
-	lastProc int
+	lastProc int32
 	inited   bool
 }
 

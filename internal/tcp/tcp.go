@@ -285,6 +285,7 @@ func (p *Protocol) Open(t *sim.Thread, part xkernel.Part, up xkernel.Receiver) (
 	}
 	tcb := newTCB(p, part, low, up)
 	if err := p.tcbs.Bind(t, tcbKey(part), tcb); err != nil {
+		_ = low.Close(t) // as in OpenEnable
 		p.sessLock.Release(t)
 		return nil, err
 	}
@@ -322,6 +323,7 @@ func (p *Protocol) OpenEnable(t *sim.Thread, part xkernel.Part, up xkernel.Recei
 	tcb := newTCB(p, part, low, up)
 	tcb.state = stateListen
 	if err := p.tcbs.Bind(t, tcbKey(part), tcb); err != nil {
+		_ = low.Close(t) // drop the lower sessions' references; Bind's error is the one to report
 		return nil, err
 	}
 	return tcb, nil

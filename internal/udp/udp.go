@@ -14,6 +14,7 @@ import (
 	"repro/internal/chksum"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/xkernel"
 	"repro/internal/xmap"
 )
@@ -77,6 +78,8 @@ type Protocol struct {
 	sessLock sim.Mutex
 	ref      sim.RefCount
 	stats    Stats
+	// slab backs every Session; Open mutates it under sessLock.
+	slab slab.Slab[Session]
 }
 
 // Stats counts UDP activity.
@@ -140,10 +143,12 @@ func (p *Protocol) Open(t *sim.Thread, part xkernel.Part, up xkernel.Receiver) (
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{p: p, lower: low, part: part, up: up}
+	s := p.slab.New()
+	*s = Session{p: p, lower: low, part: part, up: up}
 	s.ref.Init(p.cfg.RefMode, 1)
 	key := xmap.PortKey(part.LocalPort, part.RemotePort)
 	if err := p.sessions.Bind(t, key, s); err != nil {
+		_ = low.Close(t) // drop the lower sessions' references; Bind's error is the one to report
 		return nil, err
 	}
 	return s, nil

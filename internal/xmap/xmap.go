@@ -7,6 +7,17 @@
 // insert, lookup and remove; because the iterator ForEach can call back
 // into map operations on the same thread, the lock is a counting
 // (recursive) lock.
+//
+// Layout: a bucket is a uint32 holding 1 + the index of the chain's
+// first entry (0: empty), an entry names its successor the same way, and
+// entries live in chunks in bind order, Unbind feeding a free list. By
+// index, not pointer, so that a million-binding table is one allocation
+// per chunk and its bucket array pointer-free and half the size. The
+// contract is that of the pointer-chained table this replaced, which the
+// tests keep as oracleMap: newest-first within a bucket, the same
+// ForEach order, the same tolerance of a callback that binds or unbinds.
+// (Not an internal/slab: that hands out pointers and never takes one
+// back; a link here must be 4 bytes and Unbind must recycle.)
 package xmap
 
 import (
@@ -26,11 +37,24 @@ var (
 	ErrNotFound = errors.New("xmap: key not bound")
 )
 
+// ref names an entry: 1 + its index, 0 for none.
+type ref = uint32
+
 type entry struct {
 	key  Key
 	val  any
-	next *entry
+	next ref
 }
+
+// Entry i is chunks[i>>chunkShift][i&chunkMask]. Every chunk is
+// chunkSize long except the last; the first grows 1, 2, 4, ... by copy
+// (nothing holds an entry pointer across a Bind), so a map with one
+// binding costs what one heap entry did.
+const (
+	chunkShift = 12
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
 
 // Stats counts map activity (Thread.Count: callers on concurrent host
 // threads bump them under the map lock, but Stats() snapshots without
@@ -64,7 +88,7 @@ type Map struct {
 	MaxLoad int
 
 	lock    *sim.CountingLock
-	buckets []*entry
+	buckets []ref
 	mask    uint64
 	n       int
 	grows   int
@@ -75,6 +99,20 @@ type Map struct {
 	cacheValid bool
 
 	stats Stats
+
+	// Entry storage, after the fields a cache-hit Resolve touches: on
+	// the host backend those lines bounce between processors.
+	chunks [][]entry
+	// chunk0 backs chunks until a second chunk is needed, so a small
+	// map makes no allocation for the chunk table.
+	chunk0 [1][]entry
+	free   ref // freed entries, chained through next
+	// A ForEach callback may unbind the entry being visited and the
+	// walk then continues from that entry's next, so entries unbound
+	// while iter (the ForEach depth) is non-zero wait in limbo and are
+	// freed when the outermost ForEach returns.
+	iter  int
+	limbo []ref
 }
 
 // New creates a map with the given number of buckets (rounded up to a
@@ -84,13 +122,52 @@ func New(buckets int, kind sim.LockKind, name string) *Map {
 	for sz < buckets {
 		sz <<= 1
 	}
-	return &Map{
+	m := &Map{
 		Locking: true,
 		MaxLoad: 8,
 		lock:    sim.NewCountingLock(kind, "map:"+name),
-		buckets: make([]*entry, sz),
+		buckets: make([]ref, sz),
 		mask:    uint64(sz - 1),
 	}
+	m.chunks = m.chunk0[:]
+	return m
+}
+
+func (m *Map) at(r ref) *entry {
+	i := r - 1
+	return &m.chunks[i>>chunkShift][i&chunkMask]
+}
+
+// newEntry returns an unused entry: the last freed one, else the next
+// slot of the last chunk.
+func (m *Map) newEntry() ref {
+	if r := m.free; r != 0 {
+		m.free = m.at(r).next
+		return r
+	}
+	last := len(m.chunks) - 1
+	if len(m.chunks[last]) == chunkSize {
+		m.chunks = append(m.chunks, nil)
+		last++
+	}
+	c := m.chunks[last]
+	if len(c) == cap(c) {
+		size := chunkSize
+		if last == 0 {
+			size = min(max(2*cap(c), 1), chunkSize)
+		}
+		c = append(make([]entry, 0, size), c...)
+	}
+	c = c[:len(c)+1]
+	m.chunks[last] = c
+	return ref(last<<chunkShift + len(c))
+}
+
+// freeEntry zeroes an unbound entry, so the map no longer references
+// its value, and puts it on the free list.
+func (m *Map) freeEntry(r ref) {
+	*m.at(r) = entry{next: m.free}
+	m.free = r
 }
 
 func (m *Map) hash(k Key) uint64 {
@@ -119,12 +196,16 @@ func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
 	defer m.release(t)
 	t.ChargeRand(t.Engine().C.Stack.MapHash)
 	b := m.hash(k)
-	for e := m.buckets[b]; e != nil; e = e.next {
+	for r := m.buckets[b]; r != 0; {
+		e := m.at(r)
 		if e.key == k {
 			return ErrExists
 		}
+		r = e.next
 	}
-	m.buckets[b] = &entry{key: k, val: v, next: m.buckets[b]}
+	r := m.newEntry()
+	*m.at(r) = entry{key: k, val: v, next: m.buckets[b]}
+	m.buckets[b] = r
 	m.n++
 	t.Count(&m.stats.Binds, 1)
 	if m.MaxLoad > 0 && m.n > m.MaxLoad*len(m.buckets) {
@@ -142,16 +223,17 @@ func (m *Map) grow() {
 		sz <<= 1
 	}
 	old := m.buckets
-	m.buckets = make([]*entry, sz)
+	m.buckets = make([]ref, sz)
 	m.mask = uint64(sz - 1)
 	m.grows++
-	for _, e := range old {
-		for e != nil {
+	for _, r := range old {
+		for r != 0 {
+			e := m.at(r)
 			next := e.next
 			b := m.hash(e.key)
 			e.next = m.buckets[b]
-			m.buckets[b] = e
-			e = next
+			m.buckets[b] = r
+			r = next
 		}
 	}
 }
@@ -174,11 +256,13 @@ func (m *Map) Resolve(t *sim.Thread, k Key) (any, bool) {
 		return m.cacheVal, true
 	}
 	t.ChargeRand(st.MapHash)
-	for e := m.buckets[m.hash(k)]; e != nil; e = e.next {
+	for r := m.buckets[m.hash(k)]; r != 0; {
+		e := m.at(r)
 		if e.key == k {
 			m.cacheKey, m.cacheVal, m.cacheValid = k, e.val, true
 			return e.val, true
 		}
+		r = e.next
 	}
 	return nil, false
 }
@@ -189,16 +273,24 @@ func (m *Map) Unbind(t *sim.Thread, k Key) error {
 	defer m.release(t)
 	t.ChargeRand(t.Engine().C.Stack.MapHash)
 	b := m.hash(k)
-	for pe := &m.buckets[b]; *pe != nil; pe = &(*pe).next {
-		if (*pe).key == k {
-			*pe = (*pe).next
+	for pr := &m.buckets[b]; *pr != 0; {
+		r := *pr
+		e := m.at(r)
+		if e.key == k {
+			*pr = e.next
 			m.n--
 			t.Count(&m.stats.Unbinds, 1)
 			if m.cacheValid && m.cacheKey == k {
-				m.cacheValid = false
+				m.cacheVal, m.cacheValid = nil, false
+			}
+			if m.iter > 0 {
+				m.limbo = append(m.limbo, r)
+			} else {
+				m.freeEntry(r)
 			}
 			return nil
 		}
+		pr = &e.next
 	}
 	return ErrNotFound
 }
@@ -216,15 +308,30 @@ func (m *Map) Len(t *sim.Thread) int {
 // if fn returns false.
 func (m *Map) ForEach(t *sim.Thread, fn func(Key, any) bool) {
 	m.acquire(t)
-	defer m.release(t)
-	for _, b := range m.buckets {
-		for e := b; e != nil; e = e.next {
+	m.iter++
+	defer m.endForEach(t)
+	// The range reads m.buckets once: a grow inside fn does not redirect
+	// the walk.
+	for _, r := range m.buckets {
+		for r != 0 {
+			e := m.at(r)
 			t.ChargeRand(t.Engine().C.Stack.MapCacheHit)
 			if !fn(e.key, e.val) {
 				return
 			}
+			r = m.at(r).next // not e.next: a Bind inside fn may have moved the first chunk
 		}
 	}
+}
+
+func (m *Map) endForEach(t *sim.Thread) {
+	if m.iter--; m.iter == 0 {
+		for _, r := range m.limbo {
+			m.freeEntry(r)
+		}
+		m.limbo = m.limbo[:0]
+	}
+	m.release(t)
 }
 
 // Stats returns a copy of the counters (atomic-load snapshot).
