@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/hostbench"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -52,9 +52,6 @@ func main() {
 		jsonOut     = flag.String("json", "", "run the traced profile suite and write per-run ProfileJSON records to FILE ('-' for stdout)")
 		tsOut       = flag.String("timeseries", "", "run the profile suite with telemetry sampling on and write the per-run time series (JSON) to FILE ('-' for stdout)")
 		sampleNs    = flag.Int64("sample", 0, "with -timeseries: telemetry sampling period, virtual ns (0: default 1000000)")
-		benchOut    = flag.String("bench", "", "run the host wall-clock benchmark suite and write the report to FILE ('-' for stdout)")
-		baseline    = flag.String("baseline", "", "with -bench: compare against this baseline report, exit non-zero if a sweep regresses")
-		ratchet     = flag.Float64("ratchet", 2.0, "with -baseline: fail when a sweep's wall time exceeds this factor times the baseline")
 	)
 	flag.Parse()
 
@@ -62,8 +59,8 @@ func main() {
 		printCatalog(os.Stdout)
 		return
 	}
-	if *exp == "" && *jsonOut == "" && *benchOut == "" && *tsOut == "" && *scaleOut == "" {
-		fmt.Fprintln(os.Stderr, "ppbench: -experiment, -json, -timeseries, -bench, or -scale required (or -list); try -experiment all")
+	if *exp == "" && *jsonOut == "" && *tsOut == "" && *scaleOut == "" {
+		fmt.Fprintln(os.Stderr, "ppbench: -experiment, -json, -timeseries, or -scale required (or -list); try -experiment all")
 		os.Exit(2)
 	}
 
@@ -78,12 +75,13 @@ func main() {
 		p = experiments.QuickParams()
 	}
 	p.Workers = *procs
-	switch *backend {
-	case "", "sim", "host":
-		p.Backend = *backend
-	default:
-		fmt.Fprintf(os.Stderr, "ppbench: unknown -backend %q (want sim or host)\n", *backend)
-		os.Exit(2)
+	if *backend != "" {
+		var b sim.Backend
+		if err := b.Set(*backend); err != nil {
+			fmt.Fprintf(os.Stderr, "ppbench: -backend: %v\n", err)
+			os.Exit(2)
+		}
+		p.Backend = b.String()
 	}
 	if *loss != "" {
 		for _, f := range strings.Split(*loss, ",") {
@@ -119,16 +117,6 @@ func main() {
 
 	if *scaleOut != "" {
 		if err := runScaleBench(*scaleOut, *scaleBudget, p); err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *exp == "" && *jsonOut == "" && *tsOut == "" && *benchOut == "" {
-			return
-		}
-	}
-
-	if *benchOut != "" {
-		if err := runHostBench(*benchOut, *baseline, *ratchet); err != nil {
 			fmt.Fprintf(os.Stderr, "ppbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -211,7 +199,6 @@ Flag groups:
                -timeseries FILE  profile suite with telemetry sampling on;
                                  per-run time series as JSON ('-' = stdout)
                -sample NS        sampling period for -timeseries (default 1e6)
-               -bench FILE -baseline FILE -ratchet F   host wall-clock suite
                -scale FILE       scale benchmark (ext-scale ladders + per-point
                                  host wall-clock); -scale-budget-ms M fails if
                                  the largest point exceeds M ms on the host
@@ -221,65 +208,6 @@ Flag groups:
                run both halves and report shape agreement; sim: skip the
                wall-clock half)
 `)
-}
-
-// runHostBench collects the host wall-clock benchmark report, writes it
-// to path ("-" for stdout), and optionally ratchets it against a
-// committed baseline report.
-func runHostBench(path, basePath string, factor float64) error {
-	start := time.Now()
-	report, err := hostbench.Collect()
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		if _, err := os.Stdout.Write(out); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("== host benchmarks: %d micros, %d sweeps -> %s (%s wall time)\n",
-			len(report.Micros), len(report.Sweeps), path, time.Since(start).Round(time.Millisecond))
-		for _, m := range report.Micros {
-			fmt.Printf("   %-28s %10.1f ns/op %8d B/op %6d allocs/op\n",
-				m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-		}
-		for _, s := range report.Sweeps {
-			fmt.Printf("   %-28s %10.0f ms   %8.1f points/s (workers=%d)\n",
-				s.Name, s.WallMs, s.PointsPerSec, s.Workers)
-		}
-		fmt.Println()
-	}
-	if basePath == "" {
-		return nil
-	}
-	raw, err := os.ReadFile(basePath)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base hostbench.Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", basePath, err)
-	}
-	failures, warnings := hostbench.Compare(report, base, factor)
-	for _, w := range warnings {
-		fmt.Fprintf(os.Stderr, "ppbench: warning: %s\n", w)
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "ppbench: REGRESSION: %s\n", f)
-		}
-		return fmt.Errorf("%d benchmark regression(s) vs %s", len(failures), basePath)
-	}
-	fmt.Printf("== ratchet: no sweep regression vs %s (factor %.1f)\n\n", basePath, factor)
-	return nil
 }
 
 // runScaleBench measures the ext-scale ladders with per-point host

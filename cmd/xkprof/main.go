@@ -15,19 +15,42 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/msg"
-	"repro/internal/sim"
-	"repro/internal/steer"
-	"repro/internal/tcp"
 	"repro/internal/telemetry"
 )
 
-// usage groups the flag set by subsystem; the steering and batching
-// groups in particular predate this text and were only discoverable by
-// reading main().
-func usage() {
-	w := flag.CommandLine.Output()
-	fmt.Fprint(w, `Usage: xkprof [flags]
+// examples are the invocations the usage text shows; the test parses
+// each one.
+var examples = []string{
+	"xkprof -proto tcp -side recv -procs 8 -lock mcs",
+	"xkprof -proto tcp -side recv -procs 8 -refs locked -msgcache=false -machine power33",
+	"xkprof -proto tcp -side recv -conns 4096 -active 8 -timerwheel -pool",
+	"xkprof -steer fdir -conns 100000 -compactslots 8192 -flowpkts 512",
+	"xkprof -batch -batchsegs 8 -proto udp -side recv",
+	"xkprof -trace out.json -sample 1000000 -series series.csv",
+	"xkprof -backend host -warmup 5 -measure 100",
+}
+
+// options are xkprof's own flags: how long to run and where to write.
+type options struct {
+	warmupMs, measureMs int64
+	traceOut, seriesOut string
+}
+
+// newFlagSet declares core's knobs, defaulting to the paper's headline
+// shape (one TCP connection received on 8 processors), plus xkprof's
+// own flags.
+func newFlagSet(cfg *core.Config, o *options) *flag.FlagSet {
+	*cfg = core.DefaultConfig()
+	cfg.Proto, cfg.Side, cfg.Procs, cfg.Seed = core.ProtoTCP, core.SideRecv, 8, 1994
+	fs := flag.NewFlagSet("xkprof", flag.ExitOnError)
+	core.BindFlags(fs, cfg)
+	fs.Int64Var(&o.warmupMs, "warmup", 500, "virtual warm-up, ms")
+	fs.Int64Var(&o.measureMs, "measure", 1000, "virtual measurement interval, ms")
+	fs.StringVar(&o.traceOut, "trace", "", "record the packet flight recorder and write a Chrome trace-event JSON (load in Perfetto) to `FILE`")
+	fs.StringVar(&o.seriesOut, "series", "", "write the sampled telemetry time series to `FILE` (.json for JSON, anything else CSV); implies -sample 1000000 when -sample is unset")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintf(w, `Usage: xkprof [flags]
 
 Runs one workload configuration on the simulated multiprocessor and
 prints a Pixie-style profile: locks, message tool, demultiplexing, TCP
@@ -35,213 +58,46 @@ counters, plus steering, batching, trace and telemetry sections as
 configured.
 
 Flag groups:
-  workload       -proto -side -procs -conns -size -checksum -lock
-                 -layout -strategy -warmup -measure -seed
-  substrate      -backend sim|host (host: real goroutines, wall-clock
-                 windows, plain packet-level shapes only)
-  scale-out      -timerwheel -pool -buckets -active -compactslots
-                 (hierarchical TCP timer wheel, pooled TCBs, demux
-                 table sizing, idle-connection ladder, bounded sink
-                 accounting)
-  fault wire     -drop -dup -corrupt -reorder -delay -delayns
-                 -fault-seed -enforce-checksum
-  flow steering  -steer -hot -hotconns -gap -flowpkts -appmove -quiesce
-  GRO batching   -batch -batchsegs -batchbytes -batchflush
-  observability  -trace -trace-depth -sample -series
+%s  run            -warmup -measure -trace -series
 
 Examples:
-  xkprof -proto tcp -side recv -procs 8 -lock mcs
-  xkprof -proto tcp -side recv -conns 4096 -active 8 -timerwheel -pool
-  xkprof -steer fdir -conns 100000 -compactslots 8192 -flowpkts 512
-  xkprof -batch -batchsegs 8 -proto udp -side recv
-  xkprof -trace out.json -sample 1000000 -series series.csv
+  %s
 
 Flags:
-`)
-	flag.PrintDefaults()
+`, core.FlagGroups(), strings.Join(examples, "\n  "))
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// finish applies what the flags imply about each other: steering runs
+// on the UDP receive side, the fault rates damage the data direction of
+// the chosen side, and a trace or series file turns its recorder on.
+func finish(cfg *core.Config, o *options) {
+	if cfg.Steer.Enabled {
+		cfg.Proto, cfg.Side = core.ProtoUDP, core.SideRecv
+	}
+	if cfg.Side == core.SideSend {
+		cfg.Faults.Up, cfg.Faults.Down = driver.FaultRates{}, cfg.Faults.Up
+	}
+	cfg.Trace = o.traceOut != ""
+	if o.seriesOut != "" && cfg.SamplePeriodNs <= 0 {
+		cfg.SamplePeriodNs = telemetry.DefaultPeriodNs
+	}
 }
 
 func main() {
-	var (
-		proto     = flag.String("proto", "tcp", "transport: tcp or udp")
-		side      = flag.String("side", "recv", "side: send or recv")
-		procs     = flag.Int("procs", 8, "processors")
-		conns     = flag.Int("conns", 1, "connections")
-		size      = flag.Int("size", 4096, "packet size, bytes")
-		checksum  = flag.Bool("checksum", true, "transport checksumming")
-		lock      = flag.String("lock", "mutex", "state lock: mutex, mcs, ticket")
-		layout    = flag.Int("layout", 1, "TCP locking layout: 1, 2 or 6")
-		strategy  = flag.String("strategy", "packet", "parallelism: packet, connection, layered")
-		warmupMs  = flag.Int64("warmup", 500, "virtual warm-up, ms")
-		measureMs = flag.Int64("measure", 1000, "virtual measurement interval, ms")
-		seed      = flag.Uint64("seed", 1994, "PRNG seed")
-		backend   = flag.String("backend", "sim", "execution substrate: sim (deterministic virtual time) or host (real goroutines; -warmup/-measure become wall-clock ms, so keep them short)")
-
-		// Million-flow scale-out.
-		timerwheel   = flag.Bool("timerwheel", false, "TCP: hierarchical timing wheel instead of scan-based timers (O(expiring) per tick)")
-		pool         = flag.Bool("pool", false, "TCP: recycle time-wait-reaped connection state through a free list (needs -timerwheel)")
-		buckets      = flag.Int("buckets", 0, "transport demux hash buckets (0: sized from -conns)")
-		active       = flag.Int("active", 0, "pump only the first N connections; the rest stay established but idle (0: all)")
-		compactSlots = flag.Int("compactslots", 0, "steered sink: bound exact per-flow accounting to a direct-mapped table of N slots (0: exact)")
-
-		// Fault-injection wire (applied to the data direction for the
-		// chosen side: inbound for recv, outbound for send).
-		drop      = flag.Float64("drop", 0, "fault wire: frame drop probability")
-		dup       = flag.Float64("dup", 0, "fault wire: frame duplication probability")
-		corrupt   = flag.Float64("corrupt", 0, "fault wire: frame corruption probability")
-		reorder   = flag.Float64("reorder", 0, "fault wire: frame reorder probability")
-		delay     = flag.Float64("delay", 0, "fault wire: frame delay probability")
-		delayNs   = flag.Int64("delayns", 0, "fault wire: max extra delay, virtual ns (default 50000)")
-		faultSeed = flag.Uint64("fault-seed", 0, "fault schedule seed (0: derive from -seed)")
-		enforce   = flag.Bool("enforce-checksum", false, "drop (not just count) checksum-bad segments")
-
-		traceOut   = flag.String("trace", "", "record the packet flight recorder and write a Chrome trace-event JSON (load in Perfetto) to FILE")
-		traceDepth = flag.Int("trace-depth", 0, "per-processor trace ring capacity (0: default 65536 events)")
-		sampleNs   = flag.Int64("sample", 0, "telemetry sampling period, virtual ns (0: off); sampled counters merge into -trace as Perfetto counter tracks and ProfileReport gains the attribution section")
-		seriesOut  = flag.String("series", "", "write the sampled telemetry time series to FILE (.json for JSON, anything else CSV); implies -sample 1000000 when -sample is unset")
-
-		// Receive-side flow steering (forces -proto udp -side recv).
-		steerPol = flag.String("steer", "off", "flow steering policy: off, rr, rss, fdir, rebalance")
-		hotPct   = flag.Int("hot", 0, "steered workload: percent of arrivals to the hot connection subset")
-		hotConns = flag.Int("hotconns", 1, "steered workload: hot subset size")
-		gapNs    = flag.Int64("gap", 0, "steered workload: mean inter-arrival gap, virtual ns (0: default)")
-		flowPkts = flag.Int("flowpkts", 0, "steered workload: mean flow length before connection churn (0: no churn)")
-		appMove  = flag.Int("appmove", 0, "steered workload: migrate a connection's app thread every N deliveries (0: never)")
-		quiesce  = flag.Int64("quiesce", 0, "rebalancer quiescence hold after a bucket migration, virtual ns")
-
-		// Receive-side GRO batching.
-		batch      = flag.Bool("batch", false, "coalesce consecutive same-flow in-order segments (receive side)")
-		batchSegs  = flag.Int("batchsegs", 0, "batching: max segments merged per frame (0: default 8)")
-		batchBytes = flag.Int("batchbytes", 0, "batching: max merged frame bytes (0: default 8192)")
-		batchFlush = flag.Int64("batchflush", 0, "batching: pending-merge flush timeout, virtual ns (0: default 50000)")
-	)
-	flag.Usage = usage
-	flag.Parse()
-
-	cfg := core.DefaultConfig()
-	switch *proto {
-	case "tcp":
-		cfg.Proto = core.ProtoTCP
-	case "udp":
-		cfg.Proto = core.ProtoUDP
-	default:
-		fatal("unknown -proto %q", *proto)
-	}
-	switch *side {
-	case "send":
-		cfg.Side = core.SideSend
-	case "recv":
-		cfg.Side = core.SideRecv
-	default:
-		fatal("unknown -side %q", *side)
-	}
-	switch *lock {
-	case "mutex":
-		cfg.LockKind = sim.KindMutex
-	case "mcs":
-		cfg.LockKind = sim.KindMCS
-	case "ticket":
-		cfg.LockKind = sim.KindTicket
-	default:
-		fatal("unknown -lock %q", *lock)
-	}
-	switch *layout {
-	case 1:
-		cfg.Layout = tcp.Layout1
-	case 2:
-		cfg.Layout = tcp.Layout2
-	case 6:
-		cfg.Layout = tcp.Layout6
-	default:
-		fatal("unknown -layout %d", *layout)
-	}
-	switch *strategy {
-	case "packet":
-		cfg.Strategy = core.StrategyPacket
-	case "connection":
-		cfg.Strategy = core.StrategyConnection
-	case "layered":
-		cfg.Strategy = core.StrategyLayered
-	default:
-		fatal("unknown -strategy %q", *strategy)
-	}
-	if *steerPol != "off" {
-		cfg.Proto = core.ProtoUDP
-		cfg.Side = core.SideRecv
-		cfg.Steer.Enabled = true
-		switch *steerPol {
-		case "rr":
-			cfg.Steer.Policy = steer.PolicyPacket
-		case "rss":
-			cfg.Steer.Policy = steer.PolicyRSS
-		case "fdir":
-			cfg.Steer.Policy = steer.PolicyFlowDirector
-		case "rebalance":
-			cfg.Steer.Policy = steer.PolicyRebalance
-		default:
-			fatal("unknown -steer %q", *steerPol)
-		}
-		cfg.Steer.QuiescenceNs = *quiesce
-		cfg.Workload.HotConnPct = *hotPct
-		cfg.Workload.HotConns = *hotConns
-		cfg.Workload.ArrivalGapNs = *gapNs
-		cfg.Workload.MeanFlowPkts = *flowPkts
-		cfg.Workload.AppMoveEvery = *appMove
-		cfg.Workload.CompactSlots = *compactSlots
-	}
-	if *batch {
-		cfg.Batch = msg.BatchConfig{
-			Enabled:        true,
-			MaxSegs:        *batchSegs,
-			MaxBytes:       *batchBytes,
-			FlushTimeoutNs: *batchFlush,
-		}
-	}
-	cfg.Procs = *procs
-	cfg.Connections = *conns
-	cfg.PacketSize = *size
-	cfg.Checksum = *checksum
-	cfg.EnforceChecksum = *enforce
-	cfg.TimerWheel = *timerwheel
-	cfg.PoolTCBs = *pool
-	cfg.DemuxBuckets = *buckets
-	cfg.ActiveConns = *active
-	cfg.Seed = *seed
-	switch *backend {
-	case "sim":
-		cfg.Backend = sim.BackendSim
-	case "host":
-		cfg.Backend = sim.BackendHost
-	default:
-		fatal("unknown -backend %q (want sim or host)", *backend)
-	}
-	if *traceOut != "" {
-		cfg.Trace = true
-		cfg.TraceDepth = *traceDepth
-	}
-	if *sampleNs > 0 || *seriesOut != "" {
-		cfg.SamplePeriodNs = *sampleNs
-		if cfg.SamplePeriodNs <= 0 {
-			cfg.SamplePeriodNs = telemetry.DefaultPeriodNs
-		}
-	}
-
-	rates := driver.FaultRates{
-		Drop: *drop, Dup: *dup, Corrupt: *corrupt,
-		Reorder: *reorder, Delay: *delay, DelayNs: *delayNs,
-	}
-	cfg.Faults.Seed = *faultSeed
-	if cfg.Side == core.SideRecv {
-		cfg.Faults.Up = rates // damage inbound data frames
-	} else {
-		cfg.Faults.Down = rates // damage outbound data frames
-	}
+	var cfg core.Config
+	var o options
+	// ExitOnError: Parse does not return on a bad command line.
+	_ = newFlagSet(&cfg, &o).Parse(os.Args[1:])
+	finish(&cfg, &o)
 
 	st, err := core.Build(cfg)
 	if err != nil {
 		fatal("%v", err)
 	}
-	res, err := st.Run(*warmupMs*1_000_000, *measureMs*1_000_000)
+	res, err := st.Run(o.warmupMs*1_000_000, o.measureMs*1_000_000)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -258,8 +114,8 @@ func main() {
 	fmt.Println()
 	fmt.Print(st.ProfileReport())
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -270,14 +126,14 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("\nwrote flight-recorder trace to %s (open in https://ui.perfetto.dev)\n", *traceOut)
+		fmt.Printf("\nwrote flight-recorder trace to %s (open in https://ui.perfetto.dev)\n", o.traceOut)
 	}
-	if *seriesOut != "" {
-		f, err := os.Create(*seriesOut)
+	if o.seriesOut != "" {
+		f, err := os.Create(o.seriesOut)
 		if err != nil {
 			fatal("%v", err)
 		}
-		if strings.HasSuffix(*seriesOut, ".json") {
+		if strings.HasSuffix(o.seriesOut, ".json") {
 			enc := json.NewEncoder(f)
 			enc.SetIndent("", "  ")
 			err = enc.Encode(st.TimeSeries())
@@ -291,7 +147,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("wrote telemetry time series to %s\n", *seriesOut)
+		fmt.Printf("wrote telemetry time series to %s\n", o.seriesOut)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func main() {
 	const maxProcs = 8
 	base := parnet.DefaultConfig()
-	base.Protocol = parnet.TCP
+	base.Proto = parnet.TCP
 	base.Side = parnet.Receive
 	base.PacketSize = 4096
 	base.Checksum = true
@@ -65,7 +65,7 @@ func main() {
 	} {
 		cfg := base
 		cfg.Layout = v.layout
-		cfg.Processors = maxProcs
+		cfg.Procs = maxProcs
 		r, err := parnet.Run(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -25,7 +25,7 @@ func sweep(cfg parnet.Config, maxProcs int) []parnet.Result {
 func main() {
 	const maxProcs = 8
 	base := parnet.DefaultConfig()
-	base.Protocol = parnet.TCP
+	base.Proto = parnet.TCP
 	base.Side = parnet.Receive
 	base.PacketSize = 4096
 	base.Checksum = true
@@ -56,9 +56,9 @@ func main() {
 
 	// Table 1: the misordering the locks produce.
 	fmt.Println("== Table 1: % of packets out-of-order at TCP ==")
-	fmt.Printf("%-6s %12s %12s\n", "procs", "mutex", "MCS")
+	fmt.Printf("%-6s %12v %12s\n", "procs", parnet.MutexLock, "MCS")
 	for i := 0; i < maxProcs; i++ {
-		fmt.Printf("%-6d %11.1f%% %11.1f%%\n", i+1, rMu[i].OutOfOrderPct, rMCS[i].OutOfOrderPct)
+		fmt.Printf("%-6d %11.1f%% %11.1f%%\n", i+1, rMu[i].OOOPct, rMCS[i].OOOPct)
 	}
 	fmt.Println()
 
@@ -78,9 +78,9 @@ func main() {
 
 	// Section 4.1's side issue: the send side wire stays ordered.
 	send := parnet.DefaultConfig()
-	send.Protocol = parnet.TCP
+	send.Proto = parnet.TCP
 	send.Side = parnet.Send
-	send.Processors = maxProcs
+	send.Procs = maxProcs
 	send.WarmupMs = 400
 	send.MeasureMs = 800
 	res, err := parnet.Run(send)
@@ -89,7 +89,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("Send side at %d procs: %.2f%% of packets misordered on the wire\n",
-		maxProcs, res.WireOutOfOrderPct)
+		maxProcs, res.WireOOOPct)
 	fmt.Println("(the paper observed fewer than one percent — there are no locks")
 	fmt.Println("between TCP output and the FDDI driver for threads to pass at).")
 }

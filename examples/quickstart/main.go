@@ -18,7 +18,7 @@ func main() {
 	// 4 KB packets with checksumming, TCP-1 locking, on the simulated
 	// 8-processor 100 MHz Challenge.
 	cfg := parnet.DefaultConfig()
-	cfg.Protocol = parnet.TCP
+	cfg.Proto = parnet.TCP
 	cfg.Side = parnet.Receive
 	cfg.PacketSize = 4096
 	cfg.Checksum = true
@@ -32,7 +32,7 @@ func main() {
 	}
 	for i, r := range results {
 		fmt.Printf("%-6d %9.1f    %11.1f%% %11.0f%%\n",
-			i+1, r.Mbps, r.OutOfOrderPct, 100*r.LockWaitFraction)
+			i+1, r.Mbps, r.OOOPct, 100*r.LockWaitFrac)
 	}
 
 	fmt.Println()
@@ -48,12 +48,12 @@ func main() {
 
 	// The fix from Section 4.1: FIFO MCS locks.
 	cfg.LockKind = parnet.MCSLock
-	cfg.Processors = 8
+	cfg.Procs = 8
 	mcs, err := parnet.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Same test with FIFO MCS locks at 8 procs: %.1f Mbit/s, %.1f%% out-of-order\n",
-		mcs.Mbps, mcs.OutOfOrderPct)
+		mcs.Mbps, mcs.OOOPct)
 	fmt.Println("(\"Preserving order pays\" — the paper's first conclusion.)")
 }

@@ -21,7 +21,7 @@ func main() {
 		conns    = 4
 	)
 	base := parnet.DefaultConfig()
-	base.Protocol = parnet.TCP
+	base.Proto = parnet.TCP
 	base.Side = parnet.Receive
 	base.Connections = conns
 	base.LockKind = parnet.MCSLock
@@ -29,32 +29,25 @@ func main() {
 	base.MeasureMs = 800
 	base.Runs = 2
 
-	strategies := []struct {
-		name string
-		s    parnet.ParallelismStrategy
-	}{
-		{"packet-level", parnet.PacketLevel},
-		{"connection-level", parnet.ConnectionLevel},
-		{"layered", parnet.Layered},
-	}
+	strategies := []parnet.ParallelismStrategy{parnet.PacketLevel, parnet.ConnectionLevel, parnet.Layered}
 
 	fmt.Printf("TCP receive, %d connections, 4KB packets, checksum on:\n\n", conns)
 	fmt.Printf("%-6s", "procs")
 	for _, st := range strategies {
-		fmt.Printf(" %18s", st.name)
+		fmt.Printf(" %18v", st)
 	}
 	fmt.Println("   (Mbit/s)")
 
 	results := make([][]parnet.Result, len(strategies))
 	for i, st := range strategies {
 		cfg := base
-		cfg.Strategy = st.s
+		cfg.Strategy = st
 		// Keep the connection count fixed: the point is what happens
 		// when processors outnumber connections.
 		var rs []parnet.Result
 		for p := 1; p <= maxProcs; p++ {
 			c := cfg
-			c.Processors = p
+			c.Procs = p
 			r, err := parnet.Run(c)
 			if err != nil {
 				log.Fatal(err)
@@ -78,7 +71,7 @@ func main() {
 	fmt.Println("    utilization, as the paper puts it).")
 	fmt.Println("  - Connection-level caps once processors outnumber connections —")
 	fmt.Printf("    but its misordering is zero by construction (measured: %.1f%%).\n",
-		results[1][maxProcs-1].OutOfOrderPct)
+		results[1][maxProcs-1].OOOPct)
 	fmt.Println("  - Layered caps at its slowest pipeline stage plus a context")
 	fmt.Println("    switch per layer crossing: the Schmidt & Suda result the")
 	fmt.Println("    paper cites for why it studies packet-level parallelism.")

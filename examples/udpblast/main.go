@@ -17,7 +17,7 @@ import (
 func main() {
 	const maxProcs = 8
 	base := parnet.DefaultConfig()
-	base.Protocol = parnet.UDP
+	base.Proto = parnet.UDP
 	base.WarmupMs = 300
 	base.MeasureMs = 600
 	base.Runs = 2

@@ -50,12 +50,12 @@ const (
 	ProtoTCP
 )
 
-func (p Proto) String() string {
-	if p == ProtoUDP {
-		return "UDP"
-	}
-	return "TCP"
-}
+var protoNames = []string{ProtoUDP: "UDP", ProtoTCP: "TCP"}
+
+func (p Proto) String() string { return sim.EnumName(protoNames, p) }
+
+// Set parses a transport name, in either case (flag.Value).
+func (p *Proto) Set(s string) error { return sim.SetEnum(p, "transport", s, protoNames) }
 
 // Side selects the data-transfer direction under test.
 type Side int
@@ -66,12 +66,12 @@ const (
 	SideRecv
 )
 
-func (s Side) String() string {
-	if s == SideSend {
-		return "send"
-	}
-	return "recv"
-}
+var sideNames = []string{SideSend: "send", SideRecv: "recv"}
+
+func (s Side) String() string { return sim.EnumName(sideNames, s) }
+
+// Set parses a side name (flag.Value).
+func (s *Side) Set(v string) error { return sim.SetEnum(s, "side", v, sideNames) }
 
 // Config describes one experiment configuration.
 type Config struct {
@@ -95,11 +95,9 @@ type Config struct {
 	// stack on real goroutines with sync-based lock implementations and
 	// the host monotonic clock; throughput is then measured in wall-clock
 	// time and runs are nondeterministic. Host mode supports the plain
-	// packet-level shapes only — validateBackend rejects the knobs whose
-	// semantics require virtual time (tracing, telemetry sampling, fault
-	// injection, batching, steering, the timer wheel, alternative
-	// strategies) and forces the per-processor message cache off (its
-	// free lists assume one thread per proc).
+	// packet-level shapes only — Build rejects the knobs whose
+	// declaration (knobs.go) carries a host reason, and forces the
+	// per-processor message cache off.
 	Backend sim.Backend
 
 	// Faults configures the deterministic fault-injection wire between
@@ -115,7 +113,6 @@ type Config struct {
 	Ticketing          bool // implies an order-requiring application
 	NoHeaderPrediction bool
 	AckEvery           int
-	Window             uint32
 	// TimerWheel replaces TCP's scan-based slow/fast timers with the
 	// hierarchical timing wheel: per-TCB scheduled events, so a tick
 	// costs O(expiring timers) instead of O(connections). Off by
@@ -144,10 +141,6 @@ type Config struct {
 	// MapCache keeps the map manager's 1-behind cache on (default).
 	MapCache bool
 	Wired    bool
-	// MigrateEvery makes unwired threads migrate to a random processor
-	// once per this many packets on average (default 8: IRIX daemons
-	// and interrupts displace unwired threads regularly).
-	MigrateEvery int
 	// WheelPerChain selects per-chain timing-wheel locks (default) vs a
 	// single wheel lock (ablation).
 	WheelPerChain bool
@@ -212,13 +205,11 @@ func DefaultConfig() Config {
 		Layout:        tcp.Layout1,
 		LockKind:      sim.KindMutex,
 		AckEvery:      2,
-		Window:        1 << 20,
 		MsgCache:      true,
 		RefMode:       sim.RefAtomic,
 		MapLocking:    true,
 		MapCache:      true,
 		Wired:         true,
-		MigrateEvery:  8,
 		WheelPerChain: true,
 	}
 }
@@ -283,7 +274,10 @@ type Stack struct {
 
 // Build assembles a stack for the configuration. No simulation runs
 // yet; Run drives it.
-func Build(cfg Config) (*Stack, error) {
+func Build(c Config) (*Stack, error) {
+	// The stack's copy is the one validation normalizes.
+	s := &Stack{Cfg: c}
+	cfg := &s.Cfg
 	if cfg.Procs <= 0 {
 		return nil, errors.New("core: Procs must be positive")
 	}
@@ -296,19 +290,21 @@ func Build(cfg Config) (*Stack, error) {
 	if cfg.PacketSize > fddi.MTU-ip.HdrLen-tcp.HdrLen {
 		return nil, fmt.Errorf("core: PacketSize %d exceeds what one FDDI frame carries", cfg.PacketSize)
 	}
-	if err := validateStrategy(&cfg); err != nil {
+	if cfg.Machine.CPU <= 0 || cfg.Machine.Mem <= 0 {
+		return nil, fmt.Errorf("core: Machine %q has no CPU or memory speed (start from DefaultConfig)", cfg.Machine.Name)
+	}
+	if err := validateKnobs(cfg); err != nil {
 		return nil, err
 	}
-	if err := validateSteer(&cfg); err != nil {
+	if err := validateStrategy(cfg); err != nil {
 		return nil, err
 	}
-	if err := validateBatch(&cfg); err != nil {
+	if err := validateSteer(cfg); err != nil {
 		return nil, err
 	}
-	if err := validateBackend(&cfg); err != nil {
+	if err := validateBatch(cfg); err != nil {
 		return nil, err
 	}
-	s := &Stack{Cfg: cfg}
 	s.batchOn = cfg.Batch.Active()
 	s.Eng = sim.NewBackend(cost.NewModel(cfg.Machine), cfg.Seed+1, cfg.Backend)
 	if cfg.Trace {
@@ -417,7 +413,7 @@ func Build(cfg Config) (*Stack, error) {
 			RefMode:    cfg.RefMode,
 			MapLocking: cfg.MapLocking,
 			MapNoCache: !cfg.MapCache,
-			Buckets:    demuxBuckets(&cfg),
+			Buckets:    demuxBuckets(cfg),
 		}, udpOpener{s.IP})
 	case ProtoTCP:
 		s.TCP = tcp.New(tcp.Config{
@@ -429,12 +425,11 @@ func Build(cfg Config) (*Stack, error) {
 			MapNoCache:         !cfg.MapCache,
 			AssumeInOrder:      cfg.AssumeInOrder,
 			Ticketing:          cfg.Ticketing,
-			Window:             cfg.Window,
 			NoHeaderPrediction: cfg.NoHeaderPrediction,
 			AckEvery:           cfg.AckEvery,
 			TimerWheel:         cfg.TimerWheel,
 			PoolTCBs:           cfg.PoolTCBs,
-			Buckets:            demuxBuckets(&cfg),
+			Buckets:            demuxBuckets(cfg),
 		}, tcpOpener{s.IP}, s.Alloc, s.Wheel)
 	}
 
@@ -462,58 +457,6 @@ func demuxBuckets(cfg *Config) int {
 		b <<= 1
 	}
 	return b
-}
-
-// validateBackend checks the configuration against what the host
-// backend supports and normalizes it. Host mode runs the plain
-// packet-level shapes (TCP/UDP x send/recv, optionally ticketed); the
-// determinism-dependent and engine-serialized subsystems are rejected
-// rather than silently producing wrong numbers:
-//
-//   - Trace and SamplePeriodNs record virtual-time series; wall-clock
-//     runs would corrupt their invariants (and the recorder's rings are
-//     engine-serialized).
-//   - Faults, Batch, Steer, TimerWheel and PoolTCBs keep engine-
-//     serialized state (deterministic RNG schedules, scratch lists,
-//     free lists) that real concurrency would race on.
-//   - Unwired threads migrate via the simulated scheduler; a host
-//     goroutine has no migration to model, so Wired is required.
-//   - MapLocking off relies on the engine serializing map access.
-//
-// The per-processor message cache is forced off (not rejected): its
-// free lists are only safe when exactly one thread owns each proc,
-// which host mode does not guarantee. The allocator's arena path is
-// host-safe.
-func validateBackend(cfg *Config) error {
-	switch cfg.Backend {
-	case sim.BackendSim:
-		return nil
-	case sim.BackendHost:
-	default:
-		return fmt.Errorf("core: unknown backend %d", cfg.Backend)
-	}
-	switch {
-	case cfg.Strategy != StrategyPacket:
-		return errors.New("core: host backend supports the packet-level strategy only")
-	case cfg.Steer.Enabled:
-		return errors.New("core: host backend does not support steering")
-	case cfg.Batch.Enabled:
-		return errors.New("core: host backend does not support receive batching")
-	case cfg.Faults.Enabled():
-		return errors.New("core: host backend does not support fault injection")
-	case cfg.TimerWheel || cfg.PoolTCBs:
-		return errors.New("core: host backend does not support the timer wheel or TCB pooling")
-	case cfg.Trace:
-		return errors.New("core: host backend does not support the flight recorder")
-	case cfg.SamplePeriodNs > 0:
-		return errors.New("core: host backend does not support telemetry sampling")
-	case !cfg.Wired:
-		return errors.New("core: host backend requires wired threads")
-	case !cfg.MapLocking:
-		return errors.New("core: host backend requires map locking")
-	}
-	cfg.MsgCache = false
-	return nil
 }
 
 // activeConns returns how many connections the pumps drive.
@@ -741,7 +684,10 @@ func (s *Stack) pump(t *sim.Thread, p int) {
 				int64(shepherded), int64(shepherded)*int64(cfg.PacketSize))
 		}
 		n++
-		if !cfg.Wired && cfg.MigrateEvery > 0 && t.Rand().Intn(cfg.MigrateEvery) == 0 {
+		// An unwired thread moves to a random processor once per eight
+		// packets on average: IRIX daemons and interrupts displace
+		// unwired threads regularly.
+		if !cfg.Wired && t.Rand().Intn(8) == 0 {
 			t.MigrateTo(t.Rand().Intn(cfg.Procs))
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/driver"
@@ -77,43 +78,55 @@ func TestHostBackendSmoke(t *testing.T) {
 }
 
 // TestHostBackendRejects: the determinism-dependent knobs must fail
-// Build loudly instead of producing silently wrong wall-clock numbers.
+// Build loudly instead of producing silently wrong wall-clock numbers,
+// and the error must name the knob that was refused.
 func TestHostBackendRejects(t *testing.T) {
-	mutate := map[string]func(*Config){
-		"strategy-connection": func(c *Config) {
+	cases := []struct {
+		name, want string
+		mutate     func(*Config)
+	}{
+		{"strategy-connection", "-strategy", func(c *Config) {
 			c.Proto, c.Side = ProtoTCP, SideRecv
 			c.Strategy = StrategyConnection
 			c.Connections = 2
-		},
-		"strategy-layered": func(c *Config) {
+		}},
+		{"strategy-layered", "-strategy", func(c *Config) {
 			c.Proto, c.Side = ProtoTCP, SideRecv
 			c.Strategy = StrategyLayered
 			c.Procs = 3
-		},
-		"steer": func(c *Config) {
+		}},
+		{"steer", "-steer", func(c *Config) {
 			c.Side = SideRecv
 			c.Steer = steer.Config{Enabled: true}
-		},
-		"batch": func(c *Config) {
+		}},
+		{"batch", "-batch", func(c *Config) {
 			c.Proto, c.Side = ProtoTCP, SideRecv
 			c.Batch = msg.BatchConfig{Enabled: true, MaxSegs: 4}
-		},
-		"faults": func(c *Config) {
+		}},
+		{"faults", "-drop", func(c *Config) {
 			c.Proto, c.Side = ProtoTCP, SideRecv
 			c.Faults = driver.FaultConfig{Down: driver.FaultRates{Drop: 0.01}}
-		},
-		"timer-wheel":  func(c *Config) { c.Proto = ProtoTCP; c.TimerWheel = true },
-		"trace":        func(c *Config) { c.Trace = true },
-		"telemetry":    func(c *Config) { c.SamplePeriodNs = 1_000_000 },
-		"unwired":      func(c *Config) { c.Wired = false },
-		"map-unlocked": func(c *Config) { c.MapLocking = false },
+		}},
+		{"timer-wheel", "-timerwheel", func(c *Config) { c.Proto = ProtoTCP; c.TimerWheel = true }},
+		{"tcb-pool", "-pool", func(c *Config) { c.Proto = ProtoTCP; c.PoolTCBs = true }},
+		{"trace", "packet flight recorder", func(c *Config) { c.Trace = true }},
+		{"telemetry", "-sample", func(c *Config) { c.SamplePeriodNs = 1_000_000 }},
+		{"unwired", "-wired", func(c *Config) { c.Wired = false }},
+		{"map-unlocked", "-maplock", func(c *Config) { c.MapLocking = false }},
 	}
-	for name, fn := range mutate {
+	for _, tc := range cases {
 		cfg := DefaultConfig()
 		cfg.Backend = sim.BackendHost
-		fn(&cfg)
-		if _, err := Build(cfg); err == nil {
-			t.Errorf("%s: Build accepted an unsupported host configuration", name)
+		tc.mutate(&cfg)
+		_, err := Build(cfg)
+		if err == nil {
+			t.Errorf("%s: Build accepted an unsupported host configuration", tc.name)
+		} else if !strings.Contains(err.Error(), "host backend cannot run "+tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
+		cfg.Backend = sim.BackendSim
+		if _, err := Build(cfg); err != nil && strings.Contains(err.Error(), "host backend") {
+			t.Errorf("%s: the sim backend refused it too: %v", tc.name, err)
 		}
 	}
 }

@@ -39,6 +39,9 @@ func validateSteer(cfg *Config) error {
 		return fmt.Errorf("core: Steer needs PacketSize >= %d for the workload stamp", workload.StampLen)
 	}
 	cfg.Steer = cfg.Steer.WithDefaults()
+	// One lock kind per run: the Flow-Director buckets follow the
+	// connection-state locks, whichever entry point built the config.
+	cfg.Steer.LockKind = cfg.LockKind
 	if err := cfg.Steer.Validate(); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/steer"
 	"repro/internal/trace"
 )
@@ -119,5 +120,33 @@ func TestSteeredTraceNeutrality(t *testing.T) {
 		if migrates == 0 {
 			t.Errorf("%s: traced run recorded no steer-migrate events", pol)
 		}
+	}
+}
+
+// TestSteerBucketLocksFollowLockKind: the Flow-Director bucket locks are
+// of the run's LockKind whichever entry point built the config — the
+// built stack reports MCS, and the fdir-bucket locks behave as MCS (a
+// dearer acquire than the mutex's, so their statistics move).
+func TestSteerBucketLocksFollowLockKind(t *testing.T) {
+	run := func(kind sim.LockKind) (sim.LockKind, sim.LockStats) {
+		cfg := steeredConfig(steer.PolicyFlowDirector)
+		cfg.LockKind = kind
+		st, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Run(testWarmup, testMeasure); err != nil {
+			t.Fatal(err)
+		}
+		return st.Cfg.Steer.LockKind, st.steerer.LockStats()
+	}
+	mutexKind, mutex := run(sim.KindMutex)
+	mcsKind, mcs := run(sim.KindMCS)
+	if mutexKind != sim.KindMutex || mcsKind != sim.KindMCS {
+		t.Errorf("fdir-bucket lock kinds = %v, %v; want %v, %v", mutexKind, mcsKind, sim.KindMutex, sim.KindMCS)
+	}
+	if mcs.Acquires == 0 || mcs.HoldNs <= mutex.HoldNs {
+		t.Errorf("fdir-bucket locks under MCS held %d ns over %d acquires, under mutex %d ns: the buckets ignored LockKind",
+			mcs.HoldNs, mcs.Acquires, mutex.HoldNs)
 	}
 }

@@ -53,16 +53,17 @@ const (
 	StrategyLayered
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case StrategyPacket:
-		return "packet-level"
-	case StrategyConnection:
-		return "connection-level"
-	case StrategyLayered:
-		return "layered"
-	}
-	return "invalid"
+// strategyFlags are the command-line spellings, strategyNames the reports'.
+var (
+	strategyFlags = []string{StrategyPacket: "packet", StrategyConnection: "connection", StrategyLayered: "layered"}
+	strategyNames = []string{StrategyPacket: "packet-level", StrategyConnection: "connection-level", StrategyLayered: "layered"}
+)
+
+func (s Strategy) String() string { return sim.EnumName(strategyNames, s) }
+
+// Set parses a strategy by either spelling (flag.Value).
+func (s *Strategy) Set(v string) error {
+	return sim.SetEnum(s, "strategy", v, strategyFlags, strategyNames)
 }
 
 // validateStrategy rejects unsupported combinations: the alternative

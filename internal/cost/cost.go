@@ -22,6 +22,11 @@
 // why it shows the best relative speedup in the paper's Section 7.
 package cost
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Machine describes one hardware platform profile.
 type Machine struct {
 	Name string
@@ -48,8 +53,26 @@ var (
 	PowerSeries33 = Machine{Name: "R3000 MP (33MHz)", CPU: 0.60, Mem: 0.95, SyncBus: true}
 )
 
-// Machines lists the profiles in the order the paper plots them.
-var Machines = []Machine{Challenge150, Challenge100, PowerSeries33}
+// Machines lists the profiles in the order the paper plots them, and
+// machineFlags their command-line spellings in the same order.
+var (
+	Machines     = []Machine{Challenge150, Challenge100, PowerSeries33}
+	machineFlags = []string{"challenge150", "challenge100", "power33"}
+)
+
+func (m Machine) String() string { return m.Name }
+
+// Set selects one of Machines by its command-line spelling or its Name
+// (flag.Value).
+func (m *Machine) Set(s string) error {
+	for i := range Machines {
+		if s == machineFlags[i] || s == Machines[i].Name {
+			*m = Machines[i]
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown machine %q (want %s)", s, strings.Join(machineFlags, ", "))
+}
 
 // Sync holds synchronization costs in virtual nanoseconds.
 type Sync struct {

@@ -43,9 +43,9 @@ type Params struct {
 	SamplePeriodNs int64
 	// Backend selects the execution substrate for the experiments that
 	// honor it. Today that is ext-host, which runs its strategy sweep on
-	// both substrates when Backend is "" or "host" and skips the
-	// wall-clock half when it is "sim". The paper-figure experiments are
-	// simulation-only and ignore it.
+	// both substrates unless Backend names the sim backend
+	// (sim.BackendSim.String()), which skips the wall-clock half. The
+	// paper-figure experiments are simulation-only and ignore it.
 	Backend string
 }
 

@@ -73,7 +73,7 @@ type HostComparison struct {
 	HostOrder  []string
 	OrderAgree bool
 	KneeAgree  bool
-	HostRan    bool // false when Params.Backend == "sim"
+	HostRan    bool // false when Params.Backend names the sim backend
 }
 
 // hostSweepVariants returns the compared strategies. The shape is
@@ -151,13 +151,13 @@ func equalStrings(a, b []string) bool {
 }
 
 // RunHostComparison measures the strategy sweep on the simulator (fanned
-// across the worker pool) and then, unless p.Backend is "sim", on the
-// host backend (sequentially, after the sim side has drained, so wall-
-// clock windows run on a quiet machine). It backs the ext-host
-// experiment and the cross-substrate smoke test.
+// across the worker pool) and then, unless p.Backend names the sim
+// backend, on the host backend (sequentially, after the sim side has
+// drained, so wall-clock windows run on a quiet machine). It backs the
+// ext-host experiment and the cross-substrate smoke test.
 func RunHostComparison(p Params) (HostComparison, error) {
 	maxP := hostMaxProcs(p)
-	hc := HostComparison{HostRan: p.Backend != "sim"}
+	hc := HostComparison{HostRan: p.Backend != sim.BackendSim.String()}
 	for n := 1; n <= maxP; n++ {
 		hc.Procs = append(hc.Procs, n)
 	}

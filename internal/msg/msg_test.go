@@ -314,3 +314,43 @@ func TestRefcountUnderflowPanics(t *testing.T) {
 		c.Free(th)
 	})
 }
+
+// TestMergeAbsorbZeroAllocs enforces the batching subsystem's host-cost
+// contract: the GRO merge path (a head with grow-room absorbing 1 KB
+// donors, replaced when full) allocates nothing once the per-processor
+// free lists are warm — every head and donor is recycled and the merge
+// is a copy into existing tail space.
+func TestMergeAbsorbZeroAllocs(t *testing.T) {
+	const seg, grow = 1024, 6 * 1024
+	a := NewAllocator(DefaultConfig(4))
+	run(t, func(th *sim.Thread) {
+		newHead := func() *Message {
+			h, err := a.New(th, seg+grow, Headroom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.TrimBack(th, grow); err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+		head := newHead()
+		allocs := testing.AllocsPerRun(100, func() {
+			if head.Tailroom() < seg {
+				head.Free(th)
+				head = newHead()
+			}
+			d, err := a.New(th, seg, Headroom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := head.Absorb(th, d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		head.Free(th)
+		if allocs != 0 {
+			t.Errorf("merge path allocates %v times per absorbed segment, want 0", allocs)
+		}
+	})
+}

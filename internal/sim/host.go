@@ -50,15 +50,12 @@ const (
 	BackendHost
 )
 
-func (b Backend) String() string {
-	switch b {
-	case BackendSim:
-		return "sim"
-	case BackendHost:
-		return "host"
-	}
-	return "invalid"
-}
+var backendNames = []string{BackendSim: "sim", BackendHost: "host"}
+
+func (b Backend) String() string { return EnumName(backendNames, b) }
+
+// Set parses a backend name (flag.Value).
+func (b *Backend) Set(s string) error { return SetEnum(b, "backend", s, backendNames) }
 
 // hostEngine is the per-engine state of the host backend.
 type hostEngine struct {

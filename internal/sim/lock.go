@@ -401,17 +401,12 @@ const (
 	KindTicket
 )
 
-func (k LockKind) String() string {
-	switch k {
-	case KindMutex:
-		return "mutex"
-	case KindMCS:
-		return "mcs"
-	case KindTicket:
-		return "ticket"
-	}
-	return "invalid"
-}
+var kindNames = []string{KindMutex: "mutex", KindMCS: "mcs", KindTicket: "ticket"}
+
+func (k LockKind) String() string { return EnumName(kindNames, k) }
+
+// Set parses a lock kind name (flag.Value).
+func (k *LockKind) Set(s string) error { return SetEnum(k, "lock kind", s, kindNames) }
 
 // NewLock builds a lock of the given kind.
 func NewLock(kind LockKind, name string) Locker {

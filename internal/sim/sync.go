@@ -111,12 +111,12 @@ const (
 	RefLocked
 )
 
-func (m RefMode) String() string {
-	if m == RefAtomic {
-		return "atomic"
-	}
-	return "locked"
-}
+var refNames = []string{RefAtomic: "atomic", RefLocked: "locked"}
+
+func (m RefMode) String() string { return EnumName(refNames, m) }
+
+// Set parses a reference-count mode name (flag.Value).
+func (m *RefMode) Set(s string) error { return SetEnum(m, "refcount mode", s, refNames) }
 
 // RefCount is a reference count on a shared object (MNodes, sessions,
 // protocol state). In RefAtomic mode a manipulation charges a single

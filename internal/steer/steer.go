@@ -51,18 +51,17 @@ const (
 	PolicyRebalance
 )
 
-func (p Policy) String() string {
-	switch p {
-	case PolicyPacket:
-		return "packet-rr"
-	case PolicyRSS:
-		return "rss"
-	case PolicyFlowDirector:
-		return "flow-director"
-	case PolicyRebalance:
-		return "rss+rebalance"
-	}
-	return "invalid"
+// policyFlags are the command-line spellings, policyNames the reports'.
+var (
+	policyFlags = []string{PolicyPacket: "rr", PolicyRSS: "rss", PolicyFlowDirector: "fdir", PolicyRebalance: "rebalance"}
+	policyNames = []string{PolicyPacket: "packet-rr", PolicyRSS: "rss", PolicyFlowDirector: "flow-director", PolicyRebalance: "rss+rebalance"}
+)
+
+func (p Policy) String() string { return sim.EnumName(policyNames, p) }
+
+// Set parses a policy by either spelling (flag.Value).
+func (p *Policy) Set(s string) error {
+	return sim.SetEnum(p, "steering policy", s, policyFlags, policyNames)
 }
 
 // Config parameterizes the steering subsystem. The zero value means

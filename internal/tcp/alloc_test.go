@@ -66,3 +66,39 @@ func TestInputDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestFastTimoZeroAllocs enforces the timer subsystem's host-cost
+// contract: a fast heartbeat that flushes pending delayed acks reuses
+// the protocol-owned scratch slice and pool-recycled ack messages, so
+// the steady state allocates nothing per heartbeat — the seed's
+// per-tick flush-list allocation must not come back.
+func TestFastTimoZeroAllocs(t *testing.T) {
+	const conns, pending = 1024, 32
+	e := sim.New(cost.NewModel(cost.Challenge100), 1)
+	e.Spawn("tick", 0, func(th *sim.Thread) {
+		cfg := DefaultConfig()
+		cfg.Checksum = ChecksumOff
+		cfg.Buckets = conns
+		p, tcbs := NewBench(th, cfg, msg.NewAllocator(msg.DefaultConfig(1)), conns)
+		next := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			for j := 0; j < pending; j++ {
+				// As input processing does after absorbing a data segment.
+				tcb := tcbs[next%conns]
+				next++
+				tcb.locks.lockState(th)
+				tcb.delAckPnd.Store(true)
+				tcb.queueDelack(th)
+				tcb.locks.unlockState(th)
+			}
+			p.fastTimo(th)
+		})
+		if allocs != 0 {
+			t.Errorf("fast-timeout flush of %d delayed acks allocates %v times per heartbeat, want 0", pending, allocs)
+		}
+		if acks := p.Stats().AcksOut; acks < 100*pending {
+			t.Errorf("flushed %d acks, want at least %d: the heartbeat is not doing the work", acks, 100*pending)
+		}
+	})
+	e.Run()
+}

@@ -60,16 +60,17 @@ const (
 	Layout6
 )
 
-func (l Layout) String() string {
-	switch l {
-	case Layout1:
-		return "TCP-1"
-	case Layout2:
-		return "TCP-2"
-	case Layout6:
-		return "TCP-6"
-	}
-	return "invalid"
+// layoutFlags are the command-line spellings, layoutNames the paper's.
+var (
+	layoutFlags = []string{Layout1: "1", Layout2: "2", Layout6: "6"}
+	layoutNames = []string{Layout1: "TCP-1", Layout2: "TCP-2", Layout6: "TCP-6"}
+)
+
+func (l Layout) String() string { return sim.EnumName(layoutNames, l) }
+
+// Set parses a layout as 1, 2 or 6, or by its paper name (flag.Value).
+func (l *Layout) Set(s string) error {
+	return sim.SetEnum(l, "TCP locking layout", s, layoutFlags, layoutNames)
 }
 
 // Errors.

@@ -14,18 +14,21 @@
 // Quick start:
 //
 //	cfg := parnet.DefaultConfig()
-//	cfg.Protocol = parnet.TCP
+//	cfg.Proto = parnet.TCP
 //	cfg.Side = parnet.Receive
-//	cfg.Processors = 8
+//	cfg.Procs = 8
 //	res, err := parnet.Run(cfg)
-//	fmt.Printf("%.1f Mbit/s, %.1f%% out-of-order\n", res.Mbps, res.OutOfOrderPct)
+//	fmt.Printf("%.1f Mbit/s, %.1f%% out-of-order\n", res.Mbps, res.OOOPct)
 //
-// Every structural alternative the paper studies is a Config field:
-// locking layout (TCP-1/2/6), lock kind (unfair mutex vs FIFO MCS),
-// checksumming, packet size, per-processor message caching, atomic vs
-// lock-based reference counts, the Section 4.2 ticketing scheme, the
-// assumed-in-order upper bound, connection count, machine generation,
-// and thread wiring.
+// Config embeds the engine's own configuration (internal/core.Config),
+// so every structural alternative the paper studies is a field set
+// directly on it: locking layout (TCP-1/2/6), lock kind (unfair mutex vs
+// FIFO MCS), checksumming, packet size, per-processor message caching,
+// atomic vs lock-based reference counts, the Section 4.2 ticketing
+// scheme, the assumed-in-order upper bound, connection count, machine
+// generation, and thread wiring. The enum and sub-config types below are
+// aliases of the internal ones; parnet adds only the measurement
+// methodology.
 //
 // The experiment catalog that regenerates every table and figure of the
 // paper is exposed through Experiments and RunExperiment; the ppbench
@@ -33,7 +36,6 @@
 package parnet
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -48,258 +50,151 @@ import (
 	"repro/internal/workload"
 )
 
-// Protocol selects the transport under test.
-type Protocol int
-
-// Transports.
-const (
-	UDP Protocol = iota
-	TCP
+// Protocol selects the transport under test; Side the data-transfer
+// direction.
+type (
+	Protocol = core.Proto
+	Side     = core.Side
 )
 
-// Side selects the data-transfer direction.
-type Side int
-
-// Sides.
+// Transports and sides.
 const (
-	Send Side = iota
-	Receive
+	UDP     = core.ProtoUDP
+	TCP     = core.ProtoTCP
+	Send    = core.SideSend
+	Receive = core.SideRecv
 )
 
 // LockKind selects the connection-state lock implementation.
-type LockKind int
+type LockKind = sim.LockKind
 
 // Lock kinds.
 const (
 	// MutexLock is the raw unfair test-and-set spin lock (the IRIX
 	// mutex of the paper): not FIFO, reorders contending threads.
-	MutexLock LockKind = iota
+	MutexLock = sim.KindMutex
 	// MCSLock is the FIFO queueing lock of Mellor-Crummey and Scott.
-	MCSLock
+	MCSLock = sim.KindMCS
 	// TicketLock is a FIFO ticket lock (ablation alternative).
-	TicketLock
+	TicketLock = sim.KindTicket
 )
 
 // Layout selects TCP's locking granularity (Section 5.1).
-type Layout int
+type Layout = tcp.Layout
 
 // Locking layouts.
 const (
 	// TCP1 protects all connection state with a single lock.
-	TCP1 Layout = iota
+	TCP1 = tcp.Layout1
 	// TCP2 uses separate send-side and receive-side locks.
-	TCP2
+	TCP2 = tcp.Layout2
 	// TCP6 uses the six-lock SICS layout, checksums inside the header
 	// prepend/remove locks.
-	TCP6
+	TCP6 = tcp.Layout6
 )
 
 // ParallelismStrategy selects how work is divided among processors —
 // the three strategies surveyed in the paper's Section 1. Alternatives
 // to packet-level parallelism are implemented for the TCP receive path.
-type ParallelismStrategy int
+type ParallelismStrategy = core.Strategy
 
 // Strategies.
 const (
 	// PacketLevel is thread-per-packet parallelism (the paper's
 	// subject; the default).
-	PacketLevel ParallelismStrategy = iota
+	PacketLevel = core.StrategyPacket
 	// ConnectionLevel binds each connection to one owning processor
 	// (Multiprocessor STREAMS style): connection state never contends
 	// and per-connection order is preserved by construction, but a
 	// connection cannot use more than one processor.
-	ConnectionLevel
+	ConnectionLevel = core.StrategyConnection
 	// Layered assigns protocol layers to processors and pipelines
 	// packets between them, paying a context switch per boundary.
-	Layered
+	Layered = core.StrategyLayered
 )
 
-// Machine selects the simulated hardware generation (Section 7).
-type Machine int
+// RefMode selects how reference counts are manipulated (Section 5.2).
+type RefMode = sim.RefMode
+
+// Reference-count modes.
+const (
+	AtomicRefs = sim.RefAtomic
+	LockedRefs = sim.RefLocked
+)
+
+// Backend selects the execution substrate.
+type Backend = sim.Backend
+
+// Backends.
+const (
+	// Sim is the deterministic virtual-time simulation the paper's
+	// methodology uses (the default).
+	Sim = sim.BackendSim
+	// Host runs the identical stack on real goroutines with sync-based
+	// locks and wall-clock measurement windows (WarmupMs and MeasureMs
+	// then elapse in real time — keep them short). Host runs are
+	// nondeterministic and support only the plain packet-level shapes.
+	Host = sim.BackendHost
+)
+
+// Machine describes the simulated hardware generation (Section 7).
+type Machine = cost.Machine
 
 // Machines.
-const (
+var (
 	// Challenge100 is the 8-processor 100 MHz R4400 SGI Challenge, the
 	// paper's primary platform.
-	Challenge100 Machine = iota
+	Challenge100 = cost.Challenge100
 	// Challenge150 is the 150 MHz R4400 Challenge.
-	Challenge150
+	Challenge150 = cost.Challenge150
 	// PowerSeries33 is the previous-generation 33 MHz R3000 Power
 	// Series with a dedicated synchronization bus (four processors).
-	PowerSeries33
+	PowerSeries33 = cost.PowerSeries33
 )
 
 // SteeringPolicy selects how arriving packets are dispatched to
 // processors when receive-side flow steering is enabled.
-type SteeringPolicy int
+type SteeringPolicy = steer.Policy
 
 // Steering policies.
 const (
 	// PacketSteering sprays packets round-robin (packet-level
 	// parallelism's implicit dispatch; maximally balanced, affinity-blind).
-	PacketSteering SteeringPolicy = iota
+	PacketSteering = steer.PolicyPacket
 	// RSSSteering hashes the 4-tuple (Toeplitz) through a static
 	// indirection table.
-	RSSSteering
+	RSSSteering = steer.PolicyRSS
 	// FlowDirectorSteering consults a bounded exact-match flow table
 	// pinning each flow to the processor that last consumed it, falling
 	// back to RSS on a miss (Intel ATR style).
-	FlowDirectorSteering
+	FlowDirectorSteering = steer.PolicyFlowDirector
 	// RebalanceSteering is RSS plus a dynamic rebalancer that migrates
 	// hash buckets off overloaded processors.
-	RebalanceSteering
+	RebalanceSteering = steer.PolicyRebalance
 )
 
-// SteerConfig enables and parameterizes receive-side flow steering
-// (UDP receive only). Zero values take the subsystem defaults.
-type SteerConfig struct {
-	Enabled bool
-	Policy  SteeringPolicy
-	// Buckets is the RSS indirection-table size (power of two).
-	Buckets int
-	// FlowTableSize bounds the exact-match flow table; FlowBuckets is
-	// its independently locked bucket count.
-	FlowTableSize int
-	FlowBuckets   int
-	// RingCapacity bounds each processor's dispatch ring; a full ring
-	// drops the arrival.
-	RingCapacity int
-	// RebalancePeriodMs is the monitor's sampling period in virtual ms.
-	RebalancePeriodMs int64
-	// ImbalanceThresholdPct triggers a bucket migration when the
-	// deepest ring exceeds the mean depth by this percentage.
-	ImbalanceThresholdPct int
-	// QuiescenceUs holds the rebalancer after each migration (virtual
-	// µs): longer holds trade reordering for peak imbalance.
-	QuiescenceUs int64
-}
+// The sub-configurations of Config: receive-side flow steering (UDP
+// receive only) and its many-connection traffic generator, GRO-style
+// receive batching, and the fault-injection wire. Zero values take the
+// subsystem defaults; all-zero leaves the subsystem out of the stack.
+type (
+	SteerConfig    = steer.Config
+	WorkloadConfig = workload.Config
+	BatchConfig    = msg.BatchConfig
+	FaultRates     = driver.FaultRates
+	FaultConfig    = driver.FaultConfig
+)
 
-// WorkloadConfig parameterizes the steered many-connection traffic
-// generator. Zero values take the generator defaults.
-type WorkloadConfig struct {
-	// ArrivalGapNs is the mean inter-arrival gap of the open-loop
-	// arrival process, virtual ns.
-	ArrivalGapNs int64
-	// HotConnPct sends this percentage of arrivals to the HotConns
-	// lowest-numbered connections.
-	HotConnPct int
-	HotConns   int
-	// MeanFlowPkts is the mean heavy-tailed flow length before a
-	// connection churns (re-keys its steering identity); 0 disables.
-	MeanFlowPkts int
-	// AppMoveEvery migrates a connection's consuming application
-	// thread every N deliveries (the Wu et al. reordering trigger).
-	AppMoveEvery int
-	// Seed drives the generator (0: derived from the run seed).
-	Seed uint64
-	// CompactSlots bounds the sink's exact per-connection accounting to
-	// a direct-mapped table of this many slots (collisions evict); 0
-	// keeps one exact entry per connection. With it set, per-flow state
-	// is O(slots) at any connection count and misorder detection becomes
-	// approximate across evictions.
-	CompactSlots int
-}
-
-// BatchConfig enables and parameterizes receive-side GRO-style segment
-// coalescing: consecutive same-flow in-order segments merge into one
-// frame below the protocol layers, so TCP's connection-state lock (and
-// the sink's delivery lock) is taken once per merged frame instead of
-// once per wire packet. Zero values take the subsystem defaults.
-// Disabled (the default) is byte-identical to the unbatched stack.
-type BatchConfig struct {
-	Enabled bool
-	// MaxSegs caps segments merged per frame (default 8; 1 disables).
-	MaxSegs int
-	// MaxBytes caps a merged frame's total length (default: the
-	// largest message-tool buffer class, 8192).
-	MaxBytes int
-	// FlushTimeoutUs flushes a pending merge whose head has aged past
-	// this bound, virtual µs (default 50).
-	FlushTimeoutUs int64
-}
-
-// FaultRates sets per-frame fault probabilities for one direction of
-// the fault-injection wire. All rates are in [0, 1].
-type FaultRates struct {
-	Drop    float64 // discard the frame
-	Dup     float64 // forward the frame twice
-	Corrupt float64 // flip a payload bit and stamp a bogus checksum
-	Reorder float64 // swap the frame with the next one
-	Delay   float64 // add extra wire latency
-	DelayNs int64   // bound on the extra latency (default 50 µs)
-}
-
-// FaultConfig configures the deterministic fault-injection wire between
-// the driver and the MAC layer. Inbound is the wire-to-stack direction,
-// Outbound the stack-to-wire direction. All-zero (the default) builds
-// the identical error-free stack as before. FaultSeed 0 derives the
-// schedule from the run seed.
-type FaultConfig struct {
-	Inbound   FaultRates
-	Outbound  FaultRates
-	FaultSeed uint64
-}
-
-// Config describes one workload.
+// Config describes one workload: the engine's configuration plus the
+// measurement methodology.
 type Config struct {
-	Protocol   Protocol
-	Side       Side
-	Processors int
-	// Connections: 1 shares one connection among all processors;
-	// values > 1 assign connection (proc mod Connections) to each
-	// processor. The paper's multi-connection tests use one connection
-	// per processor.
-	Connections int
-	PacketSize  int  // bytes of application payload per packet (1024, 4096)
-	Checksum    bool // compute transport checksums
-	// EnforceChecksum drops (rather than just counts) checksum-bad
-	// segments; the loss experiments pair it with Faults.Corrupt.
-	EnforceChecksum bool
-	Machine         Machine
-
-	// Faults configures the fault-injection wire (loss experiments).
-	Faults FaultConfig
-
-	// Steer enables receive-side flow steering (UDP receive only) and
-	// Workload shapes its many-connection traffic.
-	Steer    SteerConfig
-	Workload WorkloadConfig
-
-	// Batch enables receive-side GRO-style segment coalescing.
-	Batch BatchConfig
-
-	Layout        Layout
-	LockKind      LockKind
-	Strategy      ParallelismStrategy
-	AssumeInOrder bool // treat every packet as in order (Figure 10 bound)
-	Ticketing     bool // preserve order above TCP (Section 4.2)
-
-	MessageCaching bool // per-processor MNode caches (Section 6)
-	AtomicRefs     bool // atomic vs lock-based refcounts (Section 5.2)
-	MapLocking     bool // lock the demux maps (Section 3.1 experiment)
-	WiredThreads   bool // wire one thread per processor
-
-	// TimerWheel replaces TCP's scan-based timers with the hierarchical
-	// timing wheel: per-connection scheduled events, O(expiring) per
-	// tick instead of O(connections). Off by default (the scan is the
-	// paper's baseline and stays byte-identical to it).
-	TimerWheel bool
-	// PoolConnState recycles time-wait-reaped TCP connection state
-	// through a free list (TimerWheel mode only).
-	PoolConnState bool
-	// DemuxBuckets overrides the transport demux hash size (0: sized
-	// from the connection count).
-	DemuxBuckets int
-	// ActiveConnections caps how many connections the pumps drive; the
-	// rest stay established but idle (the timer-scale ladder). 0: all.
-	ActiveConnections int
+	core.Config
 
 	// Measurement methodology (virtual time; the paper used 30 s
 	// warm-up, 30 s measurement, 10 runs).
 	WarmupMs  int64
 	MeasureMs int64
 	Runs      int
-	Seed      uint64
 
 	// Workers bounds the host OS threads that independent runs and
 	// sweep points fan across (0 means GOMAXPROCS). Results are
@@ -307,21 +202,6 @@ type Config struct {
 	// one at a time regardless of Workers — concurrent real-time runs
 	// would contend for the same CPUs and corrupt each other's numbers.
 	Workers int
-
-	// Backend selects the execution substrate: "" or "sim" (default) is
-	// the deterministic virtual-time simulation the paper's methodology
-	// uses; "host" runs the identical stack on real goroutines with
-	// sync-based locks and wall-clock measurement windows (WarmupMs and
-	// MeasureMs then elapse in real time — keep them short). Host runs
-	// are nondeterministic and support only the plain packet-level
-	// shapes; see core.Config.Backend for what is rejected.
-	Backend string
-
-	// SamplePeriodUs turns on virtual-time telemetry sampling with the
-	// given period in virtual microseconds (0: off). Sampling is purely
-	// observational: it charges no virtual time, so measurements are
-	// byte-identical with and without it.
-	SamplePeriodUs int64
 }
 
 // DefaultConfig is the paper's baseline: UDP send side, one processor,
@@ -329,217 +209,23 @@ type Config struct {
 // TCP-1 with mutex locks, wired threads, 100 MHz Challenge, and a
 // scaled-down measurement protocol.
 func DefaultConfig() Config {
-	return Config{
-		Protocol:       UDP,
-		Side:           Send,
-		Processors:     1,
-		Connections:    1,
-		PacketSize:     4096,
-		Checksum:       true,
-		Machine:        Challenge100,
-		Layout:         TCP1,
-		LockKind:       MutexLock,
-		MessageCaching: true,
-		AtomicRefs:     true,
-		MapLocking:     true,
-		WiredThreads:   true,
-		WarmupMs:       500,
-		MeasureMs:      1000,
-		Runs:           3,
-		Seed:           1994,
-	}
+	c := Config{Config: core.DefaultConfig(), WarmupMs: 500, MeasureMs: 1000, Runs: 3}
+	c.Seed = 1994
+	return c
 }
 
-// Result reports one configuration's measurements.
+// Result reports one configuration's measurements: the engine's, meaned
+// over the runs (counts are summed), plus the spread of the throughput.
 type Result struct {
-	// Mbps is the mean steady-state throughput in Mbit/s.
-	Mbps float64
+	core.RunResult
 	// CI90 is the 90% confidence interval half-width over the runs.
 	CI90 float64
 	// Samples holds each run's throughput.
 	Samples []float64
-	// OutOfOrderPct is the percentage of data segments arriving out of
-	// order at TCP (receive side).
-	OutOfOrderPct float64
-	// WireOutOfOrderPct is the percentage misordered below TCP on the
-	// wire (send side).
-	WireOutOfOrderPct float64
-	// LockWaitFraction is time blocked on connection-state locks
-	// divided by total processor time (the paper's Pixie figure).
-	LockWaitFraction float64
-	// Packets transferred during the last run's measurement interval.
-	Packets int64
-	// ImbalancePct is the delivered-load imbalance across processors,
-	// 100*(max-mean)/mean, over the measurement interval (steered runs).
-	ImbalancePct float64
-	// PeakQueuePct is the worst sampled dispatch-ring imbalance during
-	// the measurement interval (steered runs).
-	PeakQueuePct float64
-	// SteerMigrates counts flow repins and rebalancer bucket moves
-	// during the measurement interval (steered runs).
-	SteerMigrates int64
-	// FlowEvicts counts LRU evictions from the exact-match flow table
-	// during the measurement interval (steered runs).
-	FlowEvicts int64
-	// SteerDrops counts arrivals dropped on full dispatch rings during
-	// the measurement interval (steered runs).
-	SteerDrops int64
-	// SinkEvicts counts compact accounting-table evictions at the
-	// workload sink during the measurement interval (steered runs with
-	// Workload.CompactSlots set).
-	SinkEvicts int64
-	// BatchFrames and BatchSegs count the merged frames injected during
-	// the measurement interval and the wire segments they carried
-	// (batching runs); BatchSegsPerFrame is their ratio — the achieved
-	// coalescing factor.
-	BatchFrames       int64
-	BatchSegs         int64
-	BatchSegsPerFrame float64
 }
 
-// steerResult copies the steering and batching metrics out of an
-// aggregate run.
-func steerResult(r *Result, agg core.RunResult) {
-	r.ImbalancePct = agg.ImbalancePct
-	r.PeakQueuePct = agg.PeakQueuePct
-	r.SteerMigrates = agg.SteerMigrates
-	r.FlowEvicts = agg.FlowEvicts
-	r.SteerDrops = agg.SteerDrops
-	r.SinkEvicts = agg.SinkEvicts
-	r.BatchFrames = agg.BatchFrames
-	r.BatchSegs = agg.BatchSegs
-	r.BatchSegsPerFrame = agg.BatchSegsPerFrame
-}
-
-func (c Config) toCore() (core.Config, error) {
-	cfg := core.DefaultConfig()
-	cfg.Proto = core.Proto(c.Protocol)
-	cfg.Side = core.Side(c.Side)
-	cfg.Procs = c.Processors
-	cfg.Connections = c.Connections
-	cfg.PacketSize = c.PacketSize
-	cfg.Checksum = c.Checksum
-	switch c.Machine {
-	case Challenge100:
-		cfg.Machine = cost.Challenge100
-	case Challenge150:
-		cfg.Machine = cost.Challenge150
-	case PowerSeries33:
-		cfg.Machine = cost.PowerSeries33
-	default:
-		return cfg, fmt.Errorf("parnet: unknown machine %d", c.Machine)
-	}
-	switch c.Layout {
-	case TCP1:
-		cfg.Layout = tcp.Layout1
-	case TCP2:
-		cfg.Layout = tcp.Layout2
-	case TCP6:
-		cfg.Layout = tcp.Layout6
-	default:
-		return cfg, fmt.Errorf("parnet: unknown layout %d", c.Layout)
-	}
-	switch c.LockKind {
-	case MutexLock:
-		cfg.LockKind = sim.KindMutex
-	case MCSLock:
-		cfg.LockKind = sim.KindMCS
-	case TicketLock:
-		cfg.LockKind = sim.KindTicket
-	default:
-		return cfg, fmt.Errorf("parnet: unknown lock kind %d", c.LockKind)
-	}
-	switch c.Strategy {
-	case PacketLevel:
-		cfg.Strategy = core.StrategyPacket
-	case ConnectionLevel:
-		cfg.Strategy = core.StrategyConnection
-	case Layered:
-		cfg.Strategy = core.StrategyLayered
-	default:
-		return cfg, fmt.Errorf("parnet: unknown strategy %d", c.Strategy)
-	}
-	cfg.AssumeInOrder = c.AssumeInOrder
-	cfg.Ticketing = c.Ticketing
-	cfg.MsgCache = c.MessageCaching
-	if c.AtomicRefs {
-		cfg.RefMode = sim.RefAtomic
-	} else {
-		cfg.RefMode = sim.RefLocked
-	}
-	cfg.MapLocking = c.MapLocking
-	cfg.Wired = c.WiredThreads
-	cfg.TimerWheel = c.TimerWheel
-	cfg.PoolTCBs = c.PoolConnState
-	cfg.DemuxBuckets = c.DemuxBuckets
-	cfg.ActiveConns = c.ActiveConnections
-	cfg.Seed = c.Seed
-	cfg.EnforceChecksum = c.EnforceChecksum
-	cfg.Faults = driver.FaultConfig{
-		Up:   driver.FaultRates(c.Faults.Inbound),
-		Down: driver.FaultRates(c.Faults.Outbound),
-		Seed: c.Faults.FaultSeed,
-	}
-	if c.Steer.Enabled {
-		cfg.Steer = steer.Config{
-			Enabled:               true,
-			Buckets:               c.Steer.Buckets,
-			FlowTableSize:         c.Steer.FlowTableSize,
-			FlowBuckets:           c.Steer.FlowBuckets,
-			LockKind:              cfg.LockKind,
-			RingCapacity:          c.Steer.RingCapacity,
-			RebalancePeriodNs:     c.Steer.RebalancePeriodMs * 1_000_000,
-			ImbalanceThresholdPct: c.Steer.ImbalanceThresholdPct,
-			QuiescenceNs:          c.Steer.QuiescenceUs * 1_000,
-		}
-		switch c.Steer.Policy {
-		case PacketSteering:
-			cfg.Steer.Policy = steer.PolicyPacket
-		case RSSSteering:
-			cfg.Steer.Policy = steer.PolicyRSS
-		case FlowDirectorSteering:
-			cfg.Steer.Policy = steer.PolicyFlowDirector
-		case RebalanceSteering:
-			cfg.Steer.Policy = steer.PolicyRebalance
-		default:
-			return cfg, fmt.Errorf("parnet: unknown steering policy %d", c.Steer.Policy)
-		}
-		cfg.Workload = workload.Config{
-			ArrivalGapNs: c.Workload.ArrivalGapNs,
-			HotConnPct:   c.Workload.HotConnPct,
-			HotConns:     c.Workload.HotConns,
-			MeanFlowPkts: c.Workload.MeanFlowPkts,
-			AppMoveEvery: c.Workload.AppMoveEvery,
-			Seed:         c.Workload.Seed,
-			CompactSlots: c.Workload.CompactSlots,
-		}
-	}
-	if c.Batch.Enabled {
-		cfg.Batch = msg.BatchConfig{
-			Enabled:        true,
-			MaxSegs:        c.Batch.MaxSegs,
-			MaxBytes:       c.Batch.MaxBytes,
-			FlushTimeoutNs: c.Batch.FlushTimeoutUs * 1_000,
-		}
-	}
-	cfg.SamplePeriodNs = c.SamplePeriodUs * 1_000
-	switch c.Backend {
-	case "", "sim":
-		cfg.Backend = sim.BackendSim
-	case "host":
-		cfg.Backend = sim.BackendHost
-	default:
-		return cfg, fmt.Errorf("parnet: unknown backend %q (want \"sim\" or \"host\")", c.Backend)
-	}
-	return cfg, nil
-}
-
-// Run measures one configuration: Runs independent runs, each with a
-// warm-up then a timed steady-state interval, on fresh stacks.
-func Run(c Config) (Result, error) {
-	if c.Processors <= 0 {
-		return Result{}, errors.New("parnet: Processors must be positive")
-	}
+// withDefaults fills an unset methodology.
+func (c Config) withDefaults() Config {
 	if c.Runs <= 0 {
 		c.Runs = 1
 	}
@@ -549,47 +235,41 @@ func Run(c Config) (Result, error) {
 	if c.MeasureMs <= 0 {
 		c.MeasureMs = 1000
 	}
-	cfg, err := c.toCore()
-	if err != nil {
-		return Result{}, err
-	}
-	sums, aggs, err := experiments.RunPoints([]core.Config{cfg},
+	return c
+}
+
+// measureAll runs every configuration under c's methodology.
+func (c Config) measureAll(cfgs []core.Config) ([]Result, error) {
+	sums, aggs, err := experiments.RunPoints(cfgs,
 		c.WarmupMs*1_000_000, c.MeasureMs*1_000_000, c.Runs, c.Workers)
 	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(cfgs))
+	for i := range out {
+		out[i] = Result{RunResult: aggs[i], CI90: sums[i].CI90, Samples: sums[i].Samples}
+		out[i].Mbps = sums[i].Mean
+	}
+	return out, nil
+}
+
+// Run measures one configuration: Runs independent runs, each with a
+// warm-up then a timed steady-state interval, on fresh stacks.
+func Run(c Config) (Result, error) {
+	c = c.withDefaults()
+	rs, err := c.measureAll([]core.Config{c.Config})
+	if err != nil {
 		return Result{}, err
 	}
-	sum, agg := sums[0], aggs[0]
-	res := Result{
-		Mbps:              sum.Mean,
-		CI90:              sum.CI90,
-		Samples:           sum.Samples,
-		OutOfOrderPct:     agg.OOOPct,
-		WireOutOfOrderPct: agg.WireOOOPct,
-		LockWaitFraction:  agg.LockWaitFrac,
-		Packets:           agg.Packets,
-	}
-	steerResult(&res, agg)
-	return res, nil
+	return rs[0], nil
 }
 
 // ProfileRun measures one run of the configuration and additionally
 // returns a Pixie-style profile report: per-lock wait and hold times,
 // message-tool and demultiplexing statistics, and protocol counters.
 func ProfileRun(c Config) (Result, string, error) {
-	if c.Processors <= 0 {
-		return Result{}, "", errors.New("parnet: Processors must be positive")
-	}
-	if c.WarmupMs <= 0 {
-		c.WarmupMs = 500
-	}
-	if c.MeasureMs <= 0 {
-		c.MeasureMs = 1000
-	}
-	cfg, err := c.toCore()
-	if err != nil {
-		return Result{}, "", err
-	}
-	st, err := core.Build(cfg)
+	c = c.withDefaults()
+	st, err := core.Build(c.Config)
 	if err != nil {
 		return Result{}, "", err
 	}
@@ -597,16 +277,7 @@ func ProfileRun(c Config) (Result, string, error) {
 	if err != nil {
 		return Result{}, "", err
 	}
-	res := Result{
-		Mbps:              rr.Mbps,
-		Samples:           []float64{rr.Mbps},
-		OutOfOrderPct:     rr.OOOPct,
-		WireOutOfOrderPct: rr.WireOOOPct,
-		LockWaitFraction:  rr.LockWaitFrac,
-		Packets:           rr.Packets,
-	}
-	steerResult(&res, rr)
-	return res, st.ProfileReport(), nil
+	return Result{RunResult: rr, Samples: []float64{rr.Mbps}}, st.ProfileReport(), nil
 }
 
 // Sweep measures the configuration at every processor count from 1 to
@@ -615,47 +286,17 @@ func ProfileRun(c Config) (Result, string, error) {
 // Points and repeat runs fan across c.Workers host threads (0 means
 // GOMAXPROCS); the results are byte-identical to a sequential sweep.
 func Sweep(c Config, maxProcs int) ([]Result, error) {
-	if c.Runs <= 0 {
-		c.Runs = 1
-	}
-	if c.WarmupMs <= 0 {
-		c.WarmupMs = 500
-	}
-	if c.MeasureMs <= 0 {
-		c.MeasureMs = 1000
-	}
+	c = c.withDefaults()
 	cfgs := make([]core.Config, 0, maxProcs)
 	for n := 1; n <= maxProcs; n++ {
-		cc := c
-		cc.Processors = n
+		cfg := c.Config
+		cfg.Procs = n
 		if c.Connections > 1 {
-			cc.Connections = n
-		}
-		cfg, err := cc.toCore()
-		if err != nil {
-			return nil, err
+			cfg.Connections = n
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	sums, aggs, err := experiments.RunPoints(cfgs,
-		c.WarmupMs*1_000_000, c.MeasureMs*1_000_000, c.Runs, c.Workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(cfgs))
-	for i := range cfgs {
-		out[i] = Result{
-			Mbps:              sums[i].Mean,
-			CI90:              sums[i].CI90,
-			Samples:           sums[i].Samples,
-			OutOfOrderPct:     aggs[i].OOOPct,
-			WireOutOfOrderPct: aggs[i].WireOOOPct,
-			LockWaitFraction:  aggs[i].LockWaitFrac,
-			Packets:           aggs[i].Packets,
-		}
-		steerResult(&out[i], aggs[i])
-	}
-	return out, nil
+	return c.measureAll(cfgs)
 }
 
 // Speedup normalizes a sweep to its first point.
@@ -695,9 +336,10 @@ type ExperimentParams struct {
 	// every value.
 	Workers int
 	// Backend selects the execution substrate for experiments that
-	// honor it ("" or "sim", or "host"). Today that is ext-host, which
-	// runs its sweep on both substrates and reports shape agreement;
-	// the paper-figure experiments are simulation-only and ignore it.
+	// honor it. Today that is ext-host, which runs its sweep on both
+	// substrates and reports shape agreement unless Backend is
+	// Sim.String(), which skips the wall-clock half; the paper-figure
+	// experiments are simulation-only and ignore it.
 	Backend string
 }
 

@@ -3,6 +3,8 @@ package parnet
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func quick(c Config) Config {
@@ -14,7 +16,7 @@ func quick(c Config) Config {
 
 func TestRunBaseline(t *testing.T) {
 	cfg := quick(DefaultConfig())
-	cfg.Processors = 2
+	cfg.Procs = 2
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,17 +31,17 @@ func TestRunBaseline(t *testing.T) {
 
 func TestRunTCPReceiveReportsOrdering(t *testing.T) {
 	cfg := quick(DefaultConfig())
-	cfg.Protocol = TCP
+	cfg.Proto = TCP
 	cfg.Side = Receive
-	cfg.Processors = 6
+	cfg.Procs = 6
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OutOfOrderPct <= 0 {
+	if res.OOOPct <= 0 {
 		t.Error("expected misordering at 6 processors with mutex locks")
 	}
-	if res.LockWaitFraction <= 0 {
+	if res.LockWaitFrac <= 0 {
 		t.Error("expected lock wait time")
 	}
 }
@@ -68,12 +70,12 @@ func TestAllEnumsAccepted(t *testing.T) {
 		for _, l := range []Layout{TCP1, TCP2, TCP6} {
 			for _, k := range []LockKind{MutexLock, MCSLock, TicketLock} {
 				cfg := quick(DefaultConfig())
-				cfg.Protocol = TCP
+				cfg.Proto = TCP
 				cfg.Machine = m
 				cfg.Layout = l
 				cfg.LockKind = k
-				if _, err := cfg.toCore(); err != nil {
-					t.Errorf("m=%d l=%d k=%d: %v", m, l, k, err)
+				if _, err := core.Build(cfg.Config); err != nil {
+					t.Errorf("m=%v l=%v k=%v: %v", m, l, k, err)
 				}
 			}
 		}
@@ -82,12 +84,12 @@ func TestAllEnumsAccepted(t *testing.T) {
 
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Processors = 0
+	cfg.Procs = 0
 	if _, err := Run(cfg); err == nil {
 		t.Error("Processors=0 accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.Machine = Machine(99)
+	cfg.Machine = Machine{Name: "no such machine"}
 	if _, err := Run(cfg); err == nil {
 		t.Error("bad machine accepted")
 	}
@@ -105,23 +107,20 @@ func TestInvalidConfigRejected(t *testing.T) {
 
 func TestBackendSelection(t *testing.T) {
 	cfg := quick(DefaultConfig())
-	cfg.Backend = "bogus"
+	cfg.Backend = Backend(99)
 	if _, err := Run(cfg); err == nil {
 		t.Error("bad backend accepted")
 	}
-	for _, b := range []string{"", "sim"} {
-		cfg := quick(DefaultConfig())
-		cfg.Backend = b
-		if _, err := cfg.toCore(); err != nil {
-			t.Errorf("backend %q rejected: %v", b, err)
-		}
+	cfg.Backend = Sim
+	if _, err := core.Build(cfg.Config); err != nil {
+		t.Errorf("backend %v rejected: %v", cfg.Backend, err)
 	}
 }
 
 func TestRunHostBackend(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Processors = 2
-	cfg.Backend = "host"
+	cfg.Procs = 2
+	cfg.Backend = Host
 	cfg.WarmupMs = 2 // wall-clock on the host backend
 	cfg.MeasureMs = 30
 	cfg.Runs = 1
@@ -187,7 +186,7 @@ func TestDefaultsFilledIn(t *testing.T) {
 	cfg.Runs = 0
 	cfg.WarmupMs = 0
 	cfg.MeasureMs = 0
-	cfg.Processors = 1
+	cfg.Procs = 1
 	cfg.PacketSize = 1024
 	cfg.Checksum = false
 	res, err := Run(cfg)
@@ -202,18 +201,18 @@ func TestDefaultsFilledIn(t *testing.T) {
 func TestStrategiesThroughPublicAPI(t *testing.T) {
 	for _, st := range []ParallelismStrategy{PacketLevel, ConnectionLevel, Layered} {
 		cfg := quick(DefaultConfig())
-		cfg.Protocol = TCP
+		cfg.Proto = TCP
 		cfg.Side = Receive
 		cfg.Strategy = st
-		cfg.Processors = 4
+		cfg.Procs = 4
 		cfg.Connections = 4
 		cfg.LockKind = MCSLock
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("strategy %d: %v", st, err)
+			t.Fatalf("strategy %v: %v", st, err)
 		}
 		if res.Mbps < 20 {
-			t.Errorf("strategy %d: %.1f Mb/s", st, res.Mbps)
+			t.Errorf("strategy %v: %.1f Mb/s", st, res.Mbps)
 		}
 	}
 	cfg := quick(DefaultConfig())
@@ -230,9 +229,9 @@ func TestStrategiesThroughPublicAPI(t *testing.T) {
 
 func TestProfileRun(t *testing.T) {
 	cfg := quick(DefaultConfig())
-	cfg.Protocol = TCP
+	cfg.Proto = TCP
 	cfg.Side = Receive
-	cfg.Processors = 4
+	cfg.Procs = 4
 	res, report, err := ProfileRun(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +253,7 @@ func contains(s, sub string) bool {
 func TestRunSteered(t *testing.T) {
 	cfg := quick(DefaultConfig())
 	cfg.Side = Receive
-	cfg.Processors = 4
+	cfg.Procs = 4
 	cfg.Connections = 64
 	cfg.PacketSize = 1024
 	cfg.Steer = SteerConfig{Enabled: true, Policy: FlowDirectorSteering}
