@@ -76,7 +76,7 @@ func (s *Stack) steerDispatchBatch(t *sim.Thread) {
 		if s.stop.Get() {
 			break
 		}
-		payload := s.steerSrc.PayloadLen(a.Conn)
+		payload := s.steerSrc.PayloadLen()
 		if pend != nil {
 			switch {
 			case a.Conn != pendConn || a.Gen != pendGen:
@@ -90,9 +90,10 @@ func (s *Stack) steerDispatchBatch(t *sim.Thread) {
 			}
 		}
 		if pend == nil {
-			m, err := s.steerSrc.ProduceGrow(t, a, s.steerSrc.BatchGrow(a.Conn, bc))
+			m, err := s.steerSrc.ProduceGrow(t, a, s.steerSrc.BatchGrow(bc))
 			if err != nil {
-				panic(fmt.Sprintf("core: steer dispatch: %v", err))
+				s.steerFail(fmt.Errorf("core: steer dispatch: %w", err))
+				return
 			}
 			pend = m
 			pendConn, pendGen = a.Conn, a.Gen
@@ -102,10 +103,15 @@ func (s *Stack) steerDispatchBatch(t *sim.Thread) {
 		}
 		d, err := s.steerSrc.Produce(t, a)
 		if err != nil {
-			panic(fmt.Sprintf("core: steer dispatch: %v", err))
+			pend.Free(t)
+			s.steerFail(fmt.Errorf("core: steer dispatch: %w", err))
+			return
 		}
 		if err := driver.MergeUDP(t, pend, d); err != nil {
-			panic(fmt.Sprintf("core: steer dispatch merge: %v", err))
+			d.Free(t)
+			pend.Free(t)
+			s.steerFail(fmt.Errorf("core: steer dispatch merge: %w", err))
+			return
 		}
 		pendNext = a.Seq + 1
 		if pend.SegCount() >= bc.MaxSegs {

@@ -243,6 +243,9 @@ type Stack struct {
 	fault   *driver.FaultWire      // nil unless Cfg.Faults is enabled
 
 	stop sim.Flag
+	// runErr is the first failure of the current Run (set-up, or a
+	// steering thread's; engine-serialized).
+	runErr error
 
 	// Steering plumbing (steer.go); all nil unless Cfg.Steer.Enabled.
 	steerSrc   *driver.SteerSource
@@ -263,8 +266,6 @@ type Stack struct {
 	// sketch; telFlows aliases the sketch for attribution reads.
 	telDel   *telemetry.Deliveries
 	telFlows *telemetry.FlowSketch
-
-	steerHashCaches []steerHashCache
 
 	// Alternative-strategy plumbing (strategy.go).
 	handoffQs   []*sim.Queue
@@ -743,7 +744,7 @@ type RunResult struct {
 func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 	cfg := &s.Cfg
 	var res RunResult
-	var runErr error
+	s.runErr = nil
 
 	controlProc, wheelProc := 0, 0
 	if s.Eng.IsHost() {
@@ -778,7 +779,7 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 			s.Wheel.Stop()
 		}()
 		if err := s.setup(t); err != nil {
-			runErr = err
+			s.runErr = err
 			return
 		}
 		if s.fault != nil {
@@ -839,7 +840,7 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 		applySteerMetrics(&res, sm0, sm1)
 	})
 	s.Eng.Run()
-	return res, runErr
+	return res, s.runErr
 }
 
 // snapshotOrder gathers ordering counters: (TCP data segs, TCP OOO

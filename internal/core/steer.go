@@ -54,21 +54,12 @@ func validateSteer(cfg *Config) error {
 	return nil
 }
 
-// steerHashCache memoizes one connection's Toeplitz hash until churn
-// re-keys the flow.
-type steerHashCache struct {
-	gen   uint32
-	hash  uint32
-	valid bool
-}
-
 // buildSteer constructs the steering plumbing after the stack layers.
 func (s *Stack) buildSteer() {
 	cfg := &s.Cfg
 	s.steerer = steer.New(cfg.Steer, cfg.Procs)
 	s.steerGen = workload.NewGenerator(cfg.Workload, cfg.Connections)
 	s.steerSink = workload.NewSink(cfg.Workload, cfg.Connections, cfg.Procs)
-	s.steerHashCaches = make([]steerHashCache, cfg.Connections)
 	s.steerQs = make([]*sim.Queue, cfg.Procs)
 	for p := range s.steerQs {
 		s.steerQs[p] = sim.NewQueue(fmt.Sprintf("steer%d", p), cfg.Steer.RingCapacity)
@@ -101,13 +92,21 @@ func steerTuple(conn int, gen uint32) steer.Tuple {
 	}
 }
 
-// steerHash memoizes the tuple hash per connection generation.
+// steerHash is the NIC's hash of connection conn's flow at churn
+// generation gen.
 func (s *Stack) steerHash(conn int, gen uint32) uint32 {
-	c := &s.steerHashCaches[conn]
-	if !c.valid || c.gen != gen {
-		c.gen, c.hash, c.valid = gen, s.steerer.Hash(steerTuple(conn, gen)), true
+	return s.steerer.Hash(steerTuple(conn, gen))
+}
+
+// steerFail ends a steered run on a failure that is not the fault
+// wire's doing: the first error is kept for Run to return and the stop
+// flag goes up, so the dispatcher produces no more and the control
+// thread's teardown finds the rings to drain.
+func (s *Stack) steerFail(err error) {
+	if s.runErr == nil {
+		s.runErr = err
 	}
-	return c.hash
+	s.stop.Set()
 }
 
 // runSteer spawns the steering threads: one worker per processor, the
@@ -143,7 +142,8 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 		}
 		m, err := s.steerSrc.Produce(t, a)
 		if err != nil {
-			panic(fmt.Sprintf("core: steer dispatch: %v", err))
+			s.steerFail(fmt.Errorf("core: steer dispatch: %w", err))
+			return
 		}
 		h := s.steerHash(a.Conn, a.Gen)
 		p := s.steerer.Decide(t, steerFlowID(a.Conn, a.Gen), h)
@@ -172,9 +172,10 @@ func (s *Stack) steerWorker(t *sim.Thread, p int) {
 		for n := 1; ; n++ {
 			if err := s.steerSrc.Inject(t, item.(*msg.Message)); err != nil {
 				// Fault-injected frames may fail to parse; that is the
-				// fault wire doing its job. Anything else is a bug.
+				// fault wire doing its job. Anything else ends the run.
 				if !s.Cfg.Faults.Enabled() && !s.stop.Get() {
-					panic(fmt.Sprintf("core: steer worker %d: %v", p, err))
+					s.steerFail(fmt.Errorf("core: steer worker %d: %w", p, err))
+					return
 				}
 			}
 			if n >= maxDrain {

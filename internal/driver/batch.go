@@ -44,26 +44,47 @@ func growIPLen(frame []byte, n int) {
 	binary.BigEndian.PutUint16(frame[offIP+10:offIP+12], ck)
 }
 
-// MergeUDP absorbs donor's UDP payload into head (both full frames of
-// the same flow), patching head's IP and UDP lengths. The caller must
-// have checked capacity (head.Tailroom() and the batch caps); donor is
-// consumed on success and must be flushed separately on failure.
-func MergeUDP(t *sim.Thread, head, donor *msg.Message) error {
-	n := donor.Len() - udpFrameHdr
-	if n < 0 {
-		return msg.ErrNoRoom
+// absorbPayload strips donor's hdr-byte frame header, appends what is
+// left to head and grows head's IP length by those n bytes. A donor
+// that does not fit head's tailroom (head being unshared, as a frame a
+// driver just produced is) is refused with both frames as they were.
+func absorbPayload(t *sim.Thread, head, donor *msg.Message, hdr int) (n int, err error) {
+	n = donor.Len() - hdr
+	if n < 0 || head.Tailroom() < n {
+		return 0, msg.ErrNoRoom
 	}
-	if err := donor.TrimFront(t, udpFrameHdr); err != nil {
-		return err
+	if err := donor.TrimFront(t, hdr); err != nil {
+		return 0, err
 	}
 	if err := head.Absorb(t, donor); err != nil {
+		return 0, err
+	}
+	growIPLen(head.Bytes(), n)
+	t.Engine().Rec.BatchMerge(t.Proc, t.Now(), int64(head.SegCount()))
+	return n, nil
+}
+
+// MergeUDP absorbs donor's UDP payload into head (both full frames of
+// the same flow), patching head's IP and UDP lengths and, if head is
+// checksummed (the drivers' templates are not), its UDP checksum. The
+// caller should have checked the batch caps; donor is consumed on
+// success and must be flushed separately on failure.
+func MergeUDP(t *sim.Thread, head, donor *msg.Message) error {
+	n, err := absorbPayload(t, head, donor, udpFrameHdr)
+	if err != nil {
 		return err
 	}
 	hb := head.Bytes()
-	growIPLen(hb, n)
 	udpLen := binary.BigEndian.Uint16(hb[offUDP+4:offUDP+6]) + uint16(n)
 	binary.BigEndian.PutUint16(hb[offUDP+4:offUDP+6], udpLen)
-	t.Engine().Rec.BatchMerge(t.Proc, t.Now(), int64(head.SegCount()))
+	if ck := hb[offUDP+6 : offUDP+8]; ck[0]|ck[1] != 0 {
+		ck[0], ck[1] = 0, 0
+		sum := chksum.SumPseudo([4]byte(hb[offIP+12:]), [4]byte(hb[offIP+16:]), ip.ProtoUDP, hb[offUDP:])
+		if sum == 0 {
+			sum = 0xffff // zero on the wire means "not checksummed"
+		}
+		binary.BigEndian.PutUint16(ck, sum)
+	}
 	return nil
 }
 
@@ -71,19 +92,8 @@ func MergeUDP(t *sim.Thread, head, donor *msg.Message) error {
 // sequence number: the merged frame is one fatter in-order segment, so
 // the caller must only merge when donor.Seq continues head's run.
 func MergeTCP(t *sim.Thread, head, donor *msg.Message) error {
-	n := donor.Len() - tcpFrameHdr
-	if n < 0 {
-		return msg.ErrNoRoom
-	}
-	if err := donor.TrimFront(t, tcpFrameHdr); err != nil {
-		return err
-	}
-	if err := head.Absorb(t, donor); err != nil {
-		return err
-	}
-	growIPLen(head.Bytes(), n)
-	t.Engine().Rec.BatchMerge(t.Proc, t.Now(), int64(head.SegCount()))
-	return nil
+	_, err := absorbPayload(t, head, donor, tcpFrameHdr)
+	return err
 }
 
 // PumpBatch produces up to bc.MaxSegs same-connection datagrams merged

@@ -102,22 +102,17 @@ func (s *SteerSource) Produced() (frames, bytes int64) {
 	return s.produced, s.producedBytes
 }
 
-// PayloadLen returns connection conn's UDP payload size — the unit a
-// merged frame grows by per coalesced segment.
-func (s *SteerSource) PayloadLen(conn int) int {
+// PayloadLen returns the UDP payload size every connection shares —
+// the unit a merged frame grows by per coalesced segment.
+func (s *SteerSource) PayloadLen() int {
 	return len(s.tmpl) - udpFrameHdr
 }
 
-// FrameLen returns connection conn's full template frame length.
-func (s *SteerSource) FrameLen(conn int) int {
-	return len(s.tmpl)
-}
-
-// BatchGrow exposes the head-frame tailroom reservation for conn under
-// the given batch configuration (the core dispatcher's allocation
+// BatchGrow exposes the head-frame tailroom reservation under the
+// given batch configuration (the core dispatcher's allocation
 // decision).
-func (s *SteerSource) BatchGrow(conn int, bc msg.BatchConfig) int {
-	return batchGrow(s.FrameLen(conn), s.PayloadLen(conn), bc)
+func (s *SteerSource) BatchGrow(bc msg.BatchConfig) int {
+	return batchGrow(len(s.tmpl), s.PayloadLen(), bc)
 }
 
 // Inject shepherds a dispatched frame up the stack on the calling

@@ -8,6 +8,11 @@
 // Section 5.2 comparison). MNodes come from per-processor LIFO caches
 // when caching is enabled (Section 6) and otherwise from a global arena
 // whose single lock models malloc's.
+//
+// None of that costs the host an allocation per packet: a freed node
+// carries its last Message view struct to whoever allocates it next, on
+// any processor, and a per-processor list recycles the views that die
+// while their node lives on — clones and fragments.
 package msg
 
 import (
@@ -106,6 +111,17 @@ type MNode struct {
 	alloc    *Allocator
 	next     *MNode
 	lastProc int // processor that last used this buffer
+	// view is the dead view struct the last Free parked for this node's
+	// next New. Touched only while the node is exclusively owned (count
+	// at zero before putNode, after getNode), so the free lists' own
+	// synchronization carries it across processors.
+	view *Message
+}
+
+// nodeView co-allocates a fresh node with its first view.
+type nodeView struct {
+	n MNode
+	v Message
 }
 
 // Stats counts allocator activity (engine-serialized plain counters).
@@ -117,15 +133,19 @@ type Stats struct {
 }
 
 // viewCacheDepth bounds each per-processor free list of Message view
-// structs; overflow is dropped to the garbage collector.
+// structs; overflow is dropped to the garbage collector. Oversized now
+// that only clone and fragment views use the lists: the deepest one got
+// on bench's tcp-send-8conn-8p (a retransmission clone per segment) is
+// 4. Not retuned on one workload's evidence.
 const viewCacheDepth = 512
 
 type procCache struct {
 	free  [len(classes)]*MNode
 	count [len(classes)]int
-	// views free-lists Message view structs (a host-allocation cache,
-	// not a simulated one: it charges no virtual time and exists purely
-	// to keep the per-packet Go allocation count at zero).
+	// views free-lists the Message view structs of clones and fragments,
+	// which die while their node lives and so cannot ride home on it (a
+	// host-allocation cache, not a simulated one: it charges no virtual
+	// time).
 	views     *Message
 	viewCount int
 	_pad      [32]byte // keep per-processor state notionally apart
@@ -206,7 +226,9 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 		n.next = nil
 	} else {
 		t.Count(&a.stats.ArenaAllocs, 1)
-		n = &MNode{buf: make([]byte, classes[cl]), class: cl, alloc: a, lastProc: -1}
+		nv := new(nodeView)
+		nv.n = MNode{buf: make([]byte, classes[cl]), class: cl, alloc: a, lastProc: -1, view: &nv.v}
+		n = &nv.n
 	}
 	a.arenaLock.Release(t)
 	// A buffer last used by another processor comes back with remote
@@ -242,10 +264,11 @@ func (a *Allocator) putNode(t *sim.Thread, n *MNode) {
 
 // Message is a per-thread view [head, tail) into an MNode's buffer.
 //
-// View structs are recycled through per-processor free lists alongside
-// the MNode caches: Free returns the struct to the allocator, and New,
-// Clone and Fragment reuse it. A freed Message must therefore not be
-// touched again — the struct may already be another packet.
+// View structs are recycled: the Free that releases a node parks the
+// struct on it for the node's next New, any other Free returns it to a
+// per-processor list that Clone and Fragment draw on. A freed Message
+// must therefore not be touched again — the struct may already be
+// another packet.
 type Message struct {
 	node *MNode
 	head int
@@ -328,7 +351,13 @@ func (a *Allocator) New(t *sim.Thread, size, headroom int) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := a.newView(t)
+	m := n.view
+	if m != nil {
+		n.view = nil
+		*m = Message{}
+	} else {
+		m = a.newView(t)
+	}
 	m.node = n
 	m.head = headroom
 	m.tail = headroom + size
@@ -448,9 +477,10 @@ func (m *Message) Fragment(t *sim.Thread, off, n int) (*Message, error) {
 	return f, nil
 }
 
-// Free drops this view's reference, returning the node to the allocator
-// at zero and the view struct to the per-processor view cache. The
-// message must not be used after Free.
+// Free drops this view's reference. At zero the node returns to the
+// allocator carrying the view struct; otherwise (or if privatize moved
+// this view onto a node that still carries its own) the struct goes to
+// the per-processor view cache. The message must not be used after Free.
 func (m *Message) Free(t *sim.Thread) {
 	if m.node == nil {
 		return
@@ -458,10 +488,15 @@ func (m *Message) Free(t *sim.Thread) {
 	n := m.node
 	m.node = nil
 	a := n.alloc
-	if n.ref.Decr(t) {
+	last := n.ref.Decr(t)
+	if last && n.view == nil {
+		n.view = m
+	} else {
+		a.recycleView(t, m)
+	}
+	if last {
 		a.putNode(t, n)
 	}
-	a.recycleView(t, m)
 }
 
 // Refs exposes the node's reference count (tests, assertions).

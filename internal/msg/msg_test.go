@@ -354,3 +354,120 @@ func TestMergeAbsorbZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestCrossProcZeroAllocs is the steered receive path's allocation
+// shape, which no same-processor test has: processor A (the NIC)
+// allocates, processor B (a worker) frees. B's cache fills, the
+// overflow returns through the arena to A, and once that loop is
+// primed — CacheDepth rounds — nothing is allocated again, because each
+// node brings its view struct back with it. The gro case adds the
+// batching dispatcher's work on A: a head with grow-room absorbing
+// donors before the merged frame crosses to B.
+func TestCrossProcZeroAllocs(t *testing.T) {
+	const procA, procB = 0, 1
+	const seg, donors = 1024, 3
+	for _, c := range []struct {
+		name  string
+		round func(th *sim.Thread, a *Allocator) *Message // on A; the result is freed on B
+	}{
+		{"plain", func(th *sim.Thread, a *Allocator) *Message {
+			m, err := a.New(th, seg, Headroom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+		{"gro", func(th *sim.Thread, a *Allocator) *Message {
+			head, err := a.New(th, (1+donors)*seg, Headroom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := head.TrimBack(th, donors*seg); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < donors; i++ {
+				d, err := a.New(th, seg, Headroom)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := head.Absorb(th, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return head
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := NewAllocator(DefaultConfig(4))
+			run(t, func(th *sim.Thread) {
+				round := func() {
+					th.MigrateTo(procA)
+					m := c.round(th, a)
+					th.MigrateTo(procB)
+					m.Free(th)
+				}
+				for i := 0; i <= a.cfg.CacheDepth; i++ {
+					round()
+				}
+				if allocs := testing.AllocsPerRun(10_000, round); allocs != 0 {
+					t.Errorf("allocate on proc %d, free on proc %d: %v allocations per round, want 0", procA, procB, allocs)
+				}
+			})
+		})
+	}
+}
+
+// TestHostBackendViewCrossesProcs is the cross-processor shape on real
+// goroutines: one allocates and fills, the other checks and frees, so a
+// view struct is parked by one goroutine and taken by the other. With a
+// cache this shallow most nodes come home through the arena, whose lock
+// is then the only thing ordering the two; -race sees a hand-off that
+// skips it, and a view recycled while its holder still reads it shows
+// as a wrong Seq.
+func TestHostBackendViewCrossesProcs(t *testing.T) {
+	const rounds = 5000
+	cfg := DefaultConfig(2)
+	cfg.CacheDepth = 2
+	a := NewAllocator(cfg)
+	e := sim.NewBackend(cost.NewModel(cost.Challenge100), 1, sim.BackendHost)
+	q := sim.NewQueue("handoff", 16)
+	e.Spawn("alloc", 0, func(th *sim.Thread) {
+		defer q.Close(th)
+		for i := 0; i < rounds; i++ {
+			m, err := a.New(th, 64, Headroom)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m.Seq = uint64(i)
+			m.Bytes()[0] = byte(i)
+			if !q.Enqueue(th, m) {
+				t.Error("queue closed under the producer")
+				return
+			}
+		}
+	})
+	e.Spawn("free", 1, func(th *sim.Thread) {
+		for i := 0; ; i++ {
+			item, ok := q.Dequeue(th)
+			if !ok {
+				if i != rounds {
+					t.Errorf("%d messages crossed, want %d", i, rounds)
+				}
+				return
+			}
+			m := item.(*Message)
+			if m.Seq != uint64(i) || m.Bytes()[0] != byte(i) {
+				t.Errorf("message %d arrived as Seq %d, first byte %d", i, m.Seq, m.Bytes()[0])
+			}
+			m.Free(th)
+		}
+	})
+	e.Run()
+	// At most the queue's 16, one in each thread's hands and the freeing
+	// processor's two cached are out of the arena at once.
+	if s := a.Stats(); s.Frees != rounds || s.ArenaAllocs > 20 {
+		t.Errorf("%d frees and %d buffers created for %d rounds; want %d and at most 20 (the rest recycled through the arena)",
+			s.Frees, s.ArenaAllocs, rounds, rounds)
+	}
+}

@@ -180,9 +180,9 @@ type Steerer struct {
 	cfg   Config
 	procs int
 
-	key     [ToeplitzKeySize]byte
-	table   []bucketEntry
-	buckets []flowBucket
+	toeplitz *toeplitzTable
+	table    []bucketEntry
+	buckets  []flowBucket
 
 	rr         int64 // PolicyPacket round-robin cursor
 	bucketPkts []int64
@@ -199,7 +199,7 @@ func New(cfg Config, procs int) *Steerer {
 	s := &Steerer{
 		cfg:        cfg,
 		procs:      procs,
-		key:        DefaultToeplitzKey,
+		toeplitz:   newToeplitzTable(&DefaultToeplitzKey),
 		table:      make([]bucketEntry, cfg.Buckets),
 		bucketPkts: make([]int64, cfg.Buckets),
 		prevPkts:   make([]int64, cfg.Buckets),
@@ -221,11 +221,11 @@ func New(cfg Config, procs int) *Steerer {
 	return s
 }
 
-// Hash computes the Toeplitz RSS hash of a 4-tuple. It is a pure
-// function of the tuple and the (fixed) key, so callers may cache it
-// per flow.
+// Hash computes the Toeplitz RSS hash of a 4-tuple, a pure function of
+// the tuple and the (fixed) key; table-driven, it is cheaper to compute
+// again than to look up in a per-flow memo.
 func (s *Steerer) Hash(tu Tuple) uint32 {
-	return ToeplitzHash(&s.key, tu)
+	return s.toeplitz.hash(tu.bytes())
 }
 
 // Bucket maps a hash to its indirection bucket.

@@ -30,28 +30,6 @@ func randTuple(rng *sim.Rand) Tuple {
 	return tu
 }
 
-// TestToeplitzVectors pins the hash against the published Microsoft
-// RSS verification suite (IPv4 with TCP ports, default key).
-func TestToeplitzVectors(t *testing.T) {
-	vec := []struct {
-		src, dst     [4]byte
-		sport, dport uint16
-		want         uint32
-	}{
-		{[4]byte{66, 9, 149, 187}, [4]byte{161, 142, 100, 80}, 2794, 1766, 0x51ccc178},
-		{[4]byte{199, 92, 111, 2}, [4]byte{65, 69, 140, 83}, 14230, 4739, 0xc626b0ea},
-		{[4]byte{24, 19, 198, 95}, [4]byte{12, 22, 207, 184}, 12898, 38024, 0x5c2b394a},
-		{[4]byte{38, 27, 205, 30}, [4]byte{209, 142, 163, 6}, 48228, 2217, 0xafc7327f},
-		{[4]byte{153, 39, 163, 191}, [4]byte{202, 188, 127, 2}, 44251, 1303, 0x10e828a2},
-	}
-	for i, v := range vec {
-		tu := Tuple{SrcIP: v.src, DstIP: v.dst, SrcPort: v.sport, DstPort: v.dport}
-		if got := ToeplitzHash(&DefaultToeplitzKey, tu); got != v.want {
-			t.Errorf("vector %d: hash %#x, want %#x", i, got, v.want)
-		}
-	}
-}
-
 // decisionStream runs n seeded random tuples through a fresh RSS
 // Steerer and returns the decision sequence as bytes.
 func decisionStream(t *testing.T, seed uint64, procs, n int) []byte {

@@ -55,14 +55,32 @@ func keyWindow(key *[ToeplitzKeySize]byte, bit int) uint32 {
 	return uint32(v >> (8 - shift))
 }
 
-// ToeplitzHash computes the 32-bit Toeplitz hash of the tuple.
-func ToeplitzHash(key *[ToeplitzKeySize]byte, tu Tuple) uint32 {
-	data := tu.bytes()
-	var h uint32
-	for i := 0; i < len(data)*8; i++ {
-		if data[i/8]&(0x80>>(i%8)) != 0 {
-			h ^= keyWindow(key, i)
+// toeplitzTable is a key unrolled for byte-at-a-time hashing: entry
+// [i][v] is what input byte i contributes when its value is v, the XOR
+// of the key windows at v's set bits. The hash is linear over XOR, so
+// twelve lookups replace ninety-six bit tests.
+type toeplitzTable [12][256]uint32
+
+func newToeplitzTable(key *[ToeplitzKeySize]byte) *toeplitzTable {
+	tb := new(toeplitzTable)
+	for i := range tb {
+		for b := 0; b < 8; b++ {
+			w := keyWindow(key, i*8+b)
+			for v := range tb[i] {
+				if v&(0x80>>b) != 0 { // input bits count from the MSB
+					tb[i][v] ^= w
+				}
+			}
 		}
+	}
+	return tb
+}
+
+// hash computes the 32-bit Toeplitz hash of the serialized tuple.
+func (tb *toeplitzTable) hash(data [12]byte) uint32 {
+	var h uint32
+	for i, v := range data {
+		h ^= tb[i][v]
 	}
 	return h
 }
