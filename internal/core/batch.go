@@ -92,7 +92,7 @@ func (s *Stack) steerDispatchBatch(t *sim.Thread) {
 		if pend == nil {
 			m, err := s.steerSrc.ProduceGrow(t, a, s.steerSrc.BatchGrow(bc))
 			if err != nil {
-				s.steerFail(fmt.Errorf("core: steer dispatch: %w", err))
+				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
 				return
 			}
 			pend = m
@@ -104,13 +104,13 @@ func (s *Stack) steerDispatchBatch(t *sim.Thread) {
 		d, err := s.steerSrc.Produce(t, a)
 		if err != nil {
 			pend.Free(t)
-			s.steerFail(fmt.Errorf("core: steer dispatch: %w", err))
+			s.fail(fmt.Errorf("core: steer dispatch: %w", err))
 			return
 		}
 		if err := driver.MergeUDP(t, pend, d); err != nil {
 			d.Free(t)
 			pend.Free(t)
-			s.steerFail(fmt.Errorf("core: steer dispatch merge: %w", err))
+			s.fail(fmt.Errorf("core: steer dispatch merge: %w", err))
 			return
 		}
 		pendNext = a.Seq + 1

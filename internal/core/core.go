@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/app"
 	"repro/internal/cost"
@@ -243,8 +244,8 @@ type Stack struct {
 	fault   *driver.FaultWire      // nil unless Cfg.Faults is enabled
 
 	stop sim.Flag
-	// runErr is the first failure of the current Run (set-up, or a
-	// steering thread's; engine-serialized).
+	// runErr is the first failure of the current Run: set-up's, or the
+	// one a pump or steering thread reported through fail.
 	runErr error
 
 	// Steering plumbing (steer.go); all nil unless Cfg.Steer.Enabled.
@@ -271,6 +272,8 @@ type Stack struct {
 	handoffQs   []*sim.Queue
 	q1, q2, q3  *sim.Queue
 	layerGroups [][]int
+
+	failOnce sync.Once // guards runErr in fail; last, so no field the pumps read moved for it
 }
 
 // Build assembles a stack for the configuration. No simulation runs
@@ -501,7 +504,6 @@ func (s *Stack) setup(t *sim.Thread) error {
 			s.Sink = app.NewSink(false, nil)
 			up = s.Sink
 		}
-		s.udpSess = make([]*udp.Session, 0, cfg.Connections)
 		for i := 0; i < cfg.Connections; i++ {
 			part := xkernel.Part{
 				LocalIP: driver.HostLocal, RemoteIP: driver.HostPeer,
@@ -511,7 +513,9 @@ func (s *Stack) setup(t *sim.Thread) error {
 			if err != nil {
 				return err
 			}
-			s.udpSess = append(s.udpSess, sess)
+			if cfg.Side == SideSend { // pump's send arm is the one reader
+				s.udpSess = append(s.udpSess, sess)
+			}
 		}
 	case ProtoTCP:
 		if cfg.Strategy == StrategyLayered {
@@ -621,6 +625,15 @@ func (s *Stack) FaultStats() driver.FaultStats {
 	return s.fault.Stats()
 }
 
+// fail ends the run on a data-path failure that is not the fault wire's
+// doing: the first error is kept for Run to return (a once: host-backend
+// pumps are concurrent) and the stop flag goes up, so pumps and the NIC
+// produce no more and the control thread's teardown finds what to drain.
+func (s *Stack) fail(err error) {
+	s.failOnce.Do(func() { s.runErr = err })
+	s.stop.Set()
+}
+
 // pump is one processor's protocol thread.
 func (s *Stack) pump(t *sim.Thread, p int) {
 	cfg := &s.Cfg
@@ -678,7 +691,8 @@ func (s *Stack) pump(t *sim.Thread, p int) {
 			return // connection aborted at teardown
 		}
 		if err != nil {
-			panic(fmt.Sprintf("core: pump %d: %v", p, err))
+			s.fail(fmt.Errorf("core: pump %d: %w", p, err))
+			return
 		}
 		if s.telDel != nil && shepherded > 0 {
 			s.telDel.Note(p, uint64(c)<<32,
@@ -744,7 +758,7 @@ type RunResult struct {
 func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 	cfg := &s.Cfg
 	var res RunResult
-	s.runErr = nil
+	s.runErr, s.failOnce = nil, sync.Once{}
 
 	controlProc, wheelProc := 0, 0
 	if s.Eng.IsHost() {

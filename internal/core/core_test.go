@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
+	"repro/internal/xkernel"
 )
 
 const (
@@ -23,6 +28,67 @@ func runOne(t *testing.T, cfg Config) RunResult {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// failAfter is an upper layer that rejects every frame after its nth
+// (consuming it, as the real layers do), whichever threads bring them.
+type failAfter struct {
+	xkernel.Upper
+	n     int64
+	calls atomic.Int64
+}
+
+var errInjected = errors.New("injected upper-layer failure")
+
+func (f *failAfter) Demux(t *sim.Thread, m *msg.Message) error {
+	if f.calls.Add(1) > f.n {
+		m.Free(t)
+		return errInjected
+	}
+	return f.Upper.Demux(t, m)
+}
+
+// TestPumpFailureEndsRun: a pump whose inject fails mid-run, with no
+// fault wire to blame, ends the run with that error instead of a panic,
+// on either backend — on the host one both pumps fail at once, on real
+// goroutines, and exactly one of their errors is the run's. Every pump
+// stops at its first failure and the stop flag stops the rest.
+func TestPumpFailureEndsRun(t *testing.T) {
+	const procs, n = 2, 200
+	for _, backend := range []sim.Backend{sim.BackendSim, sim.BackendHost} {
+		for _, proto := range []Proto{ProtoUDP, ProtoTCP} {
+			t.Run(backend.String()+"-"+proto.String(), func(t *testing.T) {
+				cfg := hostConfig(proto, SideRecv, sim.KindMutex, procs, 1)
+				cfg.Backend = backend
+				st, err := Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				up := &failAfter{Upper: st.FDDI, n: n}
+				if proto == ProtoUDP {
+					st.udpSrc.SetUpper(up)
+				} else {
+					st.tcpSend.SetUpper(up)
+				}
+				warmup, measure := int64(testWarmup), int64(testMeasure)
+				if st.Eng.IsHost() {
+					warmup, measure = 5_000_000, 50_000_000 // wall-clock there: keep them short
+				}
+				_, err = st.Run(warmup, measure)
+				if !errors.Is(err, errInjected) || !strings.HasPrefix(err.Error(), "core: pump ") {
+					t.Fatalf("Run returned %v, want a pump's report of the injected failure", err)
+				}
+				if calls := up.calls.Load(); calls <= n || calls > n+procs {
+					t.Errorf("%d frames injected: want the failure after %d to fire and each of %d pumps to stop at its first", calls, n, procs)
+				}
+				if !st.Eng.IsHost() {
+					if live := st.Eng.RunUntil(-1); live != 0 {
+						t.Errorf("%d threads outlive the run", live)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestUDPSendSmoke(t *testing.T) {

@@ -72,6 +72,53 @@ func TestSetupAllocsPerConn(t *testing.T) {
 	}
 }
 
+// TestSetupBytesPerConn: what bench/ reports as setup_heap_mb on
+// steer-1m-skew-8p, per connection and at a size a test can afford —
+// the live heap a built, set-up stack holds after a collection. A
+// connection is one udp session (72 B) and one demux entry and bucket
+// (40 + 8 B) over the IP and FDDI sessions every connection to one peer
+// shares, plus the generator's 16 B: 266 B here (258 B at a million)
+// when each had a private pair of lower sessions and a slot in
+// Stack.udpSess, which only the send side's pump reads.
+func TestSetupBytesPerConn(t *testing.T) {
+	live := func(conns int) (st *Stack, heap int64) {
+		cfg := steeredConfig(steer.PolicyFlowDirector)
+		cfg.Workload.CompactSlots = 8192
+		cfg.Connections = conns
+		heap = 1 << 62
+		for i := 0; i < 3; i++ { // the least of three: the runtime's own allocations land in a pass now and then
+			var m0, m1 runtime.MemStats
+			st = nil
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			var err error
+			if st, err = Build(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Run(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			heap = min(heap, int64(m1.HeapAlloc)-int64(m0.HeapAlloc))
+		}
+		return st, heap
+	}
+	// Slab and chunk round-up is a quarter of the figure at 10 000
+	// connections (191 B); by 100 000 it is within 5 % of the million's
+	// 137 B.
+	const conns = 100_000
+	_, fixed := live(1)
+	st, all := live(conns)
+	if perConn := float64(all-fixed) / (conns - 1); perConn > 145 {
+		t.Errorf("steered UDP set-up keeps %.1f bytes live per connection (%d at %d connections, %d at one), want at most 145",
+			perConn, all, conns, fixed)
+	}
+	if st.udpSess != nil {
+		t.Errorf("a receive-side stack keeps %d UDP sessions for a send pump it does not have", len(st.udpSess))
+	}
+}
+
 // TestSteeredRunAllocsPerPkt: the steered path allocates on one
 // processor (the NIC thread) and frees on another (a worker), the shape
 // per-processor free lists alone cannot recycle; a message view that

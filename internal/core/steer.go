@@ -98,17 +98,6 @@ func (s *Stack) steerHash(conn int, gen uint32) uint32 {
 	return s.steerer.Hash(steerTuple(conn, gen))
 }
 
-// steerFail ends a steered run on a failure that is not the fault
-// wire's doing: the first error is kept for Run to return and the stop
-// flag goes up, so the dispatcher produces no more and the control
-// thread's teardown finds the rings to drain.
-func (s *Stack) steerFail(err error) {
-	if s.runErr == nil {
-		s.runErr = err
-	}
-	s.stop.Set()
-}
-
 // runSteer spawns the steering threads: one worker per processor, the
 // dispatcher on virtual processor P (the NIC runs beside the CPUs, as
 // hardware dispatch does), and the depth monitor on P+1. Both extra
@@ -142,7 +131,7 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 		}
 		m, err := s.steerSrc.Produce(t, a)
 		if err != nil {
-			s.steerFail(fmt.Errorf("core: steer dispatch: %w", err))
+			s.fail(fmt.Errorf("core: steer dispatch: %w", err))
 			return
 		}
 		h := s.steerHash(a.Conn, a.Gen)
@@ -174,7 +163,7 @@ func (s *Stack) steerWorker(t *sim.Thread, p int) {
 				// Fault-injected frames may fail to parse; that is the
 				// fault wire doing its job. Anything else ends the run.
 				if !s.Cfg.Faults.Enabled() && !s.stop.Get() {
-					s.steerFail(fmt.Errorf("core: steer worker %d: %w", p, err))
+					s.fail(fmt.Errorf("core: steer worker %d: %w", p, err))
 					return
 				}
 			}

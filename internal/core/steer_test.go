@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/steer"
 	"repro/internal/trace"
-	"repro/internal/xkernel"
 )
 
 // steeredConfig is a small steered UDP-receive run: 4 processors, 64
@@ -154,23 +153,6 @@ func TestSteerBucketLocksFollowLockKind(t *testing.T) {
 	}
 }
 
-// failNth is an upper layer whose nth Demux fails (consuming the frame,
-// as the real layers do on a frame they reject).
-type failNth struct {
-	xkernel.Upper
-	n, calls int
-}
-
-var errInjected = errors.New("injected upper-layer failure")
-
-func (f *failNth) Demux(t *sim.Thread, m *msg.Message) error {
-	if f.calls++; f.calls == f.n {
-		m.Free(t)
-		return errInjected
-	}
-	return f.Upper.Demux(t, m)
-}
-
 // TestSteeredFailureEndsRun: a worker whose inject fails mid-run, with
 // no fault wire to blame, ends the run with that error instead of a
 // panic — the engine runs out of threads (none left blocked on a ring),
@@ -183,14 +165,14 @@ func TestSteeredFailureEndsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := &failNth{Upper: st.FDDI, n: 1000}
+	up := &failAfter{Upper: st.FDDI, n: 1000}
 	st.steerSrc.SetUpper(up)
 	_, err = st.Run(testWarmup, testMeasure)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("Run returned %v, want the injected failure", err)
 	}
-	if up.calls < up.n {
-		t.Fatalf("only %d frames injected; the failure at %d never fired", up.calls, up.n)
+	if calls := up.calls.Load(); calls <= up.n {
+		t.Fatalf("only %d frames injected; the failure after %d never fired", calls, up.n)
 	}
 	if live := st.Eng.RunUntil(-1); live != 0 {
 		t.Errorf("%d threads outlive the run", live)
@@ -203,7 +185,7 @@ func TestSteeredFailureEndsRun(t *testing.T) {
 	if s := st.Alloc.Stats(); s.Frees != s.CacheHits+s.CacheMisses {
 		t.Errorf("%d buffers allocated, %d freed", s.CacheHits+s.CacheMisses, s.Frees)
 	}
-	if frames, _ := st.steerSrc.Produced(); frames > int64(2*up.n) {
+	if frames, _ := st.steerSrc.Produced(); frames > 2*up.n {
 		t.Errorf("the NIC produced %d frames, well past the failure at inject %d: the stop flag did not stop it", frames, up.n)
 	}
 }

@@ -77,23 +77,35 @@ func MergeUDP(t *sim.Thread, head, donor *msg.Message) error {
 	hb := head.Bytes()
 	udpLen := binary.BigEndian.Uint16(hb[offUDP+4:offUDP+6]) + uint16(n)
 	binary.BigEndian.PutUint16(hb[offUDP+4:offUDP+6], udpLen)
-	if ck := hb[offUDP+6 : offUDP+8]; ck[0]|ck[1] != 0 {
-		ck[0], ck[1] = 0, 0
-		sum := chksum.SumPseudo([4]byte(hb[offIP+12:]), [4]byte(hb[offIP+16:]), ip.ProtoUDP, hb[offUDP:])
-		if sum == 0 {
-			sum = 0xffff // zero on the wire means "not checksummed"
-		}
-		binary.BigEndian.PutUint16(ck, sum)
-	}
+	rechecksum(hb, offUDP+6)
 	return nil
+}
+
+// rechecksum rebuilds a merged frame's transport checksum, at frame[at:],
+// if the head came checksummed: zero on the wire means it did not.
+func rechecksum(frame []byte, at int) {
+	ck := frame[at : at+2]
+	if ck[0]|ck[1] == 0 {
+		return
+	}
+	ck[0], ck[1] = 0, 0
+	sum := chksum.SumPseudo([4]byte(frame[offIP+12:]), [4]byte(frame[offIP+16:]), frame[offIP+9], frame[offIP+ip.HdrLen:])
+	if sum == 0 {
+		sum = 0xffff
+	}
+	binary.BigEndian.PutUint16(ck, sum)
 }
 
 // MergeTCP absorbs donor's TCP payload into head. The head keeps its
 // sequence number: the merged frame is one fatter in-order segment, so
-// the caller must only merge when donor.Seq continues head's run.
+// the caller must only merge when donor.Seq continues head's run. As in
+// MergeUDP a checksummed head's checksum is rebuilt.
 func MergeTCP(t *sim.Thread, head, donor *msg.Message) error {
-	_, err := absorbPayload(t, head, donor, tcpFrameHdr)
-	return err
+	if _, err := absorbPayload(t, head, donor, tcpFrameHdr); err != nil {
+		return err
+	}
+	rechecksum(head.Bytes(), offTCP+18)
+	return nil
 }
 
 // PumpBatch produces up to bc.MaxSegs same-connection datagrams merged

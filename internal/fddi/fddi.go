@@ -11,10 +11,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
-	"repro/internal/slab"
 	"repro/internal/xkernel"
 	"repro/internal/xmap"
 )
@@ -46,11 +46,12 @@ type Protocol struct {
 	cfg   Config
 	wire  xkernel.Wire
 	upper *xmap.Map // protocol type -> xkernel.Upper
-	// sessLock serializes session creation only.
+	// sessLock serializes session creation and release only.
 	sessLock sim.Mutex
 	ref      sim.RefCount
-	// slab backs every Session; Open mutates it under sessLock.
-	slab slab.Slab[Session]
+	// open is the x-kernel active map, under sessLock: the sessions with
+	// a reference outstanding, one per (remote MAC, type). A slice, as in ip.
+	open []*Session
 }
 
 // New creates the FDDI layer above the given wire (driver).
@@ -85,18 +86,26 @@ type Session struct {
 	ref sim.RefCount
 }
 
-// Open creates a session to the remote MAC carrying the given upper
-// protocol type. Session creation is the one send-side locking point.
+// Open returns the session to the remote MAC carrying the given upper
+// protocol type with one more reference on it, as x-kernel xOpen does:
+// the one already open if there is one (its header template is the
+// key), a new one otherwise. It is the one send-side locking point.
 func (p *Protocol) Open(t *sim.Thread, remote xkernel.MAC, proto uint16) (*Session, error) {
 	p.sessLock.Acquire(t)
 	defer p.sessLock.Release(t)
-	s := p.slab.New()
-	s.p = p
-	s.hdr[0] = 0x50 // frame control: LLC frame
-	copy(s.hdr[1:7], remote[:])
-	copy(s.hdr[7:13], p.cfg.Self[:])
-	binary.BigEndian.PutUint16(s.hdr[13:15], proto)
+	hdr := [HdrLen]byte{0: 0x50} // frame control: LLC frame
+	copy(hdr[1:7], remote[:])
+	copy(hdr[7:13], p.cfg.Self[:])
+	binary.BigEndian.PutUint16(hdr[13:15], proto)
+	for _, s := range p.open {
+		if s.hdr == hdr {
+			s.ref.Share(t)
+			return s, nil
+		}
+	}
+	s := &Session{p: p, hdr: hdr}
 	s.ref.Init(p.cfg.RefMode, 1)
+	p.open = append(p.open, s)
 	return s, nil
 }
 
@@ -122,9 +131,15 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 	return s.p.wire.TX(t, m)
 }
 
-// Close releases the session.
+// Close drops one reference; the last one takes the session out of the
+// open table, so a later Open builds a fresh one.
 func (s *Session) Close(t *sim.Thread) error {
-	s.ref.Decr(t)
+	p := s.p
+	p.sessLock.Acquire(t)
+	defer p.sessLock.Release(t)
+	if s.ref.Decr(t) {
+		p.open = slices.DeleteFunc(p.open, func(o *Session) bool { return o == s })
+	}
 	return nil
 }
 

@@ -10,13 +10,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/chksum"
 	"repro/internal/event"
 	"repro/internal/msg"
 	"repro/internal/sim"
-	"repro/internal/slab"
 	"repro/internal/xkernel"
 	"repro/internal/xmap"
 )
@@ -68,10 +68,12 @@ type Protocol struct {
 	ref   sim.RefCount
 	stats Stats
 
-	// slab backs every Session. Open has no lock of its own: its one
-	// caller per stack, the transport's Open, holds that transport's
-	// session lock across the call, and that is what serializes this.
-	slab slab.Slab[Session]
+	// open is the x-kernel active map: the sessions with a reference
+	// outstanding, one per (dst, transport protocol); a slice, since a
+	// stack talks to a handful of peers. Open and Close have no lock of
+	// their own: the one transport above a stack's IP holds its session
+	// lock across either call.
+	open []*Session
 }
 
 // Stats counts IP activity. Counters are bumped with Thread.Count:
@@ -161,8 +163,10 @@ type Session struct {
 	ref   sim.RefCount
 }
 
-// Open creates a session toward dst carrying the given transport
-// protocol.
+// Open returns the session toward dst carrying the given transport
+// protocol with one more reference on it, as x-kernel xOpen does: the
+// one already open if there is one, a new one otherwise. Either way it
+// opens the MAC layer once, and Close closes it once.
 func (p *Protocol) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (*Session, error) {
 	// All destinations are one hop away through the in-memory driver;
 	// the remote MAC is a fixed fiction.
@@ -170,8 +174,13 @@ func (p *Protocol) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (*Sessio
 	if err != nil {
 		return nil, err
 	}
-	s := p.slab.New()
-	*s = Session{
+	for _, s := range p.open {
+		if s.dst == dst && s.proto == proto {
+			s.ref.Share(t) // low is s.lower again, shared the same way
+			return s, nil
+		}
+	}
+	s := &Session{
 		p:     p,
 		lower: low,
 		src:   p.cfg.Local,
@@ -180,6 +189,7 @@ func (p *Protocol) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (*Sessio
 		mtu:   p.lower.mtu,
 	}
 	s.ref.Init(p.cfg.RefMode, 1)
+	p.open = append(p.open, s)
 	return s, nil
 }
 
@@ -265,9 +275,12 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 	return nil
 }
 
-// Close releases the session.
+// Close drops one reference here and one below; the last one takes the
+// session out of the open table, so a later Open builds a fresh one.
 func (s *Session) Close(t *sim.Thread) error {
-	s.ref.Decr(t)
+	if s.ref.Decr(t) {
+		s.p.open = slices.DeleteFunc(s.p.open, func(o *Session) bool { return o == s })
+	}
 	return s.lower.Close(t)
 }
 

@@ -202,6 +202,18 @@ func (r *RefCount) add(t *Thread, d int32) int32 {
 // Incr atomically increments the count.
 func (r *RefCount) Incr(t *Thread) { r.add(t, 1) }
 
+// Share adds a reference for a protocol whose open table hands the
+// object out again. Like Init it is the owner's store, made under the
+// lock that serializes that protocol's opens, and charges nothing; but
+// other threads can see the object, so on the host backend it is atomic.
+func (r *RefCount) Share(t *Thread) {
+	if t.eng.host != nil {
+		atomic.AddInt32(&r.v, 1)
+		return
+	}
+	r.v++
+}
+
 // Decr atomically decrements the count and reports whether it reached
 // zero (the caller then frees the object).
 func (r *RefCount) Decr(t *Thread) bool {

@@ -39,7 +39,9 @@ func (l *realLower) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSess
 }
 
 // An Open or OpenEnable of a bound participant pair fails in Bind, after
-// the IP and FDDI sessions below were opened: it must close them again.
+// the IP and FDDI sessions below were opened — the same two the first
+// OpenEnable holds, shared by participant: it must give its references
+// back.
 func TestDuplicateOpenReleasesLowerSessions(t *testing.T) {
 	run1(t, 1, func(th *sim.Thread) {
 		low := newRealLower()
@@ -57,13 +59,15 @@ func TestDuplicateOpenReleasesLowerSessions(t *testing.T) {
 		if len(low.ips) != 3 || len(low.macs) != 3 {
 			t.Fatalf("opened %d IP and %d FDDI sessions, want 3 and 3", len(low.ips), len(low.macs))
 		}
-		for i, want := range []int32{1, 0, 0} {
-			if got := low.ips[i].Ref().Value(); got != want {
-				t.Errorf("IP session of attempt %d has %d references, want %d", i, got, want)
+		for i := range low.ips {
+			if low.ips[i] != low.ips[0] || low.macs[i] != low.macs[0] {
+				t.Fatalf("attempt %d got IP session %p and FDDI session %p, want the first attempt's %p and %p",
+					i, low.ips[i], low.macs[i], low.ips[0], low.macs[0])
 			}
-			if got := low.macs[i].Ref().Value(); got != want {
-				t.Errorf("FDDI session of attempt %d has %d references, want %d", i, got, want)
-			}
+		}
+		if ipRefs, macRefs := low.ips[0].Ref().Value(), low.macs[0].Ref().Value(); ipRefs != 1 || macRefs != 1 {
+			t.Errorf("after the refused attempts the IP session has %d references and the FDDI session %d, want 1 and 1",
+				ipRefs, macRefs)
 		}
 	})
 }

@@ -40,7 +40,8 @@ func (l *realLower) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSess
 }
 
 // A second Open of a bound participant pair fails in Bind, after the IP
-// and FDDI sessions below were opened: it must close them again.
+// and FDDI sessions below were opened — the same two the first Open
+// holds, shared by participant: it must give its references back.
 func TestDuplicateOpenReleasesLowerSessions(t *testing.T) {
 	run(t, func(th *sim.Thread) {
 		low := newRealLower()
@@ -55,22 +56,24 @@ func TestDuplicateOpenReleasesLowerSessions(t *testing.T) {
 		if len(low.ips) != 2 || len(low.macs) != 2 {
 			t.Fatalf("opened %d IP and %d FDDI sessions, want 2 and 2", len(low.ips), len(low.macs))
 		}
-		for i, want := range []int32{1, 0} {
-			if got := low.ips[i].Ref().Value(); got != want {
-				t.Errorf("IP session of Open %d has %d references, want %d", i, got, want)
-			}
-			if got := low.macs[i].Ref().Value(); got != want {
-				t.Errorf("FDDI session of Open %d has %d references, want %d", i, got, want)
-			}
+		if low.ips[0] != low.ips[1] || low.macs[0] != low.macs[1] {
+			t.Fatalf("the two Opens got IP sessions %p and %p, FDDI sessions %p and %p; want one of each",
+				low.ips[0], low.ips[1], low.macs[0], low.macs[1])
+		}
+		if ipRefs, macRefs := low.ips[0].Ref().Value(), low.macs[0].Ref().Value(); ipRefs != 1 || macRefs != 1 {
+			t.Errorf("after the refused Open the IP session has %d references and the FDDI session %d, want 1 and 1",
+				ipRefs, macRefs)
 		}
 	})
 }
 
-// The session slabs are mutated under locks Open already holds (udp and
-// fddi their own session lock, ip its caller's): on the host backend,
-// goroutine-threads opening disjoint sessions at once must each get
-// their own UDP, IP and FDDI session; -race sees a slab shared without
-// the lock.
+// The session slab and the open tables below are mutated under locks
+// Open already holds (udp and fddi their own session lock, ip its
+// caller's): on the host backend, goroutine-threads opening disjoint
+// sessions at once must each get their own UDP session, all over the one
+// IP and the one FDDI session of their common peer, each holding one
+// reference per Open; -race sees a slab or table shared without the
+// lock, and a share that is not atomic loses counts.
 func TestConcurrentOpensOnHostBackendGetDistinctSessions(t *testing.T) {
 	const threads, each = 2, 500
 	e := sim.NewBackend(cost.NewModel(cost.Challenge100), 1, sim.BackendHost)
@@ -105,17 +108,25 @@ func TestConcurrentOpensOnHostBackendGetDistinctSessions(t *testing.T) {
 	for _, ss := range sess {
 		for _, s := range ss {
 			distinct("UDP", s)
-			distinct("IP", s.lower.(*ip.Session))
+			if s.lower != IPSession(low.ips[0]) {
+				t.Errorf("UDP session %d runs over IP session %p, want the shared %p", n, s.lower, low.ips[0])
+			}
 			if got := s.ref.Value(); got != 2 {
 				t.Errorf("UDP session has %d references, want 2", got)
 			}
 			n++
 		}
 	}
-	for _, m := range low.macs {
-		distinct("FDDI", m)
-	}
 	if n != threads*each || len(low.ips) != n || len(low.macs) != n {
-		t.Errorf("%d UDP, %d IP, %d FDDI sessions, want %d each", n, len(low.ips), len(low.macs), n)
+		t.Fatalf("%d UDP sessions over %d IP and %d FDDI opens, want %d each", n, len(low.ips), len(low.macs), n)
+	}
+	for i := range low.ips {
+		if low.ips[i] != low.ips[0] || low.macs[i] != low.macs[0] {
+			t.Fatalf("open %d got IP session %p and FDDI session %p, want the shared %p and %p",
+				i, low.ips[i], low.macs[i], low.ips[0], low.macs[0])
+		}
+	}
+	if ipRefs, macRefs := low.ips[0].Ref().Value(), low.macs[0].Ref().Value(); ipRefs != int32(n) || macRefs != int32(n) {
+		t.Errorf("the IP session has %d references and the FDDI session %d, want %d each", ipRefs, macRefs, n)
 	}
 }

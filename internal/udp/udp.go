@@ -186,8 +186,11 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 	return s.lower.Push(t, m)
 }
 
-// Close unbinds and releases the session.
+// Close unbinds and releases the session. Like Open it holds the
+// session lock across the call below, where the IP session is shared.
 func (s *Session) Close(t *sim.Thread) error {
+	s.p.sessLock.Acquire(t)
+	defer s.p.sessLock.Release(t)
 	key := xmap.PortKey(s.part.LocalPort, s.part.RemotePort)
 	if err := s.p.sessions.Unbind(t, key); err != nil {
 		return err

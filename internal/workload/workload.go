@@ -103,7 +103,7 @@ func DecodeStamp(b []byte) (conn int, seq int64, gen uint32) {
 type genConn struct {
 	seq       int64
 	gen       uint32
-	remaining int64 // packets left in the current flow
+	remaining int32 // packets left in the current flow
 }
 
 // Generator produces the seeded arrival stream.
@@ -125,7 +125,7 @@ func NewGenerator(cfg Config, conns int) *Generator {
 }
 
 // flowSize draws a bounded-Pareto flow length with the configured mean.
-func (g *Generator) flowSize() int64 {
+func (g *Generator) flowSize() int32 {
 	const alpha = 1.3
 	// x_m chosen so the unbounded Pareto mean equals MeanFlowPkts.
 	xm := float64(g.cfg.MeanFlowPkts) * (alpha - 1) / alpha
@@ -137,13 +137,13 @@ func (g *Generator) flowSize() int64 {
 		u = 0.99999
 	}
 	size := xm * math.Pow(1-u, -1/alpha)
-	if lim := 100 * float64(g.cfg.MeanFlowPkts); size > lim {
+	if lim := min(100*float64(g.cfg.MeanFlowPkts), math.MaxInt32); size > lim {
 		size = lim
 	}
 	if size < 1 {
 		size = 1
 	}
-	return int64(size)
+	return int32(size)
 }
 
 // Next returns the next arrival. The open-loop clock advances by an

@@ -68,7 +68,7 @@ func TestFlowSizesHeavyTailed(t *testing.T) {
 	var sum, max int64
 	const n = 20_000
 	for i := 0; i < n; i++ {
-		s := g.flowSize()
+		s := int64(g.flowSize())
 		sum += s
 		if s > max {
 			max = s
