@@ -32,26 +32,24 @@ import (
 
 func main() {
 	var (
-		list        = flag.Bool("list", false, "list available experiments")
-		exp         = flag.String("experiment", "", "experiment ID (see -list), comma-separated, or 'all'")
-		maxProcs    = flag.Int("maxprocs", 8, "sweep processor counts 1..N")
-		warmup      = flag.Int64("warmup", 1000, "virtual warm-up per run, ms")
-		measureD    = flag.Int64("measure", 2000, "virtual measurement interval per run, ms")
-		runs        = flag.Int("runs", 3, "runs averaged per data point")
-		seed        = flag.Uint64("seed", 1994, "base PRNG seed")
-		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		plot        = flag.Bool("plot", false, "also draw each figure as an ASCII chart")
-		quick       = flag.Bool("quick", false, "fast smoke parameters (overrides the above)")
-		procs       = flag.Int("procs", 0, "host worker threads to fan simulation points across (0 = GOMAXPROCS); output is identical for every value")
-		backend     = flag.String("backend", "", "execution substrate for experiments that honor it (ext-host): sim runs the simulated half only, host (or empty) runs both and reports shape agreement")
-		loss        = flag.String("loss", "", "ext-loss: comma-separated loss rates, e.g. 0,0.001,0.01,0.05")
-		batch       = flag.String("batch", "", "ext-batch: comma-separated batch sizes (MaxSegs), e.g. 1,4,8,16; 1 means batching off")
-		conns       = flag.String("conns", "", "ext-scale: comma-separated connection ladder, e.g. 1000,10000,100000")
-		scaleOut    = flag.String("scale", "", "run the scale benchmark (ext-scale ladders with per-point host wall-clock) and write BENCH_scale JSON to FILE ('-' for stdout)")
-		scaleBudget = flag.Int64("scale-budget-ms", 0, "with -scale: fail if the largest ladder point's host wall-clock exceeds this many ms (0: no budget)")
-		jsonOut     = flag.String("json", "", "run the traced profile suite and write per-run ProfileJSON records to FILE ('-' for stdout)")
-		tsOut       = flag.String("timeseries", "", "run the profile suite with telemetry sampling on and write the per-run time series (JSON) to FILE ('-' for stdout)")
-		sampleNs    = flag.Int64("sample", 0, "with -timeseries: telemetry sampling period, virtual ns (0: default 1000000)")
+		list     = flag.Bool("list", false, "list available experiments")
+		exp      = flag.String("experiment", "", "experiment ID (see -list), comma-separated, or 'all'")
+		maxProcs = flag.Int("maxprocs", 8, "sweep processor counts 1..N")
+		warmup   = flag.Int64("warmup", 1000, "virtual warm-up per run, ms")
+		measureD = flag.Int64("measure", 2000, "virtual measurement interval per run, ms")
+		runs     = flag.Int("runs", 3, "runs averaged per data point")
+		seed     = flag.Uint64("seed", 1994, "base PRNG seed")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		plot     = flag.Bool("plot", false, "also draw each figure as an ASCII chart")
+		quick    = flag.Bool("quick", false, "fast smoke parameters (overrides the above)")
+		procs    = flag.Int("procs", 0, "host worker threads to fan simulation points across (0 = GOMAXPROCS); output is identical for every value")
+		backend  = flag.String("backend", "", "execution substrate for experiments that honor it (ext-host): sim runs the simulated half only, host (or empty) runs both and reports shape agreement")
+		loss     = flag.String("loss", "", "ext-loss: comma-separated loss rates, e.g. 0,0.001,0.01,0.05")
+		batch    = flag.String("batch", "", "ext-batch: comma-separated batch sizes (MaxSegs), e.g. 1,4,8,16; 1 means batching off")
+		conns    = flag.String("conns", "", "ext-scale: comma-separated connection ladder, e.g. 1000,10000,100000")
+		jsonOut  = flag.String("json", "", "run the traced profile suite and write per-run ProfileJSON records to FILE ('-' for stdout)")
+		tsOut    = flag.String("timeseries", "", "run the profile suite with telemetry sampling on and write the per-run time series (JSON) to FILE ('-' for stdout)")
+		sampleNs = flag.Int64("sample", 0, "with -timeseries: telemetry sampling period, virtual ns (0: default 1000000)")
 	)
 	flag.Parse()
 
@@ -59,8 +57,8 @@ func main() {
 		printCatalog(os.Stdout)
 		return
 	}
-	if *exp == "" && *jsonOut == "" && *tsOut == "" && *scaleOut == "" {
-		fmt.Fprintln(os.Stderr, "ppbench: -experiment, -json, -timeseries, or -scale required (or -list); try -experiment all")
+	if *exp == "" && *jsonOut == "" && *tsOut == "" {
+		fmt.Fprintln(os.Stderr, "ppbench: -experiment, -json or -timeseries required (or -list); try -experiment all")
 		os.Exit(2)
 	}
 
@@ -112,16 +110,6 @@ func main() {
 				os.Exit(2)
 			}
 			p.ScaleConns = append(p.ScaleConns, n)
-		}
-	}
-
-	if *scaleOut != "" {
-		if err := runScaleBench(*scaleOut, *scaleBudget, p); err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *exp == "" && *jsonOut == "" && *tsOut == "" {
-			return
 		}
 	}
 
@@ -199,62 +187,12 @@ Flag groups:
                -timeseries FILE  profile suite with telemetry sampling on;
                                  per-run time series as JSON ('-' = stdout)
                -sample NS        sampling period for -timeseries (default 1e6)
-               -scale FILE       scale benchmark (ext-scale ladders + per-point
-                                 host wall-clock); -scale-budget-ms M fails if
-                                 the largest point exceeds M ms on the host
   host         -procs N  worker threads to fan points across (0 = GOMAXPROCS);
                output is byte-identical for every value
                -backend sim|host  substrate for ext-host (empty or host:
                run both halves and report shape agreement; sim: skip the
                wall-clock half)
 `)
-}
-
-// runScaleBench measures the ext-scale ladders with per-point host
-// wall-clock, writes the BENCH_scale JSON artifact to path ("-" for
-// stdout), and optionally enforces a wall-clock budget on the largest
-// (100k-connection class) ladder point.
-func runScaleBench(path string, budgetMs int64, p experiments.Params) error {
-	start := time.Now()
-	bench, err := experiments.RunScaleBench(p)
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		if _, err := os.Stdout.Write(out); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("== scale benchmark: %d UDP points, %d TCP points -> %s (%s wall time)\n",
-			len(bench.Ladder), len(bench.TCP), path, time.Since(start).Round(time.Millisecond))
-		for _, pt := range bench.Ladder {
-			fmt.Printf("   udp %7d conns %8.1f Mbit/s %8.1f kpkts/s %8.0f B/conn  evicts fd=%d sink=%d  (%d ms host)\n",
-				pt.Conns, pt.Mbps, pt.KPktsPerSec, pt.BytesPerConn, pt.FlowEvicts, pt.SinkEvicts, pt.HostMs)
-		}
-		for _, pt := range bench.TCP {
-			fmt.Printf("   tcp %7d conns  scan %6.1f / wheel %6.1f Mbit/s  (%d ms host)\n",
-				pt.Conns, pt.ScanMbps, pt.WheelMbps, pt.HostMs)
-		}
-		fmt.Println()
-	}
-	if budgetMs > 0 && len(bench.Ladder) > 0 {
-		last := bench.Ladder[len(bench.Ladder)-1]
-		if last.HostMs > budgetMs {
-			return fmt.Errorf("scale budget: %d-connection point took %d ms on the host (budget %d ms)",
-				last.Conns, last.HostMs, budgetMs)
-		}
-		fmt.Printf("== scale budget: %d-connection point %d ms <= %d ms\n\n",
-			last.Conns, last.HostMs, budgetMs)
-	}
-	return nil
 }
 
 // writeProfiles runs the traced profile suite and writes the records as

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/msg"
@@ -22,10 +23,13 @@ func batchTCPRecv(maxSegs int) Config {
 	return cfg
 }
 
-// TestBatchDisabledIdentity pins the compatibility contract: batching
-// disabled must be byte-identical to the pre-batching stack, and
-// enabled-with-MaxSegs-1 must be byte-identical to disabled (a batch of
-// one is not a batch).
+// TestBatchDisabledIdentity pins what Build normalizes: enabled with
+// MaxSegs 1, and disabled with the other fields set, both run exactly as
+// the zero config does and report no batching (a batch of one is not a
+// batch). All three take the same pumps, so that those pumps are the
+// pre-batching stack is pinned elsewhere: by the committed goldens (TCP
+// receive) and by experiments.TestCatalogueDigest, whose constants
+// predate the single pump (the UDP pump, the steered NIC loop).
 func TestBatchDisabledIdentity(t *testing.T) {
 	shapes := map[string]Config{
 		"tcp-recv": batchTCPRecv(0),
@@ -44,6 +48,19 @@ func TestBatchDisabledIdentity(t *testing.T) {
 		one.Batch = msg.BatchConfig{Enabled: true, MaxSegs: 1}
 		if got := runOne(t, one); got != off {
 			t.Errorf("%s: MaxSegs=1 differs from disabled:\noff: %+v\ngot: %+v", name, off, got)
+		}
+		one.Trace = true
+		st, err := Build(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Run(testWarmup, testMeasure); err != nil {
+			t.Fatal(err)
+		}
+		merges, flushes := batchEvents(st)
+		if off.BatchFrames != 0 || off.BatchSegs != 0 || merges+flushes != 0 || strings.Contains(st.ProfileReport(), "Batching") {
+			t.Errorf("%s: a batch of one reports batching: %d frames, %d segments, %d merge and %d flush events",
+				name, off.BatchFrames, off.BatchSegs, merges, flushes)
 		}
 
 		disabled := base
@@ -192,6 +209,21 @@ func TestLossDeliveredMatchesSink(t *testing.T) {
 	}
 }
 
+// batchEvents counts the batching events a traced run recorded.
+func batchEvents(st *Stack) (merges, flushes int) {
+	for p := 0; p < st.Rec.Procs(); p++ {
+		for _, e := range st.Rec.Events(p) {
+			switch e.Kind {
+			case trace.EvBatchMerge:
+				merges++
+			case trace.EvBatchFlush:
+				flushes++
+			}
+		}
+	}
+	return merges, flushes
+}
+
 // TestBatchSteeredCoalesces: the steering dispatcher's coalescer merges
 // hot-flow runs before the steering decision, stays deterministic, and
 // emits the batch trace events without perturbing the measurements.
@@ -221,17 +253,7 @@ func TestBatchSteeredCoalesces(t *testing.T) {
 	if on != off {
 		t.Errorf("tracing changed batched measurements:\noff: %+v\non:  %+v", off, on)
 	}
-	var merges, flushes int
-	for p := 0; p < st.Rec.Procs(); p++ {
-		for _, e := range st.Rec.Events(p) {
-			switch e.Kind {
-			case trace.EvBatchMerge:
-				merges++
-			case trace.EvBatchFlush:
-				flushes++
-			}
-		}
-	}
+	merges, flushes := batchEvents(st)
 	if merges == 0 || flushes == 0 {
 		t.Errorf("traced batched run recorded %d merges, %d flushes; want both > 0", merges, flushes)
 	}

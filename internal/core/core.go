@@ -124,11 +124,6 @@ type Config struct {
 	// free list (wheel mode only), bounding allocation churn under
 	// connection turnover.
 	PoolTCBs bool
-	// DemuxBuckets overrides the transport demux hash size. 0 sizes it
-	// from the connection count — max(64, next power of two >= 2x
-	// Connections) — so chains stay short at 100k connections without
-	// growth (growth reorders scan-mode timer iteration).
-	DemuxBuckets int
 	// ActiveConns caps how many connections the pumps drive; the rest
 	// stay established but idle — the timer-scale ladder, where idle
 	// connections cost the scan timers O(N) per tick and the wheel
@@ -157,8 +152,8 @@ type Config struct {
 	// same-flow in-order segments merge into one frame before protocol
 	// input, so the layers above — TCP's state lock in particular —
 	// run once per batch instead of once per packet. Receive side,
-	// packet-level strategy only. Disabled (or MaxSegs 1) leaves every
-	// path byte-identical to an unbatched build.
+	// packet-level strategy only. Disabled is a batch of one (Build
+	// stores MaxSegs 1): the same pumps, merging nothing.
 	Batch msg.BatchConfig
 	// Steer enables the receive-side flow-steering subsystem
 	// (internal/steer): a dispatcher thread steers generated arrivals
@@ -258,7 +253,6 @@ type Stack struct {
 
 	// Batching accounting (engine-serialized): merged frames injected
 	// and the wire segments they carried. Zero when batching is off.
-	batchOn     bool
 	batchFrames int64
 	batchSegs   int64
 
@@ -309,7 +303,6 @@ func Build(c Config) (*Stack, error) {
 	if err := validateBatch(cfg); err != nil {
 		return nil, err
 	}
-	s.batchOn = cfg.Batch.Active()
 	s.Eng = sim.NewBackend(cost.NewModel(cfg.Machine), cfg.Seed+1, cfg.Backend)
 	if cfg.Trace {
 		// procs+2 tracks: pumps plus the control and event threads.
@@ -448,19 +441,33 @@ func Build(c Config) (*Stack, error) {
 	return s, nil
 }
 
-// demuxBuckets returns the transport demux table size: the configured
-// override, or enough buckets that the expected connection count keeps
-// chains short without growth. The floor of 64 (the x-kernel default)
-// keeps every existing small-connection shape on the seed's table size.
+// demuxBuckets sizes the transport demux table from the connection
+// count — max(64, next power of two >= 2x Connections) — so chains stay
+// short at 100k connections without growth (growth reorders scan-mode
+// timer iteration). The floor of 64 (the x-kernel default) keeps every
+// small-connection shape on the seed's table size.
 func demuxBuckets(cfg *Config) int {
-	if cfg.DemuxBuckets > 0 {
-		return cfg.DemuxBuckets
-	}
 	b := 64
 	for b < 2*cfg.Connections {
 		b <<= 1
 	}
 	return b
+}
+
+// drainQueue closes q (nil: the shape built none) at teardown and frees
+// the messages parked on it.
+func drainQueue(t *sim.Thread, q *sim.Queue) {
+	if q == nil {
+		return
+	}
+	q.Close(t)
+	for {
+		item, ok := q.TryDequeue(t)
+		if !ok {
+			return
+		}
+		item.(*msg.Message).Free(t)
+	}
 }
 
 // activeConns returns how many connections the pumps drive.
@@ -665,24 +672,12 @@ func (s *Stack) pump(t *sim.Thread, p int) {
 			}
 			t.Yield()
 		case cfg.Proto == ProtoUDP && cfg.Side == SideRecv:
-			if s.batchOn {
-				var segs int
-				segs, err = s.udpSrc.PumpBatch(t, c, cfg.Batch)
-				s.noteBatch(segs)
-				shepherded = segs
-			} else {
-				err = s.udpSrc.Pump(t, c)
-			}
+			shepherded, err = s.udpSrc.PumpBatch(t, c, cfg.Batch)
+			s.noteBatch(shepherded)
 		default:
 			var ok bool
-			if s.batchOn {
-				var segs int
-				segs, ok, err = s.tcpSend.PumpBatch(t, c, &s.stop, cfg.Batch)
-				s.noteBatch(segs)
-				shepherded = segs
-			} else {
-				ok, err = s.tcpSend.Pump(t, c, &s.stop)
-			}
+			shepherded, ok, err = s.tcpSend.PumpBatch(t, c, &s.stop, cfg.Batch)
+			s.noteBatch(shepherded)
 			if !ok {
 				return
 			}
@@ -788,8 +783,11 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 			if s.fault != nil {
 				s.fault.Shutdown(t)
 			}
-			s.closeStrategyQueues(t)
-			s.closeSteerQueues(t)
+			for _, qs := range [][]*sim.Queue{s.handoffQs, {s.q1, s.q2, s.q3}, s.steerQs} {
+				for _, q := range qs {
+					drainQueue(t, q)
+				}
+			}
 			s.Wheel.Stop()
 		}()
 		if err := s.setup(t); err != nil {

@@ -52,42 +52,59 @@ func (f *failAfter) Demux(t *sim.Thread, m *msg.Message) error {
 // fault wire to blame, ends the run with that error instead of a panic,
 // on either backend — on the host one both pumps fail at once, on real
 // goroutines, and exactly one of their errors is the run's. Every pump
-// stops at its first failure and the stop flag stops the rest.
+// stops at its first failure and the stop flag stops the rest. The
+// connection-level workers and the layered pipeline's producer stage
+// report the same way.
 func TestPumpFailureEndsRun(t *testing.T) {
 	const procs, n = 2, 200
-	for _, backend := range []sim.Backend{sim.BackendSim, sim.BackendHost} {
-		for _, proto := range []Proto{ProtoUDP, ProtoTCP} {
-			t.Run(backend.String()+"-"+proto.String(), func(t *testing.T) {
-				cfg := hostConfig(proto, SideRecv, sim.KindMutex, procs, 1)
-				cfg.Backend = backend
-				st, err := Build(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				up := &failAfter{Upper: st.FDDI, n: n}
-				if proto == ProtoUDP {
-					st.udpSrc.SetUpper(up)
-				} else {
-					st.tcpSend.SetUpper(up)
-				}
-				warmup, measure := int64(testWarmup), int64(testMeasure)
-				if st.Eng.IsHost() {
-					warmup, measure = 5_000_000, 50_000_000 // wall-clock there: keep them short
-				}
-				_, err = st.Run(warmup, measure)
-				if !errors.Is(err, errInjected) || !strings.HasPrefix(err.Error(), "core: pump ") {
-					t.Fatalf("Run returned %v, want a pump's report of the injected failure", err)
-				}
-				if calls := up.calls.Load(); calls <= n || calls > n+procs {
-					t.Errorf("%d frames injected: want the failure after %d to fire and each of %d pumps to stop at its first", calls, n, procs)
-				}
-				if !st.Eng.IsHost() {
-					if live := st.Eng.RunUntil(-1); live != 0 {
-						t.Errorf("%d threads outlive the run", live)
-					}
-				}
-			})
+	for _, row := range []struct {
+		backend  sim.Backend
+		proto    Proto
+		strategy Strategy
+		who      string // how the failing thread's report starts
+	}{
+		{sim.BackendSim, ProtoUDP, StrategyPacket, "core: pump "},
+		{sim.BackendSim, ProtoTCP, StrategyPacket, "core: pump "},
+		{sim.BackendHost, ProtoUDP, StrategyPacket, "core: pump "},
+		{sim.BackendHost, ProtoTCP, StrategyPacket, "core: pump "},
+		{sim.BackendSim, ProtoTCP, StrategyConnection, "core: connection-level inject: "},
+		{sim.BackendSim, ProtoTCP, StrategyLayered, "core: layered inject: "},
+	} {
+		name := row.backend.String() + "-" + row.proto.String()
+		if row.strategy != StrategyPacket {
+			name += "-" + row.strategy.String()
 		}
+		t.Run(name, func(t *testing.T) {
+			cfg := hostConfig(row.proto, SideRecv, sim.KindMutex, procs, 1)
+			cfg.Backend = row.backend
+			cfg.Strategy = row.strategy
+			st, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up := &failAfter{Upper: st.FDDI, n: n}
+			if row.proto == ProtoUDP {
+				st.udpSrc.SetUpper(up)
+			} else {
+				st.tcpSend.SetUpper(up)
+			}
+			warmup, measure := int64(testWarmup), int64(testMeasure)
+			if st.Eng.IsHost() {
+				warmup, measure = 5_000_000, 50_000_000 // wall-clock there: keep them short
+			}
+			_, err = st.Run(warmup, measure)
+			if !errors.Is(err, errInjected) || !strings.HasPrefix(err.Error(), row.who) {
+				t.Fatalf("Run returned %v, want %q reporting the injected failure", err, row.who)
+			}
+			if calls := up.calls.Load(); calls <= n || calls > n+procs {
+				t.Errorf("%d frames injected: want the failure after %d to fire and each of %d threads to stop at its first", calls, n, procs)
+			}
+			if !st.Eng.IsHost() {
+				if live := st.Eng.RunUntil(-1); live != 0 {
+					t.Errorf("%d threads outlive the run", live)
+				}
+			}
+		})
 	}
 }
 

@@ -89,8 +89,6 @@ var knobs = []knob{
 		dest:    func(c *Config) any { return &c.PoolTCBs },
 		hostWhy: hostSerialized,
 		hostBad: func(c *Config) bool { return c.PoolTCBs }},
-	{flag: "buckets", group: "scale-out", doc: "transport demux hash buckets (0: sized from -conns)",
-		dest: func(c *Config) any { return &c.DemuxBuckets }},
 	{flag: "active", group: "scale-out", doc: "pump only the first N connections; the rest stay established but idle (0: all)",
 		dest: func(c *Config) any { return &c.ActiveConns }},
 	{flag: "compactslots", group: "scale-out", doc: "steered sink: bound exact per-flow accounting to a direct-mapped table of N slots (0: exact)",

@@ -149,7 +149,7 @@ func (s *Stack) ProfileReport() string {
 				pkts, ooo, 100*float64(ooo)/float64(pkts))
 		}
 	}
-	if s.batchOn {
+	if s.Cfg.Batch.Active() {
 		fmt.Fprintf(&b, "\nBatching (max %d segs / %d bytes, flush %d ns):\n",
 			s.Cfg.Batch.MaxSegs, s.Cfg.Batch.MaxBytes, s.Cfg.Batch.FlushTimeoutNs)
 		spf := 0.0

@@ -115,44 +115,99 @@ func (s *Stack) runSteer() {
 }
 
 // steerDispatch is the NIC thread: open-loop arrivals, frame
-// production, steering decision, ring enqueue. A full ring drops the
-// frame, as a real adaptor ring would. Under batching the coalescing
-// variant runs instead (batch.go).
+// production, coalescing, steering decision, ring enqueue. It holds at
+// most one pending frame and folds each arrival that continues the
+// pending flow's in-order run into it. Anything else — a different
+// flow, a sequence discontinuity, the segment or byte caps, a head older
+// than the flush timeout — flushes the pending frame through the
+// steering decision onto a dispatch ring and starts a new one. A full
+// ring drops the frame, as a real adaptor ring would.
 func (s *Stack) steerDispatch(t *sim.Thread) {
-	if s.batchOn {
-		s.steerDispatchBatch(t)
-		return
-	}
-	for !s.stop.Get() {
-		a := s.steerGen.Next()
-		t.SleepUntil(a.At)
-		if s.stop.Get() {
+	bc := s.Cfg.Batch
+	var (
+		pend      *msg.Message
+		pendConn  int
+		pendGen   uint32
+		pendNext  int64 // sequence that continues the pending run
+		pendStart int64 // virtual time the head was produced
+	)
+	flush := func(reason string) {
+		if pend == nil {
 			return
 		}
-		m, err := s.steerSrc.Produce(t, a)
-		if err != nil {
-			s.fail(fmt.Errorf("core: steer dispatch: %w", err))
-			return
+		m := pend
+		pend = nil
+		if bc.MaxSegs > 1 { // a batch of one leaves no batching events
+			t.Engine().Rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
 		}
-		h := s.steerHash(a.Conn, a.Gen)
-		p := s.steerer.Decide(t, steerFlowID(a.Conn, a.Gen), h)
+		s.noteBatch(m.SegCount())
+		h := s.steerHash(pendConn, pendGen)
+		p := s.steerer.Decide(t, steerFlowID(pendConn, pendGen), h)
 		if !s.steerQs[p].TryEnqueue(t, m) {
 			m.Free(t)
 			s.steerDrops++
 		}
 	}
+	for !s.stop.Get() {
+		a := s.steerGen.Next()
+		t.SleepUntil(a.At)
+		if s.stop.Get() {
+			break
+		}
+		payload := s.steerSrc.PayloadLen()
+		if pend != nil {
+			switch {
+			case a.Conn != pendConn || a.Gen != pendGen:
+				flush("flow")
+			case a.Seq != pendNext:
+				flush("seq")
+			case a.At-pendStart > bc.FlushTimeoutNs:
+				flush("timeout")
+			case pend.Len()+payload > bc.MaxBytes || pend.Tailroom() < payload:
+				flush("maxbytes")
+			}
+		}
+		if pend == nil {
+			m, err := s.steerSrc.ProduceGrow(t, a, s.steerSrc.BatchGrow(bc))
+			if err != nil {
+				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
+				return
+			}
+			pend = m
+			pendConn, pendGen = a.Conn, a.Gen
+			pendStart = t.Now()
+		} else {
+			d, err := s.steerSrc.Produce(t, a)
+			if err != nil {
+				pend.Free(t)
+				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
+				return
+			}
+			if err := driver.MergeUDP(t, pend, d); err != nil {
+				d.Free(t)
+				pend.Free(t)
+				s.fail(fmt.Errorf("core: steer dispatch merge: %w", err))
+				return
+			}
+		}
+		pendNext = a.Seq + 1
+		if pend.SegCount() >= bc.MaxSegs {
+			// With batching off that is every fresh head: steered and
+			// enqueued the instant it is produced, as by a NIC that
+			// does not coalesce.
+			flush("maxsegs")
+		}
+	}
+	flush("stop")
 }
 
 // steerWorker is processor p's protocol thread: it drains p's dispatch
 // ring and shepherds each frame up the stack (thread-per-packet above
-// the dispatch point). Under batching a wakeup drains up to MaxSegs
-// frames before blocking again, amortizing the wakeup across the ring's
-// backlog.
+// the dispatch point). A wakeup drains up to MaxSegs frames before
+// blocking again, amortizing the wakeup across the ring's backlog (one
+// frame per wakeup when batching is off).
 func (s *Stack) steerWorker(t *sim.Thread, p int) {
-	maxDrain := 1
-	if s.batchOn {
-		maxDrain = s.Cfg.Batch.MaxSegs
-	}
+	maxDrain := s.Cfg.Batch.MaxSegs
 	for {
 		item, ok := s.steerQs[p].Dequeue(t)
 		if !ok {
@@ -193,20 +248,6 @@ func (s *Stack) steerMonitor(t *sim.Thread) {
 			depths[p] = s.steerQs[p].Len()
 		}
 		s.steerer.Sample(t, depths)
-	}
-}
-
-// closeSteerQueues closes and drains the dispatch rings at teardown.
-func (s *Stack) closeSteerQueues(t *sim.Thread) {
-	for _, q := range s.steerQs {
-		q.Close(t)
-		for {
-			item, ok := q.TryDequeue(t)
-			if !ok {
-				break
-			}
-			item.(*msg.Message).Free(t)
-		}
 	}
 }
 

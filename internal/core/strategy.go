@@ -31,10 +31,12 @@ import (
 )
 
 // strategyErr tolerates the teardown race (connections aborted while a
-// packet is in flight) and panics on anything else.
-func strategyErr(where string, err error) {
+// packet is in flight); anything else ends the run with that error, as a
+// pump's failure does. The stop flag fail raises ends the producers at
+// their next look, and teardown closes the queues the stages wait on.
+func (s *Stack) strategyErr(where string, err error) {
 	if err != nil && !errors.Is(err, tcp.ErrClosed) {
-		panic(fmt.Sprintf("core: %s: %v", where, err))
+		s.fail(fmt.Errorf("core: %s: %w", where, err))
 	}
 }
 
@@ -119,7 +121,7 @@ func (s *Stack) connWorker(t *sim.Thread, p int, queues []*sim.Queue, prodLocks 
 		// all protocol processing for a connection happens here.
 		for c := p; c < conns; c += cfg.Procs {
 			if item, ok := queues[c].TryDequeue(t); ok {
-				strategyErr("connection-level inject", s.tcpSend.Inject(t, item.(*msg.Message)))
+				s.strategyErr("connection-level inject", s.tcpSend.Inject(t, item.(*msg.Message)))
 				progress = true
 				break
 			}
@@ -139,7 +141,8 @@ func (s *Stack) connWorker(t *sim.Thread, p int, queues []*sim.Queue, prodLocks 
 			m, ok, err := s.tcpSend.TryProduce(t, c)
 			if err != nil {
 				prodLocks[c].Release(t)
-				panic(fmt.Sprintf("core: connection-level produce: %v", err))
+				s.fail(fmt.Errorf("core: connection-level produce: %w", err))
+				return
 			}
 			if ok {
 				// Only producers enqueue, and they hold the putq
@@ -284,12 +287,13 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 			n++
 			m, ok, err := s.tcpSend.Produce(t, c, &s.stop)
 			if err != nil {
-				panic(fmt.Sprintf("core: layered produce: %v", err))
+				s.fail(fmt.Errorf("core: layered produce: %w", err))
+				return
 			}
 			if !ok {
 				return
 			}
-			strategyErr("layered inject", s.tcpSend.Inject(t, m))
+			s.strategyErr("layered inject", s.tcpSend.Inject(t, m))
 		}
 	case 1:
 		for {
@@ -297,7 +301,7 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 			if !ok {
 				return
 			}
-			strategyErr("layered IP stage", s.IP.Demux(t, item.(*msg.Message)))
+			s.strategyErr("layered IP stage", s.IP.Demux(t, item.(*msg.Message)))
 		}
 	case 2:
 		for {
@@ -305,7 +309,7 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 			if !ok {
 				return
 			}
-			strategyErr("layered TCP stage", s.TCP.Demux(t, item.(*msg.Message)))
+			s.strategyErr("layered TCP stage", s.TCP.Demux(t, item.(*msg.Message)))
 		}
 	case 3:
 		for {
@@ -313,33 +317,9 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 			if !ok {
 				return
 			}
-			strategyErr("layered app stage", s.Sink.Receive(t, item.(*msg.Message)))
+			s.strategyErr("layered app stage", s.Sink.Receive(t, item.(*msg.Message)))
 		}
 	}
-}
-
-// closeStrategyQueues unblocks and drains every handoff queue at
-// teardown, freeing parked messages.
-func (s *Stack) closeStrategyQueues(t *sim.Thread) {
-	drain := func(q *sim.Queue) {
-		if q == nil {
-			return
-		}
-		q.Close(t)
-		for {
-			item, ok := q.TryDequeue(t)
-			if !ok {
-				return
-			}
-			item.(*msg.Message).Free(t)
-		}
-	}
-	for _, q := range s.handoffQs {
-		drain(q)
-	}
-	drain(s.q1)
-	drain(s.q2)
-	drain(s.q3)
 }
 
 // xkernel protocol numbers used by the layered wiring.

@@ -69,7 +69,7 @@ func (s *Stack) buildTelemetry() {
 		// the flow generation; unsteered shapes publish from pump().
 		s.steerSink.Tel = s.telDel
 	}
-	if s.batchOn {
+	if s.Cfg.Batch.Active() {
 		reg.Gauge("batch-frames", -1, func() int64 { return s.batchFrames })
 		reg.Gauge("batch-segs", -1, func() int64 { return s.batchSegs })
 	}

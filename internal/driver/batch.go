@@ -1,6 +1,7 @@
 // Receive-side GRO-style coalescing: merge helpers that fold a donor
-// frame's transport payload into the tail of a head frame, and batched
-// pump loops for the non-steered receive drivers. The merged frame
+// frame's transport payload into the tail of a head frame, and the pump
+// loops of the non-steered receive drivers, which inject batches (of
+// one, unless batching is on). The merged frame
 // stays a valid wire frame — the IP total length grows and its header
 // checksum is rebuilt so ip.Demux still verifies — and carries the
 // segment count on the head view (msg.Message.Segs) so the layers
@@ -108,9 +109,20 @@ func MergeTCP(t *sim.Thread, head, donor *msg.Message) error {
 	return nil
 }
 
+// noteFlush records a frame leaving the batching stage for the stack. A
+// batch of one is the per-packet path, and its trace carries no
+// batching events.
+func noteFlush(t *sim.Thread, bc msg.BatchConfig, reason string, segs int, m *msg.Message) {
+	if bc.MaxSegs > 1 {
+		t.Engine().Rec.BatchFlush(t.Proc, t.Now(), reason, int64(segs), int64(m.Len()))
+	}
+}
+
 // PumpBatch produces up to bc.MaxSegs same-connection datagrams merged
-// into one frame and shepherds it up the stack. Returns the number of
-// wire segments the injected frame carries.
+// into one frame and shepherds it up the stack on the calling thread
+// (thread-per-packet). With MaxSegs 1 that is one datagram, no tailroom
+// held back and nothing merged: the paper's per-packet receive path.
+// Returns the number of wire segments the injected frame carries.
 func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int, error) {
 	tmpl := s.tmpl[conn%len(s.tmpl)]
 	payload := len(tmpl) - udpFrameHdr
@@ -137,7 +149,7 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int,
 	if segs == bc.MaxSegs {
 		reason = "maxsegs"
 	}
-	t.Engine().Rec.BatchFlush(t.Proc, t.Now(), reason, int64(segs), int64(m.Len()))
+	noteFlush(t, bc, reason, segs, m)
 	return segs, s.up.Demux(t, m)
 }
 
@@ -145,9 +157,10 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int,
 // merges the contiguous run into one frame and injects it — one state-
 // lock acquisition at TCP for the whole run. A segment whose sequence
 // does not continue the run (another processor claimed the offsets in
-// between) flushes the batch and is injected separately. Returns the
-// merged frame's segment count and false when stopped before
-// producing.
+// between) flushes the batch and is injected separately. With MaxSegs 1
+// it produces and injects one segment, the packet-level fast path.
+// Returns the merged frame's segment count and false when stopped
+// before producing.
 func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.BatchConfig) (int, bool, error) {
 	c := d.conns[conn]
 	m, ok, err := d.produce(t, conn, stop, batchGrow(len(c.tmpl), d.payload, bc))
@@ -186,7 +199,7 @@ func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg
 		}
 		segs++
 	}
-	t.Engine().Rec.BatchFlush(t.Proc, t.Now(), reason, int64(segs), int64(m.Len()))
+	noteFlush(t, bc, reason, segs, m)
 	if err := d.Inject(t, m); err != nil {
 		if stray != nil {
 			stray.Free(t)
@@ -194,7 +207,7 @@ func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg
 		return segs, true, err
 	}
 	if stray != nil {
-		t.Engine().Rec.BatchFlush(t.Proc, t.Now(), "seq", 1, int64(stray.Len()))
+		noteFlush(t, bc, "seq", 1, stray)
 		return segs, true, d.Inject(t, stray)
 	}
 	return segs, true, nil

@@ -104,17 +104,19 @@ func TestUDPSinkCountsPayload(t *testing.T) {
 	})
 }
 
+// batchOfOne is what core stores for a run with batching off.
+var batchOfOne = msg.BatchConfig{MaxSegs: 1}.WithDefaults()
+
 func TestUDPSourceInjectsFrames(t *testing.T) {
 	run(t, 2, func(th *sim.Thread) {
 		a := newAlloc()
 		src := NewUDPSource(a, 512, 2)
 		up := newCapture()
 		src.SetUpper(up)
-		if err := src.Pump(th, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Pump(th, 1); err != nil {
-			t.Fatal(err)
+		for conn := 0; conn < 2; conn++ {
+			if segs, err := src.PumpBatch(th, conn, batchOfOne); err != nil || segs != 1 {
+				t.Fatalf("conn %d: pumped %d segments, err %v", conn, segs, err)
+			}
 		}
 		if len(up.frames) != 2 {
 			t.Fatalf("injected %d frames", len(up.frames))
@@ -226,9 +228,9 @@ func TestSimTCPSenderHandshakeAndFlowControl(t *testing.T) {
 		// Window is 3000: after two 1024-byte packets the third pump
 		// must wait until the fake receiver acks.
 		for i := 0; i < 4; i++ {
-			ok, err := d.Pump(th, 0, nil)
-			if err != nil || !ok {
-				t.Fatalf("pump %d: ok=%v err=%v", i, ok, err)
+			segs, ok, err := d.PumpBatch(th, 0, nil, batchOfOne)
+			if err != nil || !ok || segs != 1 {
+				t.Fatalf("pump %d: segs=%d ok=%v err=%v", i, segs, ok, err)
 			}
 		}
 		if up.data != 4 {

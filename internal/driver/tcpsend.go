@@ -311,16 +311,6 @@ func (d *SimTCPSender) Inject(t *sim.Thread, m *msg.Message) error {
 	return d.up.Demux(t, m)
 }
 
-// Pump produces and injects one packet — the packet-level fast path.
-// It returns false when stopped before producing.
-func (d *SimTCPSender) Pump(t *sim.Thread, conn int, stop *sim.Flag) (bool, error) {
-	m, ok, err := d.Produce(t, conn, stop)
-	if err != nil || !ok {
-		return ok, err
-	}
-	return true, d.Inject(t, m)
-}
-
 // injectControl sends a zero-payload control segment up the stack.
 func (d *SimTCPSender) injectControl(t *sim.Thread, c *simSendConn, flags uint8, seq, ack uint32) error {
 	t.ChargeRand(t.Engine().C.Stack.DriverAck)

@@ -105,7 +105,7 @@ func (s *UDPSource) TX(t *sim.Thread, m *msg.Message) error {
 }
 
 // produce builds one template frame, with grow bytes of tailroom held
-// back for GRO merging (zero on the unbatched path).
+// back for GRO merging (zero for a batch of one).
 func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error) {
 	tmpl := s.tmpl[conn%len(s.tmpl)]
 	m, err := s.alloc.New(t, len(tmpl)+grow, 0)
@@ -131,16 +131,6 @@ func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error)
 	m.Born = t.Now()
 	t.Engine().Rec.Arrive(t.Proc, m.Born, int64(conn))
 	return m, nil
-}
-
-// Pump produces one packet for connection conn and shepherds it up the
-// stack on the calling thread (thread-per-packet).
-func (s *UDPSource) Pump(t *sim.Thread, conn int) error {
-	m, err := s.produce(t, conn, 0)
-	if err != nil {
-		return err
-	}
-	return s.up.Demux(t, m)
 }
 
 var _ xkernel.Wire = (*UDPSink)(nil)

@@ -30,120 +30,85 @@ func batchLadder(p Params) []int {
 	return []int{1, 4, 8}
 }
 
-// batchedTCPRecv configures one single-connection TCP receive point —
-// the regime where every processor contends on one state lock — at the
-// given lock kind and batch size.
-func batchedTCPRecv(kind sim.LockKind, maxSegs int) core.Config {
-	cfg := baselineTCP(core.SideRecv)
-	cfg.PacketSize = 1024
-	cfg.Checksum = true
-	cfg.LockKind = kind
-	if maxSegs > 1 {
-		cfg.Batch = msg.BatchConfig{Enabled: true, MaxSegs: maxSegs}
-	}
-	return cfg
+// batched sets cfg's batch size. A batch of one merges nothing: it is
+// the paper-faithful per-packet path.
+func batched(cfg *core.Config, maxSegs int) {
+	cfg.Batch = msg.BatchConfig{Enabled: true, MaxSegs: maxSegs}
 }
 
-func runExtBatch(p Params) ([]measure.Table, error) {
-	// Family 1: batch size x lock kind, single shared connection. The
-	// lock-wait share should fall as the batch grows (one acquisition
-	// covers the whole batch), and the unfair mutex should gain more
-	// than MCS — batching removes the very handoffs the spin lock
-	// reorders.
-	var labels []string
-	var futs [][]*pointFuture
-	for _, kind := range []sim.LockKind{sim.KindMutex, sim.KindMCS} {
-		for _, segs := range batchLadder(p) {
-			labels = append(labels, fmt.Sprintf("%v, batch %d", kind, segs))
-			futs = append(futs, submitSweep(batchedTCPRecv(kind, segs), p, p.MaxProcs))
-		}
-	}
-
-	// Family 2: batch size x skew, one connection per processor. The
-	// sender interleaves connections, so skew onto a hot connection is
-	// what creates same-flow runs for the coalescer — and also what
-	// recreates the shared-lock bottleneck batching amortizes.
-	var skewLabels []string
-	var skewFuts [][]*pointFuture
+func batchSweeps() []Sweep {
+	// 1 KB TCP receive: with one shared connection, the regime where
+	// every processor contends on one state lock.
+	base := with(baselineTCP(core.SideRecv), func(c *core.Config) { c.PacketSize = 1024 })
+	var skewed []Curve
 	for _, hot := range []int{0, 50} {
 		for _, segs := range []int{1, 8} {
-			cfg := batchedTCPRecv(sim.KindMCS, segs)
-			cfg.Connections = 2 // sentinel: submitSweep sets Connections = procs
-			cfg.HotConnPct = hot
-			skewLabels = append(skewLabels, fmt.Sprintf("%d%% hot, batch %d", hot, segs))
-			skewFuts = append(skewFuts, submitSweep(cfg, p, p.MaxProcs))
+			skewed = append(skewed, Curve{
+				Label: fmt.Sprintf("%d%% hot, batch %d", hot, segs),
+				Set:   func(c *core.Config) { c.HotConnPct = hot; batched(c, segs) },
+			})
 		}
 	}
+	return []Sweep{
+		{
+			// Batch size x lock kind, single shared connection. The
+			// lock-wait share should fall as the batch grows (one
+			// acquisition covers the whole batch), and the unfair mutex
+			// should gain more than MCS — batching removes the very
+			// handoffs the spin lock reorders.
+			Base: base,
+			Ladder: func(p Params) []Curve {
+				var out []Curve
+				for _, kind := range []sim.LockKind{sim.KindMutex, sim.KindMCS} {
+					for _, segs := range batchLadder(p) {
+						out = append(out, Curve{
+							Label: fmt.Sprintf("%v, batch %d", kind, segs),
+							Set:   func(c *core.Config) { c.LockKind = kind; batched(c, segs) },
+						})
+					}
+				}
+				return out
+			},
+			Views: []View{
+				{Title: "Extension: batched TCP receive, batch size x lock kind (1KB, one connection)", YLabel: "Mbit/s"},
+				{Title: "Extension: state-lock wait share under batching (% of processor time)", YLabel: "lock wait %", Stat: lockWaitPct},
+			},
+		},
+		{
+			// Batch size x skew, one connection per processor. The sender
+			// interleaves connections, so skew onto a hot connection is
+			// what creates same-flow runs for the coalescer — and also
+			// what recreates the shared-lock bottleneck batching
+			// amortizes.
+			Base: with(base, mcsLocks), ConnPerProc: true, Curves: skewed,
+			Views: []View{{Title: "Extension: batched TCP receive under skew (MCS, one connection per processor)", YLabel: "Mbit/s"}},
+		},
+	}
+}
 
-	// Combined steer+batch: the ext-steer skewed many-connection
-	// workload at MaxProcs, with the dispatcher coalescing before the
-	// steering decision. Single points per (policy, batch) pair.
-	comboPolicies := []steer.Policy{steer.PolicyPacket, steer.PolicyFlowDirector}
-	var comboLabels []string
-	var comboFuts []*pointFuture
-	for _, pol := range comboPolicies {
+// runBatchSteered pairs batching with steering: the ext-steer skewed
+// many-connection workload at MaxProcs, with the dispatcher coalescing
+// before the steering decision. Single points per (policy, batch) pair.
+func runBatchSteered(p Params) ([]measure.Table, error) {
+	title := "Extension: steering + batching combined (skewed 256-conn UDP at max procs)"
+	var futs []*pointFuture
+	for _, pol := range []steer.Policy{steer.PolicyPacket, steer.PolicyFlowDirector} {
 		for _, segs := range []int{1, 8} {
-			cfg := steerSkew(steeredUDP(pol, 256))
-			cfg.Procs = p.MaxProcs
-			cfg.Seed = p.Seed
-			cfg.Workload.ArrivalGapNs = steerGapNs / int64(p.MaxProcs)
-			if segs > 1 {
-				cfg.Batch = msg.BatchConfig{Enabled: true, MaxSegs: segs}
-			}
-			comboLabels = append(comboLabels, fmt.Sprintf("%v, batch %d", pol, segs))
-			comboFuts = append(comboFuts, submitPoint(cfg, p))
+			cfg := atMaxProcs(steerSkew(steeredUDP(pol, steerConns)), p)
+			batched(&cfg, segs)
+			futs = append(futs, submitPoint(cfg, p))
+			title += fmt.Sprintf(" | x=%d: %v, batch %d", len(futs), pol, segs)
 		}
 	}
-
-	series, err := awaitAll(labels, futs)
+	pts, err := awaitPoints(futs)
 	if err != nil {
 		return nil, err
 	}
-	var waitSeries []measure.Series
-	for i, fs := range futs {
-		s, err := awaitAggSeries(labels[i], fs,
-			func(rr core.RunResult) float64 { return 100 * rr.LockWaitFrac })
-		if err != nil {
-			return nil, err
-		}
-		waitSeries = append(waitSeries, s)
-	}
-	skewSeries, err := awaitAll(skewLabels, skewFuts)
-	if err != nil {
-		return nil, err
-	}
-
-	comboMbps := measure.Series{Label: "Mbit/s"}
-	comboSegs := measure.Series{Label: "segs/frame"}
-	comboTitle := "Extension: steering + batching combined (skewed 256-conn UDP at max procs)"
-	for i, f := range comboFuts {
-		pv, err := f.wait()
-		if err != nil {
-			return nil, err
-		}
-		comboMbps.X = append(comboMbps.X, i+1)
-		comboMbps.Points = append(comboMbps.Points, pv.res)
-		comboSegs.X = append(comboSegs.X, i+1)
-		comboSegs.Points = append(comboSegs.Points, measure.Result{Mean: pv.agg.BatchSegsPerFrame})
-		comboTitle += fmt.Sprintf(" | x=%d: %s", i+1, comboLabels[i])
-	}
-
-	return []measure.Table{
-		{
-			Title:  "Extension: batched TCP receive, batch size x lock kind (1KB, one connection)",
-			XLabel: "procs", YLabel: "Mbit/s", Series: series,
+	return []measure.Table{{
+		Title: title, XLabel: "ladder",
+		Series: []measure.Series{
+			series("Mbit/s", pts, nil),
+			series("segs/frame", pts, func(rr core.RunResult) float64 { return rr.BatchSegsPerFrame }),
 		},
-		{
-			Title:  "Extension: state-lock wait share under batching (% of processor time)",
-			XLabel: "procs", YLabel: "lock wait %", Series: waitSeries,
-		},
-		{
-			Title:  "Extension: batched TCP receive under skew (MCS, one connection per processor)",
-			XLabel: "procs", YLabel: "Mbit/s", Series: skewSeries,
-		},
-		{
-			Title:  comboTitle,
-			XLabel: "ladder", Series: []measure.Series{comboMbps, comboSegs},
-		},
-	}, nil
+	}}, nil
 }

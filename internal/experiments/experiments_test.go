@@ -22,7 +22,7 @@ func tiny() Params {
 func TestCatalogIntegrity(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range Catalog() {
-		if s.ID == "" || s.Brief == "" || s.Figures == "" || s.Run == nil {
+		if s.ID == "" || s.Brief == "" || s.Figures == "" || len(s.Sweeps) == 0 && s.Extra == nil {
 			t.Errorf("incomplete spec %+v", s)
 		}
 		if seen[s.ID] {
@@ -62,18 +62,13 @@ func TestIDsSorted(t *testing.T) {
 }
 
 func TestEveryPaperSpecRunsTiny(t *testing.T) {
-	// Run each paper experiment at minimal size: this is the
-	// integration test that every figure's code path works end to end.
-	// Ablations are covered by the benchmark harness.
+	// Run each experiment at minimal size: this is the integration test
+	// that every figure's code path works end to end.
 	if testing.Short() {
 		t.Skip("tiny sweep still simulates tens of virtual seconds")
 	}
 	p := tiny()
 	for _, s := range Catalog() {
-		if strings.HasPrefix(s.ID, "ablation-") {
-			continue
-		}
-		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			tables, err := s.Run(p)
 			if err != nil {

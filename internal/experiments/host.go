@@ -76,37 +76,14 @@ type HostComparison struct {
 	HostRan    bool // false when Params.Backend names the sim backend
 }
 
-// hostSweepVariants returns the compared strategies. The shape is
-// Figure 8/10/12's: TCP receive, 4KB packets, checksum on.
-func hostSweepVariants() []struct {
-	label string
-	cfg   func(n int) core.Config
-} {
+// hostSweeps declares the compared strategies, in the shape of Figures
+// 8, 10 and 12: TCP receive, 4KB packets, checksum on — one shared
+// connection under either lock, then one connection per processor.
+func hostSweeps() []Sweep {
 	base := baselineTCP(core.SideRecv)
-	base.PacketSize = 4096
-	base.Checksum = true
-	return []struct {
-		label string
-		cfg   func(n int) core.Config
-	}{
-		{"TCP-1 mutex", func(n int) core.Config {
-			c := base
-			c.Procs = n
-			return c
-		}},
-		{"TCP-1 MCS", func(n int) core.Config {
-			c := base
-			c.LockKind = sim.KindMCS
-			c.Procs = n
-			return c
-		}},
-		{"conn-per-proc MCS", func(n int) core.Config {
-			c := base
-			c.LockKind = sim.KindMCS
-			c.Procs = n
-			c.Connections = n
-			return c
-		}},
+	return []Sweep{
+		{Base: base, Curves: []Curve{{Label: "TCP-1 mutex"}, {Label: "TCP-1 MCS", Set: mcsLocks}}},
+		{Base: with(base, mcsLocks), ConnPerProc: true, Curves: []Curve{{Label: "conn-per-proc MCS"}}},
 	}
 }
 
@@ -156,33 +133,35 @@ func equalStrings(a, b []string) bool {
 // drained, so wall-clock windows run on a quiet machine). It backs the
 // ext-host experiment and the cross-substrate smoke test.
 func RunHostComparison(p Params) (HostComparison, error) {
-	maxP := hostMaxProcs(p)
+	p.MaxProcs = hostMaxProcs(p)
 	hc := HostComparison{HostRan: p.Backend != sim.BackendSim.String()}
-	for n := 1; n <= maxP; n++ {
+	for n := 1; n <= p.MaxProcs; n++ {
 		hc.Procs = append(hc.Procs, n)
 	}
-	variants := hostSweepVariants()
+	sweeps := hostSweeps()
 
 	// Simulated half: every point in flight at once.
-	futs := make([][]*pointFuture, len(variants))
-	for vi, v := range variants {
-		for n := 1; n <= maxP; n++ {
-			cfg := v.cfg(n)
-			cfg.Seed = p.Seed
-			futs[vi] = append(futs[vi], submitPoint(cfg, p))
-		}
+	waits := make([]func() ([][]pointValue, error), len(sweeps))
+	for i, sw := range sweeps {
+		waits[i] = sw.start(p)
 	}
-	for vi, v := range variants {
-		hv := HostVariant{Label: v.label}
-		for _, f := range futs[vi] {
-			pv, err := f.wait()
-			if err != nil {
-				return hc, fmt.Errorf("ext-host sim %s: %w", v.label, err)
-			}
-			hv.Sim = append(hv.Sim, pv.res.Mean)
+	var hostCfgs [][]core.Config // per variant, what the host half runs
+	for i, sw := range sweeps {
+		curves, err := waits[i]()
+		if err != nil {
+			return hc, fmt.Errorf("ext-host sim: %w", err)
 		}
-		hv.SimKnee = knee(hv.Sim)
-		hc.Variants = append(hc.Variants, hv)
+		cfgs := sw.Configs(p)
+		for ci, pts := range curves {
+			hv := HostVariant{Label: sw.Curves[ci].Label}
+			for _, pv := range pts {
+				hv.Sim = append(hv.Sim, pv.res.Mean)
+			}
+			hv.SimKnee = knee(hv.Sim)
+			hc.Variants = append(hc.Variants, hv)
+			hostCfgs = append(hostCfgs, cfgs[:len(pts)])
+			cfgs = cfgs[len(pts):]
+		}
 	}
 	hc.SimOrder = orderAtTop(hc.Variants, func(v HostVariant) []float64 { return v.Sim })
 
@@ -190,28 +169,28 @@ func RunHostComparison(p Params) (HostComparison, error) {
 		return hc, nil
 	}
 
-	// Host half: real goroutines, wall-clock windows, one point at a
-	// time. One run per point — wall-clock numbers are nondeterministic
-	// regardless, and the claims made of them are ordinal.
-	for vi, v := range variants {
-		for n := 1; n <= maxP; n++ {
-			cfg := v.cfg(n)
-			cfg.Seed = p.Seed
+	// Host half: the same configurations on real goroutines, wall-clock
+	// windows, one point at a time. One run per point — wall-clock
+	// numbers are nondeterministic regardless, and the claims made of
+	// them are ordinal.
+	for vi, cfgs := range hostCfgs {
+		hv := &hc.Variants[vi]
+		for _, cfg := range cfgs {
 			cfg.Backend = sim.BackendHost
 			var mbps float64
 			for attempt := 0; attempt < hostAttempts; attempt++ {
 				rr, err := core.RunPoint(cfg, hostWarmupNs, hostMeasureNs)
 				if err != nil {
-					return hc, fmt.Errorf("ext-host host %s @%dp: %w", v.label, n, err)
+					return hc, fmt.Errorf("ext-host host %s @%dp: %w", hv.Label, cfg.Procs, err)
 				}
 				if rr.Mbps > 0 {
 					mbps = rr.Mbps
 					break
 				}
 			}
-			hc.Variants[vi].Host = append(hc.Variants[vi].Host, mbps)
+			hv.Host = append(hv.Host, mbps)
 		}
-		hc.Variants[vi].HostKnee = knee(hc.Variants[vi].Host)
+		hv.HostKnee = knee(hv.Host)
 	}
 	hc.HostOrder = orderAtTop(hc.Variants, func(v HostVariant) []float64 { return v.Host })
 	hc.OrderAgree = equalStrings(hc.SimOrder, hc.HostOrder)

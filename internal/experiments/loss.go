@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/measure"
 	"repro/internal/sim"
 )
 
@@ -25,23 +24,37 @@ func lossLadder(p Params) []float64 {
 	return []float64{0, 0.001, 0.01, 0.05}
 }
 
-// lossyTCP configures one lossy TCP point. The loss rate is split
-// half drop, half corruption, so "1% loss" means 1% of frames fail to
-// arrive intact — but half of them pay the checksum-rejection path
-// instead of vanishing silently.
-func lossyTCP(side core.Side, kind sim.LockKind, rate float64) core.Config {
-	cfg := baselineTCP(side)
-	cfg.PacketSize = 4096
-	cfg.Checksum = true
+// lossy puts cfg on the fault wire at the given loss rate, in the data
+// direction of its side. The rate is split half drop, half corruption,
+// so "1% loss" means 1% of frames fail to arrive intact — but half of
+// them pay the checksum-rejection path instead of vanishing silently.
+func lossy(cfg *core.Config, kind sim.LockKind, rate float64) {
 	cfg.EnforceChecksum = true
 	cfg.LockKind = kind
 	r := driver.FaultRates{Drop: rate / 2, Corrupt: rate / 2}
-	if side == core.SideRecv {
+	if cfg.Side == core.SideRecv {
 		cfg.Faults.Up = r // inbound data damaged on its way to the stack
 	} else {
 		cfg.Faults.Down = r // outbound data damaged on its way to the peer
 	}
-	return cfg
+}
+
+// lossCurves is the TCP family: each rate of the ladder under the spin
+// mutex and under MCS.
+func lossCurves(p Params) []Curve {
+	var out []Curve
+	for _, rate := range lossLadder(p) {
+		for _, k := range []struct {
+			name string
+			kind sim.LockKind
+		}{{"spin", sim.KindMutex}, {"MCS", sim.KindMCS}} {
+			out = append(out, Curve{
+				Label: fmt.Sprintf("%s, %.1f%% loss", k.name, 100*rate),
+				Set:   func(c *core.Config) { lossy(c, k.kind, rate) },
+			})
+		}
+	}
+	return out
 }
 
 // sendLossParams floors the send-side window so slow-timer recovery is
@@ -66,66 +79,26 @@ func sendLossParams(p Params) Params {
 	return p
 }
 
-func runExtLoss(p Params) ([]measure.Table, error) {
-	kinds := []struct {
-		name string
-		kind sim.LockKind
-	}{
-		{"spin", sim.KindMutex},
-		{"MCS", sim.KindMCS},
-	}
-	var recvLabels, sendLabels []string
-	var recvFuts, sendFuts [][]*pointFuture
-	for _, rate := range lossLadder(p) {
-		for _, k := range kinds {
-			lbl := fmt.Sprintf("%s, %.1f%% loss", k.name, 100*rate)
-			recvLabels = append(recvLabels, lbl)
-			recvFuts = append(recvFuts,
-				submitSweep(lossyTCP(core.SideRecv, k.kind, rate), p, p.MaxProcs))
-			sendLabels = append(sendLabels, lbl)
-			sendFuts = append(sendFuts,
-				submitSweep(lossyTCP(core.SideSend, k.kind, rate), sendLossParams(p), p.MaxProcs))
-		}
-	}
-
-	// UDP has no recovery: loss subtracts throughput linearly, a
-	// baseline showing what of TCP's degradation is recovery overhead.
-	var udpLabels []string
-	var udpFuts [][]*pointFuture
-	for _, rate := range []float64{0, 0.01} {
-		cfg := baselineUDP(core.SideRecv)
-		cfg.PacketSize = 4096
-		cfg.Checksum = true
-		cfg.Faults.Up = driver.FaultRates{Drop: rate}
-		udpLabels = append(udpLabels, fmt.Sprintf("UDP recv, %.1f%% loss", 100*rate))
-		udpFuts = append(udpFuts, submitSweep(cfg, p, p.MaxProcs))
-	}
-
-	recvSeries, err := awaitAll(recvLabels, recvFuts)
-	if err != nil {
-		return nil, err
-	}
-	sendSeries, err := awaitAll(sendLabels, sendFuts)
-	if err != nil {
-		return nil, err
-	}
-	udpSeries, err := awaitAll(udpLabels, udpFuts)
-	if err != nil {
-		return nil, err
-	}
-
-	return []measure.Table{
+func lossSweeps() []Sweep {
+	return []Sweep{
 		{
-			Title:  "Extension: TCP receive under loss+corruption (4KB, checksum enforced)",
-			XLabel: "procs", YLabel: "Mbit/s", Series: recvSeries,
+			Base: baselineTCP(core.SideRecv), Ladder: lossCurves,
+			Views: []View{{Title: "Extension: TCP receive under loss+corruption (4KB, checksum enforced)", YLabel: "Mbit/s"}},
 		},
 		{
-			Title:  "Extension: TCP send under loss+corruption (4KB, checksum enforced)",
-			XLabel: "procs", YLabel: "Mbit/s", Series: sendSeries,
+			Base: baselineTCP(core.SideSend), Ladder: lossCurves, Floor: sendLossParams,
+			Views: []View{{Title: "Extension: TCP send under loss+corruption (4KB, checksum enforced)", YLabel: "Mbit/s"}},
 		},
 		{
-			Title:  "Extension: UDP receive under loss (no recovery baseline)",
-			XLabel: "procs", YLabel: "Mbit/s", Series: udpSeries,
+			// UDP has no recovery: loss subtracts throughput linearly, a
+			// baseline showing what of TCP's degradation is recovery
+			// overhead.
+			Base: baselineUDP(core.SideRecv),
+			Curves: []Curve{
+				{Label: "UDP recv, 0.0% loss"},
+				{Label: "UDP recv, 1.0% loss", Set: func(c *core.Config) { c.Faults.Up = driver.FaultRates{Drop: 0.01} }},
+			},
+			Views: []View{{Title: "Extension: UDP receive under loss (no recovery baseline)", YLabel: "Mbit/s"}},
 		},
-	}, nil
+	}
 }

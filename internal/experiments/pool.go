@@ -126,65 +126,18 @@ func submitPoint(cfg core.Config, p Params) *pointFuture {
 	return f
 }
 
-// submitSweep schedules cfg at 1..maxProcs processors (the standard
-// processor sweep, including the Connections-follow-procs rule) and
-// returns the pending points in x order.
-func submitSweep(cfg core.Config, p Params, maxProcs int) []*pointFuture {
-	futs := make([]*pointFuture, 0, maxProcs)
-	for n := 1; n <= maxProcs; n++ {
-		c := cfg
-		c.Procs = n
-		c.Seed = p.Seed
-		if c.Connections > 1 {
-			c.Connections = n // one connection per processor
-		}
-		futs = append(futs, submitPoint(c, p))
-	}
-	return futs
-}
-
-// awaitSeries collects a submitted sweep into a Series, in order.
-func awaitSeries(label string, futs []*pointFuture) (measure.Series, error) {
-	s := measure.Series{Label: label}
+// awaitPoints waits for pending points in submission order, so the
+// error returned is the first in that order whatever ran first.
+func awaitPoints(futs []*pointFuture) ([]pointValue, error) {
+	pts := make([]pointValue, len(futs))
 	for i, f := range futs {
 		pv, err := f.wait()
-		if err != nil {
-			return s, err
-		}
-		s.X = append(s.X, i+1)
-		s.Points = append(s.Points, pv.res)
-	}
-	return s, nil
-}
-
-// awaitAggSeries collects a submitted sweep into a Series derived from
-// the aggregate run statistics (e.g. misordering percentages) rather
-// than the throughput summary.
-func awaitAggSeries(label string, futs []*pointFuture, stat func(core.RunResult) float64) (measure.Series, error) {
-	s := measure.Series{Label: label}
-	for i, f := range futs {
-		pv, err := f.wait()
-		if err != nil {
-			return s, err
-		}
-		s.X = append(s.X, i+1)
-		s.Points = append(s.Points, measure.Result{Mean: stat(pv.agg)})
-	}
-	return s, nil
-}
-
-// awaitAll drains a set of submitted sweeps into labelled series, in
-// submission order.
-func awaitAll(labels []string, futs [][]*pointFuture) ([]measure.Series, error) {
-	var out []measure.Series
-	for i, fs := range futs {
-		s, err := awaitSeries(labels[i], fs)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		pts[i] = pv
 	}
-	return out, nil
+	return pts, nil
 }
 
 // RunPoints measures each configuration with the given methodology,
@@ -198,13 +151,13 @@ func RunPoints(cfgs []core.Config, warmupNs, measureNs int64, runs, workers int)
 	for i, c := range cfgs {
 		futs[i] = submitPoint(c, p)
 	}
+	pts, err := awaitPoints(futs)
+	if err != nil {
+		return nil, nil, err
+	}
 	sums := make([]measure.Result, len(cfgs))
 	aggs := make([]core.RunResult, len(cfgs))
-	for i, f := range futs {
-		pv, err := f.wait()
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, pv := range pts {
 		sums[i] = pv.res
 		aggs[i] = pv.agg
 	}

@@ -30,28 +30,12 @@ func profileRuns(p Params) []ProfileRun {
 		procs = 1
 	}
 	tcpRecv := baselineTCP(core.SideRecv)
-	tcpRecv.PacketSize = 4096
-	tcpRecv.Checksum = true
-
-	mcs := tcpRecv
-	mcs.LockKind = sim.KindMCS
-
-	tcpSend := baselineTCP(core.SideSend)
-	tcpSend.PacketSize = 4096
-	tcpSend.Checksum = true
-
-	udpRecv := baselineUDP(core.SideRecv)
-	udpRecv.PacketSize = 4096
-	udpRecv.Checksum = true
-
-	lossy := lossyTCP(core.SideRecv, sim.KindMutex, 0.01)
-
 	runs := []ProfileRun{
 		{fmt.Sprintf("tcp-recv-mutex-%dp", procs), tcpRecv},
-		{fmt.Sprintf("tcp-recv-mcs-%dp", procs), mcs},
-		{fmt.Sprintf("tcp-send-mutex-%dp", procs), tcpSend},
-		{fmt.Sprintf("udp-recv-%dp", procs), udpRecv},
-		{fmt.Sprintf("tcp-recv-loss1pct-%dp", procs), lossy},
+		{fmt.Sprintf("tcp-recv-mcs-%dp", procs), with(tcpRecv, mcsLocks)},
+		{fmt.Sprintf("tcp-send-mutex-%dp", procs), baselineTCP(core.SideSend)},
+		{fmt.Sprintf("udp-recv-%dp", procs), baselineUDP(core.SideRecv)},
+		{fmt.Sprintf("tcp-recv-loss1pct-%dp", procs), with(tcpRecv, func(c *core.Config) { lossy(c, sim.KindMutex, 0.01) })},
 	}
 	for i := range runs {
 		runs[i].Cfg.Procs = procs

@@ -21,8 +21,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/measure"
@@ -72,10 +70,7 @@ func scaleTCP(p Params, conns int, wheel, pool bool) core.Config {
 // scaleUDP configures one steered scale-out point: Flow Director
 // steering, churning flows, bounded exact accounting.
 func scaleUDP(p Params, conns int) core.Config {
-	cfg := steeredUDP(steer.PolicyFlowDirector, conns)
-	cfg.Procs = p.MaxProcs
-	cfg.Seed = p.Seed
-	cfg.Workload.ArrivalGapNs = steerGapNs / int64(p.MaxProcs)
+	cfg := atMaxProcs(steeredUDP(steer.PolicyFlowDirector, conns), p)
 	cfg.Workload.CompactSlots = 8192
 	return cfg
 }
@@ -94,52 +89,34 @@ func runExtScale(p Params) ([]measure.Table, error) {
 		{"timing wheel", true, false},
 		{"wheel + pooled TCBs", true, true},
 	}
-	var tcpLabels []string
-	var tcpFuts [][]*pointFuture
-	for _, v := range tcpVariants {
-		var fs []*pointFuture
+	tcpFuts := make([][]*pointFuture, len(tcpVariants))
+	for vi, v := range tcpVariants {
 		for _, n := range tcpLadder {
-			fs = append(fs, submitPoint(scaleTCP(p, n, v.wheel, v.pool), p))
+			tcpFuts[vi] = append(tcpFuts[vi], submitPoint(scaleTCP(p, n, v.wheel, v.pool), p))
 		}
-		tcpLabels = append(tcpLabels, v.label)
-		tcpFuts = append(tcpFuts, fs)
 	}
-
-	// Steered UDP connection scale-out.
 	var udpFuts []*pointFuture
 	for _, n := range udpLadder {
 		udpFuts = append(udpFuts, submitPoint(scaleUDP(p, n), p))
 	}
 
-	tcpSeries, err := awaitAll(tcpLabels, tcpFuts)
-	if err != nil {
-		return nil, err
-	}
-	udpTput := measure.Series{Label: "Flow Director"}
-	kpkts := measure.Series{Label: "kpkts/s"}
-	bytesPerConn := measure.Series{Label: "KB/conn"}
-	evicts := measure.Series{Label: "FD evictions (k)"}
-	sinkEvicts := measure.Series{Label: "sink evictions (k)"}
-	for i, f := range udpFuts {
-		pv, err := f.wait()
+	var tcpSeries []measure.Series
+	for vi, v := range tcpVariants {
+		pts, err := awaitPoints(tcpFuts[vi])
 		if err != nil {
 			return nil, err
 		}
-		x := i + 1
-		udpTput.X = append(udpTput.X, x)
-		udpTput.Points = append(udpTput.Points, pv.res)
-		kpkts.X = append(kpkts.X, x)
-		kpkts.Points = append(kpkts.Points,
-			measure.Result{Mean: float64(pv.agg.Packets) * 1e6 / float64(p.MeasureNs)})
-		bytesPerConn.X = append(bytesPerConn.X, x)
+		tcpSeries = append(tcpSeries, series(v.label, pts, nil))
+	}
+	udp, err := awaitPoints(udpFuts)
+	if err != nil {
+		return nil, err
+	}
+	bytesPerConn := measure.Series{Label: "KB/conn"}
+	for i, pv := range udp {
+		bytesPerConn.X = append(bytesPerConn.X, i+1)
 		bytesPerConn.Points = append(bytesPerConn.Points,
 			measure.Result{Mean: pv.res.Mean * float64(p.MeasureNs) / (8e3 * 1024 * float64(udpLadder[i]))})
-		evicts.X = append(evicts.X, x)
-		evicts.Points = append(evicts.Points,
-			measure.Result{Mean: float64(pv.agg.FlowEvicts) / 1e3})
-		sinkEvicts.X = append(sinkEvicts.X, x)
-		sinkEvicts.Points = append(sinkEvicts.Points,
-			measure.Result{Mean: float64(pv.agg.SinkEvicts) / 1e3})
 	}
 
 	tcpTitle := "Extension: TCP receive with idle connections — timer architecture (Mbit/s)"
@@ -150,86 +127,17 @@ func runExtScale(p Params) ([]measure.Table, error) {
 	for i, n := range udpLadder {
 		udpTitle += fmt.Sprintf(" | x=%d: %d conns", i+1, n)
 	}
-
 	return []measure.Table{
 		{Title: tcpTitle, XLabel: "ladder", YLabel: "Mbit/s", Series: tcpSeries},
 		{Title: udpTitle, XLabel: "ladder", YLabel: "Mbit/s",
-			Series: []measure.Series{udpTput}},
+			Series: []measure.Series{series("Flow Director", udp, nil)}},
 		{Title: "Extension: scale-out accounting (bounded exact state + sketch totals)",
 			XLabel: "ladder", YLabel: "value",
-			Series: []measure.Series{kpkts, bytesPerConn, evicts, sinkEvicts}},
+			Series: []measure.Series{
+				series("kpkts/s", udp, func(rr core.RunResult) float64 { return float64(rr.Packets) * 1e6 / float64(p.MeasureNs) }),
+				bytesPerConn,
+				series("FD evictions (k)", udp, func(rr core.RunResult) float64 { return float64(rr.FlowEvicts) / 1e3 }),
+				series("sink evictions (k)", udp, func(rr core.RunResult) float64 { return float64(rr.SinkEvicts) / 1e3 }),
+			}},
 	}, nil
-}
-
-// ScalePoint is one committed BENCH_scale.json measurement.
-type ScalePoint struct {
-	Conns        int     `json:"conns"`
-	Mbps         float64 `json:"mbps"`
-	KPktsPerSec  float64 `json:"kpkts_per_sec"`
-	BytesPerConn float64 `json:"bytes_per_conn"`
-	FlowEvicts   int64   `json:"flow_evicts"`
-	SinkEvicts   int64   `json:"sink_evicts"`
-	HostMs       int64   `json:"host_ms"`
-}
-
-// TCPScalePoint is one TCP idle-connection bench point: scan vs wheel.
-type TCPScalePoint struct {
-	Conns     int     `json:"conns"`
-	ScanMbps  float64 `json:"scan_mbps"`
-	WheelMbps float64 `json:"wheel_mbps"`
-	HostMs    int64   `json:"host_ms"`
-}
-
-// ScaleBench is the committed scale benchmark artifact.
-type ScaleBench struct {
-	GoVersion string          `json:"go_version"`
-	GOOS      string          `json:"goos"`
-	GOARCH    string          `json:"goarch"`
-	Ladder    []ScalePoint    `json:"ladder"`
-	TCP       []TCPScalePoint `json:"tcp"`
-}
-
-// RunScaleBench measures the scale ladders sequentially (each point's
-// host wall-clock is part of the artifact, so points must not share the
-// host) and returns the committed-benchmark structure.
-func RunScaleBench(p Params) (ScaleBench, error) {
-	b := ScaleBench{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
-	for _, n := range scaleLadder(p) {
-		start := time.Now()
-		res, agg, err := core.Measure(scaleUDP(p, n), p.WarmupNs, p.MeasureNs, p.Runs)
-		if err != nil {
-			return b, fmt.Errorf("scale bench %d conns: %w", n, err)
-		}
-		b.Ladder = append(b.Ladder, ScalePoint{
-			Conns:        n,
-			Mbps:         res.Mean,
-			KPktsPerSec:  float64(agg.Packets) * 1e6 / float64(p.MeasureNs),
-			BytesPerConn: res.Mean * float64(p.MeasureNs) / (8e3 * float64(n)),
-			FlowEvicts:   agg.FlowEvicts,
-			SinkEvicts:   agg.SinkEvicts,
-			HostMs:       time.Since(start).Milliseconds(),
-		})
-	}
-	for _, n := range tcpScaleLadder(p) {
-		start := time.Now()
-		scan, _, err := core.Measure(scaleTCP(p, n, false, false), p.WarmupNs, p.MeasureNs, p.Runs)
-		if err != nil {
-			return b, fmt.Errorf("tcp scale bench %d conns (scan): %w", n, err)
-		}
-		wheel, _, err := core.Measure(scaleTCP(p, n, true, true), p.WarmupNs, p.MeasureNs, p.Runs)
-		if err != nil {
-			return b, fmt.Errorf("tcp scale bench %d conns (wheel): %w", n, err)
-		}
-		b.TCP = append(b.TCP, TCPScalePoint{
-			Conns:     n,
-			ScanMbps:  scan.Mean,
-			WheelMbps: wheel.Mean,
-			HostMs:    time.Since(start).Milliseconds(),
-		})
-	}
-	return b, nil
 }

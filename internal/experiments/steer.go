@@ -25,23 +25,11 @@ import (
 // policies).
 const steerGapNs = 150_000
 
-// steerPolicies is the swept policy family, packet-level first as the
-// paper-faithful baseline.
-func steerPolicies() []steer.Policy {
-	return []steer.Policy{
-		steer.PolicyPacket,
-		steer.PolicyRSS,
-		steer.PolicyFlowDirector,
-		steer.PolicyRebalance,
-	}
-}
-
 // steeredUDP configures one steered receive point: many connections,
 // churning heavy-tailed flows.
 func steeredUDP(pol steer.Policy, conns int) core.Config {
 	cfg := baselineUDP(core.SideRecv)
 	cfg.PacketSize = 1024
-	cfg.Checksum = true
 	cfg.Connections = conns
 	cfg.Steer.Enabled = true
 	cfg.Steer.Policy = pol
@@ -59,153 +47,99 @@ func steerSkew(cfg core.Config) core.Config {
 	return cfg
 }
 
-// submitSteerSweep schedules cfg at 1..MaxProcs processors with the
-// offered load scaled to the processor count. Connections stay fixed —
-// steering studies many connections per processor, so the standard
-// Connections-follow-procs sweep rule does not apply.
-func submitSteerSweep(cfg core.Config, p Params) []*pointFuture {
-	futs := make([]*pointFuture, 0, p.MaxProcs)
-	for n := 1; n <= p.MaxProcs; n++ {
-		c := cfg
-		c.Procs = n
-		c.Seed = p.Seed
-		c.Workload.ArrivalGapNs = steerGapNs / int64(n)
-		futs = append(futs, submitPoint(c, p))
-	}
-	return futs
+// atMaxProcs readies a ladder point, which runs once at the top of the
+// processor range with the offered load scaled to it.
+func atMaxProcs(cfg core.Config, p Params) core.Config {
+	cfg.Procs = p.MaxProcs
+	cfg.Seed = p.Seed
+	cfg.Workload.ArrivalGapNs = steerGapNs / int64(p.MaxProcs)
+	return cfg
 }
 
-func runExtSteer(p Params) ([]measure.Table, error) {
-	conns := 256
+// steerConns is the sweeps' connection count: many per processor, held
+// fixed across the sweep.
+const steerConns = 256
 
-	// Two sweep families per policy: uniform load, and skewed load
-	// with app migration. The skew futures back three tables
-	// (throughput, imbalance, misordering) — futures are
-	// multi-awaitable, so each is simulated once.
-	var labels []string
-	var uniFuts, skewFuts [][]*pointFuture
-	for _, pol := range steerPolicies() {
-		labels = append(labels, pol.String())
-		uniFuts = append(uniFuts, submitSteerSweep(steeredUDP(pol, conns), p))
-		skewFuts = append(skewFuts, submitSteerSweep(steerSkew(steeredUDP(pol, conns)), p))
+// steerSweeps is two families per policy: uniform load, and skewed load
+// with app migration. The skewed points back three tables (throughput,
+// imbalance, misordering).
+func steerSweeps() []Sweep {
+	var curves []Curve
+	for _, pol := range []steer.Policy{ // packet-level first, as the paper-faithful baseline
+		steer.PolicyPacket, steer.PolicyRSS, steer.PolicyFlowDirector, steer.PolicyRebalance,
+	} {
+		curves = append(curves, Curve{Label: pol.String(), Set: func(c *core.Config) { c.Steer.Policy = pol }})
 	}
+	base := steeredUDP(steer.PolicyPacket, steerConns)
+	return []Sweep{
+		{
+			Base: base, Curves: curves, GapNs: steerGapNs,
+			Views: []View{{Title: "Extension: steered UDP receive, uniform load (1KB, 256 conns)", YLabel: "Mbit/s"}},
+		},
+		{
+			Base: steerSkew(base), Curves: curves, GapNs: steerGapNs,
+			Views: []View{
+				{Title: "Extension: steered UDP receive, skewed load + app migration", YLabel: "Mbit/s"},
+				{Title: "Extension: delivered-load imbalance under skew (100*(max-mean)/mean)", YLabel: "imbalance %",
+					Stat: func(rr core.RunResult) float64 { return rr.ImbalancePct }},
+				{Title: "Extension: misordered packets under skew (Table 1 analogue)", YLabel: "% misordered", Stat: oooPct},
+			},
+		},
+	}
+}
 
+// runSteerLadders measures what is not a processor sweep: two ladders of
+// single skewed points at MaxProcs.
+func runSteerLadders(p Params) ([]measure.Table, error) {
 	// Quiescence ladder: the rebalancer's post-migration hold trades
 	// misordering (remap rate) against peak queue imbalance (reaction
-	// time). Single skewed point at MaxProcs per delay, sampled fast
-	// enough that the hold, not the sampling period, bounds the rate.
+	// time), sampled fast enough that the hold, not the sampling period,
+	// bounds the rate.
 	quiescences := []int64{0, 1_000_000, 5_000_000}
+	quiTitle := "Extension: rebalancer quiescence delay ladder"
 	var quiFuts []*pointFuture
-	for _, q := range quiescences {
-		cfg := steerSkew(steeredUDP(steer.PolicyRebalance, conns))
-		cfg.Procs = p.MaxProcs
-		cfg.Seed = p.Seed
-		cfg.Workload.ArrivalGapNs = steerGapNs / int64(p.MaxProcs)
+	for i, q := range quiescences {
+		cfg := atMaxProcs(steerSkew(steeredUDP(steer.PolicyRebalance, steerConns)), p)
 		cfg.Steer.RebalancePeriodNs = 200_000
 		cfg.Steer.ImbalanceThresholdPct = 20
 		cfg.Steer.QuiescenceNs = q
 		quiFuts = append(quiFuts, submitPoint(cfg, p))
-	}
-
-	// Connection scaling at MaxProcs: the bounded flow table thrashes
-	// as connections outgrow it, RSS is insensitive.
-	connLadder := []int{64, 256, 1024, 4096}
-	var connFuts [][]*pointFuture
-	connPolicies := []steer.Policy{steer.PolicyRSS, steer.PolicyFlowDirector}
-	for _, pol := range connPolicies {
-		var fs []*pointFuture
-		for _, n := range connLadder {
-			cfg := steerSkew(steeredUDP(pol, n))
-			cfg.Procs = p.MaxProcs
-			cfg.Seed = p.Seed
-			cfg.Workload.ArrivalGapNs = steerGapNs / int64(p.MaxProcs)
-			fs = append(fs, submitPoint(cfg, p))
-		}
-		connFuts = append(connFuts, fs)
-	}
-
-	uniSeries, err := awaitAll(labels, uniFuts)
-	if err != nil {
-		return nil, err
-	}
-	skewSeries, err := awaitAll(labels, skewFuts)
-	if err != nil {
-		return nil, err
-	}
-	var imbalSeries, oooSeries []measure.Series
-	for i, fs := range skewFuts {
-		s, err := awaitAggSeries(labels[i], fs, func(rr core.RunResult) float64 { return rr.ImbalancePct })
-		if err != nil {
-			return nil, err
-		}
-		imbalSeries = append(imbalSeries, s)
-		s, err = awaitAggSeries(labels[i], fs, func(rr core.RunResult) float64 { return rr.OOOPct })
-		if err != nil {
-			return nil, err
-		}
-		oooSeries = append(oooSeries, s)
-	}
-
-	quiImbal := measure.Series{Label: "peak queue imbalance %"}
-	quiOOO := measure.Series{Label: "misordered %"}
-	for i, f := range quiFuts {
-		pv, err := f.wait()
-		if err != nil {
-			return nil, err
-		}
-		quiImbal.X = append(quiImbal.X, i+1)
-		quiImbal.Points = append(quiImbal.Points, measure.Result{Mean: pv.agg.PeakQueuePct})
-		quiOOO.X = append(quiOOO.X, i+1)
-		quiOOO.Points = append(quiOOO.Points, measure.Result{Mean: pv.agg.OOOPct})
-	}
-
-	var connSeries []measure.Series
-	for i, fs := range connFuts {
-		s := measure.Series{Label: connPolicies[i].String()}
-		for j, f := range fs {
-			pv, err := f.wait()
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, j+1)
-			s.Points = append(s.Points, pv.res)
-		}
-		connSeries = append(connSeries, s)
-	}
-
-	quiTitle := "Extension: rebalancer quiescence delay ladder"
-	for i, q := range quiescences {
 		quiTitle += fmt.Sprintf(" | x=%d: %dus", i+1, q/1000)
 	}
+
+	// Connection scaling: the bounded flow table thrashes as connections
+	// outgrow it, RSS is insensitive.
+	connLadder := []int{64, 256, 1024, 4096}
+	connPolicies := []steer.Policy{steer.PolicyRSS, steer.PolicyFlowDirector}
 	connTitle := "Extension: connection scaling under skew (Mbit/s at max procs)"
+	connFuts := make([][]*pointFuture, len(connPolicies))
 	for i, n := range connLadder {
+		for pi, pol := range connPolicies {
+			connFuts[pi] = append(connFuts[pi], submitPoint(atMaxProcs(steerSkew(steeredUDP(pol, n)), p), p))
+		}
 		connTitle += fmt.Sprintf(" | x=%d: %d conns", i+1, n)
 	}
 
+	qui, err := awaitPoints(quiFuts)
+	if err != nil {
+		return nil, err
+	}
+	var connSeries []measure.Series
+	for pi, pol := range connPolicies {
+		pts, err := awaitPoints(connFuts[pi])
+		if err != nil {
+			return nil, err
+		}
+		connSeries = append(connSeries, series(pol.String(), pts, nil))
+	}
 	return []measure.Table{
 		{
-			Title:  "Extension: steered UDP receive, uniform load (1KB, 256 conns)",
-			XLabel: "procs", YLabel: "Mbit/s", Series: uniSeries,
+			Title: quiTitle, XLabel: "ladder", YLabel: "percent",
+			Series: []measure.Series{
+				series("peak queue imbalance %", qui, func(rr core.RunResult) float64 { return rr.PeakQueuePct }),
+				series("misordered %", qui, oooPct),
+			},
 		},
-		{
-			Title:  "Extension: steered UDP receive, skewed load + app migration",
-			XLabel: "procs", YLabel: "Mbit/s", Series: skewSeries,
-		},
-		{
-			Title:  "Extension: delivered-load imbalance under skew (100*(max-mean)/mean)",
-			XLabel: "procs", YLabel: "imbalance %", Series: imbalSeries,
-		},
-		{
-			Title:  "Extension: misordered packets under skew (Table 1 analogue)",
-			XLabel: "procs", YLabel: "% misordered", Series: oooSeries,
-		},
-		{
-			Title:  quiTitle,
-			XLabel: "ladder", YLabel: "percent", Series: []measure.Series{quiImbal, quiOOO},
-		},
-		{
-			Title:  connTitle,
-			XLabel: "ladder", YLabel: "Mbit/s", Series: connSeries,
-		},
+		{Title: connTitle, XLabel: "ladder", YLabel: "Mbit/s", Series: connSeries},
 	}, nil
 }
