@@ -23,7 +23,7 @@ import (
 var examples = []string{
 	"xkprof -proto tcp -side recv -procs 8 -lock mcs",
 	"xkprof -proto tcp -side recv -procs 8 -refs locked -msgcache=false -machine power33",
-	"xkprof -proto tcp -side recv -conns 4096 -active 8 -timerwheel -pool",
+	"xkprof -proto tcp -side recv -conns 4096 -active 8",
 	"xkprof -steer fdir -conns 100000 -compactslots 8192 -flowpkts 512",
 	"xkprof -batch -batchsegs 8 -proto udp -side recv",
 	"xkprof -trace out.json -sample 1000000 -series series.csv",

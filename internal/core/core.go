@@ -114,20 +114,10 @@ type Config struct {
 	Ticketing          bool // implies an order-requiring application
 	NoHeaderPrediction bool
 	AckEvery           int
-	// TimerWheel replaces TCP's scan-based slow/fast timers with the
-	// hierarchical timing wheel: per-TCB scheduled events, so a tick
-	// costs O(expiring timers) instead of O(connections). Off by
-	// default — the scan path is the paper's measured baseline and
-	// stays byte-identical to the seed.
-	TimerWheel bool
-	// PoolTCBs recycles time-wait-reaped connection state through a
-	// free list (wheel mode only), bounding allocation churn under
-	// connection turnover.
-	PoolTCBs bool
 	// ActiveConns caps how many connections the pumps drive; the rest
 	// stay established but idle — the timer-scale ladder, where idle
-	// connections cost the scan timers O(N) per tick and the wheel
-	// nothing. 0 drives all connections.
+	// connections must cost a timer tick nothing. 0 drives all
+	// connections.
 	ActiveConns int
 
 	// Infrastructure structure.
@@ -424,8 +414,6 @@ func Build(c Config) (*Stack, error) {
 			Ticketing:          cfg.Ticketing,
 			NoHeaderPrediction: cfg.NoHeaderPrediction,
 			AckEvery:           cfg.AckEvery,
-			TimerWheel:         cfg.TimerWheel,
-			PoolTCBs:           cfg.PoolTCBs,
 			Buckets:            demuxBuckets(cfg),
 		}, tcpOpener{s.IP}, s.Alloc, s.Wheel)
 	}
@@ -443,9 +431,9 @@ func Build(c Config) (*Stack, error) {
 
 // demuxBuckets sizes the transport demux table from the connection
 // count — max(64, next power of two >= 2x Connections) — so chains stay
-// short at 100k connections without growth (growth reorders scan-mode
-// timer iteration). The floor of 64 (the x-kernel default) keeps every
-// small-connection shape on the seed's table size.
+// short at 100k connections without growth. The floor of 64 (the
+// x-kernel default) keeps every small-connection shape on the seed's
+// table size.
 func demuxBuckets(cfg *Config) int {
 	b := 64
 	for b < 2*cfg.Connections {

@@ -29,9 +29,9 @@ func TestGoldenCalibration(t *testing.T) {
 		wantOOO  float64
 	}{
 		{"udp-send-4p", ProtoUDP, SideSend, 4, sim.KindMutex, 463.273984, 0},
-		{"tcp-recv-8p-mutex", ProtoTCP, SideRecv, 8, sim.KindMutex, 235.798528, 66.129480},
-		{"tcp-recv-8p-mcs", ProtoTCP, SideRecv, 8, sim.KindMCS, 323.813376, 14.282824},
-		{"tcp-send-4p", ProtoTCP, SideSend, 4, sim.KindMutex, 190.709760, 0},
+		{"tcp-recv-8p-mutex", ProtoTCP, SideRecv, 8, sim.KindMutex, 235.601920, 66.861273},
+		{"tcp-recv-8p-mcs", ProtoTCP, SideRecv, 8, sim.KindMCS, 325.779456, 13.555913},
+		{"tcp-send-4p", ProtoTCP, SideSend, 4, sim.KindMutex, 190.513152, 0},
 	}
 	for _, tc := range cases {
 		tc := tc

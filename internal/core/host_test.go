@@ -47,6 +47,13 @@ func TestHostBackendSmoke(t *testing.T) {
 			cfg.Ticketing = true
 			return cfg
 		}()},
+		// The timer wheel and the connection free list on real
+		// goroutines: 2 046 connections only ever tick.
+		{"tcp-recv-2048-idle", func() Config {
+			cfg := hostConfig(ProtoTCP, SideRecv, sim.KindMutex, 2, 2048)
+			cfg.ActiveConns = 2
+			return cfg
+		}()},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -107,8 +114,6 @@ func TestHostBackendRejects(t *testing.T) {
 			c.Proto, c.Side = ProtoTCP, SideRecv
 			c.Faults = driver.FaultConfig{Down: driver.FaultRates{Drop: 0.01}}
 		}},
-		{"timer-wheel", "-timerwheel", func(c *Config) { c.Proto = ProtoTCP; c.TimerWheel = true }},
-		{"tcb-pool", "-pool", func(c *Config) { c.Proto = ProtoTCP; c.PoolTCBs = true }},
 		{"trace", "packet flight recorder", func(c *Config) { c.Trace = true }},
 		{"telemetry", "-sample", func(c *Config) { c.SamplePeriodNs = 1_000_000 }},
 		{"unwired", "-wired", func(c *Config) { c.Wired = false }},

@@ -81,14 +81,6 @@ var knobs = []knob{
 	{flag: "backend", group: "substrate", doc: "execution substrate: sim (deterministic virtual time) or host (real goroutines, plain packet-level shapes only; -warmup/-measure become wall-clock ms, so keep them short)",
 		dest: func(c *Config) any { return &c.Backend }},
 
-	{flag: "timerwheel", group: "scale-out", doc: "TCP: hierarchical timing wheel instead of scan-based timers (O(expiring) per tick)",
-		dest:    func(c *Config) any { return &c.TimerWheel },
-		hostWhy: hostSerialized,
-		hostBad: func(c *Config) bool { return c.TimerWheel }},
-	{flag: "pool", group: "scale-out", doc: "TCP: recycle time-wait-reaped connection state through a free list (needs -timerwheel)",
-		dest:    func(c *Config) any { return &c.PoolTCBs },
-		hostWhy: hostSerialized,
-		hostBad: func(c *Config) bool { return c.PoolTCBs }},
 	{flag: "active", group: "scale-out", doc: "pump only the first N connections; the rest stay established but idle (0: all)",
 		dest: func(c *Config) any { return &c.ActiveConns }},
 	{flag: "compactslots", group: "scale-out", doc: "steered sink: bound exact per-flow accounting to a direct-mapped table of N slots (0: exact)",

@@ -52,7 +52,10 @@ func TestSetupAllocsPerConn(t *testing.T) {
 	}
 
 	// Measured on the tree before slabs (PR 16, go1.24): a change that
-	// has to raise these has made every small run's set-up dearer.
+	// has to raise these has made every small run's set-up dearer. (One
+	// has: TCP's ceiling was 622 and 123400 before the tick wheel, whose
+	// slot heads every TCP stack now carries, became the only timer; it
+	// reads 623 and 125088, 125296 under the race detector.)
 	udp := DefaultConfig()
 	udp.Side = SideRecv
 	tcp := udp
@@ -63,7 +66,7 @@ func TestSetupAllocsPerConn(t *testing.T) {
 		maxMallocs, maxBytes uint64
 	}{
 		{"udp", udp, 612, 121448},
-		{"tcp", tcp, 622, 123400},
+		{"tcp", tcp, 623, 125296},
 	} {
 		if m, b := setupCost(t, c.cfg); m > c.maxMallocs || b > c.maxBytes {
 			t.Errorf("one-connection %s set-up: %d mallocs, %d bytes; want at most %d and %d",

@@ -34,32 +34,32 @@ func digestParams() Params {
 var catalogueDigests = map[string]string{
 	"fig02-03":          "644c19b48b2b42a2d6ec47542c11babf617e838023ecd8ca9e69f16412bce676",
 	"fig04-05":          "d31f8cb02062d490fe3f145e04927c84511a3d9c650dc226cc9af9279b0a8cca",
-	"fig06-07":          "e1fe3d407d6bd4b9962bbe39e9842f24c04b7216c9d24cb41972a2d74cb3e333",
-	"fig08-09":          "76ee0a77d045267cc7e193a0e176bdbdbb8cdb32c2bdc81329d567f9a787eebf",
-	"fig10":             "f7e7cd9bf8003ed4676bd2608a74033ad20c2062b98e8eb6e8f8273056283ed2",
-	"table1":            "9a0ef45c2d5bb84e4f537cac73f83f9de6f50ff0934357a7fa628d552b6c40e1",
-	"fig11":             "7f79483cce6706407b89814d93a42997464b8f37f21729024a4a02520528604c",
-	"fig12":             "4cea4409d925bd33d6b4ac5e240ba055865d8a4fe3f28210ba99d894ae1b46a4",
-	"fig13":             "2a9aca4ad7bdc5f3bd721bcb15b49ed8fafad5e3ae90517116df7b408ab39b9a",
-	"fig14":             "3ddf88be3821fbdf5523a5092eee8206f9c5e11636dd4a08bd51a8599ea630eb",
-	"fig15":             "7468e6d64d8455fb04fe743d4c4695b26ea0e4186c857364706d5e0eff713d65",
-	"fig16":             "9a2a6464d67ed8157877783c5efc265fc07e7c1e97ecc770f44f010c86c5436f",
-	"fig17-18":          "3ff4103db3c27ad79a849c692954c50cb8eec420fe802873b257ad2b94beeb09",
+	"fig06-07":          "9f4aff4c45e338a04bf0c1ebebeb2f28e226399f7897524c2102c3cb717f9a2e",
+	"fig08-09":          "d91e27418c0677e22308cd958098dbf2f750a3978938d3b6623e0bfda547ba8d",
+	"fig10":             "813e357a5c3d99c0cd2afd2123a5f9a881d0db675e8701df8d994614657d7d4a",
+	"table1":            "a363a8e7794e512a16aa3e04797fe11f698703ac7519adc4c51dcdde4d8da5e1",
+	"fig11":             "311e08af0c4e45016e717f3df0be21f2ba4624b665d451798669c2a6e98b42ef",
+	"fig12":             "d0507c6f3cf45d230b7a8eb782049af99dd4e5245cbddde85792f97d89f3fb80",
+	"fig13":             "30519666607830216b1128137accc21602416fccddc60e26d5b5c67fd06602ac",
+	"fig14":             "e2f0427ed3067d0f333029c9bf8e4e749a7f3ea0da619b0eddfce4172d79a558",
+	"fig15":             "e8ee347a841c552ad2764b14200e07ec1ddf2a6184dbbecaf7d54e862ffa9b44",
+	"fig16":             "f79076c8c75c6d5c10ca7361e7f3c7ba2252e4b037ca4077e57e06cfc083019f",
+	"fig17-18":          "b96cbc9a3f1856687c2d2937f49c46dd58d42ef238f60d18cbca27723f55c2f9",
 	"sec3.2-checksum":   "9138e06d6c36c035049728ae2ab8bd6419b183a48ac9f39d7238fdd019b063af",
 	"sec3-wiring":       "9cfb0798f08e74f02c7683cc06625a682e3613c24f192bd91784c6e846c7ed28",
 	"sec3.1-maplock":    "f7740934bce8d9e7a75d32a8c7bb068deb41f4e0d4f7b70368a32fb66bce0f5f",
-	"sec4.1-wireorder":  "ec3b94f9b8eb6da15fd10929c98535b01ba79e13538c408e39c78fe2b1515ae3",
-	"ablation-fifo":     "99e4e465d556a8755643e6d611de76384d0c5cfbfa977a2cd0229c35b144ec5c",
+	"sec4.1-wireorder":  "29cfe53745173ae6f73b359bf99f48f25bc7ef35aceb5441ad38df07e8e1b74d",
+	"ablation-fifo":     "130eaf22e062f0b7f2d0d5e1f3bbcb497f09969eea8a89a9009efe2c84885ed0",
 	"ablation-mapcache": "0c21a39120be15846cac0b1d6b8cdb760191bf6deee3ca55c78537ab8af45827",
-	"ablation-ackrate":  "3113546c3e9a0d32d457ec4d2dd01f7c602ff1133339f11ba2fcc62be89ef1af",
-	"ablation-hdrpred":  "b1de64fee877c33a6407c38c40fb94895acb7ca64b280e15f797b651c8c404db",
-	"ext-skew":          "8981f7c71d2c905049d5fc0d1c8b2af8f1235f7c6c4f2947116affbf35ce5cd9",
-	"ext-strategies":    "fc9d8cddc173057d50d20b7e0ea3e3287400a10476bb556eb292e5d78502f9af",
-	"ext-loss":          "1787f52562da604d19cbd1df729362b2f19f5ec713fc4a6913001dd2a6c1e1d9",
+	"ablation-ackrate":  "03e214a213cfb42994200281a91025939b3908bf580e0917adbcca2995da362f",
+	"ablation-hdrpred":  "2efb0ddd9dc34fe131ad02f620e58ae75a2941256e7d23c868b06a2f0a0871bd",
+	"ext-skew":          "a440f186cd16e4c0f7cd4e1f37536de9be3b8f38fe61136d734596bb664a27a3",
+	"ext-strategies":    "c92a1a935892aca4b73cc247427c2f5d85d3706fee8f138ba624246e8c67f6fa",
+	"ext-loss":          "c1342f42e6c61bf4e6c4e4bf7d7e57ded5f2456e542ee22b1e61222507eda2e8",
 	"ext-steer":         "3babf626480b57b4985d92db08a27d02b1497a3e4cad375b7849906b2c145ebf",
-	"ext-batch":         "ae01c10ba9ccc334ce235eb1f034e34cc00cb253062d8314cf4c01fd420a2880",
-	"ext-scale":         "a482c3667ea35f7acc6e37ab066f9052796ed3458ce1b2ab0b9d24176f752382",
-	"ablation-wheel":    "901a2bd5af57afa5ec497ace1deda5c2cdf9f45bdde5472488b1d5fa1e0a1a38",
+	"ext-batch":         "d07fb293929db351f46ca63f6370ce11657842d0c3a768f4ea33d31d43024fd2",
+	"ext-scale":         "27d471cd63a2fb8431ca2444cb13543cf0f625b32395c1ef92c385db7553985a",
+	"ablation-wheel":    "1e40711f788c24c69d7a391a2d0e87dd2739c030a768f609d650446c719003ad",
 }
 
 // TestCatalogueDigest is the in-tree twin of CI's results_full.txt

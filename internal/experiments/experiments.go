@@ -490,8 +490,8 @@ func specs() []Spec {
 		},
 		{
 			ID:      "ext-scale",
-			Figures: "(extension; hierarchical timing wheel + pooled state)",
-			Brief:   "Million-flow scale-out: idle-connection timer cost scan vs wheel, steered UDP swept 1k-1M connections",
+			Figures: "(extension; connection-count scale-out)",
+			Brief:   "Million-flow scale-out: TCP receive flat across idle connections, steered UDP swept 1k-1M connections",
 			Extra:   runExtScale,
 		},
 		{

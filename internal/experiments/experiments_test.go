@@ -123,3 +123,29 @@ func TestDefaultAndQuickParams(t *testing.T) {
 		t.Error("quick params not quicker")
 	}
 }
+
+// TestExtScaleTCPCurveFlat: idle connections must cost a timer tick
+// nothing — ext-scale's TCP curve is flat across its ladder, over a
+// window that holds several heartbeats of both cadences (BSD's
+// per-tick scan of every connection lost 4 % by 8 192).
+func TestExtScaleTCPCurveFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sets up 8 192 handshakes")
+	}
+	p := tiny()
+	p.WarmupNs, p.MeasureNs = 300_000_000, 1_200_000_000
+	p.ScaleConns = []int{64, 8192}
+	s, _ := Lookup("ext-scale")
+	tables, err := s.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := tables[0].Series[0]
+	if len(tables[0].Series) != 1 || len(curve.Points) != 2 {
+		t.Fatalf("TCP idle ladder: %d curves of %d rungs, want one of two", len(tables[0].Series), len(curve.Points))
+	}
+	first, last := curve.Points[0].Mean, curve.Points[1].Mean
+	if first <= 0 || last < 0.99*first || last > 1.01*first {
+		t.Errorf("%s: %.2f Mb/s at 64 connections, %.2f at 8192: not flat within 1 %%", curve.Label, first, last)
+	}
+}

@@ -5,11 +5,11 @@ package experiments
 // count to 100k+ and measures what breaks. Two ladders:
 //
 //   - TCP receive with idle connections: N connections complete their
-//     handshakes but only the first Procs are pumped. The seed's
-//     scan-based timers walk every TCB each 200/500 ms virtual tick
-//     while holding the demux map lock, so idle connections tax every
-//     arriving packet; the hierarchical timing wheel makes a tick cost
-//     O(expiring timers) and the idle ladder flat.
+//     handshakes but only the first Procs are pumped. The timers sit on
+//     a hierarchical timing wheel, so a 200/500 ms virtual tick costs
+//     O(expiring timers), idle connections tax no arriving packet, and
+//     the ladder is flat (BSD's scan of every TCB under the demux map
+//     lock was not: EXPERIMENTS.md keeps its measured tax).
 //
 //   - Steered UDP scale-out: the many-connection steering workload with
 //     the connection count swept 1k -> 100k+. Exact per-flow state is
@@ -54,15 +54,13 @@ func tcpScaleLadder(p Params) []int {
 
 // scaleTCP configures one TCP idle-connection point: conns established,
 // only the first Procs pumped.
-func scaleTCP(p Params, conns int, wheel, pool bool) core.Config {
+func scaleTCP(p Params, conns int) core.Config {
 	cfg := baselineTCP(core.SideRecv)
 	cfg.PacketSize = 1024
 	cfg.Checksum = false
 	cfg.Procs = p.MaxProcs
 	cfg.Connections = conns
 	cfg.ActiveConns = p.MaxProcs
-	cfg.TimerWheel = wheel
-	cfg.PoolTCBs = pool
 	cfg.Seed = p.Seed
 	return cfg
 }
@@ -79,34 +77,19 @@ func runExtScale(p Params) ([]measure.Table, error) {
 	tcpLadder := tcpScaleLadder(p)
 	udpLadder := scaleLadder(p)
 
-	// TCP idle-connection ladder, three timer variants. All points are
-	// in flight on the worker pool at once.
-	tcpVariants := []struct {
-		label       string
-		wheel, pool bool
-	}{
-		{"scan timers (seed)", false, false},
-		{"timing wheel", true, false},
-		{"wheel + pooled TCBs", true, true},
-	}
-	tcpFuts := make([][]*pointFuture, len(tcpVariants))
-	for vi, v := range tcpVariants {
-		for _, n := range tcpLadder {
-			tcpFuts[vi] = append(tcpFuts[vi], submitPoint(scaleTCP(p, n, v.wheel, v.pool), p))
-		}
+	// All points of both ladders are in flight on the worker pool at once.
+	var tcpFuts []*pointFuture
+	for _, n := range tcpLadder {
+		tcpFuts = append(tcpFuts, submitPoint(scaleTCP(p, n), p))
 	}
 	var udpFuts []*pointFuture
 	for _, n := range udpLadder {
 		udpFuts = append(udpFuts, submitPoint(scaleUDP(p, n), p))
 	}
 
-	var tcpSeries []measure.Series
-	for vi, v := range tcpVariants {
-		pts, err := awaitPoints(tcpFuts[vi])
-		if err != nil {
-			return nil, err
-		}
-		tcpSeries = append(tcpSeries, series(v.label, pts, nil))
+	tcp, err := awaitPoints(tcpFuts)
+	if err != nil {
+		return nil, err
 	}
 	udp, err := awaitPoints(udpFuts)
 	if err != nil {
@@ -119,7 +102,7 @@ func runExtScale(p Params) ([]measure.Table, error) {
 			measure.Result{Mean: pv.res.Mean * float64(p.MeasureNs) / (8e3 * 1024 * float64(udpLadder[i]))})
 	}
 
-	tcpTitle := "Extension: TCP receive with idle connections — timer architecture (Mbit/s)"
+	tcpTitle := "Extension: TCP receive with idle connections (Mbit/s)"
 	for i, n := range tcpLadder {
 		tcpTitle += fmt.Sprintf(" | x=%d: %d conns", i+1, n)
 	}
@@ -128,7 +111,8 @@ func runExtScale(p Params) ([]measure.Table, error) {
 		udpTitle += fmt.Sprintf(" | x=%d: %d conns", i+1, n)
 	}
 	return []measure.Table{
-		{Title: tcpTitle, XLabel: "ladder", YLabel: "Mbit/s", Series: tcpSeries},
+		{Title: tcpTitle, XLabel: "ladder", YLabel: "Mbit/s",
+			Series: []measure.Series{series("TCP receive, N idle connections", tcp, nil)}},
 		{Title: udpTitle, XLabel: "ladder", YLabel: "Mbit/s",
 			Series: []measure.Series{series("Flow Director", udp, nil)}},
 		{Title: "Extension: scale-out accounting (bounded exact state + sketch totals)",

@@ -87,7 +87,7 @@ func TestFastTimoZeroAllocs(t *testing.T) {
 				tcb := tcbs[next%conns]
 				next++
 				tcb.locks.lockState(th)
-				tcb.delAckPnd.Store(true)
+				tcb.delAckPnd = true
 				tcb.queueDelack(th)
 				tcb.locks.unlockState(th)
 			}

@@ -61,7 +61,7 @@ func NewBench(t *sim.Thread, cfg Config, alloc *msg.Allocator, n int) (*Protocol
 }
 
 // BenchArmTimer arms slow timer `which` to fire `ticks` slow heartbeats
-// out, through the architecture-dispatching setTimer.
+// out (ticks <= 0 disarms), taking the state lock setTimer needs.
 func (tcb *TCB) BenchArmTimer(t *sim.Thread, which, ticks int) {
 	tcb.locks.lockState(t)
 	tcb.setTimer(t, which, ticks)

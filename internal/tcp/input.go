@@ -215,7 +215,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				if tcb.unacked >= cfg.AckEvery {
 					needAckNow = true
 				} else {
-					tcb.delAckPnd.Store(true)
+					tcb.delAckPnd = true
 					tcb.queueDelack(t)
 				}
 			} else {
@@ -287,7 +287,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 	ackVal, win := tcb.rcvNxt, tcb.rcvWnd
 	if needAckNow {
 		tcb.unacked = 0
-		tcb.delAckPnd.Store(false)
+		tcb.delAckPnd = false
 		tcb.lastAckSent = ackVal
 	}
 	tcb.locks.unlockState(t)
@@ -323,11 +323,11 @@ func (tcb *TCB) ackPolicy(t *sim.Thread) (bool, uint32, uint32) {
 	tcb.unacked++
 	if tcb.unacked >= tcb.p.cfg.AckEvery {
 		tcb.unacked = 0
-		tcb.delAckPnd.Store(false)
+		tcb.delAckPnd = false
 		tcb.lastAckSent = tcb.rcvNxt
 		return true, tcb.rcvNxt, tcb.rcvWnd
 	}
-	tcb.delAckPnd.Store(true)
+	tcb.delAckPnd = true
 	tcb.queueDelack(t)
 	return false, 0, 0
 }

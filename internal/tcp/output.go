@@ -124,7 +124,7 @@ func (tcb *TCB) sendSegment(t *sim.Thread, m *msg.Message, flags uint8) error {
 		tcb.rttSeq = seqn
 	}
 	tcb.unacked = 0 // piggybacked ack below
-	tcb.delAckPnd.Store(false)
+	tcb.delAckPnd = false
 	if tcb.locks.layout != Layout6 {
 		// TCP-1/2: release the state lock before checksumming —
 		// "checksumming a packet is orthogonal to manipulating

@@ -222,25 +222,22 @@ type TCB struct {
 	rexmtQ []rexmtSeg
 	reassQ []reassSeg
 
-	// Delayed-ack state: data segments received since the last ACK.
-	// unacked is state-lock-protected; delAckPnd is atomic because the
-	// scan-mode fast timeout peeks at it without the state lock (the
-	// double-checked BSD pattern), which races pump threads on the host
-	// backend.
+	// Delayed-ack state, under the state lock: data segments received
+	// since the last ACK, whether a delayed ack is owed, and whether the
+	// connection already sits on the protocol's pending-ack list.
 	unacked   int
-	delAckPnd atomic.Bool
+	delAckPnd bool
+	onDelackQ bool
 
-	// Timers (BSD slow-tick counters) and RTT estimation. Scan mode
-	// uses the tick counters; wheel mode keeps the authoritative expiry
-	// in timerDeadline (absolute slow tick, 0 = disarmed) with one
-	// embedded wheel node per timer. A node may lag behind a pushed-out
+	// Timers and RTT estimation. timerDeadline is the authoritative
+	// expiry (absolute slow tick, 0 = disarmed), with one embedded wheel
+	// node per timer and, in timerParked, the tick that node was last
+	// armed at (0 = off the wheel). A node may lag behind a pushed-out
 	// deadline (re-arms that only extend are free); the expiry handler
 	// re-arms it lazily.
-	timers        [nTimers]int
 	timerDeadline [nTimers]int64
+	timerParked   [nTimers]int64
 	timerNode     [nTimers]event.TimerNode
-	onDelackQ     bool
-	released      bool
 	rxtShift      int
 	srtt          int64 // ns
 	rttvar        int64 // ns
@@ -263,14 +260,17 @@ type TCB struct {
 
 func newTCB(p *Protocol, part xkernel.Part, lower IPSession, up xkernel.Receiver) *TCB {
 	var tcb *TCB
+	p.freeMu.Lock()
 	if n := len(p.tcbFree); n > 0 {
-		// Recycle a reaped block: everything resets except the queue
-		// slices, whose capacity the last incarnation grew.
 		tcb = p.tcbFree[n-1]
 		p.tcbFree[n-1] = nil
 		p.tcbFree = p.tcbFree[:n-1]
-		rexQ, reaQ := tcb.rexmtQ[:0], tcb.reassQ[:0]
-		*tcb = TCB{rexmtQ: rexQ, reassQ: reaQ}
+	}
+	p.freeMu.Unlock()
+	if tcb != nil {
+		// Recycle a reaped block: everything resets except the queue
+		// slices, whose capacity the last incarnation grew.
+		*tcb = TCB{rexmtQ: tcb.rexmtQ[:0], reassQ: tcb.reassQ[:0]}
 	} else {
 		tcb = &TCB{}
 	}
@@ -280,10 +280,8 @@ func newTCB(p *Protocol, part xkernel.Part, lower IPSession, up xkernel.Receiver
 	tcb.up = up
 	tcb.locks = newLockSet(p.cfg.Layout, p.cfg.Kind)
 	tcb.state = stateClosed
-	if p.cfg.TimerWheel {
-		for i := range tcb.timerNode {
-			tcb.timerNode[i] = event.TimerNode{Arg: tcb, Which: i}
-		}
+	for i := range tcb.timerNode {
+		tcb.timerNode[i] = event.TimerNode{Arg: tcb, Which: i}
 	}
 	tcb.ref.Init(p.cfg.RefMode, 1)
 	tcb.mss = lower.MSS() - HdrLen
@@ -353,9 +351,9 @@ func (tcb *TCB) Close(t *sim.Thread) error {
 	case stateCloseWait:
 		tcb.state = stateLastAck
 	case stateListen, stateSynSent:
-		tcb.state = stateClosed
+		err := tcb.drop(t, "close")
 		tcb.unlockAll(t)
-		return tcb.drop(t, "close")
+		return err
 	case stateClosed:
 		tcb.unlockAll(t)
 		return nil
@@ -383,20 +381,19 @@ func (tcb *TCB) Abort(t *sim.Thread) {
 	tcb.unlockAll(t)
 }
 
-// drop tears the connection down and removes its demux binding. In
-// wheel mode every armed timer node is cancelled here, so a timer on a
-// closed connection can never fire (and a recycled block never inherits
-// its predecessor's timers).
+// drop tears the connection down and removes its demux binding. Every
+// parked timer node is cancelled here, so a timer on a closed connection
+// can never fire (and a recycled block never inherits its predecessor's
+// timers). Callers hold the state lock.
 func (tcb *TCB) drop(t *sim.Thread, cause string) error {
 	tcb.closeCause = cause
 	tcb.state = stateClosed
-	if tcb.p.cfg.TimerWheel {
-		tcb.delAckPnd.Store(false)
-		for i := 0; i < nTimers; i++ {
-			tcb.timerDeadline[i] = 0
-			if tcb.timerNode[i].Armed() {
-				tcb.p.tw.Cancel(t, &tcb.timerNode[i])
-			}
+	tcb.delAckPnd = false
+	for i := range tcb.timerNode {
+		tcb.timerDeadline[i] = 0
+		if tcb.timerParked[i] != 0 {
+			tcb.timerParked[i] = 0
+			tcb.p.tw.Cancel(t, &tcb.timerNode[i])
 		}
 	}
 	tcb.freeQueues(t)

@@ -25,6 +25,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/event"
@@ -106,17 +107,10 @@ type Config struct {
 	// AckEvery-th data segment (default 2, mimicking Net/2 talking to
 	// itself, per Section 2.3).
 	AckEvery int
-	// TimerWheel drives the per-connection timers from a hierarchical
-	// tick wheel instead of the BSD full-map scans: each fast/slow
-	// heartbeat costs O(expiring timers), not O(connections).
-	TimerWheel bool
 	// Buckets sizes the demux hash table (0: 64, the x-kernel default).
 	// Size it near the expected connection count; lookups charge the
 	// same virtual cost either way, but host-time chain walks do not.
 	Buckets int
-	// PoolTCBs free-lists connection blocks recycled by the 2MSL
-	// reaper so connection churn stops allocating. Host-side only.
-	PoolTCBs bool
 }
 
 // DefaultConfig is the paper's baseline: TCP-1, raw mutex state lock,
@@ -183,28 +177,30 @@ type Protocol struct {
 
 	stopTimers sim.Flag
 
-	// Scan-mode timer scratch (event-thread only, reused every tick).
-	flushScratch []pendingAck
-	firedScratch []expiry
-
-	// Wheel-mode timer state (cfg.TimerWheel): the hierarchical tick
-	// wheel holding armed slow timers, the pending delayed-ack list the
-	// fast heartbeat drains, and the slow-tick counter both modes keep
-	// (wheel deadlines are absolute slow-tick indices).
+	// Timer state: the hierarchical tick wheel holding armed slow timers
+	// (deadlines are absolute indices in the slowTicks series), the
+	// pending delayed-ack list the fast heartbeat drains, and the
+	// heartbeats' scratch (event-thread only, reused every tick).
 	tw            *event.TickWheel
+	slowTicks     int64
 	delackLock    sim.Locker
 	delackQ       []*TCB
 	delackScratch []*TCB
+	flushScratch  []pendingAck
 	dueScratch    []*event.TimerNode
-	slowTicks     int64
+	firedScratch  []expiry
 
-	// timerLog, when set (tests), observes every slow-timer expiry as
-	// (tcb, which, slow tick index) in both timer modes.
+	// Test hooks: tickLog runs at the top of every slow heartbeat,
+	// before the wheel advances; timerLog observes every slow-timer
+	// expiry as (tcb, which, slow tick index).
+	tickLog  func(t *sim.Thread, tick int64)
 	timerLog func(tcb *TCB, which int, tick int64)
 
-	// TCB free list (cfg.PoolTCBs).
-	tcbFree  []*TCB
-	recycled int64
+	// tcbFree holds connection blocks the 2MSL reaper released, for
+	// newTCB to reuse. The last reference may drain on a pump thread, so
+	// a host mutex guards it (uncontended and uncharged under the sim).
+	freeMu  sync.Mutex
+	tcbFree []*TCB
 }
 
 // New creates a TCP instance. wheel drives the BSD fast (200 ms) and
@@ -226,15 +222,14 @@ func New(cfg Config, lower IPOpener, alloc *msg.Allocator, wheel *event.Wheel) *
 		alloc: alloc,
 		wheel: wheel,
 		tcbs:  xmap.New(buckets, sim.KindMutex, "tcp-demux"),
+
+		tw:         event.NewTickWheel(sim.KindMutex, "tcp-tickwheel"),
+		delackLock: sim.NewLock(sim.KindMutex, "tcp-delackq"),
 	}
 	p.tcbs.Locking = cfg.MapLocking
 	p.tcbs.NoCache = cfg.MapNoCache
 	p.sessLock.Name = "tcp-sess"
 	p.ref.Init(cfg.RefMode, 1)
-	if cfg.TimerWheel {
-		p.tw = event.NewTickWheel(sim.KindMutex, "tcp-tickwheel")
-		p.delackLock = sim.NewLock(sim.KindMutex, "tcp-delackq")
-	}
 	return p
 }
 

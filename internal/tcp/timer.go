@@ -1,32 +1,41 @@
 package tcp
 
 import (
+	"sync/atomic"
+
 	"repro/internal/sim"
-	"repro/internal/xmap"
 )
 
-// BSD-style protocol timers driven through the x-kernel event manager:
-// a 200 ms fast timeout that flushes pending delayed acks and a 500 ms
-// slow timeout that decrements the per-connection timer counters. Both
-// iterate over every connection with mapForEach, exercising the map
-// manager's counting locks exactly as the x-kernel does — an O(n) sweep
-// per tick that Config.TimerWheel replaces with the hierarchical tick
-// wheel in timerwheel.go.
+// BSD-cadence protocol timers driven through the x-kernel event
+// manager: a 200 ms fast heartbeat that flushes the pending delayed-ack
+// list and a 500 ms slow heartbeat that advances a hierarchical tick
+// wheel holding every armed slow timer, keyed by absolute slow-tick
+// index. A heartbeat costs O(pending acks) or O(expiring timers +
+// cascades), never O(connections), on both substrates.
+//
+// Arming stays cheap on the data path: timerDeadline is authoritative
+// and a re-arm that only pushes the deadline out is a plain field write
+// — the parked node fires at its old slot, notices the deadline moved,
+// and lazily re-arms itself at the remainder. Only deadline-shortening
+// re-arms (and first arms) touch the wheel. The wheel's link state is
+// written under the wheel lock by Advance, so the connection never
+// reads it: timerParked, under the state lock like timerDeadline,
+// records the tick each node was last armed at (0: not on the wheel).
 
-// pendingAck is one delayed ack the fast timeout decided to flush.
+// pendingAck is one delayed ack the fast heartbeat decided to flush.
 type pendingAck struct {
 	tcb *TCB
 	ack uint32
 	win uint32
 }
 
-// expiry is one slow timer that reached zero this tick.
+// expiry is one slow timer that came due this tick.
 type expiry struct {
 	tcb   *TCB
 	which int
 }
 
-// StartTimers registers the recurring fast and slow timeouts on the
+// StartTimers registers the recurring fast and slow heartbeats on the
 // protocol's event wheel. Call once after construction.
 func (p *Protocol) StartTimers(t *sim.Thread) {
 	if p.wheel == nil {
@@ -37,11 +46,7 @@ func (p *Protocol) StartTimers(t *sim.Thread) {
 		if p.stopTimers.Get() {
 			return
 		}
-		if p.cfg.TimerWheel {
-			p.wheelFastTimo(et)
-		} else {
-			p.fastTimo(et)
-		}
+		p.fastTimo(et)
 		p.wheel.Schedule(et, fast, nil, fastTick)
 	}
 	var slow func(*sim.Thread, any)
@@ -49,78 +54,128 @@ func (p *Protocol) StartTimers(t *sim.Thread) {
 		if p.stopTimers.Get() {
 			return
 		}
-		et.Count(&p.slowTicks, 1)
-		if p.cfg.TimerWheel {
-			p.wheelSlowTimo(et)
-		} else {
-			p.slowTimo(et)
-		}
+		p.slowTimo(et)
 		p.wheel.Schedule(et, slow, nil, slowTick)
 	}
 	p.wheel.Schedule(t, fast, nil, fastTick)
 	p.wheel.Schedule(t, slow, nil, slowTick)
 }
 
-// StopTimers makes the recurring timeouts cease rescheduling.
+// StopTimers makes the recurring heartbeats cease rescheduling.
 func (p *Protocol) StopTimers() { p.stopTimers.Set() }
 
-// fastTimo flushes delayed acks (tcp_fasttimo). The flush list is a
-// protocol-owned scratch slice — the timeout runs on the single event
-// thread, so reuse is safe and the steady state allocates nothing.
+// SlowTicks returns the number of slow heartbeats run so far; timer
+// deadlines are indices in this series.
+func (p *Protocol) SlowTicks() int64 { return atomic.LoadInt64(&p.slowTicks) }
+
+// setTimer arms slow timer `which` to expire `ticks` 500 ms slow ticks
+// from now, with the BSD counter semantics: a timer set to k between
+// slow heartbeats n and n+1 expires on heartbeat n+k. Callers hold the
+// state lock. ticks <= 0 disarms.
+func (tcb *TCB) setTimer(t *sim.Thread, which, ticks int) {
+	if ticks <= 0 {
+		tcb.clearTimer(which)
+		return
+	}
+	d := tcb.p.SlowTicks() + int64(ticks)
+	tcb.timerDeadline[which] = d
+	if at := tcb.timerParked[which]; at == 0 || at > d {
+		tcb.timerParked[which] = d
+		tcb.p.tw.Arm(t, &tcb.timerNode[which], d)
+	}
+}
+
+// clearTimer disarms slow timer `which`. The parked node, if any,
+// becomes a no-op when it pops (drop cancels nodes eagerly instead).
+func (tcb *TCB) clearTimer(which int) { tcb.timerDeadline[which] = 0 }
+
+// timerArmed reports whether slow timer `which` is pending.
+func (tcb *TCB) timerArmed(which int) bool { return tcb.timerDeadline[which] != 0 }
+
+// queueDelack puts the connection on the pending delayed-ack list; the
+// next fast heartbeat flushes it. Callers hold the state lock and have
+// just set delAckPnd.
+func (tcb *TCB) queueDelack(t *sim.Thread) {
+	if tcb.onDelackQ {
+		return
+	}
+	tcb.onDelackQ = true
+	p := tcb.p
+	p.delackLock.Acquire(t)
+	p.delackQ = append(p.delackQ, tcb)
+	p.delackLock.Release(t)
+}
+
+// fastTimo flushes the pending delayed-ack list (tcp_fasttimo). The
+// lists are protocol-owned scratch — the heartbeats run on the single
+// event thread, so reuse is safe and the steady state allocates nothing.
 func (p *Protocol) fastTimo(t *sim.Thread) {
+	p.delackLock.Acquire(t)
+	q := p.delackQ
+	p.delackQ = p.delackScratch[:0]
+	p.delackLock.Release(t)
+
 	flush := p.flushScratch[:0]
-	p.tcbs.ForEach(t, func(_ xmap.Key, v any) bool {
-		tcb := v.(*TCB)
-		if tcb.delAckPnd.Load() {
-			tcb.locks.lockState(t)
-			if tcb.delAckPnd.Load() {
-				tcb.delAckPnd.Store(false)
-				tcb.unacked = 0
-				tcb.lastAckSent = tcb.rcvNxt
-				flush = append(flush, pendingAck{tcb, tcb.rcvNxt, tcb.rcvWnd})
-			}
-			tcb.locks.unlockState(t)
+	for _, tcb := range q {
+		tcb.locks.lockState(t)
+		tcb.onDelackQ = false
+		if tcb.delAckPnd {
+			tcb.delAckPnd = false
+			tcb.unacked = 0
+			tcb.lastAckSent = tcb.rcvNxt
+			flush = append(flush, pendingAck{tcb, tcb.rcvNxt, tcb.rcvWnd})
 		}
-		return true
-	})
-	// Acks go out after the iteration so the map lock is not held
-	// across a full downward traversal.
+		tcb.locks.unlockState(t)
+	}
+	clear(q)
+	p.delackScratch = q[:0]
+	// Acks go out with no lock held: each is a full downward traversal.
 	for _, f := range flush {
 		f.tcb.sendAckNow(t, f.ack, f.win)
 	}
-	for i := range flush {
-		flush[i] = pendingAck{}
-	}
+	clear(flush)
 	p.flushScratch = flush[:0]
 }
 
-// slowTimo decrements every connection's timer counters and collects the
-// expiries (tcp_slowtimo).
+// slowTimo advances the tick wheel by one slow tick and fires the due
+// timers (tcp_slowtimo).
 func (p *Protocol) slowTimo(t *sim.Thread) {
+	t.Count(&p.slowTicks, 1)
+	tick := p.SlowTicks()
+	if p.tickLog != nil {
+		p.tickLog(t, tick)
+	}
+	due := p.tw.Advance(t, tick, p.dueScratch[:0])
 	fired := p.firedScratch[:0]
-	p.tcbs.ForEach(t, func(_ xmap.Key, v any) bool {
-		tcb := v.(*TCB)
+	for _, n := range due {
+		tcb := n.Arg.(*TCB)
+		which := n.Which
 		tcb.locks.lockState(t)
-		for i := 0; i < nTimers; i++ {
-			if tcb.timers[i] > 0 {
-				tcb.timers[i]--
-				if tcb.timers[i] == 0 {
-					fired = append(fired, expiry{tcb, i})
-				}
-			}
+		tcb.timerParked[which] = 0
+		switch d := tcb.timerDeadline[which]; {
+		case d == 0:
+			// Disarmed since the node was parked; let it rest.
+		case d > tick:
+			// The deadline was pushed out while the node was parked;
+			// re-arm at the remainder (state -> wheel lock order, as on
+			// the arming path).
+			tcb.timerParked[which] = d
+			p.tw.Arm(t, n, d)
+		default:
+			tcb.timerDeadline[which] = 0
+			fired = append(fired, expiry{tcb, which})
 		}
 		tcb.locks.unlockState(t)
-		return true
-	})
+	}
+	clear(due)
+	p.dueScratch = due[:0]
 	for _, f := range fired {
 		if p.timerLog != nil {
-			p.timerLog(f.tcb, f.which, p.SlowTicks())
+			p.timerLog(f.tcb, f.which, tick)
 		}
 		f.tcb.timeout(t, f.which)
 	}
-	for i := range fired {
-		fired[i] = expiry{}
-	}
+	clear(fired)
 	p.firedScratch = fired[:0]
 }
 
@@ -158,4 +213,26 @@ func (tcb *TCB) timeout(t *sim.Thread, which int) {
 	case timerKeep:
 		// Keepalive is a no-op on the error-free in-memory wire.
 	}
+}
+
+// releaseTCB surrenders the protocol's base reference on a reaped
+// (dropped and unbound) connection; when in-flight references drain,
+// the block lands on the free list. Only the 2MSL reaper calls this,
+// once per incarnation (its drop leaves no timer to fire again) — a
+// TIME_WAIT connection has no parked senders, so nothing can still be
+// blocked on its condition variables.
+func (p *Protocol) releaseTCB(t *sim.Thread, tcb *TCB) {
+	if tcb.ref.Decr(t) {
+		p.recycleTCB(tcb)
+	}
+}
+
+// recycleTCB free-lists a connection block whose last reference just
+// dropped — on the reaper's event thread or on the pump thread that was
+// still inside input processing, hence freeMu. Host-side only: no
+// virtual time is charged.
+func (p *Protocol) recycleTCB(tcb *TCB) {
+	p.freeMu.Lock()
+	p.tcbFree = append(p.tcbFree, tcb)
+	p.freeMu.Unlock()
 }

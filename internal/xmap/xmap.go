@@ -81,10 +81,8 @@ type Map struct {
 	// only: the model charges the same flat hash cost either way (the
 	// x-kernel's map paper assumes short chains), so growth keeps the
 	// host-time chain walks O(1) at 100k+ bindings without perturbing
-	// virtual time. Growth does reorder ForEach iteration, so maps that
-	// are scanned (the TCP demux map under scan-mode timers) should be
-	// pre-sized instead when byte-compatibility with a fixed-size run
-	// matters.
+	// virtual time. Growth does reorder ForEach iteration, so a map whose
+	// iteration order reaches an output should be pre-sized instead.
 	MaxLoad int
 
 	lock    *sim.CountingLock
