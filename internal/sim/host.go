@@ -19,8 +19,9 @@ package sim
 //   - The lock kinds keep their structural identities — Mutex is an
 //     unfair compare-and-swap spin lock, MCSLock a FIFO queue lock with
 //     direct handoff, TicketLock an atomic ticket/serving pair — and
-//     their wait/hold accounting feeds the same LockStats fields, now
-//     measured in wall-clock ns.
+//     feed the same LockStats fields in wall-clock ns: wait exact, hold
+//     sampled 1/32 at weight 32 (timedHold), so the 31 untimed holds in
+//     32 read no clock inside the critical section they are timing.
 //   - Run waits for every spawned goroutine to return. There is no
 //     deadlock detector and no virtual-time limit; RunUntil with a
 //     bound, and Drain, are simulation-only.
@@ -120,6 +121,45 @@ func hostSpin(spins int) {
 	}
 }
 
+// Hold sampling. Reading the clock and adding to HoldNs on every
+// acquire and release lengthens the very critical section being timed
+// (on host-tcp-recv-2p, the serialized TCP state lock), so one
+// acquisition in holdWeight is timed and its hold counted
+// holdWeight times. Which one is decided by the acquisition number the
+// lock's Acquires add already returns, through a multiplicative hash:
+// the picks are spread evenly over every residue class, so a periodic
+// hold pattern (short, long, short, ...) cannot line up with them, and
+// the estimate is unbiased. Acquires, Contended, WaitNs and MaxWaiters
+// stay exact.
+const (
+	holdSampleBits = 5
+	holdWeight     = 1 << holdSampleBits
+)
+
+// timedHold reports whether the hold of acquisition number n is timed:
+// the top holdSampleBits of n's Fibonacci hash are zero.
+func timedHold(n int64) bool {
+	return uint64(n)*0x9e3779b97f4a7c15>>(64-holdSampleBits) == 0
+}
+
+// holdStart is the start stamp of acquisition n's hold: the clock
+// (never 0) when the hold is timed, else 0 without reading it. The
+// holder keeps it in a plain field; the lock's own acquire and release
+// edges order it between holders.
+func (h *hostEngine) holdStart(n int64) int64 {
+	if !timedHold(n) {
+		return 0
+	}
+	return max(h.now(), 1)
+}
+
+// holdEnd adds a timed hold's weighted length to HoldNs.
+func (h *hostEngine) holdEnd(stats *LockStats, since int64) {
+	if since != 0 {
+		atomic.AddInt64(&stats.HoldNs, holdWeight*(h.now()-since))
+	}
+}
+
 // atomicMaxInt32 raises *m to at least v.
 func atomicMaxInt32(m *atomic.Int32, v int32) {
 	for {
@@ -136,21 +176,22 @@ func atomicMaxInt32(m *atomic.Int32, v int32) {
 // with compare-and-swap. Like the simulated test-and-set lock it is
 // deliberately unfair — whichever spinner's CAS lands first wins — so
 // the reordering phenomenology the paper studies survives the backend
-// swap.
+// swap. holder and since are the holder's alone: written after its CAS
+// wins, read by its own Release, ordered by the word between holders.
 type hostMutex struct {
 	word    atomic.Int32
-	holder  atomic.Pointer[Thread]
-	since   atomic.Int64 // wall ns when acquired
+	holder  *Thread
+	since   int64 // holdStart of the current hold
 	waiting atomic.Int32
 	maxWait atomic.Int32
 }
 
 func (m *Mutex) hostAcquire(t *Thread) {
 	h := t.eng.host
-	atomic.AddInt64(&m.stats.Acquires, 1)
+	n := atomic.AddInt64(&m.stats.Acquires, 1)
 	if m.hm.word.CompareAndSwap(0, 1) {
-		m.hm.holder.Store(t)
-		m.hm.since.Store(h.now())
+		m.hm.holder = t
+		m.hm.since = h.holdStart(n)
 		return
 	}
 	atomic.AddInt64(&m.stats.Contended, 1)
@@ -162,18 +203,17 @@ func (m *Mutex) hostAcquire(t *Thread) {
 		spins++
 	}
 	m.hm.waiting.Add(-1)
-	m.hm.holder.Store(t)
-	now := h.now()
-	atomic.AddInt64(&m.stats.WaitNs, now-start)
-	m.hm.since.Store(now)
+	m.hm.holder = t
+	atomic.AddInt64(&m.stats.WaitNs, h.now()-start)
+	m.hm.since = h.holdStart(n)
 }
 
 func (m *Mutex) hostRelease(t *Thread) {
-	if m.hm.holder.Load() != t {
+	if m.hm.holder != t {
 		panic("sim: Mutex.Release by non-holder: " + m.Name)
 	}
-	atomic.AddInt64(&m.stats.HoldNs, t.eng.host.now()-m.hm.since.Load())
-	m.hm.holder.Store(nil)
+	t.eng.host.holdEnd(&m.stats, m.hm.since)
+	m.hm.holder = nil
 	m.hm.word.Store(0)
 }
 
@@ -187,7 +227,9 @@ type hostMCSWaiter struct {
 // hostMCS is the host-mode state embedded in MCSLock and TicketLock's
 // FIFO cousin: an internal mutex guards a waiter queue; release hands
 // ownership directly to the queue head by closing its channel, so
-// grants are strictly FIFO like the simulated MCS lock.
+// grants are strictly FIFO like the simulated MCS lock. since is the
+// holder's alone, outside mu: a handed-off hold starts when its new
+// holder runs, not when the releaser closed the channel.
 type hostMCS struct {
 	mu      sync.Mutex
 	held    bool
@@ -199,13 +241,13 @@ type hostMCS struct {
 
 func (q *hostMCS) acquire(t *Thread, stats *LockStats, name string) {
 	h := t.eng.host
-	atomic.AddInt64(&stats.Acquires, 1)
+	n := atomic.AddInt64(&stats.Acquires, 1)
 	q.mu.Lock()
 	if !q.held {
 		q.held = true
 		q.holder = t
-		q.since = h.now()
 		q.mu.Unlock()
+		q.since = h.holdStart(n)
 		return
 	}
 	atomic.AddInt64(&stats.Contended, 1)
@@ -218,17 +260,16 @@ func (q *hostMCS) acquire(t *Thread, stats *LockStats, name string) {
 	q.mu.Unlock()
 	<-w.ch // direct handoff: the releaser installed us as holder
 	atomic.AddInt64(&stats.WaitNs, h.now()-start)
+	q.since = h.holdStart(n)
 }
 
 func (q *hostMCS) release(t *Thread, stats *LockStats, name string) {
-	h := t.eng.host
 	q.mu.Lock()
 	if !q.held || q.holder != t {
 		q.mu.Unlock()
 		panic("sim: Release by non-holder: " + name)
 	}
-	now := h.now()
-	atomic.AddInt64(&stats.HoldNs, now-q.since)
+	t.eng.host.holdEnd(stats, q.since)
 	if len(q.queue) == 0 {
 		q.held = false
 		q.holder = nil
@@ -238,16 +279,8 @@ func (q *hostMCS) release(t *Thread, stats *LockStats, name string) {
 	w := q.queue[0]
 	q.queue = slices.Delete(q.queue, 0, 1) // copies down: the queue keeps its backing array
 	q.holder = w.t
-	q.since = now
 	q.mu.Unlock()
 	close(w.ch)
-}
-
-func (q *hostMCS) holderIs(t *Thread) bool {
-	q.mu.Lock()
-	ok := q.held && q.holder == t
-	q.mu.Unlock()
-	return ok
 }
 
 // ---- host TicketLock: atomic ticket/serving pair ----
@@ -256,13 +289,13 @@ type hostTicket struct {
 	next    atomic.Int64
 	serving atomic.Int64
 	holder  atomic.Pointer[Thread]
-	since   atomic.Int64
+	since   int64 // holdStart of the current hold; holder-only
 	maxWait atomic.Int32
 }
 
 func (q *hostTicket) acquire(t *Thread, stats *LockStats) {
 	h := t.eng.host
-	atomic.AddInt64(&stats.Acquires, 1)
+	n := atomic.AddInt64(&stats.Acquires, 1)
 	ticket := q.next.Add(1) - 1
 	if s := q.serving.Load(); s != ticket {
 		atomic.AddInt64(&stats.Contended, 1)
@@ -278,14 +311,14 @@ func (q *hostTicket) acquire(t *Thread, stats *LockStats) {
 		atomic.AddInt64(&stats.WaitNs, h.now()-start)
 	}
 	q.holder.Store(t)
-	q.since.Store(h.now())
+	q.since = h.holdStart(n)
 }
 
 func (q *hostTicket) release(t *Thread, stats *LockStats, name string) {
 	if q.holder.Load() != t {
 		panic("sim: TicketLock.Release by non-holder: " + name)
 	}
-	atomic.AddInt64(&stats.HoldNs, t.eng.host.now()-q.since.Load())
+	t.eng.host.holdEnd(stats, q.since)
 	q.holder.Store(nil)
 	q.serving.Add(1)
 }

@@ -180,14 +180,6 @@ func (m *Mutex) Release(t *Thread) {
 // Stats returns a copy of the accumulated statistics.
 func (m *Mutex) Stats() LockStats { return loadStats(&m.stats, int(m.hm.maxWait.Load())) }
 
-// Holder reports whether t currently holds the lock (for assertions).
-func (m *Mutex) Holder(t *Thread) bool {
-	if t.eng.host != nil {
-		return m.hm.holder.Load() == t
-	}
-	return m.held && m.holder == t
-}
-
 // ---- MCSLock: FIFO queue lock (Mellor-Crummey & Scott) ----
 
 // MCSLock models the MCS list-based queueing lock the paper built from
