@@ -97,8 +97,7 @@ type Config struct {
 	// the host monotonic clock; throughput is then measured in wall-clock
 	// time and runs are nondeterministic. Host mode supports the plain
 	// packet-level shapes only — Build rejects the knobs whose
-	// declaration (knobs.go) carries a host reason, and forces the
-	// per-processor message cache off.
+	// declaration (knobs.go) carries a host reason.
 	Backend sim.Backend
 
 	// Faults configures the deterministic fault-injection wire between

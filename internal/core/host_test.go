@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,17 +137,74 @@ func TestHostBackendRejects(t *testing.T) {
 	}
 }
 
-// TestHostBackendCacheForcedOff: host mode must not run the per-
-// processor message cache (its free lists assume one thread per proc).
-func TestHostBackendCacheForcedOff(t *testing.T) {
-	cfg := hostConfig(ProtoUDP, SideSend, sim.KindMutex, 1, 1)
-	cfg.MsgCache = true
-	st, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestHostBackendRunsMsgCache: MsgCache means the same on both
+// substrates. On real goroutines the per-processor caches serve nearly
+// every buffer where each processor frees what it allocates, so the
+// malloc arena's lock is taken about never; with the cache off every
+// buffer goes through the arena, taking its lock once to allocate and
+// once to free. Either way every buffer allocated is freed by the end
+// of Run.
+//
+// One shared connection is held to less: a segment one pump queues out
+// of order is freed by whichever pump delivers it, so nodes drift from
+// one processor's cache to the other's, spill at the cache depth and
+// come back as misses: 0.03 to 6 % of frees over 100 ms, in bursts, more
+// under -race.
+func TestHostBackendRunsMsgCache(t *testing.T) {
+	const (
+		warmup  = 2_000_000   // 2 ms wall
+		measure = 100_000_000 // 100 ms wall: enough packets under -race that cold misses stay under 1 %
+	)
+	shapes := []struct {
+		name string
+		cfg  Config
+		// minHit is the cache hit share the run must reach; strict
+		// shapes also keep arena lock acquires within 1 % of frees.
+		minHit float64
+		strict bool
+	}{
+		{"tcp-recv-2p", hostConfig(ProtoTCP, SideRecv, sim.KindMCS, 2, 2), 0.99, true},
+		{"udp-recv-1p", hostConfig(ProtoUDP, SideRecv, sim.KindMutex, 1, 1), 0.99, true},
+		{"tcp-recv-2p-shared", hostConfig(ProtoTCP, SideRecv, sim.KindMutex, 2, 1), 0.8, false},
 	}
-	if st.Cfg.MsgCache {
-		t.Error("Build left MsgCache on for a host-backend stack")
+	for _, sh := range shapes {
+		for _, cache := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/msgcache=%v", sh.name, cache), func(t *testing.T) {
+				cfg := sh.cfg
+				cfg.MsgCache = cache
+				st, err := Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Cfg.MsgCache != cache {
+					t.Fatalf("Build changed MsgCache to %v", st.Cfg.MsgCache)
+				}
+				if _, err := st.Run(warmup, measure); err != nil {
+					t.Fatal(err)
+				}
+				s, arena := st.Alloc.Stats(), st.Alloc.ArenaLockStats().Acquires
+				t.Logf("%+v, arena lock acquires %d", s, arena)
+				if s.Frees == 0 {
+					t.Fatal("no buffer was freed")
+				}
+				if !cache {
+					if s.CacheHits != 0 || s.CacheMisses != 0 || arena != 2*s.Frees {
+						t.Errorf("cache off: %d hits, %d misses, %d arena lock acquires for %d frees; want 0, 0 and %d",
+							s.CacheHits, s.CacheMisses, arena, s.Frees, 2*s.Frees)
+					}
+					return
+				}
+				if s.Frees != s.CacheHits+s.CacheMisses {
+					t.Errorf("%d buffers allocated, %d freed", s.CacheHits+s.CacheMisses, s.Frees)
+				}
+				if share := float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses); share < sh.minHit {
+					t.Errorf("cache hit share %.4f, want >= %v", share, sh.minHit)
+				}
+				if sh.strict && arena*100 > s.Frees {
+					t.Errorf("%d arena lock acquires for %d frees, want at most 1 %%", arena, s.Frees)
+				}
+			})
+		}
 	}
 }
 

@@ -222,10 +222,8 @@ func FlagGroups() string {
 
 // validateKnobs walks the table once per Build: every enum must hold a
 // declared value, and on the host backend no knob the substrate cannot
-// run may be on. Host mode also forces the per-processor message cache
-// off (not rejected): its free lists are only safe when exactly one
-// thread owns each processor, which real goroutines do not guarantee;
-// the allocator's arena path is host-safe.
+// run may be on. It changes nothing: every knob it accepts means the
+// same on both substrates.
 func validateKnobs(cfg *Config) error {
 	host := cfg.Backend == sim.BackendHost
 	for i := range knobs {
@@ -236,9 +234,6 @@ func validateKnobs(cfg *Config) error {
 		if host && k.hostBad != nil && k.hostBad(cfg) {
 			return fmt.Errorf("core: host backend cannot run %s: %s", k.label(), k.hostWhy)
 		}
-	}
-	if host {
-		cfg.MsgCache = false
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -124,7 +125,7 @@ type nodeView struct {
 	v Message
 }
 
-// Stats counts allocator activity (engine-serialized plain counters).
+// Stats counts allocator activity, summed over processors.
 type Stats struct {
 	CacheHits   int64
 	CacheMisses int64
@@ -139,7 +140,16 @@ type Stats struct {
 // 4. Not retuned on one workload's evidence.
 const viewCacheDepth = 512
 
-type procCache struct {
+// cacheLine is the coherence unit per-processor state is padded to.
+const cacheLine = 64
+
+// procState is one processor's allocator state. Only threads on that
+// processor touch it, which needs no lock on either substrate: the sim
+// engine serializes threads, and the host runs one goroutine per
+// processor (core's Stack.Run: pumps on 0..Procs-1, control and wheel
+// above them). A cache hit or a cached free therefore touches no line
+// another processor writes.
+type procState struct {
 	free  [len(classes)]*MNode
 	count [len(classes)]int
 	// views free-lists the Message view structs of clones and fragments,
@@ -148,16 +158,24 @@ type procCache struct {
 	// time).
 	views     *Message
 	viewCount int
-	_pad      [32]byte // keep per-processor state notionally apart
+	// hits, misses and frees are this processor's share of Stats.
+	hits, misses, frees int64
+}
+
+// procCache pads procState to whole cache lines, so that neighbouring
+// processors' state shares none.
+type procCache struct {
+	procState
+	_ [(cacheLine - unsafe.Sizeof(procState{})%cacheLine) % cacheLine]byte
 }
 
 // Allocator hands out MNodes.
 type Allocator struct {
-	cfg       Config
-	perProc   []procCache
-	arenaLock sim.Mutex
-	arena     [len(classes)]*MNode
-	stats     Stats
+	cfg         Config
+	perProc     []procCache
+	arenaLock   sim.Mutex
+	arena       [len(classes)]*MNode
+	arenaAllocs int64 // bumped under arenaLock
 }
 
 // NewAllocator builds an allocator for the given configuration.
@@ -173,15 +191,22 @@ func NewAllocator(cfg Config) *Allocator {
 	return a
 }
 
-// Stats returns a copy of the counters (atomic-load snapshot: host
-// threads on different procs bump them concurrently).
+// Stats sums the counters (atomic loads: host threads bump them
+// concurrently).
 func (a *Allocator) Stats() Stats {
-	return Stats{
-		CacheHits:   atomic.LoadInt64(&a.stats.CacheHits),
-		CacheMisses: atomic.LoadInt64(&a.stats.CacheMisses),
-		ArenaAllocs: atomic.LoadInt64(&a.stats.ArenaAllocs),
-		Frees:       atomic.LoadInt64(&a.stats.Frees),
+	s := Stats{ArenaAllocs: atomic.LoadInt64(&a.arenaAllocs)}
+	for i := range a.perProc {
+		pc := &a.perProc[i]
+		s.CacheHits += atomic.LoadInt64(&pc.hits)
+		s.CacheMisses += atomic.LoadInt64(&pc.misses)
+		s.Frees += atomic.LoadInt64(&pc.frees)
 	}
+	return s
+}
+
+// cache returns the calling thread's processor state.
+func (a *Allocator) cache(t *sim.Thread) *procCache {
+	return &a.perProc[t.Proc%len(a.perProc)]
 }
 
 // ArenaLockStats exposes the malloc-lock contention statistics.
@@ -204,18 +229,18 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 	}
 	st := &t.Engine().C.Stack
 	if a.cfg.CacheEnabled {
-		pc := &a.perProc[t.Proc%len(a.perProc)]
+		pc := a.cache(t)
 		if n := pc.free[cl]; n != nil {
 			pc.free[cl] = n.next
 			pc.count[cl]--
 			n.next = nil
-			t.Count(&a.stats.CacheHits, 1)
+			t.Count(&pc.hits, 1)
 			t.ChargeRand(st.MsgAllocCached)
 			n.lastProc = t.Proc
 			n.ref.Init(a.cfg.RefMode, 1)
 			return n, nil
 		}
-		t.Count(&a.stats.CacheMisses, 1)
+		t.Count(&pc.misses, 1)
 	}
 	// Global arena: the malloc path, serialized by one lock.
 	a.arenaLock.Acquire(t)
@@ -225,7 +250,7 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 		a.arena[cl] = n.next
 		n.next = nil
 	} else {
-		t.Count(&a.stats.ArenaAllocs, 1)
+		t.Count(&a.arenaAllocs, 1)
 		nv := new(nodeView)
 		nv.n = MNode{buf: make([]byte, classes[cl]), class: cl, alloc: a, lastProc: -1, view: &nv.v}
 		n = &nv.n
@@ -246,9 +271,9 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 func (a *Allocator) putNode(t *sim.Thread, n *MNode) {
 	st := &t.Engine().C.Stack
 	t.ChargeRand(st.MsgFree)
-	t.Count(&a.stats.Frees, 1)
+	pc := a.cache(t)
+	t.Count(&pc.frees, 1)
 	if a.cfg.CacheEnabled {
-		pc := &a.perProc[t.Proc%len(a.perProc)]
 		if pc.count[n.class] < a.cfg.CacheDepth {
 			n.next = pc.free[n.class]
 			pc.free[n.class] = n
@@ -322,7 +347,7 @@ func (m *Message) Tailroom() int { return len(m.node.buf) - m.tail }
 // cache (or fresh). Purely a host-allocation optimization: no virtual
 // time is charged.
 func (a *Allocator) newView(t *sim.Thread) *Message {
-	pc := &a.perProc[t.Proc%len(a.perProc)]
+	pc := a.cache(t)
 	if m := pc.views; m != nil {
 		pc.views = m.nextView
 		pc.viewCount--
@@ -335,7 +360,7 @@ func (a *Allocator) newView(t *sim.Thread) *Message {
 // recycleView parks a dead view struct for reuse (bounded; overflow is
 // left to the garbage collector).
 func (a *Allocator) recycleView(t *sim.Thread, m *Message) {
-	pc := &a.perProc[t.Proc%len(a.perProc)]
+	pc := a.cache(t)
 	if pc.viewCount >= viewCacheDepth {
 		return
 	}

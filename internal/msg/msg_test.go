@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -469,5 +470,92 @@ func TestHostBackendViewCrossesProcs(t *testing.T) {
 	if s := a.Stats(); s.Frees != rounds || s.ArenaAllocs > 20 {
 		t.Errorf("%d frees and %d buffers created for %d rounds; want %d and at most 20 (the rest recycled through the arena)",
 			s.Frees, s.ArenaAllocs, rounds, rounds)
+	}
+}
+
+// TestHostBackendNodeCachesCrossProcs runs the node caches at their
+// default depth on real goroutines, in the steered path's shape: a
+// producer on proc 0 allocates every data buffer and a consumer on proc 1
+// frees it. The nodes pile into proc 1's cache until it is full and
+// then spill through the arena back to proc 0, which misses every time.
+// The consumer also allocates and frees a small reply each round, which
+// its own cache serves. Both goroutines work their own processor's
+// lists and counters at once, so -race reports any cache state the two
+// share, and the summed Stats must come out exact.
+func TestHostBackendNodeCachesCrossProcs(t *testing.T) {
+	const rounds = 20_000
+	const data, reply = 1024, 16 // two size classes
+	a := NewAllocator(DefaultConfig(2))
+	depth := a.cfg.CacheDepth
+	e := sim.NewBackend(cost.NewModel(cost.Challenge100), 1, sim.BackendHost)
+	q := sim.NewQueue("handoff", 16)
+	e.Spawn("producer", 0, func(th *sim.Thread) {
+		defer q.Close(th)
+		for i := 0; i < rounds; i++ {
+			m, err := a.New(th, data, Headroom)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m.Seq = uint64(i)
+			m.Bytes()[0] = byte(i)
+			if !q.Enqueue(th, m) {
+				t.Error("queue closed under the producer")
+				return
+			}
+		}
+	})
+	e.Spawn("consumer", 1, func(th *sim.Thread) {
+		for i := 0; ; i++ {
+			item, ok := q.Dequeue(th)
+			if !ok {
+				if i != rounds {
+					t.Errorf("%d messages crossed, want %d", i, rounds)
+				}
+				return
+			}
+			m := item.(*Message)
+			if m.Seq != uint64(i) || m.Bytes()[0] != byte(i) {
+				t.Errorf("message %d arrived as Seq %d, first byte %d", i, m.Seq, m.Bytes()[0])
+			}
+			m.Free(th)
+			r, err := a.New(th, reply, Headroom)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r.Free(th)
+		}
+	})
+	e.Run()
+	// Proc 0 misses on every round and proc 1 on its first reply only.
+	// Every node comes back: proc 1 keeps the first depth data nodes and
+	// spills the rest, which proc 0's misses take from the arena.
+	s := a.Stats()
+	want := Stats{CacheHits: rounds - 1, CacheMisses: rounds + 1, ArenaAllocs: s.ArenaAllocs, Frees: 2 * rounds}
+	if s != want {
+		t.Errorf("stats %+v, want %+v", s, want)
+	}
+	cl, _ := classFor(data + Headroom)
+	if got := a.perProc[1].count[cl]; got != depth {
+		t.Errorf("proc 1 caches %d data nodes, want a full %d", got, depth)
+	}
+	if got, want := a.ArenaLockStats().Acquires, s.CacheMisses+int64(rounds-depth); got != want {
+		t.Errorf("%d arena lock acquires, want %d misses plus %d spills", got, s.CacheMisses, rounds-depth)
+	}
+	// Fresh data nodes: at least a full cache plus the first spill, at
+	// most that cache, the queue's 16 and one in each thread's hands;
+	// plus the one reply node.
+	if s.ArenaAllocs < int64(depth)+2 || s.ArenaAllocs > int64(depth)+19 {
+		t.Errorf("%d buffers created, want %d to %d", s.ArenaAllocs, depth+2, depth+19)
+	}
+}
+
+// TestProcCacheFillsLines guards the padding: a processor's allocator
+// state must end on a cache-line boundary, or its neighbour's lists and
+// counters share the line.
+func TestProcCacheFillsLines(t *testing.T) {
+	if size := unsafe.Sizeof(procCache{}); size%cacheLine != 0 {
+		t.Errorf("procCache is %d bytes, not a multiple of the %d-byte line", size, cacheLine)
 	}
 }
