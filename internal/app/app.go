@@ -74,7 +74,9 @@ func (s *Sink) Receive(t *sim.Thread, m *msg.Message) error {
 	if s.Ordered && m.Ticketed && s.Seq != nil {
 		s.Seq.Done(t)
 	}
-	t.Engine().Rec.Deliver(t.Proc, t.Now(), m.Born)
+	if rec := t.Engine().Rec; rec != nil {
+		rec.Deliver(t.Proc, t.Now(), m.Born)
+	}
 	m.Free(t)
 	return nil
 }
@@ -121,6 +123,8 @@ func (s *Source) Next(t *sim.Thread) (*msg.Message, error) {
 			return nil, err
 		}
 	}
-	m.Born = t.Now()
+	if t.Engine().Rec != nil {
+		m.Born = t.Now()
+	}
 	return m, nil
 }

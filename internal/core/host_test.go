@@ -208,6 +208,25 @@ func TestHostBackendRunsMsgCache(t *testing.T) {
 	}
 }
 
+// TestHostBackendTCPStatsMatchSink: TCP's sharded statistics, bumped by
+// two pumps on real goroutines and summed after the run, count exactly
+// what the application sink counted under its lock: one delivery per
+// packet, and the same bytes.
+func TestHostBackendTCPStatsMatchSink(t *testing.T) {
+	st, err := Build(hostConfig(ProtoTCP, SideRecv, sim.KindMutex, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Run(2_000_000, 50_000_000); err != nil { // 2 ms, 50 ms wall
+		t.Fatal(err)
+	}
+	ts := st.TCP.Stats()
+	if ts.Delivered == 0 || ts.Delivered != st.Sink.Packets() || ts.BytesIn != st.Sink.Bytes() {
+		t.Errorf("TCP counted %d deliveries of %d bytes, the sink %d packets of %d bytes",
+			ts.Delivered, ts.BytesIn, st.Sink.Packets(), st.Sink.Bytes())
+	}
+}
+
 // TestBackendSimIdentity pins the refactor's compatibility contract:
 // setting Backend to BackendSim explicitly is the seed build — same
 // engine, same validation path, bit-identical results — across the

@@ -137,8 +137,8 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 		}
 		m := pend
 		pend = nil
-		if bc.MaxSegs > 1 { // a batch of one leaves no batching events
-			t.Engine().Rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
+		if rec := t.Engine().Rec; rec != nil && bc.MaxSegs > 1 { // a batch of one leaves no batching events
+			rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
 		}
 		s.noteBatch(m.SegCount())
 		h := s.steerHash(pendConn, pendGen)

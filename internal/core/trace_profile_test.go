@@ -92,6 +92,21 @@ func TestTraceNeutrality(t *testing.T) {
 	}
 }
 
+// TestTraceStampsEveryDelivery: the driver stamps Born only while the
+// recorder is on, and then on every packet, so the end-to-end histogram
+// holds one sample per segment TCP delivered: first transmissions and,
+// on a lossy wire, the driver's retransmissions.
+func TestTraceStampsEveryDelivery(t *testing.T) {
+	lossy := tracedTCPRecv(true)
+	lossy.Faults.Up.Drop = 0.02
+	for name, cfg := range map[string]Config{"clean": tracedTCPRecv(true), "lossy": lossy} {
+		st, _ := runProfile(t, cfg)
+		if n, d := st.Rec.EndToEnd().Count(), st.TCP.Stats().Delivered; n == 0 || n != d {
+			t.Errorf("%s: end-to-end histogram holds %d samples for %d delivered segments", name, n, d)
+		}
+	}
+}
+
 // TestLockWaitAccounting checks the acceptance criterion that the
 // recorder's per-lock wait events account for the aggregate WaitNs the
 // lock statistics report. Both numbers come from the same measurement

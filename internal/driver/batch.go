@@ -61,7 +61,9 @@ func absorbPayload(t *sim.Thread, head, donor *msg.Message, hdr int) (n int, err
 		return 0, err
 	}
 	growIPLen(head.Bytes(), n)
-	t.Engine().Rec.BatchMerge(t.Proc, t.Now(), int64(head.SegCount()))
+	if rec := t.Engine().Rec; rec != nil {
+		rec.BatchMerge(t.Proc, t.Now(), int64(head.SegCount()))
+	}
 	return n, nil
 }
 
@@ -113,8 +115,8 @@ func MergeTCP(t *sim.Thread, head, donor *msg.Message) error {
 // batch of one is the per-packet path, and its trace carries no
 // batching events.
 func noteFlush(t *sim.Thread, bc msg.BatchConfig, reason string, segs int, m *msg.Message) {
-	if bc.MaxSegs > 1 {
-		t.Engine().Rec.BatchFlush(t.Proc, t.Now(), reason, int64(segs), int64(m.Len()))
+	if rec := t.Engine().Rec; rec != nil && bc.MaxSegs > 1 {
+		rec.BatchFlush(t.Proc, t.Now(), reason, int64(segs), int64(m.Len()))
 	}
 }
 

@@ -178,7 +178,7 @@ func (fw *FaultWire) channel(t *sim.Thread, m *msg.Message, r *FaultRates,
 
 	if r.Drop > 0 && fw.rng.Float64() < r.Drop {
 		ds.Dropped++
-		t.Engine().Rec.Fault(t.Proc, t.Now(), "drop")
+		noteFault(t, "drop")
 		m.Free(t)
 		return fw.release(t, held, fwd)
 	}
@@ -189,16 +189,16 @@ func (fw *FaultWire) channel(t *sim.Thread, m *msg.Message, r *FaultRates,
 		}
 		m = c
 		ds.Corrupted++
-		t.Engine().Rec.Fault(t.Proc, t.Now(), "corrupt")
+		noteFault(t, "corrupt")
 	}
 	if r.Delay > 0 && fw.rng.Float64() < r.Delay {
 		ds.Delayed++
-		t.Engine().Rec.Fault(t.Proc, t.Now(), "delay")
+		noteFault(t, "delay")
 		t.Charge(1 + int64(fw.rng.Intn(int(r.DelayNs))))
 	}
 	if r.Dup > 0 && fw.rng.Float64() < r.Dup {
 		ds.Duplicated++
-		t.Engine().Rec.Fault(t.Proc, t.Now(), "dup")
+		noteFault(t, "dup")
 		d := m.Clone(t)
 		if err := fwd(t, m); err != nil {
 			d.Free(t)
@@ -210,7 +210,7 @@ func (fw *FaultWire) channel(t *sim.Thread, m *msg.Message, r *FaultRates,
 		// Park this frame; it goes out after the next one, swapping the
 		// pair on the wire.
 		ds.Reordered++
-		t.Engine().Rec.Fault(t.Proc, t.Now(), "reorder")
+		noteFault(t, "reorder")
 		*held = m
 		return nil
 	}
@@ -218,6 +218,13 @@ func (fw *FaultWire) channel(t *sim.Thread, m *msg.Message, r *FaultRates,
 		return err
 	}
 	return fw.release(t, held, fwd)
+}
+
+// noteFault records an injection of the named kind.
+func noteFault(t *sim.Thread, kind string) {
+	if rec := t.Engine().Rec; rec != nil {
+		rec.Fault(t.Proc, t.Now(), kind)
+	}
 }
 
 // release forwards a previously held (reordered) frame, if any.

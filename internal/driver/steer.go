@@ -90,8 +90,10 @@ func (s *SteerSource) ProduceGrow(t *sim.Thread, a workload.Arrival, grow int) (
 	binary.BigEndian.PutUint16(b[offUDP+0:], PeerPort(conn))
 	binary.BigEndian.PutUint16(b[offUDP+2:], LocalPort(conn))
 	workload.EncodeStamp(b[udpFrameHdr:], a.Conn, a.Seq, a.Gen)
-	m.Born = t.Now()
-	t.Engine().Rec.Arrive(t.Proc, m.Born, int64(a.Conn))
+	if rec := t.Engine().Rec; rec != nil {
+		m.Born = t.Now()
+		rec.Arrive(t.Proc, m.Born, int64(a.Conn))
+	}
 	s.produced++
 	s.producedBytes += int64(m.Len())
 	return m, nil

@@ -200,7 +200,9 @@ func (d *SimTCPReceiver) TX(t *sim.Thread, m *msg.Message) error {
 		}
 		t.Count(&d.pkts, 1)
 		t.Count(&d.bytes, int64(sg.DLen))
-		t.Engine().Rec.Deliver(t.Proc, t.Now(), born)
+		if rec := t.Engine().Rec; rec != nil {
+			rec.Deliver(t.Proc, t.Now(), born)
+		}
 		c.unacked++
 		doAck := false
 		if c.unacked >= d.AckEvery {
@@ -260,7 +262,9 @@ func (d *SimTCPReceiver) strictData(t *sim.Thread, c *simRecvConn, seq, end uint
 		if counted > 0 {
 			t.Count(&d.pkts, 1)
 			t.Count(&d.bytes, counted)
-			t.Engine().Rec.Deliver(t.Proc, t.Now(), born)
+			if rec := t.Engine().Rec; rec != nil {
+				rec.Deliver(t.Proc, t.Now(), born)
+			}
 		}
 		filledGap := len(c.ranges) > 0
 		c.maxEnd = end
@@ -294,7 +298,9 @@ func (d *SimTCPReceiver) strictData(t *sim.Thread, c *simRecvConn, seq, end uint
 		if c.park(seq, end) {
 			t.Count(&d.pkts, 1)
 			t.Count(&d.bytes, int64(end-seq))
-			t.Engine().Rec.Deliver(t.Proc, t.Now(), born)
+			if rec := t.Engine().Rec; rec != nil {
+				rec.Deliver(t.Proc, t.Now(), born)
+			}
 		}
 		c.unacked = 0
 		c.pendingAck = false

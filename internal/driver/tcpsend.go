@@ -246,8 +246,10 @@ func (d *SimTCPSender) resend(t *sim.Thread, c *simSendConn) error {
 	patchTCPSeq(b, seq)
 	patchTCPAck(b, c.irs+1)
 	m.Seq = uint64(seq)
-	m.Born = t.Now()
-	t.Engine().Rec.Arrive(t.Proc, m.Born, int64(seq))
+	if rec := t.Engine().Rec; rec != nil {
+		m.Born = t.Now()
+		rec.Arrive(t.Proc, m.Born, int64(seq))
+	}
 	return d.Inject(t, m)
 }
 
@@ -299,8 +301,10 @@ func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, ps uint32, grow int)
 	patchTCPSeq(b, seq)
 	patchTCPAck(b, c.irs+1)
 	m.Seq = uint64(seq)
-	m.Born = t.Now()
-	t.Engine().Rec.Arrive(t.Proc, m.Born, int64(seq))
+	if rec := t.Engine().Rec; rec != nil {
+		m.Born = t.Now()
+		rec.Arrive(t.Proc, m.Born, int64(seq))
+	}
 	return m, true, nil
 }
 

@@ -57,7 +57,9 @@ func (s *UDPSink) TX(t *sim.Thread, m *msg.Message) error {
 	}
 	s.ring.Release(t)
 	t.ChargeRand(st.DriverTX)
-	t.Engine().Rec.Deliver(t.Proc, t.Now(), m.Born)
+	if rec := t.Engine().Rec; rec != nil {
+		rec.Deliver(t.Proc, t.Now(), m.Born)
+	}
 	m.Free(t)
 	return nil
 }
@@ -128,8 +130,10 @@ func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error)
 		return nil, err
 	}
 	t.Interfere()
-	m.Born = t.Now()
-	t.Engine().Rec.Arrive(t.Proc, m.Born, int64(conn))
+	if rec := t.Engine().Rec; rec != nil {
+		m.Born = t.Now()
+		rec.Arrive(t.Proc, m.Born, int64(conn))
+	}
 	return m, nil
 }
 

@@ -145,7 +145,7 @@ func (s *Session) Close(t *sim.Thread) error {
 
 // Demux strips the FDDI header from an arriving frame and dispatches it
 // to the upper protocol registered for its type. The map lookup is the
-// receive-side locking point.
+// receive-side locking point. A frame it refuses it frees.
 func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	if rec := t.Engine().Rec; rec != nil {
 		start := t.Now()
@@ -154,11 +154,13 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	t.ChargeRand(t.Engine().C.Stack.FDDIRecv)
 	h, err := m.Pop(t, HdrLen)
 	if err != nil {
+		m.Free(t)
 		return fmt.Errorf("fddi: short frame: %w", err)
 	}
 	proto := binary.BigEndian.Uint16(h[13:15])
 	v, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
 	if !ok {
+		m.Free(t)
 		return fmt.Errorf("fddi: no upper protocol for type %#04x", proto)
 	}
 	return xkernel.DispatchUp(t, v.(xkernel.Upper), m)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/chksum"
 	"repro/internal/event"
@@ -66,7 +65,7 @@ type Protocol struct {
 	reass     map[reassKey]*reassEntry
 
 	ref   sim.RefCount
-	stats Stats
+	stats sim.Shards[Stats]
 
 	// open is the x-kernel active map: the sessions with a reference
 	// outstanding, one per (dst, transport protocol); a slice, since a
@@ -76,9 +75,11 @@ type Protocol struct {
 	open []*Session
 }
 
-// Stats counts IP activity. Counters are bumped with Thread.Count:
-// atomic adds on the host backend, where pump threads run concurrently,
-// plain increments under the sim engine, which serializes them.
+// Stats counts IP activity. The protocol keeps one Stats per processor
+// (sim.Shards), bumped with Thread.Count and summed by Stats(): atomic
+// adds to the pump's own lines on the host backend, where pump threads
+// run concurrently, plain increments under the sim engine, which
+// serializes them.
 type Stats struct {
 	Sent           int64
 	Received       int64
@@ -129,19 +130,9 @@ func New(cfg Config, low Lower, wheel *event.Wheel, alloc *msg.Allocator) *Proto
 // Ref returns the protocol reference count.
 func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 
-// Stats returns a copy of the counters (atomic-load snapshot).
-func (p *Protocol) Stats() Stats {
-	return Stats{
-		Sent:           atomic.LoadInt64(&p.stats.Sent),
-		Received:       atomic.LoadInt64(&p.stats.Received),
-		FragsOut:       atomic.LoadInt64(&p.stats.FragsOut),
-		FragsIn:        atomic.LoadInt64(&p.stats.FragsIn),
-		Reassembled:    atomic.LoadInt64(&p.stats.Reassembled),
-		TimedOut:       atomic.LoadInt64(&p.stats.TimedOut),
-		ChecksumBad:    atomic.LoadInt64(&p.stats.ChecksumBad),
-		NotDeliverable: atomic.LoadInt64(&p.stats.NotDeliverable),
-	}
-}
+// Stats returns the counters summed over processors (atomic-load
+// snapshot).
+func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 
 // DemuxMap exposes the transport demux map (statistics, tests).
 func (p *Protocol) DemuxMap() *xmap.Map { return p.upper }
@@ -237,7 +228,7 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 			return err
 		}
 		writeHeader(h, m.Len(), id, 0, s.proto, s.src, s.dst)
-		t.Count(&s.p.stats.Sent, 1)
+		t.Count(&s.p.stats.At(t).Sent, 1)
 		return s.lower.Push(t, m)
 	}
 	// Fragment: payload chunks are multiples of 8 bytes except the
@@ -265,8 +256,8 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 			flagsOff |= 0x2000 // MF
 		}
 		writeHeader(h, frag.Len(), id, flagsOff, s.proto, s.src, s.dst)
-		t.Count(&s.p.stats.Sent, 1)
-		t.Count(&s.p.stats.FragsOut, 1)
+		t.Count(&s.p.stats.At(t).Sent, 1)
+		t.Count(&s.p.stats.At(t).FragsOut, 1)
 		if err := s.lower.Push(t, frag); err != nil {
 			return err
 		}
@@ -319,7 +310,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		return ErrShort
 	}
 	if chksum.Sum(h) != 0 {
-		t.Count(&p.stats.ChecksumBad, 1)
+		t.Count(&p.stats.At(t).ChecksumBad, 1)
 		m.Free(t)
 		return ErrBadChecksum
 	}
@@ -338,7 +329,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	var dst xkernel.IPAddr
 	copy(dst[:], h[16:20])
 	if !p.cfg.Promiscuous && dst != p.cfg.Local {
-		t.Count(&p.stats.NotDeliverable, 1)
+		t.Count(&p.stats.At(t).NotDeliverable, 1)
 		m.Free(t)
 		return ErrNotOurs
 	}
@@ -359,12 +350,12 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		m = whole
 		copy(m.SrcAddr[:], h[12:16])
 		copy(m.DstAddr[:], h[16:20])
-		t.Count(&p.stats.Reassembled, 1)
+		t.Count(&p.stats.At(t).Reassembled, 1)
 	}
-	t.Count(&p.stats.Received, 1)
+	t.Count(&p.stats.At(t).Received, 1)
 	v, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
 	if !ok {
-		t.Count(&p.stats.NotDeliverable, 1)
+		t.Count(&p.stats.At(t).NotDeliverable, 1)
 		m.Free(t)
 		return fmt.Errorf("ip: no transport for protocol %d", proto)
 	}
@@ -378,7 +369,7 @@ func (p *Protocol) reassemble(t *sim.Thread, k reassKey, flagsOff uint16, m *msg
 	st := &t.Engine().C.Stack
 	p.reassLock.Acquire(t)
 	t.ChargeRand(st.IPReass)
-	t.Count(&p.stats.FragsIn, 1)
+	t.Count(&p.stats.At(t).FragsIn, 1)
 	e := p.reass[k]
 	if e == nil {
 		e = &reassEntry{total: -1}
@@ -433,7 +424,7 @@ func (p *Protocol) expire(t *sim.Thread, k reassKey) {
 	}
 	p.reassLock.Release(t)
 	if e != nil {
-		t.Count(&p.stats.TimedOut, 1)
+		t.Count(&p.stats.At(t).TimedOut, 1)
 		for _, pc := range e.pieces {
 			pc.m.Free(t)
 		}

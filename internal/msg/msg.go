@@ -318,10 +318,11 @@ type Message struct {
 	DstAddr [4]byte
 
 	// Born is the virtual time this packet's payload entered the
-	// system (stamped by the application source or receiving driver;
-	// zero when unstamped). The flight recorder's end-to-end latency
-	// histogram is fed from it at final consumption. Clone copies it;
-	// Fragment propagates it to each fragment.
+	// system (stamped by the application source or receiving driver
+	// while the flight recorder is on; zero when unstamped). The
+	// recorder's end-to-end latency histogram is fed from it at final
+	// consumption, its only reader. Clone copies it; Fragment propagates
+	// it to each fragment.
 	Born int64
 
 	// Segs is the number of wire segments coalesced into this view by

@@ -182,9 +182,12 @@ type Engine struct {
 
 	// Rec, when non-nil, is the packet flight recorder. Instrumented
 	// code reaches it via Thread.Engine().Rec; every recording method
-	// is nil-safe, so the disabled path is a single pointer test.
-	// Recording never charges virtual time or draws from a thread's
-	// RNG: measurements are bit-identical with tracing on or off.
+	// is nil-safe, but a call whose arguments read the clock (t.Now(),
+	// a wall-clock read on the host backend) sits under
+	// `if rec := t.Engine().Rec; rec != nil`, so the disabled path is a
+	// single pointer test and no clock read. Recording never charges
+	// virtual time or draws from a thread's RNG: measurements are
+	// bit-identical with tracing on or off.
 	Rec *trace.Recorder
 
 	// Tel, when non-nil, is the virtual-time telemetry sampler

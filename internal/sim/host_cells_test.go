@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 const (
@@ -160,6 +161,92 @@ func TestHostQueueFIFOPerProducer(t *testing.T) {
 	if consumed.Load() != hostThreads/2*hostOps || q.Len() != 0 {
 		t.Errorf("consumed %d items with %d left, want %d and 0", consumed.Load(), q.Len(), hostThreads/2*hostOps)
 	}
+}
+
+// shardStats stands in for a protocol's Stats: add-only int64 counters.
+type shardStats struct{ Pkts, Bytes int64 }
+
+// TestHostShardsSumExact: goroutines on four distinct slots (the last
+// among them) and two that share a slot (procs equal modulo
+// shardSlots) bump one sharded Stats while they snapshot it; every
+// snapshot stays within the totals and the final sum is exact.
+func TestHostShardsSumExact(t *testing.T) {
+	procs := []int{0, 1, 2, shardSlots - 1, 3, 3 + shardSlots}
+	total := int64(len(procs) * hostOps)
+	var s Shards[shardStats]
+	e := NewBackend(nil, 1, BackendHost)
+	for _, p := range procs {
+		e.Spawn(fmt.Sprintf("h%d", p), p, func(th *Thread) {
+			for i := 0; i < hostOps; i++ {
+				c := s.At(th)
+				th.Count(&c.Pkts, 1)
+				th.Count(&c.Bytes, 3)
+				if i%100 == 0 {
+					if sum := s.Sum(); sum.Pkts > total || sum.Bytes > 3*total {
+						t.Errorf("snapshot %+v beyond the totals %d, %d", sum, total, 3*total)
+					}
+				}
+			}
+		})
+	}
+	e.Run()
+	if got, want := s.Sum(), (shardStats{total, 3 * total}); got != want {
+		t.Errorf("sum %+v, want %+v", got, want)
+	}
+}
+
+// TestHostShardsOwnLines: wherever the allocator puts a Shards (every
+// offset from a line boundary), no two processors' slots share a line
+// unless the processors share a slot, and neither the first nor the
+// last slot shares a line with the fields around the Shards; and Sum
+// refuses a T it cannot add as int64 words.
+func TestHostShardsOwnLines(t *testing.T) {
+	type wide struct{ A, B, C, D, E, F, G, H, I, J, K, L, M, N int64 } // tcp.Stats' 14 counters
+	line := func(a uintptr) uintptr { return a / cacheLine }
+	// check takes the Shards' size, its value size and each proc's slot
+	// offset from the Shards' first byte.
+	check := func(name string, total, size uintptr, off func(p int) uintptr) {
+		if stride := off(1) - off(0); stride < size+cacheLine {
+			t.Errorf("%s: slots %d bytes apart, want at least %d + %d", name, stride, size, cacheLine)
+		}
+		for k := uintptr(0); k < cacheLine; k++ {
+			base := cacheLine + k // the Shards starts k bytes past a line boundary
+			if first := line(base + off(0)); first == line(base-1) {
+				t.Errorf("%s at +%d: slot 0 shares line %d with the field before", name, k, first)
+			}
+			if last := line(base + off(shardSlots-1) + size - 1); last == line(base+total) {
+				t.Errorf("%s at +%d: slot %d shares line %d with the field after", name, k, shardSlots-1, last)
+			}
+			for p := 0; p+1 < shardSlots; p++ {
+				if end, next := line(base+off(p)+size-1), line(base+off(p+1)); end >= next {
+					t.Errorf("%s at +%d: proc %d's slot ends on line %d, proc %d's starts on line %d", name, k, p, end, p+1, next)
+				}
+			}
+		}
+		if off(shardSlots+5) != off(5) {
+			t.Errorf("%s: proc %d does not share proc 5's slot", name, shardSlots+5)
+		}
+	}
+	var narrow Shards[shardStats]
+	check("2 counters", unsafe.Sizeof(narrow), unsafe.Sizeof(shardStats{}), func(p int) uintptr {
+		return uintptr(unsafe.Pointer(narrow.At(&Thread{Proc: p}))) - uintptr(unsafe.Pointer(&narrow))
+	})
+	var w Shards[wide]
+	check("14 counters", unsafe.Sizeof(w), unsafe.Sizeof(wide{}), func(p int) uintptr {
+		return uintptr(unsafe.Pointer(w.At(&Thread{Proc: p}))) - uintptr(unsafe.Pointer(&w))
+	})
+
+	refuses := func(name string, sum func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Sum accepted %s", name)
+			}
+		}()
+		sum()
+	}
+	refuses("an int32 field", func() { new(Shards[struct{ A int32 }]).Sum() })
+	refuses("a pointer field", func() { new(Shards[struct{ P *int64 }]).Sum() })
+	refuses("a non-struct", func() { new(Shards[int64]).Sum() })
 }
 
 // cellScript runs a seeded random sequence of operations over every

@@ -3,8 +3,9 @@ package sim
 // Higher-level synchronization objects built on the simulated locks:
 // counting (recursive) locks for the map manager, reference counts in
 // atomic or lock-based mode, the bakery sequencer used for order
-// preservation above TCP, condition variables, shared counters and the
-// statistics-counter add.
+// preservation above TCP, condition variables, shared counters, the
+// statistics-counter add and the per-processor shards statistics live
+// in.
 //
 // The rule for the shared cells (Counter, RefCount, CountingLock
 // ownership, Queue length) and the statistics counters: each operation
@@ -16,6 +17,14 @@ package sim
 // thread stays atomic on both: Flag (set from outside the engine) and
 // the snapshot readers (Value, Load, Len, the Stats methods), whose
 // atomic loads cost nothing extra.
+//
+// Protocol-wide statistics are sharded (Shards): each processor bumps
+// its own line-padded slot and a snapshot sums them, so on the host
+// no counter line crosses processors per packet. The shard decides
+// only which line is written; Count stays atomic on the host, so a
+// count is exact whether or not threads and slots pair one to one. On
+// the sim the adds are plain and the sums are what one shared counter
+// held.
 //
 // History: the cells were atomics on both substrates until the fences
 // showed in profiles — an atomic store is an XCHG and an atomic add a
@@ -31,9 +40,11 @@ package sim
 // and skipped on the host backend.
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // CountingLock is the recursive lock the x-kernel map manager needs:
@@ -441,13 +452,82 @@ func (c *Counter) Store(v int64) { atomic.StoreInt64(&c.v, v) }
 // sim). It charges no virtual time and implies no ordering. Every
 // add-only statistic in the protocol packages goes through here, so the
 // choice between a plain increment and a LOCK XADD is made in this
-// package alone.
+// package alone. A protocol-wide statistic lives in a Shards, and the
+// counter passed here is the caller's own slot's: the shard decides
+// which cache line the add dirties, the atomic keeps it exact however
+// threads map to slots.
 func (t *Thread) Count(c *int64, delta int64) {
 	if t.eng.host != nil {
 		atomic.AddInt64(c, delta)
 		return
 	}
 	*c += delta
+}
+
+// shardSlots is the slot count of every Shards: a power of two, so a
+// slot is a mask away, and above the threads of the paper's largest
+// machine (8 pumps, core's control and event threads), so each has one.
+const shardSlots = 16
+
+// cacheLine is the coherence unit that separates Shards slots.
+const cacheLine = 64
+
+// Shards holds one T per processor slot, each on cache lines of its own:
+// the add-only statistics every processor bumps for every packet. A
+// thread bumps fields of its own slot (At) with Count; a snapshot sums
+// the slots (Sum). T must be a struct of int64 counters. The zero value
+// is ready to use.
+//
+// The slots are stored inline, so wherever the allocator places the
+// enclosing struct a line of padding follows every slot and precedes
+// the first: no two slots, and no slot and a neighbouring field, share
+// a line.
+//
+// Processors share a slot when they are equal modulo shardSlots. That
+// costs a shared line, never a count: Count is atomic on the host.
+type Shards[T any] struct {
+	_     [cacheLine]byte
+	slots [shardSlots]struct {
+		v T
+		_ [cacheLine]byte
+	}
+}
+
+// At returns the calling thread's slot.
+func (s *Shards[T]) At(t *Thread) *T {
+	return &s.slots[t.Proc&(shardSlots-1)].v
+}
+
+// Sum adds up the slots field by field, with atomic loads: host threads
+// bump them while a snapshot reads. It is coherent per field, not
+// across fields.
+func (s *Shards[T]) Sum() T {
+	var sum T
+	n := counterWords[T]()
+	out := unsafe.Slice((*int64)(unsafe.Pointer(&sum)), n)
+	for i := range s.slots {
+		slot := unsafe.Slice((*int64)(unsafe.Pointer(&s.slots[i].v)), n)
+		for w := range out {
+			out[w] += atomic.LoadInt64(&slot[w])
+		}
+	}
+	return sum
+}
+
+// counterWords returns the number of int64 words in T, and panics
+// unless T is a struct of int64 fields, the only shape Sum can add word
+// by word.
+func counterWords[T any]() int {
+	rt := reflect.TypeFor[T]()
+	if rt.Kind() != reflect.Struct {
+		panic("sim: Shards of " + rt.String() + ": not a struct of int64 counters")
+	}
+	for i := range rt.NumField() {
+		if f := rt.Field(i); f.Type.Kind() != reflect.Int64 {
+			panic("sim: Shards of " + rt.String() + ": field " + f.Name + " is not an int64 counter")
+		}
+	}
+	return int(rt.Size() / 8)
 }
 
 // Flag is a shared boolean checked with relaxed reads (stop flags).

@@ -22,7 +22,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 	st := &t.Engine().C.Stack
 	cfg := &tcb.p.cfg
 	p := tcb.p
-	t.Count(&p.stats.SegsIn, 1)
+	t.Count(&p.stats.At(t).SegsIn, 1)
 
 	tcb.locks.lockState(t)
 
@@ -30,11 +30,13 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 	// is not the next expected arrived out of order at TCP.
 	if sg.dlen > 0 && tcb.state == stateEstablished {
 		t.Count(&tcb.dataIn, 1)
-		t.Count(&p.stats.DataSegsIn, 1)
+		t.Count(&p.stats.At(t).DataSegsIn, 1)
 		if sg.seq != tcb.rcvNxt {
 			t.Count(&tcb.oooIn, 1)
-			t.Count(&p.stats.OOOSegsIn, 1)
-			t.Engine().Rec.OutOfOrder(t.Proc, t.Now(), int64(sg.seq), int64(tcb.rcvNxt))
+			t.Count(&p.stats.At(t).OOOSegsIn, 1)
+			if rec := t.Engine().Rec; rec != nil {
+				rec.OutOfOrder(t.Proc, t.Now(), int64(sg.seq), int64(tcb.rcvNxt))
+			}
 		}
 	}
 	if cfg.AssumeInOrder && sg.dlen > 0 && tcb.state == stateEstablished &&
@@ -88,9 +90,11 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			seqGT(sg.ack, tcb.sndUna) && seqLEQ(sg.ack, tcb.sndMax) {
 			// Predicted pure ACK.
 			t.ChargeRand(st.TCPAckLocked)
-			t.Count(&p.stats.AcksIn, 1)
-			t.Count(&p.stats.Predicted, 1)
-			t.Engine().Rec.PredictHit(t.Proc, t.Now(), int64(sg.ack))
+			t.Count(&p.stats.At(t).AcksIn, 1)
+			t.Count(&p.stats.At(t).Predicted, 1)
+			if rec := t.Engine().Rec; rec != nil {
+				rec.PredictHit(t.Proc, t.Now(), int64(sg.ack))
+			}
 			tcb.processAck(t, sg)
 			tcb.notFull.Broadcast(t)
 			tcb.locks.unlockState(t)
@@ -103,7 +107,9 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			// path as a single segment: one state-lock acquisition and
 			// one prediction hit covering all coalesced bytes.
 			t.ChargeRand(st.TCPRecvFast)
-			t.Engine().Rec.PredictHit(t.Proc, t.Now(), int64(sg.seq))
+			if rec := t.Engine().Rec; rec != nil {
+				rec.PredictHit(t.Proc, t.Now(), int64(sg.seq))
+			}
 			tcb.rcvNxt += uint32(sg.dlen)
 			dlen := sg.dlen
 			needAck, ackVal, win := tcb.ackPolicy(t)
@@ -124,15 +130,17 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			// Accounted only after the fallible ack send and delivery:
 			// a failed step must not count as delivered traffic or the
 			// counters drift from the sink under fault injection.
-			t.Count(&p.stats.Predicted, 1)
-			t.Count(&p.stats.BytesIn, int64(dlen))
-			t.Count(&p.stats.Delivered, 1)
+			t.Count(&p.stats.At(t).Predicted, 1)
+			t.Count(&p.stats.At(t).BytesIn, int64(dlen))
+			t.Count(&p.stats.At(t).Delivered, 1)
 			return nil
 		}
 	}
 
 	// ---- Slow path ----
-	t.Engine().Rec.PredictMiss(t.Proc, t.Now(), int64(sg.seq))
+	if rec := t.Engine().Rec; rec != nil {
+		rec.PredictMiss(t.Proc, t.Now(), int64(sg.seq))
+	}
 	t.ChargeRand(st.TCPRecvFast)
 	t.ChargeRand(st.TCPRecvSlow)
 
@@ -152,7 +160,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				}
 			}
 		default:
-			t.Count(&p.stats.AcksIn, 1)
+			t.Count(&p.stats.At(t).AcksIn, 1)
 			tcb.dupAcks = 0
 			tcb.processAck(t, sg)
 			tcb.notFull.Broadcast(t)
@@ -198,7 +206,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				// Drop the whole segment and ack so the peer retransmits
 				// from our edge. Its FIN, if any, rides sequence space we
 				// just refused, so it must not be processed either.
-				t.Count(&p.stats.Dropped, 1)
+				t.Count(&p.stats.At(t).Dropped, 1)
 				needAckNow = true
 				sg.flags &^= FlagFIN
 				m.Free(t)
@@ -208,7 +216,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		if m != nil {
 			if sg.seq == tcb.rcvNxt && len(tcb.reassQ) == 0 {
 				tcb.rcvNxt += uint32(sg.dlen)
-				t.Count(&p.stats.BytesIn, int64(sg.dlen))
+				t.Count(&p.stats.At(t).BytesIn, int64(sg.dlen))
 				deliver = append(deliver, m)
 				m = nil
 				tcb.unacked++
@@ -238,7 +246,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 					drained++
 					t.ChargeRand(st.TCPReassDrain)
 					tcb.rcvNxt += uint32(rs.dlen)
-					t.Count(&p.stats.BytesIn, int64(rs.dlen))
+					t.Count(&p.stats.At(t).BytesIn, int64(rs.dlen))
 					if rs.m != nil {
 						deliver = append(deliver, rs.m)
 					}
@@ -310,7 +318,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		if err := tcb.up.Receive(t, dm); err != nil {
 			return err
 		}
-		t.Count(&p.stats.Delivered, 1)
+		t.Count(&p.stats.At(t).Delivered, 1)
 	}
 	return nil
 }

@@ -142,8 +142,8 @@ func (tcb *TCB) sendSegment(t *sim.Thread, m *msg.Message, flags uint8) error {
 		tcb.locks.unlockState(t)
 	}
 
-	t.Count(&tcb.p.stats.SegsOut, 1)
-	t.Count(&tcb.p.stats.BytesOut, int64(dlen))
+	t.Count(&tcb.p.stats.At(t).SegsOut, 1)
+	t.Count(&tcb.p.stats.At(t).BytesOut, int64(dlen))
 	return tcb.lower.Push(t, m)
 }
 
@@ -180,8 +180,8 @@ func (tcb *TCB) sendAckNow(t *sim.Thread, ack uint32, win uint32) error {
 	if tcb.locks.layout == Layout6 {
 		tcb.locks.hprep.Release(t)
 	}
-	t.Count(&tcb.p.stats.SegsOut, 1)
-	t.Count(&tcb.p.stats.AcksOut, 1)
+	t.Count(&tcb.p.stats.At(t).SegsOut, 1)
+	t.Count(&tcb.p.stats.At(t).AcksOut, 1)
 	return tcb.lower.Push(t, m)
 }
 
@@ -228,11 +228,13 @@ func (tcb *TCB) retransmit(t *sim.Thread, fast bool) error {
 	tcb.locks.unlockState(t)
 
 	if fast {
-		t.Count(&tcb.p.stats.FastRexmt, 1)
+		t.Count(&tcb.p.stats.At(t).FastRexmt, 1)
 	} else {
-		t.Count(&tcb.p.stats.Rexmt, 1)
+		t.Count(&tcb.p.stats.At(t).Rexmt, 1)
 	}
-	t.Engine().Rec.Retransmit(t.Proc, t.Now(), int64(seqn), fast)
+	if rec := t.Engine().Rec; rec != nil {
+		rec.Retransmit(t.Proc, t.Now(), int64(seqn), fast)
+	}
 	if m == nil {
 		return tcb.sendControl(t, flags, seqn, ack)
 	}
@@ -247,7 +249,7 @@ func (tcb *TCB) retransmit(t *sim.Thread, fast bool) error {
 	}
 	putHeader(h, tcb.part.LocalPort, tcb.part.RemotePort, seqn, ack, flags, win)
 	tcb.finishChecksum(t, m)
-	t.Count(&tcb.p.stats.SegsOut, 1)
+	t.Count(&tcb.p.stats.At(t).SegsOut, 1)
 	return tcb.lower.Push(t, m)
 }
 

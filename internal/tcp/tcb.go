@@ -442,9 +442,9 @@ func (tcb *TCB) sendControl(t *sim.Thread, flags uint8, seqn, ack uint32) error 
 	}
 	putHeader(h, tcb.part.LocalPort, tcb.part.RemotePort, seqn, ack, flags, tcb.rcvWnd)
 	tcb.finishChecksum(t, m)
-	t.Count(&tcb.p.stats.SegsOut, 1)
+	t.Count(&tcb.p.stats.At(t).SegsOut, 1)
 	if flags&FlagACK != 0 {
-		t.Count(&tcb.p.stats.AcksOut, 1)
+		t.Count(&tcb.p.stats.At(t).AcksOut, 1)
 	}
 	return tcb.lower.Push(t, m)
 }

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/event"
 	"repro/internal/msg"
@@ -140,11 +139,12 @@ type IPSession interface {
 	MSS() int
 }
 
-// Stats aggregates protocol-wide counters. Fields are updated with
-// Thread.Count: pump threads on different procs bump them concurrently
-// on the host backend, where it is an atomic add (the sim engine
-// serializes, so there it is a plain increment and the values stay
-// deterministic).
+// Stats aggregates protocol-wide counters. The protocol keeps one Stats
+// per processor (sim.Shards) and Stats() sums them: a thread bumps its
+// own processor's copy with Thread.Count, so on the host backend, where
+// pumps on different procs run concurrently and the add is atomic, no
+// counter line crosses processors. The sim engine serializes, so there
+// the add is plain and the sums stay deterministic.
 type Stats struct {
 	SegsIn      int64
 	SegsOut     int64
@@ -173,7 +173,7 @@ type Protocol struct {
 	sessLock sim.Mutex
 	iss      sim.Counter
 	ref      sim.RefCount
-	stats    Stats
+	stats    sim.Shards[Stats]
 
 	stopTimers sim.Flag
 
@@ -236,27 +236,10 @@ func New(cfg Config, lower IPOpener, alloc *msg.Allocator, wheel *event.Wheel) *
 // Ref returns the protocol reference count.
 func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 
-// Stats returns a copy of the aggregate counters (atomic-load
+// Stats returns the counters summed over processors (atomic-load
 // snapshot; coherent per field, not across fields, on the host
 // backend).
-func (p *Protocol) Stats() Stats {
-	return Stats{
-		SegsIn:      atomic.LoadInt64(&p.stats.SegsIn),
-		SegsOut:     atomic.LoadInt64(&p.stats.SegsOut),
-		DataSegsIn:  atomic.LoadInt64(&p.stats.DataSegsIn),
-		OOOSegsIn:   atomic.LoadInt64(&p.stats.OOOSegsIn),
-		Predicted:   atomic.LoadInt64(&p.stats.Predicted),
-		AcksIn:      atomic.LoadInt64(&p.stats.AcksIn),
-		AcksOut:     atomic.LoadInt64(&p.stats.AcksOut),
-		Rexmt:       atomic.LoadInt64(&p.stats.Rexmt),
-		FastRexmt:   atomic.LoadInt64(&p.stats.FastRexmt),
-		Dropped:     atomic.LoadInt64(&p.stats.Dropped),
-		ChecksumBad: atomic.LoadInt64(&p.stats.ChecksumBad),
-		Delivered:   atomic.LoadInt64(&p.stats.Delivered),
-		BytesIn:     atomic.LoadInt64(&p.stats.BytesIn),
-		BytesOut:    atomic.LoadInt64(&p.stats.BytesOut),
-	}
-}
+func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 
 // DemuxMap exposes the connection demux map.
 func (p *Protocol) DemuxMap() *xmap.Map { return p.tcbs }
@@ -337,7 +320,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	t.ChargeRand(st.TCPRecvPre)
 	h, err := m.Peek(HdrLen)
 	if err != nil {
-		t.Count(&p.stats.Dropped, 1)
+		t.Count(&p.stats.At(t).Dropped, 1)
 		m.Free(t)
 		return ErrShort
 	}
@@ -348,7 +331,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	key := xmap.AddrKey(dstOf(m), srcOf(m), sg.dport, sg.sport)
 	v, ok := p.tcbs.Resolve(t, key)
 	if !ok {
-		t.Count(&p.stats.Dropped, 1)
+		t.Count(&p.stats.At(t).Dropped, 1)
 		m.Free(t)
 		return fmt.Errorf("tcp: no connection for %v", sg)
 	}
@@ -362,12 +345,12 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	if p.cfg.Checksum != ChecksumOff {
 		t.ChargeBytes(st.ChecksumByte, m.Len())
 		if !tcb.verifyChecksum(t, m) {
-			t.Count(&p.stats.ChecksumBad, 1)
+			t.Count(&p.stats.At(t).ChecksumBad, 1)
 			if p.cfg.Checksum == ChecksumEnforce {
 				if p.cfg.Layout == Layout6 {
 					tcb.locks.hrem.Release(t)
 				}
-				t.Count(&p.stats.Dropped, 1)
+				t.Count(&p.stats.At(t).Dropped, 1)
 				m.Free(t)
 				return ErrBadChecksum
 			}
@@ -377,7 +360,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		if p.cfg.Layout == Layout6 {
 			tcb.locks.hrem.Release(t)
 		}
-		t.Count(&p.stats.Dropped, 1)
+		t.Count(&p.stats.At(t).Dropped, 1)
 		m.Free(t)
 		return ErrShort
 	}

@@ -5,8 +5,6 @@
 package udp
 
 import (
-	"sync/atomic"
-
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,12 +75,14 @@ type Protocol struct {
 	sessions *xmap.Map
 	sessLock sim.Mutex
 	ref      sim.RefCount
-	stats    Stats
+	stats    sim.Shards[Stats]
 	// slab backs every Session; Open mutates it under sessLock.
 	slab slab.Slab[Session]
 }
 
-// Stats counts UDP activity.
+// Stats counts UDP activity. The protocol keeps one Stats per processor
+// (sim.Shards): a thread bumps its own with Thread.Count, so host pumps
+// write no shared counter line, and Stats() sums them.
 type Stats struct {
 	Sent        int64
 	Delivered   int64
@@ -111,16 +111,9 @@ func New(cfg Config, lower IPOpener) *Protocol {
 // Ref returns the protocol reference count.
 func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 
-// Stats returns a copy of the counters (atomic-load snapshot; pump
-// threads bump them concurrently on the host backend).
-func (p *Protocol) Stats() Stats {
-	return Stats{
-		Sent:        atomic.LoadInt64(&p.stats.Sent),
-		Delivered:   atomic.LoadInt64(&p.stats.Delivered),
-		NoPort:      atomic.LoadInt64(&p.stats.NoPort),
-		ChecksumBad: atomic.LoadInt64(&p.stats.ChecksumBad),
-	}
-}
+// Stats returns the counters summed over processors (atomic-load
+// snapshot; pump threads bump them concurrently on the host backend).
+func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 
 // DemuxMap exposes the session demux map.
 func (p *Protocol) DemuxMap() *xmap.Map { return p.sessions }
@@ -182,7 +175,7 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 		}
 		binary.BigEndian.PutUint16(h[6:8], ck)
 	}
-	t.Count(&s.p.stats.Sent, 1)
+	t.Count(&s.p.stats.At(t).Sent, 1)
 	return s.lower.Push(t, m)
 }
 
@@ -223,7 +216,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	// Demux key from the receiver's perspective: local=dst port.
 	v, ok := p.sessions.Resolve(t, xmap.PortKey(dport, sport))
 	if !ok {
-		t.Count(&p.stats.NoPort, 1)
+		t.Count(&p.stats.At(t).NoPort, 1)
 		m.Free(t)
 		return fmt.Errorf("udp: no session for ports %d<-%d", dport, sport)
 	}
@@ -232,7 +225,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		t.ChargeBytes(st.ChecksumByte, m.Len())
 		if binary.BigEndian.Uint16(h[6:8]) != 0 {
 			if !chksum.Verify(s.lower.Dst(), s.lower.Src(), 17, m.Bytes()) {
-				t.Count(&p.stats.ChecksumBad, 1)
+				t.Count(&p.stats.At(t).ChecksumBad, 1)
 				if p.cfg.Checksum == ChecksumEnforce {
 					m.Free(t)
 					return ErrBadChecksum
@@ -249,7 +242,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	err = s.up.Receive(t, m)
 	s.ref.Decr(t)
 	if err == nil {
-		t.Count(&p.stats.Delivered, 1)
+		t.Count(&p.stats.At(t).Delivered, 1)
 	}
 	return err
 }

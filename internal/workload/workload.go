@@ -341,7 +341,9 @@ func (k *Sink) Receive(t *sim.Thread, m *msg.Message) error {
 	if k.Pin != nil {
 		k.Pin(t, conn, gen, appProc)
 	}
-	t.Engine().Rec.Deliver(t.Proc, t.Now(), m.Born)
+	if rec := t.Engine().Rec; rec != nil {
+		rec.Deliver(t.Proc, t.Now(), m.Born)
+	}
 	m.Free(t)
 	return nil
 }

@@ -22,7 +22,6 @@ package xmap
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -56,9 +55,11 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
-// Stats counts map activity (Thread.Count: callers on concurrent host
-// threads bump them under the map lock, but Stats() snapshots without
-// it).
+// Stats counts map activity. The map keeps one Stats per processor
+// (sim.Shards), bumped with Thread.Count under the map lock and summed
+// by Stats() without it. Per processor, so that the lock's holder
+// dirties only its own counter line: a cache-hit Resolve on the host
+// backend then moves no line but the lock's and the cache's.
 type Stats struct {
 	Resolves  int64
 	CacheHits int64
@@ -96,7 +97,7 @@ type Map struct {
 	cacheVal   any
 	cacheValid bool
 
-	stats Stats
+	stats sim.Shards[Stats]
 
 	// Entry storage, after the fields a cache-hit Resolve touches: on
 	// the host backend those lines bounce between processors.
@@ -205,7 +206,7 @@ func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
 	*m.at(r) = entry{key: k, val: v, next: m.buckets[b]}
 	m.buckets[b] = r
 	m.n++
-	t.Count(&m.stats.Binds, 1)
+	t.Count(&m.stats.At(t).Binds, 1)
 	if m.MaxLoad > 0 && m.n > m.MaxLoad*len(m.buckets) {
 		m.grow()
 	}
@@ -246,10 +247,10 @@ func (m *Map) Grows() int { return m.grows }
 func (m *Map) Resolve(t *sim.Thread, k Key) (any, bool) {
 	m.acquire(t)
 	defer m.release(t)
-	t.Count(&m.stats.Resolves, 1)
+	t.Count(&m.stats.At(t).Resolves, 1)
 	st := &t.Engine().C.Stack
 	if !m.NoCache && m.cacheValid && m.cacheKey == k {
-		t.Count(&m.stats.CacheHits, 1)
+		t.Count(&m.stats.At(t).CacheHits, 1)
 		t.ChargeRand(st.MapCacheHit)
 		return m.cacheVal, true
 	}
@@ -277,7 +278,7 @@ func (m *Map) Unbind(t *sim.Thread, k Key) error {
 		if e.key == k {
 			*pr = e.next
 			m.n--
-			t.Count(&m.stats.Unbinds, 1)
+			t.Count(&m.stats.At(t).Unbinds, 1)
 			if m.cacheValid && m.cacheKey == k {
 				m.cacheVal, m.cacheValid = nil, false
 			}
@@ -332,15 +333,9 @@ func (m *Map) endForEach(t *sim.Thread) {
 	m.release(t)
 }
 
-// Stats returns a copy of the counters (atomic-load snapshot).
-func (m *Map) Stats() Stats {
-	return Stats{
-		Resolves:  atomic.LoadInt64(&m.stats.Resolves),
-		CacheHits: atomic.LoadInt64(&m.stats.CacheHits),
-		Binds:     atomic.LoadInt64(&m.stats.Binds),
-		Unbinds:   atomic.LoadInt64(&m.stats.Unbinds),
-	}
-}
+// Stats returns the counters summed over processors (atomic-load
+// snapshot).
+func (m *Map) Stats() Stats { return m.stats.Sum() }
 
 // LockStats exposes the map lock's contention statistics.
 func (m *Map) LockStats() sim.LockStats { return m.lock.Stats() }
