@@ -21,119 +21,89 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-func main() {
-	var (
-		list     = flag.Bool("list", false, "list available experiments")
-		exp      = flag.String("experiment", "", "experiment ID (see -list), comma-separated, or 'all'")
-		maxProcs = flag.Int("maxprocs", 8, "sweep processor counts 1..N")
-		warmup   = flag.Int64("warmup", 1000, "virtual warm-up per run, ms")
-		measureD = flag.Int64("measure", 2000, "virtual measurement interval per run, ms")
-		runs     = flag.Int("runs", 3, "runs averaged per data point")
-		seed     = flag.Uint64("seed", 1994, "base PRNG seed")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		plot     = flag.Bool("plot", false, "also draw each figure as an ASCII chart")
-		quick    = flag.Bool("quick", false, "fast smoke parameters (overrides the above)")
-		procs    = flag.Int("procs", 0, "host worker threads to fan simulation points across (0 = GOMAXPROCS); output is identical for every value")
-		backend  = flag.String("backend", "", "execution substrate for experiments that honor it (ext-host): sim runs the simulated half only, host (or empty) runs both and reports shape agreement")
-		loss     = flag.String("loss", "", "ext-loss: comma-separated loss rates, e.g. 0,0.001,0.01,0.05")
-		batch    = flag.String("batch", "", "ext-batch: comma-separated batch sizes (MaxSegs), e.g. 1,4,8,16; 1 means batching off")
-		conns    = flag.String("conns", "", "ext-scale: comma-separated connection ladder, e.g. 1000,10000,100000")
-		jsonOut  = flag.String("json", "", "run the traced profile suite and write per-run ProfileJSON records to FILE ('-' for stdout)")
-		tsOut    = flag.String("timeseries", "", "run the profile suite with telemetry sampling on and write the per-run time series (JSON) to FILE ('-' for stdout)")
-		sampleNs = flag.Int64("sample", 0, "with -timeseries: telemetry sampling period, virtual ns (0: default 1000000)")
-	)
-	flag.Parse()
+// options are ppbench's own flags: what to run and how to print it.
+// Every other flag is an experiments.Params field, bound from that
+// package's table.
+type options struct {
+	list, quick, csv, plot     bool
+	experiment, jsonOut, tsOut string
+}
 
-	if *list {
+// newFlagSet binds the Params flags to p, whose values are their
+// defaults, and ppbench's own flags to o.
+func newFlagSet(p *experiments.Params, o *options, h flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet("ppbench", h)
+	experiments.BindFlags(fs, p)
+	fs.BoolVar(&o.list, "list", false, "list available experiments and this flag reference")
+	fs.StringVar(&o.experiment, "experiment", "", "experiment ID (see -list), comma-separated, or 'all'")
+	fs.BoolVar(&o.quick, "quick", false, "fast smoke parameters (QuickParams) as the defaults; explicit flags still win")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.BoolVar(&o.plot, "plot", false, "also draw each figure as an ASCII chart")
+	fs.StringVar(&o.jsonOut, "json", "", "run the traced profile suite and write per-run ProfileJSON records to `FILE` ('-' for stdout)")
+	fs.StringVar(&o.tsOut, "timeseries", "", "run the profile suite with telemetry sampling on and write the per-run time series (JSON) to `FILE` ('-' for stdout)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage: ppbench [flags]\n\nFlag groups:\n"+
+			"  selection      -experiment -list -quick\n"+
+			"  output         -csv -plot -json -timeseries\n%s\nFlags:\n", experiments.FlagGroups())
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// parse reads a command line (less the program name). -quick swaps the
+// defaults the flags start from, so the line is parsed again over
+// QuickParams: an explicit flag wins either way.
+func parse(args []string, h flag.ErrorHandling) (experiments.Params, options, error) {
+	var o options
+	p := experiments.DefaultParams()
+	err := newFlagSet(&p, &o, h).Parse(args)
+	if err == nil && o.quick {
+		p = experiments.QuickParams()
+		err = newFlagSet(&p, &o, h).Parse(args)
+	}
+	return p, o, err
+}
+
+func main() {
+	// ExitOnError: parse does not return on a bad command line.
+	p, o, _ := parse(os.Args[1:], flag.ExitOnError)
+
+	if o.list {
 		printCatalog(os.Stdout)
 		return
 	}
-	if *exp == "" && *jsonOut == "" && *tsOut == "" {
+	if o.experiment == "" && o.jsonOut == "" && o.tsOut == "" {
 		fmt.Fprintln(os.Stderr, "ppbench: -experiment, -json or -timeseries required (or -list); try -experiment all")
 		os.Exit(2)
 	}
 
-	p := experiments.Params{
-		MaxProcs:  *maxProcs,
-		WarmupNs:  *warmup * 1_000_000,
-		MeasureNs: *measureD * 1_000_000,
-		Runs:      *runs,
-		Seed:      *seed,
-	}
-	if *quick {
-		p = experiments.QuickParams()
-	}
-	p.Workers = *procs
-	if *backend != "" {
-		var b sim.Backend
-		if err := b.Set(*backend); err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: -backend: %v\n", err)
-			os.Exit(2)
+	if o.jsonOut != "" || o.tsOut != "" {
+		// Only the -timeseries suite samples.
+		if o.tsOut == "" {
+			p.SamplePeriodNs = 0
+		} else if p.SamplePeriodNs <= 0 {
+			p.SamplePeriodNs = telemetry.DefaultPeriodNs
 		}
-		p.Backend = b.String()
-	}
-	if *loss != "" {
-		for _, f := range strings.Split(*loss, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || r < 0 || r > 1 {
-				fmt.Fprintf(os.Stderr, "ppbench: bad -loss rate %q (want values in [0,1])\n", f)
-				os.Exit(2)
-			}
-			p.LossRates = append(p.LossRates, r)
-		}
-	}
-	if *batch != "" {
-		for _, f := range strings.Split(*batch, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "ppbench: bad -batch size %q (want integers >= 1)\n", f)
-				os.Exit(2)
-			}
-			p.BatchSizes = append(p.BatchSizes, n)
-		}
-	}
-	if *conns != "" {
-		p.ScaleConns = nil
-		for _, f := range strings.Split(*conns, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "ppbench: bad -conns count %q (want integers >= 1)\n", f)
-				os.Exit(2)
-			}
-			p.ScaleConns = append(p.ScaleConns, n)
-		}
-	}
-
-	if *jsonOut != "" || *tsOut != "" {
-		if *tsOut != "" {
-			p.SamplePeriodNs = *sampleNs
-			if p.SamplePeriodNs <= 0 {
-				p.SamplePeriodNs = telemetry.DefaultPeriodNs
-			}
-		}
-		if err := writeProfiles(*jsonOut, *tsOut, p); err != nil {
+		if err := writeProfiles(o.jsonOut, o.tsOut, p); err != nil {
 			fmt.Fprintf(os.Stderr, "ppbench: %v\n", err)
 			os.Exit(1)
 		}
-		if *exp == "" {
+		if o.experiment == "" {
 			return
 		}
 	}
 
-	var specs []experiments.Spec
-	if *exp == "all" {
-		specs = experiments.Catalog()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
+	specs := experiments.Catalog()
+	if o.experiment != "all" {
+		specs = nil
+		for _, id := range strings.Split(o.experiment, ",") {
 			s, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "ppbench: unknown experiment %q\n", id)
@@ -153,13 +123,13 @@ func main() {
 			os.Exit(1)
 		}
 		for _, tb := range tables {
-			if *csv {
+			if o.csv {
 				fmt.Println(tb.Title)
 				fmt.Print(tb.CSV())
 			} else {
 				fmt.Println(tb.String())
 			}
-			if *plot {
+			if o.plot {
 				fmt.Println(tb.Plot(64, 16))
 			}
 		}
@@ -167,32 +137,18 @@ func main() {
 	}
 }
 
-// printCatalog lists every registered experiment plus the flag
-// reference, grouped by what each flag applies to.
+// printCatalog lists every registered experiment, then the flag
+// reference.
 func printCatalog(w io.Writer) {
 	fmt.Fprintln(w, "Available experiments:")
 	for _, s := range experiments.Catalog() {
 		fmt.Fprintf(w, "  %-18s %-22s %s\n", s.ID, s.Figures, s.Brief)
 	}
-	fmt.Fprint(w, `
-Flag groups:
-  selection    -experiment ID[,ID...]|all  run experiments; -list this catalog
-  methodology  -maxprocs -warmup -measure -runs -seed -quick
-               (-quick: fast smoke parameters, overriding the others)
-  ladders      -loss R[,R...]   ext-loss loss-rate ladder override
-               -batch N[,N...]  ext-batch MaxSegs ladder override (1 = off)
-               -conns N[,N...]  ext-scale connection-ladder override
-  output       -csv -plot
-  suites       -json FILE        traced profile suite (ProfileJSON records)
-               -timeseries FILE  profile suite with telemetry sampling on;
-                                 per-run time series as JSON ('-' = stdout)
-               -sample NS        sampling period for -timeseries (default 1e6)
-  host         -procs N  worker threads to fan points across (0 = GOMAXPROCS);
-               output is byte-identical for every value
-               -backend sim|host  substrate for ext-host (empty or host:
-               run both halves and report shape agreement; sim: skip the
-               wall-clock half)
-`)
+	fmt.Fprintln(w)
+	p := experiments.DefaultParams()
+	fs := newFlagSet(&p, &options{}, flag.ExitOnError)
+	fs.SetOutput(w)
+	fs.Usage()
 }
 
 // writeProfiles runs the traced profile suite and writes the records as
@@ -205,32 +161,32 @@ func writeProfiles(path, tsPath string, p experiments.Params) error {
 	if err != nil {
 		return err
 	}
-	emit := func(v any, to, what string) error {
-		out, err := json.MarshalIndent(v, "", "  ")
+	for _, out := range []struct {
+		v        any
+		to, what string
+	}{
+		{profiles, path, fmt.Sprintf("%d traced runs", len(profiles))},
+		{series, tsPath, fmt.Sprintf("%d sampled time series (period %d ns)", len(series), p.SamplePeriodNs)},
+	} {
+		if out.to == "" {
+			continue
+		}
+		b, err := json.MarshalIndent(out.v, "", "  ")
 		if err != nil {
 			return err
 		}
-		out = append(out, '\n')
-		if to == "-" {
-			_, err = os.Stdout.Write(out)
-			return err
+		b = append(b, '\n')
+		if out.to == "-" {
+			if _, err := os.Stdout.Write(b); err != nil {
+				return err
+			}
+			continue
 		}
-		if err := os.WriteFile(to, out, 0o644); err != nil {
+		if err := os.WriteFile(out.to, b, 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("== profile suite: %s -> %s (%s wall time)\n",
-			what, to, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	if path != "" {
-		if err := emit(profiles, path, fmt.Sprintf("%d traced runs", len(profiles))); err != nil {
-			return err
-		}
-	}
-	if tsPath != "" {
-		if err := emit(series, tsPath, fmt.Sprintf("%d sampled time series (period %d ns)", len(series), p.SamplePeriodNs)); err != nil {
-			return err
-		}
+			out.what, out.to, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println()
 	return nil

@@ -10,6 +10,7 @@ import (
 	"errors"
 
 	"repro/internal/msg"
+	"repro/internal/sim"
 )
 
 // validateBatch rejects batching configurations the engine cannot run
@@ -33,13 +34,13 @@ func validateBatch(cfg *Config) error {
 }
 
 // noteBatch accounts one injected batch. A batch of one is not
-// accounted: an unbatched run reports no batching, and its pumps — the
-// only ones the host backend runs, on concurrent goroutines — never
-// touch these engine-serialized counters.
-func (s *Stack) noteBatch(segs int) {
+// accounted: an unbatched run reports no batching and its pumps do no
+// work here. The counters are statistics (Thread.Count), bumped by
+// concurrent pumps on the host backend and read with atomic loads.
+func (s *Stack) noteBatch(t *sim.Thread, segs int) {
 	if segs <= 0 || s.Cfg.Batch.MaxSegs <= 1 {
 		return
 	}
-	s.batchFrames++
-	s.batchSegs += int64(segs)
+	t.Count(&s.batchFrames, 1)
+	t.Count(&s.batchSegs, int64(segs))
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/app"
 	"repro/internal/cost"
@@ -237,8 +238,9 @@ type Stack struct {
 	steerQs    []*sim.Queue
 	steerDrops int64
 
-	// Batching accounting (engine-serialized): merged frames injected
-	// and the wire segments they carried. Zero when batching is off.
+	// Batching accounting (noteBatch; read with atomic loads): merged
+	// frames injected and the wire segments they carried. Zero when
+	// batching is off.
 	batchFrames int64
 	batchSegs   int64
 
@@ -333,14 +335,10 @@ func Build(c Config) (*Stack, error) {
 	}
 
 	if cfg.Faults.Enabled() {
-		fcfg := cfg.Faults
-		if fcfg.Seed == 0 {
-			// Derive from the engine seed so Measure's per-run seeds
-			// vary the schedule while any single config stays
-			// bit-reproducible.
-			fcfg.Seed = cfg.Seed ^ 0x9E3779B97F4A7C15
-		}
-		s.fault = driver.NewFaultWire(fcfg, s.Alloc, wire)
+		// The schedule's seed derives from the engine seed, so Measure's
+		// per-run seeds vary the schedule while any single config stays
+		// bit-reproducible.
+		s.fault = driver.NewFaultWire(cfg.Faults, cfg.Seed^0x9E3779B97F4A7C15, s.Alloc, wire)
 		wire = s.fault
 		// The driver peers must behave like real endpoints once frames
 		// can be lost: exact cumulative acks on the receive peer, and
@@ -658,11 +656,11 @@ func (s *Stack) pump(t *sim.Thread, p int) {
 			t.Yield()
 		case cfg.Proto == ProtoUDP && cfg.Side == SideRecv:
 			shepherded, err = s.udpSrc.PumpBatch(t, c, cfg.Batch)
-			s.noteBatch(shepherded)
+			s.noteBatch(t, shepherded)
 		default:
 			var ok bool
 			shepherded, ok, err = s.tcpSend.PumpBatch(t, c, &s.stop, cfg.Batch)
-			s.noteBatch(shepherded)
+			s.noteBatch(t, shepherded)
 			if !ok {
 				return
 			}
@@ -805,14 +803,14 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 		pk0, oo0, wo0, ws0 := s.snapshotOrder()
 		w0 := s.stateLockWait()
 		sm0 := s.steerSnapshot()
-		bf0, bs0 := s.batchFrames, s.batchSegs
+		bf0, bs0 := atomic.LoadInt64(&s.batchFrames), atomic.LoadInt64(&s.batchSegs)
 		t0 := t.Now()
 		t.Sleep(measureNs)
 		b1 := s.Bytes()
 		pk1, oo1, wo1, ws1 := s.snapshotOrder()
 		w1 := s.stateLockWait()
 		sm1 := s.steerSnapshot()
-		bf1, bs1 := s.batchFrames, s.batchSegs
+		bf1, bs1 := atomic.LoadInt64(&s.batchFrames), atomic.LoadInt64(&s.batchSegs)
 		elapsed := t.Now() - t0
 
 		res.Mbps = float64(b1-b0) * 8 * 1e3 / float64(elapsed)

@@ -107,10 +107,6 @@ func TestHostBackendRejects(t *testing.T) {
 			c.Side = SideRecv
 			c.Steer = steer.Config{Enabled: true}
 		}},
-		{"batch", "-batch", func(c *Config) {
-			c.Proto, c.Side = ProtoTCP, SideRecv
-			c.Batch = msg.BatchConfig{Enabled: true, MaxSegs: 4}
-		}},
 		{"faults", "-drop", func(c *Config) {
 			c.Proto, c.Side = ProtoTCP, SideRecv
 			c.Faults = driver.FaultConfig{Down: driver.FaultRates{Drop: 0.01}}
@@ -224,6 +220,46 @@ func TestHostBackendTCPStatsMatchSink(t *testing.T) {
 	if ts.Delivered == 0 || ts.Delivered != st.Sink.Packets() || ts.BytesIn != st.Sink.Bytes() {
 		t.Errorf("TCP counted %d deliveries of %d bytes, the sink %d packets of %d bytes",
 			ts.Delivered, ts.BytesIn, st.Sink.Packets(), st.Sink.Bytes())
+	}
+}
+
+// TestHostBackendBatchAgrees: receive batching runs on real goroutines.
+// TCP and UDP receive of 1 KB packets at 2 procs with MaxSegs 8: frames
+// coalesce, and what the transport counted matches what the sink
+// counted. TCP's bytes in equal the sink's bytes; every UDP frame
+// injected is one UDP delivery, and every wire segment those frames
+// carried is one sink packet.
+func TestHostBackendBatchAgrees(t *testing.T) {
+	for _, proto := range []Proto{ProtoTCP, ProtoUDP} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := hostConfig(proto, SideRecv, sim.KindMutex, 2, 1)
+			cfg.PacketSize = 1024
+			cfg.Batch = msg.BatchConfig{Enabled: true, MaxSegs: 8}
+			st, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := st.Run(2_000_000, 50_000_000) // 2 ms, 50 ms wall
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BatchSegsPerFrame <= 1 {
+				t.Errorf("%.2f segs/frame (%d segments in %d frames), want > 1",
+					res.BatchSegsPerFrame, res.BatchSegs, res.BatchFrames)
+			}
+			frames, segs := st.batchFrames, st.batchSegs
+			if proto == ProtoTCP {
+				ts := st.TCP.Stats()
+				if ts.BytesIn == 0 || ts.BytesIn != st.Sink.Bytes() {
+					t.Errorf("TCP counted %d bytes in, the sink %d", ts.BytesIn, st.Sink.Bytes())
+				}
+				return
+			}
+			if us := st.UDP.Stats(); us.Delivered == 0 || us.Delivered != frames || st.Sink.Packets() != segs {
+				t.Errorf("%d frames of %d segments injected; UDP delivered %d, the sink counted %d packets",
+					frames, segs, us.Delivered, st.Sink.Packets())
+			}
+		})
 	}
 }
 

@@ -100,8 +100,6 @@ var knobs = []knob{
 		dest: func(c *Config) any { return &c.Faults.Up.Delay }, hostWhy: hostSerialized, hostBad: faulty},
 	{flag: "delayns", group: "fault wire", doc: "fault wire: max extra delay, virtual ns (default 50000)",
 		dest: func(c *Config) any { return &c.Faults.Up.DelayNs }},
-	{flag: "fault-seed", group: "fault wire", doc: "fault schedule seed (0: derive from -seed)",
-		dest: func(c *Config) any { return &c.Faults.Seed }},
 	{flag: "enforce-checksum", group: "fault wire", doc: "drop (not just count) checksum-bad segments",
 		dest: func(c *Config) any { return &c.EnforceChecksum }},
 
@@ -123,9 +121,7 @@ var knobs = []knob{
 		dest: func(c *Config) any { return &c.Steer.QuiescenceNs }},
 
 	{flag: "batch", group: "GRO batching", doc: "coalesce consecutive same-flow in-order segments (receive side)",
-		dest:    func(c *Config) any { return &c.Batch.Enabled },
-		hostWhy: hostSerialized,
-		hostBad: func(c *Config) bool { return c.Batch.Enabled }},
+		dest: func(c *Config) any { return &c.Batch.Enabled }},
 	{flag: "batchsegs", group: "GRO batching", doc: "batching: max segments merged per frame (0: default 8)",
 		dest: func(c *Config) any { return &c.Batch.MaxSegs }},
 	{flag: "batchbytes", group: "GRO batching", doc: "batching: max merged frame bytes (0: default 8192)",
@@ -169,54 +165,75 @@ func (f *steerFlag) Set(s string) error {
 	return f.Policy.Set(s)
 }
 
-// BindFlags registers every declared flag on fs, storing into cfg; the
-// values cfg holds at the call are the flags' defaults.
-func BindFlags(fs *flag.FlagSet, cfg *Config) {
-	for i := range knobs {
-		k := &knobs[i]
-		if k.flag == "" {
-			continue
-		}
-		switch p := k.dest(cfg).(type) {
+// Flag is one declared command-line flag: its name, the usage-text
+// group it lists under, its doc, and where it stores: a *bool, *int,
+// *int64, *uint64 or *float64, or a flag.Value. The value the
+// destination holds when the flag is bound is its default. The knob
+// table here and the experiments package's parameter table both bind
+// and render through it.
+type Flag struct {
+	Name, Group, Doc string
+	Dest             any
+}
+
+// BindTable registers every flag on fs.
+func BindTable(fs *flag.FlagSet, flags []Flag) {
+	for _, f := range flags {
+		switch p := f.Dest.(type) {
 		case *bool:
-			fs.BoolVar(p, k.flag, *p, k.doc)
+			fs.BoolVar(p, f.Name, *p, f.Doc)
 		case *int:
-			fs.IntVar(p, k.flag, *p, k.doc)
+			fs.IntVar(p, f.Name, *p, f.Doc)
 		case *int64:
-			fs.Int64Var(p, k.flag, *p, k.doc)
+			fs.Int64Var(p, f.Name, *p, f.Doc)
 		case *uint64:
-			fs.Uint64Var(p, k.flag, *p, k.doc)
+			fs.Uint64Var(p, f.Name, *p, f.Doc)
 		case *float64:
-			fs.Float64Var(p, k.flag, *p, k.doc)
+			fs.Float64Var(p, f.Name, *p, f.Doc)
 		case flag.Value:
-			fs.Var(p, k.flag, k.doc)
+			fs.Var(p, f.Name, f.Doc)
 		default:
-			panic(fmt.Sprintf("core: knob -%s has no flag type for %T", k.flag, p))
+			panic(fmt.Sprintf("core: flag -%s has no flag type for %T", f.Name, p))
 		}
 	}
 }
 
-// FlagGroups renders the declared flags as the "group  -flag -flag ..."
-// lines of a usage text, groups and flags in declaration order.
-func FlagGroups() string {
+// GroupTable renders flags as the "group  -flag -flag ..." lines of a
+// usage text, groups and flags in table order.
+func GroupTable(flags []Flag) string {
 	var b strings.Builder
 	group, col := "", 0
-	for i := range knobs {
-		k := &knobs[i]
-		if k.flag == "" {
-			continue
-		}
-		if k.group != group {
-			group = k.group
+	for _, f := range flags {
+		if f.Group != group {
+			group = f.Group
 			col, _ = fmt.Fprintf(&b, "\n  %-14s", group)
-		} else if col+len(k.flag) > 70 {
+		} else if col+len(f.Name) > 70 {
 			col, _ = fmt.Fprintf(&b, "\n%16s", "")
 		}
-		n, _ := fmt.Fprintf(&b, " -%s", k.flag)
+		n, _ := fmt.Fprintf(&b, " -%s", f.Name)
 		col += n
 	}
 	return b.String()[1:] + "\n"
 }
+
+// knobFlags lists the knobs that have a flag, storing into cfg.
+func knobFlags(cfg *Config) []Flag {
+	var out []Flag
+	for i := range knobs {
+		if k := &knobs[i]; k.flag != "" {
+			out = append(out, Flag{k.flag, k.group, k.doc, k.dest(cfg)})
+		}
+	}
+	return out
+}
+
+// BindFlags registers every declared flag on fs, storing into cfg; the
+// values cfg holds at the call are the flags' defaults.
+func BindFlags(fs *flag.FlagSet, cfg *Config) { BindTable(fs, knobFlags(cfg)) }
+
+// FlagGroups renders the declared flags as the "group  -flag -flag ..."
+// lines of a usage text, groups and flags in declaration order.
+func FlagGroups() string { return GroupTable(knobFlags(&Config{})) }
 
 // validateKnobs walks the table once per Build: every enum must hold a
 // declared value, and on the host backend no knob the substrate cannot

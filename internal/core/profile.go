@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/driver"
 	"repro/internal/sim"
@@ -152,12 +153,13 @@ func (s *Stack) ProfileReport() string {
 	if s.Cfg.Batch.Active() {
 		fmt.Fprintf(&b, "\nBatching (max %d segs / %d bytes, flush %d ns):\n",
 			s.Cfg.Batch.MaxSegs, s.Cfg.Batch.MaxBytes, s.Cfg.Batch.FlushTimeoutNs)
+		frames, segs := atomic.LoadInt64(&s.batchFrames), atomic.LoadInt64(&s.batchSegs)
 		spf := 0.0
-		if s.batchFrames > 0 {
-			spf = float64(s.batchSegs) / float64(s.batchFrames)
+		if frames > 0 {
+			spf = float64(segs) / float64(frames)
 		}
 		fmt.Fprintf(&b, "  %d merged frames carrying %d wire segments (%.2f segs/frame)\n",
-			s.batchFrames, s.batchSegs, spf)
+			frames, segs, spf)
 	}
 	if s.Rec != nil {
 		b.WriteString(s.traceSection())

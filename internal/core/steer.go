@@ -140,7 +140,7 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 		if rec := t.Engine().Rec; rec != nil && bc.MaxSegs > 1 { // a batch of one leaves no batching events
 			rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
 		}
-		s.noteBatch(m.SegCount())
+		s.noteBatch(t, m.SegCount())
 		h := s.steerHash(pendConn, pendGen)
 		p := s.steerer.Decide(t, steerFlowID(pendConn, pendGen), h)
 		if !s.steerQs[p].TryEnqueue(t, m) {

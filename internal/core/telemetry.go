@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -70,8 +71,8 @@ func (s *Stack) buildTelemetry() {
 		s.steerSink.Tel = s.telDel
 	}
 	if s.Cfg.Batch.Active() {
-		reg.Gauge("batch-frames", -1, func() int64 { return s.batchFrames })
-		reg.Gauge("batch-segs", -1, func() int64 { return s.batchSegs })
+		reg.Gauge("batch-frames", -1, func() int64 { return atomic.LoadInt64(&s.batchFrames) })
+		reg.Gauge("batch-segs", -1, func() int64 { return atomic.LoadInt64(&s.batchSegs) })
 	}
 }
 

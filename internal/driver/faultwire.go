@@ -38,13 +38,9 @@ func (r FaultRates) enabled() bool {
 
 // FaultConfig configures the fault-injection wire. Up is the inbound
 // direction (driver -> stack), Down the outbound (stack -> driver).
-// Seed drives the schedule PRNG; 0 means "derive from the engine seed"
-// so repeated runs with distinct engine seeds see distinct schedules
-// while any single configuration stays bit-reproducible.
 type FaultConfig struct {
 	Up   FaultRates
 	Down FaultRates
-	Seed uint64
 }
 
 // Enabled reports whether any fault is configured in either direction.
@@ -92,9 +88,10 @@ type FaultWire struct {
 	stats FaultStats
 }
 
-// NewFaultWire builds the wire around the outbound driver. SetUpper
-// must be called before inbound traffic flows.
-func NewFaultWire(cfg FaultConfig, alloc *msg.Allocator, down xkernel.Wire) *FaultWire {
+// NewFaultWire builds the wire around the outbound driver; seed drives
+// the schedule PRNG. SetUpper must be called before inbound traffic
+// flows.
+func NewFaultWire(cfg FaultConfig, seed uint64, alloc *msg.Allocator, down xkernel.Wire) *FaultWire {
 	if cfg.Up.Delay > 0 && cfg.Up.DelayNs <= 0 {
 		cfg.Up.DelayNs = 50_000
 	}
@@ -105,7 +102,7 @@ func NewFaultWire(cfg FaultConfig, alloc *msg.Allocator, down xkernel.Wire) *Fau
 		cfg:   cfg,
 		alloc: alloc,
 		down:  down,
-		rng:   sim.NewRand(cfg.Seed),
+		rng:   sim.NewRand(seed),
 	}
 	fw.ref.Init(sim.RefAtomic, 1)
 	return fw

@@ -42,8 +42,7 @@ func TestFaultWirePassThroughUntilArmed(t *testing.T) {
 		down := &captureWire{}
 		fw := NewFaultWire(FaultConfig{
 			Down: FaultRates{Drop: 1.0}, // would drop everything if armed
-			Seed: 1,
-		}, a, down)
+		}, 1, a, down)
 		for i := 0; i < 5; i++ {
 			txFrame(t, th, a, fw, uint32(1+i*256))
 		}
@@ -69,7 +68,7 @@ func TestFaultWireDropsEverythingAtRateOne(t *testing.T) {
 	run(t, 21, func(th *sim.Thread) {
 		a := newAlloc()
 		down := &captureWire{}
-		fw := NewFaultWire(FaultConfig{Down: FaultRates{Drop: 1.0}, Seed: 2}, a, down)
+		fw := NewFaultWire(FaultConfig{Down: FaultRates{Drop: 1.0}}, 2, a, down)
 		fw.Arm()
 		for i := 0; i < 8; i++ {
 			txFrame(t, th, a, fw, uint32(1+i*256))
@@ -94,7 +93,7 @@ func TestFaultWireDuplicatesAndReorders(t *testing.T) {
 	run(t, 22, func(th *sim.Thread) {
 		a := newAlloc()
 		down := &captureWire{}
-		fw := NewFaultWire(FaultConfig{Down: FaultRates{Dup: 1.0}, Seed: 3}, a, down)
+		fw := NewFaultWire(FaultConfig{Down: FaultRates{Dup: 1.0}}, 3, a, down)
 		fw.Arm()
 		txFrame(t, th, a, fw, 1)
 		if len(down.frames) != 2 {
@@ -105,7 +104,7 @@ func TestFaultWireDuplicatesAndReorders(t *testing.T) {
 		}
 
 		down2 := &captureWire{}
-		fw2 := NewFaultWire(FaultConfig{Down: FaultRates{Reorder: 1.0}, Seed: 3}, a, down2)
+		fw2 := NewFaultWire(FaultConfig{Down: FaultRates{Reorder: 1.0}}, 3, a, down2)
 		fw2.Arm()
 		txFrame(t, th, a, fw2, 1)
 		if len(down2.frames) != 0 {
@@ -129,7 +128,7 @@ func TestFaultWireCorruptionBreaksChecksumOnly(t *testing.T) {
 	run(t, 23, func(th *sim.Thread) {
 		a := newAlloc()
 		down := &captureWire{}
-		fw := NewFaultWire(FaultConfig{Down: FaultRates{Corrupt: 1.0}, Seed: 4}, a, down)
+		fw := NewFaultWire(FaultConfig{Down: FaultRates{Corrupt: 1.0}}, 4, a, down)
 		fw.Arm()
 		txFrame(t, th, a, fw, 1)
 		if len(down.frames) != 1 {
@@ -163,8 +162,7 @@ func TestFaultWireScheduleIsDeterministic(t *testing.T) {
 			down := &captureWire{}
 			fw := NewFaultWire(FaultConfig{
 				Down: FaultRates{Drop: 0.2, Dup: 0.2, Corrupt: 0.2, Reorder: 0.2, Delay: 0.2},
-				Seed: 99,
-			}, a, down)
+			}, 99, a, down)
 			fw.Arm()
 			for i := 0; i < 200; i++ {
 				txFrame(t, th, a, fw, uint32(1+i*256))

@@ -5,118 +5,31 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cost"
-	"repro/internal/event"
-	"repro/internal/msg"
 	"repro/internal/sim"
-	"repro/internal/xkernel"
 )
 
-// faultSched is a per-trial fault schedule for the test wire: it
-// draws drop/dup/corrupt decisions for A->B data segments from its own
-// seeded PRNG, independent of the engine's.
+// faultSched is a per-trial fault schedule for the test wire: its
+// verdict draws drop/corrupt/dup decisions for A->B data segments from
+// the wire's own seeded PRNG, independent of the engine's.
 type faultSched struct {
-	rng                sim.Rand
+	rng                *sim.Rand
 	drop, dup, corrupt float64
 	drops, dups, corrs int
 }
 
-// faultWire applies a faultSched to A->B data segments; everything else
-// (handshake, acks, B->A) passes through untouched.
-type faultWire struct {
-	a2b, b2a *Protocol
-	alloc    *msg.Allocator
-	sched    *faultSched
-}
-
-type faultSession struct {
-	w        *faultWire
-	src, dst xkernel.IPAddr
-	toB      bool
-}
-
-type faultOpener struct {
-	w        *faultWire
-	src, dst xkernel.IPAddr
-	toB      bool
-}
-
-func (o *faultOpener) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
-	return &faultSession{w: o.w, src: o.src, dst: o.dst, toB: o.toB}, nil
-}
-
-func (s *faultSession) Close(t *sim.Thread) error { return nil }
-func (s *faultSession) Src() xkernel.IPAddr       { return s.src }
-func (s *faultSession) Dst() xkernel.IPAddr       { return s.dst }
-func (s *faultSession) MSS() int                  { return 4352 - 20 }
-
-func (s *faultSession) Push(t *sim.Thread, m *msg.Message) error {
-	m.SrcAddr = s.src
-	m.DstAddr = s.dst
-	if !s.toB {
-		return s.w.b2a.Demux(t, m)
+func (sc *faultSched) verdict(int) verdict {
+	switch {
+	case sc.drop > 0 && sc.rng.Float64() < sc.drop:
+		sc.drops++
+		return drop
+	case sc.corrupt > 0 && sc.rng.Float64() < sc.corrupt:
+		sc.corrs++
+		return corrupt
+	case sc.dup > 0 && sc.rng.Float64() < sc.dup:
+		sc.dups++
+		return dup
 	}
-	sc := s.w.sched
-	if m.Len() > HdrLen && sc != nil {
-		if sc.drop > 0 && sc.rng.Float64() < sc.drop {
-			sc.drops++
-			m.Free(t)
-			return nil
-		}
-		if sc.corrupt > 0 && sc.rng.Float64() < sc.corrupt {
-			sc.corrs++
-			return s.deliverCorrupted(t, m)
-		}
-		if sc.dup > 0 && sc.rng.Float64() < sc.dup {
-			sc.dups++
-			d := m.Clone(t)
-			if err := s.w.a2b.Demux(t, m); err != nil {
-				d.Free(t)
-				return err
-			}
-			return s.w.a2b.Demux(t, d)
-		}
-	}
-	return s.w.a2b.Demux(t, m)
-}
-
-// deliverCorrupted damages a privately owned copy of the segment — the
-// original's buffer is shared with A's retransmission queue — and
-// swallows the receiver's checksum rejection, exactly as the driver
-// fault wire does.
-func (s *faultSession) deliverCorrupted(t *sim.Thread, m *msg.Message) error {
-	b, err := m.Peek(m.Len())
-	if err != nil {
-		m.Free(t)
-		return err
-	}
-	c, err := s.w.alloc.New(t, len(b), 0)
-	if err != nil {
-		m.Free(t)
-		return err
-	}
-	if err := c.CopyTemplate(0, b); err != nil {
-		c.Free(t)
-		m.Free(t)
-		return err
-	}
-	c.SrcAddr = m.SrcAddr
-	c.DstAddr = m.DstAddr
-	m.Free(t)
-	cb, _ := c.Peek(c.Len())
-	// Flip one payload bit and stamp a nonzero bogus checksum (zero
-	// would read as "sender did not checksum" and pass).
-	cb[HdrLen+s.w.sched.rng.Intn(len(cb)-HdrLen)] ^= 1 << uint(s.w.sched.rng.Intn(8))
-	bad := uint16(cb[18])<<8 | uint16(cb[19])
-	bad ^= 0xBAD1
-	if bad == 0 {
-		bad = 0x1BAD
-	}
-	cb[18], cb[19] = byte(bad>>8), byte(bad)
-	if err := s.w.a2b.Demux(t, c); err != ErrBadChecksum {
-		return err
-	}
-	return nil
+	return pass
 }
 
 // TestFaultScheduleDeliversExactStream: under any schedule of drops,
@@ -128,65 +41,28 @@ func TestFaultScheduleDeliversExactStream(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			e := sim.New(cost.NewModel(cost.Challenge100), uint64(3000+trial))
-			wheel := event.New(event.DefaultConfig())
-			wheel.Start(e, 0)
-			e.Spawn("test", 1, func(th *sim.Thread) {
-				sched := &faultSched{
-					rng:     sim.NewRand(uint64(41 + trial*17)),
-					drop:    0.2,
-					dup:     0.2,
-					corrupt: 0.2,
-				}
-				alloc := msg.NewAllocator(msg.DefaultConfig(8))
-				w := &faultWire{alloc: alloc, sched: sched}
-				cfg := DefaultConfig()
-				cfg.Checksum = ChecksumEnforce
-				cfg.Window = 1 << 20
-				oa := &faultOpener{w: w, src: hostA, dst: hostB, toB: true}
-				ob := &faultOpener{w: w, src: hostB, dst: hostA, toB: false}
-				pa := New(cfg, oa, alloc, wheel)
-				pb := New(cfg, ob, alloc, wheel)
-				w.a2b = pb
-				w.b2a = pa
-				sink := &byteSink{}
-				part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 10, RemotePort: 20}
-				if _, err := pb.OpenEnable(th, part.Swap(), sink); err != nil {
-					t.Error(err)
-					return
-				}
-				pa.StartTimers(th)
-				pb.StartTimers(th)
-				tcb, err := pa.Open(th, part, &byteSink{})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-
-				rng := sim.NewRand(uint64(500 + trial))
+			rng := sim.NewRand(uint64(41 + trial*17))
+			sched := &faultSched{rng: &rng, drop: 0.2, dup: 0.2, corrupt: 0.2}
+			cfg := DefaultConfig()
+			cfg.Checksum = ChecksumEnforce
+			cfg.Window = 1 << 20
+			w := &wire{onData: sched.verdict, rng: &rng}
+			withTimers(t, uint64(3000+trial), cfg, w, func(th *sim.Thread, h *harness) {
+				prng := sim.NewRand(uint64(500 + trial))
 				var want bytes.Buffer
 				for i := 0; i < 10; i++ {
-					n := 1 + rng.Intn(700)
+					n := 1 + prng.Intn(700)
 					payload := make([]byte, n)
 					for j := range payload {
-						payload[j] = byte(rng.Intn(256))
+						payload[j] = byte(prng.Intn(256))
 					}
 					want.Write(payload)
-					m, _ := alloc.New(th, n, msg.Headroom)
-					if err := m.CopyIn(th, 0, payload); err != nil {
-						t.Error(err)
-						return
-					}
-					if err := tcb.Push(th, m); err != nil {
-						t.Error(err)
-						return
-					}
+					h.send(t, th, payload)
 					// The prefix invariant must hold at every step, not
 					// just at the end: whatever has been delivered so far
 					// is exactly the head of the sent stream.
-					if !bytes.HasPrefix(want.Bytes(), sink.buf.Bytes()) {
-						t.Errorf("trial %d: delivered bytes are not a prefix of the sent stream", trial)
-						return
+					if !bytes.HasPrefix(want.Bytes(), h.sink.stream()) {
+						t.Fatalf("trial %d: delivered bytes are not a prefix of the sent stream", trial)
 					}
 				}
 
@@ -195,24 +71,20 @@ func TestFaultScheduleDeliversExactStream(t *testing.T) {
 				// segment can take several rounds).
 				th.Sleep(120_000_000_000)
 
-				if !bytes.Equal(sink.buf.Bytes(), want.Bytes()) {
+				if got := h.sink.stream(); !bytes.Equal(got, want.Bytes()) {
 					t.Errorf("trial %d: delivered %d bytes != sent %d (drops %d, dups %d, corrupts %d)",
-						trial, sink.buf.Len(), want.Len(), sched.drops, sched.dups, sched.corrs)
+						trial, len(got), want.Len(), sched.drops, sched.dups, sched.corrs)
 				}
-				st := pa.Stats()
+				st := h.pa.Stats()
 				if sched.drops+sched.corrs > 0 && st.Rexmt+st.FastRexmt == 0 {
 					t.Errorf("trial %d: %d segments lost but no retransmission counted",
 						trial, sched.drops+sched.corrs)
 				}
-				if sched.corrs > 0 && pb.Stats().ChecksumBad == 0 {
+				if sched.corrs > 0 && h.pb.Stats().ChecksumBad == 0 {
 					t.Errorf("trial %d: %d corruptions but receiver counted no bad checksums",
 						trial, sched.corrs)
 				}
-				pa.StopTimers()
-				pb.StopTimers()
-				wheel.Stop()
 			})
-			e.Run()
 		})
 	}
 }
@@ -224,7 +96,7 @@ func TestRetransmitLimitFreesClone(t *testing.T) {
 	run1(t, 17, func(th *sim.Thread) {
 		cfg := DefaultConfig()
 		cfg.Checksum = ChecksumEnforce
-		h := build(t, th, cfg, &wire{dropAllData: true}, nil)
+		h := build(t, th, cfg, &wire{onData: always(drop)}, nil)
 		// One unacked segment sits on the retransmission queue (the wire
 		// ate it on the way to B).
 		h.send(t, th, pattern(256, 1))

@@ -12,23 +12,6 @@ import (
 	"repro/internal/xkernel"
 )
 
-// benchIP is a sink IP layer: every frame pushed into it is freed
-// immediately, so pure acks sent by timer flushes recycle through the
-// message allocator without a peer.
-type benchIP struct{}
-
-func (benchIP) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
-	return benchSession{}, nil
-}
-
-type benchSession struct{}
-
-func (benchSession) Push(t *sim.Thread, m *msg.Message) error { m.Free(t); return nil }
-func (benchSession) Close(t *sim.Thread) error                { return nil }
-func (benchSession) Src() xkernel.IPAddr                      { return xkernel.IPAddr{10, 0, 0, 1} }
-func (benchSession) Dst() xkernel.IPAddr                      { return xkernel.IPAddr{10, 0, 0, 2} }
-func (benchSession) MSS() int                                 { return 1460 }
-
 // benchSink discards deliveries.
 type benchSink struct{}
 
@@ -38,7 +21,10 @@ func (benchSink) Receive(t *sim.Thread, m *msg.Message) error { m.Free(t); retur
 // in the demux map, skipping handshakes. The protocol's event wheel is
 // nil — the caller drives heartbeats explicitly.
 func NewBench(t *sim.Thread, cfg Config, alloc *msg.Allocator, n int) (*Protocol, []*TCB) {
-	p := New(cfg, benchIP{}, alloc, nil)
+	// A wire with no peer: every frame pushed into it (the pure acks
+	// timer flushes send) is freed at once.
+	ip := &wireSession{w: &wire{}, src: xkernel.IPAddr{10, 0, 0, 1}, dst: xkernel.IPAddr{10, 0, 0, 2}, mss: 1460}
+	p := New(cfg, ip, alloc, nil)
 	tcbs := make([]*TCB, n)
 	for i := range tcbs {
 		part := xkernel.Part{
@@ -47,7 +33,7 @@ func NewBench(t *sim.Thread, cfg Config, alloc *msg.Allocator, n int) (*Protocol
 			LocalPort:  uint16(1000 + i),
 			RemotePort: uint16(2000 + i),
 		}
-		tcb := newTCB(p, part, benchSession{}, benchSink{})
+		tcb := newTCB(p, part, ip, benchSink{})
 		tcb.state = stateEstablished
 		tcb.iss = 1
 		tcb.sndUna, tcb.sndNxt, tcb.sndMax = 1, 1, 1

@@ -6,75 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/msg"
 	"repro/internal/sim"
-	"repro/internal/xkernel"
 )
-
-// scrambleWire queues A->B data segments and releases them in an
-// arbitrary permutation on Flush; everything else (handshake, acks,
-// B->A) passes through immediately.
-type scrambleWire struct {
-	a2b, b2a *Protocol
-	held     []*msg.Message
-	hold     bool
-}
-
-type scrambleSession struct {
-	w        *scrambleWire
-	src, dst xkernel.IPAddr
-	toB      bool
-}
-
-type scrambleOpener struct {
-	w        *scrambleWire
-	src, dst xkernel.IPAddr
-	toB      bool
-}
-
-func (o *scrambleOpener) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
-	return &scrambleSession{w: o.w, src: o.src, dst: o.dst, toB: o.toB}, nil
-}
-
-func (s *scrambleSession) Push(t *sim.Thread, m *msg.Message) error {
-	m.SrcAddr = s.src
-	m.DstAddr = s.dst
-	if s.toB {
-		if s.w.hold && m.Len() > HdrLen {
-			s.w.held = append(s.w.held, m)
-			return nil
-		}
-		return s.w.a2b.Demux(t, m)
-	}
-	return s.w.b2a.Demux(t, m)
-}
-
-func (s *scrambleSession) Close(t *sim.Thread) error { return nil }
-func (s *scrambleSession) Src() xkernel.IPAddr       { return s.src }
-func (s *scrambleSession) Dst() xkernel.IPAddr       { return s.dst }
-func (s *scrambleSession) MSS() int                  { return 4352 - 20 }
-
-// flush delivers held segments in the order given by perm.
-func (w *scrambleWire) flush(t *sim.Thread, perm []int) error {
-	held := w.held
-	w.held = nil
-	for _, i := range perm {
-		if err := w.a2b.Demux(t, held[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type byteSink struct {
-	buf bytes.Buffer
-}
-
-func (r *byteSink) Receive(t *sim.Thread, m *msg.Message) error {
-	r.buf.Write(m.Bytes())
-	m.Free(t)
-	return nil
-}
 
 // TestReassemblyInvariantUnderAnyPermutation: whatever order data
 // segments arrive in, the receiver must deliver exactly the sent byte
@@ -86,34 +19,17 @@ func TestReassemblyInvariantUnderAnyPermutation(t *testing.T) {
 			e := sim.New(cost.NewModel(cost.Challenge100), uint64(1000+trial))
 			e.Spawn("test", 0, func(th *sim.Thread) {
 				rng := sim.NewRand(uint64(77 + trial*13))
-				w := &scrambleWire{}
-				alloc := msg.NewAllocator(msg.DefaultConfig(4))
 				cfg := DefaultConfig()
 				cfg.Checksum = ChecksumEnforce
 				cfg.Window = 1 << 20
-				oa := &scrambleOpener{w: w, src: hostA, dst: hostB, toB: true}
-				ob := &scrambleOpener{w: w, src: hostB, dst: hostA, toB: false}
-				pa := New(cfg, oa, alloc, nil)
-				pb := New(cfg, ob, alloc, nil)
-				w.a2b = pb
-				w.b2a = pa
-				sink := &byteSink{}
-				part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 10, RemotePort: 20}
-				if _, err := pb.OpenEnable(th, part.Swap(), sink); err != nil {
-					t.Error(err)
-					return
-				}
-				tcb, err := pa.Open(th, part, &byteSink{})
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				h := build(t, th, cfg, &wire{}, nil)
+				w, tcb := h.w, h.tcbA
 
 				// Random segments, total small enough to fit the
 				// initial congestion window (2*MSS) so the scrambled
 				// wire never stalls the sender.
 				var want bytes.Buffer
-				w.hold = true
+				w.onData = always(hold)
 				nseg := 2 + rng.Intn(6)
 				budget := 2 * tcb.MSS()
 				for i := 0; i < nseg && budget > 0; i++ {
@@ -127,17 +43,9 @@ func TestReassemblyInvariantUnderAnyPermutation(t *testing.T) {
 						payload[j] = byte(rng.Intn(256))
 					}
 					want.Write(payload)
-					m, _ := alloc.New(th, n, msg.Headroom)
-					if err := m.CopyIn(th, 0, payload); err != nil {
-						t.Error(err)
-						return
-					}
-					if err := tcb.Push(th, m); err != nil {
-						t.Error(err)
-						return
-					}
+					h.send(t, th, payload)
 				}
-				w.hold = false
+				w.onData = nil
 
 				// Random permutation of the held segments.
 				perm := make([]int, len(w.held))
@@ -148,13 +56,13 @@ func TestReassemblyInvariantUnderAnyPermutation(t *testing.T) {
 					j := rng.Intn(i + 1)
 					perm[i], perm[j] = perm[j], perm[i]
 				}
-				if err := w.flush(th, perm); err != nil {
+				if err := w.release(th, perm); err != nil {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(sink.buf.Bytes(), want.Bytes()) {
+				if got := h.sink.stream(); !bytes.Equal(got, want.Bytes()) {
 					t.Errorf("trial %d: delivered %d bytes != sent %d bytes (perm %v)",
-						trial, sink.buf.Len(), want.Len(), perm)
+						trial, len(got), want.Len(), perm)
 				}
 			})
 			e.Run()

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -16,73 +17,83 @@ var (
 	hostB = xkernel.IPAddr{10, 0, 0, 2}
 )
 
-// wire connects two TCP protocol instances back to back, optionally
-// perturbing traffic: dropping the nth A->B data segment or delaying
-// delivery to force reordering.
+// verdict is what the test wire does with one A->B data segment.
+type verdict int
+
+const (
+	pass    verdict = iota // deliver it now
+	drop                   // free it
+	hold                   // queue it until release
+	dup                    // deliver it, then a clone of it
+	corrupt                // deliver a damaged private copy
+)
+
+// wire connects two TCP protocol instances back to back. Handshake
+// segments, pure acks and all B->A traffic pass straight through; each
+// A->B data segment, retransmissions included, goes to onData, whose
+// verdict says what the wire does with it. A wire with no peer frees
+// every frame pushed into it.
 type wire struct {
 	a2b *Protocol // delivers A's pushes into B
 	b2a *Protocol
 
-	// dropDataSeg: drop the nth (1-based) data segment A sends.
-	dropDataSeg int
-	// dropAllData: drop every A->B data segment (retransmissions too).
-	dropAllData bool
-	dataSeen    int
+	// onData judges the nth (1-based) A->B data segment; nil passes
+	// every one.
+	onData   func(n int) verdict
+	dataSeen int
+	held     []*msg.Message
 
-	// holdOne: queue the first data segment and deliver it after the
-	// next one (forced out-of-order arrival).
-	holdOne bool
-	held    *heldSeg
+	alloc *msg.Allocator // corrupted copies come from here
+	rng   *sim.Rand      // picks the corrupted bit
 }
 
-type heldSeg struct {
-	m  *msg.Message
-	to *Protocol
-}
-
+// wireSession is one end's IP session onto the wire, and its own
+// opener: every Open returns the same stateless session.
 type wireSession struct {
 	w        *wire
 	src, dst xkernel.IPAddr
-	peer     *Protocol
+	toB      bool
 	mss      int
 }
 
-type wireOpener struct {
-	w        *wire
-	src, dst xkernel.IPAddr
-	peer     **Protocol
-}
-
-func (o *wireOpener) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
-	return &wireSession{w: o.w, src: o.src, dst: o.dst, peer: *o.peer, mss: 4352 - 20}, nil
+func (s *wireSession) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
+	return s, nil
 }
 
 func (s *wireSession) Push(t *sim.Thread, m *msg.Message) error {
 	m.SrcAddr = s.src
 	m.DstAddr = s.dst
 	w := s.w
-	isData := m.Len() > HdrLen
-	if s.peer == w.a2b && isData {
-		w.dataSeen++
-		if w.dropAllData || (w.dropDataSeg > 0 && w.dataSeen == w.dropDataSeg) {
-			m.Free(t)
-			return nil
-		}
-		if w.holdOne {
-			if w.held == nil {
-				w.held = &heldSeg{m: m, to: s.peer}
-				return nil
-			}
-			// Deliver the newer segment first, then the held one.
-			if err := s.peer.Demux(t, m); err != nil {
-				return err
-			}
-			h := w.held
-			w.held = nil
-			return h.to.Demux(t, h.m)
-		}
+	to := w.b2a
+	if s.toB {
+		to = w.a2b
 	}
-	return s.peer.Demux(t, m)
+	switch {
+	case to == nil:
+		m.Free(t)
+		return nil
+	case !s.toB || m.Len() <= HdrLen || w.onData == nil:
+		return to.Demux(t, m)
+	}
+	w.dataSeen++
+	switch w.onData(w.dataSeen) {
+	case drop:
+		m.Free(t)
+		return nil
+	case hold:
+		w.held = append(w.held, m)
+		return nil
+	case dup:
+		d := m.Clone(t)
+		if err := to.Demux(t, m); err != nil {
+			d.Free(t)
+			return err
+		}
+		return to.Demux(t, d)
+	case corrupt:
+		return w.deliverCorrupted(t, m)
+	}
+	return to.Demux(t, m)
 }
 
 func (s *wireSession) Close(t *sim.Thread) error { return nil }
@@ -90,10 +101,83 @@ func (s *wireSession) Src() xkernel.IPAddr       { return s.src }
 func (s *wireSession) Dst() xkernel.IPAddr       { return s.dst }
 func (s *wireSession) MSS() int                  { return s.mss }
 
+// release delivers the held segments to B in the order perm gives (nil:
+// the order they arrived in).
+func (w *wire) release(t *sim.Thread, perm []int) error {
+	held := w.held
+	w.held = nil
+	for i := range held {
+		if perm != nil {
+			i = perm[i]
+		}
+		if err := w.a2b.Demux(t, held[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deliverCorrupted damages a privately owned copy of the segment — the
+// original's buffer is shared with A's retransmission queue — and
+// swallows the receiver's checksum rejection, exactly as the driver
+// fault wire does.
+func (w *wire) deliverCorrupted(t *sim.Thread, m *msg.Message) error {
+	b, err := m.Peek(m.Len())
+	if err != nil {
+		m.Free(t)
+		return err
+	}
+	c, err := w.alloc.New(t, len(b), 0)
+	if err != nil {
+		m.Free(t)
+		return err
+	}
+	if err := c.CopyTemplate(0, b); err != nil {
+		c.Free(t)
+		m.Free(t)
+		return err
+	}
+	c.SrcAddr = m.SrcAddr
+	c.DstAddr = m.DstAddr
+	m.Free(t)
+	cb, _ := c.Peek(c.Len())
+	// Flip one payload bit and stamp a nonzero bogus checksum (zero
+	// would read as "sender did not checksum" and pass).
+	cb[HdrLen+w.rng.Intn(len(cb)-HdrLen)] ^= 1 << uint(w.rng.Intn(8))
+	bad := uint16(cb[18])<<8 | uint16(cb[19])
+	bad ^= 0xBAD1
+	if bad == 0 {
+		bad = 0x1BAD
+	}
+	cb[18], cb[19] = byte(bad>>8), byte(bad)
+	if err := w.a2b.Demux(t, c); err != ErrBadChecksum {
+		return err
+	}
+	return nil
+}
+
+// nth is an onData that gives the nth data segment verdict v and
+// passes the rest.
+func nth(n int, v verdict) func(int) verdict {
+	return func(i int) verdict {
+		if i == n {
+			return v
+		}
+		return pass
+	}
+}
+
+// always is an onData with one verdict for every data segment.
+func always(v verdict) func(int) verdict { return func(int) verdict { return v } }
+
+// recvSink keeps every delivered payload, and every ticket.
 type recvSink struct {
 	payloads [][]byte
 	tickets  []uint64
 }
+
+// stream is the delivered byte stream.
+func (r *recvSink) stream() []byte { return bytes.Join(r.payloads, nil) }
 
 func (r *recvSink) Receive(t *sim.Thread, m *msg.Message) error {
 	r.payloads = append(r.payloads, append([]byte{}, m.Bytes()...))
@@ -115,18 +199,20 @@ type harness struct {
 	alloc  *msg.Allocator
 }
 
+// connect builds two TCP instances on w, sharing one allocator: A's
+// pushes go to B and B's to A.
+func connect(cfg Config, w *wire, wheel *event.Wheel) (pa, pb *Protocol) {
+	w.alloc = msg.NewAllocator(msg.DefaultConfig(8))
+	pa = New(cfg, &wireSession{w: w, src: hostA, dst: hostB, toB: true, mss: 4352 - 20}, w.alloc, wheel)
+	pb = New(cfg, &wireSession{w: w, src: hostB, dst: hostA, mss: 4352 - 20}, w.alloc, wheel)
+	w.a2b, w.b2a = pb, pa
+	return pa, pb
+}
+
 // build wires up two TCP instances and completes the handshake.
 func build(t *testing.T, th *sim.Thread, cfg Config, w *wire, wheel *event.Wheel) *harness {
 	t.Helper()
-	alloc := msg.NewAllocator(msg.DefaultConfig(8))
-	oa := &wireOpener{w: w, src: hostA, dst: hostB}
-	ob := &wireOpener{w: w, src: hostB, dst: hostA}
-	pa := New(cfg, oa, alloc, wheel)
-	pb := New(cfg, ob, alloc, wheel)
-	w.a2b = pb
-	w.b2a = pa
-	oa.peer = &w.a2b
-	ob.peer = &w.b2a
+	pa, pb := connect(cfg, w, wheel)
 	sink := &recvSink{}
 	part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 1000, RemotePort: 2000}
 	tcbB, err := pb.OpenEnable(th, part.Swap(), sink)
@@ -141,7 +227,7 @@ func build(t *testing.T, th *sim.Thread, cfg Config, w *wire, wheel *event.Wheel
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{w: w, pa: pa, pb: pb, sink: sink, tcbA: tcbA, tcbB: tcbB, wheel: wheel, alloc: alloc}
+	return &harness{w: w, pa: pa, pb: pb, sink: sink, tcbA: tcbA, tcbB: tcbB, wheel: wheel, alloc: w.alloc}
 }
 
 func run1(t *testing.T, seed uint64, body func(th *sim.Thread)) {
@@ -263,9 +349,12 @@ func TestOutOfOrderArrivalReassembled(t *testing.T) {
 		cfg := cfg
 		t.Run(cfgName(cfg), func(t *testing.T) {
 			run1(t, 4, func(th *sim.Thread) {
-				h := build(t, th, cfg, &wire{holdOne: true}, nil)
+				h := build(t, th, cfg, &wire{onData: nth(1, hold)}, nil)
 				h.send(t, th, pattern(512, 1))
 				h.send(t, th, pattern(512, 2))
+				if err := h.w.release(th, nil); err != nil {
+					t.Fatal(err)
+				}
 				if len(h.sink.payloads) != 2 {
 					t.Fatalf("delivered %d, want 2", len(h.sink.payloads))
 				}
@@ -291,7 +380,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	e.Spawn("test", 1, func(th *sim.Thread) {
 		cfg := DefaultConfig()
 		cfg.Checksum = ChecksumEnforce
-		h := build(t, th, cfg, &wire{dropDataSeg: 2}, wheel)
+		h := build(t, th, cfg, &wire{onData: nth(2, drop)}, wheel)
 		for i := 0; i < 4; i++ {
 			h.send(t, th, pattern(256, byte(i+1)))
 		}
@@ -396,9 +485,12 @@ func TestAssumeInOrderSkipsReassembly(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Checksum = ChecksumOff
 		cfg.AssumeInOrder = true
-		h := build(t, th, cfg, &wire{holdOne: true}, nil)
+		h := build(t, th, cfg, &wire{onData: nth(1, hold)}, nil)
 		h.send(t, th, pattern(512, 1))
 		h.send(t, th, pattern(512, 2))
+		if err := h.w.release(th, nil); err != nil {
+			t.Fatal(err)
+		}
 		// Both segments must be delivered (bytes counted), even though
 		// real ordering was violated — this TCP pretends everything is
 		// in order.

@@ -90,7 +90,7 @@ func TestRetransmitBackoffGivesUp(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Checksum = ChecksumOff
-	w := &wire{dropAllData: true}
+	w := &wire{onData: always(drop)}
 	withTimers(t, 23, cfg, w, func(th *sim.Thread, h *harness) {
 		m, _ := h.alloc.New(th, 64, msg.Headroom)
 		if err := h.tcbA.Push(th, m); err != nil {
@@ -212,7 +212,7 @@ func timerScenarios() []timerScenario {
 	return []timerScenario{
 		{
 			name: "rexmt-single-loss",
-			wire: func() *wire { return &wire{dropDataSeg: 1} },
+			wire: func() *wire { return &wire{onData: nth(1, drop)} },
 			script: func(t *testing.T, th *sim.Thread, h *harness) {
 				h.send(t, th, pattern(1024, 3))
 				th.Sleep(10 * slowTick)
@@ -222,7 +222,7 @@ func timerScenarios() []timerScenario {
 		},
 		{
 			name: "rexmt-backoff",
-			wire: func() *wire { return &wire{dropAllData: true} },
+			wire: func() *wire { return &wire{onData: always(drop)} },
 			script: func(t *testing.T, th *sim.Thread, h *harness) {
 				h.send(t, th, pattern(512, 5))
 				th.Sleep(1100 * slowTick)
@@ -326,13 +326,8 @@ func TestWheelChurnCancelledTimersNeverFire(t *testing.T) {
 		ew.Start(th.Engine(), 0)
 		cfg := DefaultConfig()
 		w := &wire{}
-		alloc := msg.NewAllocator(msg.DefaultConfig(8))
-		oa := &wireOpener{w: w, src: hostA, dst: hostB}
-		ob := &wireOpener{w: w, src: hostB, dst: hostA}
-		pa := New(cfg, oa, alloc, ew)
-		pb := New(cfg, ob, alloc, ew)
-		w.a2b, w.b2a = pb, pa
-		oa.peer, ob.peer = &w.a2b, &w.b2a
+		pa, pb := connect(cfg, w, ew)
+		alloc := w.alloc
 		pa.StartTimers(th)
 		pb.StartTimers(th)
 		var events []timerEvent

@@ -11,14 +11,8 @@
 // simulation of a shared-memory multiprocessor (see internal/sim and
 // DESIGN.md for the hardware substitution rationale).
 //
-// Quick start:
-//
-//	cfg := parnet.DefaultConfig()
-//	cfg.Proto = parnet.TCP
-//	cfg.Side = parnet.Receive
-//	cfg.Procs = 8
-//	res, err := parnet.Run(cfg)
-//	fmt.Printf("%.1f Mbit/s, %.1f%% out-of-order\n", res.Mbps, res.OOOPct)
+// ExampleSweep is the runnable tour: the paper's Figure 8 dip and its
+// MCS recovery, through DefaultConfig, Sweep and Run.
 //
 // Config embeds the engine's own configuration (internal/core.Config),
 // so every structural alternative the paper studies is a field set
@@ -31,8 +25,10 @@
 // methodology.
 //
 // The experiment catalog that regenerates every table and figure of the
-// paper is exposed through Experiments and RunExperiment; the ppbench
-// command wraps them.
+// paper is exposed through Experiments and RunExperiment, whose
+// ExperimentParams is an alias of the catalogue's own parameters
+// (internal/experiments.Params). The ppbench command drives the same
+// catalogue and binds its flags to those parameters.
 package parnet
 
 import (
@@ -324,24 +320,19 @@ func Experiments() []Experiment {
 	return out
 }
 
-// ExperimentParams scales the measurement effort of RunExperiment.
-type ExperimentParams struct {
-	MaxProcs  int
-	WarmupMs  int64
-	MeasureMs int64
-	Runs      int
-	Seed      uint64
-	// Workers bounds the host OS threads the experiment's independent
-	// points fan across (0 means GOMAXPROCS); output is identical for
-	// every value.
-	Workers int
-	// Backend selects the execution substrate for experiments that
-	// honor it. Today that is ext-host, which runs its sweep on both
-	// substrates and reports shape agreement unless Backend is
-	// Sim.String(), which skips the wall-clock half; the paper-figure
-	// experiments are simulation-only and ignore it.
-	Backend string
-}
+// ExperimentParams scales the measurement effort of RunExperiment. It
+// is the catalogue's own parameter type, so its durations are virtual
+// nanoseconds (WarmupNs, MeasureNs) and ppbench's flags set the same
+// fields.
+type ExperimentParams = experiments.Params
+
+// DefaultExperimentParams is the standard scaled-down methodology:
+// processor sweeps to 8, 1 s warm-up, 2 s measurement, 3 runs.
+func DefaultExperimentParams() ExperimentParams { return experiments.DefaultParams() }
+
+// QuickExperimentParams is the smoke-run methodology ppbench -quick
+// starts from.
+func QuickExperimentParams() ExperimentParams { return experiments.QuickParams() }
 
 // RunExperiment regenerates one paper table/figure by ID (for example
 // "fig08-09" or "table1") and returns the rendered text tables.
@@ -350,25 +341,7 @@ func RunExperiment(id string, p ExperimentParams) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("parnet: unknown experiment %q", id)
 	}
-	ep := experiments.DefaultParams()
-	if p.MaxProcs > 0 {
-		ep.MaxProcs = p.MaxProcs
-	}
-	if p.WarmupMs > 0 {
-		ep.WarmupNs = p.WarmupMs * 1_000_000
-	}
-	if p.MeasureMs > 0 {
-		ep.MeasureNs = p.MeasureMs * 1_000_000
-	}
-	if p.Runs > 0 {
-		ep.Runs = p.Runs
-	}
-	if p.Seed != 0 {
-		ep.Seed = p.Seed
-	}
-	ep.Workers = p.Workers
-	ep.Backend = p.Backend
-	tables, err := spec.Run(ep)
+	tables, err := spec.Run(p)
 	if err != nil {
 		return nil, err
 	}

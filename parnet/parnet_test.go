@@ -164,15 +164,15 @@ func TestExperimentCatalog(t *testing.T) {
 }
 
 func TestRunExperimentUnknownID(t *testing.T) {
-	if _, err := RunExperiment("fig99", ExperimentParams{}); err == nil {
+	if _, err := RunExperiment("fig99", DefaultExperimentParams()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunExperimentQuick(t *testing.T) {
-	out, err := RunExperiment("sec3.2-checksum", ExperimentParams{
-		MaxProcs: 2, WarmupMs: 100, MeasureMs: 200, Runs: 1,
-	})
+	p := QuickExperimentParams()
+	p.MaxProcs, p.WarmupNs, p.MeasureNs = 2, 100_000_000, 200_000_000
+	out, err := RunExperiment("sec3.2-checksum", p)
 	if err != nil {
 		t.Fatal(err)
 	}
