@@ -189,7 +189,6 @@ func TestLossDeliveredMatchesSink(t *testing.T) {
 	cfg.Faults.Up.Dup = 0.01
 	cfg.Faults.Up.Corrupt = 0.01
 	cfg.Faults.Up.Reorder = 0.02
-	cfg.EnforceChecksum = true
 	st, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

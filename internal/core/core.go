@@ -83,13 +83,8 @@ type Config struct {
 	Connections int // 1 = single connection; otherwise conn = proc mod Connections
 	PacketSize  int
 	Checksum    bool
-	// EnforceChecksum upgrades receive-side checksumming from
-	// verify-and-ignore (the paper's measurement mode) to
-	// verify-and-drop, so corrupted frames act as loss. Only meaningful
-	// with Checksum on; the fault-injection experiments set it.
-	EnforceChecksum bool
-	Machine         cost.Machine
-	Seed            uint64
+	Machine     cost.Machine
+	Seed        uint64
 
 	// Backend selects the execution substrate. The default, BackendSim,
 	// is the deterministic virtual-time scheduler — the paper's
@@ -102,9 +97,12 @@ type Config struct {
 	Backend sim.Backend
 
 	// Faults configures the deterministic fault-injection wire between
-	// the driver and the FDDI layer (drop/duplicate/corrupt/delay/
-	// reorder, per direction). All-zero — the default — builds the
-	// identical stack as before: the wire is not even inserted.
+	// the driver and the FDDI layer (drop/duplicate/corrupt/reorder, per
+	// direction). All-zero — the default — builds the identical stack as
+	// before: the wire is not even inserted. With the wire in, receive-
+	// side checksumming turns from verify-and-ignore (the paper's
+	// measurement mode) into verify-and-drop, so corrupted frames act as
+	// loss; on a clean frame the two charge the same.
 	Faults driver.FaultConfig
 
 	// TCP structure.
@@ -167,9 +165,6 @@ type Config struct {
 	// Sampling is virtual-time neutral — measurements are identical with
 	// sampling on or off.
 	SamplePeriodNs int64
-	// SampleDepth is the per-series sample ring capacity (default
-	// telemetry.DefaultDepth).
-	SampleDepth int
 }
 
 // DefaultConfig returns the paper's baseline configuration (Section 3):
@@ -335,8 +330,8 @@ func Build(c Config) (*Stack, error) {
 	}
 
 	if cfg.Faults.Enabled() {
-		// The schedule's seed derives from the engine seed, so Measure's
-		// per-run seeds vary the schedule while any single config stays
+		// The schedule's seed derives from the engine seed, so the
+		// per-run seeds (RunConfigs) vary the schedule while any single config stays
 		// bit-reproducible.
 		s.fault = driver.NewFaultWire(cfg.Faults, cfg.Seed^0x9E3779B97F4A7C15, s.Alloc, wire)
 		wire = s.fault
@@ -382,8 +377,8 @@ func Build(c Config) (*Stack, error) {
 		switch {
 		case !on:
 			return 0
-		case cfg.EnforceChecksum:
-			return 2 // Enforce: verify and drop on mismatch
+		case cfg.Faults.Enabled():
+			return 2 // Enforce: the fault wire is in; verify and drop on mismatch
 		default:
 			return 1 // Compute: the drivers do not checksum, receivers verify-and-ignore
 		}
@@ -871,8 +866,9 @@ func (s *Stack) stateLockWait() int64 {
 	return w
 }
 
-// RunConfigs derives the per-run configurations Measure executes: one
-// copy of cfg per run, each with the run's distinct seed.
+// RunConfigs derives the per-run configurations of a repeated
+// measurement: one copy of cfg per run, each with the run's distinct
+// seed.
 func RunConfigs(cfg Config, runs int) []Config {
 	if runs <= 0 {
 		runs = 1
@@ -897,10 +893,10 @@ func RunPoint(cfg Config, warmupNs, measureNs int64) (RunResult, error) {
 	return st.Run(warmupNs, measureNs)
 }
 
-// AggregateRuns summarizes per-run results exactly as Measure does:
-// accumulation happens in run order, so a parallel caller that
-// collects results into run-indexed slots reproduces the sequential
-// output bit for bit.
+// AggregateRuns summarizes per-run results: it summarizes throughput
+// and averages the ordering and lock measurements. Accumulation happens
+// in run order, so a parallel caller that collects results into
+// run-indexed slots reproduces the sequential output bit for bit.
 func AggregateRuns(rrs []RunResult) (measure.Result, RunResult) {
 	var samples []float64
 	var agg RunResult
@@ -931,21 +927,4 @@ func AggregateRuns(rrs []RunResult) (measure.Result, RunResult) {
 		agg.BatchSegsPerFrame = float64(agg.BatchSegs) / float64(agg.BatchFrames)
 	}
 	return measure.Summarize(samples), agg
-}
-
-// Measure builds and runs the configuration `runs` times with distinct
-// seeds; it summarizes throughput and averages the ordering and lock
-// measurements across runs.
-func Measure(cfg Config, warmupNs, measureNs int64, runs int) (measure.Result, RunResult, error) {
-	cfgs := RunConfigs(cfg, runs)
-	rrs := make([]RunResult, len(cfgs))
-	for r, c := range cfgs {
-		res, err := RunPoint(c, warmupNs, measureNs)
-		if err != nil {
-			return measure.Result{}, RunResult{}, err
-		}
-		rrs[r] = res
-	}
-	sum, agg := AggregateRuns(rrs)
-	return sum, agg, nil
 }

@@ -99,11 +99,7 @@ func TestPumpFailureEndsRun(t *testing.T) {
 			if calls := up.calls.Load(); calls <= n || calls > n+procs {
 				t.Errorf("%d frames injected: want the failure after %d to fire and each of %d threads to stop at its first", calls, n, procs)
 			}
-			if !st.Eng.IsHost() {
-				if live := st.Eng.RunUntil(-1); live != 0 {
-					t.Errorf("%d threads outlive the run", live)
-				}
-			}
+			st.Eng.Run() // no thread outlives the run: nothing left to resume, nothing blocked
 		})
 	}
 }
@@ -262,18 +258,27 @@ func TestAssumeInOrderRuns(t *testing.T) {
 	}
 }
 
+// TestMeasureSummarizes: a repeated measurement — one run per derived
+// seed, aggregated in run order — summarizes one sample per run beside a
+// non-empty aggregate.
 func TestMeasureSummarizes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 2
-	r, last, err := Measure(cfg, testWarmup, testMeasure, 3)
-	if err != nil {
-		t.Fatal(err)
+	cfgs := RunConfigs(cfg, 3)
+	rrs := make([]RunResult, len(cfgs))
+	for i, c := range cfgs {
+		res, err := RunPoint(c, testWarmup, testMeasure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rrs[i] = res
 	}
+	r, agg := AggregateRuns(rrs)
 	if len(r.Samples) != 3 || r.Mean <= 0 {
 		t.Fatalf("bad summary: %+v", r)
 	}
-	if last.Mbps <= 0 {
-		t.Fatal("no last-run result")
+	if agg.Mbps <= 0 {
+		t.Fatal("empty aggregate")
 	}
 }
 

@@ -92,16 +92,10 @@ var knobs = []knob{
 		dest: func(c *Config) any { return &c.Faults.Up.Drop }, hostWhy: hostSerialized, hostBad: faulty},
 	{flag: "dup", group: "fault wire", doc: "fault wire: frame duplication probability",
 		dest: func(c *Config) any { return &c.Faults.Up.Dup }, hostWhy: hostSerialized, hostBad: faulty},
-	{flag: "corrupt", group: "fault wire", doc: "fault wire: frame corruption probability",
+	{flag: "corrupt", group: "fault wire", doc: "fault wire: frame corruption probability (with the wire in, the stack drops checksum-bad segments)",
 		dest: func(c *Config) any { return &c.Faults.Up.Corrupt }, hostWhy: hostSerialized, hostBad: faulty},
 	{flag: "reorder", group: "fault wire", doc: "fault wire: frame reorder probability",
 		dest: func(c *Config) any { return &c.Faults.Up.Reorder }, hostWhy: hostSerialized, hostBad: faulty},
-	{flag: "delay", group: "fault wire", doc: "fault wire: frame delay probability",
-		dest: func(c *Config) any { return &c.Faults.Up.Delay }, hostWhy: hostSerialized, hostBad: faulty},
-	{flag: "delayns", group: "fault wire", doc: "fault wire: max extra delay, virtual ns (default 50000)",
-		dest: func(c *Config) any { return &c.Faults.Up.DelayNs }},
-	{flag: "enforce-checksum", group: "fault wire", doc: "drop (not just count) checksum-bad segments",
-		dest: func(c *Config) any { return &c.EnforceChecksum }},
 
 	{flag: "steer", group: "flow steering", doc: "flow steering policy (UDP receive): off, rr, rss, fdir, rebalance",
 		dest:    func(c *Config) any { return (*steerFlag)(&c.Steer) },
@@ -124,10 +118,6 @@ var knobs = []knob{
 		dest: func(c *Config) any { return &c.Batch.Enabled }},
 	{flag: "batchsegs", group: "GRO batching", doc: "batching: max segments merged per frame (0: default 8)",
 		dest: func(c *Config) any { return &c.Batch.MaxSegs }},
-	{flag: "batchbytes", group: "GRO batching", doc: "batching: max merged frame bytes (0: default 8192)",
-		dest: func(c *Config) any { return &c.Batch.MaxBytes }},
-	{flag: "batchflush", group: "GRO batching", doc: "batching: pending-merge flush timeout, virtual ns (0: default 50000)",
-		dest: func(c *Config) any { return &c.Batch.FlushTimeoutNs }},
 
 	{group: "observability", doc: "packet flight recorder",
 		dest:    func(c *Config) any { return &c.Trace },

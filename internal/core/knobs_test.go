@@ -21,24 +21,23 @@ var notCLI = map[string]string{
 	"Faults.Down.Dup":             "as Faults.Down.Drop",
 	"Faults.Down.Corrupt":         "as Faults.Down.Drop",
 	"Faults.Down.Reorder":         "as Faults.Down.Drop",
-	"Faults.Down.Delay":           "as Faults.Down.Drop",
-	"Faults.Down.DelayNs":         "as Faults.Down.Drop",
 	"NoHeaderPrediction":          "ablation-hdrpred only",
 	"AckEvery":                    "ablation-ackrate only",
 	"MapCache":                    "ablation-mapcache only",
 	"WheelPerChain":               "ablation-wheel only",
 	"HotConnPct":                  "ext-skew only (-hot is the steered workload's)",
 	"Steer.Policy":                "-steer sets it together with Steer.Enabled",
-	"Steer.Buckets":               "subsystem default; only steer's own tests vary it",
-	"Steer.FlowTableSize":         "subsystem default; only steer's own tests vary it",
-	"Steer.FlowBuckets":           "subsystem default; only steer's own tests vary it",
 	"Steer.LockKind":              "derived: validateSteer copies LockKind",
 	"Steer.RingCapacity":          "the steer-1m-skew-8p benchmark workload sizes it",
 	"Steer.RebalancePeriodNs":     "ext-steer's quiescence ladder sets it",
 	"Steer.ImbalanceThresholdPct": "ext-steer's quiescence ladder and core's rebalance tests set it",
-	"Workload.Seed":               "derived from Seed; only the generator's own tests pin it",
-	"SampleDepth":                 "subsystem default; the telemetry tests vary it",
+	"Workload.Seed":               "derived from Seed when zero; the benchmark's generator probe sets it",
 }
+
+// knobCeiling is the most leaf fields Config may hold. Each is a knob a
+// reader has to learn, so each needs a user beyond its own tests; the
+// ceiling follows the count down so no unused one creeps back.
+const knobCeiling = 50
 
 // leaves walks v's exported fields and calls visit with each leaf's
 // dotted path and address. A struct whose pointer is a flag.Value
@@ -57,7 +56,8 @@ func leaves(v reflect.Value, path string, visit func(path string, addr any)) {
 // TestKnobTable checks the declarations themselves: unique flag names, a
 // doc and a group on every entry, a bindable destination, a reason with
 // every host predicate — and that each Config leaf field is declared by
-// exactly one knob or listed in notCLI.
+// exactly one knob or listed in notCLI, for a reason other than a test,
+// with no more leaves than knobCeiling.
 func TestKnobTable(t *testing.T) {
 	var cfg Config
 	declared := map[uintptr]string{}
@@ -80,7 +80,9 @@ func TestKnobTable(t *testing.T) {
 		}
 		declared[addr] = k.label()
 	}
+	n := 0
 	leaves(reflect.ValueOf(&cfg).Elem(), "", func(path string, addr any) {
+		n++
 		_, isKnob := declared[reflect.ValueOf(addr).Pointer()]
 		_, listed := notCLI[path]
 		switch {
@@ -93,6 +95,17 @@ func TestKnobTable(t *testing.T) {
 	})
 	for path := range stale {
 		t.Errorf("notCLI lists %s, which is not a Config leaf field", path)
+	}
+	for path, why := range notCLI {
+		if strings.Contains(why, "only") && strings.Contains(why, "test") {
+			t.Errorf("notCLI: only tests set Config.%s (%q): give it a user or make it a constant", path, why)
+		}
+	}
+	switch {
+	case n > knobCeiling:
+		t.Errorf("Config has %d leaf fields, above the ceiling of %d: give the new knob a user or make it a constant", n, knobCeiling)
+	case n < knobCeiling:
+		t.Logf("Config has %d leaf fields, below the ceiling of %d: lower knobCeiling", n, knobCeiling)
 	}
 }
 
@@ -107,7 +120,7 @@ func TestBindFlagsDefaultsAndParse(t *testing.T) {
 		t.Fatalf("parsing no flags changed the config (err %v):\n%+v", err, cfg)
 	}
 	args := strings.Fields("-proto tcp -side recv -procs 4 -lock mcs -layout 6 -refs locked -msgcache=false" +
-		" -machine power33 -steer fdir -drop 0.01 -seed 7 -batchflush 1000 -strategy connection")
+		" -machine power33 -steer fdir -drop 0.01 -seed 7 -batchsegs 4 -strategy connection")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +129,7 @@ func TestBindFlagsDefaultsAndParse(t *testing.T) {
 	want.LockKind, want.Layout, want.RefMode, want.MsgCache = sim.KindMCS, tcp.Layout6, sim.RefLocked, false
 	want.Machine, want.Strategy = cost.PowerSeries33, StrategyConnection
 	want.Steer.Enabled, want.Steer.Policy = true, steer.PolicyFlowDirector
-	want.Faults.Up.Drop, want.Batch.FlushTimeoutNs = 0.01, 1000
+	want.Faults.Up.Drop, want.Batch.MaxSegs = 0.01, 4
 	if !reflect.DeepEqual(cfg, want) {
 		t.Errorf("parsed config:\n got %+v\nwant %+v", cfg, want)
 	}

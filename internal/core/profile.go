@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/driver"
+	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -118,8 +119,8 @@ func (s *Stack) ProfileReport() string {
 			if d.Frames == 0 && d.Dropped == 0 {
 				return
 			}
-			fmt.Fprintf(&b, "  %-20s %7d frames: %d dropped, %d duplicated, %d corrupted, %d delayed, %d reordered\n",
-				name, d.Frames, d.Dropped, d.Duplicated, d.Corrupted, d.Delayed, d.Reordered)
+			fmt.Fprintf(&b, "  %-20s %7d frames: %d dropped, %d duplicated, %d corrupted, %d reordered\n",
+				name, d.Frames, d.Dropped, d.Duplicated, d.Corrupted, d.Reordered)
 		}
 		dir("up (wire->stack)", fs.Up)
 		dir("down (stack->wire)", fs.Down)
@@ -152,7 +153,7 @@ func (s *Stack) ProfileReport() string {
 	}
 	if s.Cfg.Batch.Active() {
 		fmt.Fprintf(&b, "\nBatching (max %d segs / %d bytes, flush %d ns):\n",
-			s.Cfg.Batch.MaxSegs, s.Cfg.Batch.MaxBytes, s.Cfg.Batch.FlushTimeoutNs)
+			s.Cfg.Batch.MaxSegs, msg.MaxClassBytes, msg.BatchFlushNs)
 		frames, segs := atomic.LoadInt64(&s.batchFrames), atomic.LoadInt64(&s.batchSegs)
 		spf := 0.0
 		if frames > 0 {

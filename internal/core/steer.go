@@ -42,12 +42,9 @@ func validateSteer(cfg *Config) error {
 	// One lock kind per run: the Flow-Director buckets follow the
 	// connection-state locks, whichever entry point built the config.
 	cfg.Steer.LockKind = cfg.LockKind
-	if err := cfg.Steer.Validate(); err != nil {
-		return err
-	}
 	cfg.Workload = cfg.Workload.WithDefaults()
 	if cfg.Workload.Seed == 0 {
-		// Derive from the run seed so Measure's per-run seeds vary the
+		// Derive from the run seed so the per-run seeds (RunConfigs) vary the
 		// workload while any single config stays bit-reproducible.
 		cfg.Workload.Seed = cfg.Seed + 2
 	}
@@ -161,9 +158,9 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 				flush("flow")
 			case a.Seq != pendNext:
 				flush("seq")
-			case a.At-pendStart > bc.FlushTimeoutNs:
+			case a.At-pendStart > msg.BatchFlushNs:
 				flush("timeout")
-			case pend.Len()+payload > bc.MaxBytes || pend.Tailroom() < payload:
+			case pend.Len()+payload > msg.MaxClassBytes || pend.Tailroom() < payload:
 				flush("maxbytes")
 			}
 		}

@@ -27,7 +27,7 @@ import (
 // Registration order is the export order; keep it fixed.
 func (s *Stack) buildTelemetry() {
 	cfg := &s.Cfg
-	reg := telemetry.NewRegistry(cfg.SampleDepth)
+	reg := telemetry.NewRegistry(telemetry.DefaultDepth)
 	// procs+2 lock tracks: pumps plus the NIC/control and monitor/event
 	// threads, mirroring the recorder's sizing.
 	s.Tel = telemetry.NewSampler(reg, cfg.SamplePeriodNs, cfg.Procs+2)

@@ -230,13 +230,13 @@ func TestTimeSeriesOffNil(t *testing.T) {
 	}
 }
 
-// TestSampleDepthBounds: a tiny depth drops the oldest samples and the
-// retained window plus Dropped accounts for every boundary crossed.
+// TestSampleDepthBounds: a run that crosses more sample boundaries than
+// the ring holds drops the oldest samples, and the retained window plus
+// Dropped accounts for every boundary crossed.
 func TestSampleDepthBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 2
 	cfg.SamplePeriodNs = 100_000
-	cfg.SampleDepth = 8
 	st, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -244,18 +244,20 @@ func TestSampleDepthBounds(t *testing.T) {
 	if _, err := st.Run(testWarmup, testMeasure); err != nil {
 		t.Fatal(err)
 	}
-	se := st.Tel.Registry().Series()[0]
-	if se.Len() > 8 {
-		t.Errorf("retained %d samples with depth 8", se.Len())
-	}
-	if se.Dropped() == 0 {
-		t.Error("long run with depth 8 dropped nothing")
-	}
 	// The run clock extends a little past warmup+measure while the
 	// stack drains, so the boundary count is at least the window's.
 	wantBoundaries := (testWarmup + testMeasure) / cfg.SamplePeriodNs
+	if wantBoundaries <= telemetry.DefaultDepth {
+		t.Fatalf("%d boundaries fit a ring of %d: the run would drop nothing", wantBoundaries, telemetry.DefaultDepth)
+	}
+	se := st.Tel.Registry().Series()[0]
+	if se.Len() > telemetry.DefaultDepth {
+		t.Errorf("retained %d samples with depth %d", se.Len(), telemetry.DefaultDepth)
+	}
+	if se.Dropped() == 0 {
+		t.Errorf("long run with depth %d dropped nothing", telemetry.DefaultDepth)
+	}
 	if got := int64(se.Len()) + se.Dropped(); got < wantBoundaries {
 		t.Errorf("retained+dropped = %d, want >= %d boundaries", got, wantBoundaries)
 	}
-	_ = telemetry.DefaultDepth // the default is exercised by every other sampled test
 }

@@ -18,16 +18,12 @@ import (
 )
 
 // batchGrow returns the extra tail space to allocate for a merged
-// frame's head so up to MaxSegs payloads fit, capped by MaxBytes and
-// the largest buffer class.
+// frame's head so up to MaxSegs payloads fit, capped by the largest
+// buffer class.
 func batchGrow(frameLen, payload int, bc msg.BatchConfig) int {
-	max := bc.MaxBytes
-	if max <= 0 || max > msg.MaxClassBytes {
-		max = msg.MaxClassBytes
-	}
 	g := (bc.MaxSegs - 1) * payload
-	if frameLen+g > max {
-		g = max - frameLen
+	if frameLen+g > msg.MaxClassBytes {
+		g = msg.MaxClassBytes - frameLen
 	}
 	if g < 0 {
 		g = 0
@@ -134,7 +130,7 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int,
 	}
 	segs := 1
 	for segs < bc.MaxSegs && payload > 0 &&
-		m.Len()+payload <= bc.MaxBytes && m.Tailroom() >= payload {
+		m.Len()+payload <= msg.MaxClassBytes && m.Tailroom() >= payload {
 		d, err := s.produce(t, conn, 0)
 		if err != nil {
 			m.Free(t)
@@ -177,7 +173,7 @@ func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg
 			reason = "maxsegs"
 			break
 		}
-		if m.Len()+d.payload > bc.MaxBytes || m.Tailroom() < d.payload {
+		if m.Len()+d.payload > msg.MaxClassBytes || m.Tailroom() < d.payload {
 			reason = "maxbytes"
 			break
 		}

@@ -13,7 +13,7 @@ import (
 
 // FaultRates sets per-frame fault probabilities for one direction of
 // the wire. All rates are in [0, 1] and are evaluated independently per
-// frame in a fixed order: drop, corrupt, delay, duplicate, reorder.
+// frame in a fixed order: drop, corrupt, duplicate, reorder.
 type FaultRates struct {
 	// Drop discards the frame.
 	Drop float64
@@ -26,14 +26,10 @@ type FaultRates struct {
 	// Reorder holds the frame back and releases it after the next frame
 	// in the same direction, swapping the pair on the wire.
 	Reorder float64
-	// Delay charges extra wire latency, uniform in [1, DelayNs].
-	Delay float64
-	// DelayNs bounds the extra latency (default 50µs when Delay > 0).
-	DelayNs int64
 }
 
 func (r FaultRates) enabled() bool {
-	return r.Drop > 0 || r.Dup > 0 || r.Corrupt > 0 || r.Reorder > 0 || r.Delay > 0
+	return r.Drop > 0 || r.Dup > 0 || r.Corrupt > 0 || r.Reorder > 0
 }
 
 // FaultConfig configures the fault-injection wire. Up is the inbound
@@ -52,7 +48,6 @@ type FaultDirStats struct {
 	Dropped    int64
 	Duplicated int64
 	Corrupted  int64
-	Delayed    int64
 	Reordered  int64 // frames held back (each swaps one pair)
 }
 
@@ -92,12 +87,6 @@ type FaultWire struct {
 // the schedule PRNG. SetUpper must be called before inbound traffic
 // flows.
 func NewFaultWire(cfg FaultConfig, seed uint64, alloc *msg.Allocator, down xkernel.Wire) *FaultWire {
-	if cfg.Up.Delay > 0 && cfg.Up.DelayNs <= 0 {
-		cfg.Up.DelayNs = 50_000
-	}
-	if cfg.Down.Delay > 0 && cfg.Down.DelayNs <= 0 {
-		cfg.Down.DelayNs = 50_000
-	}
 	fw := &FaultWire{
 		cfg:   cfg,
 		alloc: alloc,
@@ -187,11 +176,6 @@ func (fw *FaultWire) channel(t *sim.Thread, m *msg.Message, r *FaultRates,
 		m = c
 		ds.Corrupted++
 		noteFault(t, "corrupt")
-	}
-	if r.Delay > 0 && fw.rng.Float64() < r.Delay {
-		ds.Delayed++
-		noteFault(t, "delay")
-		t.Charge(1 + int64(fw.rng.Intn(int(r.DelayNs))))
 	}
 	if r.Dup > 0 && fw.rng.Float64() < r.Dup {
 		ds.Duplicated++

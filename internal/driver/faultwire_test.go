@@ -161,7 +161,7 @@ func TestFaultWireScheduleIsDeterministic(t *testing.T) {
 			a := newAlloc()
 			down := &captureWire{}
 			fw := NewFaultWire(FaultConfig{
-				Down: FaultRates{Drop: 0.2, Dup: 0.2, Corrupt: 0.2, Reorder: 0.2, Delay: 0.2},
+				Down: FaultRates{Drop: 0.2, Dup: 0.2, Corrupt: 0.2, Reorder: 0.2},
 			}, 99, a, down)
 			fw.Arm()
 			for i := 0; i < 200; i++ {
@@ -179,7 +179,7 @@ func TestFaultWireScheduleIsDeterministic(t *testing.T) {
 		t.Fatalf("same seed produced different counters:\n%+v\n%+v", s1, s2)
 	}
 	if s1.Down.Dropped == 0 || s1.Down.Duplicated == 0 || s1.Down.Corrupted == 0 ||
-		s1.Down.Reordered == 0 || s1.Down.Delayed == 0 {
+		s1.Down.Reordered == 0 {
 		t.Fatalf("200 frames at 20%% rates left a fault class untouched: %+v", s1.Down)
 	}
 	if len(f1) != len(f2) {

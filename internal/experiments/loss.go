@@ -29,7 +29,6 @@ func lossLadder(p Params) []float64 {
 // so "1% loss" means 1% of frames fail to arrive intact — but half of
 // them pay the checksum-rejection path instead of vanishing silently.
 func lossy(cfg *core.Config, kind sim.LockKind, rate float64) {
-	cfg.EnforceChecksum = true
 	cfg.LockKind = kind
 	r := driver.FaultRates{Drop: rate / 2, Corrupt: rate / 2}
 	if cfg.Side == core.SideRecv {

@@ -171,7 +171,8 @@ func TestProfileSuiteSeriesWorkersInvariance(t *testing.T) {
 }
 
 // TestRunPointsOrder checks the exported point runner returns results
-// in input order with correct per-point seeding.
+// in input order with correct per-point seeding, each summarizing one
+// sample per run beside a non-empty aggregate.
 func TestRunPointsOrder(t *testing.T) {
 	p := parTiny()
 	cfgA := baselineUDP(0)
@@ -190,5 +191,10 @@ func TestRunPointsOrder(t *testing.T) {
 	}
 	if sums[0].Mean != sums[2].Mean || sums[0].Mean == sums[1].Mean {
 		t.Fatalf("result order scrambled: %+v", sums)
+	}
+	for i := range sums {
+		if len(sums[i].Samples) != p.Runs || sums[i].Mean <= 0 || aggs[i].Mbps <= 0 {
+			t.Errorf("point %d: bad summary %+v, aggregate %.1f Mb/s, want %d samples", i, sums[i], aggs[i].Mbps, p.Runs)
+		}
 	}
 }

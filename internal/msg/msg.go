@@ -35,10 +35,15 @@ var classes = [...]int{128, 512, 2048, 8192}
 // any single contiguous message, merged GRO frames included.
 const MaxClassBytes = 8192
 
+// BatchFlushNs bounds how long a pending merged frame may wait for a
+// mergeable successor before it is flushed: 50 µs of virtual time.
+const BatchFlushNs = 50_000
+
 // BatchConfig parameterizes receive-side GRO-style coalescing. The
 // merge itself lives on Message (Absorb); the flush policy is applied
 // by whoever owns the pending frame (the steering dispatcher, the
-// driver pump loops).
+// driver pump loops). A merged frame is at most MaxClassBytes long,
+// headers included, and waits at most BatchFlushNs.
 type BatchConfig struct {
 	// Enabled turns coalescing on. Off (or MaxSegs == 1) must leave
 	// every code path byte-identical to an unbatched build.
@@ -46,24 +51,12 @@ type BatchConfig struct {
 	// MaxSegs caps how many wire segments one merged frame may carry
 	// (default 8).
 	MaxSegs int
-	// MaxBytes caps the merged frame's total length, headers included
-	// (default and ceiling MaxClassBytes).
-	MaxBytes int
-	// FlushTimeoutNs bounds how long a pending frame may wait for a
-	// mergeable successor before it is flushed (default 50 µs).
-	FlushTimeoutNs int64
 }
 
 // WithDefaults fills unset fields.
 func (c BatchConfig) WithDefaults() BatchConfig {
 	if c.MaxSegs <= 0 {
 		c.MaxSegs = 8
-	}
-	if c.MaxBytes <= 0 || c.MaxBytes > MaxClassBytes {
-		c.MaxBytes = MaxClassBytes
-	}
-	if c.FlushTimeoutNs <= 0 {
-		c.FlushTimeoutNs = 50_000
 	}
 	return c
 }

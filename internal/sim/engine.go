@@ -4,7 +4,7 @@
 //
 // The model: P virtual processors each run one protocol thread (the paper
 // wires one IRIX thread per CPU). Threads are coroutines (iter.Pull):
-// the RunUntil driver resumes exactly one at a time — always the
+// the Run driver resumes exactly one at a time — always the
 // runnable thread with the smallest virtual clock — with a direct
 // goroutine switch that never enters the Go scheduler, so execution is
 // sequential, race-free and reproducible, and costs the same at any
@@ -101,11 +101,11 @@ type Thread struct {
 	pushSeq int64 // FIFO tiebreak among equal clocks
 	state   threadState
 
-	// next resumes the thread's coroutine from the RunUntil driver and
+	// next resumes the thread's coroutine from the Run driver and
 	// returns when the thread switches back; stop ends the coroutine
-	// (Drain, pool release); park, valid inside the coroutine, switches
-	// back to the driver and reports false when the coroutine was
-	// stopped rather than resumed. All three are nil on the host backend.
+	// (pool release); park, valid inside the coroutine, switches back
+	// to the driver and reports false when the coroutine was stopped
+	// rather than resumed. All three are nil on the host backend.
 	next func() (struct{}, bool)
 	stop func()
 	park func(struct{}) bool
@@ -130,22 +130,18 @@ type Thread struct {
 	blockKind, blockName string
 }
 
-// drainSignal unwinds a parked thread's stack during Engine.Drain. It
-// is recovered by Engine.call and never escapes to user code.
-type drainSignal struct{}
-
 // Engine is the discrete-event scheduler.
 //
-// Every thread is an iter.Pull coroutine and RunUntil is the driver
-// loop. Whoever gives up control (a yielding thread, a finishing
-// thread, or the driver itself) makes the scheduling decision in step,
-// which leaves the chosen thread in pending; a thread then switches
-// back to the driver, and the driver switches into pending. Both
-// switches are coroswitch — a direct goroutine-to-goroutine transfer
-// that bypasses the Go scheduler — and there is none at all when the
-// yielding thread is still the minimum and simply keeps running. The
-// engine's state stays serialized: exactly one goroutine runs at any
-// moment, and iter.Pull orders each switch as a happens-before edge.
+// Every thread is an iter.Pull coroutine and Run is the driver loop.
+// Whoever gives up control (a yielding thread, a finishing thread, or
+// the driver itself) makes the scheduling decision in step, which
+// leaves the chosen thread in pending; a thread then switches back to
+// the driver, and the driver switches into pending. Both switches are
+// coroswitch — a direct goroutine-to-goroutine transfer that bypasses
+// the Go scheduler — and there is none at all when the yielding thread
+// is still the minimum and simply keeps running. The engine's state
+// stays serialized: exactly one goroutine runs at any moment, and
+// iter.Pull orders each switch as a happens-before edge.
 type Engine struct {
 	C *cost.Model
 
@@ -153,28 +149,22 @@ type Engine struct {
 	pushCtr int64
 	now     int64
 	live    int
-	cur     *Thread
 	nextID  int
 	rng     Rand
 	started bool
 
-	// limit is the active RunUntil bound (-1 when unbounded).
-	limit int64
 	// pending is the thread step chose for the driver to resume next;
-	// nil ends the driver loop (all threads done, limit reached,
-	// deadlock, or a thread panic).
+	// nil ends the driver loop (all threads done, deadlock, or a thread
+	// panic).
 	pending *Thread
 	// stopPanic carries a deadlock dump or thread panic to the driver.
 	stopPanic any
 	// threads registers every Thread struct ever spawned (live, parked
-	// and pooled); Drain walks it to release parked coroutines.
+	// and pooled); the deadlock dump walks it.
 	threads []*Thread
 	// free is the pool of done threads whose coroutines are suspended
 	// awaiting another Spawn.
 	free []*Thread
-	// draining makes every thread that tries to park unwind via
-	// drainSignal instead.
-	draining bool
 
 	// Trace, when non-nil, receives one line per scheduling decision;
 	// used by tests.
@@ -225,9 +215,8 @@ func NewBackend(model *cost.Model, seed uint64, backend Backend) *Engine {
 		model = cost.NewModel(cost.Challenge100)
 	}
 	e := &Engine{
-		C:     model,
-		limit: -1,
-		rng:   NewRand(seed),
+		C:   model,
+		rng: NewRand(seed),
 	}
 	if backend == BackendHost {
 		e.host = &hostEngine{epoch: time.Now()}
@@ -302,15 +291,12 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 // lives is the coroutine behind a Thread struct. Each iteration is one
 // thread lifetime: run the body, retire to the pool, hand the schedule
 // onward, and park until the next Spawn's first resume. It returns —
-// ending the coroutine — when stopped: from inside a body by Drain
-// (which then does the bookkeeping), or from the pool.
+// ending the coroutine — when the pool is released.
 func (t *Thread) lives(park func(struct{}) bool) {
 	e := t.eng
 	t.park = park
 	for {
-		if e.call(t) {
-			return
-		}
+		e.call(t)
 		e.retire(t)
 		// Choose the next runnable thread, or leave pending nil so the
 		// driver stops: a panic to re-raise, or every thread done.
@@ -323,24 +309,16 @@ func (t *Thread) lives(park func(struct{}) bool) {
 	}
 }
 
-// call runs the thread body, capturing panics. A drainSignal panic
-// (from Drain unwinding the stack) is absorbed and reported as drained;
-// any other is left in stopPanic for the driver — or for Drain, when a
-// deferred function raised it mid-unwind — to re-raise on its caller's
-// goroutine, so library users (and tests) can recover it.
-func (e *Engine) call(t *Thread) (drained bool) {
+// call runs the thread body, capturing a panic in stopPanic for the
+// driver to re-raise on Run's caller's goroutine, so library users (and
+// tests) can recover it.
+func (e *Engine) call(t *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(drainSignal); ok {
-				drained = true
-			} else {
-				e.stopPanic = r
-				drained = e.draining
-			}
+			e.stopPanic = r
 		}
 	}()
 	t.fn(t)
-	return false
 }
 
 // retire marks t done and parks its struct on the free list for reuse.
@@ -354,21 +332,13 @@ func (e *Engine) retire(t *Thread) {
 // step makes the scheduling decision for whoever gives up control and
 // leaves the chosen thread in pending for the driver to resume. self,
 // when non-nil, is a yielding thread that stays runnable and is already
-// known not to run next (yield's compare ruled that out): it re-enters
-// the heap behind every thread at its clock. When the simulation cannot
-// proceed (limit reached, deadlock), pending stays nil, which stops the
-// driver once the caller has parked.
-//
-// The limit is judged on the root before anything is popped: a thread
-// that has to wait for the next RunUntil keeps its place among its
-// equal-clock peers.
+// known not to run next (yield's compare ruled that out, so the heap is
+// not empty): it re-enters the heap behind every thread at its clock.
+// When no thread is runnable (deadlock), pending stays nil, which stops
+// the driver once the caller has parked.
 func (e *Engine) step(self *Thread) {
-	if len(e.heap) == 0 || e.pastLimit(e.heap[0].vt) {
-		if self != nil {
-			e.push(self)
-		} else if len(e.heap) == 0 {
-			e.stopPanic = "sim: deadlock — all threads blocked\n" + e.dump()
-		}
+	if len(e.heap) == 0 {
+		e.stopPanic = "sim: deadlock — all threads blocked\n" + e.dump()
 		return
 	}
 	next := e.heap[0]
@@ -385,12 +355,6 @@ func (e *Engine) step(self *Thread) {
 	e.pending = next
 }
 
-// pastLimit reports whether a thread at clock vt has to wait for a later
-// RunUntil: the limit is inclusive.
-func (e *Engine) pastLimit(vt int64) bool {
-	return e.limit >= 0 && vt > e.limit
-}
-
 // dispatch makes next the running thread: the engine clock advances to
 // its clock, telemetry samples any period boundary that passes, and
 // Trace logs the decision.
@@ -404,36 +368,24 @@ func (e *Engine) dispatch(next *Thread) {
 	}
 	e.Tel.Tick(e.now)
 	next.state = stateRunning
-	e.cur = next
 	if e.Trace != nil {
 		e.Trace(fmt.Sprintf("t=%d run %s", e.now, next.name))
 	}
 }
 
-// Run drives the simulation until every thread has terminated. It panics
-// with a state dump if all remaining threads are blocked (deadlock).
+// Run drives the simulation until every thread has ended, then releases
+// the thread pool, so a completed engine holds no goroutines. It is the
+// engine's only driver, and must not be called from a simulated thread.
+//
+// It panics with a state dump if every remaining thread is blocked
+// (deadlock). A panic in a thread body is re-raised here, on the
+// caller's goroutine, and a runtime.Goexit in one ends the caller's
+// goroutine. Either way the engine is finished: its other threads stay
+// parked in their coroutines, and nothing resumes or releases them.
 func (e *Engine) Run() {
-	e.RunUntil(-1)
-}
-
-// RunUntil drives the simulation until all threads terminate or the
-// virtual clock would pass limit (limit < 0 means no limit). It returns
-// the number of live threads remaining.
-//
-// When it returns non-zero, the remaining threads stay parked in their
-// coroutines; resume them with another RunUntil, or release them with
-// Drain. When it returns zero the thread pool is released, so a
-// completed engine holds no goroutines.
-//
-// A panic in a thread body is re-raised here, on the caller's
-// goroutine, and leaves the engine drainable.
-func (e *Engine) RunUntil(limit int64) int {
 	if h := e.host; h != nil {
-		if limit >= 0 {
-			panic("sim: RunUntil with a virtual-time limit is sim-only") // host threads run on the wall clock: no virtual time to stop at
-		}
 		h.wg.Wait()
-		return 0
+		return
 	}
 	if e.started {
 		panic("sim: Run called reentrantly") // one driver resumes the coroutines; a second would interleave with it
@@ -441,7 +393,6 @@ func (e *Engine) RunUntil(limit int64) int {
 	e.started = true
 	defer func() { e.started = false }()
 
-	e.limit = limit
 	if e.live > 0 {
 		e.step(nil)
 		for t := e.pending; t != nil; t = e.pending {
@@ -453,65 +404,19 @@ func (e *Engine) RunUntil(limit int64) int {
 			panic(p) // a thread body's panic surfaces on Run's caller
 		}
 	}
-	if e.live == 0 {
-		e.releasePool()
-		return 0
-	}
-	return e.live
-}
-
-// Drain releases every thread still parked in the engine — the threads
-// a limit-truncated RunUntil left behind — by stopping their
-// coroutines: a thread parked inside its body unwinds its stack
-// (deferred functions run; one that tries to park again keeps
-// unwinding), a thread that never started has nothing to unwind. It
-// then releases the pooled coroutines. After Drain the engine holds no
-// goroutines; it remains usable (new Spawns start fresh coroutines).
-// A panic raised by a deferred function during the unwinding is
-// re-raised once everything is released. Drain must not be called while
-// Run is in progress, nor from a simulated thread.
-func (e *Engine) Drain() {
-	if e.host != nil {
-		panic("sim: Drain is sim-only") // a running goroutine cannot be unwound from outside
-	}
-	if e.started {
-		panic("sim: Drain called during Run") // Drain ends the coroutines Run is switching between
-	}
-	e.draining = true
-	for _, t := range e.threads {
-		if t.state == stateDone {
-			continue
-		}
-		t.end()
-		t.state = stateDone
-		t.fn = nil
-		e.live--
-	}
-	e.draining = false
-	e.heap = e.heap[:0]
-	e.cur = nil
 	e.releasePool()
-	if p := e.stopPanic; p != nil {
-		e.stopPanic = nil
-		panic(p) // a deferred function's panic surfaces on Drain's caller
-	}
 }
 
 // releasePool ends the coroutines of all pooled done threads. Their
-// structs stay registered; a later Spawn starts new coroutines.
+// structs stay registered but are never resumed again; a later Spawn
+// starts new coroutines.
 func (e *Engine) releasePool() {
 	for i, t := range e.free {
-		t.end()
+		t.stop()
+		t.next, t.stop, t.park = nil, nil, nil
 		e.free[i] = nil
 	}
 	e.free = e.free[:0]
-}
-
-// end stops the thread's coroutine and drops the struct's references to
-// it: the struct stays registered but is never resumed again.
-func (t *Thread) end() {
-	t.stop()
-	t.next, t.stop, t.park = nil, nil, nil
 }
 
 // Wake marks a blocked thread runnable no earlier than virtual time at.
@@ -658,23 +563,17 @@ func (t *Thread) ChargeBytes(rate float64, n int) {
 
 // yield gives up control, with one of three outcomes. A thread that
 // stays runnable (s == stateReady) and whose clock is strictly below
-// every other runnable thread's, within the RunUntil limit, keeps
-// running: the engine does for it what a scheduling decision would —
-// clock, telemetry, Trace — and the heap is not touched. An equal clock
-// does not qualify: the thread that yielded first runs first. A runnable
-// thread that is not the minimum takes the root's place in the heap and
-// parks while the driver resumes the root. A blocking thread leaves the
-// schedule and parks until a Wake pushes it back.
+// every other runnable thread's keeps running: the engine does for it
+// what a scheduling decision would — clock, telemetry, Trace — and the
+// heap is not touched. An equal clock does not qualify: the thread that
+// yielded first runs first. A runnable thread that is not the minimum
+// takes the root's place in the heap and parks while the driver resumes
+// the root. A blocking thread leaves the schedule and parks until a
+// Wake pushes it back.
 func (t *Thread) yield(s threadState) {
 	e := t.eng
-	if e.draining {
-		// Drain is unwinding this stack; a deferred function tried to
-		// park again (lock handoff, Sync in a cleanup path). Keep
-		// unwinding.
-		panic(drainSignal{})
-	}
 	if s == stateReady {
-		if (len(e.heap) == 0 || t.vt < e.heap[0].vt) && !e.pastLimit(t.vt) {
+		if len(e.heap) == 0 || t.vt < e.heap[0].vt {
 			e.dispatch(t)
 			return
 		}
@@ -683,9 +582,7 @@ func (t *Thread) yield(s threadState) {
 		t.state = s
 		e.step(nil)
 	}
-	if !t.park(struct{}{}) {
-		panic(drainSignal{}) // stopped by Drain: unwind this stack
-	}
+	t.park(struct{}{})
 }
 
 // Sync parks the thread until it holds the minimum virtual time among

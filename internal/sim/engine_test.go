@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 )
@@ -123,174 +125,6 @@ func TestDeadlockPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntilStopsAtLimit(t *testing.T) {
-	e := newTestEngine(7)
-	steps := 0
-	e.Spawn("t", 0, func(th *Thread) {
-		for i := 0; i < 100; i++ {
-			th.Sleep(100)
-			steps++
-		}
-	})
-	live := e.RunUntil(450)
-	if live != 1 {
-		t.Fatalf("live = %d, want 1", live)
-	}
-	if steps != 4 {
-		t.Fatalf("steps = %d, want 4 (t=100..400)", steps)
-	}
-	e.RunUntil(-1)
-	if steps != 100 {
-		t.Fatalf("steps after full run = %d, want 100", steps)
-	}
-}
-
-// TestRunUntilLimitIsInclusive: a thread whose clock equals the limit
-// runs before RunUntil returns, one a nanosecond later does not — the
-// same rule whether the thread reaches the limit while running or
-// parked, alone or handed to by another.
-func TestRunUntilLimitIsInclusive(t *testing.T) {
-	for _, threads := range []int{1, 2} {
-		e := newTestEngine(13)
-		steps := make([]int, threads)
-		for i := range steps {
-			e.Spawn(fmt.Sprintf("t%d", i), i, func(th *Thread) {
-				for j := 0; j < 10; j++ {
-					th.Sleep(100)
-					steps[th.Proc]++
-				}
-			})
-		}
-		for _, c := range []struct {
-			limit int64
-			want  int
-		}{{300, 3}, {300, 3}, {301, 3}, {399, 3}, {400, 4}, {600, 6}} {
-			e.RunUntil(c.limit)
-			for i, n := range steps {
-				if n != c.want {
-					t.Errorf("%d threads, RunUntil(%d): t%d took %d steps, want %d", threads, c.limit, i, n, c.want)
-				}
-			}
-		}
-		e.Drain()
-	}
-}
-
-// TestRunUntilResumesWhereItStopped cuts one run into many RunUntil
-// slices: every thread — running ahead, ready, or blocked on the lock
-// when a limit lands — must pick up exactly where it parked, so the
-// scheduling log and the result match an uncut run.
-func TestRunUntilResumesWhereItStopped(t *testing.T) {
-	run := func(limits ...int64) (string, int64) {
-		e := newTestEngine(11)
-		var log strings.Builder
-		e.Trace = func(s string) { log.WriteString(s + "\n") }
-		var mu Lock
-		var sum int64
-		for i := 0; i < 4; i++ {
-			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
-				for j := 0; j < 25; j++ {
-					th.ChargeRand(3000)
-					mu.Acquire(th)
-					sum = sum*31 + int64(th.Proc)
-					th.ChargeRand(2000)
-					mu.Release(th)
-				}
-			})
-		}
-		for _, l := range limits {
-			if e.RunUntil(l) == 0 {
-				t.Fatalf("run finished before limit %d", l)
-			}
-		}
-		e.Run()
-		return log.String(), sum
-	}
-	wantLog, wantSum := run()
-	gotLog, gotSum := run(1, 777, 5000, 5001, 40_000, 100_000)
-	if gotSum != wantSum {
-		t.Errorf("sliced run computed %d, uncut run %d", gotSum, wantSum)
-	}
-	if gotLog != wantLog {
-		t.Errorf("sliced run scheduled differently from the uncut run:\n--- sliced\n%s--- uncut\n%s", gotLog, wantLog)
-	}
-}
-
-// TestRunUntilSliceKeepsTieOrder: a limit that lands while several
-// threads wait at one clock must not reshuffle them. The engine used to
-// pop the minimum to look at it and push it back behind its peers, so
-// the sliced run below logged w1 w2 w0 per round.
-func TestRunUntilSliceKeepsTieOrder(t *testing.T) {
-	run := func(limits ...int64) string {
-		e := newTestEngine(12)
-		var order []string
-		for i := 0; i < 3; i++ {
-			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
-				for j := 0; j < 3; j++ {
-					th.Charge(100)
-					th.Sync()
-					order = append(order, th.Name())
-				}
-			})
-		}
-		for _, l := range limits {
-			e.RunUntil(l)
-		}
-		e.Run()
-		return strings.Join(order, " ")
-	}
-	const want = "w0 w1 w2 w0 w1 w2 w0 w1 w2"
-	if got := run(); got != want {
-		t.Fatalf("uncut run: %s, want %s", got, want)
-	}
-	for _, limits := range [][]int64{{50}, {0, 99}, {100, 150, 250}, {50, 50, 199, 299}} {
-		if got := run(limits...); got != want {
-			t.Errorf("RunUntil%v then Run: %s, want %s", limits, got, want)
-		}
-	}
-}
-
-// TestRunUntilResumesOnTies is TestRunUntilResumesWhereItStopped without
-// jitter: every charge is a round number, so clocks tie constantly — on
-// Syncs, on the lock, at the limits themselves — and each slice boundary
-// falls among equal-clock threads.
-func TestRunUntilResumesOnTies(t *testing.T) {
-	run := func(limits ...int64) (string, int64) {
-		e := newTestEngine(11)
-		var log strings.Builder
-		e.Trace = func(s string) { log.WriteString(s + "\n") }
-		mu := Lock{kind: KindMCS}
-		var sum int64
-		for i := 0; i < 4; i++ {
-			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
-				for j := 0; j < 25; j++ {
-					th.Charge(3000)
-					th.Sync()
-					mu.Acquire(th)
-					sum = sum*31 + int64(th.Proc)
-					th.Charge(2000)
-					mu.Release(th)
-				}
-			})
-		}
-		for _, l := range limits {
-			if e.RunUntil(l) == 0 {
-				t.Fatalf("run finished before limit %d", l)
-			}
-		}
-		e.Run()
-		return log.String(), sum
-	}
-	wantLog, wantSum := run()
-	gotLog, gotSum := run(0, 2999, 3000, 3001, 5000, 12_000, 40_000, 100_000)
-	if gotSum != wantSum {
-		t.Errorf("sliced run computed %d, uncut run %d", gotSum, wantSum)
-	}
-	if gotLog != wantLog {
-		t.Errorf("sliced run scheduled differently from the uncut run:\n%s", firstDiff(gotLog, wantLog))
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func(seed uint64) string {
 		e := newTestEngine(seed)
@@ -384,5 +218,112 @@ func TestRandJitterBounds(t *testing.T) {
 	}
 	if r.Jitter(123, 0) != 123 {
 		t.Fatal("zero-frac jitter must be identity")
+	}
+}
+
+// checkGoroutines fails the test if the process holds more goroutines
+// than at the baseline. Stopping a coroutine destroys its goroutine
+// before stop returns, so there is nothing to wait for.
+func checkGoroutines(t *testing.T, base int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines leaked: baseline %d, now %d", base, n)
+	}
+}
+
+// TestCompletedRunReleasesPool: a run that completes ends every pooled
+// coroutine, so a finished engine holds no goroutines.
+func TestCompletedRunReleasesPool(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+
+	e := newTestEngine(1)
+	for i := 0; i < 8; i++ {
+		e.Spawn(fmt.Sprintf("t%d", i), i, func(th *Thread) {
+			th.Charge(1000)
+			th.Sync()
+		})
+	}
+	e.Run()
+	checkGoroutines(t, base)
+}
+
+func TestSpawnReusesPooledThreads(t *testing.T) {
+	// A chain of 100 one-shot threads, each spawning its successor
+	// before exiting: after the first handoff every Spawn should reuse
+	// the just-retired struct, so the engine creates only two.
+	e := newTestEngine(1)
+	var chain func(i int) func(*Thread)
+	chain = func(i int) func(*Thread) {
+		return func(th *Thread) {
+			th.Charge(10)
+			if i < 100 {
+				e.Spawn("link", 0, chain(i+1))
+			}
+		}
+	}
+	e.Spawn("link", 0, chain(1))
+	e.Run()
+	if got := len(e.threads); got > 2 {
+		t.Fatalf("100 chained spawns created %d thread structs, want <= 2 (pool reuse)", got)
+	}
+}
+
+// TestThreadPanicReraisedOnRunCaller: a panic in a thread body must
+// surface from Run on the caller's goroutine (anywhere else it would
+// kill the process), carrying the thread's value, while the other
+// threads are still mid-body.
+func TestThreadPanicReraisedOnRunCaller(t *testing.T) {
+	e := newTestEngine(1)
+	type boom struct{ at int64 }
+	for i := 0; i < 3; i++ {
+		e.Spawn(fmt.Sprintf("bystander%d", i), i, func(th *Thread) {
+			for j := 0; j < 100; j++ {
+				th.Charge(100)
+				th.Sync()
+			}
+		})
+	}
+	e.Spawn("bomb", 3, func(th *Thread) {
+		th.Sleep(5000)
+		panic(boom{th.Now()})
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != (boom{5000}) {
+				t.Errorf("Run panicked with %v, want %v", r, boom{5000})
+			}
+		}()
+		e.Run()
+		t.Error("Run returned normally after a thread panic")
+	}()
+	if e.live != 3 {
+		t.Errorf("%d live threads after the panic, want the 3 bystanders", e.live)
+	}
+}
+
+// TestGoexitInThreadEndsRunCaller: runtime.Goexit in a thread body
+// (t.FailNow from protocol code under test, say) must end the goroutine
+// that called Run, not strand it waiting for a thread that is gone.
+func TestGoexitInThreadEndsRunCaller(t *testing.T) {
+	e := newTestEngine(1)
+	e.Spawn("quitter", 0, func(th *Thread) {
+		th.Sleep(100)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run caller still waiting after Goexit in a thread body")
+	}
+	if returned {
+		t.Error("Run returned normally; want its goroutine ended by the Goexit")
 	}
 }

@@ -25,8 +25,7 @@ package sim
 //     32 (timedHold), so the 31 untimed holds in 32 read no clock
 //     inside the critical section they are timing.
 //   - Run waits for every spawned goroutine to return. There is no
-//     deadlock detector and no virtual-time limit; RunUntil with a
-//     bound, and Drain, are simulation-only.
+//     deadlock detector.
 //
 // Host runs are nondeterministic by nature. Determinism guards
 // (byte-identical goldens, virtual-time telemetry, the flight recorder)

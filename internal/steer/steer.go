@@ -4,7 +4,7 @@
 // (Fig 12) leaves unanswered. It models the three mechanisms production
 // NICs use:
 //
-//   - RSS: a Toeplitz hash over the 4-tuple indexes a configurable
+//   - RSS: a Toeplitz hash over the 4-tuple indexes a fixed-size
 //     indirection table of hash buckets, each mapped to a processor.
 //     Stateless, perfectly deterministic, and blind to load.
 //   - Flow Director: a bounded exact-match flow table (LRU-evicting,
@@ -71,16 +71,6 @@ type Config struct {
 	Enabled bool
 	// Policy selects the dispatch policy.
 	Policy Policy
-	// Buckets is the indirection table size (default 128, like small
-	// NIC RETA tables; must be a power of two).
-	Buckets int
-	// FlowTableSize bounds the exact-match flow table (default 128
-	// entries). Sizing it below the live flow count forces the LRU
-	// thrash real ATR tables exhibit.
-	FlowTableSize int
-	// FlowBuckets is the number of independently locked flow-table
-	// buckets (default 16).
-	FlowBuckets int
 	// LockKind selects the sim lock protecting each flow-table bucket.
 	LockKind sim.LockKind
 	// RingCapacity bounds each processor's dispatch queue (default 64).
@@ -104,15 +94,6 @@ type Config struct {
 
 // WithDefaults fills unset fields with the defaults above.
 func (c Config) WithDefaults() Config {
-	if c.Buckets <= 0 {
-		c.Buckets = 128
-	}
-	if c.FlowTableSize <= 0 {
-		c.FlowTableSize = 128
-	}
-	if c.FlowBuckets <= 0 {
-		c.FlowBuckets = 16
-	}
 	if c.RingCapacity <= 0 {
 		c.RingCapacity = 64
 	}
@@ -125,19 +106,18 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate rejects configurations the subsystem cannot honour.
-func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Buckets&(c.Buckets-1) != 0 {
-		return fmt.Errorf("steer: Buckets %d is not a power of two", c.Buckets)
-	}
-	if c.FlowBuckets > c.FlowTableSize {
-		return fmt.Errorf("steer: FlowBuckets %d exceeds FlowTableSize %d", c.FlowBuckets, c.FlowTableSize)
-	}
-	return nil
-}
+// The table sizes every stack steers with.
+const (
+	// tableBuckets is the indirection table size, like small NIC RETA
+	// tables; a power of two, since Bucket masks the hash with it.
+	tableBuckets = 128
+	// flowTableSize bounds the exact-match flow table. Below the live
+	// flow count it forces the LRU thrash real ATR tables exhibit.
+	flowTableSize = 128
+	// flowTableLocks is the number of independently locked flow-table
+	// buckets, at most flowTableSize.
+	flowTableLocks = 16
+)
 
 // Stats counts steering activity. Counters are cumulative; callers
 // snapshot around the measurement interval.
@@ -192,27 +172,30 @@ type Steerer struct {
 	stats Stats
 }
 
-// New builds a Steerer for the given processor count. cfg should
-// already carry defaults (WithDefaults).
+// New builds a Steerer for the given processor count.
 func New(cfg Config, procs int) *Steerer {
+	return newSized(cfg, procs, tableBuckets, flowTableSize, flowTableLocks)
+}
+
+// newSized is New with the table sizes given: buckets indirection
+// buckets (a power of two), and a flow table of flows entries behind
+// locks independently locked buckets.
+func newSized(cfg Config, procs, buckets, flows, locks int) *Steerer {
 	cfg = cfg.WithDefaults()
 	s := &Steerer{
 		cfg:        cfg,
 		procs:      procs,
 		toeplitz:   newToeplitzTable(&DefaultToeplitzKey),
-		table:      make([]bucketEntry, cfg.Buckets),
-		bucketPkts: make([]int64, cfg.Buckets),
-		prevPkts:   make([]int64, cfg.Buckets),
+		table:      make([]bucketEntry, buckets),
+		bucketPkts: make([]int64, buckets),
+		prevPkts:   make([]int64, buckets),
 	}
 	for i := range s.table {
 		s.table[i].proc = int32(i % procs)
 	}
 	if cfg.Policy == PolicyFlowDirector {
-		per := cfg.FlowTableSize / cfg.FlowBuckets
-		if per < 1 {
-			per = 1
-		}
-		s.buckets = make([]flowBucket, cfg.FlowBuckets)
+		per := max(flows/locks, 1)
+		s.buckets = make([]flowBucket, locks)
 		for i := range s.buckets {
 			s.buckets[i].lock = sim.NewLock(cfg.LockKind, fmt.Sprintf("fdir-bucket%d", i))
 			s.buckets[i].cap = per
@@ -230,7 +213,7 @@ func (s *Steerer) Hash(tu Tuple) uint32 {
 
 // Bucket maps a hash to its indirection bucket.
 func (s *Steerer) Bucket(hash uint32) int {
-	return int(hash) & (s.cfg.Buckets - 1)
+	return int(hash) & (len(s.table) - 1)
 }
 
 // Decide returns the processor the packet identified by (flow, hash)

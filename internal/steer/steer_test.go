@@ -122,12 +122,9 @@ func TestToeplitzChiSquared(t *testing.T) {
 
 // TestFlowDirectorTable exercises pin, hit, repin and LRU eviction.
 func TestFlowDirectorTable(t *testing.T) {
-	cfg := Config{
-		Enabled: true, Policy: PolicyFlowDirector,
-		FlowTableSize: 4, FlowBuckets: 1,
-	}
+	cfg := Config{Enabled: true, Policy: PolicyFlowDirector}
 	run(t, 1, func(th *sim.Thread) {
-		s := New(cfg, 4)
+		s := newSized(cfg, 4, tableBuckets, 4, 1)
 		hash := func(f uint64) uint32 { return uint32(f) }
 
 		// Miss falls back to RSS.
@@ -169,10 +166,10 @@ func TestFlowDirectorTable(t *testing.T) {
 func TestRebalanceQuiescence(t *testing.T) {
 	cfg := Config{
 		Enabled: true, Policy: PolicyRebalance,
-		Buckets: 8, QuiescenceNs: 1_000_000, ImbalanceThresholdPct: 10,
+		QuiescenceNs: 1_000_000, ImbalanceThresholdPct: 10,
 	}
 	run(t, 1, func(th *sim.Thread) {
-		s := New(cfg, 2)
+		s := newSized(cfg, 2, 8, flowTableSize, flowTableLocks)
 		th.Charge(1000)
 		// Load bucket 0 (mapped to proc 0) so it is the migration pick.
 		hash := uint32(0) // bucket 0
@@ -227,34 +224,15 @@ func TestPacketPolicyRoundRobin(t *testing.T) {
 	})
 }
 
-// TestConfigValidate rejects bad shapes.
-func TestConfigValidate(t *testing.T) {
-	c := Config{Enabled: true}.WithDefaults()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	c.Buckets = 100
-	if err := c.Validate(); err == nil {
-		t.Fatal("non-power-of-two Buckets accepted")
-	}
-	c = Config{Enabled: true, Buckets: 64, FlowTableSize: 4, FlowBuckets: 8}
-	if err := c.Validate(); err == nil {
-		t.Fatal("FlowBuckets > FlowTableSize accepted")
-	}
-}
-
 // TestDecideHeatsBucketOnFlowHit enforces that the rebalancer's heat
 // signal counts every decision — including exact-match Flow Director
 // hits, which return before the indirection table is consulted. A hit
 // path that skipped the counter would leave hot buckets looking cold,
 // and Sample would migrate the wrong one.
 func TestDecideHeatsBucketOnFlowHit(t *testing.T) {
-	cfg := Config{
-		Enabled: true, Policy: PolicyFlowDirector,
-		Buckets: 8, FlowTableSize: 16, FlowBuckets: 1,
-	}
+	cfg := Config{Enabled: true, Policy: PolicyFlowDirector}
 	run(t, 1, func(th *sim.Thread) {
-		s := New(cfg, 4)
+		s := newSized(cfg, 4, 8, 16, 1)
 		const flow, hash = uint64(7), uint32(3) // bucket 3
 		s.Pin(th, flow, hash, 2)
 		for i := 0; i < 5; i++ {
@@ -284,10 +262,10 @@ func TestDecideHeatsBucketOnFlowHit(t *testing.T) {
 func TestResetPeak(t *testing.T) {
 	cfg := Config{
 		Enabled: true, Policy: PolicyRebalance,
-		Buckets: 8, ImbalanceThresholdPct: 1000, // never migrate
+		ImbalanceThresholdPct: 1000, // never migrate
 	}
 	run(t, 1, func(th *sim.Thread) {
-		s := New(cfg, 2)
+		s := newSized(cfg, 2, 8, flowTableSize, flowTableLocks)
 		s.Sample(th, []int{10, 0})
 		if s.Stats().PeakQueuePct <= 0 {
 			t.Fatal("imbalanced sample did not record a peak")
