@@ -371,7 +371,7 @@ func Build(c Config) (*Stack, error) {
 	low := ip.LowerFDDI(fddi.MTU, func(t *sim.Thread, remote xkernel.MAC, proto uint16) (xkernel.Session, error) {
 		return s.FDDI.Open(t, remote, proto)
 	})
-	s.IP = ip.New(ip.Config{Local: driver.HostLocal, RefMode: cfg.RefMode}, low, s.Wheel, s.Alloc)
+	s.IP = ip.New(ip.Config{Local: driver.HostLocal, RefMode: cfg.RefMode}, low)
 
 	ck := func(on bool) int {
 		switch {

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fddi"
+	"repro/internal/ip"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -288,10 +290,30 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(cfg); err == nil {
 		t.Error("Procs=0 accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.PacketSize = 100000
-	if _, err := Build(cfg); err == nil {
-		t.Error("oversized packet accepted")
+	// The largest packet is what one FDDI frame carries under IP and
+	// TCP headers; IP never fragments, so every shape runs it whole.
+	largest := fddi.MTU - ip.HdrLen - tcp.HdrLen
+	for _, proto := range []Proto{ProtoUDP, ProtoTCP} {
+		for _, side := range []Side{SideSend, SideRecv} {
+			cfg = DefaultConfig()
+			cfg.Proto, cfg.Side = proto, side
+			cfg.PacketSize = largest + 1
+			if _, err := Build(cfg); err == nil {
+				t.Errorf("%v %v: PacketSize %d accepted", proto, side, cfg.PacketSize)
+			}
+			cfg.PacketSize = largest
+			st, err := Build(cfg)
+			if err != nil {
+				t.Fatalf("%v %v: PacketSize %d: %v", proto, side, largest, err)
+			}
+			res, err := st.Run(testWarmup, testMeasure)
+			if err != nil {
+				t.Fatalf("%v %v: PacketSize %d: %v", proto, side, largest, err)
+			}
+			if res.Mbps <= 0 || st.IP.Stats().FragsDropped != 0 {
+				t.Errorf("%v %v: PacketSize %d: %.1f Mb/s, IP %+v", proto, side, largest, res.Mbps, st.IP.Stats())
+			}
+		}
 	}
 	cfg = DefaultConfig()
 	cfg.Proto = ProtoTCP

@@ -134,8 +134,7 @@ func (s *Stack) ProfileReport() string {
 	}
 	if s.IP != nil {
 		is := s.IP.Stats()
-		fmt.Fprintf(&b, "\nIP: sent %d, received %d, frags out/in %d/%d, reassembled %d, timed out %d\n",
-			is.Sent, is.Received, is.FragsOut, is.FragsIn, is.Reassembled, is.TimedOut)
+		fmt.Fprintf(&b, "\nIP: sent %d, received %d, fragments dropped %d\n", is.Sent, is.Received, is.FragsDropped)
 	}
 	if s.steerer != nil {
 		ss := s.steerer.Stats()

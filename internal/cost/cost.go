@@ -138,10 +138,8 @@ type Stack struct {
 	FDDIRecv int64 // includes header parse, before demux lookup
 
 	// IP.
-	IPSend     int64
-	IPRecv     int64
-	IPFragment int64 // per fragment produced
-	IPReass    int64 // per fragment absorbed into the reassembly table
+	IPSend int64
+	IPRecv int64
 
 	// UDP.
 	UDPSend int64
@@ -261,10 +259,8 @@ var baseStack = Stack{
 	FDDISend: 11000,
 	FDDIRecv: 20000,
 
-	IPSend:     17000,
-	IPRecv:     30000,
-	IPFragment: 9000,
-	IPReass:    11000,
+	IPSend: 17000,
+	IPRecv: 30000,
 
 	UDPSend: 16000,
 	UDPRecv: 17000,
@@ -336,7 +332,7 @@ func NewModel(m Machine) *Model {
 		&st.AppSend, &st.AppRecv,
 		&st.DriverRing, &st.DriverTX, &st.DriverRXGen, &st.DriverAck,
 		&st.FDDISend, &st.FDDIRecv,
-		&st.IPSend, &st.IPRecv, &st.IPFragment, &st.IPReass,
+		&st.IPSend, &st.IPRecv,
 		&st.UDPSend, &st.UDPRecv,
 		&st.TCPSendPre, &st.TCPSendPost, &st.TCPRecvPre,
 		&st.TCPAckGen, &st.TCPWindowUpd,

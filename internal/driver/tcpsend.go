@@ -228,27 +228,9 @@ func (d *SimTCPSender) Rexmts() (int64, int64) { return d.rexmtDup, d.rexmtTO }
 // sequential in payload-sized units, so the lost segment starts
 // exactly at ackOff.
 func (d *SimTCPSender) resend(t *sim.Thread, c *simSendConn) error {
-	seq := c.iss + 1 + atomic.LoadUint32(&c.ackOff)
-	m, err := d.alloc.New(t, len(c.tmpl), 0)
+	m, err := d.frame(t, c, c.iss+1+atomic.LoadUint32(&c.ackOff), 0)
 	if err != nil {
 		return err
-	}
-	st := &t.Engine().C.Stack
-	d.ring.Acquire(t)
-	t.ChargeRand(st.DriverRing)
-	d.ring.Release(t)
-	t.ChargeRand(st.DriverRXGen)
-	if err := m.CopyTemplate(0, c.tmpl); err != nil {
-		m.Free(t)
-		return err
-	}
-	b, _ := m.Peek(m.Len())
-	patchTCPSeq(b, seq)
-	patchTCPAck(b, c.irs+1)
-	m.Seq = uint64(seq)
-	if rec := t.Engine().Rec; rec != nil {
-		m.Born = t.Now()
-		rec.Arrive(t.Proc, m.Born, int64(seq))
 	}
 	return d.Inject(t, m)
 }
@@ -272,20 +254,29 @@ func (d *SimTCPSender) TryProduce(t *sim.Thread, conn int) (*msg.Message, bool, 
 	return d.build(t, c, ps, 0)
 }
 
-// build allocates the packet and stamps its sequence number, holding
-// grow bytes of tailroom back for GRO merging.
+// build allocates the next sequence number's packet, holding grow bytes
+// of tailroom back for GRO merging.
 func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, ps uint32, grow int) (*msg.Message, bool, error) {
 	off := uint32(c.next.Add(t, int64(ps)))
-	seq := c.iss + 1 + off
-
-	m, err := d.alloc.New(t, len(c.tmpl)+grow, 0)
+	m, err := d.frame(t, c, c.iss+1+off, grow)
 	if err != nil {
 		return nil, false, err
+	}
+	return m, true, nil
+}
+
+// frame builds the data segment at seq from the connection's template:
+// allocate (grow bytes of tailroom held back), one pass through the
+// ring lock, the RX-generation charge, template copy and seq/ack patch.
+func (d *SimTCPSender) frame(t *sim.Thread, c *simSendConn, seq uint32, grow int) (*msg.Message, error) {
+	m, err := d.alloc.New(t, len(c.tmpl)+grow, 0)
+	if err != nil {
+		return nil, err
 	}
 	if grow > 0 {
 		if err := m.TrimBack(t, grow); err != nil {
 			m.Free(t)
-			return nil, false, err
+			return nil, err
 		}
 	}
 	st := &t.Engine().C.Stack
@@ -295,7 +286,7 @@ func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, ps uint32, grow int)
 	t.ChargeRand(st.DriverRXGen)
 	if err := m.CopyTemplate(0, c.tmpl); err != nil {
 		m.Free(t)
-		return nil, false, err
+		return nil, err
 	}
 	b, _ := m.Peek(m.Len())
 	patchTCPSeq(b, seq)
@@ -305,7 +296,7 @@ func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, ps uint32, grow int)
 		m.Born = t.Now()
 		rec.Arrive(t.Proc, m.Born, int64(seq))
 	}
-	return m, true, nil
+	return m, nil
 }
 
 // Inject shepherds a produced packet up the stack on the calling

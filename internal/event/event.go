@@ -11,39 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
-// State tracks an event through its lifecycle.
-type State int32
-
-const (
-	// StatePending: scheduled, not yet run.
-	StatePending State = iota
-	// StateRunning: handler executing.
-	StateRunning
-	// StateDone: handler finished.
-	StateDone
-	// StateCancelled: cancelled before running.
-	StateCancelled
-)
-
-// Event is a scheduled callback. Its state is manipulated atomically:
-// per-chain locks protect the lists, but a handler's completion (set
-// outside any chain lock) can race a Cancel on the host backend.
-type Event struct {
+// pending is a scheduled callback, linked into its slot's chain until
+// the tick that runs it unlinks it.
+type pending struct {
 	fn       func(*sim.Thread, any)
 	arg      any
 	deadline int64 // virtual ns
-	state    atomic.Int32
-	slot     int
-	prev     *Event
-	next     *Event
+	next     *pending
 }
-
-// State returns the event's current state.
-func (e *Event) State() State { return State(e.state.Load()) }
 
 type chain struct {
 	lock *sim.Lock
-	head *Event
+	head *pending
 }
 
 // Wheel is the timing wheel. A dedicated simulation thread advances it
@@ -53,13 +32,10 @@ type chain struct {
 type Wheel struct {
 	Tick int64 // virtual ns per tick
 
-	chains   []chain
-	perChain bool
-	single   *sim.Lock
-	stop     *sim.Flag
-	nsched   int64
-	ncancel  int64
-	nfired   int64
+	chains []chain
+	stop   *sim.Flag
+	nsched int64
+	nfired int64
 }
 
 // Config controls wheel construction.
@@ -85,19 +61,18 @@ func New(cfg Config) *Wheel {
 		cfg.Tick = 10_000_000
 	}
 	w := &Wheel{
-		Tick:     cfg.Tick,
-		chains:   make([]chain, cfg.Slots),
-		perChain: cfg.PerChain,
-		stop:     &sim.Flag{},
+		Tick:   cfg.Tick,
+		chains: make([]chain, cfg.Slots),
+		stop:   &sim.Flag{},
 	}
 	if cfg.PerChain {
 		for i := range w.chains {
 			w.chains[i].lock = sim.NewLock(cfg.Kind, "evchain")
 		}
 	} else {
-		w.single = sim.NewLock(cfg.Kind, "evwheel")
+		single := sim.NewLock(cfg.Kind, "evwheel")
 		for i := range w.chains {
-			w.chains[i].lock = w.single
+			w.chains[i].lock = single
 		}
 	}
 	return w
@@ -112,59 +87,24 @@ func (w *Wheel) slotFor(deadline int64) int {
 
 // Schedule registers fn to run delay virtual ns from the calling
 // thread's current time.
-func (w *Wheel) Schedule(t *sim.Thread, fn func(*sim.Thread, any), arg any, delay int64) *Event {
+func (w *Wheel) Schedule(t *sim.Thread, fn func(*sim.Thread, any), arg any, delay int64) {
 	if delay < 0 {
 		delay = 0
 	}
-	e := &Event{fn: fn, arg: arg, deadline: t.Now() + delay}
-	e.state.Store(int32(StatePending))
+	e := &pending{fn: fn, arg: arg, deadline: t.Now() + delay}
 	// A deadline on a tick boundary already reached would map to a slot
 	// whose tick has passed; bump it into the next tick's slot.
 	slotDeadline := e.deadline
 	if slotDeadline%w.Tick == 0 {
 		slotDeadline++
 	}
-	e.slot = w.slotFor(slotDeadline)
-	c := &w.chains[e.slot]
+	c := &w.chains[w.slotFor(slotDeadline)]
 	c.lock.Acquire(t)
 	t.ChargeRand(t.Engine().C.Stack.EventSchedule)
 	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
 	c.head = e
 	t.Count(&w.nsched, 1)
 	c.lock.Release(t)
-	return e
-}
-
-// Cancel removes a pending event; it returns false if the event already
-// ran (or is running).
-func (w *Wheel) Cancel(t *sim.Thread, e *Event) bool {
-	c := &w.chains[e.slot]
-	c.lock.Acquire(t)
-	t.ChargeRand(t.Engine().C.Stack.EventCancel)
-	if e.State() != StatePending {
-		c.lock.Release(t)
-		return false
-	}
-	e.state.Store(int32(StateCancelled))
-	w.unlink(c, e)
-	t.Count(&w.ncancel, 1)
-	c.lock.Release(t)
-	return true
-}
-
-func (w *Wheel) unlink(c *chain, e *Event) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
 
 // Start spawns the event-manager thread on the engine. proc is the
@@ -183,32 +123,31 @@ func (w *Wheel) Start(e *sim.Engine, proc int) {
 // Stop makes the event thread exit at its next tick.
 func (w *Wheel) Stop() { w.stop.Set() }
 
-// runDue executes every pending event in the current tick's chain whose
-// deadline has arrived.
+// runDue executes every event in the current tick's chain whose
+// deadline has arrived, unlinking them in chain order.
 func (w *Wheel) runDue(t *sim.Thread, now int64) {
 	c := &w.chains[w.slotFor(now)]
 	c.lock.Acquire(t)
-	var due []*Event
-	for e := c.head; e != nil; {
-		next := e.next
-		if e.State() == StatePending && e.deadline <= now {
-			e.state.Store(int32(StateRunning))
-			w.unlink(c, e)
-			due = append(due, e)
+	var due []*pending
+	for link := &c.head; *link != nil; {
+		e := *link
+		if e.deadline > now {
+			link = &e.next
+			continue
 		}
-		e = next
+		*link = e.next
+		due = append(due, e)
 	}
 	c.lock.Release(t)
 	// Handlers run outside the chain lock: they are free to
-	// re-schedule themselves or cancel others.
+	// re-schedule themselves.
 	for _, e := range due {
 		e.fn(t, e.arg)
-		e.state.Store(int32(StateDone))
 		t.Count(&w.nfired, 1)
 	}
 }
 
-// Counts returns (scheduled, cancelled, fired) totals.
-func (w *Wheel) Counts() (int64, int64, int64) {
-	return atomic.LoadInt64(&w.nsched), atomic.LoadInt64(&w.ncancel), atomic.LoadInt64(&w.nfired)
+// Counts returns (scheduled, fired) totals.
+func (w *Wheel) Counts() (int64, int64) {
+	return atomic.LoadInt64(&w.nsched), atomic.LoadInt64(&w.nfired)
 }

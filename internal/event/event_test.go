@@ -33,44 +33,6 @@ func TestEventFiresAtDeadline(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsFiring(t *testing.T) {
-	e := newEngine(2)
-	w := New(DefaultConfig())
-	w.Start(e, 0)
-	fired := false
-	e.Spawn("sched", 1, func(th *sim.Thread) {
-		ev := w.Schedule(th, func(*sim.Thread, any) { fired = true }, nil, 100_000_000)
-		th.Sleep(10_000_000)
-		if !w.Cancel(th, ev) {
-			t.Error("cancel of pending event failed")
-		}
-		if ev.State() != StateCancelled {
-			t.Errorf("state = %v, want cancelled", ev.State())
-		}
-		th.Sleep(300_000_000)
-		w.Stop()
-	})
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestCancelAfterFiringFails(t *testing.T) {
-	e := newEngine(3)
-	w := New(DefaultConfig())
-	w.Start(e, 0)
-	e.Spawn("sched", 1, func(th *sim.Thread) {
-		ev := w.Schedule(th, func(*sim.Thread, any) {}, nil, 20_000_000)
-		th.Sleep(100_000_000)
-		if w.Cancel(th, ev) {
-			t.Error("cancel of fired event succeeded")
-		}
-		w.Stop()
-	})
-	e.Run()
-}
-
 func TestManyEventsFireInOrder(t *testing.T) {
 	e := newEngine(4)
 	w := New(DefaultConfig())
@@ -165,19 +127,16 @@ func TestCounts(t *testing.T) {
 	w := New(DefaultConfig())
 	w.Start(e, 0)
 	e.Spawn("sched", 1, func(th *sim.Thread) {
-		ev1 := w.Schedule(th, func(*sim.Thread, any) {}, nil, 10_000_000)
+		w.Schedule(th, func(*sim.Thread, any) {}, nil, 10_000_000)
 		w.Schedule(th, func(*sim.Thread, any) {}, nil, 20_000_000)
-		_ = ev1
-		ev3 := w.Schedule(th, func(*sim.Thread, any) {}, nil, 500_000_000)
-		th.Sleep(100_000_000)
-		w.Cancel(th, ev3)
-		th.Sleep(100_000_000)
+		w.Schedule(th, func(*sim.Thread, any) {}, nil, 500_000_000) // after Stop
+		th.Sleep(200_000_000)
 		w.Stop()
 	})
 	e.Run()
-	sched, cancelled, fired := w.Counts()
-	if sched != 3 || cancelled != 1 || fired != 2 {
-		t.Fatalf("counts = %d/%d/%d, want 3/1/2", sched, cancelled, fired)
+	sched, fired := w.Counts()
+	if sched != 3 || fired != 2 {
+		t.Fatalf("counts = %d/%d, want 3/2", sched, fired)
 	}
 }
 

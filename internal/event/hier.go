@@ -142,7 +142,7 @@ func (w *TickWheel) Arm(t *sim.Thread, n *TimerNode, deadline int64) {
 }
 
 // Cancel unlinks n if armed; it reports whether the node was armed.
-// Charges one event-cancel cost, like Wheel.Cancel.
+// Charges one event-cancel cost.
 func (w *TickWheel) Cancel(t *sim.Thread, n *TimerNode) bool {
 	w.lock.Acquire(t)
 	t.ChargeRand(t.Engine().C.Stack.EventCancel)

@@ -8,30 +8,19 @@ import (
 )
 
 // TestWheelConcurrentScheduleCancel stresses the per-chain locking with
-// several threads scheduling, cancelling and letting timers fire
-// concurrently, mimicking the retransmission-timer churn of many TCP
-// connections.
+// several threads scheduling while timers fire concurrently, mimicking
+// the timer churn of many TCP connections: every event fires once.
 func TestWheelConcurrentScheduleCancel(t *testing.T) {
 	e := newEngine(99)
 	w := New(DefaultConfig())
 	w.Start(e, 0)
 	fired := 0
-	cancelled := 0
 	for i := 0; i < 6; i++ {
-		i := i
 		e.Spawn(fmt.Sprintf("w%d", i), i, func(th *sim.Thread) {
-			var mine []*Event
 			for j := 0; j < 50; j++ {
 				delay := int64(th.Rand().Intn(300)+1) * 1_000_000
-				ev := w.Schedule(th, func(*sim.Thread, any) { fired++ }, nil, delay)
-				mine = append(mine, ev)
+				w.Schedule(th, func(*sim.Thread, any) { fired++ }, nil, delay)
 				th.Sleep(int64(th.Rand().Intn(10)+1) * 1_000_000)
-				// Cancel every third of our own events.
-				if j%3 == 0 {
-					if w.Cancel(th, mine[th.Rand().Intn(len(mine))]) {
-						cancelled++
-					}
-				}
 			}
 		})
 	}
@@ -40,25 +29,22 @@ func TestWheelConcurrentScheduleCancel(t *testing.T) {
 		w.Stop()
 	})
 	e.Run()
-	sched, canc, fir := w.Counts()
+	sched, fir := w.Counts()
 	if sched != 300 {
 		t.Fatalf("scheduled %d, want 300", sched)
 	}
 	if int64(fired) != fir {
 		t.Fatalf("fired mismatch: %d vs %d", fired, fir)
 	}
-	if fir+canc != sched {
-		t.Fatalf("accounting broken: fired %d + cancelled %d != scheduled %d", fir, canc, sched)
-	}
-	if fired == 0 || cancelled == 0 {
-		t.Fatalf("degenerate stress: fired=%d cancelled=%d", fired, cancelled)
+	if fir != sched {
+		t.Fatalf("fired %d of %d scheduled", fir, sched)
 	}
 }
 
 // TestWheelSingleLockStressMatchesPerChain: both locking modes must
 // deliver identical event accounting (the ablation only changes cost).
 func TestWheelSingleLockStressMatchesPerChain(t *testing.T) {
-	run := func(perChain bool) (int64, int64, int64) {
+	run := func(perChain bool) (int64, int64) {
 		cfg := DefaultConfig()
 		cfg.PerChain = perChain
 		e := newEngine(7)
@@ -81,11 +67,10 @@ func TestWheelSingleLockStressMatchesPerChain(t *testing.T) {
 		e.Run()
 		return w.Counts()
 	}
-	s1, c1, f1 := run(true)
-	s2, c2, f2 := run(false)
-	if s1 != s2 || c1 != c2 || f1 != f2 {
-		t.Fatalf("locking mode changed behaviour: %d/%d/%d vs %d/%d/%d",
-			s1, c1, f1, s2, c2, f2)
+	s1, f1 := run(true)
+	s2, f2 := run(false)
+	if s1 != s2 || f1 != f2 {
+		t.Fatalf("locking mode changed behaviour: %d/%d vs %d/%d", s1, f1, s2, f2)
 	}
 	if f1 != 100 {
 		t.Fatalf("fired %d, want all 100", f1)

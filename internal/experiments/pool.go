@@ -3,7 +3,7 @@ package experiments
 // Worker-pool scheduler for the experiment harness. Every sweep point,
 // curve variant and repeat run is an independent simulation — it owns
 // its engine and seed — so the runner fans them across host OS threads
-// and reassembles results in deterministic submission order. This is
+// and collects results in deterministic submission order. This is
 // the paper's own lesson applied to the harness itself: independent
 // work units scale, a serialized runner does not (Section 4.3).
 //

@@ -10,19 +10,26 @@ import (
 )
 
 // FuzzHeaderRoundTrip builds a header with writeHeader, re-parses it
-// through Demux, and checks the payload arrives intact — then corrupts
-// a single header byte and checks the checksum rejects it (the Internet
-// checksum detects every single-byte error). Seed corpus lives in
+// through Demux, and checks the payload arrives intact — or, when the
+// flags/offset field marks a fragment (MF set or a nonzero offset), that
+// Demux drops it with ErrFragment, delivers nothing, counts it in
+// FragsDropped and frees it. Then it corrupts a single header byte and
+// checks the checksum rejects it (the Internet checksum detects every
+// single-byte error). Seed corpus lives in
 // testdata/fuzz/FuzzHeaderRoundTrip.
 func FuzzHeaderRoundTrip(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint8(0), uint8(0))
-	f.Add(uint16(512), uint16(7), uint8(3), uint8(0x80))
-	f.Add(uint16(1), uint16(65535), uint8(10), uint8(0xff)) // checksum field itself
-	f.Add(uint16(1480), uint16(1994), uint8(19), uint8(1))
-	f.Fuzz(func(t *testing.T, plen, id uint16, corrupt, mask uint8) {
+	f.Add(uint16(0), uint16(0), uint8(0), uint8(0), uint16(0))
+	f.Add(uint16(512), uint16(7), uint8(3), uint8(0x80), uint16(0))
+	f.Add(uint16(1), uint16(65535), uint8(10), uint8(0xff), uint16(0)) // checksum field itself
+	f.Add(uint16(1480), uint16(1994), uint8(19), uint8(1), uint16(0))
+	f.Add(uint16(1024), uint16(3), uint8(6), uint8(0x20), uint16(0x2000)) // MF: a first fragment
+	f.Add(uint16(300), uint16(4), uint8(7), uint8(1), uint16(0x00b9))     // offset only: a last fragment
+	f.Add(uint16(64), uint16(5), uint8(0), uint8(0), uint16(0x4000))      // DF alone: a whole datagram
+	f.Fuzz(func(t *testing.T, plen, id uint16, corrupt, mask uint8, flagsOff uint16) {
 		n := int(plen) % 2048
+		fragment := flagsOff&0x3fff != 0
 		run(t, func(th *sim.Thread) {
-			p, up, alloc := newStack(t, th, 4352, nil)
+			p, up, alloc := newStack(t, th, 4352)
 			m, err := alloc.New(th, HdrLen+n, msg.Headroom)
 			if err != nil {
 				t.Fatal(err)
@@ -31,7 +38,7 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 			for i := HdrLen; i < len(b); i++ {
 				b[i] = byte(i*7) + byte(id)
 			}
-			writeHeader(b[:HdrLen], HdrLen+n, id, 0, ProtoUDP, hostA, hostA)
+			writeHeader(b[:HdrLen], HdrLen+n, id, flagsOff, ProtoUDP, hostA, hostA)
 
 			// The written header must checksum to zero and parse back to
 			// exactly the fields that went in.
@@ -44,24 +51,44 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 			if got := binary.BigEndian.Uint16(b[4:6]); got != id {
 				t.Fatalf("id field = %d, want %d", got, id)
 			}
+			if got := binary.BigEndian.Uint16(b[6:8]); got != flagsOff {
+				t.Fatalf("flags/offset field = %#04x, want %#04x", got, flagsOff)
+			}
 			if b[9] != ProtoUDP {
 				t.Fatalf("proto field = %d, want %d", b[9], ProtoUDP)
 			}
 			frame := append([]byte(nil), b...)
 
-			if err := p.Demux(th, m); err != nil {
+			delivered := 0
+			switch err := p.Demux(th, m); {
+			case fragment:
+				if err != ErrFragment {
+					t.Fatalf("Demux of a fragment (flags/offset %#04x) returned %v, want ErrFragment", flagsOff, err)
+				}
+				if len(up.msgs) != 0 {
+					t.Fatalf("a fragment was delivered")
+				}
+				if st := p.Stats(); st.FragsDropped != 1 || st.Received != 0 {
+					t.Fatalf("after a dropped fragment: %+v", st)
+				}
+				if !balanced(alloc) {
+					t.Fatalf("dropped fragment not freed: %+v", alloc.Stats())
+				}
+			case err != nil:
 				t.Fatalf("Demux rejected a well-formed packet: %v", err)
-			}
-			if len(up.msgs) != 1 {
-				t.Fatalf("delivered %d datagrams, want 1", len(up.msgs))
-			}
-			got := up.msgs[0]
-			if got.Len() != n {
-				t.Fatalf("payload len = %d, want %d", got.Len(), n)
-			}
-			for i := 0; i < n; i++ {
-				if got.Bytes()[i] != byte((HdrLen+i)*7)+byte(id) {
-					t.Fatalf("payload byte %d damaged", i)
+			default:
+				delivered = 1
+				if len(up.msgs) != 1 {
+					t.Fatalf("delivered %d datagrams, want 1", len(up.msgs))
+				}
+				got := up.msgs[0]
+				if got.Len() != n {
+					t.Fatalf("payload len = %d, want %d", got.Len(), n)
+				}
+				for i := 0; i < n; i++ {
+					if got.Bytes()[i] != byte((HdrLen+i)*7)+byte(id) {
+						t.Fatalf("payload byte %d damaged", i)
+					}
 				}
 			}
 
@@ -76,61 +103,9 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 				if err := p.Demux(th, m2); err == nil {
 					t.Fatalf("Demux accepted a header with byte %d xor %#02x", int(corrupt)%HdrLen, mask)
 				}
-				if len(up.msgs) != 1 {
+				if len(up.msgs) != delivered {
 					t.Fatalf("corrupted packet was delivered")
 				}
-			}
-		})
-	})
-}
-
-// FuzzFragmentRoundTrip pushes a fuzz-sized payload through a
-// fuzz-sized MTU — fragmenting on the way down, reassembling on the
-// loop back up — and checks the datagram arrives once, intact, with
-// FragsIn == FragsOut. Seed corpus lives in
-// testdata/fuzz/FuzzFragmentRoundTrip.
-func FuzzFragmentRoundTrip(f *testing.F) {
-	f.Add(uint16(1000), uint16(256), uint8(3))
-	f.Add(uint16(4095), uint16(64), uint8(0))
-	f.Add(uint16(1), uint16(1500), uint8(255))
-	f.Add(uint16(2048), uint16(99), uint8(17)) // odd MTU: chunk rounds to 8-byte units
-	f.Fuzz(func(t *testing.T, plen, mtu uint16, pat uint8) {
-		n := 1 + int(plen)%4096
-		mt := 64 + int(mtu)%1985 // 64..2048: always room for a fragment
-		run(t, func(th *sim.Thread) {
-			p, up, alloc := newStack(t, th, mt, nil)
-			s, err := p.Open(th, hostA, ProtoUDP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := alloc.New(th, n, msg.Headroom)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range m.Bytes() {
-				m.Bytes()[i] = pat + byte(i%251)
-			}
-			if err := s.Push(th, m); err != nil {
-				t.Fatal(err)
-			}
-			if len(up.msgs) != 1 {
-				t.Fatalf("delivered %d datagrams, want 1 (payload %d, mtu %d)", len(up.msgs), n, mt)
-			}
-			got := up.msgs[0]
-			if got.Len() != n {
-				t.Fatalf("len = %d, want %d", got.Len(), n)
-			}
-			for i := 0; i < n; i++ {
-				if got.Bytes()[i] != pat+byte(i%251) {
-					t.Fatalf("byte %d damaged (payload %d, mtu %d)", i, n, mt)
-				}
-			}
-			st := p.Stats()
-			if st.FragsIn != st.FragsOut {
-				t.Errorf("FragsIn %d != FragsOut %d", st.FragsIn, st.FragsOut)
-			}
-			if n+HdrLen > mt && st.Reassembled != 1 {
-				t.Errorf("Reassembled = %d, want 1 for a fragmented datagram", st.Reassembled)
 			}
 		})
 	})

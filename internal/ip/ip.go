@@ -1,9 +1,12 @@
 // Package ip implements the Internet Protocol layer. It is structured
-// like FDDI but has a slightly larger amount of state, which must be
-// locked (Section 2.2 of the paper): on the send side, a datagram
-// identifier used for fragmenting packets larger than the network MTU,
-// which is atomically incremented per datagram; on the receive side, a
-// fragment table that is locked to serialize lookups and updates.
+// like FDDI with one more piece of shared state (Section 2.2 of the
+// paper): the datagram identifier, atomically incremented per datagram.
+//
+// One segment travels as one datagram. The paper's IP also fragments
+// datagrams over the MTU and rebuilds them in a locked fragment table,
+// but no experiment reaches either: core.Build refuses a packet size
+// that does not fit one FDDI frame. So Push refuses a datagram over the
+// MTU, and Demux drops an arriving fragment and counts it.
 package ip
 
 import (
@@ -13,7 +16,6 @@ import (
 	"slices"
 
 	"repro/internal/chksum"
-	"repro/internal/event"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
@@ -26,9 +28,6 @@ const HdrLen = 20
 // EtherType is the FDDI/LLC type under which IP registers.
 const EtherType = 0x0800
 
-// ReassemblyTimeout is the fragment-table entry lifetime.
-const ReassemblyTimeout = 30_000_000_000 // 30 s virtual
-
 // Protocol numbers.
 const (
 	ProtoTCP = 6
@@ -40,6 +39,8 @@ var (
 	ErrBadChecksum = errors.New("ip: header checksum mismatch")
 	ErrNotOurs     = errors.New("ip: destination is not local")
 	ErrShort       = errors.New("ip: truncated packet")
+	ErrTooBig      = errors.New("ip: datagram exceeds the MTU")
+	ErrFragment    = errors.New("ip: fragment dropped")
 )
 
 // Config parameterizes the IP instance.
@@ -56,13 +57,8 @@ type Protocol struct {
 	cfg   Config
 	lower *fddiOpener
 	upper *xmap.Map // protocol number -> xkernel.Upper
-	wheel *event.Wheel
-	alloc *msg.Allocator
 
 	id sim.Counter // datagram identifier, atomically incremented
-
-	reassLock sim.Lock
-	reass     map[reassKey]*reassEntry
 
 	ref   sim.RefCount
 	stats sim.Shards[Stats]
@@ -83,10 +79,7 @@ type Protocol struct {
 type Stats struct {
 	Sent           int64
 	Received       int64
-	FragsOut       int64
-	FragsIn        int64
-	Reassembled    int64
-	TimedOut       int64
+	FragsDropped   int64 // arrivals with MF or an offset set
 	ChecksumBad    int64
 	NotDeliverable int64
 }
@@ -111,18 +104,13 @@ type Lower interface {
 
 func (f *fddiOpener) lower() *fddiOpener { return f }
 
-// New creates the IP layer. wheel may be nil to disable reassembly
-// timeouts. alloc is used to build reassembled datagrams.
-func New(cfg Config, low Lower, wheel *event.Wheel, alloc *msg.Allocator) *Protocol {
+// New creates the IP layer.
+func New(cfg Config, low Lower) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
 		lower: low.lower(),
 		upper: xmap.New(16, sim.KindMutex, "ip-demux"),
-		wheel: wheel,
-		alloc: alloc,
-		reass: make(map[reassKey]*reassEntry),
 	}
-	p.reassLock.Name = "ip-reass"
 	p.ref.Init(cfg.RefMode, 1)
 	return p
 }
@@ -193,7 +181,7 @@ func (s *Session) Src() xkernel.IPAddr { return s.src }
 // Dst returns the session's destination address.
 func (s *Session) Dst() xkernel.IPAddr { return s.dst }
 
-// MSS returns the largest transport segment that fits one fragment.
+// MSS returns the largest transport segment that fits one datagram.
 func (s *Session) MSS() int { return s.mtu - HdrLen }
 
 // writeHeader fills a 20-byte IPv4 header.
@@ -212,58 +200,27 @@ func writeHeader(h []byte, totLen int, id uint16, flagsOff uint16, proto uint8, 
 	binary.BigEndian.PutUint16(h[10:12], ck)
 }
 
-// Push sends a transport segment, fragmenting when it exceeds the MTU.
-// The datagram identifier is atomically incremented per datagram.
+// Push sends a transport segment as one datagram, or refuses it with
+// ErrTooBig, freeing it, when it exceeds the MTU. The datagram
+// identifier is atomically incremented per datagram.
 func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 	if rec := t.Engine().Rec; rec != nil {
 		start := t.Now()
 		defer func() { rec.LayerSpan(t.Proc, "ip-send", start, t.Now()-start) }()
 	}
-	st := &t.Engine().C.Stack
-	t.ChargeRand(st.IPSend)
+	if m.Len()+HdrLen > s.mtu {
+		m.Free(t)
+		return ErrTooBig
+	}
+	t.ChargeRand(t.Engine().C.Stack.IPSend)
 	id := uint16(s.p.id.Add(t, 1))
-	if m.Len()+HdrLen <= s.mtu {
-		h, err := m.Push(t, HdrLen)
-		if err != nil {
-			return err
-		}
-		writeHeader(h, m.Len(), id, 0, s.proto, s.src, s.dst)
-		t.Count(&s.p.stats.At(t).Sent, 1)
-		return s.lower.Push(t, m)
+	h, err := m.Push(t, HdrLen)
+	if err != nil {
+		return err
 	}
-	// Fragment: payload chunks are multiples of 8 bytes except the
-	// last; offsets are in 8-byte units.
-	chunk := (s.mtu - HdrLen) &^ 7
-	total := m.Len()
-	for off := 0; off < total; off += chunk {
-		n := chunk
-		last := false
-		if off+n >= total {
-			n = total - off
-			last = true
-		}
-		frag, err := m.Fragment(t, off, n)
-		if err != nil {
-			return err
-		}
-		t.ChargeRand(st.IPFragment)
-		h, err := frag.Push(t, HdrLen)
-		if err != nil {
-			return err
-		}
-		flagsOff := uint16(off / 8)
-		if !last {
-			flagsOff |= 0x2000 // MF
-		}
-		writeHeader(h, frag.Len(), id, flagsOff, s.proto, s.src, s.dst)
-		t.Count(&s.p.stats.At(t).Sent, 1)
-		t.Count(&s.p.stats.At(t).FragsOut, 1)
-		if err := s.lower.Push(t, frag); err != nil {
-			return err
-		}
-	}
-	m.Free(t)
-	return nil
+	writeHeader(h, m.Len(), id, 0, s.proto, s.src, s.dst)
+	t.Count(&s.p.stats.At(t).Sent, 1)
+	return s.lower.Push(t, m)
 }
 
 // Close drops one reference here and one below; the last one takes the
@@ -277,34 +234,14 @@ func (s *Session) Close(t *sim.Thread) error {
 
 // ---- Receive path ----
 
-type reassKey struct {
-	src   xkernel.IPAddr
-	id    uint16
-	proto uint8
-}
-
-type fragPiece struct {
-	off  int
-	last bool
-	m    *msg.Message
-}
-
-type reassEntry struct {
-	pieces  []fragPiece
-	have    int // payload bytes present
-	total   int // known when the last fragment arrives, else -1
-	timeout *event.Event
-}
-
-// Demux handles an arriving IP packet: header validation, reassembly if
-// fragmented, and dispatch to the transport protocol.
+// Demux handles an arriving IP packet: header validation, then dispatch
+// to the transport protocol. A fragment is dropped with ErrFragment.
 func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	if rec := t.Engine().Rec; rec != nil {
 		start := t.Now()
 		defer func() { rec.LayerSpan(t.Proc, "ip-recv", start, t.Now()-start) }()
 	}
-	st := &t.Engine().C.Stack
-	t.ChargeRand(st.IPRecv)
+	t.ChargeRand(t.Engine().C.Stack.IPRecv)
 	h, err := m.Pop(t, HdrLen)
 	if err != nil {
 		return ErrShort
@@ -333,25 +270,16 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		m.Free(t)
 		return ErrNotOurs
 	}
+	if binary.BigEndian.Uint16(h[6:8])&0x3fff != 0 { // MF set or nonzero offset
+		t.Count(&p.stats.At(t).FragsDropped, 1)
+		m.Free(t)
+		return ErrFragment
+	}
 	proto := h[9]
 	// Leave the addresses as message attributes for the transport's
 	// demux key.
 	copy(m.SrcAddr[:], h[12:16])
 	copy(m.DstAddr[:], h[16:20])
-	flagsOff := binary.BigEndian.Uint16(h[6:8])
-	if flagsOff&0x3fff != 0 { // MF set or nonzero offset: a fragment
-		var src xkernel.IPAddr
-		copy(src[:], h[12:16])
-		id := binary.BigEndian.Uint16(h[4:6])
-		whole := p.reassemble(t, reassKey{src, id, proto}, flagsOff, m)
-		if whole == nil {
-			return nil // stored; datagram incomplete
-		}
-		m = whole
-		copy(m.SrcAddr[:], h[12:16])
-		copy(m.DstAddr[:], h[16:20])
-		t.Count(&p.stats.At(t).Reassembled, 1)
-	}
 	t.Count(&p.stats.At(t).Received, 1)
 	v, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
 	if !ok {
@@ -360,75 +288,6 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		return fmt.Errorf("ip: no transport for protocol %d", proto)
 	}
 	return xkernel.DispatchUp(t, v.(xkernel.Upper), m)
-}
-
-// reassemble stores a fragment and returns the rebuilt datagram when
-// complete, else nil. The fragment table lock serializes lookups and
-// updates.
-func (p *Protocol) reassemble(t *sim.Thread, k reassKey, flagsOff uint16, m *msg.Message) *msg.Message {
-	st := &t.Engine().C.Stack
-	p.reassLock.Acquire(t)
-	t.ChargeRand(st.IPReass)
-	t.Count(&p.stats.At(t).FragsIn, 1)
-	e := p.reass[k]
-	if e == nil {
-		e = &reassEntry{total: -1}
-		p.reass[k] = e
-		if p.wheel != nil {
-			e.timeout = p.wheel.Schedule(t, func(et *sim.Thread, _ any) {
-				p.expire(et, k)
-			}, nil, ReassemblyTimeout)
-		}
-	}
-	off := int(flagsOff&0x1fff) * 8
-	last := flagsOff&0x2000 == 0
-	e.pieces = append(e.pieces, fragPiece{off: off, last: last, m: m})
-	e.have += m.Len()
-	if last {
-		e.total = off + m.Len()
-	}
-	if e.total < 0 || e.have < e.total {
-		p.reassLock.Release(t)
-		return nil
-	}
-	// Complete: pull the entry out under the lock, join outside it.
-	delete(p.reass, k)
-	if e.timeout != nil && p.wheel != nil {
-		p.wheel.Cancel(t, e.timeout)
-	}
-	p.reassLock.Release(t)
-
-	// Sort pieces by offset (insertion order is nearly sorted).
-	for i := 1; i < len(e.pieces); i++ {
-		for j := i; j > 0 && e.pieces[j].off < e.pieces[j-1].off; j-- {
-			e.pieces[j], e.pieces[j-1] = e.pieces[j-1], e.pieces[j]
-		}
-	}
-	parts := make([]*msg.Message, len(e.pieces))
-	for i, pc := range e.pieces {
-		parts[i] = pc.m
-	}
-	whole, err := msg.Join(t, p.alloc, parts)
-	if err != nil {
-		return nil
-	}
-	return whole
-}
-
-// expire drops a reassembly entry whose timer fired.
-func (p *Protocol) expire(t *sim.Thread, k reassKey) {
-	p.reassLock.Acquire(t)
-	e := p.reass[k]
-	if e != nil {
-		delete(p.reass, k)
-	}
-	p.reassLock.Release(t)
-	if e != nil {
-		t.Count(&p.stats.At(t).TimedOut, 1)
-		for _, pc := range e.pieces {
-			pc.m.Free(t)
-		}
-	}
 }
 
 var _ xkernel.Upper = (*Protocol)(nil)

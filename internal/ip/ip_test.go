@@ -1,10 +1,10 @@
 package ip
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/event"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
@@ -18,14 +18,18 @@ func run(t *testing.T, body func(th *sim.Thread)) {
 }
 
 // loopLower models the MAC layer as a direct loop back into the IP
-// protocol's own Demux (the destination address is the local address).
+// protocol's own Demux (the destination address is the local address),
+// noting each datagram's flags/offset field on the way.
 type loopLower struct {
-	p   *Protocol
-	mtu int
+	p        *Protocol
+	flagsOff []uint16
 }
 
-func (l *loopLower) Push(t *sim.Thread, m *msg.Message) error { return l.p.Demux(t, m) }
-func (l *loopLower) Close(t *sim.Thread) error                { return nil }
+func (l *loopLower) Push(t *sim.Thread, m *msg.Message) error {
+	l.flagsOff = append(l.flagsOff, binary.BigEndian.Uint16(m.Bytes()[6:8]))
+	return l.p.Demux(t, m)
+}
+func (l *loopLower) Close(t *sim.Thread) error { return nil }
 
 // sink collects transport-level deliveries.
 type sink struct {
@@ -46,16 +50,15 @@ func (s *sink) Ref() *sim.RefCount { return &s.ref }
 
 var hostA = xkernel.IPAddr{10, 0, 0, 1}
 
-func newStack(t *testing.T, th *sim.Thread, mtu int, wheel *event.Wheel) (*Protocol, *sink, *msg.Allocator) {
+func newStack(t *testing.T, th *sim.Thread, mtu int) (*Protocol, *sink, *msg.Allocator) {
 	t.Helper()
 	alloc := msg.NewAllocator(msg.DefaultConfig(4))
 	var loop loopLower
 	low := LowerFDDI(mtu, func(t2 *sim.Thread, remote xkernel.MAC, proto uint16) (xkernel.Session, error) {
 		return &loop, nil
 	})
-	p := New(Config{Local: hostA}, low, wheel, alloc)
+	p := New(Config{Local: hostA}, low)
 	loop.p = p
-	loop.mtu = mtu
 	up := newSink()
 	if err := p.OpenEnable(th, ProtoUDP, up); err != nil {
 		t.Fatal(err)
@@ -65,7 +68,7 @@ func newStack(t *testing.T, th *sim.Thread, mtu int, wheel *event.Wheel) (*Proto
 
 func TestSmallDatagramRoundTrip(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, up, alloc := newStack(t, th, 4352, nil)
+		p, up, alloc := newStack(t, th, 4352)
 		s, err := p.Open(th, hostA, ProtoUDP)
 		if err != nil {
 			t.Fatal(err)
@@ -90,52 +93,39 @@ func TestSmallDatagramRoundTrip(t *testing.T) {
 			}
 		}
 		st := p.Stats()
-		if st.Sent != 1 || st.Received != 1 || st.FragsOut != 0 {
+		if st.Sent != 1 || st.Received != 1 || st.FragsDropped != 0 {
 			t.Errorf("stats = %+v", st)
 		}
 	})
 }
 
-func TestFragmentationAndReassembly(t *testing.T) {
+// balanced reports whether every message node allocated from a has
+// been freed.
+func balanced(a *msg.Allocator) bool {
+	st := a.Stats()
+	return st.CacheHits+st.ArenaAllocs == st.Frees
+}
+
+func TestPushOverMTURefused(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		mtu := 256 // force several fragments for a 1000-byte payload
-		p, up, alloc := newStack(t, th, mtu, nil)
+		p, up, alloc := newStack(t, th, 256)
 		s, _ := p.Open(th, hostA, ProtoUDP)
-		m, _ := alloc.New(th, 1000, msg.Headroom)
-		for i := range m.Bytes() {
-			m.Bytes()[i] = byte(i % 251)
+		m, _ := alloc.New(th, 256-HdrLen+1, msg.Headroom)
+		if err := s.Push(th, m); err != ErrTooBig {
+			t.Fatalf("err = %v, want ErrTooBig", err)
 		}
-		if err := s.Push(th, m); err != nil {
-			t.Fatal(err)
+		if len(up.msgs) != 0 || p.Stats().Sent != 0 {
+			t.Errorf("refused datagram went out: %d delivered, stats %+v", len(up.msgs), p.Stats())
 		}
-		if len(up.msgs) != 1 {
-			t.Fatalf("delivered %d datagrams, want 1 (reassembled)", len(up.msgs))
-		}
-		got := up.msgs[0]
-		if got.Len() != 1000 {
-			t.Fatalf("reassembled len = %d, want 1000", got.Len())
-		}
-		for i := 0; i < 1000; i++ {
-			if got.Bytes()[i] != byte(i%251) {
-				t.Fatalf("byte %d damaged after reassembly", i)
-			}
-		}
-		st := p.Stats()
-		if st.FragsOut < 4 {
-			t.Errorf("FragsOut = %d, want >= 4", st.FragsOut)
-		}
-		if st.FragsIn != st.FragsOut {
-			t.Errorf("FragsIn = %d != FragsOut = %d", st.FragsIn, st.FragsOut)
-		}
-		if st.Reassembled != 1 {
-			t.Errorf("Reassembled = %d, want 1", st.Reassembled)
+		if !balanced(alloc) {
+			t.Errorf("refused datagram not freed: %+v", alloc.Stats())
 		}
 	})
 }
 
 func TestDatagramIDsIncrement(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, _, alloc := newStack(t, th, 4352, nil)
+		p, _, alloc := newStack(t, th, 4352)
 		s, _ := p.Open(th, hostA, ProtoUDP)
 		for i := 0; i < 3; i++ {
 			m, _ := alloc.New(th, 10, msg.Headroom)
@@ -151,7 +141,7 @@ func TestDatagramIDsIncrement(t *testing.T) {
 
 func TestHeaderChecksumValidated(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, up, alloc := newStack(t, th, 4352, nil)
+		p, up, alloc := newStack(t, th, 4352)
 		m, _ := alloc.New(th, HdrLen+8, 0)
 		writeHeader(m.Bytes()[:HdrLen], HdrLen+8, 1, 0, ProtoUDP, hostA, hostA)
 		m.Bytes()[4] ^= 0xff // corrupt after checksumming
@@ -169,7 +159,7 @@ func TestHeaderChecksumValidated(t *testing.T) {
 
 func TestWrongDestinationRejected(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, _, alloc := newStack(t, th, 4352, nil)
+		p, _, alloc := newStack(t, th, 4352)
 		m, _ := alloc.New(th, HdrLen+8, 0)
 		other := xkernel.IPAddr{10, 0, 0, 99}
 		writeHeader(m.Bytes()[:HdrLen], HdrLen+8, 1, 0, ProtoUDP, hostA, other)
@@ -186,8 +176,8 @@ func TestPromiscuousAcceptsAnyDestination(t *testing.T) {
 		low := LowerFDDI(4352, func(*sim.Thread, xkernel.MAC, uint16) (xkernel.Session, error) {
 			return &loop, nil
 		})
-		p := New(Config{Local: hostA, Promiscuous: true}, low, nil, alloc)
-		loop.p, loop.mtu = p, 4352
+		p := New(Config{Local: hostA, Promiscuous: true}, low)
+		loop.p = p
 		up := newSink()
 		p.OpenEnable(th, ProtoUDP, up)
 		m, _ := alloc.New(th, HdrLen+8, 0)
@@ -204,7 +194,7 @@ func TestPromiscuousAcceptsAnyDestination(t *testing.T) {
 
 func TestUnknownTransportRejected(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, _, alloc := newStack(t, th, 4352, nil)
+		p, _, alloc := newStack(t, th, 4352)
 		m, _ := alloc.New(th, HdrLen+4, 0)
 		writeHeader(m.Bytes()[:HdrLen], HdrLen+4, 1, 0, 99, hostA, hostA)
 		if err := p.Demux(th, m); err == nil {
@@ -216,33 +206,9 @@ func TestUnknownTransportRejected(t *testing.T) {
 	})
 }
 
-func TestReassemblyTimeoutDropsFragments(t *testing.T) {
-	e := sim.New(cost.NewModel(cost.Challenge100), 2)
-	wheel := event.New(event.DefaultConfig())
-	wheel.Start(e, 0)
-	e.Spawn("test", 1, func(th *sim.Thread) {
-		p, up, alloc := newStack(t, th, 4352, wheel)
-		// Inject a lone first fragment (MF set), never the rest.
-		m, _ := alloc.New(th, HdrLen+64, 0)
-		writeHeader(m.Bytes()[:HdrLen], HdrLen+64, 7, 0x2000, ProtoUDP, hostA, hostA)
-		if err := p.Demux(th, m); err != nil {
-			t.Fatal(err)
-		}
-		th.Sleep(ReassemblyTimeout + 1_000_000_000)
-		if len(up.msgs) != 0 {
-			t.Error("incomplete datagram delivered")
-		}
-		if p.Stats().TimedOut != 1 {
-			t.Errorf("TimedOut = %d, want 1", p.Stats().TimedOut)
-		}
-		wheel.Stop()
-	})
-	e.Run()
-}
-
 func TestShortPacketRejected(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, _, alloc := newStack(t, th, 4352, nil)
+		p, _, alloc := newStack(t, th, 4352)
 		m, _ := alloc.New(th, 4, 0)
 		if err := p.Demux(th, m); err != ErrShort {
 			t.Fatalf("err = %v, want ErrShort", err)
@@ -252,7 +218,7 @@ func TestShortPacketRejected(t *testing.T) {
 
 func TestTrailingPadTrimmed(t *testing.T) {
 	run(t, func(th *sim.Thread) {
-		p, up, alloc := newStack(t, th, 4352, nil)
+		p, up, alloc := newStack(t, th, 4352)
 		// 8 bytes of payload, 6 bytes of MAC pad after it.
 		m, _ := alloc.New(th, HdrLen+8+6, 0)
 		writeHeader(m.Bytes()[:HdrLen], HdrLen+8, 1, 0, ProtoUDP, hostA, hostA)

@@ -29,7 +29,7 @@ func TestOpenSharesSessionsByParticipant(t *testing.T) {
 			func(*sim.Thread, xkernel.MAC, uint16) (xkernel.Session, error) {
 				low.opens++
 				return &low, nil
-			}), nil, nil)
+			}))
 		hostB := xkernel.IPAddr{10, 0, 0, 2}
 		open := func(dst xkernel.IPAddr, proto uint8) *Session {
 			s, err := p.Open(th, dst, proto)

@@ -10,52 +10,23 @@ import (
 	"repro/internal/xkernel"
 )
 
-// shuffleLower queues fragments and delivers them in a random
-// permutation — fragments of a datagram may arrive in any order.
-type shuffleLower struct {
-	p    *Protocol
-	held []*msg.Message
-}
-
-func (l *shuffleLower) Push(t *sim.Thread, m *msg.Message) error {
-	l.held = append(l.held, m)
-	return nil
-}
-func (l *shuffleLower) Close(t *sim.Thread) error { return nil }
-
-func (l *shuffleLower) flush(t *sim.Thread, rng *sim.Rand) error {
-	held := l.held
-	l.held = nil
-	for i := len(held) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		held[i], held[j] = held[j], held[i]
-	}
-	for _, m := range held {
-		if err := l.p.Demux(t, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestFragmentationInvariantRandomSizes: for random payload sizes and
-// MTUs, fragmenting then reassembling in any fragment order must yield
-// the original datagram exactly.
+// TestFragmentationInvariantRandomSizes: IP never fragments. For random
+// MTUs and payload sizes on both sides of the MTU, a datagram that fits
+// goes out whole (flags/offset zero) and arrives intact, and one that
+// does not is refused with ErrTooBig and freed, never split.
 func TestFragmentationInvariantRandomSizes(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
-		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			e := sim.New(cost.NewModel(cost.Challenge100), uint64(500+trial))
 			e.Spawn("test", 0, func(th *sim.Thread) {
 				rng := sim.NewRand(uint64(31 + trial*7))
 				alloc := msg.NewAllocator(msg.DefaultConfig(4))
-				// MTU in [60, 700]: always forces interesting splits.
 				mtu := 60 + rng.Intn(640)
-				var loop shuffleLower
+				var loop loopLower
 				low := LowerFDDI(mtu, func(*sim.Thread, xkernel.MAC, uint16) (xkernel.Session, error) {
 					return &loop, nil
 				})
-				p := New(Config{Local: hostA}, low, nil, alloc)
+				p := New(Config{Local: hostA}, low)
 				loop.p = p
 				up := newSink()
 				if err := p.OpenEnable(th, ProtoUDP, up); err != nil {
@@ -67,101 +38,58 @@ func TestFragmentationInvariantRandomSizes(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				size := 1 + rng.Intn(4000)
-				m, err := alloc.New(th, size, msg.Headroom)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				want := make([]byte, size)
-				for i := range want {
-					want[i] = byte(rng.Intn(256))
-				}
-				if err := m.CopyIn(th, 0, want); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := s.Push(th, m); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := loop.flush(th, &rng); err != nil {
-					t.Error(err)
-					return
-				}
-				if len(up.msgs) != 1 {
-					t.Errorf("mtu=%d size=%d: delivered %d datagrams", mtu, size, len(up.msgs))
-					return
-				}
-				got := up.msgs[0].Bytes()
-				if len(got) != size {
-					t.Errorf("mtu=%d size=%d: got %d bytes", mtu, size, len(got))
-					return
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("mtu=%d size=%d: byte %d differs", mtu, size, i)
+				sent := 0
+				for i := 0; i < 8; i++ {
+					size := 1 + rng.Intn(2*mtu)
+					m, err := alloc.New(th, size, msg.Headroom)
+					if err != nil {
+						t.Error(err)
 						return
 					}
+					want := make([]byte, size)
+					for j := range want {
+						want[j] = byte(rng.Intn(256))
+					}
+					if err := m.CopyIn(th, 0, want); err != nil {
+						t.Error(err)
+						return
+					}
+					err = s.Push(th, m)
+					if size+HdrLen > mtu {
+						if err != ErrTooBig {
+							t.Errorf("mtu=%d size=%d: Push returned %v, want ErrTooBig", mtu, size, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Errorf("mtu=%d size=%d: %v", mtu, size, err)
+						return
+					}
+					sent++
+					if len(up.msgs) != sent {
+						t.Errorf("mtu=%d size=%d: %d datagrams delivered, want %d", mtu, size, len(up.msgs), sent)
+						return
+					}
+					if got := up.msgs[sent-1].Bytes(); string(got) != string(want) {
+						t.Errorf("mtu=%d size=%d: payload differs (%d bytes arrived)", mtu, size, len(got))
+					}
+				}
+				for i, f := range loop.flagsOff {
+					if f != 0 {
+						t.Errorf("mtu=%d: datagram %d went out with flags/offset %#04x", mtu, i, f)
+					}
+				}
+				if st := p.Stats(); st.Sent != int64(sent) || st.Received != int64(sent) || st.FragsDropped != 0 {
+					t.Errorf("mtu=%d: %d accepted, stats %+v", mtu, sent, st)
+				}
+				for _, m := range up.msgs {
+					m.Free(th)
+				}
+				if !balanced(alloc) {
+					t.Errorf("mtu=%d: allocator unbalanced: %+v", mtu, alloc.Stats())
 				}
 			})
 			e.Run()
 		})
 	}
-}
-
-// TestInterleavedDatagramsReassembleSeparately checks that fragments of
-// different datagrams (distinct IP ids) do not cross-contaminate.
-func TestInterleavedDatagramsReassembleSeparately(t *testing.T) {
-	run(t, func(th *sim.Thread) {
-		alloc := msg.NewAllocator(msg.DefaultConfig(4))
-		mtu := 128
-		var loop shuffleLower
-		low := LowerFDDI(mtu, func(*sim.Thread, xkernel.MAC, uint16) (xkernel.Session, error) {
-			return &loop, nil
-		})
-		p := New(Config{Local: hostA}, low, nil, alloc)
-		loop.p = p
-		up := newSink()
-		p.OpenEnable(th, ProtoUDP, up)
-		s, _ := p.Open(th, hostA, ProtoUDP)
-
-		mk := func(fill byte, n int) {
-			m, _ := alloc.New(th, n, msg.Headroom)
-			for i := range m.Bytes() {
-				m.Bytes()[i] = fill
-			}
-			if err := s.Push(th, m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mk(0xAA, 500)
-		mk(0xBB, 300)
-		// Interleave fragments of both datagrams deterministically:
-		// reverse order mixes ids thoroughly.
-		held := loop.held
-		loop.held = nil
-		for i := len(held) - 1; i >= 0; i-- {
-			if err := p.Demux(th, held[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(up.msgs) != 2 {
-			t.Fatalf("delivered %d datagrams, want 2", len(up.msgs))
-		}
-		// Arrival order of completed datagrams may vary; check contents.
-		sizes := map[int]byte{500: 0xAA, 300: 0xBB}
-		for _, m := range up.msgs {
-			fill, ok := sizes[m.Len()]
-			if !ok {
-				t.Fatalf("unexpected datagram size %d", m.Len())
-			}
-			delete(sizes, m.Len())
-			for i, b := range m.Bytes() {
-				if b != fill {
-					t.Fatalf("size-%d datagram contaminated at byte %d", m.Len(), i)
-				}
-			}
-		}
-	})
 }

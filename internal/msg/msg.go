@@ -482,7 +482,8 @@ func (m *Message) Clone(t *sim.Thread) *Message {
 }
 
 // Fragment returns a view of the sub-range [off, off+n) sharing the same
-// node — zero-copy IP fragmentation.
+// node: zero-copy segmentation (TCP's Push cuts a message over the MSS
+// with it).
 func (m *Message) Fragment(t *sim.Thread, off, n int) (*Message, error) {
 	if off < 0 || n < 0 || off+n > m.Len() {
 		return nil, ErrNoRoom
@@ -541,27 +542,6 @@ func (m *Message) CopyTemplate(off int, data []byte) error {
 	}
 	copy(m.node.buf[m.head+off:], data)
 	return nil
-}
-
-// Join concatenates parts into one fresh contiguous message (IP
-// reassembly), charging per-byte copy. The parts are freed.
-func Join(t *sim.Thread, a *Allocator, parts []*Message) (*Message, error) {
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-	}
-	out, err := a.New(t, total, Headroom)
-	if err != nil {
-		return nil, err
-	}
-	off := 0
-	for _, p := range parts {
-		t.ChargeBytes(t.Engine().C.Stack.CopyByte, p.Len())
-		copy(out.node.buf[out.head+off:], p.Bytes())
-		off += p.Len()
-		p.Free(t)
-	}
-	return out, nil
 }
 
 // Absorb appends o's view to this message in place (GRO coalescing),

@@ -152,30 +152,6 @@ func TestFragmentViews(t *testing.T) {
 	})
 }
 
-func TestJoinReassembles(t *testing.T) {
-	run(t, func(th *sim.Thread) {
-		a := newAlloc(true)
-		var parts []*Message
-		var want []byte
-		for i := 0; i < 3; i++ {
-			p, _ := a.New(th, 10, Headroom)
-			for j := 0; j < 10; j++ {
-				p.Bytes()[j] = byte(i*10 + j)
-				want = append(want, byte(i*10+j))
-			}
-			parts = append(parts, p)
-		}
-		whole, err := Join(th, a, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(whole.Bytes(), want) {
-			t.Error("join produced wrong bytes")
-		}
-		whole.Free(th)
-	})
-}
-
 func TestCacheLIFOReuse(t *testing.T) {
 	run(t, func(th *sim.Thread) {
 		a := newAlloc(true)

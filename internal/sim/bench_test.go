@@ -139,14 +139,6 @@ func BenchmarkRefCountIncrDecr(b *testing.B) {
 	})
 }
 
-func BenchmarkUncontendedCountingLock(b *testing.B) {
-	c := NewCountingLock(KindMutex, "map")
-	benchCell(b, func(th *Thread) {
-		c.Acquire(th)
-		c.Release(th)
-	})
-}
-
 func BenchmarkStatCount(b *testing.B) {
 	var stat int64
 	benchCell(b, func(th *Thread) { th.Count(&stat, 1) })

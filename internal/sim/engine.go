@@ -25,7 +25,7 @@
 //     such accesses are free of data races in the Go sense; Sync ordering
 //     makes them correct in virtual time as well.
 //   - Statistics counters and the shared cells (Counter, RefCount,
-//     CountingLock, Queue) take the calling *Thread and pick plain
+//     Queue) take the calling *Thread and pick plain
 //     memory (sim: the engine already serializes) or sync/atomic (host)
 //     inside this package; protocol packages never choose. Counters are
 //     bumped with Thread.Count and read with atomic loads (sync.go).
@@ -80,8 +80,8 @@ func (s threadState) String() string {
 
 // Thread is one simulated thread of control, bound to a virtual
 // processor. It doubles as the per-processor context that the x-kernel
-// passes implicitly: per-processor resource caches and map-manager
-// counting locks key off Thread.Proc.
+// passes implicitly: per-processor resource caches and statistics
+// shards key off Thread.Proc.
 //
 // Thread structs (and their coroutines) are pooled by the engine: when a
 // thread's body returns, the struct parks on a free list with its

@@ -99,33 +99,6 @@ func TestHostCountSnapshotWhileWritersRun(t *testing.T) {
 	}
 }
 
-func TestHostCountingLockRecursionAndExclusion(t *testing.T) {
-	for _, kind := range []LockKind{KindMutex, KindMCS, KindTicket} {
-		t.Run(kind.String(), func(t *testing.T) {
-			c := NewCountingLock(kind, "map")
-			guarded := 0 // plain: only the lock keeps the threads apart
-			runHost(func(th *Thread) {
-				for i := 0; i < hostOps; i++ {
-					c.Acquire(th)
-					c.Acquire(th) // the owner re-enters
-					v := guarded
-					c.Acquire(th)
-					guarded = v + 1
-					c.Release(th)
-					c.Release(th)
-					c.Release(th)
-				}
-			})
-			if guarded != hostThreads*hostOps {
-				t.Errorf("guarded counter %d, want %d", guarded, hostThreads*hostOps)
-			}
-			if got := c.Stats().Acquires; got != hostThreads*hostOps {
-				t.Errorf("inner acquires %d, want %d: a re-entry reached the inner lock", got, hostThreads*hostOps)
-			}
-		})
-	}
-}
-
 func TestHostQueueFIFOPerProducer(t *testing.T) {
 	type item struct{ producer, seq int }
 	q := NewQueue("host", 8)
@@ -250,15 +223,15 @@ func TestHostShardsOwnLines(t *testing.T) {
 }
 
 // cellScript runs a seeded random sequence of operations over every
-// cell from one thread, with the counting lock over a lock of the given
-// kind, and logs each result, or the panic it raised.
+// cell and a lock of the given kind from one thread, and logs each
+// result, or the panic it raised.
 func cellScript(backend Backend, seed uint64, kind LockKind) []string {
 	var (
 		log      []string
 		refs     [2]RefCount
 		ctr      Counter
 		stat     int64
-		clk      = NewCountingLock(kind, "map")
+		lk       = NewLock(kind, "map")
 		q        = NewQueue("script", 3)
 		enqueued int
 	)
@@ -286,10 +259,8 @@ func cellScript(backend Backend, seed uint64, kind LockKind) []string {
 				step("add", func() any { return ctr.Add(th, int64(rng.Intn(7))-3) })
 			case 4:
 				step("count", func() any { th.Count(&stat, int64(rng.Intn(5))); return atomic.LoadInt64(&stat) })
-			case 5:
-				step("acquire", func() any { clk.Acquire(th); return clk.depth })
-			case 6, 7: // more releases than acquires: a non-owner release is reached
-				step("release", func() any { clk.Release(th); return clk.depth })
+			case 5, 6, 7:
+				step("lock", func() any { lk.Acquire(th); lk.Release(th); return lk.Stats().Acquires })
 			case 8:
 				step("queue", func() any {
 					if rng.Intn(2) == 0 {
@@ -318,10 +289,8 @@ func TestBackendCellsAgree(t *testing.T) {
 					t.Fatalf("%v, seed %d, step %d: sim %q, host %q", kind, seed, i, simLog[i], hostLog[i])
 				}
 			}
-			for _, want := range []string{"decr: panic sim: RefCount underflow", "release: panic sim: CountingLock.Release by non-owner"} {
-				if !slices.Contains(simLog, want) {
-					t.Errorf("%v, seed %d: the script never reached %q", kind, seed, want)
-				}
+			if want := "decr: panic sim: RefCount underflow"; !slices.Contains(simLog, want) {
+				t.Errorf("%v, seed %d: the script never reached %q", kind, seed, want)
 			}
 		}
 	}

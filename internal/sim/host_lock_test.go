@@ -33,17 +33,6 @@ func TestHostHoldSampleSpread(t *testing.T) {
 	}
 }
 
-// statsOf is l's live LockStats, read without taking any lock of l's.
-func statsOf(l Locker) *LockStats {
-	switch l := l.(type) {
-	case *Lock:
-		return &l.stats
-	case *CountingLock:
-		return &l.inner.stats
-	}
-	panic("statsOf: unknown lock")
-}
-
 // holdBody is the busy-wait length of a thread's i-th hold: short and
 // long alternate, and every third is uniform in [0, 2·long).
 func holdBody(rng *Rand, i int) int64 {
@@ -84,9 +73,9 @@ func (r *holdReadings) add(o holdReadings) {
 // every acquisition but the first is, then busy-waits holdBody. Only
 // the holder adds to HoldNs, so a change across its Release marks the
 // hold as timed.
-func lockstepHolds(l Locker, holds int) holdReadings {
+func lockstepHolds(l *Lock, holds int) holdReadings {
 	const slack = 50_000
-	st := statsOf(l)
+	st := &l.stats           // live, read without taking l
 	var granted atomic.Int64 // acquisitions returned so far
 	var done atomic.Int32    // threads finished
 	var seen [2]holdReadings
@@ -129,22 +118,9 @@ func lockstepHolds(l Locker, holds int) holdReadings {
 
 func TestHostLockHoldEstimate(t *testing.T) {
 	const holds = 20_000
-	type statLocker interface {
-		Locker
-		Stats() LockStats
-	}
-	type lockCase struct {
-		name string
-		lock func() statLocker
-	}
-	var cases []lockCase
 	for _, k := range lockKinds {
-		cases = append(cases, lockCase{k.String(), func() statLocker { return NewLock(k, "m") }})
-	}
-	cases = append(cases, lockCase{"counting-mutex", func() statLocker { return NewCountingLock(KindMutex, "m") }})
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			l := c.lock()
+		t.Run(k.String(), func(t *testing.T) {
+			l := NewLock(k, "m")
 			r := lockstepHolds(l, holds)
 			st := l.Stats()
 			if st.Acquires != 2*holds || st.Contended != 2*holds-1 {
@@ -172,7 +148,7 @@ func TestHostLockHoldEstimate(t *testing.T) {
 			t.Logf("HoldNs %d, threads' sum %d (%+.2f %%); %d holds timed, %d ns of bookkeeping each",
 				st.HoldNs, r.all, 100*float64(st.HoldNs-r.all)/float64(r.all), r.nTimed, extra/holdWeight/max(r.nTimed, 1))
 
-			l = c.lock()
+			l = NewLock(k, "m")
 			e := NewBackend(nil, 1, BackendHost)
 			e.Spawn("h", 0, func(th *Thread) {
 				for i := 0; i < 1000; i++ {

@@ -1,21 +1,19 @@
 package sim
 
-// Higher-level synchronization objects built on Lock:
-// counting (recursive) locks for the map manager, reference counts in
-// atomic or lock-based mode, the bakery sequencer used for order
+// Higher-level synchronization objects built on Lock: reference counts
+// in atomic or lock-based mode, the bakery sequencer used for order
 // preservation above TCP, condition variables, shared counters, the
 // statistics-counter add and the per-processor shards statistics live
 // in.
 //
-// The rule for the shared cells (Counter, RefCount, CountingLock
-// ownership, Queue length) and the statistics counters: each operation
-// takes the calling *Thread and tests the substrate once, at the top.
-// Host threads really run concurrently, so there the cell moves with
-// sync/atomic; the sim engine runs one coroutine at a time with a
-// happens-before edge on every switch, so there it is a plain load,
-// store or increment. Protocol packages never choose. Every cell's zero
-// value is ready to use (chargeLine's coherence cells read 0 as never
-// touched), and CountingLock holds its Lock by value. What has no
+// The rule for the shared cells (Counter, RefCount, Queue length) and
+// the statistics counters: each operation takes the calling *Thread and
+// tests the substrate once, at the top. Host threads really run
+// concurrently, so there the cell moves with sync/atomic; the sim engine
+// runs one coroutine at a time with a happens-before edge on every
+// switch, so there it is a plain load, store or increment. Protocol
+// packages never choose. Every cell's zero value is ready to use
+// (chargeLine's coherence cells read 0 as never touched). What has no
 // thread stays atomic on both: Flag (set from outside the engine) and
 // the snapshot readers (Value, Load, Len, the Stats methods), whose
 // atomic loads cost nothing extra.
@@ -31,8 +29,8 @@ package sim
 // History: the cells were atomics on both substrates until the fences
 // showed in profiles — an atomic store is an XCHG and an atomic add a
 // LOCK XADD, and on the single-processor UDP receive workload of bench/
-// (udp-recv-1p-1k) CountingLock's owner stores were 13 % of host CPU
-// and RefCount's Int32.Add 6 %. Rand.Jitter's float arithmetic, another
+// (udp-recv-1p-1k) the map locks' recursion-owner stores were 13 % of
+// host CPU and RefCount's Int32.Add 6 %. Rand.Jitter's float arithmetic, another
 // 9 %, stays because the integer form does not pay: with frac
 // pre-scaled by 2^33 and one bits.Mul64 it kept every golden and
 // catalogue digest (it differs from the float form on 3 draws in 10^7),
@@ -48,74 +46,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 )
-
-// CountingLock is the recursive lock the x-kernel map manager needs:
-// mapForEach can call back into map operations on the same thread, so if
-// the owner re-acquires, a count is incremented instead of deadlocking
-// (Section 2.1).
-type CountingLock struct {
-	inner Lock
-	// owner is the holding thread on the sim backend, hostOwner on the
-	// host backend, where a thread that does not hold the lock reads it
-	// while the holder writes it.
-	owner     *Thread
-	hostOwner atomic.Pointer[Thread]
-	// depth is only touched by the current owner, under the inner
-	// lock's happens-before edges.
-	depth int
-}
-
-// NewCountingLock wraps a lock of the given kind.
-func NewCountingLock(kind LockKind, name string) *CountingLock {
-	return &CountingLock{inner: Lock{Name: name, kind: kind}}
-}
-
-// Acquire takes the lock, or increments the count if t already owns it.
-func (c *CountingLock) Acquire(t *Thread) {
-	if t.eng.host != nil {
-		if c.hostOwner.Load() == t {
-			c.depth++
-			return
-		}
-		c.inner.Acquire(t)
-		c.hostOwner.Store(t)
-		c.depth = 1
-		return
-	}
-	if c.owner == t {
-		c.depth++
-		return
-	}
-	c.inner.Acquire(t)
-	c.owner = t
-	c.depth = 1
-}
-
-// Release decrements the count, releasing the lock at zero.
-func (c *CountingLock) Release(t *Thread) {
-	if t.eng.host != nil {
-		if c.hostOwner.Load() != t {
-			panic("sim: CountingLock.Release by non-owner") // Acquire and Release pair on one thread
-		}
-		c.depth--
-		if c.depth == 0 {
-			c.hostOwner.Store(nil)
-			c.inner.Release(t)
-		}
-		return
-	}
-	if c.owner != t {
-		panic("sim: CountingLock.Release by non-owner") // Acquire and Release pair on one thread
-	}
-	c.depth--
-	if c.depth == 0 {
-		c.owner = nil
-		c.inner.Release(t)
-	}
-}
-
-// Stats reports the inner lock's statistics.
-func (c *CountingLock) Stats() LockStats { return c.inner.Stats() }
 
 // RefMode selects how reference counts are manipulated (Section 5.2).
 type RefMode int

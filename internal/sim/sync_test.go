@@ -5,60 +5,6 @@ import (
 	"testing"
 )
 
-func TestCountingLockRecursion(t *testing.T) {
-	e := newTestEngine(1)
-	c := NewCountingLock(KindMutex, "map")
-	e.Spawn("t", 0, func(th *Thread) {
-		c.Acquire(th)
-		c.Acquire(th) // recursive re-entry must not deadlock
-		c.Acquire(th)
-		c.Release(th)
-		c.Release(th)
-		c.Release(th)
-	})
-	e.Run()
-	if c.Stats().Acquires != 1 {
-		t.Errorf("inner acquires = %d, want 1", c.Stats().Acquires)
-	}
-}
-
-func TestCountingLockExcludesAcrossThreads(t *testing.T) {
-	e := newTestEngine(2)
-	c := NewCountingLock(KindMutex, "map")
-	inside := false
-	for i := 0; i < 4; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
-			for j := 0; j < 20; j++ {
-				c.Acquire(th)
-				if inside {
-					t.Error("counting lock exclusion violated")
-				}
-				inside = true
-				c.Acquire(th)
-				th.Charge(3000)
-				c.Release(th)
-				inside = false
-				c.Release(th)
-			}
-		})
-	}
-	e.Run()
-}
-
-func TestCountingLockReleaseByNonOwnerPanics(t *testing.T) {
-	e := newTestEngine(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c := NewCountingLock(KindMutex, "map")
-	e.Spawn("bad", 0, func(th *Thread) {
-		c.Release(th)
-	})
-	e.Run()
-}
-
 func TestRefCountModes(t *testing.T) {
 	for _, mode := range []RefMode{RefAtomic, RefLocked} {
 		mode := mode

@@ -14,7 +14,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
-	"repro/internal/xmap"
 )
 
 // withTimers runs a harness body with a live event wheel and protocol
@@ -144,30 +143,42 @@ type timerEvent struct {
 
 // scanOracle is the BSD slow scan (tcp_slowtimo walking every
 // connection), kept as the reference the wheel is checked against: at
-// the top of each slow heartbeat it walks the demux map and predicts
-// that exactly the timers whose deadline has come expire on this tick.
-// A lost timer stays overdue and is predicted again; an early or
-// duplicated one is observed without a prediction.
+// the top of each slow heartbeat it walks the connections the scenario
+// opened (track), skipping closed ones as BSD's walk of the bound ones
+// would, and predicts that exactly the timers whose deadline has come
+// expire on this tick. A lost timer stays overdue and is predicted
+// again; an early or duplicated one is observed without a prediction.
 type scanOracle struct {
 	t         *testing.T
 	side      string
+	conns     []*TCB        // every connection opened on this side
 	want, got []string      // this tick's predicted and observed expiries
 	log       *[]timerEvent // every expiry, in firing order
 }
 
+// track adds connections to the scan; a recycled block is kept once.
+func (o *scanOracle) track(tcbs ...*TCB) {
+	for _, tcb := range tcbs {
+		if !slices.Contains(o.conns, tcb) {
+			o.conns = append(o.conns, tcb)
+		}
+	}
+}
+
 func attachScanOracle(t *testing.T, p *Protocol, side string, log *[]timerEvent) *scanOracle {
 	o := &scanOracle{t: t, side: side, log: log}
-	p.tickLog = func(th *sim.Thread, tick int64) {
+	p.tickLog = func(_ *sim.Thread, tick int64) {
 		o.check()
-		p.tcbs.ForEach(th, func(_ xmap.Key, v any) bool {
-			tcb := v.(*TCB)
+		for _, tcb := range o.conns {
+			if tcb.state == stateClosed {
+				continue
+			}
 			for which, d := range tcb.timerDeadline {
 				if d != 0 && d <= tick {
 					o.want = append(o.want, fmt.Sprint(tcb.part.LocalPort, which, tick))
 				}
 			}
-			return true
-		})
+		}
 	}
 	p.timerLog = func(tcb *TCB, which int, tick int64) {
 		if tcb.state == stateClosed {
@@ -295,6 +306,8 @@ func TestTimerEquivalenceScanVsWheel(t *testing.T) {
 				h := build(t, th, DefaultConfig(), sc.wire(), ew)
 				oa := attachScanOracle(t, h.pa, "A", &events)
 				ob := attachScanOracle(t, h.pb, "B", &events)
+				oa.track(h.tcbA)
+				ob.track(h.tcbB)
 				sc.script(t, th, h)
 				delivered = len(h.sink.payloads)
 				h.pa.StopTimers()
@@ -350,6 +363,8 @@ func TestWheelChurnCancelledTimersNeverFire(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocks[tcbA] = true
+			scanA.track(tcbA)
+			scanB.track(tcbB)
 			m, err := alloc.New(th, 1024, msg.Headroom)
 			if err != nil {
 				t.Fatal(err)

@@ -29,7 +29,7 @@ func newRealLower() *realLower {
 			s, err := mac.Open(t, remote, proto)
 			l.macs = append(l.macs, s)
 			return s, err
-		}), nil, nil)
+		}))
 	return l
 }
 

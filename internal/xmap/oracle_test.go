@@ -97,22 +97,11 @@ func (o *oracleMap) Unbind(k Key) error {
 	return ErrNotFound
 }
 
-func (o *oracleMap) ForEach(fn func(Key, any) bool) {
-	for _, b := range o.buckets {
-		for e := b; e != nil; e = e.next {
-			if !fn(e.key, e.val) {
-				return
-			}
-		}
-	}
-}
-
 // table is the surface the differential drives on both implementations.
 type table struct {
 	bind    func(Key, any) error
 	resolve func(Key) (any, bool)
 	unbind  func(Key) error
-	forEach func(func(Key, any) bool)
 	state   func() string // Len, Buckets, Grows, Stats
 }
 
@@ -121,7 +110,6 @@ func mapTable(th *sim.Thread, m *Map) table {
 		bind:    func(k Key, v any) error { return m.Bind(th, k, v) },
 		resolve: func(k Key) (any, bool) { return m.Resolve(th, k) },
 		unbind:  func(k Key) error { return m.Unbind(th, k) },
-		forEach: func(fn func(Key, any) bool) { m.ForEach(th, fn) },
 		state: func() string {
 			return fmt.Sprintf("n=%d buckets=%d grows=%d %+v", m.Len(th), m.Buckets(), m.Grows(), m.Stats())
 		},
@@ -130,7 +118,7 @@ func mapTable(th *sim.Thread, m *Map) table {
 
 func oracleTable(o *oracleMap) table {
 	return table{
-		bind: o.Bind, resolve: o.Resolve, unbind: o.Unbind, forEach: o.ForEach,
+		bind: o.Bind, resolve: o.Resolve, unbind: o.Unbind,
 		state: func() string {
 			return fmt.Sprintf("n=%d buckets=%d grows=%d %+v", o.n, len(o.buckets), o.grows, o.stats)
 		},
@@ -138,20 +126,32 @@ func oracleTable(o *oracleMap) table {
 }
 
 // script runs a seeded random sequence of operations on tb and returns a
-// log of every result, error and ForEach visit. Half the ForEach
-// callbacks mutate the table as they go: they unbind the entry being
-// visited, unbind another key, bind a fresh key (which can grow the
-// table under the walk and reuses entries freed earlier), or resolve.
-// A walk stops after at most maxVisits entries (a table meant to fill up
-// cannot afford full mutating walks, which unbind more than the script
-// binds); the script ends with one full walk. Every choice comes from
-// the seed, never from the table, so two correct implementations produce
+// log of every result and error. One op in sixteen is a walk that
+// resolves a run of the script's key space from a random key, wrapping,
+// logged as one line (the bound count and an FNV-1a digest of the
+// results). A walk covers every key, or maxWalk keys when the key space
+// is larger (a 12k-key table cannot afford a full walk every sixteenth
+// op); the script ends with one full walk. Every choice comes from the
+// seed, never from the table, so two correct implementations produce
 // the same log.
-func script(tb table, seed uint64, ops, keys, maxVisits int) []string {
+func script(tb table, seed uint64, ops, keys, maxWalk int) []string {
 	r := sim.NewRand(seed)
 	key := func() Key { return PortKey(uint16(r.Intn(keys)), 7) }
 	var log []string
 	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	walk := func(what string, start, n int) {
+		found, h := 0, uint64(14695981039346656037)
+		for i := start; i < start+n; i++ {
+			v, ok := tb.resolve(PortKey(uint16(i%keys), 7))
+			x := uint64(0) // unbound
+			if ok {
+				found++
+				x = uint64(v.(int)) + 1
+			}
+			h = (h ^ x) * 1099511628211
+		}
+		logf("%s: %d bound, digest %x", what, found, h)
+	}
 	for i := 0; i < ops; i++ {
 		switch op := r.Intn(16); {
 		case op < 6:
@@ -165,61 +165,33 @@ func script(tb table, seed uint64, ops, keys, maxVisits int) []string {
 			k := key()
 			logf("unbind %v: %v", k, tb.unbind(k))
 		default:
-			mutate, stopAfter, visit := r.Intn(2) == 0, r.Intn(maxVisits), 0
-			tb.forEach(func(k Key, v any) bool {
-				logf("visit %v %v", k, v)
-				if mutate {
-					switch r.Intn(6) {
-					case 0:
-						logf(" unbind visited: %v", tb.unbind(k))
-					case 1:
-						k2 := key()
-						logf(" unbind %v: %v", k2, tb.unbind(k2))
-					case 2:
-						k2 := key()
-						logf(" bind %v: %v", k2, tb.bind(k2, -i))
-					case 3:
-						logf(" unbind visited: %v", tb.unbind(k))
-						k2 := key()
-						logf(" bind %v: %v", k2, tb.bind(k2, -i))
-					case 4:
-						k2 := key()
-						v2, ok := tb.resolve(k2)
-						logf(" resolve %v: %v %v", k2, v2, ok)
-					}
-				}
-				visit++
-				return visit <= stopAfter
-			})
+			walk("walk", r.Intn(keys), min(keys, maxWalk))
 		}
 		logf("state %s", tb.state())
 	}
-	tb.forEach(func(k Key, v any) bool {
-		logf("final visit %v %v", k, v)
-		return true
-	})
+	walk("final walk", 0, keys)
 	return log
 }
 
 func TestDifferentialAgainstPointerChainedOracle(t *testing.T) {
 	for _, c := range []struct {
-		name                                   string
-		buckets, maxLoad, ops, keys, maxVisits int
+		name                                 string
+		buckets, maxLoad, ops, keys, maxWalk int
 	}{
-		{"small-growing", 2, 2, 6000, 300, 1200},    // several grows, heavy entry reuse
-		{"fixed-size", 8, 0, 3000, 100, 400},        // no growth: long chains
-		{"many-chunks", 64, 8, 30000, 3 * 4096, 40}, // entry storage spans chunks
+		{"small-growing", 2, 2, 6000, 300, 300},      // several grows, heavy entry reuse
+		{"fixed-size", 8, 0, 3000, 100, 100},         // no growth: long chains
+		{"many-chunks", 64, 8, 30000, 3 * 4096, 512}, // entry storage spans chunks
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
 				o := newOracle(c.buckets, c.maxLoad)
-				want := script(oracleTable(o), seed, c.ops, c.keys, c.maxVisits)
+				want := script(oracleTable(o), seed, c.ops, c.keys, c.maxWalk)
 				var got []string
 				var m *Map
 				run(t, func(th *sim.Thread) {
 					m = New(c.buckets, sim.KindMutex, "t")
 					m.MaxLoad = c.maxLoad
-					got = script(mapTable(th, m), seed, c.ops, c.keys, c.maxVisits)
+					got = script(mapTable(th, m), seed, c.ops, c.keys, c.maxWalk)
 				})
 				for i := range want {
 					if i >= len(got) || got[i] != want[i] {
@@ -250,7 +222,7 @@ func at(log []string, i int) string {
 
 // checkStorage asserts the layout invariants of a quiescent map: every
 // entry slot is either on exactly one chain or zeroed on the free list,
-// nothing waits in limbo, and only the last chunk is short.
+// and only the last chunk is short.
 func checkStorage(t *testing.T, m *Map) {
 	t.Helper()
 	slots := 0
@@ -259,9 +231,6 @@ func checkStorage(t *testing.T, m *Map) {
 			t.Errorf("chunk %d of %d holds %d entries, want %d", i, len(m.chunks), len(c), chunkSize)
 		}
 		slots += len(c)
-	}
-	if m.iter != 0 || len(m.limbo) != 0 {
-		t.Errorf("quiescent map has iter=%d, %d entries in limbo", m.iter, len(m.limbo))
 	}
 	seen := make(map[ref]bool)
 	bound := 0
@@ -338,35 +307,6 @@ func TestSmallMapStorageStartsSmall(t *testing.T) {
 		}
 		if &m.chunks[0] != &m.chunk0[0] {
 			t.Error("a one-chunk map allocated its chunk table")
-		}
-	})
-}
-
-// A Bind inside a ForEach callback can move the first entry chunk; the
-// walk must read the visited entry's successor from where the entry
-// lives now, or it misses an Unbind made after the move.
-func TestForEachReadsNextAfterTheCallback(t *testing.T) {
-	walk := func(tb table) []string {
-		for i := 0; i < 4; i++ { // one bucket: the chain is 3, 2, 1, 0 and the first chunk is full
-			tb.bind(ProtoKey(uint32(i)), i)
-		}
-		var log []string
-		tb.forEach(func(k Key, v any) bool {
-			log = append(log, fmt.Sprint(v))
-			if v == 3 {
-				tb.bind(ProtoKey(4), 4) // moves the chunk
-				tb.unbind(ProtoKey(2))  // 3's successor is now 1
-			}
-			return true
-		})
-		return log
-	}
-	want := walk(oracleTable(newOracle(1, 0)))
-	run(t, func(th *sim.Thread) {
-		m := New(1, sim.KindMutex, "t")
-		m.MaxLoad = 0
-		if got := walk(mapTable(th, m)); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("visited %v, oracle %v", got, want)
 		}
 	})
 }

@@ -3,10 +3,12 @@
 // (e.g. a protocol control block), built on chained-bucket hash tables
 // with a 1-behind cache (Section 2.1 of the paper).
 //
-// Maps are primarily used for demultiplexing. They are locked for
-// insert, lookup and remove; because the iterator ForEach can call back
-// into map operations on the same thread, the lock is a counting
-// (recursive) lock.
+// Maps are used for demultiplexing. They are locked for insert, lookup
+// and remove. The x-kernel's lock is a counting (recursive) one, since
+// its map iterator may call back into the map on the same thread; no
+// protocol here iterates a map, so there is no iterator and the lock is
+// a plain sim.Lock, which charges what a counting lock that never
+// recurses does.
 //
 // Layout: a bucket is a uint32 holding 1 + the index of the chain's
 // first entry (0: empty), an entry names its successor the same way, and
@@ -15,7 +17,7 @@
 // per chunk and its bucket array pointer-free and half the size. The
 // contract is that of the pointer-chained table this replaced, which the
 // tests keep as oracleMap: newest-first within a bucket, the same
-// ForEach order, the same tolerance of a callback that binds or unbinds.
+// results, cache and counters.
 // (Not an internal/slab: that hands out pointers and never takes one
 // back; a link here must be 4 bytes and Unbind must recycle.)
 package xmap
@@ -82,11 +84,10 @@ type Map struct {
 	// only: the model charges the same flat hash cost either way (the
 	// x-kernel's map paper assumes short chains), so growth keeps the
 	// host-time chain walks O(1) at 100k+ bindings without perturbing
-	// virtual time. Growth does reorder ForEach iteration, so a map whose
-	// iteration order reaches an output should be pre-sized instead.
+	// virtual time.
 	MaxLoad int
 
-	lock    *sim.CountingLock
+	lock    *sim.Lock
 	buckets []ref
 	mask    uint64
 	n       int
@@ -106,16 +107,10 @@ type Map struct {
 	// map makes no allocation for the chunk table.
 	chunk0 [1][]entry
 	free   ref // freed entries, chained through next
-	// A ForEach callback may unbind the entry being visited and the
-	// walk then continues from that entry's next, so entries unbound
-	// while iter (the ForEach depth) is non-zero wait in limbo and are
-	// freed when the outermost ForEach returns.
-	iter  int
-	limbo []ref
 }
 
 // New creates a map with the given number of buckets (rounded up to a
-// power of two) protected by a counting lock of the given kind.
+// power of two) protected by a lock of the given kind.
 func New(buckets int, kind sim.LockKind, name string) *Map {
 	sz := 1
 	for sz < buckets {
@@ -124,7 +119,7 @@ func New(buckets int, kind sim.LockKind, name string) *Map {
 	m := &Map{
 		Locking: true,
 		MaxLoad: 8,
-		lock:    sim.NewCountingLock(kind, "map:"+name),
+		lock:    sim.NewLock(kind, "map:"+name),
 		buckets: make([]ref, sz),
 		mask:    uint64(sz - 1),
 	}
@@ -282,11 +277,7 @@ func (m *Map) Unbind(t *sim.Thread, k Key) error {
 			if m.cacheValid && m.cacheKey == k {
 				m.cacheVal, m.cacheValid = nil, false
 			}
-			if m.iter > 0 {
-				m.limbo = append(m.limbo, r)
-			} else {
-				m.freeEntry(r)
-			}
+			m.freeEntry(r)
 			return nil
 		}
 		pr = &e.next
@@ -299,38 +290,6 @@ func (m *Map) Len(t *sim.Thread) int {
 	m.acquire(t)
 	defer m.release(t)
 	return m.n
-}
-
-// ForEach calls fn for every binding while holding the map lock; fn may
-// call back into this map on the same thread (the counting lock admits
-// the recursion — this is mapForEach from Section 2.1). Iteration stops
-// if fn returns false.
-func (m *Map) ForEach(t *sim.Thread, fn func(Key, any) bool) {
-	m.acquire(t)
-	m.iter++
-	defer m.endForEach(t)
-	// The range reads m.buckets once: a grow inside fn does not redirect
-	// the walk.
-	for _, r := range m.buckets {
-		for r != 0 {
-			e := m.at(r)
-			t.ChargeRand(t.Engine().C.Stack.MapCacheHit)
-			if !fn(e.key, e.val) {
-				return
-			}
-			r = m.at(r).next // not e.next: a Bind inside fn may have moved the first chunk
-		}
-	}
-}
-
-func (m *Map) endForEach(t *sim.Thread) {
-	if m.iter--; m.iter == 0 {
-		for _, r := range m.limbo {
-			m.freeEntry(r)
-		}
-		m.limbo = m.limbo[:0]
-	}
-	m.release(t)
 }
 
 // Stats returns the counters summed over processors (atomic-load

@@ -81,62 +81,6 @@ func TestManyBindingsCollide(t *testing.T) {
 	})
 }
 
-func TestForEachVisitsAll(t *testing.T) {
-	run(t, func(th *sim.Thread) {
-		m := New(8, sim.KindMutex, "t")
-		for i := 0; i < 20; i++ {
-			m.Bind(th, ProtoKey(uint32(i)), i)
-		}
-		seen := map[int]bool{}
-		m.ForEach(th, func(k Key, v any) bool {
-			seen[v.(int)] = true
-			return true
-		})
-		if len(seen) != 20 {
-			t.Fatalf("visited %d, want 20", len(seen))
-		}
-	})
-}
-
-func TestForEachEarlyStop(t *testing.T) {
-	run(t, func(th *sim.Thread) {
-		m := New(8, sim.KindMutex, "t")
-		for i := 0; i < 20; i++ {
-			m.Bind(th, ProtoKey(uint32(i)), i)
-		}
-		n := 0
-		m.ForEach(th, func(Key, any) bool {
-			n++
-			return n < 5
-		})
-		if n != 5 {
-			t.Fatalf("visited %d, want 5", n)
-		}
-	})
-}
-
-func TestForEachRecursesIntoMap(t *testing.T) {
-	// The map manager can call itself recursively via mapForEach; the
-	// counting lock must admit same-thread re-entry (Section 2.1).
-	run(t, func(th *sim.Thread) {
-		m := New(8, sim.KindMutex, "t")
-		for i := 0; i < 5; i++ {
-			m.Bind(th, ProtoKey(uint32(i)), i)
-		}
-		count := 0
-		m.ForEach(th, func(k Key, v any) bool {
-			if _, ok := m.Resolve(th, k); !ok { // recursive map op
-				t.Error("recursive resolve failed")
-			}
-			count++
-			return true
-		})
-		if count != 5 {
-			t.Fatalf("count = %d", count)
-		}
-	})
-}
-
 func TestConcurrentResolves(t *testing.T) {
 	e := sim.New(cost.NewModel(cost.Challenge100), 3)
 	m := New(32, sim.KindMutex, "t")

@@ -5,9 +5,9 @@
 //
 // The library implements packet-level (thread-per-packet) parallel
 // TCP/IP and UDP/IP protocol stacks in the style of a parallelized
-// x-kernel — message tool with per-processor caches, map manager with
-// counting locks, timing-wheel event manager, Net/2-structured TCP with
-// three locking layouts — running on a deterministic discrete-event
+// x-kernel — message tool with per-processor caches, locked map manager
+// with a 1-behind cache, timing-wheel event manager, Net/2-structured
+// TCP with three locking layouts — running on a deterministic discrete-event
 // simulation of a shared-memory multiprocessor (see internal/sim and
 // DESIGN.md for the hardware substitution rationale).
 //
