@@ -883,14 +883,18 @@ func RunConfigs(cfg Config, runs int) []Config {
 }
 
 // RunPoint builds and runs one configuration once. Each call owns a
-// fresh engine and touches no shared state, so independent points may
-// execute on concurrent host threads.
+// fresh engine, so independent points may execute on concurrent host
+// threads; the only state they share is the pool of message buffers a
+// finished point releases for the next one's arena, which moves no
+// virtual time.
 func RunPoint(cfg Config, warmupNs, measureNs int64) (RunResult, error) {
 	st, err := Build(cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return st.Run(warmupNs, measureNs)
+	res, err := st.Run(warmupNs, measureNs)
+	st.Alloc.Release()
+	return res, err
 }
 
 // AggregateRuns summarizes per-run results: it summarizes throughput

@@ -20,11 +20,6 @@ type pending struct {
 	next     *pending
 }
 
-type chain struct {
-	lock *sim.Lock
-	head *pending
-}
-
 // Wheel is the timing wheel. A dedicated simulation thread advances it
 // tick by tick and runs due handlers; handlers execute on that thread
 // and may acquire protocol locks (so timer processing contends with
@@ -32,7 +27,8 @@ type chain struct {
 type Wheel struct {
 	Tick int64 // virtual ns per tick
 
-	chains []chain
+	heads  []*pending // one chain per slot
+	locks  []sim.Lock // slot i's chain lock is locks[i%len(locks)]
 	stop   *sim.Flag
 	nsched int64
 	nfired int64
@@ -60,30 +56,27 @@ func New(cfg Config) *Wheel {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 10_000_000
 	}
-	w := &Wheel{
-		Tick:   cfg.Tick,
-		chains: make([]chain, cfg.Slots),
-		stop:   &sim.Flag{},
-	}
+	name, nlocks := "evwheel", 1
 	if cfg.PerChain {
-		for i := range w.chains {
-			w.chains[i].lock = sim.NewLock(cfg.Kind, "evchain")
-		}
-	} else {
-		single := sim.NewLock(cfg.Kind, "evwheel")
-		for i := range w.chains {
-			w.chains[i].lock = single
-		}
+		name, nlocks = "evchain", cfg.Slots
 	}
-	return w
+	return &Wheel{
+		Tick:  cfg.Tick,
+		heads: make([]*pending, cfg.Slots),
+		locks: sim.NewLocks(cfg.Kind, name, nlocks),
+		stop:  &sim.Flag{},
+	}
 }
 
 // slotFor maps a deadline to the chain of the first tick at or after it
 // (ceiling), so a mid-tick deadline fires on the next tick rather than
 // one full wheel period later.
 func (w *Wheel) slotFor(deadline int64) int {
-	return int(((deadline + w.Tick - 1) / w.Tick) % int64(len(w.chains)))
+	return int(((deadline + w.Tick - 1) / w.Tick) % int64(len(w.heads)))
 }
+
+// lock returns the lock of slot i's chain.
+func (w *Wheel) lock(i int) *sim.Lock { return &w.locks[i%len(w.locks)] }
 
 // Schedule registers fn to run delay virtual ns from the calling
 // thread's current time.
@@ -98,13 +91,14 @@ func (w *Wheel) Schedule(t *sim.Thread, fn func(*sim.Thread, any), arg any, dela
 	if slotDeadline%w.Tick == 0 {
 		slotDeadline++
 	}
-	c := &w.chains[w.slotFor(slotDeadline)]
-	c.lock.Acquire(t)
+	i := w.slotFor(slotDeadline)
+	l := w.lock(i)
+	l.Acquire(t)
 	t.ChargeRand(t.Engine().C.Stack.EventSchedule)
-	e.next = c.head
-	c.head = e
+	e.next = w.heads[i]
+	w.heads[i] = e
 	t.Count(&w.nsched, 1)
-	c.lock.Release(t)
+	l.Release(t)
 }
 
 // Start spawns the event-manager thread on the engine. proc is the
@@ -126,10 +120,11 @@ func (w *Wheel) Stop() { w.stop.Set() }
 // runDue executes every event in the current tick's chain whose
 // deadline has arrived, unlinking them in chain order.
 func (w *Wheel) runDue(t *sim.Thread, now int64) {
-	c := &w.chains[w.slotFor(now)]
-	c.lock.Acquire(t)
+	i := w.slotFor(now)
+	l := w.lock(i)
+	l.Acquire(t)
 	var due []*pending
-	for link := &c.head; *link != nil; {
+	for link := &w.heads[i]; *link != nil; {
 		e := *link
 		if e.deadline > now {
 			link = &e.next
@@ -138,7 +133,7 @@ func (w *Wheel) runDue(t *sim.Thread, now int64) {
 		*link = e.next
 		due = append(due, e)
 	}
-	c.lock.Release(t)
+	l.Release(t)
 	// Handlers run outside the chain lock: they are free to
 	// re-schedule themselves.
 	for _, e := range due {

@@ -155,3 +155,32 @@ func TestZeroDelayFiresNextTick(t *testing.T) {
 		t.Fatal("zero-delay event never fired")
 	}
 }
+
+// TestNewAllocations: the chain locks are one array, not a heap object
+// per slot (New made 515 allocations that way).
+func TestNewAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() { New(DefaultConfig()) }); n > 4 {
+		t.Errorf("New(DefaultConfig()): %v allocations, want at most 4", n)
+	}
+}
+
+// TestChainLocks: per-chain locking gives two slots two locks; the
+// single-lock ablation sends both through one.
+func TestChainLocks(t *testing.T) {
+	for _, perChain := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.PerChain = perChain
+		w := New(cfg)
+		e := newEngine(3)
+		e.Spawn("sched", 0, func(th *sim.Thread) {
+			w.Schedule(th, func(*sim.Thread, any) {}, nil, 15_000_000)
+			w.Schedule(th, func(*sim.Thread, any) {}, nil, 55_000_000)
+		})
+		e.Run()
+		a, b := w.lock(w.slotFor(15_000_000)), w.lock(w.slotFor(55_000_000))
+		na, nb := a.Stats().Acquires, b.Stats().Acquires
+		if perChain && (a == b || na != 1 || nb != 1) || !perChain && (a != b || na != 2) {
+			t.Errorf("per-chain %v: the two slots' locks (same: %v) acquired %d and %d times", perChain, a == b, na, nb)
+		}
+	}
+}

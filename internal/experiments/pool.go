@@ -143,8 +143,9 @@ func awaitPoints(futs []*pointFuture) ([]pointValue, error) {
 // RunPoints measures each configuration with the given methodology,
 // fanning points and repeat runs across at most workers host threads
 // (0 means GOMAXPROCS). Results return in input order and are
-// byte-identical to a sequential core.Measure loop. It backs
-// parnet.Sweep.
+// byte-identical to a sequential loop that runs each configuration's
+// core.RunConfigs through core.RunPoint and summarizes them with
+// core.AggregateRuns. It backs parnet.Sweep.
 func RunPoints(cfgs []core.Config, warmupNs, measureNs int64, runs, workers int) ([]measure.Result, []core.RunResult, error) {
 	p := Params{WarmupNs: warmupNs, MeasureNs: measureNs, Runs: runs, Workers: workers}
 	futs := make([]*pointFuture, len(cfgs))

@@ -12,12 +12,15 @@
 // None of that costs the host an allocation per packet: a freed node
 // carries its last Message view struct to whoever allocates it next, on
 // any processor, and a per-processor list recycles the views that die
-// while their node lives on — clones and fragments.
+// while their node lives on — clones and fragments. And a finished
+// point's free nodes go to the next point's arena misses (Release), so
+// a new engine does not grow its buffers from an empty heap.
 package msg
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -244,9 +247,7 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 		n.next = nil
 	} else {
 		t.Count(&a.arenaAllocs, 1)
-		nv := new(nodeView)
-		nv.n = MNode{buf: make([]byte, classes[cl]), class: cl, alloc: a, lastProc: -1, view: &nv.v}
-		n = &nv.n
+		n = a.fresh(cl)
 	}
 	a.arenaLock.Release(t)
 	// A buffer last used by another processor comes back with remote
@@ -257,6 +258,55 @@ func (a *Allocator) getNode(t *sim.Thread, size int) (*MNode, error) {
 	n.lastProc = t.Proc
 	n.ref.Init(a.cfg.RefMode, 1)
 	return n, nil
+}
+
+// released holds, per size class, the free nodes of allocators whose
+// engines have finished (Release), for any allocator's arena misses. A
+// sync.Pool is safe under concurrent engines, keeps a per-P cache, and
+// lets the garbage collector bound what it holds.
+var released [len(classes)]sync.Pool
+
+// fresh produces a node this allocator's arena has not held, as a
+// malloc would: a released one, reset to exactly what a new one is, or
+// a new one. Its buffer's bytes are not cleared; nothing reads a byte
+// it did not write.
+func (a *Allocator) fresh(cl int) *MNode {
+	if n, _ := released[cl].Get().(*MNode); n != nil {
+		n.alloc, n.lastProc, n.next = a, -1, nil
+		return n
+	}
+	nv := new(nodeView)
+	nv.n = MNode{buf: make([]byte, classes[cl]), class: cl, alloc: a, lastProc: -1, view: &nv.v}
+	return &nv.n
+}
+
+// Release hands every free node, in the per-processor caches and the
+// arena, to the process-wide pool that fresh draws on; nodes still in
+// flight are left to the garbage collector. Call it when no thread of
+// the allocator's engine runs and the stack is done with (core.RunPoint
+// drops it): the caches are left empty, so a later run on the same
+// stack would charge misses that a run without the Release does not.
+func (a *Allocator) Release() {
+	for i := range a.perProc {
+		pc := &a.perProc[i]
+		for cl := range pc.free {
+			release(pc.free[cl])
+			pc.free[cl], pc.count[cl] = nil, 0
+		}
+	}
+	for cl := range a.arena {
+		release(a.arena[cl])
+		a.arena[cl] = nil
+	}
+}
+
+// release pools one free list.
+func release(n *MNode) {
+	for n != nil {
+		next := n.next
+		released[n.class].Put(n)
+		n = next
+	}
 }
 
 // putNode returns a zero-referenced node to the per-processor cache or

@@ -3,6 +3,7 @@ package msg
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -533,5 +534,87 @@ func TestHostBackendNodeCachesCrossProcs(t *testing.T) {
 func TestProcCacheFillsLines(t *testing.T) {
 	if size := unsafe.Sizeof(procCache{}); size%cacheLine != 0 {
 		t.Errorf("procCache is %d bytes, not a multiple of the %d-byte line", size, cacheLine)
+	}
+}
+
+// TestReleasedNodeStartsFresh: a node allocator A releases and
+// allocator B draws is, to B, a new buffer. Its first use on another
+// processor charges exactly what a fresh node's does (no cold penalty
+// for A's processor), B counts it as an arena allocation, its Free lands
+// in B's cache, and A's counters do not move. A message A still holds
+// at Release stays A's: no draw of B's gets its node. (Under the race
+// detector sync.Pool drops a random quarter of its Puts; with 15 nodes
+// released, B's first draw finds none left about once in 10^9 runs.)
+func TestReleasedNodeStartsFresh(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may empty the pool
+	const size, procA, procB, n = 1024, 0, 1, 16
+	cl, _ := classFor(size + Headroom)
+	for released[cl].Get() != nil { // what an earlier run of this test left
+	}
+	onProc := func(proc int, body func(th *sim.Thread)) {
+		e := sim.New(cost.NewModel(cost.Challenge100), 9)
+		e.Spawn("test", proc, body)
+		e.Run()
+	}
+	firstNew := func(b *Allocator) (m *Message, ns int64) {
+		onProc(procB, func(th *sim.Thread) {
+			t0 := th.Now()
+			m, _ = b.New(th, size, Headroom)
+			ns = th.Now() - t0
+		})
+		return m, ns
+	}
+	_, freshNs := firstNew(newAlloc(true))
+
+	a := newAlloc(true)
+	var live *Message
+	onProc(procA, func(th *sim.Thread) {
+		ms := make([]*Message, n)
+		for i := range ms {
+			ms[i], _ = a.New(th, size, Headroom)
+			copy(ms[i].Bytes(), bytes.Repeat([]byte{0xAB}, size))
+		}
+		live = ms[0]
+		for _, m := range ms[1:] {
+			m.Free(th)
+		}
+	})
+	a.Release()
+	aStats := a.Stats()
+
+	b := newAlloc(true)
+	m, ns := firstNew(b)
+	if m.node == live.node {
+		t.Fatal("B drew the node of a message A still holds")
+	}
+	if m.Bytes()[0] != 0xAB {
+		t.Fatal("B's first buffer is not one A released")
+	}
+	if ns != freshNs {
+		t.Errorf("first use of a released node on proc %d took %d ns, a fresh node's %d", procB, ns, freshNs)
+	}
+	onProc(procB, func(th *sim.Thread) {
+		node := m.node
+		m.Free(th)
+		if b.perProc[procB].free[cl] != node {
+			t.Error("the released node's Free did not land in B's cache")
+		}
+		for i := 0; i < 2*n; i++ { // every node left in the pool, and then some
+			m, _ := b.New(th, size, Headroom)
+			if m.node == live.node {
+				t.Error("B drew the node of a message A still holds")
+				return
+			}
+			copy(m.Bytes(), bytes.Repeat([]byte{0xFF}, size))
+		}
+	})
+	if got, want := b.Stats(), (Stats{CacheHits: 1, CacheMisses: 2 * n, ArenaAllocs: 2 * n, Frees: 1}); got != want {
+		t.Errorf("B's stats %+v, want %+v", got, want)
+	}
+	if got := a.Stats(); got != aStats {
+		t.Errorf("A's stats moved after Release: %+v, then %+v", aStats, got)
+	}
+	if !bytes.Equal(live.Bytes(), bytes.Repeat([]byte{0xAB}, size)) {
+		t.Error("a message A still holds was overwritten")
 	}
 }
