@@ -20,13 +20,15 @@ const (
 	hostOps     = 2000
 )
 
-// runHost runs body on hostThreads goroutine-threads of a host engine.
-func runHost(body func(th *Thread)) {
+// runHost runs body on hostThreads goroutine-threads of a host engine
+// and returns the engine.
+func runHost(body func(th *Thread)) *Engine {
 	e := NewBackend(nil, 1, BackendHost)
 	for i := 0; i < hostThreads; i++ {
 		e.Spawn(fmt.Sprintf("h%d", i), i, body)
 	}
 	e.Run()
+	return e
 }
 
 func TestHostRefCountReachesZeroOnce(t *testing.T) {
@@ -35,7 +37,7 @@ func TestHostRefCountReachesZeroOnce(t *testing.T) {
 			var rc RefCount
 			rc.Init(mode, hostThreads) // one reference per thread
 			var zeros, early atomic.Int32
-			runHost(func(th *Thread) {
+			e := runHost(func(th *Thread) {
 				for i := 0; i < hostOps; i++ {
 					rc.Incr(th)
 					if rc.Decr(th) {
@@ -49,6 +51,22 @@ func TestHostRefCountReachesZeroOnce(t *testing.T) {
 			if early.Load() != 0 || zeros.Load() != 1 || rc.Value() != 0 {
 				t.Errorf("zero reported %d times early and %d times at the end, final value %d; want 0, 1, 0",
 					early.Load(), zeros.Load(), rc.Value())
+			}
+			if mode != RefLocked {
+				return
+			}
+			// The pool index shares a word with the mode: storing it
+			// must keep the mode, and every manipulation must have gone
+			// through the one lock it names.
+			if got := RefMode(rc.word & refModeMask); got != RefLocked {
+				t.Fatalf("after the run the count reads mode %v, want %v", got, RefLocked)
+			}
+			i := rc.word>>refPoolShift - 1
+			if i < 0 || int(i) >= len(e.refPool) {
+				t.Fatalf("pool index %d outside the %d-lock pool", i, len(e.refPool))
+			}
+			if got, want := e.refPool[i].Stats().Acquires, int64(hostThreads*(2*hostOps+1)); got != want {
+				t.Errorf("pool lock %d acquired %d times, want one per manipulation, %d", i, got, want)
 			}
 		})
 	}

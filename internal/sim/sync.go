@@ -73,21 +73,27 @@ func (m *RefMode) Set(s string) error { return SetEnum(m, "refcount mode", s, re
 // Section 5.2 eliminates. Both modes pay coherence when the count
 // bounces between processors.
 type RefCount struct {
-	v int32
-	// pool is 1 + the index of this count's lock in Engine.refPool, 0
-	// until the first RefLocked manipulation assigns one.
-	pool     int32
+	v        int32
 	lastProc int32 // chargeLine's cell
-	// mode is the RefMode in one byte, which makes the count 16 bytes:
-	// there is one in every session, TCB and MNode.
-	mode uint8
+	// word packs the RefMode into its low byte and, above it, 1 + the
+	// index of this count's lock in Engine.refPool, 0 until the first
+	// RefLocked manipulation assigns one. One word for both makes the
+	// count 12 bytes: there is one in every session, TCB and MNode.
+	word int32
 }
+
+// refModeMask selects the mode byte of RefCount.word; the pool index
+// sits above it.
+const (
+	refModeMask  = 0xff
+	refPoolShift = 8
+)
 
 // Init sets the mode and initial value. The caller owns the object: it
 // is not yet (or, for a recycled one, no longer) visible to any other
 // thread, so the stores are plain on either substrate.
 func (r *RefCount) Init(mode RefMode, v int32) {
-	*r = RefCount{mode: uint8(mode), v: v}
+	*r = RefCount{v: v, word: int32(mode)}
 }
 
 // nextRefLock assigns the next static pool lock round-robin,
@@ -98,45 +104,47 @@ func (e *Engine) nextRefLock() int32 {
 	return int32(i) + 1
 }
 
-// hostLock resolves this count's static pool lock on the host backend,
-// assigning it on first use.
-func (r *RefCount) hostLock(e *Engine) *Lock {
-	i := atomic.LoadInt32(&r.pool)
-	if i == 0 {
+// hostLock resolves this count's static pool lock on the host backend
+// from w, the word as loaded, assigning the lock on first use. The
+// mode byte never changes after Init, so the assignment stores the
+// word whole.
+func (r *RefCount) hostLock(e *Engine, w int32) *Lock {
+	if w>>refPoolShift == 0 {
 		e.host.mu.Lock()
-		if i = atomic.LoadInt32(&r.pool); i == 0 {
-			i = e.nextRefLock()
-			atomic.StoreInt32(&r.pool, i)
+		if w = atomic.LoadInt32(&r.word); w>>refPoolShift == 0 {
+			w |= e.nextRefLock() << refPoolShift
+			atomic.StoreInt32(&r.word, w)
 		}
 		e.host.mu.Unlock()
 	}
-	return &e.refPool[i-1]
+	return &e.refPool[w>>refPoolShift-1]
 }
 
 // add moves the count by d and returns the new value.
 func (r *RefCount) add(t *Thread, d int32) int32 {
 	e := t.eng
 	if e.host != nil {
-		if RefMode(r.mode) == RefAtomic {
+		w := atomic.LoadInt32(&r.word)
+		if RefMode(w&refModeMask) == RefAtomic {
 			return atomic.AddInt32(&r.v, d)
 		}
-		lk := r.hostLock(e)
+		lk := r.hostLock(e, w)
 		lk.Acquire(t)
 		nv := atomic.AddInt32(&r.v, d)
 		lk.Release(t)
 		return nv
 	}
-	if RefMode(r.mode) == RefAtomic {
+	if RefMode(r.word&refModeMask) == RefAtomic {
 		t.Sync()
 		t.Charge(e.C.Sync.Atomic)
 		chargeLine(t, &r.lastProc)
 		r.v += d
 		return r.v
 	}
-	if r.pool == 0 {
-		r.pool = e.nextRefLock()
+	if r.word>>refPoolShift == 0 {
+		r.word |= e.nextRefLock() << refPoolShift
 	}
-	lk := &e.refPool[r.pool-1]
+	lk := &e.refPool[r.word>>refPoolShift-1]
 	lk.Acquire(t)
 	t.Charge(e.C.Sync.RefLockedWork)
 	chargeLine(t, &r.lastProc)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func TestRefCountModes(t *testing.T) {
@@ -32,6 +33,48 @@ func TestRefCountModes(t *testing.T) {
 				t.Errorf("freed %d times, want 0", freed)
 			}
 		})
+	}
+}
+
+// TestRefCountLayout pins the count at 12 bytes: there is one in every
+// session, TCB and MNode.
+func TestRefCountLayout(t *testing.T) {
+	if n := unsafe.Sizeof(RefCount{}); n != 12 {
+		t.Errorf("RefCount is %d bytes, want 12", n)
+	}
+}
+
+// TestRefLockedPoolAtFirstUse: a RefLocked count takes its pool lock at
+// its first manipulation, round-robin in the order counts are first
+// used, not the order they were initialized, and keeps its mode.
+func TestRefLockedPoolAtFirstUse(t *testing.T) {
+	e := newTestEngine(8)
+	var a, b, c RefCount
+	a.Init(RefLocked, 1)
+	b.Init(RefLocked, 1)
+	c.Init(RefLocked, 1)
+	e.Spawn("t", 0, func(th *Thread) {
+		c.Incr(th) // first used in the order c, a, b
+		a.Incr(th)
+		b.Incr(th)
+		a.Decr(th)
+		c.Decr(th)
+	})
+	e.Run()
+	for _, x := range []struct {
+		name string
+		rc   *RefCount
+		lock int32
+	}{{"a", &a, 1}, {"b", &b, 0}, {"c", &c, 0}} {
+		if got := RefMode(x.rc.word & refModeMask); got != RefLocked {
+			t.Errorf("%s reads mode %v, want %v", x.name, got, RefLocked)
+		}
+		if got := x.rc.word>>refPoolShift - 1; got != x.lock {
+			t.Errorf("%s holds pool lock %d, want %d", x.name, got, x.lock)
+		}
+	}
+	if a0, a1 := e.refPool[0].Stats().Acquires, e.refPool[1].Stats().Acquires; a0 != 3 || a1 != 2 {
+		t.Errorf("pool locks acquired %d and %d times, want 3 (b and c) and 2 (a)", a0, a1)
 	}
 }
 

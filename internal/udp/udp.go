@@ -118,12 +118,15 @@ func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 // DemuxMap exposes the session demux map.
 func (p *Protocol) DemuxMap() *xmap.Map { return p.sessions }
 
-// Session is one open UDP channel.
+// Session is one open UDP channel. Its fields run from the widest
+// alignment down, so a session fills its 64 B slab slot, one cache
+// line, with no padding: at a million connections the sessions are
+// the largest share of the heap.
 type Session struct {
 	p     *Protocol
 	lower IPSession
-	part  xkernel.Part
 	up    xkernel.Receiver
+	part  xkernel.Part
 	ref   sim.RefCount
 }
 

@@ -2,6 +2,7 @@ package udp
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/msg"
@@ -336,4 +337,12 @@ func TestMultiConnectionDemux(t *testing.T) {
 			t.Error("demux map never consulted")
 		}
 	})
+}
+
+// TestSessionLayout pins a session at one 64-byte cache line: a
+// million-connection stack holds a million of them.
+func TestSessionLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Session{}); n != 64 {
+		t.Errorf("Session is %d bytes, want 64", n)
+	}
 }

@@ -75,7 +75,7 @@ func (c Config) WithDefaults() Config {
 type Arrival struct {
 	At   int64  // virtual arrival time
 	Conn int    // connection index
-	Seq  int64  // per-connection sequence number (monotonic across churn)
+	Seq  int64  // per-connection sequence number (monotonic across churn, mod 2^32)
 	Gen  uint32 // connection generation (bumps on churn)
 }
 
@@ -99,9 +99,10 @@ func DecodeStamp(b []byte) (conn int, seq int64, gen uint32) {
 		binary.BigEndian.Uint32(b[8:12])
 }
 
-// genConn is one connection's generator state.
+// genConn is one connection's generator state: 12 bytes, one per
+// connection. seq is 32 bits, as EncodeStamp puts it on the wire.
 type genConn struct {
-	seq       int64
+	seq       uint32
 	gen       uint32
 	remaining int32 // packets left in the current flow
 }
@@ -184,7 +185,7 @@ func (g *Generator) Next() Arrival {
 		}
 		c.remaining--
 	}
-	a := Arrival{At: g.now, Conn: conn, Seq: c.seq, Gen: c.gen}
+	a := Arrival{At: g.now, Conn: conn, Seq: int64(c.seq), Gen: c.gen}
 	c.seq++
 	return a
 }

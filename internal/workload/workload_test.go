@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestGeneratorDeterministic: the arrival stream is a pure function of
@@ -90,5 +91,31 @@ func TestStampRoundTrip(t *testing.T) {
 	conn, seq, gen := DecodeStamp(b[:])
 	if conn != 4095 || seq != 123456 || gen != 7 {
 		t.Fatalf("round trip gave conn=%d seq=%d gen=%d", conn, seq, gen)
+	}
+}
+
+// TestGenConnLayout pins a generator slot at 12 bytes: there is one
+// per connection.
+func TestGenConnLayout(t *testing.T) {
+	if n := unsafe.Sizeof(genConn{}); n != 12 {
+		t.Errorf("genConn is %d bytes, want 12", n)
+	}
+}
+
+// TestHotConnSeqPastSixteenBits: every arrival goes to one connection,
+// whose sequence runs 0, 1, 2, ... across churn and past what 16 bits
+// hold.
+func TestHotConnSeqPastSixteenBits(t *testing.T) {
+	g := NewGenerator(Config{HotConnPct: 100, HotConns: 1, MeanFlowPkts: 64, Seed: 9}, 16)
+	const n = 70_000
+	var last Arrival
+	for i := int64(0); i < n; i++ {
+		last = g.Next()
+		if last.Conn != 0 || last.Seq != i {
+			t.Fatalf("arrival %d: connection %d, sequence %d; want 0 and %d", i, last.Conn, last.Seq, i)
+		}
+	}
+	if last.Gen == 0 {
+		t.Error("the hot connection never churned")
 	}
 }
