@@ -97,8 +97,8 @@ func TestBatchAmortizesStateLock(t *testing.T) {
 	}
 	// The batched run moves more data, so compare lock acquisitions per
 	// delivered byte: one acquisition covers the whole merged frame.
-	offPerByte := float64(stOff.tcbs[0].StateLockStats().Acquires) / float64(stOff.Sink.Bytes())
-	onPerByte := float64(stOn.tcbs[0].StateLockStats().Acquires) / float64(stOn.Sink.Bytes())
+	offPerByte := float64(stOff.sh.tcbs[0].StateLockStats().Acquires) / float64(stOff.Sink.Bytes())
+	onPerByte := float64(stOn.sh.tcbs[0].StateLockStats().Acquires) / float64(stOn.Sink.Bytes())
 	if onPerByte >= 0.7*offPerByte {
 		t.Errorf("state-lock acquires per delivered byte %.2e (batched) vs %.2e (per-packet): batching did not amortize",
 			onPerByte, offPerByte)

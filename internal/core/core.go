@@ -109,7 +109,7 @@ type Config struct {
 	Layout             tcp.Layout
 	LockKind           sim.LockKind
 	AssumeInOrder      bool
-	Ticketing          bool // implies an order-requiring application
+	Ticketing          bool // an order-requiring application; TCP receive over one connection only
 	NoHeaderPrediction bool
 	AckEvery           int
 	// ActiveConns caps how many connections the pumps drive; the rest
@@ -208,17 +208,12 @@ type Stack struct {
 	UDP  *udp.Protocol
 	TCP  *tcp.Protocol
 
-	Sink   *app.Sink
-	Source *app.Source
+	// Sink is the application above the transport (steered runs deliver
+	// to the workload's sink instead).
+	Sink *app.Sink
 
-	udpSess []*udp.Session
-	tcbs    []*tcp.TCB
-
-	udpSink *driver.UDPSink
-	udpSrc  *driver.UDPSource
-	tcpRecv *driver.SimTCPReceiver // peer for send-side tests
-	tcpSend *driver.SimTCPSender   // peer for recv-side tests
-	fault   *driver.FaultWire      // nil unless Cfg.Faults is enabled
+	sh    shape
+	fault *driver.FaultWire // nil unless Cfg.Faults is enabled
 
 	stop sim.Flag
 	// runErr is the first failure of the current Run: set-up's, or the
@@ -226,7 +221,6 @@ type Stack struct {
 	runErr error
 
 	// Steering plumbing (steer.go); all nil unless Cfg.Steer.Enabled.
-	steerSrc   *driver.SteerSource
 	steerer    *steer.Steerer
 	steerGen   *workload.Generator
 	steerSink  *workload.Sink
@@ -245,8 +239,7 @@ type Stack struct {
 	telDel   *telemetry.Deliveries
 	telFlows *telemetry.FlowSketch
 
-	// Alternative-strategy plumbing (strategy.go).
-	handoffQs   []*sim.Queue
+	// Layered-strategy plumbing (strategy.go).
 	q1, q2, q3  *sim.Queue
 	layerGroups [][]int
 
@@ -274,17 +267,10 @@ func Build(c Config) (*Stack, error) {
 	if cfg.Machine.CPU <= 0 || cfg.Machine.Mem <= 0 {
 		return nil, fmt.Errorf("core: Machine %q has no CPU or memory speed (start from DefaultConfig)", cfg.Machine.Name)
 	}
-	if err := validateKnobs(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateStrategy(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateSteer(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateBatch(cfg); err != nil {
-		return nil, err
+	for _, validate := range []func(*Config) error{validateKnobs, validateTicketing, validateStrategy, validateSteer, validateBatch} {
+		if err := validate(cfg); err != nil {
+			return nil, err
+		}
 	}
 	s.Eng = sim.NewBackend(cost.NewModel(cfg.Machine), cfg.Seed+1, cfg.Backend)
 	if cfg.Trace {
@@ -306,46 +292,23 @@ func Build(c Config) (*Stack, error) {
 	}
 	s.Alloc = msg.NewAllocator(mcfg)
 
-	// Driver (bottom) first, then MAC, IP, transport.
-	var wire xkernel.Wire
-	switch {
-	case cfg.Proto == ProtoUDP && cfg.Side == SideSend:
-		s.udpSink = driver.NewUDPSink()
-		wire = s.udpSink
-	case cfg.Proto == ProtoUDP && cfg.Side == SideRecv && cfg.Steer.Enabled:
-		s.steerSrc = driver.NewSteerSource(s.Alloc, cfg.PacketSize, cfg.Connections)
-		wire = s.steerSrc
-	case cfg.Proto == ProtoUDP && cfg.Side == SideRecv:
-		s.udpSrc = driver.NewUDPSource(s.Alloc, cfg.PacketSize, cfg.Connections)
-		wire = s.udpSrc
-	case cfg.Proto == ProtoTCP && cfg.Side == SideSend:
-		s.tcpRecv = driver.NewSimTCPReceiver(s.Alloc, cfg.Connections)
-		if cfg.AckEvery > 0 {
-			s.tcpRecv.AckEvery = cfg.AckEvery
-		}
-		wire = s.tcpRecv
-	default:
-		s.tcpSend = driver.NewSimTCPSender(s.Alloc, cfg.PacketSize, cfg.Connections)
-		wire = s.tcpSend
-	}
+	// IP reaches FDDI only at its first Open, so the layers build top
+	// down: IP, the shape (driver peer, transport, application), FDDI.
+	low := ip.LowerFDDI(fddi.MTU, func(t *sim.Thread, remote xkernel.MAC, proto uint16) (xkernel.Session, error) {
+		return s.FDDI.Open(t, remote, proto)
+	})
+	s.IP = ip.New(ip.Config{Local: driver.HostLocal, RefMode: cfg.RefMode}, low)
+	s.Sink = app.NewSink(cfg.Ticketing, nil)
+	s.sh = s.newShape()
 
+	var wire xkernel.Wire = s.sh.peer
 	if cfg.Faults.Enabled() {
 		// The schedule's seed derives from the engine seed, so the
 		// per-run seeds (RunConfigs) vary the schedule while any single config stays
 		// bit-reproducible.
 		s.fault = driver.NewFaultWire(cfg.Faults, cfg.Seed^0x9E3779B97F4A7C15, s.Alloc, wire)
 		wire = s.fault
-		// The driver peers must behave like real endpoints once frames
-		// can be lost: exact cumulative acks on the receive peer, and
-		// dup-ack/timeout retransmission on the send peer.
-		if s.tcpRecv != nil {
-			s.tcpRecv.Strict = true
-		}
-		if s.tcpSend != nil {
-			s.tcpSend.FaultRecovery = true
-		}
 	}
-
 	s.FDDI = fddi.New(fddi.Config{
 		Self:       xkernel.MAC{0xA, 0, 0, 0, 0, 1},
 		RefMode:    cfg.RefMode,
@@ -357,66 +320,29 @@ func Build(c Config) (*Stack, error) {
 		s.fault.SetUpper(s.FDDI)
 		upper = s.fault
 	}
-	switch {
-	case s.steerSrc != nil:
-		s.steerSrc.SetUpper(upper)
-	case s.udpSrc != nil:
-		s.udpSrc.SetUpper(upper)
-	case s.tcpRecv != nil:
-		s.tcpRecv.SetUpper(upper)
-	case s.tcpSend != nil:
-		s.tcpSend.SetUpper(upper)
-	}
+	s.sh.peer.SetUpper(upper)
 
-	low := ip.LowerFDDI(fddi.MTU, func(t *sim.Thread, remote xkernel.MAC, proto uint16) (xkernel.Session, error) {
-		return s.FDDI.Open(t, remote, proto)
-	})
-	s.IP = ip.New(ip.Config{Local: driver.HostLocal, RefMode: cfg.RefMode}, low)
-
-	ck := func(on bool) int {
-		switch {
-		case !on:
-			return 0
-		case cfg.Faults.Enabled():
-			return 2 // Enforce: the fault wire is in; verify and drop on mismatch
-		default:
-			return 1 // Compute: the drivers do not checksum, receivers verify-and-ignore
-		}
-	}
-	switch cfg.Proto {
-	case ProtoUDP:
-		s.UDP = udp.New(udp.Config{
-			Checksum:   udp.ChecksumMode(ck(cfg.Checksum)),
-			RefMode:    cfg.RefMode,
-			MapLocking: cfg.MapLocking,
-			MapNoCache: !cfg.MapCache,
-			Buckets:    demuxBuckets(cfg),
-		}, udpOpener{s.IP})
-	case ProtoTCP:
-		s.TCP = tcp.New(tcp.Config{
-			Layout:             cfg.Layout,
-			Kind:               cfg.LockKind,
-			Checksum:           tcp.ChecksumMode(ck(cfg.Checksum)),
-			RefMode:            cfg.RefMode,
-			MapLocking:         cfg.MapLocking,
-			MapNoCache:         !cfg.MapCache,
-			AssumeInOrder:      cfg.AssumeInOrder,
-			Ticketing:          cfg.Ticketing,
-			NoHeaderPrediction: cfg.NoHeaderPrediction,
-			AckEvery:           cfg.AckEvery,
-			Buckets:            demuxBuckets(cfg),
-		}, tcpOpener{s.IP}, s.Alloc, s.Wheel)
-	}
-
-	s.Source = app.NewSource(s.Alloc, cfg.PacketSize)
-	if cfg.Steer.Enabled {
-		s.buildSteer()
-	}
 	if cfg.SamplePeriodNs > 0 {
-		// After buildSteer: the queue-depth gauges close over the rings.
+		// After the shape: the queue-depth gauges close over the rings.
 		s.buildTelemetry()
 	}
 	return s, nil
+}
+
+// validateTicketing refuses ticketing where Run would ignore it or could
+// not run it: up-tickets order one TCP connection's deliveries to the
+// receive-side application.
+func validateTicketing(cfg *Config) error {
+	if !cfg.Ticketing {
+		return nil
+	}
+	if cfg.Proto != ProtoTCP || cfg.Side != SideRecv {
+		return errors.New("core: ticketing orders deliveries on the TCP receive side")
+	}
+	if cfg.Connections != 1 {
+		return errors.New("core: ticketing needs a single connection")
+	}
+	return nil
 }
 
 // demuxBuckets sizes the transport demux table from the connection
@@ -432,12 +358,8 @@ func demuxBuckets(cfg *Config) int {
 	return b
 }
 
-// drainQueue closes q (nil: the shape built none) at teardown and frees
-// the messages parked on it.
+// drainQueue closes q at teardown and frees the messages parked on it.
 func drainQueue(t *sim.Thread, q *sim.Queue) {
-	if q == nil {
-		return
-	}
 	q.Close(t)
 	for {
 		item, ok := q.TryDequeue(t)
@@ -470,145 +392,10 @@ func (o tcpOpener) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (tcp.IPS
 	return o.p.Open(t, dst, proto)
 }
 
-// setup opens sessions and completes handshakes; runs on the control
-// thread.
-func (s *Stack) setup(t *sim.Thread) error {
-	cfg := &s.Cfg
-	switch cfg.Proto {
-	case ProtoUDP:
-		if err := s.FDDI.OpenEnable(t, ip.EtherType, s.IP); err != nil {
-			return err
-		}
-		if err := s.IP.OpenEnable(t, ip.ProtoUDP, s.UDP); err != nil {
-			return err
-		}
-		var up xkernel.Receiver
-		if s.steerSink != nil {
-			up = s.steerSink
-		} else {
-			s.Sink = app.NewSink(false, nil)
-			up = s.Sink
-		}
-		for i := 0; i < cfg.Connections; i++ {
-			part := xkernel.Part{
-				LocalIP: driver.HostLocal, RemoteIP: driver.HostPeer,
-				LocalPort: driver.LocalPort(i), RemotePort: driver.PeerPort(i),
-			}
-			sess, err := s.UDP.Open(t, part, up)
-			if err != nil {
-				return err
-			}
-			if cfg.Side == SideSend { // pump's send arm is the one reader
-				s.udpSess = append(s.udpSess, sess)
-			}
-		}
-	case ProtoTCP:
-		if cfg.Strategy == StrategyLayered {
-			if err := s.wireLayered(t); err != nil {
-				return err
-			}
-		} else {
-			if err := s.FDDI.OpenEnable(t, ip.EtherType, s.IP); err != nil {
-				return err
-			}
-			if err := s.IP.OpenEnable(t, ip.ProtoTCP, s.TCP); err != nil {
-				return err
-			}
-		}
-		s.TCP.StartTimers(t)
-		s.tcbs = make([]*tcp.TCB, 0, cfg.Connections)
-		for i := 0; i < cfg.Connections; i++ {
-			part := xkernel.Part{
-				LocalIP: driver.HostLocal, RemoteIP: driver.HostPeer,
-				LocalPort: driver.LocalPort(i), RemotePort: driver.PeerPort(i),
-			}
-			if cfg.Side == SideSend {
-				s.Sink = app.NewSink(false, nil)
-				tcb, err := s.TCP.Open(t, part, s.Sink)
-				if err != nil {
-					return err
-				}
-				s.tcbs = append(s.tcbs, tcb)
-			} else {
-				if s.Sink == nil {
-					s.Sink = app.NewSink(cfg.Ticketing, nil)
-				}
-				var up xkernel.Receiver = s.Sink
-				if s.q3 != nil {
-					// Layered: the transport's delivery crosses the
-					// TCP->app stage boundary.
-					up = &queueReceiver{q: s.q3}
-				}
-				tcb, err := s.TCP.OpenEnable(t, part, up)
-				if err != nil {
-					return err
-				}
-				s.tcbs = append(s.tcbs, tcb)
-			}
-		}
-		if cfg.Side == SideSend {
-			s.tcpRecv.StartAckFlush(t, s.Wheel)
-		} else {
-			if cfg.Ticketing {
-				if cfg.Connections != 1 {
-					return errors.New("core: ticketing needs a single connection")
-				}
-				s.Sink.Seq = s.tcbs[0].Sequencer()
-			}
-			if cfg.Strategy == StrategyLayered {
-				// Stage threads must be running before the handshake:
-				// the SYN parks on a stage queue.
-				s.runLayered(t)
-				for i := 0; i < cfg.Connections; i++ {
-					if err := s.tcpSend.StartAsync(t, i); err != nil {
-						return err
-					}
-				}
-				deadline := t.Now() + 5_000_000_000
-				for i := 0; i < cfg.Connections; i++ {
-					for !s.tcpSend.Established(i) {
-						if t.Now() > deadline {
-							return fmt.Errorf("core: layered handshake for connection %d timed out", i)
-						}
-						t.Sleep(1_000_000)
-					}
-				}
-			} else {
-				for i := 0; i < cfg.Connections; i++ {
-					if err := s.tcpSend.Start(t, i); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Bytes returns the workload's throughput counter: payload bytes
 // consumed by the driver (send side) or delivered to the application
 // (receive side).
-func (s *Stack) Bytes() int64 {
-	switch {
-	case s.steerSink != nil:
-		return s.steerSink.Bytes()
-	case s.udpSink != nil:
-		return s.udpSink.Bytes()
-	case s.tcpRecv != nil:
-		return s.tcpRecv.Bytes()
-	default:
-		return s.Sink.Bytes()
-	}
-}
-
-// FaultStats returns the fault wire's counters (all zero when no
-// faults are configured).
-func (s *Stack) FaultStats() driver.FaultStats {
-	if s.fault == nil {
-		return driver.FaultStats{}
-	}
-	return s.fault.Stats()
-}
+func (s *Stack) Bytes() int64 { return s.sh.counter.Bytes() }
 
 // fail ends the run on a data-path failure that is not the fault wire's
 // doing: the first error is kept for Run to return (a once: host-backend
@@ -617,6 +404,16 @@ func (s *Stack) FaultStats() driver.FaultStats {
 func (s *Stack) fail(err error) {
 	s.failOnce.Do(func() { s.runErr = err })
 	s.stop.Set()
+}
+
+// runPumps spawns one packet-level pump per processor.
+func (s *Stack) runPumps(*sim.Thread) {
+	for p := 0; p < s.Cfg.Procs; p++ {
+		p := p
+		s.Eng.Spawn(fmt.Sprintf("pump%d", p), p, func(pt *sim.Thread) {
+			s.pump(pt, p)
+		})
+	}
 }
 
 // pump is one processor's protocol thread.
@@ -629,39 +426,11 @@ func (s *Stack) pump(t *sim.Thread, p int) {
 		if cfg.HotConnPct > 0 && cfg.Connections > 1 && t.Rand().Intn(100) < cfg.HotConnPct {
 			c = 0 // skewed traffic: pile onto the hot connection
 		}
-		var err error
-		shepherded := 1 // wire packets this iteration moved (telemetry)
-		switch {
-		case cfg.Proto == ProtoUDP && cfg.Side == SideSend:
-			var m *msg.Message
-			m, err = s.Source.Next(t)
-			if err == nil {
-				err = s.udpSess[c].Push(t, m)
-			}
-			t.Yield() // explicit per-packet yield (Section 3)
-		case cfg.Proto == ProtoTCP && cfg.Side == SideSend:
-			var m *msg.Message
-			m, err = s.Source.Next(t)
-			if err == nil {
-				err = s.tcbs[c].Push(t, m)
-				if errors.Is(err, tcp.ErrClosed) {
-					return // aborted at teardown
-				}
-			}
-			t.Yield()
-		case cfg.Proto == ProtoUDP && cfg.Side == SideRecv:
-			shepherded, err = s.udpSrc.PumpBatch(t, c, cfg.Batch)
-			s.noteBatch(t, shepherded)
-		default:
-			var ok bool
-			shepherded, ok, err = s.tcpSend.PumpBatch(t, c, &s.stop, cfg.Batch)
-			s.noteBatch(t, shepherded)
-			if !ok {
-				return
-			}
-		}
-		if errors.Is(err, tcp.ErrClosed) {
-			return // connection aborted at teardown
+		// shepherded is the wire packets this iteration moved (telemetry).
+		shepherded, ok, err := s.sh.pump.PumpBatch(t, c, &s.stop, cfg.Batch)
+		s.noteBatch(t, shepherded)
+		if !ok || errors.Is(err, tcp.ErrClosed) {
+			return // stopped, or the connection aborted at teardown
 		}
 		if err != nil {
 			s.fail(fmt.Errorf("core: pump %d: %w", p, err))
@@ -749,26 +518,16 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 			// before connections are aborted so pumps in flight see
 			// the stop, not a surprise-closed connection.
 			s.stop.Set()
-			if cfg.Proto == ProtoTCP {
-				s.TCP.StopTimers()
-				for _, tcb := range s.tcbs {
-					tcb.Abort(t)
-				}
-			}
-			if s.tcpRecv != nil {
-				s.tcpRecv.StopAckFlush()
-			}
+			s.sh.teardown(s, t)
 			if s.fault != nil {
 				s.fault.Shutdown(t)
 			}
-			for _, qs := range [][]*sim.Queue{s.handoffQs, {s.q1, s.q2, s.q3}, s.steerQs} {
-				for _, q := range qs {
-					drainQueue(t, q)
-				}
+			for _, q := range s.sh.queues {
+				drainQueue(t, q)
 			}
 			s.Wheel.Stop()
 		}()
-		if err := s.setup(t); err != nil {
+		if err := s.sh.setup(s, t); err != nil {
 			s.runErr = err
 			return
 		}
@@ -777,93 +536,39 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 			// dropped SYN would deadlock the synchronous setup.
 			s.fault.Arm()
 		}
-		switch {
-		case cfg.Steer.Enabled:
-			s.runSteer()
-		case cfg.Strategy == StrategyConnection:
-			s.runConnectionLevel(t)
-		case cfg.Strategy == StrategyLayered:
-			// Stage threads were spawned during setup (the handshake
-			// needs the pipeline running).
-		default:
-			for p := 0; p < cfg.Procs; p++ {
-				p := p
-				s.Eng.Spawn(fmt.Sprintf("pump%d", p), p, func(pt *sim.Thread) {
-					s.pump(pt, p)
-				})
-			}
-		}
+		s.sh.run(s, t)
 		t.Sleep(warmupNs)
-		b0 := s.Bytes()
-		pk0, oo0, wo0, ws0 := s.snapshotOrder()
-		w0 := s.stateLockWait()
-		sm0 := s.steerSnapshot()
+		b0, sn0 := s.Bytes(), s.sh.snapshot(s)
 		bf0, bs0 := atomic.LoadInt64(&s.batchFrames), atomic.LoadInt64(&s.batchSegs)
 		t0 := t.Now()
 		t.Sleep(measureNs)
-		b1 := s.Bytes()
-		pk1, oo1, wo1, ws1 := s.snapshotOrder()
-		w1 := s.stateLockWait()
-		sm1 := s.steerSnapshot()
+		b1, sn1 := s.Bytes(), s.sh.snapshot(s)
 		bf1, bs1 := atomic.LoadInt64(&s.batchFrames), atomic.LoadInt64(&s.batchSegs)
 		elapsed := t.Now() - t0
 
 		res.Mbps = float64(b1-b0) * 8 * 1e3 / float64(elapsed)
-		if pk1 > pk0 {
-			res.OOOPct = 100 * float64(oo1-oo0) / float64(pk1-pk0)
-			res.Packets = pk1 - pk0
+		if sn1.data > sn0.data {
+			res.OOOPct = 100 * float64(sn1.ooo-sn0.ooo) / float64(sn1.data-sn0.data)
+			res.Packets = sn1.data - sn0.data
 		}
-		if ws1 > ws0 {
-			res.WireOOOPct = 100 * float64(wo1-wo0) / float64(ws1-ws0)
+		if sn1.wireSegs > sn0.wireSegs {
+			res.WireOOOPct = 100 * float64(sn1.wireOOO-sn0.wireOOO) / float64(sn1.wireSegs-sn0.wireSegs)
 			if res.Packets == 0 {
-				res.Packets = ws1 - ws0
+				res.Packets = sn1.wireSegs - sn0.wireSegs
 			}
 		}
 		if elapsed > 0 {
-			res.LockWaitFrac = float64(w1-w0) / float64(elapsed*int64(cfg.Procs))
+			res.LockWaitFrac = float64(sn1.lockWait-sn0.lockWait) / float64(elapsed*int64(cfg.Procs))
 		}
 		res.BatchFrames = bf1 - bf0
 		res.BatchSegs = bs1 - bs0
 		if res.BatchFrames > 0 {
 			res.BatchSegsPerFrame = float64(res.BatchSegs) / float64(res.BatchFrames)
 		}
-		applySteerMetrics(&res, sm0, sm1)
+		applySteerMetrics(&res, sn0, sn1)
 	})
 	s.Eng.Run()
 	return res, s.runErr
-}
-
-// snapshotOrder gathers ordering counters: (TCP data segs, TCP OOO
-// segs, wire OOO, wire segs). Steered runs measure ordering at the
-// workload sink instead.
-func (s *Stack) snapshotOrder() (int64, int64, int64, int64) {
-	if s.steerSink != nil {
-		data, ooo := s.steerSink.Order()
-		return data, ooo, 0, 0
-	}
-	var data, ooo, wireOOO, wireSegs int64
-	for _, tcb := range s.tcbs {
-		o, d := tcb.OOOStats()
-		ooo += o
-		data += d
-	}
-	if s.tcpRecv != nil {
-		wireOOO, wireSegs = s.tcpRecv.WireOrder()
-	}
-	return data, ooo, wireOOO, wireSegs
-}
-
-// stateLockWait totals connection-state lock wait time (or, steered,
-// the Flow-Director bucket lock wait).
-func (s *Stack) stateLockWait() int64 {
-	if s.steerer != nil {
-		return s.steerer.LockWaitNs()
-	}
-	var w int64
-	for _, tcb := range s.tcbs {
-		w += tcb.StateLockStats().WaitNs
-	}
-	return w
 }
 
 // RunConfigs derives the per-run configurations of a repeated

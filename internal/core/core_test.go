@@ -85,11 +85,7 @@ func TestPumpFailureEndsRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			up := &failAfter{Upper: st.FDDI, n: n}
-			if row.proto == ProtoUDP {
-				st.udpSrc.SetUpper(up)
-			} else {
-				st.tcpSend.SetUpper(up)
-			}
+			st.sh.peer.SetUpper(up)
 			warmup, measure := int64(testWarmup), int64(testMeasure)
 			if st.Eng.IsHost() {
 				warmup, measure = 5_000_000, 50_000_000 // wall-clock there: keep them short
@@ -315,17 +311,23 @@ func TestBuildValidation(t *testing.T) {
 			}
 		}
 	}
-	cfg = DefaultConfig()
-	cfg.Proto = ProtoTCP
-	cfg.Side = SideRecv
-	cfg.Ticketing = true
-	cfg.Connections = 2
-	cfg.Procs = 2
-	st, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Run(testWarmup, testMeasure); err == nil {
-		t.Error("ticketing with multiple connections accepted")
+	// Ticketing orders one TCP connection's receive-side deliveries:
+	// Build refuses it where Run could not run it or would ignore it.
+	for _, c := range []struct {
+		proto Proto
+		side  Side
+		conns int
+	}{
+		{ProtoTCP, SideRecv, 2},
+		{ProtoTCP, SideSend, 1},
+		{ProtoUDP, SideRecv, 1},
+		{ProtoUDP, SideSend, 1},
+	} {
+		cfg = DefaultConfig()
+		cfg.Proto, cfg.Side, cfg.Connections, cfg.Procs = c.proto, c.side, c.conns, 2
+		cfg.Ticketing = true
+		if _, err := Build(cfg); err == nil {
+			t.Errorf("%v %v: ticketing over %d connections accepted", c.proto, c.side, c.conns)
+		}
 	}
 }

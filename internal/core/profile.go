@@ -9,6 +9,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/xmap"
 )
 
 // ProfileReport renders a Pixie-style post-run profile: where the
@@ -36,7 +37,7 @@ func (s *Stack) ProfileReport() string {
 	}
 	fmt.Fprintf(&b, "Locks:\n  %-26s %10s %10s %10s %11s %11s %5s\n",
 		"lock", "acquires", "contended", "cont%", "wait", "hold", "maxw")
-	for i, tcb := range s.tcbs {
+	for i, tcb := range s.sh.tcbs {
 		st := tcb.StateLockStats()
 		row(fmt.Sprintf("tcp-state[conn %d]", i), st)
 		// A zero-duration run (Run never called, or an empty measurement
@@ -47,17 +48,8 @@ func (s *Stack) ProfileReport() string {
 				100*float64(st.WaitNs)/float64(cpuTime))
 		}
 	}
-	if s.FDDI != nil {
-		row("fddi-demux map", s.FDDI.DemuxMap().LockStats())
-	}
-	if s.IP != nil {
-		row("ip-demux map", s.IP.DemuxMap().LockStats())
-	}
-	if s.UDP != nil {
-		row("udp-demux map", s.UDP.DemuxMap().LockStats())
-	}
-	if s.TCP != nil {
-		row("tcp-demux map", s.TCP.DemuxMap().LockStats())
+	for _, d := range s.demuxMaps() {
+		row(d.layer+"-demux map", d.m.LockStats())
 	}
 	row("malloc arena", s.Alloc.ArenaLockStats())
 	if s.steerer != nil {
@@ -75,21 +67,9 @@ func (s *Stack) ProfileReport() string {
 		ms.CacheHits, total, hitPct, ms.ArenaAllocs, ms.Frees)
 
 	fmt.Fprintf(&b, "\nDemultiplexing:\n")
-	if s.FDDI != nil {
-		st := s.FDDI.DemuxMap().Stats()
-		fmt.Fprintf(&b, "  fddi map: %d resolves, %d one-behind hits\n", st.Resolves, st.CacheHits)
-	}
-	if s.IP != nil {
-		st := s.IP.DemuxMap().Stats()
-		fmt.Fprintf(&b, "  ip map:   %d resolves, %d one-behind hits\n", st.Resolves, st.CacheHits)
-	}
-	if s.UDP != nil {
-		st := s.UDP.DemuxMap().Stats()
-		fmt.Fprintf(&b, "  udp map:  %d resolves, %d one-behind hits\n", st.Resolves, st.CacheHits)
-	}
-	if s.TCP != nil {
-		st := s.TCP.DemuxMap().Stats()
-		fmt.Fprintf(&b, "  tcp map:  %d resolves, %d one-behind hits\n", st.Resolves, st.CacheHits)
+	for _, d := range s.demuxMaps() {
+		st := d.m.Stats()
+		fmt.Fprintf(&b, "  %-9s %d resolves, %d one-behind hits\n", d.layer+" map:", st.Resolves, st.CacheHits)
 	}
 
 	if s.TCP != nil {
@@ -124,18 +104,16 @@ func (s *Stack) ProfileReport() string {
 		}
 		dir("up (wire->stack)", fs.Up)
 		dir("down (stack->wire)", fs.Down)
-		if s.tcpSend != nil {
-			dup, to := s.tcpSend.Rexmts()
+		switch p := s.sh.peer.(type) {
+		case *driver.SimTCPSender:
+			dup, to := p.Rexmts()
 			fmt.Fprintf(&b, "  peer retransmissions: %d on dup-acks, %d on timeout\n", dup, to)
-		}
-		if s.tcpRecv != nil {
-			fmt.Fprintf(&b, "  peer rejected %d bad-checksum frames\n", s.tcpRecv.BadChecksums())
+		case *driver.SimTCPReceiver:
+			fmt.Fprintf(&b, "  peer rejected %d bad-checksum frames\n", p.BadChecksums())
 		}
 	}
-	if s.IP != nil {
-		is := s.IP.Stats()
-		fmt.Fprintf(&b, "\nIP: sent %d, received %d, fragments dropped %d\n", is.Sent, is.Received, is.FragsDropped)
-	}
+	is := s.IP.Stats()
+	fmt.Fprintf(&b, "\nIP: sent %d, received %d, fragments dropped %d\n", is.Sent, is.Received, is.FragsDropped)
 	if s.steerer != nil {
 		ss := s.steerer.Stats()
 		fmt.Fprintf(&b, "\nSteering (%v):\n", s.Cfg.Steer.Policy)
@@ -168,6 +146,25 @@ func (s *Stack) ProfileReport() string {
 		b.WriteString(s.telemetrySection())
 	}
 	return b.String()
+}
+
+// demuxMap is one layer's demultiplexing map.
+type demuxMap struct {
+	layer string
+	m     *xmap.Map
+}
+
+// demuxMaps lists the demux maps bottom up: FDDI's, IP's, the
+// transport's.
+func (s *Stack) demuxMaps() []demuxMap {
+	maps := []demuxMap{{"fddi", s.FDDI.DemuxMap()}, {"ip", s.IP.DemuxMap()}}
+	if s.UDP != nil {
+		maps = append(maps, demuxMap{"udp", s.UDP.DemuxMap()})
+	}
+	if s.TCP != nil {
+		maps = append(maps, demuxMap{"tcp", s.TCP.DemuxMap()})
+	}
+	return maps
 }
 
 // TraceSectionHeader opens the flight-recorder addendum that tracing

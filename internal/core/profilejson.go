@@ -145,20 +145,11 @@ func (s *Stack) Profile(label string, res RunResult) ProfileJSON {
 	}
 	// Names match the underlying sim lock names so recorder wait
 	// histograms attach to the right aggregate rows below.
-	for _, tcb := range s.tcbs {
+	for _, tcb := range s.sh.tcbs {
 		addLock("tcp-state", tcb.StateLockStats())
 	}
-	if s.FDDI != nil {
-		addLock("map:fddi-demux", s.FDDI.DemuxMap().LockStats())
-	}
-	if s.IP != nil {
-		addLock("map:ip-demux", s.IP.DemuxMap().LockStats())
-	}
-	if s.UDP != nil {
-		addLock("map:udp-demux", s.UDP.DemuxMap().LockStats())
-	}
-	if s.TCP != nil {
-		addLock("map:tcp-demux", s.TCP.DemuxMap().LockStats())
+	for _, d := range s.demuxMaps() {
+		addLock("map:"+d.layer+"-demux", d.m.LockStats())
 	}
 	addLock("malloc", s.Alloc.ArenaLockStats())
 

@@ -32,9 +32,6 @@ func validateSteer(cfg *Config) error {
 	if cfg.Strategy != StrategyPacket {
 		return errors.New("core: Steer requires the packet-level strategy")
 	}
-	if cfg.Ticketing {
-		return errors.New("core: Steer is incompatible with ticketing")
-	}
 	if cfg.PacketSize < workload.StampLen {
 		return fmt.Errorf("core: Steer needs PacketSize >= %d for the workload stamp", workload.StampLen)
 	}
@@ -51,7 +48,7 @@ func validateSteer(cfg *Config) error {
 	return nil
 }
 
-// buildSteer constructs the steering plumbing after the stack layers.
+// buildSteer constructs the steering plumbing.
 func (s *Stack) buildSteer() {
 	cfg := &s.Cfg
 	s.steerer = steer.New(cfg.Steer, cfg.Procs)
@@ -95,19 +92,20 @@ func (s *Stack) steerHash(conn int, gen uint32) uint32 {
 	return s.steerer.Hash(steerTuple(conn, gen))
 }
 
-// runSteer spawns the steering threads: one worker per processor, the
-// dispatcher on virtual processor P (the NIC runs beside the CPUs, as
-// hardware dispatch does), and the depth monitor on P+1. Both extra
-// indices exist in the allocator and recorder, which size for procs+2.
-func (s *Stack) runSteer() {
+// runSteer spawns the steering threads over the NIC src: one worker per
+// processor, the dispatcher on virtual processor P (the NIC runs beside
+// the CPUs, as hardware dispatch does), and the depth monitor on P+1.
+// Both extra indices exist in the allocator and recorder, which size for
+// procs+2.
+func (s *Stack) runSteer(src *driver.SteerSource) {
 	cfg := &s.Cfg
 	for p := 0; p < cfg.Procs; p++ {
 		p := p
 		s.Eng.Spawn(fmt.Sprintf("steerw%d", p), p, func(t *sim.Thread) {
-			s.steerWorker(t, p)
+			s.steerWorker(t, p, src)
 		})
 	}
-	s.Eng.Spawn("steer-nic", cfg.Procs, s.steerDispatch)
+	s.Eng.Spawn("steer-nic", cfg.Procs, func(t *sim.Thread) { s.steerDispatch(t, src) })
 	s.Eng.Spawn("steer-mon", cfg.Procs+1, s.steerMonitor)
 }
 
@@ -119,7 +117,7 @@ func (s *Stack) runSteer() {
 // than the flush timeout — flushes the pending frame through the
 // steering decision onto a dispatch ring and starts a new one. A full
 // ring drops the frame, as a real adaptor ring would.
-func (s *Stack) steerDispatch(t *sim.Thread) {
+func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
 	bc := s.Cfg.Batch
 	var (
 		pend      *msg.Message
@@ -151,7 +149,7 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 		if s.stop.Get() {
 			break
 		}
-		payload := s.steerSrc.PayloadLen()
+		payload := src.PayloadLen()
 		if pend != nil {
 			switch {
 			case a.Conn != pendConn || a.Gen != pendGen:
@@ -165,7 +163,7 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 			}
 		}
 		if pend == nil {
-			m, err := s.steerSrc.ProduceGrow(t, a, s.steerSrc.BatchGrow(bc))
+			m, err := src.ProduceGrow(t, a, src.BatchGrow(bc))
 			if err != nil {
 				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
 				return
@@ -174,7 +172,7 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 			pendConn, pendGen = a.Conn, a.Gen
 			pendStart = t.Now()
 		} else {
-			d, err := s.steerSrc.Produce(t, a)
+			d, err := src.Produce(t, a)
 			if err != nil {
 				pend.Free(t)
 				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
@@ -203,7 +201,7 @@ func (s *Stack) steerDispatch(t *sim.Thread) {
 // the dispatch point). A wakeup drains up to MaxSegs frames before
 // blocking again, amortizing the wakeup across the ring's backlog (one
 // frame per wakeup when batching is off).
-func (s *Stack) steerWorker(t *sim.Thread, p int) {
+func (s *Stack) steerWorker(t *sim.Thread, p int, src *driver.SteerSource) {
 	maxDrain := s.Cfg.Batch.MaxSegs
 	for {
 		item, ok := s.steerQs[p].Dequeue(t)
@@ -211,7 +209,7 @@ func (s *Stack) steerWorker(t *sim.Thread, p int) {
 			return
 		}
 		for n := 1; ; n++ {
-			if err := s.steerSrc.Inject(t, item.(*msg.Message)); err != nil {
+			if err := src.Inject(t, item.(*msg.Message)); err != nil {
 				// Fault-injected frames may fail to parse; that is the
 				// fault wire doing its job. Anything else ends the run.
 				if !s.Cfg.Faults.Enabled() && !s.stop.Get() {
@@ -248,22 +246,13 @@ func (s *Stack) steerMonitor(t *sim.Thread) {
 	}
 }
 
-// steerSnap is one steering metrics snapshot.
-type steerSnap struct {
-	perProc    []int64
-	stats      steer.Stats
-	drops      int64
-	sinkEvicts int64
-}
-
-// steerSnapshot captures the cumulative steering counters (zero value
-// when steering is off). The peak queue-imbalance watermark resets at
+// steerSnapshot captures the steered shape's cumulative counters:
+// ordering at the workload sink, the Flow-Director bucket lock wait and
+// the steering metrics. The peak queue-imbalance watermark resets at
 // each snapshot, scoping it to the interval between snapshots.
-func (s *Stack) steerSnapshot() steerSnap {
-	if s.steerer == nil {
-		return steerSnap{}
-	}
-	sn := steerSnap{
+func (s *Stack) steerSnapshot() snap {
+	data, ooo := s.steerSink.Order()
+	sn := snap{data: data, ooo: ooo, lockWait: s.steerer.LockWaitNs(),
 		perProc:    s.steerSink.PerProc(),
 		stats:      s.steerer.Stats(),
 		drops:      s.steerDrops,
@@ -275,7 +264,7 @@ func (s *Stack) steerSnapshot() steerSnap {
 
 // applySteerMetrics folds the measurement-interval deltas into the run
 // result.
-func applySteerMetrics(res *RunResult, a, b steerSnap) {
+func applySteerMetrics(res *RunResult, a, b snap) {
 	if a.perProc == nil || b.perProc == nil {
 		return
 	}

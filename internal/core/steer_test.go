@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/steer"
@@ -166,7 +167,7 @@ func TestSteeredFailureEndsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := &failAfter{Upper: st.FDDI, n: 1000}
-	st.steerSrc.SetUpper(up)
+	st.sh.peer.SetUpper(up)
 	_, err = st.Run(testWarmup, testMeasure)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("Run returned %v, want the injected failure", err)
@@ -183,7 +184,7 @@ func TestSteeredFailureEndsRun(t *testing.T) {
 	if s := st.Alloc.Stats(); s.Frees != s.CacheHits+s.CacheMisses {
 		t.Errorf("%d buffers allocated, %d freed", s.CacheHits+s.CacheMisses, s.Frees)
 	}
-	if frames, _ := st.steerSrc.Produced(); frames > 2*up.n {
+	if frames, _ := st.sh.peer.(*driver.SteerSource).Produced(); frames > 2*up.n {
 		t.Errorf("the NIC produced %d frames, well past the failure at inject %d: the stop flag did not stop it", frames, up.n)
 	}
 }

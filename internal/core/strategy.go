@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/driver"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -88,11 +89,11 @@ func validateStrategy(cfg *Config) error {
 const handoffCap = 32
 
 // runConnectionLevel spawns the connection-level worker threads: every
-// processor takes arrivals off the shared wire, produces the packet,
-// and hands it to the owning processor's per-connection queue; each
-// processor drains its own connections' queues and runs the full
-// protocol stack for them.
-func (s *Stack) runConnectionLevel(t *sim.Thread) {
+// processor takes arrivals off the shared wire (the peer d), produces
+// the packet, and hands it to the owning processor's per-connection
+// queue; each processor drains its own connections' queues and runs the
+// full protocol stack for them.
+func (s *Stack) runConnectionLevel(d *driver.SimTCPSender) {
 	cfg := &s.Cfg
 	conns := cfg.Connections
 	queues := make([]*sim.Queue, conns)
@@ -101,18 +102,18 @@ func (s *Stack) runConnectionLevel(t *sim.Thread) {
 		queues[c] = sim.NewQueue(fmt.Sprintf("conn%d", c), handoffCap)
 		prodLocks[c] = &sim.Lock{Name: fmt.Sprintf("putq%d", c)}
 	}
-	s.handoffQs = queues
+	s.sh.queues = queues
 
 	var arrivals sim.Counter
 	for p := 0; p < cfg.Procs; p++ {
 		p := p
 		s.Eng.Spawn(fmt.Sprintf("connlvl%d", p), p, func(wt *sim.Thread) {
-			s.connWorker(wt, p, queues, prodLocks, &arrivals)
+			s.connWorker(wt, p, d, queues, prodLocks, &arrivals)
 		})
 	}
 }
 
-func (s *Stack) connWorker(t *sim.Thread, p int, queues []*sim.Queue, prodLocks []*sim.Lock, arrivals *sim.Counter) {
+func (s *Stack) connWorker(t *sim.Thread, p int, d *driver.SimTCPSender, queues []*sim.Queue, prodLocks []*sim.Lock, arrivals *sim.Counter) {
 	cfg := &s.Cfg
 	conns := cfg.Connections
 	for !s.stop.Get() {
@@ -121,7 +122,7 @@ func (s *Stack) connWorker(t *sim.Thread, p int, queues []*sim.Queue, prodLocks 
 		// all protocol processing for a connection happens here.
 		for c := p; c < conns; c += cfg.Procs {
 			if item, ok := queues[c].TryDequeue(t); ok {
-				s.strategyErr("connection-level inject", s.tcpSend.Inject(t, item.(*msg.Message)))
+				s.strategyErr("connection-level inject", d.Inject(t, item.(*msg.Message)))
 				progress = true
 				break
 			}
@@ -138,7 +139,7 @@ func (s *Stack) connWorker(t *sim.Thread, p int, queues []*sim.Queue, prodLocks 
 		c := int(n) % conns
 		prodLocks[c].Acquire(t)
 		if queues[c].Len() < handoffCap {
-			m, ok, err := s.tcpSend.TryProduce(t, c)
+			m, ok, err := d.TryProduce(t, c)
 			if err != nil {
 				prodLocks[c].Release(t)
 				s.fail(fmt.Errorf("core: connection-level produce: %w", err))
@@ -228,45 +229,44 @@ func boundaryAfter(groups [][]int, st int) bool {
 	return false
 }
 
-// wireLayered installs the stage-boundary shims. Called from setup
-// before connections open, so the demux bindings land on the shims.
-func (s *Stack) wireLayered(t *sim.Thread) error {
+// layerShims builds the stage-boundary queues and puts a shim in the
+// place of each boundary's upper layer: ipUp above FDDI, tcpUp above IP,
+// appUp above TCP. Set-up binds and opens connections on what it
+// returns, so the layer below a boundary parks its messages on the next
+// stage's queue.
+func (s *Stack) layerShims(ipUp, tcpUp xkernel.Upper, appUp xkernel.Receiver) (xkernel.Upper, xkernel.Upper, xkernel.Receiver) {
 	groups := layerGroups(s.Cfg.Procs)
 	s.layerGroups = groups
 	if boundaryAfter(groups, 0) {
-		s.q1 = sim.NewQueue("fddi->ip", handoffCap)
-		if err := s.FDDI.OpenEnable(t, etherTypeIP, newQueueUpper(s.q1, s.Cfg.RefMode)); err != nil {
-			return err
-		}
-	} else {
-		if err := s.FDDI.OpenEnable(t, etherTypeIP, s.IP); err != nil {
-			return err
-		}
+		s.q1 = s.handoffQueue("fddi->ip")
+		ipUp = newQueueUpper(s.q1, s.Cfg.RefMode)
 	}
 	if boundaryAfter(groups, 1) {
-		s.q2 = sim.NewQueue("ip->tcp", handoffCap)
-		if err := s.IP.OpenEnable(t, protoTCP, newQueueUpper(s.q2, s.Cfg.RefMode)); err != nil {
-			return err
-		}
-	} else {
-		if err := s.IP.OpenEnable(t, protoTCP, s.TCP); err != nil {
-			return err
-		}
+		s.q2 = s.handoffQueue("ip->tcp")
+		tcpUp = newQueueUpper(s.q2, s.Cfg.RefMode)
 	}
-	// The TCP->app boundary is wired per-TCB in setup via layeredSink.
 	if boundaryAfter(groups, 2) {
-		s.q3 = sim.NewQueue("tcp->app", handoffCap)
+		s.q3 = s.handoffQueue("tcp->app")
+		appUp = &queueReceiver{q: s.q3}
 	}
-	return nil
+	return ipUp, tcpUp, appUp
 }
 
-// runLayered spawns one thread per stage group.
-func (s *Stack) runLayered(t *sim.Thread) {
+// handoffQueue builds a stage-boundary queue for teardown to drain.
+func (s *Stack) handoffQueue(name string) *sim.Queue {
+	q := sim.NewQueue(name, handoffCap)
+	s.sh.queues = append(s.sh.queues, q)
+	return q
+}
+
+// runLayered spawns one thread per stage group, the producer's over the
+// peer d.
+func (s *Stack) runLayered(d *driver.SimTCPSender) {
 	groups := s.layerGroups
 	for gi, g := range groups {
 		gi, g := gi, g
 		s.Eng.Spawn(fmt.Sprintf("stage%d", gi), gi, func(wt *sim.Thread) {
-			s.layerWorker(wt, g)
+			s.layerWorker(wt, g, d)
 		})
 	}
 }
@@ -275,7 +275,7 @@ func (s *Stack) runLayered(t *sim.Thread) {
 // producer; the others consume their inbound boundary queue and run
 // their layers' entry point. Processing within a group is synchronous —
 // the queues exist only at group boundaries.
-func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
+func (s *Stack) layerWorker(t *sim.Thread, stages []int, d *driver.SimTCPSender) {
 	switch stages[0] {
 	case 0:
 		// Producer: generate arrivals and push them into the MAC layer;
@@ -285,7 +285,7 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 		for !s.stop.Get() {
 			c := int(n) % conns
 			n++
-			m, ok, err := s.tcpSend.Produce(t, c, &s.stop)
+			m, ok, err := d.Produce(t, c, &s.stop)
 			if err != nil {
 				s.fail(fmt.Errorf("core: layered produce: %w", err))
 				return
@@ -293,7 +293,7 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 			if !ok {
 				return
 			}
-			s.strategyErr("layered inject", s.tcpSend.Inject(t, m))
+			s.strategyErr("layered inject", d.Inject(t, m))
 		}
 	case 1:
 		for {
@@ -321,12 +321,6 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int) {
 		}
 	}
 }
-
-// xkernel protocol numbers used by the layered wiring.
-const (
-	etherTypeIP = 0x0800
-	protoTCP    = 6
-)
 
 var _ xkernel.Upper = (*queueUpper)(nil)
 var _ xkernel.Receiver = (*queueReceiver)(nil)

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/driver"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -44,14 +45,7 @@ func (s *Stack) buildTelemetry() {
 		reg.Gauge("queue-depth", p, func() int64 { return int64(q.Len()) })
 	}
 
-	reg.Gauge("throughput-bytes", -1, func() int64 {
-		// The sinks appear at setup time, after Build registered this
-		// gauge; read 0 until one exists.
-		if s.steerSink == nil && s.udpSink == nil && s.tcpRecv == nil && s.Sink == nil {
-			return 0
-		}
-		return s.Bytes()
-	})
+	reg.Gauge("throughput-bytes", -1, s.Bytes)
 	if s.TCP != nil {
 		reg.Gauge("tcp-segs-in", -1, func() int64 { return s.TCP.Stats().SegsIn })
 		reg.Gauge("tcp-predicted", -1, func() int64 { return s.TCP.Stats().Predicted })
@@ -64,8 +58,9 @@ func (s *Stack) buildTelemetry() {
 		})
 		reg.Gauge("flow-evicts", -1, func() int64 { return s.steerer.Stats().Evictions })
 		reg.Gauge("steer-drops", -1, func() int64 { return s.steerDrops })
-		reg.Gauge("nic-frames", -1, func() int64 { f, _ := s.steerSrc.Produced(); return f })
-		reg.Gauge("nic-bytes", -1, func() int64 { _, b := s.steerSrc.Produced(); return b })
+		nic := s.sh.peer.(*driver.SteerSource)
+		reg.Gauge("nic-frames", -1, func() int64 { f, _ := nic.Produced(); return f })
+		reg.Gauge("nic-bytes", -1, func() int64 { _, b := nic.Produced(); return b })
 		// Steered deliveries publish from the workload sink — it knows
 		// the flow generation; unsteered shapes publish from pump().
 		s.steerSink.Tel = s.telDel

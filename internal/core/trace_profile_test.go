@@ -115,7 +115,7 @@ func TestLockWaitAccounting(t *testing.T) {
 	st, _ := runProfile(t, tracedTCPRecv(true))
 
 	var wantWait int64
-	for _, tcb := range st.tcbs {
+	for _, tcb := range st.sh.tcbs {
 		wantWait += tcb.StateLockStats().WaitNs
 	}
 	h := st.Rec.WaitHistogram("tcp-state")

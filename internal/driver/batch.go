@@ -120,13 +120,16 @@ func noteFlush(t *sim.Thread, bc msg.BatchConfig, reason string, segs int, m *ms
 // into one frame and shepherds it up the stack on the calling thread
 // (thread-per-packet). With MaxSegs 1 that is one datagram, no tailroom
 // held back and nothing merged: the paper's per-packet receive path.
-// Returns the number of wire segments the injected frame carries.
-func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int, error) {
-	tmpl := s.tmpl[conn%len(s.tmpl)]
-	payload := len(tmpl) - udpFrameHdr
-	m, err := s.produce(t, conn, batchGrow(len(tmpl), payload, bc))
+// Returns the number of wire segments the injected frame carries, and
+// false when stopped before producing (stop may be nil).
+func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.BatchConfig) (int, bool, error) {
+	if stop != nil && stop.Get() {
+		return 0, false, nil
+	}
+	payload := len(s.tmpl) - udpFrameHdr
+	m, err := s.produce(t, conn, batchGrow(len(s.tmpl), payload, bc))
 	if err != nil {
-		return 0, err
+		return 0, true, err
 	}
 	segs := 1
 	for segs < bc.MaxSegs && payload > 0 &&
@@ -134,12 +137,12 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int,
 		d, err := s.produce(t, conn, 0)
 		if err != nil {
 			m.Free(t)
-			return 0, err
+			return 0, true, err
 		}
 		if err := MergeUDP(t, m, d); err != nil {
 			d.Free(t)
 			m.Free(t)
-			return 0, err
+			return 0, true, err
 		}
 		segs++
 	}
@@ -148,7 +151,7 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int,
 		reason = "maxsegs"
 	}
 	noteFlush(t, bc, reason, segs, m)
-	return segs, s.up.Demux(t, m)
+	return segs, true, s.up.Demux(t, m)
 }
 
 // PumpBatch produces up to bc.MaxSegs in-sequence segments for conn,
@@ -160,8 +163,7 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, bc msg.BatchConfig) (int,
 // Returns the merged frame's segment count and false when stopped
 // before producing.
 func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.BatchConfig) (int, bool, error) {
-	c := d.conns[conn]
-	m, ok, err := d.produce(t, conn, stop, batchGrow(len(c.tmpl), d.payload, bc))
+	m, ok, err := d.produce(t, conn, stop, batchGrow(len(d.tmpl), d.payload, bc))
 	if err != nil || !ok {
 		return 0, ok, err
 	}

@@ -114,8 +114,8 @@ func TestUDPSourceInjectsFrames(t *testing.T) {
 		up := newCapture()
 		src.SetUpper(up)
 		for conn := 0; conn < 2; conn++ {
-			if segs, err := src.PumpBatch(th, conn, batchOfOne); err != nil || segs != 1 {
-				t.Fatalf("conn %d: pumped %d segments, err %v", conn, segs, err)
+			if segs, ok, err := src.PumpBatch(th, conn, nil, batchOfOne); err != nil || !ok || segs != 1 {
+				t.Fatalf("conn %d: pumped %d segments, ok %v, err %v", conn, segs, ok, err)
 			}
 		}
 		if len(up.frames) != 2 {
@@ -281,4 +281,66 @@ func (u *synAckUpper) Demux(t *sim.Thread, m *msg.Message) error {
 		return reply(tcp.FlagACK, u.iss+1, u.rnxt)
 	}
 	return nil
+}
+
+// TestSharedTemplatesCarryEachConnectionsPorts: each peer keeps one frame
+// template for all its connections, so every frame it builds must get
+// its own connection's port pair: data and control frames from the two
+// sources, acknowledgements from the TCP receiver.
+func TestSharedTemplatesCarryEachConnectionsPorts(t *testing.T) {
+	const conn = 2 // of three: neither the template's connection nor conn%2
+	wantPorts := func(what string, frame []byte) {
+		t.Helper()
+		sport, dport := binary.BigEndian.Uint16(frame[offTCP:]), binary.BigEndian.Uint16(frame[offTCP+2:])
+		if sport != PeerPort(conn) || dport != LocalPort(conn) {
+			t.Errorf("%s: ports %d->%d, want %d->%d", what, sport, dport, PeerPort(conn), LocalPort(conn))
+		}
+	}
+	run(t, 6, func(th *sim.Thread) {
+		a := newAlloc()
+
+		src := NewUDPSource(a, 512, 3)
+		up := newCapture()
+		src.SetUpper(up)
+		if _, _, err := src.PumpBatch(th, conn, nil, batchOfOne); err != nil {
+			t.Fatal(err)
+		}
+		wantPorts("udp source datagram", up.frames[0])
+
+		snd := NewSimTCPSender(a, 512, 3)
+		up = newCapture()
+		snd.SetUpper(up)
+		if err := snd.Start(th, conn); err != nil {
+			t.Fatal(err)
+		}
+		synAck := tcpTemplate(0, HostLocal, HostPeer, LocalPort(conn), PeerPort(conn), 1<<20)
+		synAck[offTCP+12] = tcp.FlagSYN | tcp.FlagACK
+		patchTCPAck(synAck, snd.conns[conn].iss+1)
+		m, _ := a.New(th, len(synAck), 0)
+		m.CopyTemplate(0, synAck)
+		if err := snd.TX(th, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := snd.PumpBatch(th, conn, nil, batchOfOne); err != nil || !ok {
+			t.Fatalf("pump: ok %v, err %v", ok, err)
+		}
+		if len(up.frames) != 3 {
+			t.Fatalf("tcp sender injected %d frames, want SYN, ACK and one data segment", len(up.frames))
+		}
+		for i, what := range []string{"tcp sender SYN", "tcp sender ACK", "tcp sender data"} {
+			wantPorts(what, up.frames[i])
+		}
+
+		rcv := NewSimTCPReceiver(a, 3)
+		up = newCapture()
+		rcv.SetUpper(up)
+		syn := tcpTemplate(0, HostLocal, HostPeer, LocalPort(conn), PeerPort(conn), 1<<20)
+		syn[offTCP+12] = tcp.FlagSYN
+		m, _ = a.New(th, len(syn), 0)
+		m.CopyTemplate(0, syn)
+		if err := rcv.TX(th, m); err != nil {
+			t.Fatal(err)
+		}
+		wantPorts("tcp receiver SYN-ACK", up.frames[0])
+	})
 }

@@ -77,14 +77,20 @@ func udpTemplate(payload int, srcIP, dstIP xkernel.IPAddr, sport, dport uint16) 
 	f := make([]byte, udpFrameHdr+payload)
 	buildFDDI(f[0:], xkernel.MAC{0xA, 0, 0, 0, 0, 1}, xkernel.MAC{0xB, 0, 0, 0, 0, 2})
 	buildIP(f[offIP:], ip.HdrLen+udp.HdrLen+payload, 7, ip.ProtoUDP, srcIP, dstIP)
-	binary.BigEndian.PutUint16(f[offUDP+0:], sport)
-	binary.BigEndian.PutUint16(f[offUDP+2:], dport)
+	patchPorts(f, sport, dport)
 	binary.BigEndian.PutUint16(f[offUDP+4:], uint16(udp.HdrLen+payload))
 	f[offUDP+6], f[offUDP+7] = 0, 0
 	for i := udpFrameHdr; i < len(f); i++ {
 		f[i] = byte(i * 13)
 	}
 	return f
+}
+
+// patchPorts stamps a connection's port pair into a copy of a peer's
+// one template: the first four bytes of a TCP and of a UDP header alike.
+func patchPorts(frame []byte, sport, dport uint16) {
+	binary.BigEndian.PutUint16(frame[offTCP:], sport)
+	binary.BigEndian.PutUint16(frame[offTCP+2:], dport)
 }
 
 // patchTCPSeq stamps a sequence number into a template copy.

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/msg"
@@ -87,8 +86,7 @@ func (s *SteerSource) ProduceGrow(t *sim.Thread, a workload.Arrival, grow int) (
 	// bytes that vary between connections besides the stamp).
 	conn := a.Conn % s.conns
 	b := m.Bytes()
-	binary.BigEndian.PutUint16(b[offUDP+0:], PeerPort(conn))
-	binary.BigEndian.PutUint16(b[offUDP+2:], LocalPort(conn))
+	patchPorts(b, PeerPort(conn), LocalPort(conn))
 	workload.EncodeStamp(b[udpFrameHdr:], a.Conn, a.Seq, a.Gen)
 	if rec := t.Engine().Rec; rec != nil {
 		m.Born = t.Now()

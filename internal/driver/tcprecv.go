@@ -55,6 +55,11 @@ type SimTCPReceiver struct {
 	badSum   int64
 
 	stopFlush sim.Flag
+
+	// ackTmpl is every connection's acknowledgement frame (peer ->
+	// sender); each copy gets its connection's port pair. Last, so no
+	// field the sending threads share moved for it.
+	ackTmpl []byte
 }
 
 // simRange is a parked out-of-order byte range [s, e).
@@ -78,7 +83,6 @@ type simRecvConn struct {
 	unacked    int
 	pendingAck bool
 	ranges     []simRange // Strict: sorted OOO ranges beyond maxEnd
-	tmpl       []byte     // preconstructed ack frame (peer -> sender)
 }
 
 // NewSimTCPReceiver builds the driver with conns preconfigured
@@ -91,13 +95,13 @@ func NewSimTCPReceiver(alloc *msg.Allocator, conns int) *SimTCPReceiver {
 		conns:    make(map[uint32]*simRecvConn),
 	}
 	d.ring.Name = "ring:tcp-recv"
+	d.ackTmpl = tcpTemplate(0, HostPeer, HostLocal, PeerPort(0), LocalPort(0), d.Window)
 	for i := 0; i < conns; i++ {
 		c := &simRecvConn{
 			sport: LocalPort(i),
 			dport: PeerPort(i),
 			iss:   uint32(900000 + i*100000),
 		}
-		c.tmpl = tcpTemplate(0, HostPeer, HostLocal, c.dport, c.sport, d.Window)
 		key := uint32(c.sport)<<16 | uint32(c.dport)
 		d.conns[key] = c
 		d.list = append(d.list, c)
@@ -338,15 +342,16 @@ func (d *SimTCPReceiver) BadChecksums() int64 { return atomic.LoadInt64(&d.badSu
 // sends it back up the stack on the calling thread.
 func (d *SimTCPReceiver) inject(t *sim.Thread, c *simRecvConn, flags uint8, seq, ack uint32) error {
 	t.ChargeRand(t.Engine().C.Stack.DriverAck)
-	m, err := d.alloc.New(t, len(c.tmpl), 0)
+	m, err := d.alloc.New(t, len(d.ackTmpl), 0)
 	if err != nil {
 		return err
 	}
-	if err := m.CopyTemplate(0, c.tmpl); err != nil {
+	if err := m.CopyTemplate(0, d.ackTmpl); err != nil {
 		m.Free(t)
 		return err
 	}
 	b, _ := m.Peek(m.Len())
+	patchPorts(b, c.dport, c.sport)
 	b[offTCP+12] = flags
 	patchTCPSeq(b, seq)
 	patchTCPAck(b, ack)

@@ -33,6 +33,11 @@ type SimTCPSender struct {
 	conns    []*simSendConn
 	rexmtDup int64 // resends triggered by duplicate acks
 	rexmtTO  int64 // resends triggered by the Produce timeout
+
+	// tmpl is every connection's data frame; each copy gets its
+	// connection's port pair, sequence and ack. Last, so no field the
+	// producing threads share moved for it.
+	tmpl []byte
 }
 
 // simSendConn per-connection state. estab/ackOff/rcvWnd are written by
@@ -49,7 +54,6 @@ type simSendConn struct {
 	ackOff       uint32      // acknowledged payload offset (atomic, monotonic max)
 	rcvWnd       uint32      // atomic
 	dupAcks      int         // FaultRecovery: consecutive duplicate acks seen
-	tmpl         []byte
 }
 
 // rexmtTimeoutNs is the FaultRecovery retransmission timeout: how long
@@ -61,16 +65,15 @@ const rexmtTimeoutNs = 10_000_000
 // NewSimTCPSender builds the driver with conns connections producing
 // payload-sized segments.
 func NewSimTCPSender(alloc *msg.Allocator, payload, conns int) *SimTCPSender {
-	d := &SimTCPSender{alloc: alloc, payload: payload}
+	d := &SimTCPSender{alloc: alloc, payload: payload,
+		tmpl: tcpTemplate(payload, HostPeer, HostLocal, PeerPort(0), LocalPort(0), 4<<20)}
 	d.ring.Name = "ring:tcp-send"
 	for i := 0; i < conns; i++ {
-		c := &simSendConn{
+		d.conns = append(d.conns, &simSendConn{
 			sport: PeerPort(i),
 			dport: LocalPort(i),
 			iss:   uint32(500000 + i*100000),
-		}
-		c.tmpl = tcpTemplate(payload, HostPeer, HostLocal, c.sport, c.dport, 4<<20)
-		d.conns = append(d.conns, c)
+		})
 	}
 	return d
 }
@@ -78,29 +81,16 @@ func NewSimTCPSender(alloc *msg.Allocator, payload, conns int) *SimTCPSender {
 // SetUpper connects the driver to the MAC layer above it.
 func (d *SimTCPSender) SetUpper(up xkernel.Upper) { d.up = up }
 
-// Start performs the three-way handshake for connection conn on the
-// calling thread. The receive-side TCB must already be listening and
-// the stack synchronous (packet-level); pipelined stacks use StartAsync
-// and poll Established.
+// Start injects connection conn's SYN on the calling thread. A
+// packet-level stack completes the handshake within the call; one that
+// queues packets between layers completes it on its stage threads, so
+// callers poll Established.
 func (d *SimTCPSender) Start(t *sim.Thread, conn int) error {
-	if err := d.StartAsync(t, conn); err != nil {
-		return err
-	}
-	if !d.conns[conn].estab.Load() {
-		return fmt.Errorf("driver: connection %d failed to establish", conn)
-	}
-	return nil
-}
-
-// StartAsync injects the SYN without requiring the SYN-ACK to arrive
-// synchronously: stacks that queue packets between layers complete the
-// handshake on their stage threads.
-func (d *SimTCPSender) StartAsync(t *sim.Thread, conn int) error {
 	c := d.conns[conn]
 	return d.injectControl(t, c, tcp.FlagSYN, c.iss, 0)
 }
 
-// Established reports connection state (tests).
+// Established reports whether connection conn's handshake completed.
 func (d *SimTCPSender) Established(conn int) bool { return d.conns[conn].estab.Load() }
 
 // TX absorbs the real TCP's outbound segments: the SYN-ACK during setup
@@ -265,11 +255,11 @@ func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, ps uint32, grow int)
 	return m, true, nil
 }
 
-// frame builds the data segment at seq from the connection's template:
-// allocate (grow bytes of tailroom held back), one pass through the
-// ring lock, the RX-generation charge, template copy and seq/ack patch.
+// frame builds the data segment at seq from the template: allocate
+// (grow bytes of tailroom held back), one pass through the ring lock,
+// the RX-generation charge, template copy and port/seq/ack patch.
 func (d *SimTCPSender) frame(t *sim.Thread, c *simSendConn, seq uint32, grow int) (*msg.Message, error) {
-	m, err := d.alloc.New(t, len(c.tmpl)+grow, 0)
+	m, err := d.alloc.New(t, len(d.tmpl)+grow, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -284,11 +274,12 @@ func (d *SimTCPSender) frame(t *sim.Thread, c *simSendConn, seq uint32, grow int
 	t.ChargeRand(st.DriverRing)
 	d.ring.Release(t)
 	t.ChargeRand(st.DriverRXGen)
-	if err := m.CopyTemplate(0, c.tmpl); err != nil {
+	if err := m.CopyTemplate(0, d.tmpl); err != nil {
 		m.Free(t)
 		return nil, err
 	}
 	b, _ := m.Peek(m.Len())
+	patchPorts(b, c.sport, c.dport)
 	patchTCPSeq(b, seq)
 	patchTCPAck(b, c.irs+1)
 	m.Seq = uint64(seq)
@@ -309,7 +300,7 @@ func (d *SimTCPSender) Inject(t *sim.Thread, m *msg.Message) error {
 // injectControl sends a zero-payload control segment up the stack.
 func (d *SimTCPSender) injectControl(t *sim.Thread, c *simSendConn, flags uint8, seq, ack uint32) error {
 	t.ChargeRand(t.Engine().C.Stack.DriverAck)
-	tmpl := c.tmpl[:tcpFrameHdr]
+	tmpl := d.tmpl[:tcpFrameHdr]
 	m, err := d.alloc.New(t, len(tmpl), 0)
 	if err != nil {
 		return err
@@ -321,6 +312,7 @@ func (d *SimTCPSender) injectControl(t *sim.Thread, c *simSendConn, flags uint8,
 	b, _ := m.Peek(m.Len())
 	// Fix the IP total length for the zero-payload frame.
 	buildIP(b[offIP:], len(tmpl)-offIP, 7, 6, HostPeer, HostLocal)
+	patchPorts(b, c.sport, c.dport)
 	b[offTCP+12] = flags
 	patchTCPSeq(b, seq)
 	patchTCPAck(b, ack)

@@ -46,6 +46,9 @@ func NewUDPSink() *UDPSink {
 	return s
 }
 
+// SetUpper does nothing: a UDP receiver sends nothing back up.
+func (s *UDPSink) SetUpper(xkernel.Upper) {}
+
 // TX consumes one frame, counting its payload bytes.
 func (s *UDPSink) TX(t *sim.Thread, m *msg.Message) error {
 	st := &t.Engine().C.Stack
@@ -70,24 +73,23 @@ func (s *UDPSink) Bytes() int64 { return atomic.LoadInt64(&s.bytes) }
 // Packets returns frames consumed so far.
 func (s *UDPSink) Packets() int64 { return atomic.LoadInt64(&s.pkts) }
 
-// UDPSource produces inbound frames from preconstructed templates — the
+// UDPSource produces inbound frames from a preconstructed template — the
 // receive-side UDP test's "sender".
 type UDPSource struct {
 	up    xkernel.Upper
 	alloc *msg.Allocator
 	ring  sim.Lock
-	tmpl  [][]byte
+	conns int
+	// tmpl is every connection's payload-sized datagram addressed to the
+	// stack under test; each copy gets its connection's port pair.
+	tmpl []byte
 }
 
-// NewUDPSource builds a source with one template per connection, each
-// carrying payload-sized datagrams addressed to the stack under test.
+// NewUDPSource builds a source for conns connections.
 func NewUDPSource(alloc *msg.Allocator, payload, conns int) *UDPSource {
-	s := &UDPSource{alloc: alloc}
+	s := &UDPSource{alloc: alloc, conns: conns,
+		tmpl: udpTemplate(payload, HostPeer, HostLocal, PeerPort(0), LocalPort(0))}
 	s.ring.Name = "ring:udp-src"
-	for i := 0; i < conns; i++ {
-		s.tmpl = append(s.tmpl,
-			udpTemplate(payload, HostPeer, HostLocal, PeerPort(i), LocalPort(i)))
-	}
 	return s
 }
 
@@ -109,8 +111,7 @@ func (s *UDPSource) TX(t *sim.Thread, m *msg.Message) error {
 // produce builds one template frame, with grow bytes of tailroom held
 // back for GRO merging (zero for a batch of one).
 func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error) {
-	tmpl := s.tmpl[conn%len(s.tmpl)]
-	m, err := s.alloc.New(t, len(tmpl)+grow, 0)
+	m, err := s.alloc.New(t, len(s.tmpl)+grow, 0)
 	if err != nil {
 		return nil, fmt.Errorf("driver: udp source: %w", err)
 	}
@@ -125,10 +126,12 @@ func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error)
 	t.ChargeRand(st.DriverRing)
 	s.ring.Release(t)
 	t.ChargeRand(st.DriverRXGen)
-	if err := m.CopyTemplate(0, tmpl); err != nil {
+	if err := m.CopyTemplate(0, s.tmpl); err != nil {
 		m.Free(t)
 		return nil, err
 	}
+	c := conn % s.conns
+	patchPorts(m.Bytes(), PeerPort(c), LocalPort(c))
 	t.Interfere()
 	if rec := t.Engine().Rec; rec != nil {
 		m.Born = t.Now()
