@@ -128,11 +128,6 @@ type Config struct {
 	// WheelPerChain selects per-chain timing-wheel locks (default) vs a
 	// single wheel lock (ablation).
 	WheelPerChain bool
-	// HotConnPct skews multi-connection traffic: each pump sends this
-	// percentage of its packets to connection 0 instead of its own
-	// (the paper calls its uniform multi-connection test "idealized";
-	// this extension measures what skew costs).
-	HotConnPct int
 	// Strategy selects the parallelization strategy (Section 1):
 	// packet-level (default), connection-level, or layered.
 	Strategy Strategy
@@ -149,7 +144,10 @@ type Config struct {
 	// wiring. UDP receive only.
 	Steer steer.Config
 	// Workload parameterizes the steered traffic generator and sink
-	// (internal/workload). Only read when Steer.Enabled.
+	// (internal/workload). Unsteered, only its HotConnPct is read: each
+	// pump sends that percentage of its packets to connection 0 instead
+	// of its own (the paper calls its uniform multi-connection test
+	// "idealized"; ext-skew measures what skew costs).
 	Workload workload.Config
 
 	// Trace enables the packet flight recorder (internal/trace): ring
@@ -423,18 +421,21 @@ func (s *Stack) pump(t *sim.Thread, p int) {
 	n := 0
 	for !s.stop.Get() {
 		c := conn
-		if cfg.HotConnPct > 0 && cfg.Connections > 1 && t.Rand().Intn(100) < cfg.HotConnPct {
+		if hot := cfg.Workload.HotConnPct; hot > 0 && cfg.Connections > 1 && t.Rand().Intn(100) < hot {
 			c = 0 // skewed traffic: pile onto the hot connection
 		}
 		// shepherded is the wire packets this iteration moved (telemetry).
 		shepherded, ok, err := s.sh.pump.PumpBatch(t, c, &s.stop, cfg.Batch)
 		s.noteBatch(t, shepherded)
-		if !ok || errors.Is(err, tcp.ErrClosed) {
-			return // stopped, or the connection aborted at teardown
+		if errors.Is(err, tcp.ErrClosed) {
+			return // the connection aborted at teardown
 		}
 		if err != nil {
 			s.fail(fmt.Errorf("core: pump %d: %w", p, err))
 			return
+		}
+		if !ok {
+			return // stopped
 		}
 		if s.telDel != nil && shepherded > 0 {
 			s.telDel.Note(p, uint64(c)<<32,

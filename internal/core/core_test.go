@@ -102,6 +102,38 @@ func TestPumpFailureEndsRun(t *testing.T) {
 	}
 }
 
+// failingPump fails its first iteration with ok false, as a pump whose
+// peer could not build a frame once did.
+type failingPump struct{ calls atomic.Int64 }
+
+func (p *failingPump) PumpBatch(*sim.Thread, int, *sim.Flag, msg.BatchConfig) (int, bool, error) {
+	p.calls.Add(1)
+	return 0, false, errInjected
+}
+
+// TestPumpErrorEndsRunWhateverOk: pump reads a pump step's error before
+// its ok, so a failure that comes back beside "stopped" still ends the
+// run with it instead of a silent 0 Mb/s.
+func TestPumpErrorEndsRunWhateverOk(t *testing.T) {
+	const procs = 2
+	cfg := hostConfig(ProtoTCP, SideRecv, sim.KindMutex, procs, 1)
+	cfg.Backend = sim.BackendSim
+	st, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &failingPump{}
+	st.sh.pump = p
+	_, err = st.Run(testWarmup, testMeasure)
+	if !errors.Is(err, errInjected) || !strings.HasPrefix(err.Error(), "core: pump ") {
+		t.Fatalf("Run returned %v, want the pump's failure", err)
+	}
+	if calls := p.calls.Load(); calls < 1 || calls > procs {
+		t.Errorf("%d pump steps ran: want the first to fail and each of %d pumps to stop by its first", calls, procs)
+	}
+	st.Eng.Run() // no thread outlives the run: nothing left to resume, nothing blocked
+}
+
 func TestUDPSendSmoke(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 2

@@ -101,7 +101,7 @@ var knobs = []knob{
 		dest:    func(c *Config) any { return (*steerFlag)(&c.Steer) },
 		hostWhy: hostSerialized,
 		hostBad: func(c *Config) bool { return c.Steer.Enabled }},
-	{flag: "hot", group: "flow steering", doc: "steered workload: percent of arrivals to the hot connection subset",
+	{flag: "hot", group: "flow steering", doc: "steered workload: percent of arrivals to the hot connection subset; unsteered: percent of each pump's packets to connection 0",
 		dest: func(c *Config) any { return &c.Workload.HotConnPct }},
 	{flag: "hotconns", group: "flow steering", doc: "steered workload: hot subset size (0: 1)",
 		dest: func(c *Config) any { return &c.Workload.HotConns }},

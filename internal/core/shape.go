@@ -31,7 +31,7 @@ type peer interface {
 // pumper is one packet-level pump iteration on connection conn: produce
 // and carry one batch (a packet, unbatched) through the stack on the
 // calling thread. It returns the wire segments moved, and false when
-// stop ended it before anything was produced.
+// stop ended it before anything was produced; an error comes with true.
 type pumper interface {
 	PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.BatchConfig) (int, bool, error)
 }
@@ -67,7 +67,7 @@ func (s *Stack) newShape() shape {
 	sh := shape{run: (*Stack).runPumps, snapshot: (*Stack).tcbSnapshot, teardown: func(*Stack, *sim.Thread) {}}
 	switch {
 	case cfg.Steer.Enabled: // steered udp-recv
-		src := driver.NewSteerSource(s.Alloc, cfg.PacketSize, cfg.Connections)
+		src := driver.NewUDPSource(s.Alloc, cfg.PacketSize, cfg.Connections)
 		s.newUDP()
 		s.buildSteer()
 		sh.peer, sh.counter, sh.queues, sh.snapshot = src, s.steerSink, s.steerQs, (*Stack).steerSnapshot

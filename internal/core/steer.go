@@ -97,7 +97,7 @@ func (s *Stack) steerHash(conn int, gen uint32) uint32 {
 // the CPUs, as hardware dispatch does), and the depth monitor on P+1.
 // Both extra indices exist in the allocator and recorder, which size for
 // procs+2.
-func (s *Stack) runSteer(src *driver.SteerSource) {
+func (s *Stack) runSteer(src *driver.UDPSource) {
 	cfg := &s.Cfg
 	for p := 0; p < cfg.Procs; p++ {
 		p := p
@@ -117,8 +117,8 @@ func (s *Stack) runSteer(src *driver.SteerSource) {
 // than the flush timeout — flushes the pending frame through the
 // steering decision onto a dispatch ring and starts a new one. A full
 // ring drops the frame, as a real adaptor ring would.
-func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
-	bc := s.Cfg.Batch
+func (s *Stack) steerDispatch(t *sim.Thread, src *driver.UDPSource) {
+	bc, payload := s.Cfg.Batch, src.PayloadLen()
 	var (
 		pend      *msg.Message
 		pendConn  int
@@ -132,9 +132,7 @@ func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
 		}
 		m := pend
 		pend = nil
-		if rec := t.Engine().Rec; rec != nil && bc.MaxSegs > 1 { // a batch of one leaves no batching events
-			rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
-		}
+		driver.NoteFlush(t, bc, reason, m)
 		s.noteBatch(t, m.SegCount())
 		h := s.steerHash(pendConn, pendGen)
 		p := s.steerer.Decide(t, steerFlowID(pendConn, pendGen), h)
@@ -149,7 +147,6 @@ func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
 		if s.stop.Get() {
 			break
 		}
-		payload := src.PayloadLen()
 		if pend != nil {
 			switch {
 			case a.Conn != pendConn || a.Gen != pendGen:
@@ -158,12 +155,12 @@ func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
 				flush("seq")
 			case a.At-pendStart > msg.BatchFlushNs:
 				flush("timeout")
-			case pend.Len()+payload > msg.MaxClassBytes || pend.Tailroom() < payload:
+			case !driver.Fits(pend, payload):
 				flush("maxbytes")
 			}
 		}
 		if pend == nil {
-			m, err := src.ProduceGrow(t, a, src.BatchGrow(bc))
+			m, err := src.Arrive(t, a, src.BatchGrow(bc))
 			if err != nil {
 				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
 				return
@@ -172,7 +169,7 @@ func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
 			pendConn, pendGen = a.Conn, a.Gen
 			pendStart = t.Now()
 		} else {
-			d, err := src.Produce(t, a)
+			d, err := src.Arrive(t, a, 0)
 			if err != nil {
 				pend.Free(t)
 				s.fail(fmt.Errorf("core: steer dispatch: %w", err))
@@ -201,7 +198,7 @@ func (s *Stack) steerDispatch(t *sim.Thread, src *driver.SteerSource) {
 // the dispatch point). A wakeup drains up to MaxSegs frames before
 // blocking again, amortizing the wakeup across the ring's backlog (one
 // frame per wakeup when batching is off).
-func (s *Stack) steerWorker(t *sim.Thread, p int, src *driver.SteerSource) {
+func (s *Stack) steerWorker(t *sim.Thread, p int, src *driver.UDPSource) {
 	maxDrain := s.Cfg.Batch.MaxSegs
 	for {
 		item, ok := s.steerQs[p].Dequeue(t)

@@ -184,7 +184,7 @@ func TestSteeredFailureEndsRun(t *testing.T) {
 	if s := st.Alloc.Stats(); s.Frees != s.CacheHits+s.CacheMisses {
 		t.Errorf("%d buffers allocated, %d freed", s.CacheHits+s.CacheMisses, s.Frees)
 	}
-	if frames, _ := st.sh.peer.(*driver.SteerSource).Produced(); frames > 2*up.n {
+	if frames, _ := st.sh.peer.(*driver.UDPSource).Produced(); frames > 2*up.n {
 		t.Errorf("the NIC produced %d frames, well past the failure at inject %d: the stop flag did not stop it", frames, up.n)
 	}
 }

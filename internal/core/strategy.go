@@ -285,7 +285,7 @@ func (s *Stack) layerWorker(t *sim.Thread, stages []int, d *driver.SimTCPSender)
 		for !s.stop.Get() {
 			c := int(n) % conns
 			n++
-			m, ok, err := d.Produce(t, c, &s.stop)
+			m, ok, err := d.Produce(t, c, &s.stop, 0)
 			if err != nil {
 				s.fail(fmt.Errorf("core: layered produce: %w", err))
 				return

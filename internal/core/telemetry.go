@@ -58,7 +58,7 @@ func (s *Stack) buildTelemetry() {
 		})
 		reg.Gauge("flow-evicts", -1, func() int64 { return s.steerer.Stats().Evictions })
 		reg.Gauge("steer-drops", -1, func() int64 { return s.steerDrops })
-		nic := s.sh.peer.(*driver.SteerSource)
+		nic := s.sh.peer.(*driver.UDPSource)
 		reg.Gauge("nic-frames", -1, func() int64 { f, _ := nic.Produced(); return f })
 		reg.Gauge("nic-bytes", -1, func() int64 { _, b := nic.Produced(); return b })
 		// Steered deliveries publish from the workload sink — it knows

@@ -31,8 +31,9 @@ func batchGrow(frameLen, payload int, bc msg.BatchConfig) int {
 	return g
 }
 
-// growIPLen extends a frame's IP total length by n and rebuilds the
-// header checksum (ip.Demux drops frames whose header does not verify).
+// growIPLen extends a frame's IP total length by n (negative n cuts it)
+// and rebuilds the header checksum (ip.Demux drops frames whose header
+// does not verify).
 func growIPLen(frame []byte, n int) {
 	totLen := binary.BigEndian.Uint16(frame[offIP+2:offIP+4]) + uint16(n)
 	binary.BigEndian.PutUint16(frame[offIP+2:offIP+4], totLen)
@@ -62,6 +63,12 @@ func absorbPayload(t *sim.Thread, head, donor *msg.Message, hdr int) (n int, err
 	}
 	return n, nil
 }
+
+// Fits reports whether head, a frame a driver just produced, has room
+// for one more payload-byte segment: the one test every coalescer asks
+// before it merges. A buffer is never larger than msg.MaxClassBytes, so
+// the tailroom bounds the merged frame's length too.
+func Fits(head *msg.Message, payload int) bool { return head.Tailroom() >= payload }
 
 // MergeUDP absorbs donor's UDP payload into head (both full frames of
 // the same flow), patching head's IP and UDP lengths and, if head is
@@ -107,12 +114,12 @@ func MergeTCP(t *sim.Thread, head, donor *msg.Message) error {
 	return nil
 }
 
-// noteFlush records a frame leaving the batching stage for the stack. A
-// batch of one is the per-packet path, and its trace carries no
-// batching events.
-func noteFlush(t *sim.Thread, bc msg.BatchConfig, reason string, segs int, m *msg.Message) {
+// NoteFlush records frame m leaving the batching stage for the stack,
+// for reason. A batch of one is the per-packet path, and its trace
+// carries no batching events.
+func NoteFlush(t *sim.Thread, bc msg.BatchConfig, reason string, m *msg.Message) {
 	if rec := t.Engine().Rec; rec != nil && bc.MaxSegs > 1 {
-		rec.BatchFlush(t.Proc, t.Now(), reason, int64(segs), int64(m.Len()))
+		rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
 	}
 }
 
@@ -126,14 +133,13 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.Ba
 	if stop != nil && stop.Get() {
 		return 0, false, nil
 	}
-	payload := len(s.tmpl) - udpFrameHdr
-	m, err := s.produce(t, conn, batchGrow(len(s.tmpl), payload, bc))
+	payload := s.PayloadLen()
+	m, err := s.produce(t, conn, s.BatchGrow(bc))
 	if err != nil {
 		return 0, true, err
 	}
 	segs := 1
-	for segs < bc.MaxSegs && payload > 0 &&
-		m.Len()+payload <= msg.MaxClassBytes && m.Tailroom() >= payload {
+	for segs < bc.MaxSegs && Fits(m, payload) {
 		d, err := s.produce(t, conn, 0)
 		if err != nil {
 			m.Free(t)
@@ -150,7 +156,7 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.Ba
 	if segs == bc.MaxSegs {
 		reason = "maxsegs"
 	}
-	noteFlush(t, bc, reason, segs, m)
+	NoteFlush(t, bc, reason, m)
 	return segs, true, s.up.Demux(t, m)
 }
 
@@ -161,11 +167,11 @@ func (s *UDPSource) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.Ba
 // between) flushes the batch and is injected separately. With MaxSegs 1
 // it produces and injects one segment, the packet-level fast path.
 // Returns the merged frame's segment count and false when stopped
-// before producing.
+// before producing; an error comes with true, as from every pumper.
 func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg.BatchConfig) (int, bool, error) {
-	m, ok, err := d.produce(t, conn, stop, batchGrow(len(d.tmpl), d.payload, bc))
+	m, ok, err := d.Produce(t, conn, stop, batchGrow(len(d.tmpl), d.payload, bc))
 	if err != nil || !ok {
-		return 0, ok, err
+		return 0, err != nil, err
 	}
 	segs := 1
 	reason := "window"
@@ -175,14 +181,14 @@ func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg
 			reason = "maxsegs"
 			break
 		}
-		if m.Len()+d.payload > msg.MaxClassBytes || m.Tailroom() < d.payload {
+		if !Fits(m, d.payload) {
 			reason = "maxbytes"
 			break
 		}
 		n, ok2, err2 := d.TryProduce(t, conn)
 		if err2 != nil {
 			m.Free(t)
-			return 0, false, err2
+			return 0, true, err2
 		}
 		if !ok2 {
 			break
@@ -195,11 +201,11 @@ func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg
 		if err2 := MergeTCP(t, m, n); err2 != nil {
 			n.Free(t)
 			m.Free(t)
-			return 0, false, err2
+			return 0, true, err2
 		}
 		segs++
 	}
-	noteFlush(t, bc, reason, segs, m)
+	NoteFlush(t, bc, reason, m)
 	if err := d.Inject(t, m); err != nil {
 		if stray != nil {
 			stray.Free(t)
@@ -207,7 +213,7 @@ func (d *SimTCPSender) PumpBatch(t *sim.Thread, conn int, stop *sim.Flag, bc msg
 		return segs, true, err
 	}
 	if stray != nil {
-		noteFlush(t, bc, "seq", 1, stray)
+		NoteFlush(t, bc, "seq", stray)
 		return segs, true, d.Inject(t, stray)
 	}
 	return segs, true, nil

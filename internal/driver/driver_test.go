@@ -2,6 +2,10 @@ package driver
 
 import (
 	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/chksum"
@@ -10,6 +14,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
+	"repro/internal/workload"
 	"repro/internal/xkernel"
 )
 
@@ -286,7 +291,8 @@ func (u *synAckUpper) Demux(t *sim.Thread, m *msg.Message) error {
 // TestSharedTemplatesCarryEachConnectionsPorts: each peer keeps one frame
 // template for all its connections, so every frame it builds must get
 // its own connection's port pair: data and control frames from the two
-// sources, acknowledgements from the TCP receiver.
+// sources, pumped and steered, acknowledgements from the TCP receiver. A
+// steered arrival's payload also carries its workload stamp.
 func TestSharedTemplatesCarryEachConnectionsPorts(t *testing.T) {
 	const conn = 2 // of three: neither the template's connection nor conn%2
 	wantPorts := func(what string, frame []byte) {
@@ -306,6 +312,15 @@ func TestSharedTemplatesCarryEachConnectionsPorts(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPorts("udp source datagram", up.frames[0])
+		m, err := src.Arrive(th, workload.Arrival{Conn: conn, Seq: 41, Gen: 3}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPorts("udp source steered arrival", m.Bytes())
+		if c, seq, gen := workload.DecodeStamp(m.Bytes()[udpFrameHdr:]); c != conn || seq != 41 || gen != 3 {
+			t.Errorf("steered arrival stamp decodes to (%d, %d, %d), want (%d, 41, 3)", c, seq, gen, conn)
+		}
+		m.Free(th)
 
 		snd := NewSimTCPSender(a, 512, 3)
 		up = newCapture()
@@ -316,7 +331,7 @@ func TestSharedTemplatesCarryEachConnectionsPorts(t *testing.T) {
 		synAck := tcpTemplate(0, HostLocal, HostPeer, LocalPort(conn), PeerPort(conn), 1<<20)
 		synAck[offTCP+12] = tcp.FlagSYN | tcp.FlagACK
 		patchTCPAck(synAck, snd.conns[conn].iss+1)
-		m, _ := a.New(th, len(synAck), 0)
+		m, _ = a.New(th, len(synAck), 0)
 		m.CopyTemplate(0, synAck)
 		if err := snd.TX(th, m); err != nil {
 			t.Fatal(err)
@@ -343,4 +358,133 @@ func TestSharedTemplatesCarryEachConnectionsPorts(t *testing.T) {
 		}
 		wantPorts("tcp receiver SYN-ACK", up.frames[0])
 	})
+}
+
+// TestSteeredNICTakesNoRingLock: one UDPSource serves the pumps and the
+// steered NIC, which charge differently. A pumped datagram passes the
+// adaptor ring lock once, merged ones included; the NIC owns its ring,
+// so a steered arrival never takes the lock and is counted as produced.
+func TestSteeredNICTakesNoRingLock(t *testing.T) {
+	run(t, 7, func(th *sim.Thread) {
+		a := newAlloc()
+		src := NewUDPSource(a, 1024, 4)
+		up := newCapture()
+		src.SetUpper(up)
+		bc := msg.BatchConfig{Enabled: true, MaxSegs: 4}.WithDefaults()
+		pumped := int64(0)
+		for conn := 0; conn < 3; conn++ {
+			segs, ok, err := src.PumpBatch(th, conn, nil, bc)
+			if err != nil || !ok {
+				t.Fatalf("pump %d: ok %v, err %v", conn, ok, err)
+			}
+			pumped += int64(segs)
+		}
+		if got := src.ring.Stats().Acquires; pumped < 3 || got != pumped {
+			t.Fatalf("%d datagrams pumped took the ring lock %d times, want once each", pumped, got)
+		}
+		head, err := src.Arrive(th, workload.Arrival{Conn: 1}, src.BatchGrow(bc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := int64(1); seq < 4; seq++ {
+			d, err := src.Arrive(th, workload.Arrival{Conn: 1, Seq: seq}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := MergeUDP(th, head, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := src.Inject(th, head); err != nil {
+			t.Fatal(err)
+		}
+		if got := src.ring.Stats().Acquires; got != pumped {
+			t.Errorf("steered arrivals took the ring lock %d times", got-pumped)
+		}
+		if frames, bytes := src.Produced(); frames != 4 || bytes != 4*int64(len(src.tmpl)) {
+			t.Errorf("the NIC counts %d frames, %d bytes; want 4 of %d bytes", frames, bytes, len(src.tmpl))
+		}
+	})
+}
+
+// TestSimTCPSenderPumpErrorComesWithTrue: a failure inside PumpBatch
+// comes back with ok true, as every pump step's does, so a pump cannot
+// read it as "stopped". Here the failure is the inject of a timeout
+// resend, from Produce waiting on a window the receiver never reopens.
+func TestSimTCPSenderPumpErrorComesWithTrue(t *testing.T) {
+	e := sim.New(cost.NewModel(cost.Challenge100), 8)
+	a := newAlloc()
+	d := NewSimTCPSender(a, 1024, 1)
+	d.FaultRecovery = true
+	hs := &synAckUpper{d: d, a: a, win: 2048}
+	hs.ref.Init(sim.RefAtomic, 1)
+	d.SetUpper(hs)
+	e.Spawn("test", 0, func(th *sim.Thread) {
+		if err := d.Start(th, 0); err != nil || !d.Established(0) {
+			t.Fatalf("handshake: established %v, err %v", d.Established(0), err)
+		}
+		silent := &failAfterUpper{n: 2} // swallows the window's two segments unacked, then fails
+		silent.ref.Init(sim.RefAtomic, 1)
+		d.SetUpper(silent)
+		for i := 0; i < 2; i++ {
+			if _, ok, err := d.PumpBatch(th, 0, nil, batchOfOne); err != nil || !ok {
+				t.Fatalf("pump %d: ok %v, err %v", i, ok, err)
+			}
+		}
+		segs, ok, err := d.PumpBatch(th, 0, nil, batchOfOne)
+		if !errors.Is(err, errUpper) || !ok || segs != 0 {
+			t.Fatalf("pump over a failing resend: segs %d, ok %v, err %v; want 0, true and the failure", segs, ok, err)
+		}
+		if dup, to := d.Rexmts(); dup != 0 || to != 1 {
+			t.Errorf("resends: %d on duplicate acks, %d on timeout; want 0 and 1", dup, to)
+		}
+	})
+	e.Run()
+}
+
+var errUpper = errors.New("upper layer failed")
+
+// failAfterUpper consumes frames without answering and fails every one
+// after its nth.
+type failAfterUpper struct {
+	ref   sim.RefCount
+	n     int
+	calls int
+}
+
+func (u *failAfterUpper) Ref() *sim.RefCount { return &u.ref }
+
+func (u *failAfterUpper) Demux(t *sim.Thread, m *msg.Message) error {
+	m.Free(t)
+	if u.calls++; u.calls > u.n {
+		return errUpper
+	}
+	return nil
+}
+
+// copyTemplateCeiling is the most CopyTemplate calls this package's
+// sources may hold: one data-frame builder, one control-frame builder
+// and the fault wire's corrupted copy. The ceiling follows the count
+// down, so no peer grows its own frame path again.
+const copyTemplateCeiling = 3
+
+func TestCopyTemplateRatchet(t *testing.T) {
+	paths, _ := filepath.Glob("*.go")
+	n := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += strings.Count(string(src), "CopyTemplate(")
+	}
+	switch {
+	case n > copyTemplateCeiling:
+		t.Errorf("%d CopyTemplate calls in internal/driver, above the ceiling of %d: build frames with newFrame or control", n, copyTemplateCeiling)
+	case n < copyTemplateCeiling:
+		t.Logf("%d CopyTemplate calls, below the ceiling of %d: lower copyTemplateCeiling", n, copyTemplateCeiling)
+	}
 }

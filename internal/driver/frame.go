@@ -18,6 +18,8 @@ import (
 	"repro/internal/chksum"
 	"repro/internal/fddi"
 	"repro/internal/ip"
+	"repro/internal/msg"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/udp"
 	"repro/internal/xkernel"
@@ -84,6 +86,72 @@ func udpTemplate(payload int, srcIP, dstIP xkernel.IPAddr, sport, dport uint16) 
 		f[i] = byte(i * 13)
 	}
 	return f
+}
+
+// newFrame builds one data frame from tmpl, the one template a peer keeps
+// for all its connections: allocate it with grow bytes of tailroom held
+// back for GRO merging, pass once through the adaptor ring when the
+// producer shares one (nil: the steered NIC, which owns its ring), charge
+// the receive-side generation, copy the template and patch in the
+// connection's port pair.
+func newFrame(t *sim.Thread, alloc *msg.Allocator, ring *sim.Lock, tmpl []byte, grow int, sport, dport uint16) (*msg.Message, error) {
+	m, err := alloc.New(t, len(tmpl)+grow, 0)
+	if err != nil {
+		return nil, err
+	}
+	if grow > 0 {
+		if err := m.TrimBack(t, grow); err != nil {
+			m.Free(t)
+			return nil, err
+		}
+	}
+	st := &t.Engine().C.Stack
+	if ring != nil {
+		ring.Acquire(t)
+		t.ChargeRand(st.DriverRing)
+		ring.Release(t)
+	}
+	t.ChargeRand(st.DriverRXGen)
+	if err := m.CopyTemplate(0, tmpl); err != nil {
+		m.Free(t)
+		return nil, err
+	}
+	patchPorts(m.Bytes(), sport, dport)
+	return m, nil
+}
+
+// arrive stamps a built frame's birth for the flight recorder, under id
+// (a connection, or a TCP sequence number).
+func arrive(t *sim.Thread, m *msg.Message, id int64) {
+	if rec := t.Engine().Rec; rec != nil {
+		m.Born = t.Now()
+		rec.Arrive(t.Proc, m.Born, id)
+	}
+}
+
+// control sends a zero-payload TCP segment up the stack on the calling
+// thread: tmpl's headers, their IP total length cut back to the headers
+// alone, with the port pair, flags, sequence and acknowledgement patched
+// in.
+func control(t *sim.Thread, alloc *msg.Allocator, up xkernel.Upper, tmpl []byte, sport, dport uint16, flags uint8, seq, ack uint32) error {
+	t.ChargeRand(t.Engine().C.Stack.DriverAck)
+	m, err := alloc.New(t, tcpFrameHdr, 0)
+	if err != nil {
+		return err
+	}
+	if err := m.CopyTemplate(0, tmpl[:tcpFrameHdr]); err != nil {
+		m.Free(t)
+		return err
+	}
+	b := m.Bytes()
+	if payload := len(tmpl) - tcpFrameHdr; payload > 0 {
+		growIPLen(b, -payload)
+	}
+	patchPorts(b, sport, dport)
+	b[offTCP+12] = flags
+	patchTCPSeq(b, seq)
+	patchTCPAck(b, ack)
+	return up.Demux(t, m)
 }
 
 // patchPorts stamps a connection's port pair into a copy of a peer's

@@ -32,9 +32,9 @@ type mergeCase struct {
 // checks out and covers the frame, the transport header covers the
 // payload (c.check), a checksummed segment stays validly checksummed —
 // counts its segments, and splits by stride back into the payloads it
-// was made from. The head's tailroom is the fuzzer's too: the first
-// donor that does not fit is refused with ErrNoRoom and both frames
-// keep their bytes.
+// was made from. The head's tailroom is the fuzzer's too: a merge is
+// refused exactly when Fits says the donor does not fit, with ErrNoRoom,
+// and both frames keep their bytes.
 func fuzzMerge(t *testing.T, c mergeCase, seed []byte, payloadLen uint16, runLen uint8, room uint16, checksummed bool) {
 	if len(seed) == 0 {
 		seed = []byte{0}
@@ -77,16 +77,16 @@ func fuzzMerge(t *testing.T, c mergeCase, seed []byte, payloadLen uint16, runLen
 		for ; merged < segs; merged++ {
 			d := produce(merged, 0)
 			before := append([]byte{}, head.Bytes()...)
-			fits := head.Tailroom() >= n
+			fits, tail := Fits(head, n), head.Tailroom()
 			err := c.merge(th, head, d)
 			if fits {
 				if err != nil {
-					t.Fatalf("donor %d fits (%d bytes into %d) but Merge%s = %v", merged, n, head.Tailroom(), c.name, err)
+					t.Fatalf("donor %d fits (%d bytes into %d) but Merge%s = %v", merged, n, tail, c.name, err)
 				}
 				continue
 			}
 			if !errors.Is(err, msg.ErrNoRoom) {
-				t.Fatalf("donor %d does not fit (%d bytes into %d) but Merge%s = %v", merged, n, head.Tailroom(), c.name, err)
+				t.Fatalf("donor %d does not fit (%d bytes into %d) but Merge%s = %v", merged, n, tail, c.name, err)
 			}
 			if !bytes.Equal(head.Bytes(), before) || !bytes.Equal(d.Bytes(), frame(merged)) {
 				t.Fatalf("donor %d refused, but a frame changed", merged)
@@ -134,6 +134,7 @@ func FuzzMergeUDP(f *testing.F) {
 	f.Add([]byte("an odd-length payload"), uint16(20), uint8(5), uint16(50), true)
 	f.Add([]byte("refused"), uint16(1023), uint8(3), uint16(900), true) // a 2 KB buffer: the first donor does not fit
 	f.Add([]byte{0xff, 0xff}, uint16(2), uint8(2), uint16(0), true)
+	f.Add([]byte("exact"), uint16(1001), uint8(3), uint16(0), false) // a 2 KB buffer whose tailroom is exactly one donor
 	f.Fuzz(func(t *testing.T, seed []byte, payloadLen uint16, runLen uint8, room uint16, checksummed bool) {
 		fuzzMerge(t, mergeCase{
 			name: "UDP", proto: ip.ProtoUDP, hdr: udpFrameHdr, ckOff: offUDP + 6, merge: MergeUDP,
@@ -158,6 +159,7 @@ func FuzzMergeTCP(f *testing.F) {
 	f.Add([]byte("an odd-length payload"), uint16(20), uint8(5), uint16(50), uint32(0xfffffff0), true) // the run wraps the sequence space
 	f.Add([]byte("refused"), uint16(1023), uint8(3), uint16(900), uint32(7), true)                     // a 2 KB buffer: the first donor does not fit
 	f.Add([]byte{0xff, 0xff}, uint16(2), uint8(2), uint16(0), uint32(1994), true)
+	f.Add([]byte("exact"), uint16(995), uint8(3), uint16(0), uint32(3), false) // a 2 KB buffer whose tailroom is exactly one donor
 	f.Fuzz(func(t *testing.T, seed []byte, payloadLen uint16, runLen uint8, room uint16, seq0 uint32, checksummed bool) {
 		fuzzMerge(t, mergeCase{
 			name: "TCP", proto: ip.ProtoTCP, hdr: tcpFrameHdr, ckOff: offTCP + 18, merge: MergeTCP,

@@ -341,21 +341,7 @@ func (d *SimTCPReceiver) BadChecksums() int64 { return atomic.LoadInt64(&d.badSu
 // inject builds an acknowledgement from the preconstructed template and
 // sends it back up the stack on the calling thread.
 func (d *SimTCPReceiver) inject(t *sim.Thread, c *simRecvConn, flags uint8, seq, ack uint32) error {
-	t.ChargeRand(t.Engine().C.Stack.DriverAck)
-	m, err := d.alloc.New(t, len(d.ackTmpl), 0)
-	if err != nil {
-		return err
-	}
-	if err := m.CopyTemplate(0, d.ackTmpl); err != nil {
-		m.Free(t)
-		return err
-	}
-	b, _ := m.Peek(m.Len())
-	patchPorts(b, c.dport, c.sport)
-	b[offTCP+12] = flags
-	patchTCPSeq(b, seq)
-	patchTCPAck(b, ack)
-	return d.up.Demux(t, m)
+	return control(t, d.alloc, d.up, d.ackTmpl, c.dport, c.sport, flags, seq, ack)
 }
 
 // StartAckFlush registers the 200 ms delayed-ack flush on the event

@@ -165,48 +165,39 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 }
 
 // Produce builds the next in-sequence data packet for connection conn,
-// waiting while the receiver's flow-control window is exhausted. It
-// returns (nil, false, nil) when stopped before producing. The caller
-// shepherds the packet up the stack with Inject — directly for
-// packet-level parallelism, or after a thread handoff for the
-// connection-level and layered strategies.
-func (d *SimTCPSender) Produce(t *sim.Thread, conn int, stop *sim.Flag) (*msg.Message, bool, error) {
-	return d.produce(t, conn, stop, 0)
-}
-
-// produce is Produce with grow bytes of tailroom reserved on the built
-// frame for GRO merging.
-func (d *SimTCPSender) produce(t *sim.Thread, conn int, stop *sim.Flag, grow int) (*msg.Message, bool, error) {
+// with grow bytes of tailroom held back for GRO merging, waiting while
+// the receiver's flow-control window is exhausted. It returns (nil,
+// false, nil) when stopped before producing. The caller shepherds the
+// packet up the stack with Inject — directly for packet-level
+// parallelism, or after a thread handoff for the connection-level and
+// layered strategies.
+func (d *SimTCPSender) Produce(t *sim.Thread, conn int, stop *sim.Flag, grow int) (*msg.Message, bool, error) {
 	c := d.conns[conn]
-	ps := uint32(d.payload)
 	waited := int64(0)
 	for {
 		if stop != nil && stop.Get() {
 			return nil, false, nil
 		}
-		if c.estab.Load() {
-			outstanding := uint32(c.next.Load()) - atomic.LoadUint32(&c.ackOff)
-			if outstanding+ps <= atomic.LoadUint32(&c.rcvWnd) {
-				break
+		if d.admits(c) {
+			break
+		}
+		if d.FaultRecovery && c.estab.Load() && waited >= rexmtTimeoutNs {
+			// The window has been closed for a full retransmission
+			// timeout: the segment at the ack point was lost and no
+			// duplicate acks are flowing. Resend it.
+			waited = 0
+			d.rexmtTO++
+			if err := d.resend(t, c); err != nil {
+				return nil, false, err
 			}
-			if d.FaultRecovery && waited >= rexmtTimeoutNs {
-				// The window has been closed for a full retransmission
-				// timeout: the segment at the ack point was lost and no
-				// duplicate acks are flowing. Resend it.
-				waited = 0
-				d.rexmtTO++
-				if err := d.resend(t, c); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
+			continue
 		}
 		// Window closed (or still connecting): the real receiver's
 		// delayed-ack flush or our peer's acks will reopen it.
 		t.Sleep(200_000)
 		waited += 200_000
 	}
-	return d.build(t, c, ps, grow)
+	return d.build(t, c, grow)
 }
 
 // Rexmts reports FaultRecovery resends: (duplicate-ack triggered,
@@ -233,60 +224,38 @@ func (d *SimTCPSender) resend(t *sim.Thread, c *simSendConn) error {
 // must drain to reopen the window).
 func (d *SimTCPSender) TryProduce(t *sim.Thread, conn int) (*msg.Message, bool, error) {
 	c := d.conns[conn]
-	ps := uint32(d.payload)
-	if !c.estab.Load() {
+	if !d.admits(c) {
 		return nil, false, nil
 	}
-	outstanding := uint32(c.next.Load()) - atomic.LoadUint32(&c.ackOff)
-	if outstanding+ps > atomic.LoadUint32(&c.rcvWnd) {
-		return nil, false, nil
-	}
-	return d.build(t, c, ps, 0)
+	return d.build(t, c, 0)
+}
+
+// admits reports whether connection c is established and its window
+// takes one more segment now.
+func (d *SimTCPSender) admits(c *simSendConn) bool {
+	return c.estab.Load() &&
+		uint32(c.next.Load())-atomic.LoadUint32(&c.ackOff)+uint32(d.payload) <= atomic.LoadUint32(&c.rcvWnd)
 }
 
 // build allocates the next sequence number's packet, holding grow bytes
 // of tailroom back for GRO merging.
-func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, ps uint32, grow int) (*msg.Message, bool, error) {
-	off := uint32(c.next.Add(t, int64(ps)))
-	m, err := d.frame(t, c, c.iss+1+off, grow)
-	if err != nil {
-		return nil, false, err
-	}
-	return m, true, nil
+func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, grow int) (*msg.Message, bool, error) {
+	m, err := d.frame(t, c, c.iss+1+uint32(c.next.Add(t, int64(d.payload))), grow)
+	return m, err == nil, err
 }
 
-// frame builds the data segment at seq from the template: allocate
-// (grow bytes of tailroom held back), one pass through the ring lock,
-// the RX-generation charge, template copy and port/seq/ack patch.
+// frame builds the data segment at seq from the template, grow bytes
+// of tailroom held back, and patches in its sequence and ack.
 func (d *SimTCPSender) frame(t *sim.Thread, c *simSendConn, seq uint32, grow int) (*msg.Message, error) {
-	m, err := d.alloc.New(t, len(d.tmpl)+grow, 0)
+	m, err := newFrame(t, d.alloc, &d.ring, d.tmpl, grow, c.sport, c.dport)
 	if err != nil {
 		return nil, err
 	}
-	if grow > 0 {
-		if err := m.TrimBack(t, grow); err != nil {
-			m.Free(t)
-			return nil, err
-		}
-	}
-	st := &t.Engine().C.Stack
-	d.ring.Acquire(t)
-	t.ChargeRand(st.DriverRing)
-	d.ring.Release(t)
-	t.ChargeRand(st.DriverRXGen)
-	if err := m.CopyTemplate(0, d.tmpl); err != nil {
-		m.Free(t)
-		return nil, err
-	}
-	b, _ := m.Peek(m.Len())
-	patchPorts(b, c.sport, c.dport)
+	b := m.Bytes()
 	patchTCPSeq(b, seq)
 	patchTCPAck(b, c.irs+1)
 	m.Seq = uint64(seq)
-	if rec := t.Engine().Rec; rec != nil {
-		m.Born = t.Now()
-		rec.Arrive(t.Proc, m.Born, int64(seq))
-	}
+	arrive(t, m, int64(seq))
 	return m, nil
 }
 
@@ -299,24 +268,7 @@ func (d *SimTCPSender) Inject(t *sim.Thread, m *msg.Message) error {
 
 // injectControl sends a zero-payload control segment up the stack.
 func (d *SimTCPSender) injectControl(t *sim.Thread, c *simSendConn, flags uint8, seq, ack uint32) error {
-	t.ChargeRand(t.Engine().C.Stack.DriverAck)
-	tmpl := d.tmpl[:tcpFrameHdr]
-	m, err := d.alloc.New(t, len(tmpl), 0)
-	if err != nil {
-		return err
-	}
-	if err := m.CopyTemplate(0, tmpl); err != nil {
-		m.Free(t)
-		return err
-	}
-	b, _ := m.Peek(m.Len())
-	// Fix the IP total length for the zero-payload frame.
-	buildIP(b[offIP:], len(tmpl)-offIP, 7, 6, HostPeer, HostLocal)
-	patchPorts(b, c.sport, c.dport)
-	b[offTCP+12] = flags
-	patchTCPSeq(b, seq)
-	patchTCPAck(b, ack)
-	return d.up.Demux(t, m)
+	return control(t, d.alloc, d.up, d.tmpl, c.sport, c.dport, flags, seq, ack)
 }
 
 var _ xkernel.Wire = (*SimTCPSender)(nil)

@@ -1,11 +1,11 @@
 package driver
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/internal/xkernel"
 )
 
@@ -74,18 +74,31 @@ func (s *UDPSink) Bytes() int64 { return atomic.LoadInt64(&s.bytes) }
 func (s *UDPSink) Packets() int64 { return atomic.LoadInt64(&s.pkts) }
 
 // UDPSource produces inbound frames from a preconstructed template — the
-// receive-side UDP test's "sender".
+// receive-side UDP test's "sender". Pumped, each processor's thread
+// produces through the adaptor ring and injects what it produced
+// (PumpBatch). Steered, it is the Flow-Director NIC of a single
+// dispatcher thread, which owns its ring: Arrive builds each arrival's
+// frame, the steering decision picks a processor, and that processor's
+// worker Injects it.
 type UDPSource struct {
 	up    xkernel.Upper
 	alloc *msg.Allocator
 	ring  sim.Lock
 	conns int
+
+	// produced counts the frames the NIC built (Arrive; engine-serialized,
+	// read by the telemetry gauges through Produced). Each is one template
+	// long, so it counts the bytes too.
+	produced int64
+
 	// tmpl is every connection's payload-sized datagram addressed to the
-	// stack under test; each copy gets its connection's port pair.
+	// stack under test; each copy gets its connection's port pair, so the
+	// footprint stays one frame at a million connections.
 	tmpl []byte
 }
 
-// NewUDPSource builds a source for conns connections.
+// NewUDPSource builds a source for conns connections. A steered source's
+// payload must hold workload.StampLen bytes.
 func NewUDPSource(alloc *msg.Allocator, payload, conns int) *UDPSource {
 	s := &UDPSource{alloc: alloc, conns: conns,
 		tmpl: udpTemplate(payload, HostPeer, HostLocal, PeerPort(0), LocalPort(0))}
@@ -108,36 +121,55 @@ func (s *UDPSource) TX(t *sim.Thread, m *msg.Message) error {
 	return nil
 }
 
-// produce builds one template frame, with grow bytes of tailroom held
-// back for GRO merging (zero for a batch of one).
+// PayloadLen returns the UDP payload size every connection shares —
+// the unit a merged frame grows by per coalesced segment.
+func (s *UDPSource) PayloadLen() int { return len(s.tmpl) - udpFrameHdr }
+
+// BatchGrow returns the tailroom a batch head holds back under bc.
+func (s *UDPSource) BatchGrow(bc msg.BatchConfig) int {
+	return batchGrow(len(s.tmpl), s.PayloadLen(), bc)
+}
+
+// produce builds one pumped datagram through the adaptor ring, with grow
+// bytes of tailroom held back for GRO merging (zero for a batch of one).
 func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error) {
-	m, err := s.alloc.New(t, len(s.tmpl)+grow, 0)
+	c := conn % s.conns
+	m, err := newFrame(t, s.alloc, &s.ring, s.tmpl, grow, PeerPort(c), LocalPort(c))
 	if err != nil {
-		return nil, fmt.Errorf("driver: udp source: %w", err)
-	}
-	if grow > 0 {
-		if err := m.TrimBack(t, grow); err != nil {
-			m.Free(t)
-			return nil, err
-		}
-	}
-	st := &t.Engine().C.Stack
-	s.ring.Acquire(t)
-	t.ChargeRand(st.DriverRing)
-	s.ring.Release(t)
-	t.ChargeRand(st.DriverRXGen)
-	if err := m.CopyTemplate(0, s.tmpl); err != nil {
-		m.Free(t)
 		return nil, err
 	}
-	c := conn % s.conns
-	patchPorts(m.Bytes(), PeerPort(c), LocalPort(c))
 	t.Interfere()
-	if rec := t.Engine().Rec; rec != nil {
-		m.Born = t.Now()
-		rec.Arrive(t.Proc, m.Born, int64(conn))
-	}
+	arrive(t, m, int64(conn))
 	return m, nil
+}
+
+// Arrive builds the frame for one steered arrival on the NIC thread, with
+// grow bytes of tailroom held back for the batch it may head. Its payload
+// starts with the workload stamp (connection, sequence, generation), so
+// the delivery sink measures ordering without a side channel. The frame
+// is not yet injected: the steering decision picks the worker that will
+// Inject it.
+func (s *UDPSource) Arrive(t *sim.Thread, a workload.Arrival, grow int) (*msg.Message, error) {
+	c := a.Conn % s.conns
+	m, err := newFrame(t, s.alloc, nil, s.tmpl, grow, PeerPort(c), LocalPort(c))
+	if err != nil {
+		return nil, err
+	}
+	workload.EncodeStamp(m.Bytes()[udpFrameHdr:], a.Conn, a.Seq, a.Gen)
+	arrive(t, m, int64(a.Conn))
+	s.produced++
+	return m, nil
+}
+
+// Produced returns the cumulative frames and bytes the NIC has built.
+func (s *UDPSource) Produced() (frames, bytes int64) {
+	return s.produced, s.produced * int64(len(s.tmpl))
+}
+
+// Inject shepherds a dispatched frame up the stack on the calling
+// worker thread.
+func (s *UDPSource) Inject(t *sim.Thread, m *msg.Message) error {
+	return s.up.Demux(t, m)
 }
 
 var _ xkernel.Wire = (*UDPSink)(nil)

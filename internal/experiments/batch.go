@@ -45,7 +45,7 @@ func batchSweeps() []Sweep {
 		for _, segs := range []int{1, 8} {
 			skewed = append(skewed, Curve{
 				Label: fmt.Sprintf("%d%% hot, batch %d", hot, segs),
-				Set:   func(c *core.Config) { c.HotConnPct = hot; batched(c, segs) },
+				Set:   func(c *core.Config) { c.Workload.HotConnPct = hot; batched(c, segs) },
 			})
 		}
 	}

@@ -440,8 +440,8 @@ func specs() []Spec {
 				ConnPerProc: true,
 				Curves: []Curve{
 					{Label: "0% of traffic to one connection"},
-					{Label: "25% of traffic to one connection", Set: func(c *core.Config) { c.HotConnPct = 25 }},
-					{Label: "50% of traffic to one connection", Set: func(c *core.Config) { c.HotConnPct = 50 }},
+					{Label: "25% of traffic to one connection", Set: func(c *core.Config) { c.Workload.HotConnPct = 25 }},
+					{Label: "50% of traffic to one connection", Set: func(c *core.Config) { c.Workload.HotConnPct = 50 }},
 				},
 				Views: []View{{Title: "Extension: multi-connection TCP send under skewed traffic (4KB, checksum on)"}},
 			}},
