@@ -1,0 +1,11 @@
+//go:build race
+
+package core
+
+// TestSetupAllocsPerConn's one-connection byte ceilings under the race
+// detector, whose build reads 208 B more than plain go test
+// (setup_ceiling_test.go).
+const (
+	udpSetupMaxBytes = 107720
+	tcpSetupMaxBytes = 112800
+)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/fddi"
 	"repro/internal/ip"
+	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
 	"repro/internal/xmap"
@@ -129,4 +130,96 @@ func TestConcurrentOpensOnHostBackendGetDistinctSessions(t *testing.T) {
 	if ipRefs, macRefs := low.ips[0].Ref().Value(), low.macs[0].Ref().Value(); ipRefs != int32(n) || macRefs != int32(n) {
 		t.Errorf("the IP session has %d references and the FDDI session %d, want %d each", ipRefs, macRefs, n)
 	}
+}
+
+// sharedIP hands out one IP session for every Open, as ip.Open does for
+// one peer and protocol.
+type sharedIP struct{ s *fakeIPSession }
+
+func (o *sharedIP) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
+	return o.s, nil
+}
+
+// Sessions opened over one IP session to one receiver share one binding;
+// a session opened to a second receiver gets a binding of its own, and
+// what is sent to it reaches that receiver alone.
+func TestSessionsShareABindingPerReceiver(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		cfg := Config{Checksum: ChecksumEnforce, MapLocking: true}
+		ipAB := &fakeIP{src: hostA, dst: hostB}
+		ipBA := &fakeIP{src: hostB, dst: hostA}
+		pa := New(cfg, ipAB)
+		pb := New(cfg, &sharedIP{&fakeIPSession{f: ipBA}})
+		ipAB.peer = pb
+		ipBA.peer = pa
+		first, second := &recvSink{}, &recvSink{}
+		ups := []*recvSink{first, first, first, second}
+		var senders, receivers []*Session
+		for i, up := range ups {
+			part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: uint16(1000 + i), RemotePort: uint16(2000 + i)}
+			sa, err := pa.Open(th, part, &recvSink{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := pb.Open(th, part.Swap(), up)
+			if err != nil {
+				t.Fatal(err)
+			}
+			senders, receivers = append(senders, sa), append(receivers, sb)
+		}
+		if receivers[0].binding != &pb.bind0 {
+			t.Error("the first session's binding is not the protocol's own")
+		}
+		for i := 1; i < 3; i++ {
+			if receivers[i].binding != receivers[0].binding {
+				t.Errorf("session %d has binding %p, want the shared %p", i, receivers[i].binding, receivers[0].binding)
+			}
+		}
+		if b := receivers[3].binding; b == receivers[0].binding || b.up != xkernel.Receiver(second) {
+			t.Errorf("the session to a second receiver has binding %p (first's %p), delivering to %p, want its own, to %p",
+				b, receivers[0].binding, b.up, second)
+		}
+		alloc := msg.NewAllocator(msg.DefaultConfig(4))
+		for _, sa := range senders {
+			m, err := alloc.New(th, 64, msg.Headroom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sa.Push(th, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(first.msgs) != 3 || len(second.msgs) != 1 {
+			t.Errorf("the first receiver got %d datagrams and the second %d, want 3 and 1", len(first.msgs), len(second.msgs))
+		}
+	})
+}
+
+// A participant pair whose addresses are not the IP session's is
+// refused, and the IP session's reference given back.
+func TestOpenRefusesAddressesOtherThanTheIPSessions(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		low := newRealLower()
+		p := New(Config{MapLocking: true}, low)
+		if _, err := p.Open(th, xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 1, RemotePort: 2}, &recvSink{}); err != nil {
+			t.Fatal(err)
+		}
+		wrongLocal := xkernel.Part{LocalIP: hostB, RemoteIP: hostB, LocalPort: 3, RemotePort: 4}
+		if _, err := p.Open(th, wrongLocal, &recvSink{}); !errors.Is(err, ErrAddr) {
+			t.Fatalf("Open with local address %v over IP from %v: %v, want %v", hostB, hostA, err, ErrAddr)
+		}
+		if refs := low.ips[0].Ref().Value(); refs != 1 {
+			t.Errorf("after the refused Open the IP session has %d references, want 1", refs)
+		}
+
+		ip := &fakeIP{src: hostA, dst: hostB}
+		q := New(Config{MapLocking: true}, ip)
+		wrongRemote := xkernel.Part{LocalIP: hostA, RemoteIP: xkernel.IPAddr{10, 0, 0, 3}, LocalPort: 1, RemotePort: 2}
+		if _, err := q.Open(th, wrongRemote, &recvSink{}); !errors.Is(err, ErrAddr) {
+			t.Fatalf("Open with remote address %v over IP to %v: %v, want %v", wrongRemote.RemoteIP, hostB, err, ErrAddr)
+		}
+		if ip.closes != 1 || q.DemuxMap().Len(th) != 0 {
+			t.Errorf("after the refused Open: %d IP closes, %d bindings; want 1 and 0", ip.closes, q.DemuxMap().Len(th))
+		}
+	})
 }

@@ -38,6 +38,7 @@ const (
 var (
 	ErrShort       = errors.New("udp: truncated datagram")
 	ErrBadChecksum = errors.New("udp: checksum mismatch")
+	ErrAddr        = errors.New("udp: participant addresses differ from the IP session's")
 )
 
 // IPOpener abstracts the IP layer below.
@@ -78,6 +79,10 @@ type Protocol struct {
 	stats    sim.Shards[Stats]
 	// slab backs every Session; Open mutates it under sessLock.
 	slab slab.Slab[Session]
+	// last is the binding the latest Open used, bind0 the first one, so
+	// a one-connection stack allocates none (both under sessLock).
+	last  *binding
+	bind0 binding
 }
 
 // Stats counts UDP activity. The protocol keeps one Stats per processor
@@ -118,20 +123,26 @@ func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 // DemuxMap exposes the session demux map.
 func (p *Protocol) DemuxMap() *xmap.Map { return p.sessions }
 
-// Session is one open UDP channel. Its fields run from the widest
-// alignment down, so a session fills its 64 B slab slot, one cache
-// line, with no padding: at a million connections the sessions are
-// the largest share of the heap.
-type Session struct {
+// binding is what the sessions opened over one IP session to one
+// receiver have in common: at a million connections to one peer it is
+// one object, not a million copies of the same three words.
+type binding struct {
 	p     *Protocol
 	lower IPSession
 	up    xkernel.Receiver
-	part  xkernel.Part
-	ref   sim.RefCount
+}
+
+// Session is one open UDP channel: its shared binding, its ports and its
+// count, 24 B. The IP addresses are its IP session's.
+type Session struct {
+	*binding
+	lport, rport uint16
+	ref          sim.RefCount
 }
 
 // Open creates a session for the participant pair, delivering inbound
-// datagrams to up. Session creation locks; data transfer does not.
+// datagrams to up. Session creation locks; data transfer does not. The
+// pair's addresses must be those of the IP session below (ErrAddr).
 func (p *Protocol) Open(t *sim.Thread, part xkernel.Part, up xkernel.Receiver) (*Session, error) {
 	p.sessLock.Acquire(t)
 	defer p.sessLock.Release(t)
@@ -139,14 +150,28 @@ func (p *Protocol) Open(t *sim.Thread, part xkernel.Part, up xkernel.Receiver) (
 	if err != nil {
 		return nil, err
 	}
+	if part.LocalIP != low.Src() || part.RemoteIP != low.Dst() {
+		_ = low.Close(t)
+		return nil, fmt.Errorf("%w: %v->%v over %v->%v", ErrAddr, part.LocalIP, part.RemoteIP, low.Src(), low.Dst())
+	}
+	// Every Receiver is a pointer or an empty struct: == is safe.
+	b := p.last
+	if b == nil || b.lower != low || b.up != up {
+		b = &p.bind0
+		if p.last != nil {
+			b = new(binding)
+		}
+		*b = binding{p: p, lower: low, up: up}
+	}
 	s := p.slab.New()
-	*s = Session{p: p, lower: low, part: part, up: up}
+	*s = Session{binding: b, lport: part.LocalPort, rport: part.RemotePort}
 	s.ref.Init(p.cfg.RefMode, 1)
 	key := xmap.PortKey(part.LocalPort, part.RemotePort)
 	if err := p.sessions.Bind(t, key, s); err != nil {
 		_ = low.Close(t) // drop the lower sessions' references; Bind's error is the one to report
 		return nil, err
 	}
+	p.last = b
 	return s, nil
 }
 
@@ -166,8 +191,8 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 	if err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint16(h[0:2], s.part.LocalPort)
-	binary.BigEndian.PutUint16(h[2:4], s.part.RemotePort)
+	binary.BigEndian.PutUint16(h[0:2], s.lport)
+	binary.BigEndian.PutUint16(h[2:4], s.rport)
 	binary.BigEndian.PutUint16(h[4:6], uint16(m.Len()))
 	h[6], h[7] = 0, 0
 	if s.p.cfg.Checksum != ChecksumOff {
@@ -187,7 +212,7 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 func (s *Session) Close(t *sim.Thread) error {
 	s.p.sessLock.Acquire(t)
 	defer s.p.sessLock.Release(t)
-	key := xmap.PortKey(s.part.LocalPort, s.part.RemotePort)
+	key := xmap.PortKey(s.lport, s.rport)
 	if err := s.p.sessions.Unbind(t, key); err != nil {
 		return err
 	}

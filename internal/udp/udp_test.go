@@ -23,10 +23,11 @@ var (
 )
 
 // fakeIP loops pushed segments into the peer UDP protocol's Demux,
-// swapping the address perspective.
+// swapping the address perspective, and counts its sessions' Closes.
 type fakeIP struct {
 	src, dst xkernel.IPAddr
 	peer     *Protocol
+	closes   int
 }
 
 func (f *fakeIP) Open(t *sim.Thread, dst xkernel.IPAddr, proto uint8) (IPSession, error) {
@@ -38,7 +39,7 @@ type fakeIPSession struct{ f *fakeIP }
 func (s *fakeIPSession) Push(t *sim.Thread, m *msg.Message) error {
 	return s.f.peer.Demux(t, m)
 }
-func (s *fakeIPSession) Close(t *sim.Thread) error { return nil }
+func (s *fakeIPSession) Close(t *sim.Thread) error { s.f.closes++; return nil }
 func (s *fakeIPSession) Src() xkernel.IPAddr       { return s.f.src }
 func (s *fakeIPSession) Dst() xkernel.IPAddr       { return s.f.dst }
 func (s *fakeIPSession) MSS() int                  { return 4352 - 20 }
@@ -221,7 +222,7 @@ func TestNoSessionForPort(t *testing.T) {
 	run(t, func(th *sim.Thread) {
 		sa, _, _ := pair(t, th, ChecksumOff)
 		// Replace the remote port so the peer has no binding.
-		sa.part.RemotePort = 7777
+		sa.rport = 7777
 		m := newMsg(t, th, 64)
 		if err := sa.Push(th, m); err == nil {
 			t.Fatal("expected no-port error")
@@ -339,10 +340,10 @@ func TestMultiConnectionDemux(t *testing.T) {
 	})
 }
 
-// TestSessionLayout pins a session at one 64-byte cache line: a
-// million-connection stack holds a million of them.
+// TestSessionLayout pins a session at 24 bytes, its binding pointer,
+// ports and count: a million-connection stack holds a million of them.
 func TestSessionLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Session{}); n != 64 {
-		t.Errorf("Session is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(Session{}); n != 24 {
+		t.Errorf("Session is %d bytes, want 24", n)
 	}
 }

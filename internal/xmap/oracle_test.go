@@ -249,8 +249,8 @@ func checkStorage(t *testing.T, m *Map) {
 			t.Fatalf("entry %d is both bound and free (or free twice)", r)
 		}
 		seen[r] = true
-		if e := m.at(r); e.key != (Key{}) || e.val != nil {
-			t.Errorf("free entry %d still holds %v -> %v", r, e.key, e.val)
+		if e := m.at(r); e.key() != (Key{}) || e.val != nil {
+			t.Errorf("free entry %d still holds %v -> %v", r, e.key(), e.val)
 		}
 		free++
 	}
@@ -269,7 +269,7 @@ func TestUnbindZeroesAndRecyclesTheSlot(t *testing.T) {
 		k := PortKey(42, 1)
 		m.Resolve(th, k) // the 1-behind cache references the value too
 		r := m.buckets[m.hash(k)]
-		for m.at(r).key != k {
+		for m.at(r).key() != k {
 			r = m.at(r).next
 		}
 		if err := m.Unbind(th, k); err != nil {

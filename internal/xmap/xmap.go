@@ -29,23 +29,31 @@ import (
 )
 
 // Key is a fixed-size binary external identifier. Demux keys (addresses,
-// ports, protocol numbers) are packed into two words.
+// ports, protocol numbers) are packed into 96 bits: all of k[0] and the
+// low 32 bits of k[1], which is all a map stores (Bind refuses a wider
+// k[1] with ErrKeyRange).
 type Key [2]uint64
 
 // Errors returned by map operations.
 var (
 	ErrExists   = errors.New("xmap: key already bound")
 	ErrNotFound = errors.New("xmap: key not bound")
+	ErrKeyRange = errors.New("xmap: key's second word exceeds 32 bits")
 )
 
 // ref names an entry: 1 + its index, 0 for none.
 type ref = uint32
 
+// entry is one binding in 32 B: its key's 96 bits, its successor and
+// its value.
 type entry struct {
-	key  Key
-	val  any
+	k0   uint64
+	k1   uint32
 	next ref
+	val  any
 }
+
+func (e *entry) key() Key { return Key{e.k0, uint64(e.k1)} }
 
 // Entry i is chunks[i>>chunkShift][i&chunkMask]. Every chunk is
 // chunkSize long except the last; the first grows 1, 2, 4, ... by copy
@@ -184,21 +192,26 @@ func (m *Map) release(t *sim.Thread) {
 	}
 }
 
-// Bind inserts a key → value binding.
+// Bind inserts a key → value binding. A key whose k[1] does not fit in
+// 32 bits is refused (ErrKeyRange) before any charge, so no two keys
+// alias.
 func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
+	if k[1] > 1<<32-1 {
+		return ErrKeyRange
+	}
 	m.acquire(t)
 	defer m.release(t)
 	t.ChargeRand(t.Engine().C.Stack.MapHash)
 	b := m.hash(k)
 	for r := m.buckets[b]; r != 0; {
 		e := m.at(r)
-		if e.key == k {
+		if e.key() == k {
 			return ErrExists
 		}
 		r = e.next
 	}
 	r := m.newEntry()
-	*m.at(r) = entry{key: k, val: v, next: m.buckets[b]}
+	*m.at(r) = entry{k0: k[0], k1: uint32(k[1]), next: m.buckets[b], val: v}
 	m.buckets[b] = r
 	m.n++
 	t.Count(&m.stats.At(t).Binds, 1)
@@ -224,7 +237,7 @@ func (m *Map) grow() {
 		for r != 0 {
 			e := m.at(r)
 			next := e.next
-			b := m.hash(e.key)
+			b := m.hash(e.key())
 			e.next = m.buckets[b]
 			m.buckets[b] = r
 			r = next
@@ -252,7 +265,7 @@ func (m *Map) Resolve(t *sim.Thread, k Key) (any, bool) {
 	t.ChargeRand(st.MapHash)
 	for r := m.buckets[m.hash(k)]; r != 0; {
 		e := m.at(r)
-		if e.key == k {
+		if e.key() == k {
 			m.cacheKey, m.cacheVal, m.cacheValid = k, e.val, true
 			return e.val, true
 		}
@@ -270,7 +283,7 @@ func (m *Map) Unbind(t *sim.Thread, k Key) error {
 	for pr := &m.buckets[b]; *pr != 0; {
 		r := *pr
 		e := m.at(r)
-		if e.key == k {
+		if e.key() == k {
 			*pr = e.next
 			m.n--
 			t.Count(&m.stats.At(t).Unbinds, 1)

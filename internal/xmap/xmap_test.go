@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -175,5 +176,78 @@ func TestMapStressRandomOps(t *testing.T) {
 		if m.Len(th) != len(ref) {
 			t.Fatalf("len = %d, ref = %d", m.Len(th), len(ref))
 		}
+	})
+}
+
+// TestEntryLayout pins a demux entry at 32 bytes, its 96-bit key, link
+// and value: a million-connection stack holds a million of them.
+func TestEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 32 {
+		t.Errorf("entry is %d bytes, want 32", n)
+	}
+}
+
+// A key differing from a bound one only above bit 32 of its second word
+// is refused by Bind and missed by Resolve and Unbind: it never aliases
+// the bound key, cached or chained.
+func TestWideKeysNeverAlias(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		m := New(1, sim.KindMutex, "t")
+		m.MaxLoad = 0 // one chain: every walk compares the wide key with the narrow one
+		narrow := Key{0xdead_beef_0000_0001, 0x8000_0001}
+		wide := Key{narrow[0], narrow[1] + 1<<32}
+		if err := m.Bind(th, narrow, "narrow"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Bind(th, wide, "wide"); err != ErrKeyRange {
+			t.Errorf("Bind of %x: %v, want %v", wide, err, ErrKeyRange)
+		}
+		for _, cached := range []bool{false, true} { // a chain walk, then a 1-behind cache hit on narrow
+			if v, ok := m.Resolve(th, wide); ok {
+				t.Errorf("Resolve of %x found %v (cache filled: %v)", wide, v, cached)
+			}
+			if v, ok := m.Resolve(th, narrow); !ok || v != "narrow" {
+				t.Errorf("Resolve of %x = %v, %v; want narrow", narrow, v, ok)
+			}
+		}
+		if err := m.Unbind(th, wide); err != ErrNotFound {
+			t.Errorf("Unbind of %x: %v, want %v", wide, err, ErrNotFound)
+		}
+		if n := m.Len(th); n != 1 {
+			t.Errorf("%d bindings, want 1", n)
+		}
+	})
+}
+
+// Growing rehashes every entry from the key it stores: every key, its
+// second word anywhere up to 1<<32 - 1, resolves after every grow.
+func TestGrowKeepsEveryKey(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		m := New(2, sim.KindMutex, "t")
+		m.MaxLoad = 2
+		var keys []Key
+		for i := uint64(0); i < 600; i++ {
+			k := Key{i % 3, (i * 0x9e37_79b9) & (1<<32 - 1)}
+			if i == 0 {
+				k[1] = 1<<32 - 1
+			}
+			grows := m.Grows()
+			if err := m.Bind(th, k, i); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, k)
+			if m.Grows() == grows {
+				continue
+			}
+			for j, k := range keys {
+				if v, ok := m.Resolve(th, k); !ok || v.(uint64) != uint64(j) {
+					t.Fatalf("after grow %d, Resolve of %x = %v, %v; want %d", m.Grows(), k, v, ok, j)
+				}
+			}
+		}
+		if m.Grows() < 5 {
+			t.Errorf("the map grew %d times, want at least 5", m.Grows())
+		}
+		checkStorage(t, m)
 	})
 }
