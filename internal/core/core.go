@@ -206,22 +206,27 @@ type Stack struct {
 	UDP  *udp.Protocol
 	TCP  *tcp.Protocol
 
-	// Sink is the application above the transport (steered runs deliver
-	// to the workload's sink instead).
+	// Sink is the application above the transport on the receive
+	// shapes: the one sink every receive shape delivers to, with the
+	// steered shape's per-flow state behind Sink.Flows. Nil on the send
+	// shapes, whose throughput point is the driver peer.
 	Sink *app.Sink
 
 	sh    shape
 	fault *driver.FaultWire // nil unless Cfg.Faults is enabled
 
 	stop sim.Flag
-	// runErr is the first failure of the current Run: set-up's, or the
-	// one a pump or steering thread reported through fail.
+	// runErr is the first failure of the current Run: set-up's, the one
+	// a pump or steering thread reported through fail, or the shape's
+	// delivery check.
 	runErr error
+	// lost tallies what TCP accepted and teardown freed before the
+	// application took it (the layered tcp->app queue).
+	lost app.Tally
 
 	// Steering plumbing (steer.go); all nil unless Cfg.Steer.Enabled.
 	steerer    *steer.Steerer
 	steerGen   *workload.Generator
-	steerSink  *workload.Sink
 	steerQs    []*sim.Queue
 	steerDrops int64
 
@@ -262,6 +267,9 @@ func Build(c Config) (*Stack, error) {
 	if cfg.PacketSize > fddi.MTU-ip.HdrLen-tcp.HdrLen {
 		return nil, fmt.Errorf("core: PacketSize %d exceeds what one FDDI frame carries", cfg.PacketSize)
 	}
+	if !cfg.Checksum && (cfg.Faults.Up.Corrupt > 0 || cfg.Faults.Down.Corrupt > 0) {
+		return nil, errors.New("core: corrupting faults need the checksum on, or damaged payload is delivered")
+	}
 	if cfg.Machine.CPU <= 0 || cfg.Machine.Mem <= 0 {
 		return nil, fmt.Errorf("core: Machine %q has no CPU or memory speed (start from DefaultConfig)", cfg.Machine.Name)
 	}
@@ -296,8 +304,10 @@ func Build(c Config) (*Stack, error) {
 		return s.FDDI.Open(t, remote, proto)
 	})
 	s.IP = ip.New(ip.Config{Local: driver.HostLocal, RefMode: cfg.RefMode}, low)
-	s.Sink = app.NewSink(cfg.Ticketing, nil)
 	s.sh = s.newShape()
+	if s.Sink != nil && cfg.PacketSize < workload.StampLen {
+		return nil, fmt.Errorf("core: a receive shape needs PacketSize >= %d for the payload stamp", workload.StampLen)
+	}
 
 	var wire xkernel.Wire = s.sh.peer
 	if cfg.Faults.Enabled() {
@@ -356,16 +366,33 @@ func demuxBuckets(cfg *Config) int {
 	return b
 }
 
-// drainQueue closes q at teardown and frees the messages parked on it.
-func drainQueue(t *sim.Thread, q *sim.Queue) {
+// drainQueue closes q at teardown and frees the messages parked on it,
+// folding in those TCP accepted for the application (the tcp->app queue).
+func (s *Stack) drainQueue(t *sim.Thread, q *sim.Queue) {
 	q.Close(t)
 	for {
 		item, ok := q.TryDequeue(t)
 		if !ok {
 			return
 		}
-		item.(*msg.Message).Free(t)
+		if q == s.q3 {
+			s.undelivered(t, item.(*msg.Message))
+		} else {
+			item.(*msg.Message).Free(t)
+		}
 	}
+}
+
+// undelivered frees m, a delivery TCP accepted that never reached the
+// application, and adds it to lost for the delivery check.
+func (s *Stack) undelivered(t *sim.Thread, m *msg.Message) {
+	_, tl, err := s.Sink.Stamps(m)
+	if err != nil {
+		s.fail(fmt.Errorf("core: undelivered: %w", err))
+	}
+	s.lost.Segs += tl.Segs
+	s.lost.Sum += tl.Sum
+	m.Free(t)
 }
 
 // activeConns returns how many connections the pumps drive.
@@ -484,7 +511,7 @@ type RunResult struct {
 	// during the measurement interval.
 	SteerDrops int64
 	// SinkEvicts counts compact accounting-table evictions at the
-	// workload sink during the measurement interval (0 unless
+	// steered sink during the measurement interval (0 unless
 	// Workload.CompactSlots bounds the table).
 	SinkEvicts int64
 	// BatchFrames counts merged frames injected during the measurement
@@ -524,7 +551,7 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 				s.fault.Shutdown(t)
 			}
 			for _, q := range s.sh.queues {
-				drainQueue(t, q)
+				s.drainQueue(t, q)
 			}
 			s.Wheel.Stop()
 		}()
@@ -569,6 +596,9 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 		applySteerMetrics(&res, sn0, sn1)
 	})
 	s.Eng.Run()
+	if s.runErr == nil && s.sh.check != nil {
+		s.runErr = s.sh.check(s)
+	}
 	return res, s.runErr
 }
 

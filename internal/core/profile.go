@@ -122,7 +122,8 @@ func (s *Stack) ProfileReport() string {
 		fmt.Fprintf(&b, "  rebalancer: %d samples, %d bucket moves, %d held by quiescence\n",
 			ss.Samples, ss.Moves, ss.Held)
 		fmt.Fprintf(&b, "  ring drops %d\n", s.steerDrops)
-		pkts, ooo := s.steerSink.Order()
+		ooo, _, _ := s.Sink.Flows.Counts()
+		pkts := s.Sink.Packets()
 		if pkts > 0 {
 			fmt.Fprintf(&b, "  delivered %d packets, %d misordered (%.1f%%)\n",
 				pkts, ooo, 100*float64(ooo)/float64(pkts))

@@ -55,6 +55,9 @@ type shape struct {
 	snapshot func(s *Stack) snap
 	// teardown stops what set-up started, before the queues drain.
 	teardown func(s *Stack, t *sim.Thread)
+	// check compares, once the engine has returned, what the transport
+	// accepted with what the application got (nil: nothing to compare).
+	check func(s *Stack) error
 
 	tcbs   []*tcp.TCB   // the TCP connections
 	queues []*sim.Queue // every handoff queue built, drained at teardown
@@ -70,18 +73,19 @@ func (s *Stack) newShape() shape {
 		src := driver.NewUDPSource(s.Alloc, cfg.PacketSize, cfg.Connections)
 		s.newUDP()
 		s.buildSteer()
-		sh.peer, sh.counter, sh.queues, sh.snapshot = src, s.steerSink, s.steerQs, (*Stack).steerSnapshot
-		sh.setup = func(s *Stack, t *sim.Thread) error { return s.setupUDP(t, s.steerSink, nil) }
+		sh.peer, sh.counter, sh.queues, sh.snapshot = src, s.Sink, s.steerQs, (*Stack).steerSnapshot
+		sh.setup = func(s *Stack, t *sim.Thread) error { return s.setupUDP(t, s.Sink, nil) }
 		sh.run = func(s *Stack, _ *sim.Thread) { s.runSteer(src) }
 	case cfg.Proto == ProtoUDP && cfg.Side == SideSend: // udp-send
 		sink := driver.NewUDPSink()
 		s.newUDP()
 		send := &sendPump{src: app.NewSource(s.Alloc, cfg.PacketSize)}
 		sh.peer, sh.counter, sh.pump = sink, sink, send
-		sh.setup = func(s *Stack, t *sim.Thread) error { return s.setupUDP(t, s.Sink, send) }
+		sh.setup = func(s *Stack, t *sim.Thread) error { return s.setupUDP(t, nil, send) }
 	case cfg.Proto == ProtoUDP: // udp-recv
 		src := driver.NewUDPSource(s.Alloc, cfg.PacketSize, cfg.Connections)
 		s.newUDP()
+		s.Sink = app.NewSink(cfg.Connections)
 		sh.peer, sh.counter, sh.pump = src, s.Sink, src
 		sh.setup = func(s *Stack, t *sim.Thread) error { return s.setupUDP(t, s.Sink, nil) }
 	case cfg.Side == SideSend: // tcp-send
@@ -95,7 +99,7 @@ func (s *Stack) newShape() shape {
 		sh.peer, sh.counter, sh.pump, sh.tcbs = r, r, send, make([]*tcp.TCB, 0, cfg.Connections)
 		sh.setup = func(s *Stack, t *sim.Thread) error {
 			// Each active open's handshake completes through r.
-			if err := s.setupTCP(t, s.TCP.Open); err != nil {
+			if err := s.setupTCP(t, s.TCP.Open, nil); err != nil {
 				return err
 			}
 			for _, tcb := range s.sh.tcbs {
@@ -117,9 +121,10 @@ func (s *Stack) newShape() shape {
 		d := driver.NewSimTCPSender(s.Alloc, cfg.PacketSize, cfg.Connections)
 		d.FaultRecovery = cfg.Faults.Enabled() // over a lossy wire, retransmit on dup-acks and timeouts
 		s.newTCP()
+		s.Sink = app.NewSink(cfg.Connections)
 		sh.peer, sh.counter, sh.pump, sh.tcbs = d, s.Sink, d, make([]*tcp.TCB, 0, cfg.Connections)
 		sh.setup = func(s *Stack, t *sim.Thread) error { return s.setupTCPRecv(t, d) }
-		sh.teardown = (*Stack).closeTCP
+		sh.teardown, sh.check = (*Stack).closeTCP, (*Stack).checkDelivered
 		switch cfg.Strategy {
 		case StrategyConnection:
 			sh.run = func(s *Stack, _ *sim.Thread) { s.runConnectionLevel(d) }
@@ -209,9 +214,10 @@ func (s *Stack) setupUDP(t *sim.Thread, up xkernel.Receiver, send *sendPump) err
 }
 
 // setupTCP binds TCP over IP over FDDI, across the stage queues when
-// layered, starts its timers and opens every connection with open.
-func (s *Stack) setupTCP(t *sim.Thread, open func(*sim.Thread, xkernel.Part, xkernel.Receiver) (*tcp.TCB, error)) error {
-	ipUp, tcpUp, up := xkernel.Upper(s.IP), xkernel.Upper(s.TCP), xkernel.Receiver(s.Sink)
+// layered, starts its timers and opens every connection with open,
+// delivering to up.
+func (s *Stack) setupTCP(t *sim.Thread, open func(*sim.Thread, xkernel.Part, xkernel.Receiver) (*tcp.TCB, error), up xkernel.Receiver) error {
+	ipUp, tcpUp := xkernel.Upper(s.IP), xkernel.Upper(s.TCP)
 	if s.Cfg.Strategy == StrategyLayered {
 		ipUp, tcpUp, up = s.layerShims(ipUp, tcpUp, up)
 	}
@@ -232,7 +238,7 @@ func (s *Stack) setupTCP(t *sim.Thread, open func(*sim.Thread, xkernel.Part, xke
 // setupTCPRecv listens on every connection and has the peer d open it.
 func (s *Stack) setupTCPRecv(t *sim.Thread, d *driver.SimTCPSender) error {
 	cfg := &s.Cfg
-	if err := s.setupTCP(t, s.TCP.OpenEnable); err != nil {
+	if err := s.setupTCP(t, s.TCP.OpenEnable, s.Sink); err != nil {
 		return err
 	}
 	if cfg.Ticketing {
@@ -318,4 +324,34 @@ func (s *Stack) tcbSnapshot() snap {
 		sn.lockWait += tcb.StateLockStats().WaitNs
 	}
 	return sn
+}
+
+// checkDelivered is the TCP receive shape's check: every segment each
+// connection took in order reached the application exactly once, or was
+// folded into lost at teardown. The tallies compare count and
+// fingerprint, never order: unticketed deliveries leave the state lock
+// in any order (the sink checks ticketed order as it delivers).
+// Assumed-in-order TCP (Figure 10's bound) takes whatever arrives as the
+// next segment, so under it only the count is compared.
+func (s *Stack) checkDelivered() error {
+	size := int64(s.Cfg.PacketSize)
+	var want app.Tally
+	for c, tcb := range s.sh.tcbs {
+		n := tcb.InOrderBytes()
+		if n%size != 0 {
+			return fmt.Errorf("core: connection %d took %d bytes in order, not whole %d-byte segments", c, n, size)
+		}
+		want.Stream(c, n/size)
+	}
+	got := s.Sink.Delivered()
+	got.Segs += s.lost.Segs
+	got.Sum += s.lost.Sum
+	if got.Segs != want.Segs {
+		return fmt.Errorf("core: TCP took %d segments in order and the application got %d", want.Segs, got.Segs)
+	}
+	if got.Sum != want.Sum && !s.Cfg.AssumeInOrder {
+		return fmt.Errorf("core: the application got %d segments, but not each one TCP took in order exactly once (fingerprint %#x, want %#x)",
+			got.Segs, got.Sum, want.Sum)
+	}
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/app"
 	"repro/internal/driver"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -32,9 +33,6 @@ func validateSteer(cfg *Config) error {
 	if cfg.Strategy != StrategyPacket {
 		return errors.New("core: Steer requires the packet-level strategy")
 	}
-	if cfg.PacketSize < workload.StampLen {
-		return fmt.Errorf("core: Steer needs PacketSize >= %d for the workload stamp", workload.StampLen)
-	}
 	cfg.Steer = cfg.Steer.WithDefaults()
 	// One lock kind per run: the Flow-Director buckets follow the
 	// connection-state locks, whichever entry point built the config.
@@ -53,7 +51,7 @@ func (s *Stack) buildSteer() {
 	cfg := &s.Cfg
 	s.steerer = steer.New(cfg.Steer, cfg.Procs)
 	s.steerGen = workload.NewGenerator(cfg.Workload, cfg.Connections)
-	s.steerSink = workload.NewSink(cfg.Workload, cfg.Connections, cfg.Procs)
+	s.Sink = app.NewSteeredSink(cfg.Workload, cfg.Connections, cfg.Procs)
 	s.steerQs = make([]*sim.Queue, cfg.Procs)
 	for p := range s.steerQs {
 		s.steerQs[p] = sim.NewQueue(fmt.Sprintf("steer%d", p), cfg.Steer.RingCapacity)
@@ -61,7 +59,7 @@ func (s *Stack) buildSteer() {
 	if cfg.Steer.Policy == steer.PolicyFlowDirector {
 		// The ATR update: each delivery pins the flow to the
 		// connection's (possibly just-migrated) application processor.
-		s.steerSink.Pin = func(t *sim.Thread, conn int, gen uint32, proc int) {
+		s.Sink.Flows.Pin = func(t *sim.Thread, conn int, gen uint32, proc int) {
 			s.steerer.Pin(t, steerFlowID(conn, gen), s.steerHash(conn, gen), proc)
 		}
 	}
@@ -208,8 +206,9 @@ func (s *Stack) steerWorker(t *sim.Thread, p int, src *driver.UDPSource) {
 		for n := 1; ; n++ {
 			if err := src.Inject(t, item.(*msg.Message)); err != nil {
 				// Fault-injected frames may fail to parse; that is the
-				// fault wire doing its job. Anything else ends the run.
-				if !s.Cfg.Faults.Enabled() && !s.stop.Get() {
+				// fault wire doing its job. A refused delivery, or
+				// anything else, ends the run.
+				if errors.Is(err, app.ErrDelivery) || !s.Cfg.Faults.Enabled() && !s.stop.Get() {
 					s.fail(fmt.Errorf("core: steer worker %d: %w", p, err))
 					return
 				}
@@ -244,17 +243,12 @@ func (s *Stack) steerMonitor(t *sim.Thread) {
 }
 
 // steerSnapshot captures the steered shape's cumulative counters:
-// ordering at the workload sink, the Flow-Director bucket lock wait and
+// ordering at the sink, the Flow-Director bucket lock wait and
 // the steering metrics. The peak queue-imbalance watermark resets at
 // each snapshot, scoping it to the interval between snapshots.
 func (s *Stack) steerSnapshot() snap {
-	data, ooo := s.steerSink.Order()
-	sn := snap{data: data, ooo: ooo, lockWait: s.steerer.LockWaitNs(),
-		perProc:    s.steerSink.PerProc(),
-		stats:      s.steerer.Stats(),
-		drops:      s.steerDrops,
-		sinkEvicts: s.steerSink.Evictions(),
-	}
+	sn := snap{data: s.Sink.Packets(), lockWait: s.steerer.LockWaitNs(), stats: s.steerer.Stats(), drops: s.steerDrops}
+	sn.ooo, sn.sinkEvicts, sn.perProc = s.Sink.Flows.Counts()
 	s.steerer.ResetPeak()
 	return sn
 }

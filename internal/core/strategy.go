@@ -188,14 +188,13 @@ func (u *queueUpper) Demux(t *sim.Thread, m *msg.Message) error {
 
 func (u *queueUpper) Ref() *sim.RefCount { return &u.ref }
 
-// queueReceiver parks transport deliveries for the application stage.
-type queueReceiver struct {
-	q *sim.Queue
-}
+// queueReceiver parks transport deliveries for the application stage;
+// one the closed queue refuses at teardown goes to undelivered.
+type queueReceiver struct{ s *Stack }
 
 func (r *queueReceiver) Receive(t *sim.Thread, m *msg.Message) error {
-	if !r.q.Enqueue(t, m) {
-		m.Free(t)
+	if !r.s.q3.Enqueue(t, m) {
+		r.s.undelivered(t, m)
 	}
 	return nil
 }
@@ -247,7 +246,7 @@ func (s *Stack) layerShims(ipUp, tcpUp xkernel.Upper, appUp xkernel.Receiver) (x
 	}
 	if boundaryAfter(groups, 2) {
 		s.q3 = s.handoffQueue("tcp->app")
-		appUp = &queueReceiver{q: s.q3}
+		appUp = &queueReceiver{s}
 	}
 	return ipUp, tcpUp, appUp
 }

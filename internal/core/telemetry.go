@@ -61,9 +61,9 @@ func (s *Stack) buildTelemetry() {
 		nic := s.sh.peer.(*driver.UDPSource)
 		reg.Gauge("nic-frames", -1, func() int64 { f, _ := nic.Produced(); return f })
 		reg.Gauge("nic-bytes", -1, func() int64 { _, b := nic.Produced(); return b })
-		// Steered deliveries publish from the workload sink — it knows
+		// Steered deliveries publish from the sink — it knows
 		// the flow generation; unsteered shapes publish from pump().
-		s.steerSink.Tel = s.telDel
+		s.Sink.Flows.Tel = s.telDel
 	}
 	if s.Cfg.Batch.Active() {
 		reg.Gauge("batch-frames", -1, func() int64 { return atomic.LoadInt64(&s.batchFrames) })

@@ -22,6 +22,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/udp"
+	"repro/internal/workload"
 	"repro/internal/xkernel"
 )
 
@@ -92,9 +93,11 @@ func udpTemplate(payload int, srcIP, dstIP xkernel.IPAddr, sport, dport uint16) 
 // for all its connections: allocate it with grow bytes of tailroom held
 // back for GRO merging, pass once through the adaptor ring when the
 // producer shares one (nil: the steered NIC, which owns its ring), charge
-// the receive-side generation, copy the template and patch in the
-// connection's port pair.
-func newFrame(t *sim.Thread, alloc *msg.Allocator, ring *sim.Lock, tmpl []byte, grow int, sport, dport uint16) (*msg.Message, error) {
+// the receive-side generation, copy the template, patch in connection
+// conn's port pair and stamp the payload, which starts at hdr, with
+// (conn, seq, gen). The stamp is a host-side write and charges nothing:
+// the templates carry a zero transport checksum, so no verdict reads it.
+func newFrame(t *sim.Thread, alloc *msg.Allocator, ring *sim.Lock, tmpl []byte, hdr, grow, conn int, seq int64, gen uint32) (*msg.Message, error) {
 	m, err := alloc.New(t, len(tmpl)+grow, 0)
 	if err != nil {
 		return nil, err
@@ -116,7 +119,9 @@ func newFrame(t *sim.Thread, alloc *msg.Allocator, ring *sim.Lock, tmpl []byte, 
 		m.Free(t)
 		return nil, err
 	}
-	patchPorts(m.Bytes(), sport, dport)
+	b := m.Bytes()
+	patchPorts(b, PeerPort(conn), LocalPort(conn))
+	workload.EncodeStamp(b[hdr:], conn, seq, gen)
 	return m, nil
 }
 

@@ -113,9 +113,10 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 	}
 	m.Free(t)
 	var c *simSendConn
-	for _, cc := range d.conns {
+	conn := 0
+	for i, cc := range d.conns {
 		if cc.sport == sg.DPort && cc.dport == sg.SPort {
-			c = cc
+			c, conn = cc, i
 			break
 		}
 	}
@@ -154,7 +155,7 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 				c.dupAcks = 0
 				d.rexmtDup++
 				atomic.StoreUint32(&c.rcvWnd, sg.Win)
-				return d.resend(t, c)
+				return d.resend(t, c, conn)
 			}
 		}
 		atomic.StoreUint32(&c.rcvWnd, sg.Win)
@@ -187,7 +188,7 @@ func (d *SimTCPSender) Produce(t *sim.Thread, conn int, stop *sim.Flag, grow int
 			// duplicate acks are flowing. Resend it.
 			waited = 0
 			d.rexmtTO++
-			if err := d.resend(t, c); err != nil {
+			if err := d.resend(t, c, conn); err != nil {
 				return nil, false, err
 			}
 			continue
@@ -197,7 +198,7 @@ func (d *SimTCPSender) Produce(t *sim.Thread, conn int, stop *sim.Flag, grow int
 		t.Sleep(200_000)
 		waited += 200_000
 	}
-	return d.build(t, c, grow)
+	return d.build(t, c, conn, grow)
 }
 
 // Rexmts reports FaultRecovery resends: (duplicate-ack triggered,
@@ -207,9 +208,11 @@ func (d *SimTCPSender) Rexmts() (int64, int64) { return d.rexmtDup, d.rexmtTO }
 // resend rebuilds and re-injects the segment at the acknowledged
 // offset — one-segment go-back-N recovery. Production is strictly
 // sequential in payload-sized units, so the lost segment starts
-// exactly at ackOff.
-func (d *SimTCPSender) resend(t *sim.Thread, c *simSendConn) error {
-	m, err := d.frame(t, c, c.iss+1+atomic.LoadUint32(&c.ackOff), 0)
+// exactly at ackOff, which trails the production offset by less than
+// 2^32: the 64-bit offset is the production offset less that distance.
+func (d *SimTCPSender) resend(t *sim.Thread, c *simSendConn, conn int) error {
+	next := c.next.Load()
+	m, err := d.frame(t, c, conn, next-int64(uint32(next)-atomic.LoadUint32(&c.ackOff)), 0)
 	if err != nil {
 		return err
 	}
@@ -227,7 +230,7 @@ func (d *SimTCPSender) TryProduce(t *sim.Thread, conn int) (*msg.Message, bool, 
 	if !d.admits(c) {
 		return nil, false, nil
 	}
-	return d.build(t, c, 0)
+	return d.build(t, c, conn, 0)
 }
 
 // admits reports whether connection c is established and its window
@@ -237,17 +240,20 @@ func (d *SimTCPSender) admits(c *simSendConn) bool {
 		uint32(c.next.Load())-atomic.LoadUint32(&c.ackOff)+uint32(d.payload) <= atomic.LoadUint32(&c.rcvWnd)
 }
 
-// build allocates the next sequence number's packet, holding grow bytes
-// of tailroom back for GRO merging.
-func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, grow int) (*msg.Message, bool, error) {
-	m, err := d.frame(t, c, c.iss+1+uint32(c.next.Add(t, int64(d.payload))), grow)
+// build allocates the next sequence number's packet for connection
+// conn, c, holding grow bytes of tailroom back for GRO merging.
+func (d *SimTCPSender) build(t *sim.Thread, c *simSendConn, conn, grow int) (*msg.Message, bool, error) {
+	m, err := d.frame(t, c, conn, c.next.Add(t, int64(d.payload)), grow)
 	return m, err == nil, err
 }
 
-// frame builds the data segment at seq from the template, grow bytes
-// of tailroom held back, and patches in its sequence and ack.
-func (d *SimTCPSender) frame(t *sim.Thread, c *simSendConn, seq uint32, grow int) (*msg.Message, error) {
-	m, err := newFrame(t, d.alloc, &d.ring, d.tmpl, grow, c.sport, c.dport)
+// frame builds connection conn's data segment at payload offset off from
+// the template, grow bytes of tailroom held back, stamped with its
+// segment index off/payload (a 64-bit offset: the index does not wrap
+// with the sequence space), and patches in its sequence and ack.
+func (d *SimTCPSender) frame(t *sim.Thread, c *simSendConn, conn int, off int64, grow int) (*msg.Message, error) {
+	seq := c.iss + 1 + uint32(off)
+	m, err := newFrame(t, d.alloc, &d.ring, d.tmpl, tcpFrameHdr, grow, conn, off/int64(d.payload), 0)
 	if err != nil {
 		return nil, err
 	}

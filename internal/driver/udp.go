@@ -131,10 +131,11 @@ func (s *UDPSource) BatchGrow(bc msg.BatchConfig) int {
 }
 
 // produce builds one pumped datagram through the adaptor ring, with grow
-// bytes of tailroom held back for GRO merging (zero for a batch of one).
+// bytes of tailroom held back for GRO merging (zero for a batch of one),
+// stamped (conn, 0, 0).
 func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error) {
 	c := conn % s.conns
-	m, err := newFrame(t, s.alloc, &s.ring, s.tmpl, grow, PeerPort(c), LocalPort(c))
+	m, err := newFrame(t, s.alloc, &s.ring, s.tmpl, udpFrameHdr, grow, c, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -145,17 +146,16 @@ func (s *UDPSource) produce(t *sim.Thread, conn, grow int) (*msg.Message, error)
 
 // Arrive builds the frame for one steered arrival on the NIC thread, with
 // grow bytes of tailroom held back for the batch it may head. Its payload
-// starts with the workload stamp (connection, sequence, generation), so
+// starts with the arrival's stamp (connection, sequence, generation), so
 // the delivery sink measures ordering without a side channel. The frame
 // is not yet injected: the steering decision picks the worker that will
 // Inject it.
 func (s *UDPSource) Arrive(t *sim.Thread, a workload.Arrival, grow int) (*msg.Message, error) {
 	c := a.Conn % s.conns
-	m, err := newFrame(t, s.alloc, nil, s.tmpl, grow, PeerPort(c), LocalPort(c))
+	m, err := newFrame(t, s.alloc, nil, s.tmpl, udpFrameHdr, grow, c, a.Seq, a.Gen)
 	if err != nil {
 		return nil, err
 	}
-	workload.EncodeStamp(m.Bytes()[udpFrameHdr:], a.Conn, a.Seq, a.Gen)
 	arrive(t, m, int64(a.Conn))
 	s.produced++
 	return m, nil

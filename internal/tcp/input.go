@@ -111,6 +111,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				rec.PredictHit(t.Proc, t.Now(), int64(sg.seq))
 			}
 			tcb.rcvNxt += uint32(sg.dlen)
+			tcb.rcvBytes += int64(sg.dlen)
 			dlen := sg.dlen
 			needAck, ackVal, win := tcb.ackPolicy(t)
 			if cfg.Ticketing {
@@ -189,6 +190,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 				m = nil
 			} else {
 				if err := m.TrimFront(t, dup); err == nil {
+					trimSegs(m, sg.dlen, dup)
 					sg.seq += uint32(dup)
 					sg.dlen -= dup
 				}
@@ -198,6 +200,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			// Beyond our window: trim tail.
 			over := sg.dlen - int(tcb.rcvWnd)
 			if err := m.TrimBack(t, over); err == nil {
+				trimSegs(m, sg.dlen, over)
 				sg.dlen -= over
 			} else {
 				// Untrimmable tail: delivering (or parking) the segment
@@ -216,6 +219,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		if m != nil {
 			if sg.seq == tcb.rcvNxt && len(tcb.reassQ) == 0 {
 				tcb.rcvNxt += uint32(sg.dlen)
+				tcb.rcvBytes += int64(sg.dlen)
 				t.Count(&p.stats.At(t).BytesIn, int64(sg.dlen))
 				deliver = append(deliver, m)
 				m = nil
@@ -246,6 +250,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 					drained++
 					t.ChargeRand(st.TCPReassDrain)
 					tcb.rcvNxt += uint32(rs.dlen)
+					tcb.rcvBytes += int64(rs.dlen)
 					t.Count(&p.stats.At(t).BytesIn, int64(rs.dlen))
 					if rs.m != nil {
 						deliver = append(deliver, rs.m)
@@ -321,6 +326,15 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 		t.Count(&p.stats.At(t).Delivered, 1)
 	}
 	return nil
+}
+
+// trimSegs keeps a GRO-merged segment's count of wire segments in step
+// with a trim of n of its dlen bytes: a merged frame is equal segments,
+// so a trim of whole ones leaves the rest.
+func trimSegs(m *msg.Message, dlen, n int) {
+	if segs := m.SegCount(); segs > 1 && dlen >= segs {
+		m.Segs = uint16(segs - n/(dlen/segs))
+	}
 }
 
 // ackPolicy implements delayed acks: acknowledge every AckEvery-th data

@@ -256,6 +256,11 @@ type TCB struct {
 	dataIn     int64
 	finRcvd    bool
 	closeCause string
+
+	// rcvBytes is the data taken in order (rcv_nxt's advance, exact past
+	// a sequence wrap), under the state lock. Last, so the TCB keeps its
+	// size class.
+	rcvBytes int64
 }
 
 func newTCB(p *Protocol, part xkernel.Part, lower IPSession, up xkernel.Receiver) *TCB {
@@ -319,6 +324,10 @@ func (tcb *TCB) MSS() int { return tcb.mss }
 func (tcb *TCB) OOOStats() (int64, int64) {
 	return atomic.LoadInt64(&tcb.oooIn), atomic.LoadInt64(&tcb.dataIn)
 }
+
+// InOrderBytes returns the data bytes the connection has taken in order:
+// what its application is owed. Read it once the run is over.
+func (tcb *TCB) InOrderBytes() int64 { return tcb.rcvBytes }
 
 // StateLockStats exposes connection-state lock contention (the Pixie
 // wait-fraction figure of Section 3.1).

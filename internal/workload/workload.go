@@ -2,8 +2,8 @@
 // workloads for the steering experiments: a seeded open-loop arrival
 // process over 64-4096 simulated connections with heavy-tailed flow
 // sizes, connection churn and hot-connection skew (generalizing the
-// stack's HotConnPct knob), plus the delivery-side sink that measures
-// per-connection ordering and per-processor load.
+// stack's HotConnPct knob), and the payload stamp every simulated data
+// frame carries to the application sink (internal/app).
 //
 // The generator is a pure function of its configuration and seed: the
 // arrival stream never depends on service times or host scheduling, so
@@ -14,13 +14,11 @@ import (
 	"encoding/binary"
 	"math"
 
-	"repro/internal/msg"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// Config parameterizes the traffic generator and sink. Zero fields take
-// the defaults noted below.
+// Config parameterizes the traffic generator and the steered sink
+// (app.NewSteeredSink). Zero fields take the defaults noted below.
 type Config struct {
 	// ArrivalGapNs is the mean inter-arrival gap of the open-loop
 	// Poisson-like arrival process (default 150000 ns, roughly one
@@ -80,9 +78,10 @@ type Arrival struct {
 }
 
 // StampLen is the self-describing payload prefix: connection, sequence
-// and generation, written by the driver and parsed by the Sink so
-// ordering is measured end to end without plumbing metadata through
-// the protocol layers.
+// (a TCP segment's index) and generation, written by the driver into
+// every data segment and parsed by the application sink, so delivery is
+// checked end to end without plumbing metadata through the protocol
+// layers.
 const StampLen = 12
 
 // EncodeStamp writes the arrival identity into a payload prefix.
@@ -188,181 +187,4 @@ func (g *Generator) Next() Arrival {
 	a := Arrival{At: g.now, Conn: conn, Seq: int64(c.seq), Gen: c.gen}
 	c.seq++
 	return a
-}
-
-// connState is one connection's delivery-side state. In compact mode
-// conn records which connection currently owns the slot.
-type connState struct {
-	maxSeq  int64
-	conn    int32
-	appProc int32
-	since   int32 // deliveries since the last app migration
-}
-
-// Sink is the delivery-side receiver for steered runs: it parses the
-// payload stamp, measures per-connection misordering and per-processor
-// load, charges the cross-processor affinity penalty, and runs the
-// application-thread migration that makes Flow-Director pins move.
-type Sink struct {
-	procs     int
-	moveEvery int
-	nconns    int // total connections (bounds-checks stamps)
-	slots     int // 0: exact per-conn table; >0: direct-mapped compact table
-	lock      sim.Lock
-	rng       sim.Rand
-
-	conns     []connState
-	perProc   []int64
-	pkts      int64
-	ooo       int64
-	bytes     int64
-	short     int64
-	evictions int64
-
-	// Pin, when set, is called after each delivery with the flow's
-	// identity and the connection's (possibly just-migrated) consuming
-	// processor — the Flow-Director update hook.
-	Pin func(t *sim.Thread, conn int, gen uint32, proc int)
-
-	// Tel, when non-nil, receives per-processor delivery counts and
-	// per-flow sketch updates (telemetry). Publishing is nil-safe and
-	// charges no virtual time.
-	Tel *telemetry.Deliveries
-}
-
-// NewSink builds the sink for conns connections on procs processors.
-// Each connection's application thread starts on conn mod procs. With
-// cfg.CompactSlots set below conns, the per-connection table is
-// direct-mapped at that size instead of exact (slot s starts owned by
-// connection s, the lowest index mapping there).
-func NewSink(cfg Config, conns, procs int) *Sink {
-	cfg = cfg.WithDefaults()
-	size := conns
-	slots := 0
-	if cfg.CompactSlots > 0 && cfg.CompactSlots < conns {
-		size, slots = cfg.CompactSlots, cfg.CompactSlots
-	}
-	k := &Sink{
-		procs:     procs,
-		moveEvery: cfg.AppMoveEvery,
-		nconns:    conns,
-		slots:     slots,
-		rng:       sim.NewRand(cfg.Seed ^ 0x9E37_79B9_7F4A_7C15),
-		conns:     make([]connState, size),
-		perProc:   make([]int64, procs+2),
-	}
-	k.lock.Name = "steer-sink"
-	for i := range k.conns {
-		k.conns[i].conn = int32(i)
-		k.conns[i].appProc = int32(i % procs)
-	}
-	return k
-}
-
-// state returns connection conn's accounting entry. In compact mode a
-// slot collision evicts the previous occupant: the newcomer takes the
-// slot with a fresh watermark and its home processor as app affinity —
-// deterministic, O(1), bounded.
-func (k *Sink) state(conn int) *connState {
-	if k.slots == 0 {
-		return &k.conns[conn]
-	}
-	cs := &k.conns[conn%k.slots]
-	if int(cs.conn) != conn {
-		k.evictions++
-		*cs = connState{conn: int32(conn), appProc: int32(conn % k.procs)}
-	}
-	return cs
-}
-
-// Receive consumes one delivered datagram — or, on batching runs, one
-// GRO-merged frame of equal-length sub-segments, each carrying its own
-// stamp. The merged case walks every sub-segment (so misordering is
-// still detected per wire packet) under a single lock acquisition: the
-// lock-amortization batching pays for.
-func (k *Sink) Receive(t *sim.Thread, m *msg.Message) error {
-	st := &t.Engine().C.Stack
-	t.ChargeRand(st.AppRecv)
-	b := m.Bytes()
-	segs := m.SegCount()
-	stride := len(b)
-	if segs > 1 && len(b)%segs == 0 {
-		stride = len(b) / segs
-	} else {
-		segs = 1
-	}
-	if stride < StampLen {
-		k.short++
-		m.Free(t)
-		return nil
-	}
-	conn, _, gen := DecodeStamp(b)
-	if conn < 0 || conn >= k.nconns {
-		k.short++
-		m.Free(t)
-		return nil
-	}
-	// Application work for the extra coalesced segments (the head's is
-	// charged above, identically to the unbatched path).
-	for i := 1; i < segs; i++ {
-		t.ChargeRand(st.AppRecv)
-	}
-	cs := k.state(conn)
-	if int(cs.appProc) != t.Proc {
-		// The consuming application's connection state lives in the
-		// app processor's cache: a delivery elsewhere pays the remote-
-		// line penalty. This is the cost flow steering exists to avoid.
-		t.ChargeRand(st.MsgCold)
-	}
-	t.Interfere()
-	k.lock.Acquire(t)
-	for i := 0; i < segs; i++ {
-		_, seq, _ := DecodeStamp(b[i*stride:])
-		k.pkts++
-		k.bytes += int64(stride)
-		if p := t.Proc; p >= 0 && p < len(k.perProc) {
-			k.perProc[p]++
-		}
-		if seq < cs.maxSeq {
-			k.ooo++
-		} else {
-			cs.maxSeq = seq
-		}
-		if k.moveEvery > 0 {
-			cs.since++
-			if int(cs.since) >= k.moveEvery {
-				cs.since = 0
-				cs.appProc = int32(k.rng.Intn(k.procs))
-			}
-		}
-	}
-	appProc := int(cs.appProc)
-	k.lock.Release(t)
-	k.Tel.Note(t.Proc, uint64(conn)<<32|uint64(gen), int64(segs), int64(segs)*int64(stride))
-	if k.Pin != nil {
-		k.Pin(t, conn, gen, appProc)
-	}
-	if rec := t.Engine().Rec; rec != nil {
-		rec.Deliver(t.Proc, t.Now(), m.Born)
-	}
-	m.Free(t)
-	return nil
-}
-
-// Bytes returns payload bytes delivered so far.
-func (k *Sink) Bytes() int64 { return k.bytes }
-
-// Evictions returns how many compact-table slot collisions evicted a
-// previous occupant (always 0 in exact mode).
-func (k *Sink) Evictions() int64 { return k.evictions }
-
-// Order returns (delivered packets, out-of-order packets).
-func (k *Sink) Order() (int64, int64) { return k.pkts, k.ooo }
-
-// PerProc returns a copy of the per-processor delivery counts (pump
-// processors only).
-func (k *Sink) PerProc() []int64 {
-	out := make([]int64, k.procs)
-	copy(out, k.perProc[:k.procs])
-	return out
 }
