@@ -196,7 +196,9 @@ type Stack struct {
 	Eng   *sim.Engine
 	Wheel *event.Wheel
 	Alloc *msg.Allocator
-	// Rec is the flight recorder (nil unless Cfg.Trace).
+	// Rec is the engine's observer, the flight recorder: nil unless
+	// Cfg.Trace or Cfg.SamplePeriodNs is set, and without event rings
+	// unless Cfg.Trace is.
 	Rec *trace.Recorder
 	// Tel is the telemetry sampler (nil unless Cfg.SamplePeriodNs > 0).
 	Tel *telemetry.Sampler
@@ -279,10 +281,14 @@ func Build(c Config) (*Stack, error) {
 		}
 	}
 	s.Eng = sim.NewBackend(cost.NewModel(cfg.Machine), cfg.Seed+1, cfg.Backend)
-	if cfg.Trace {
+	if cfg.Trace || cfg.SamplePeriodNs > 0 {
 		// procs+2 tracks: pumps plus the control and event threads; rings
-		// of the default depth.
-		s.Rec = trace.New(cfg.Procs+2, 0)
+		// of the default depth only when tracing.
+		depth := -1
+		if cfg.Trace {
+			depth = 0
+		}
+		s.Rec = trace.New(cfg.Procs+2, depth)
 		s.Eng.Rec = s.Rec
 	}
 

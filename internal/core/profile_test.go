@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/steer"
+	"repro/internal/tcp"
 )
 
 func TestProfileReportTCPRecv(t *testing.T) {
@@ -19,8 +24,8 @@ func TestProfileReportTCPRecv(t *testing.T) {
 	}
 	rep := st.ProfileReport()
 	for _, want := range []string{
-		"tcp-state[conn 0]", "fddi-demux map", "ip-demux map",
-		"tcp-demux map", "malloc arena", "Message tool",
+		"tcp-state[conn 0]", "map:fddi-demux", "map:ip-demux",
+		"map:tcp-demux", "malloc", "Message tool",
 		"header prediction hit rate", "IP: sent",
 	} {
 		if !strings.Contains(rep, want) {
@@ -40,10 +45,85 @@ func TestProfileReportUDPSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := st.ProfileReport()
-	if !strings.Contains(rep, "udp-demux map") && !strings.Contains(rep, "Message tool") {
+	if !strings.Contains(rep, "map:udp-demux") && !strings.Contains(rep, "Message tool") {
 		t.Errorf("UDP profile incomplete:\n%s", rep)
 	}
 	if strings.Contains(rep, "tcp-state") {
 		t.Error("UDP profile mentions TCP state")
+	}
+}
+
+// TestReportRendersProfile: ProfileReport prints the value Profile
+// returns. Each of the stack's lock rows appears under its name with its
+// numbers; each lock only the recorder saw appears as its wait row, and
+// its numbers are that row's histogram. The rows count every recorded
+// wait once, whatever the TCP lock layout. Steered, the profile carries
+// the flow table's lock row and its hit and miss counts, and the report
+// the flow-table line the benchmark parses.
+func TestReportRendersProfile(t *testing.T) {
+	steered := steeredConfig(steer.PolicyFlowDirector)
+	steered.Trace = true
+	tcp2 := tracedTCPRecv(true)
+	tcp2.Layout = tcp.Layout2
+	for name, cfg := range map[string]Config{"tcp-recv": tracedTCPRecv(true), "tcp-2": tcp2, "steered": steered} {
+		st, res := runProfile(t, cfg)
+		p := st.Profile(name, res)
+		rep := st.ProfileReport()
+		var rowWait, recWait int64
+		for _, l := range p.Locks {
+			rowWait += l.WaitNs
+		}
+		for _, w := range p.Waits {
+			recWait += w.Wait.Sum
+		}
+		if rowWait != recWait {
+			t.Errorf("%s: lock rows hold %d ns of wait, the recorder saw %d", name, rowWait, recWait)
+		}
+		lines := strings.Split(rep, "\n")
+		// find reports whether a report line starts with the name's words
+		// and then the fields.
+		find := func(name string, fields ...string) bool {
+			fields = append(strings.Fields(name), fields...)
+			for _, line := range lines {
+				if f := strings.Fields(line); len(f) >= len(fields) && slices.Equal(f[:len(fields)], fields) {
+					return true
+				}
+			}
+			return false
+		}
+		waits := map[string]HistogramJSON{}
+		for _, w := range p.Waits {
+			waits[w.Name] = w.Wait
+			if !find("wait "+w.Name, fmt.Sprintf("n=%d", w.Wait.Count), fmt.Sprintf("p50=%d", w.Wait.P50)) {
+				t.Errorf("%s: report lacks the wait row of %s", name, w.Name)
+			}
+		}
+		for _, l := range p.Locks {
+			if l.Acquires == 0 {
+				if h, ok := waits[l.Name]; !ok || h.Count != l.Contended || h.Sum != l.WaitNs {
+					t.Errorf("%s: recorder-only row %+v is not its wait histogram %+v", name, l, h)
+				}
+				continue
+			}
+			if !find(l.Name, fmt.Sprint(l.Acquires), fmt.Sprint(l.Contended),
+				fmt.Sprintf("%.1f%%", 100*float64(l.Contended)/float64(l.Acquires)),
+				fmt.Sprintf("%.2f", float64(l.WaitNs)/1e6), "ms",
+				fmt.Sprintf("%.2f", float64(l.HoldNs)/1e6), "ms", fmt.Sprint(l.MaxWaiters)) {
+				t.Errorf("%s: report lacks lock row %+v:\n%s", name, l, rep)
+			}
+		}
+		if name != "steered" {
+			continue
+		}
+		i := slices.IndexFunc(p.Locks, func(l LockJSON) bool { return l.Name == "fdir flow table" })
+		if i < 0 || p.Locks[i].Acquires == 0 {
+			t.Fatalf("steered profile has no fdir flow table row: %+v", p.Locks)
+		}
+		if p.Steer == nil || p.Steer.FlowHits == 0 || p.Steer.FlowMiss == 0 {
+			t.Fatalf("steered profile lacks the flow table counts: %+v", p.Steer)
+		}
+		if line := fmt.Sprintf("flow table %d hits / %d misses", p.Steer.FlowHits, p.Steer.FlowMiss); !strings.Contains(rep, line) {
+			t.Errorf("report lacks %q", line)
+		}
 	}
 }

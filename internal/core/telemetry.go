@@ -6,7 +6,7 @@ package core
 // and three exports read the result — Perfetto counter tracks merged
 // into the Chrome trace (CounterTracks), a CSV/JSON time-series dump
 // (TimeSeries, WriteTimeSeriesCSV), and the top-N lock/flow attribution
-// section ProfileReport appends (telemetrySection).
+// the profile carries (ProfileJSON.TopLocks, TopFlows).
 //
 // Everything here is observation only: gauges read engine-serialized
 // state, counters are bumped on paths that charge no extra virtual time
@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/driver"
@@ -29,10 +28,10 @@ import (
 func (s *Stack) buildTelemetry() {
 	cfg := &s.Cfg
 	reg := telemetry.NewRegistry(telemetry.DefaultDepth)
-	// procs+2 lock tracks: pumps plus the NIC/control and monitor/event
-	// threads, mirroring the recorder's sizing.
+	// procs+2 lock tracks, as many as the recorder has: pumps plus the
+	// NIC/control and monitor/event threads.
 	s.Tel = telemetry.NewSampler(reg, cfg.SamplePeriodNs, cfg.Procs+2)
-	s.Eng.Tel = s.Tel
+	s.Rec.Tel = s.Tel
 
 	s.telFlows = telemetry.NewFlowSketch(0, 0)
 	s.telDel = &telemetry.Deliveries{Flows: s.telFlows}
@@ -125,49 +124,4 @@ func (s *Stack) TimeSeries() []telemetry.SeriesJSON {
 // (header only when sampling is off).
 func (s *Stack) WriteTimeSeriesCSV(w io.Writer) error {
 	return s.Tel.Registry().WriteCSV(w)
-}
-
-// TelemetrySectionHeader opens the attribution addendum that sampling
-// appends to ProfileReport. Everything from this line on is present
-// only when Config.SamplePeriodNs is set; the report above it is
-// byte-identical with sampling on or off.
-const TelemetrySectionHeader = "\nTelemetry attribution:\n"
-
-// telemetrySection renders the top-N contended locks (with holder-proc
-// breakdown) and the top-N hottest flows from the sketch counters.
-func (s *Stack) telemetrySection() string {
-	var b strings.Builder
-	b.WriteString(TelemetrySectionHeader)
-	fmt.Fprintf(&b, "  sampled %d series every %d ns\n",
-		len(s.Tel.Registry().Series()), s.Tel.Period())
-	if top := s.Tel.TopLocks(5); len(top) > 0 {
-		fmt.Fprintf(&b, "  top contended locks by total wait:\n")
-		for _, a := range top {
-			fmt.Fprintf(&b, "    %-26s wait %10.2f ms over %8d waits; held by",
-				a.Name, float64(a.WaitNs)/1e6, a.Contended)
-			for h, w := range a.ByHolder {
-				if w == 0 {
-					continue
-				}
-				pct := 100 * float64(w) / float64(a.WaitNs)
-				if h == len(a.ByHolder)-1 {
-					fmt.Fprintf(&b, " ?:%.0f%%", pct)
-				} else {
-					fmt.Fprintf(&b, " p%d:%.0f%%", h, pct)
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
-	if flows := s.telFlows.Top(5); len(flows) > 0 {
-		fmt.Fprintf(&b, "  top flows by delivered bytes (%d tracked):\n", s.telFlows.Tracked())
-		for _, f := range flows {
-			label := fmt.Sprintf("conn %d", int(f.Flow>>32))
-			if gen := uint32(f.Flow); gen > 0 {
-				label += fmt.Sprintf(" gen %d", gen)
-			}
-			fmt.Fprintf(&b, "    %-26s %10d pkts %14d bytes\n", label, f.Pkts, f.Bytes)
-		}
-	}
-	return b.String()
 }

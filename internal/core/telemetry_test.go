@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -259,5 +260,40 @@ func TestSampleDepthBounds(t *testing.T) {
 	}
 	if got := int64(se.Len()) + se.Dropped(); got < wantBoundaries {
 		t.Errorf("retained+dropped = %d, want >= %d boundaries", got, wantBoundaries)
+	}
+}
+
+// TestAttributionIgnoresTracing: the lock table and the sampler's lock
+// series have one source, the engine's observer, so a sampled run's
+// top-lock table, holder split and time series are the same with
+// tracing on or off. Sampling without tracing builds no event rings.
+func TestAttributionIgnoresTracing(t *testing.T) {
+	var top [2][]LockAttrJSON
+	var series [2]string
+	for i, traced := range []bool{false, true} {
+		cfg := tracedTCPRecv(traced)
+		cfg.SamplePeriodNs = 1_000_000
+		st, res := runProfile(t, cfg)
+		if st.Rec.Enabled() != traced || (st.Rec.Procs() == 0) == traced {
+			t.Errorf("trace %v: recorder records events %v with %d rings", traced, st.Rec.Enabled(), st.Rec.Procs())
+		}
+		top[i] = st.Profile("", res).TopLocks
+		var b bytes.Buffer
+		if err := st.WriteTimeSeriesCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		series[i] = b.String()
+	}
+	if len(top[0]) == 0 || len(top[0][0].Holders) == 0 {
+		t.Fatalf("no contended locks attributed: %+v", top[0])
+	}
+	if !reflect.DeepEqual(top[0], top[1]) {
+		t.Errorf("tracing changed the top locks:\noff: %+v\non:  %+v", top[0], top[1])
+	}
+	if !strings.Contains(series[0], "\nlock-wait-ns,counter,0,") {
+		t.Fatalf("no per-proc lock series sampled:\n%s", series[0][:200])
+	}
+	if series[0] != series[1] {
+		t.Error("tracing changed the sampled time series")
 	}
 }

@@ -141,9 +141,9 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	if p.Mbps <= 0 || p.Packets <= 0 {
 		t.Fatalf("profile measurements empty: mbps=%v packets=%d", p.Mbps, p.Packets)
 	}
-	if len(p.Locks) == 0 || len(p.Layers) == 0 || p.E2E == nil {
-		t.Fatalf("traced profile missing sections: locks=%d layers=%d e2e=%v",
-			len(p.Locks), len(p.Layers), p.E2E)
+	if len(p.Locks) == 0 || len(p.Waits) == 0 || len(p.Layers) == 0 || p.E2E == nil {
+		t.Fatalf("traced profile missing sections: locks=%d waits=%d layers=%d e2e=%v",
+			len(p.Locks), len(p.Waits), len(p.Layers), p.E2E)
 	}
 	checkHist := func(name string, h *HistogramJSON) {
 		if h == nil {
@@ -157,8 +157,8 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 			t.Errorf("%s has samples but zero mean", name)
 		}
 	}
-	for _, l := range p.Locks {
-		checkHist("lock "+l.Name, l.Wait)
+	for _, w := range p.Waits {
+		checkHist("wait "+w.Name, &w.Wait)
 	}
 	for _, l := range p.Layers {
 		h := l.Residence
@@ -187,12 +187,7 @@ func TestUntracedProfileJSON(t *testing.T) {
 	if len(p.Locks) == 0 {
 		t.Fatal("untraced profile has no lock rows")
 	}
-	for _, l := range p.Locks {
-		if l.Wait != nil {
-			t.Errorf("untraced profile carries a wait histogram for %s", l.Name)
-		}
-	}
-	if p.Layers != nil || p.E2E != nil || p.TraceDropped != 0 {
+	if p.Waits != nil || p.Layers != nil || p.E2E != nil || p.TraceDropped != 0 {
 		t.Errorf("untraced profile carries trace sections: %+v", p)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // batchGrow returns the extra tail space to allocate for a merged
@@ -59,7 +60,7 @@ func absorbPayload(t *sim.Thread, head, donor *msg.Message, hdr int) (n int, err
 	}
 	growIPLen(head.Bytes(), n)
 	if rec := t.Engine().Rec; rec != nil {
-		rec.BatchMerge(t.Proc, t.Now(), int64(head.SegCount()))
+		rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvBatchMerge, Arg: int64(head.SegCount())})
 	}
 	return n, nil
 }
@@ -119,7 +120,7 @@ func MergeTCP(t *sim.Thread, head, donor *msg.Message) error {
 // carries no batching events.
 func NoteFlush(t *sim.Thread, bc msg.BatchConfig, reason string, m *msg.Message) {
 	if rec := t.Engine().Rec; rec != nil && bc.MaxSegs > 1 {
-		rec.BatchFlush(t.Proc, t.Now(), reason, int64(m.SegCount()), int64(m.Len()))
+		rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvBatchFlush, Name: reason, Arg: int64(m.SegCount()), Arg2: int64(m.Len())})
 	}
 }
 

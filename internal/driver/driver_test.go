@@ -245,6 +245,45 @@ func TestSimTCPSenderHandshakeAndFlowControl(t *testing.T) {
 	e.Run()
 }
 
+// TestSimTCPSenderRoutesByPorts: the sender finds an outbound frame's
+// connection from its port pair, past the local port's wrap too, and
+// refuses a pair no connection of its own uses.
+func TestSimTCPSenderRoutesByPorts(t *testing.T) {
+	const n = 1<<16 + 3
+	run(t, 4, func(th *sim.Thread) {
+		a := newAlloc()
+		d := NewSimTCPSender(a, 1024, n)
+		d.SetUpper(newCapture())
+		synAck := func(local, peer uint16) error {
+			f := tcpTemplate(0, HostLocal, HostPeer, local, peer, 4096)
+			f[offTCP+12] = tcp.FlagSYN | tcp.FlagACK
+			m, _ := a.New(th, len(f), 0)
+			m.CopyTemplate(0, f)
+			return d.TX(th, m)
+		}
+		conns := []int{0, 7, 1<<16 - 1, 1 << 16, n - 1}
+		for _, i := range conns {
+			if err := synAck(LocalPort(i), PeerPort(i)); err != nil || !d.Established(i) {
+				t.Fatalf("connection %d: established %v, err %v", i, d.Established(i), err)
+			}
+		}
+		established := 0
+		for i := 0; i < n; i++ {
+			if d.Established(i) {
+				established++
+			}
+		}
+		if established != len(conns) {
+			t.Errorf("%d connections established by %d SYN-ACKs", established, len(conns))
+		}
+		for _, pair := range [][2]uint16{{LocalPort(n), PeerPort(n)}, {LocalPort(3), PeerPort(5)}, {5000, 100}} {
+			if err := synAck(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "unknown connection") {
+				t.Errorf("ports %d->%d: err %v, want unknown connection", pair[0], pair[1], err)
+			}
+		}
+	})
+}
+
 // synAckUpper plays the real TCP above the sender driver: answers SYN,
 // acks every data frame (opening the window).
 type synAckUpper struct {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
+	"repro/internal/trace"
 	"repro/internal/udp"
 	"repro/internal/xkernel"
 )
@@ -204,7 +205,7 @@ func (fw *FaultWire) channel(t *sim.Thread, m *msg.Message, r *FaultRates,
 // noteFault records an injection of the named kind.
 func noteFault(t *sim.Thread, kind string) {
 	if rec := t.Engine().Rec; rec != nil {
-		rec.Fault(t.Proc, t.Now(), kind)
+		rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvFault, Name: kind})
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
+	"repro/internal/trace"
 	"repro/internal/udp"
 	"repro/internal/workload"
 	"repro/internal/xkernel"
@@ -130,7 +131,7 @@ func newFrame(t *sim.Thread, alloc *msg.Allocator, ring *sim.Lock, tmpl []byte, 
 func arrive(t *sim.Thread, m *msg.Message, id int64) {
 	if rec := t.Engine().Rec; rec != nil {
 		m.Born = t.Now()
-		rec.Arrive(t.Proc, m.Born, id)
+		rec.Record(t.Proc, trace.Event{TS: m.Born, Kind: trace.EvArrive, Arg: id})
 	}
 }
 

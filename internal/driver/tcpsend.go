@@ -112,17 +112,12 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 		return fmt.Errorf("driver: non-TCP frame at SimTCPSender")
 	}
 	m.Free(t)
-	var c *simSendConn
-	conn := 0
-	for i, cc := range d.conns {
-		if cc.sport == sg.DPort && cc.dport == sg.SPort {
-			c, conn = cc, i
-			break
-		}
-	}
-	if c == nil {
+	// The stack sends from connection i's local port to its peer port.
+	conn := connOf(sg.SPort, sg.DPort)
+	if conn >= len(d.conns) || d.conns[conn].sport != sg.DPort || d.conns[conn].dport != sg.SPort {
 		return fmt.Errorf("driver: unknown connection %d->%d", sg.SPort, sg.DPort)
 	}
+	c := d.conns[conn]
 	switch {
 	case sg.Flags&(tcp.FlagSYN|tcp.FlagACK) == tcp.FlagSYN|tcp.FlagACK:
 		c.irs = sg.Seq

@@ -26,6 +26,13 @@ func LocalPort(i int) uint16 { return uint16(1000 + i) }
 // PeerPort returns the simulated peer's port for connection i.
 func PeerPort(i int) uint16 { return uint16(2000 + i + i>>16) }
 
+// connOf inverts LocalPort and PeerPort: the local port gives i's low 16
+// bits, and the peer port's extra steps past it give the high bits.
+// Every pair inverts to some index; a caller checks it against its
+// connection count, and compares the ports so that a port scheme that
+// stops inverting fails loudly.
+func connOf(local, peer uint16) int { return int(peer-local-1000)<<16 | int(local-1000) }
+
 // UDPSink consumes outbound frames as fast as possible — the send-side
 // UDP test's "receiver". The adaptor ring serializes per-frame DMA
 // work under the driver lock, a short shared section every packet from

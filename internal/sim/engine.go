@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -170,23 +169,19 @@ type Engine struct {
 	// used by tests.
 	Trace func(string)
 
-	// Rec, when non-nil, is the packet flight recorder. Instrumented
-	// code reaches it via Thread.Engine().Rec; every recording method
-	// is nil-safe, but a call whose arguments read the clock (t.Now(),
-	// a wall-clock read on the host backend) sits under
+	// Rec, when non-nil, is the engine's one observer: the packet
+	// flight recorder (internal/trace), which also keeps the per-lock
+	// wait table and feeds and ticks the telemetry sampler attached to
+	// it. Each lock event makes one call to it, and dispatch ticks it as
+	// the clock advances so samples land on exact period boundaries.
+	// Instrumented code reaches it via Thread.Engine().Rec; every
+	// recording method is nil-safe, but a call whose arguments read the
+	// clock (t.Now(), a wall-clock read on the host backend) sits under
 	// `if rec := t.Engine().Rec; rec != nil`, so the disabled path is a
-	// single pointer test and no clock read. Recording never charges
-	// virtual time or draws from a thread's RNG: measurements are
-	// bit-identical with tracing on or off.
+	// single pointer test and no clock read. Observing never charges
+	// virtual time, draws from a thread's RNG or spawns a thread:
+	// measurements are bit-identical with tracing or sampling on or off.
 	Rec *trace.Recorder
-
-	// Tel, when non-nil, is the virtual-time telemetry sampler
-	// (internal/telemetry). step ticks it as the clock advances so
-	// samples land on exact period boundaries, and the locks publish
-	// wait/hold/acquire counters through it. Like Rec, every method is
-	// nil-safe and sampling never charges virtual time, draws RNG or
-	// spawns threads: runs are bit-identical with sampling on or off.
-	Tel *telemetry.Sampler
 
 	// refPool is the finite set of static global locks used for
 	// lock-based reference-count manipulation (RefLocked mode); the
@@ -356,7 +351,7 @@ func (e *Engine) step(self *Thread) {
 }
 
 // dispatch makes next the running thread: the engine clock advances to
-// its clock, telemetry samples any period boundary that passes, and
+// its clock, the observer samples any period boundary that passes, and
 // Trace logs the decision.
 func (e *Engine) dispatch(next *Thread) {
 	if next.vt > e.now {
@@ -366,7 +361,7 @@ func (e *Engine) dispatch(next *Thread) {
 		// an earlier point than the clock has reached) resumes now.
 		next.vt = e.now
 	}
-	e.Tel.Tick(e.now)
+	e.Rec.Tick(e.now)
 	next.state = stateRunning
 	if e.Trace != nil {
 		e.Trace(fmt.Sprintf("t=%d run %s", e.now, next.name))

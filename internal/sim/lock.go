@@ -154,7 +154,7 @@ func (l *Lock) Acquire(t *Thread) {
 	t.ChargeRand(probe)
 	chargeLine(t, &l.lastProc)
 	l.stats.Acquires++
-	t.eng.Tel.LockAcquire(t.Proc)
+	t.eng.Rec.LockAcquire(t.Proc)
 	if l.holder == nil {
 		l.holder = t
 		l.heldSince = t.Now()
@@ -177,7 +177,6 @@ func (l *Lock) Acquire(t *Thread) {
 	wait := t.Now() - w.start
 	l.stats.WaitNs += wait
 	t.eng.Rec.LockWait(t.Proc, l.Name, w.start, wait, w.holderProc)
-	t.eng.Tel.LockWait(t.Proc, l.Name, wait, w.holderProc)
 	t.Charge(s.LockEnter)
 }
 
@@ -196,8 +195,9 @@ func (l *Lock) Release(t *Thread) {
 	t.Charge(s.LockExit)
 	hold := t.Now() - l.heldSince
 	l.stats.HoldNs += hold
-	t.eng.Rec.LockHold(t.Proc, l.Name, l.heldSince, hold)
-	t.eng.Tel.LockHold(t.Proc, hold)
+	if rec := t.eng.Rec; rec != nil {
+		rec.LockHold(t.Proc, l.Name, l.heldSince, hold)
+	}
 	if len(l.queue) == 0 {
 		l.holder = nil
 		return

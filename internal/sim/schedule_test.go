@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 var updateSchedule = flag.Bool("update-schedule", false,
@@ -95,7 +96,8 @@ func scheduleRandom(seed uint64) string {
 	ref.Init(RefAtomic, 1)
 	reg := telemetry.NewRegistry(1 << 12)
 	reg.Gauge("ops", -1, func() int64 { return ops })
-	e.Tel = telemetry.NewSampler(reg, 2500, 8)
+	e.Rec = trace.New(8, -1)
+	e.Rec.Tel = telemetry.NewSampler(reg, 2500, 8)
 
 	var body func(steps int, mayNest bool) func(*Thread)
 	body = func(steps int, mayNest bool) func(*Thread) {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Policy selects the dispatch policy.
@@ -277,7 +278,7 @@ func (s *Steerer) Pin(t *sim.Thread, flow uint64, hash uint32, proc int) {
 			if int(fb.entries[i].proc) != proc {
 				fb.entries[i].proc = int32(proc)
 				s.stats.Repins++
-				t.Engine().Rec.SteerMigrate(t.Proc, now, "flow", int64(flow), int64(proc))
+				t.Engine().Rec.Record(t.Proc, trace.Event{TS: now, Kind: trace.EvSteerMigrate, Name: "flow", Arg: int64(flow), Arg2: int64(proc)})
 			}
 			return
 		}
@@ -291,7 +292,7 @@ func (s *Steerer) Pin(t *sim.Thread, flow uint64, hash uint32, proc int) {
 			}
 		}
 		s.stats.Evictions++
-		t.Engine().Rec.FlowEvict(t.Proc, now, int64(fb.entries[v].flow))
+		t.Engine().Rec.Record(t.Proc, trace.Event{TS: now, Kind: trace.EvFlowEvict, Arg: int64(fb.entries[v].flow)})
 		fb.entries[v] = flowEntry{flow: flow, proc: int32(proc), used: now}
 		return
 	}
@@ -357,7 +358,7 @@ func (s *Steerer) Sample(t *sim.Thread, depths []int) {
 	s.table[best].proc = int32(argMin)
 	s.holdUntil = now + s.cfg.QuiescenceNs
 	s.stats.Moves++
-	t.Engine().Rec.SteerMigrate(t.Proc, now, "bucket", int64(best), int64(argMin))
+	t.Engine().Rec.Record(t.Proc, trace.Event{TS: now, Kind: trace.EvSteerMigrate, Name: "bucket", Arg: int64(best), Arg2: int64(argMin)})
 }
 
 // Stats returns a copy of the counters.

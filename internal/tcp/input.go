@@ -3,6 +3,7 @@ package tcp
 import (
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Receive-side processing (tcp_input), Net/2-structured: Van Jacobson
@@ -35,7 +36,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			t.Count(&tcb.oooIn, 1)
 			t.Count(&p.stats.At(t).OOOSegsIn, 1)
 			if rec := t.Engine().Rec; rec != nil {
-				rec.OutOfOrder(t.Proc, t.Now(), int64(sg.seq), int64(tcb.rcvNxt))
+				rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvOOO, Arg: int64(sg.seq), Arg2: int64(tcb.rcvNxt)})
 			}
 		}
 	}
@@ -93,7 +94,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			t.Count(&p.stats.At(t).AcksIn, 1)
 			t.Count(&p.stats.At(t).Predicted, 1)
 			if rec := t.Engine().Rec; rec != nil {
-				rec.PredictHit(t.Proc, t.Now(), int64(sg.ack))
+				rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvPredictHit, Arg: int64(sg.ack)})
 			}
 			tcb.processAck(t, sg)
 			tcb.notFull.Broadcast(t)
@@ -108,7 +109,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 			// one prediction hit covering all coalesced bytes.
 			t.ChargeRand(st.TCPRecvFast)
 			if rec := t.Engine().Rec; rec != nil {
-				rec.PredictHit(t.Proc, t.Now(), int64(sg.seq))
+				rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvPredictHit, Arg: int64(sg.seq)})
 			}
 			tcb.rcvNxt += uint32(sg.dlen)
 			tcb.rcvBytes += int64(sg.dlen)
@@ -140,7 +141,7 @@ func (tcb *TCB) input(t *sim.Thread, sg seg, m *msg.Message) error {
 
 	// ---- Slow path ----
 	if rec := t.Engine().Rec; rec != nil {
-		rec.PredictMiss(t.Proc, t.Now(), int64(sg.seq))
+		rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvPredictMiss, Arg: int64(sg.seq)})
 	}
 	t.ChargeRand(st.TCPRecvFast)
 	t.ChargeRand(st.TCPRecvSlow)

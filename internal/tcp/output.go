@@ -3,6 +3,7 @@ package tcp
 import (
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Send-side processing (tcp_output). The structure follows the paper's
@@ -227,13 +228,15 @@ func (tcb *TCB) retransmit(t *sim.Thread, fast bool) error {
 	tcb.setTimer(t, timerRexmt, tcb.rexmtTicks())
 	tcb.locks.unlockState(t)
 
+	var fastArg int64 // the event's Arg2
 	if fast {
+		fastArg = 1
 		t.Count(&tcb.p.stats.At(t).FastRexmt, 1)
 	} else {
 		t.Count(&tcb.p.stats.At(t).Rexmt, 1)
 	}
 	if rec := t.Engine().Rec; rec != nil {
-		rec.Retransmit(t.Proc, t.Now(), int64(seqn), fast)
+		rec.Record(t.Proc, trace.Event{TS: t.Now(), Kind: trace.EvRexmt, Arg: int64(seqn), Arg2: fastArg})
 	}
 	if m == nil {
 		return tcb.sendControl(t, flags, seqn, ack)

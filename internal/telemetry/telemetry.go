@@ -5,11 +5,11 @@
 //
 // The paper's results are end-of-run aggregates; this package keeps the
 // timeline. The sampler is driven by the simulation engine's clock
-// (sim.Engine ticks it whenever virtual time advances), never by a
+// (sim.Engine ticks its observer, the flight recorder in internal/trace,
+// which ticks the sampler, whenever virtual time advances), never by a
 // simulated thread: sampling charges no virtual time, draws no RNG and
 // spawns no thread, so a sampled run is bit-identical to an unsampled
-// one — the same neutrality guarantee the flight recorder
-// (internal/trace) honors.
+// one — the same neutrality guarantee the recorder honors.
 //
 // Determinism: series snapshot in registration order, registration
 // order is fixed by construction (core registers everything in one
@@ -17,8 +17,6 @@
 // method is safe on a nil receiver, so the disabled path is a single
 // pointer test at each publish site.
 package telemetry
-
-import "sort"
 
 // DefaultDepth is the per-series sample ring capacity when none is
 // given: at the default 1 ms period it holds over four virtual seconds.
@@ -210,32 +208,19 @@ func (r *Registry) snapshot(now int64) {
 	}
 }
 
-// LockAttr accumulates one lock's contention attribution: total wait,
-// wait count, and the wait time broken down by the processor that held
-// the lock when each wait began. The last ByHolder slot collects
-// unknown holders.
-type LockAttr struct {
-	Name      string
-	WaitNs    int64
-	Contended int64
-	ByHolder  []int64
-}
-
 // Sampler owns the periodic snapshot schedule plus the standard
-// per-processor lock series that the simulator's locks publish into.
-// Construct with NewSampler; a nil Sampler is a valid disabled sampler.
+// per-processor lock series that the simulator's locks publish into
+// through the flight recorder (internal/trace), which clamps the
+// processor index and keeps the per-lock table. Construct with
+// NewSampler; a nil Sampler is a valid disabled sampler.
 type Sampler struct {
 	reg    *Registry
 	period int64
 	next   int64
-	procs  int
 
 	lockWaitC []*Counter
 	lockHoldC []*Counter
 	lockAcqC  []*Counter
-
-	attr    []*LockAttr
-	attrIdx map[string]int
 }
 
 // NewSampler builds a sampler over reg with the given period (virtual
@@ -246,17 +231,8 @@ func NewSampler(reg *Registry, periodNs int64, procs int) *Sampler {
 	if reg == nil || periodNs <= 0 {
 		return nil
 	}
-	if procs < 1 {
-		procs = 1
-	}
-	s := &Sampler{
-		reg:     reg,
-		period:  periodNs,
-		next:    periodNs,
-		procs:   procs,
-		attrIdx: make(map[string]int),
-	}
-	for p := 0; p < procs; p++ {
+	s := &Sampler{reg: reg, period: periodNs, next: periodNs}
+	for p := 0; p < max(procs, 1); p++ {
 		s.lockWaitC = append(s.lockWaitC, reg.Counter("lock-wait-ns", p))
 		s.lockHoldC = append(s.lockHoldC, reg.Counter("lock-hold-ns", p))
 		s.lockAcqC = append(s.lockAcqC, reg.Counter("lock-acquires", p))
@@ -295,89 +271,25 @@ func (s *Sampler) Tick(now int64) {
 	}
 }
 
-// clampProc folds out-of-range processor indices onto the last track,
-// mirroring the flight recorder's behavior.
-func (s *Sampler) clampProc(p int) int {
-	if p < 0 {
-		return 0
+// LockWait publishes ns of lock wait by proc, a track below the procs
+// the sampler was built with.
+func (s *Sampler) LockWait(proc int, ns int64) {
+	if s != nil {
+		s.lockWaitC[proc].Add(ns)
 	}
-	if p >= s.procs {
-		return s.procs - 1
-	}
-	return p
 }
 
-// LockWait publishes one contended acquisition: proc waited ns on the
-// named lock while holder held it (-1 if unknown). Feeds both the
-// per-processor wait counter and the per-lock attribution table.
-func (s *Sampler) LockWait(proc int, name string, ns int64, holder int) {
-	if s == nil || ns < 0 {
-		return
-	}
-	s.lockWaitC[s.clampProc(proc)].Add(ns)
-	if name == "" {
-		// Unnamed utility locks still count toward the per-proc wait
-		// counters above but get no attribution row (mirrors the trace
-		// recorder, which also skips nameless locks).
-		return
-	}
-	i, ok := s.attrIdx[name]
-	if !ok {
-		i = len(s.attr)
-		s.attrIdx[name] = i
-		s.attr = append(s.attr, &LockAttr{
-			Name:     name,
-			ByHolder: make([]int64, s.procs+1),
-		})
-	}
-	a := s.attr[i]
-	a.WaitNs += ns
-	a.Contended++
-	h := holder
-	if h < 0 || h >= s.procs {
-		h = s.procs // unknown-holder bucket
-	}
-	a.ByHolder[h] += ns
-}
-
-// LockHold publishes one hold span ending on proc.
+// LockHold publishes one hold span of ns ending on proc.
 func (s *Sampler) LockHold(proc int, ns int64) {
-	if s == nil || ns < 0 {
-		return
+	if s != nil {
+		s.lockHoldC[proc].Add(ns)
 	}
-	s.lockHoldC[s.clampProc(proc)].Add(ns)
 }
 
 // LockAcquire publishes one lock acquisition (contended or not) by
 // proc.
 func (s *Sampler) LockAcquire(proc int) {
-	if s == nil {
-		return
+	if s != nil {
+		s.lockAcqC[proc].Inc()
 	}
-	s.lockAcqC[s.clampProc(proc)].Inc()
-}
-
-// TopLocks returns the n most-contended locks by total wait time
-// (ties broken by name), deep-copied so callers may not perturb the
-// accumulators.
-func (s *Sampler) TopLocks(n int) []LockAttr {
-	if s == nil || n <= 0 {
-		return nil
-	}
-	out := make([]LockAttr, 0, len(s.attr))
-	for _, a := range s.attr {
-		c := *a
-		c.ByHolder = append([]int64(nil), a.ByHolder...)
-		out = append(out, c)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].WaitNs != out[j].WaitNs {
-			return out[i].WaitNs > out[j].WaitNs
-		}
-		return out[i].Name < out[j].Name
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

@@ -113,10 +113,10 @@ func TestNilSafety(t *testing.T) {
 
 	var s *Sampler
 	s.Tick(100)
-	s.LockWait(0, "x", 5, 1)
+	s.LockWait(0, 5)
 	s.LockHold(0, 5)
 	s.LockAcquire(0)
-	if s.Registry() != nil || s.Period() != 0 || s.TopLocks(3) != nil {
+	if s.Registry() != nil || s.Period() != 0 {
 		t.Error("nil Sampler accessors must return zero values")
 	}
 
@@ -142,47 +142,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if NewSampler(NewRegistry(0), 0, 1) != nil {
 		t.Error("NewSampler with period 0 must return nil")
-	}
-}
-
-// TestTopLocksOrdering: locks rank by total wait descending with name
-// as the tiebreak, holder waits attribute to the right buckets, and the
-// returned slices are copies.
-func TestTopLocksOrdering(t *testing.T) {
-	r := NewRegistry(0)
-	s := NewSampler(r, 100, 2)
-	s.LockWait(0, "b", 50, 1)
-	s.LockWait(1, "a", 30, 0)
-	s.LockWait(0, "c", 50, -1) // unknown holder
-	s.LockWait(1, "c", 10, 5)  // out-of-range holder folds to unknown
-
-	top := s.TopLocks(10)
-	if len(top) != 3 {
-		t.Fatalf("len(top) = %d, want 3", len(top))
-	}
-	if top[0].Name != "c" || top[0].WaitNs != 60 || top[0].Contended != 2 {
-		t.Errorf("top[0] = %+v, want c/60/2", top[0])
-	}
-	if top[1].Name != "b" || top[2].Name != "a" {
-		t.Errorf("order = %s,%s,%s, want c,b,a", top[0].Name, top[1].Name, top[2].Name)
-	}
-	// "c": both waits had unknown holders -> last slot.
-	if unk := top[0].ByHolder[len(top[0].ByHolder)-1]; unk != 60 {
-		t.Errorf("unknown-holder bucket = %d, want 60", unk)
-	}
-	if top[1].ByHolder[1] != 50 {
-		t.Errorf("b holder p1 = %d, want 50", top[1].ByHolder[1])
-	}
-	top[0].ByHolder[0] = 999
-	if s.TopLocks(1)[0].ByHolder[0] == 999 {
-		t.Error("TopLocks must deep-copy holder slices")
-	}
-
-	// Empty-named locks count toward per-proc wait counters but get no
-	// attribution row (mirrors the trace recorder).
-	s.LockWait(0, "", 40, 0)
-	if got := len(s.TopLocks(10)); got != 3 {
-		t.Errorf("unnamed lock created an attribution row (%d rows)", got)
 	}
 }
 

@@ -12,6 +12,14 @@
 // (Perfetto-loadable, one track per virtual processor; see chrome.go)
 // or summarized as quantiles.
 //
+// The recorder is the simulation engine's one observer: every lock
+// event reaches it once, it keeps the one per-lock table of waits (the
+// histogram plus the wait split by holder, which TopLocks ranks), and
+// it feeds and ticks the telemetry sampler when one is attached. A
+// recorder built without rings (New with a negative depth) records no
+// events and keeps only that table and the sampler: a run that samples
+// without tracing.
+//
 // Every recording method is safe on a nil *Recorder and returns
 // immediately, so instrumented code guards with a single nil check and
 // the disabled path stays allocation-free. The simulation engine
@@ -24,6 +32,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"repro/internal/telemetry"
 )
 
 // EventKind classifies flight-recorder events.
@@ -161,59 +171,84 @@ const DefaultDepth = 1 << 16
 // Recorder is the flight recorder. Construct with New; a nil Recorder
 // is a valid disabled recorder.
 type Recorder struct {
-	rings []ring
+	rings []ring // nil: no event timeline, only the lock table and Tel
+	procs int
 
-	lockWait map[string]*Histogram // per-lock wait time
+	// Tel, when non-nil, is the telemetry sampler the recorder feeds:
+	// each lock event adds to its per-processor lock counters, and Tick
+	// advances its sample grid.
+	Tel *telemetry.Sampler
+
+	lockWait map[string]*lockWaits // per-lock waits
 	layer    map[string]*Histogram // per-layer residence time
 	e2e      Histogram             // end-to-end packet latency
 }
 
-// New builds a recorder with one ring per processor (procs tracks) of
-// the given per-processor capacity (DefaultDepth if depth <= 0).
+// lockWaits is one lock name's waits: their distribution, and the wait
+// split by the processor that held the lock when each began (the last
+// slot collects unknown holders).
+type lockWaits struct {
+	hist     Histogram
+	byHolder []int64
+}
+
+// New builds a recorder with procs tracks and one ring per track of the
+// given per-processor capacity (DefaultDepth if depth is 0). A negative
+// depth builds no rings: the recorder then records no events and keeps
+// only its lock table and its sampler.
 func New(procs, depth int) *Recorder {
-	if procs < 1 {
-		procs = 1
-	}
-	if depth <= 0 {
-		depth = DefaultDepth
-	}
 	r := &Recorder{
-		rings:    make([]ring, procs),
-		lockWait: make(map[string]*Histogram),
+		procs:    max(procs, 1),
+		lockWait: make(map[string]*lockWaits),
 		layer:    make(map[string]*Histogram),
 	}
+	if depth < 0 {
+		return r
+	}
+	if depth == 0 {
+		depth = DefaultDepth
+	}
+	r.rings = make([]ring, r.procs)
 	for i := range r.rings {
 		r.rings[i].ev = make([]Event, depth)
 	}
 	return r
 }
 
-// Enabled reports whether the recorder records (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
+// Enabled reports whether the recorder records events (false for nil
+// and for a recorder without rings).
+func (r *Recorder) Enabled() bool { return r != nil && r.rings != nil }
+
+// clamp folds an out-of-range processor index onto the nearest track.
+func (r *Recorder) clamp(proc int) int { return min(max(proc, 0), r.procs-1) }
 
 func (r *Recorder) push(proc int, e Event) {
-	if proc < 0 {
-		proc = 0
-	}
-	if proc >= len(r.rings) {
-		proc = len(r.rings) - 1
-	}
+	proc = r.clamp(proc)
 	e.Proc = int32(proc)
 	r.rings[proc].push(e)
 }
 
-// Arrive records a packet entering the stack at the driver.
-func (r *Recorder) Arrive(proc int, ts int64, seq int64) {
-	if r == nil {
-		return
+// Tick advances the attached sampler to virtual time now; the engine
+// calls it as its clock advances.
+func (r *Recorder) Tick(now int64) {
+	if r != nil {
+		r.Tel.Tick(now)
 	}
-	r.push(proc, Event{TS: ts, Kind: EvArrive, Arg: seq})
+}
+
+// Record appends an instant event to proc's track: any kind but the
+// spans LayerSpan, LockWait, LockHold and Deliver record. The kind's
+// doc says what Name, Arg and Arg2 carry.
+func (r *Recorder) Record(proc int, e Event) {
+	if r.Enabled() {
+		r.push(proc, e)
+	}
 }
 
 // LayerSpan records an inclusive residence span in the named layer and
 // feeds the layer's residence histogram.
 func (r *Recorder) LayerSpan(proc int, name string, start, dur int64) {
-	if r == nil {
+	if !r.Enabled() {
 		return
 	}
 	r.push(proc, Event{TS: start, Dur: dur, Kind: EvLayer, Name: name})
@@ -225,71 +260,59 @@ func (r *Recorder) LayerSpan(proc int, name string, start, dur int64) {
 	h.Observe(dur)
 }
 
+// LockAcquire counts one acquisition, contended or not, by proc.
+func (r *Recorder) LockAcquire(proc int) {
+	if r != nil {
+		r.Tel.LockAcquire(r.clamp(proc))
+	}
+}
+
 // LockWait records a contended acquisition's wait span (start .. grant)
-// and feeds the lock's wait histogram. holder is the processor that
-// held the lock when the waiter arrived (-1 if unknown).
+// and adds it to the lock's row of the lock table. holder is the
+// processor that held the lock when the waiter arrived (-1 if unknown).
+// A nameless lock counts toward the sampler's per-processor wait but
+// gets no event and no row.
 func (r *Recorder) LockWait(proc int, name string, start, dur int64, holder int) {
-	if r == nil || name == "" {
+	if r == nil {
 		return
 	}
-	r.push(proc, Event{TS: start, Dur: dur, Kind: EvLockWait, Name: name, Arg: int64(holder)})
-	h := r.lockWait[name]
-	if h == nil {
-		h = &Histogram{}
-		r.lockWait[name] = h
+	proc = r.clamp(proc)
+	r.Tel.LockWait(proc, dur)
+	if name == "" {
+		return
 	}
-	h.Observe(dur)
+	if r.rings != nil {
+		r.push(proc, Event{TS: start, Dur: dur, Kind: EvLockWait, Name: name, Arg: int64(holder)})
+	}
+	w := r.lockWait[name]
+	if w == nil {
+		w = &lockWaits{byHolder: make([]int64, r.procs+1)}
+		r.lockWait[name] = w
+	}
+	w.hist.Observe(dur)
+	if holder < 0 || holder >= r.procs {
+		holder = r.procs
+	}
+	w.byHolder[holder] += dur
 }
 
 // LockHold records a hold span (grant .. release).
 func (r *Recorder) LockHold(proc int, name string, start, dur int64) {
-	if r == nil || name == "" {
-		return
-	}
-	r.push(proc, Event{TS: start, Dur: dur, Kind: EvLockHold, Name: name})
-}
-
-// PredictHit records a header-prediction fast-path hit.
-func (r *Recorder) PredictHit(proc int, ts int64, seq int64) {
 	if r == nil {
 		return
 	}
-	r.push(proc, Event{TS: ts, Kind: EvPredictHit, Arg: seq})
-}
-
-// PredictMiss records a segment falling through to the slow path.
-func (r *Recorder) PredictMiss(proc int, ts int64, seq int64) {
-	if r == nil {
-		return
+	proc = r.clamp(proc)
+	r.Tel.LockHold(proc, dur)
+	if name != "" && r.rings != nil {
+		r.push(proc, Event{TS: start, Dur: dur, Kind: EvLockHold, Name: name})
 	}
-	r.push(proc, Event{TS: ts, Kind: EvPredictMiss, Arg: seq})
-}
-
-// OutOfOrder records a data segment arriving out of order at TCP.
-func (r *Recorder) OutOfOrder(proc int, ts int64, seq, expected int64) {
-	if r == nil {
-		return
-	}
-	r.push(proc, Event{TS: ts, Kind: EvOOO, Arg: seq, Arg2: expected})
-}
-
-// Retransmit records a retransmission (fast or timeout-driven).
-func (r *Recorder) Retransmit(proc int, ts int64, seq int64, fast bool) {
-	if r == nil {
-		return
-	}
-	var f int64
-	if fast {
-		f = 1
-	}
-	r.push(proc, Event{TS: ts, Kind: EvRexmt, Arg: seq, Arg2: f})
 }
 
 // Deliver records final consumption of a packet born at virtual time
 // born (a driver or application stamp) and feeds the end-to-end
 // latency histogram. born <= 0 records nothing.
 func (r *Recorder) Deliver(proc int, ts, born int64) {
-	if r == nil || born <= 0 {
+	if !r.Enabled() || born <= 0 {
 		return
 	}
 	dur := ts - born
@@ -300,52 +323,8 @@ func (r *Recorder) Deliver(proc int, ts, born int64) {
 	r.e2e.Observe(dur)
 }
 
-// Fault records a fault-wire injection of the named kind.
-func (r *Recorder) Fault(proc int, ts int64, kind string) {
-	if r == nil {
-		return
-	}
-	r.push(proc, Event{TS: ts, Kind: EvFault, Name: kind})
-}
-
-// SteerMigrate records a steering migration: what is "bucket" for an
-// indirection-table remap or "flow" for a Flow-Director repin; arg is
-// the bucket index or flow id and to the new processor.
-func (r *Recorder) SteerMigrate(proc int, ts int64, what string, arg, to int64) {
-	if r == nil {
-		return
-	}
-	r.push(proc, Event{TS: ts, Kind: EvSteerMigrate, Name: what, Arg: arg, Arg2: to})
-}
-
-// FlowEvict records an LRU eviction of flow from the Flow-Director
-// exact-match table.
-func (r *Recorder) FlowEvict(proc int, ts int64, flow int64) {
-	if r == nil {
-		return
-	}
-	r.push(proc, Event{TS: ts, Kind: EvFlowEvict, Arg: flow})
-}
-
-// BatchMerge records one GRO coalesce; segs is the merged frame's
-// segment count after absorbing the new one.
-func (r *Recorder) BatchMerge(proc int, ts int64, segs int64) {
-	if r == nil {
-		return
-	}
-	r.push(proc, Event{TS: ts, Kind: EvBatchMerge, Arg: segs})
-}
-
-// BatchFlush records a merged frame entering the stack; reason names
-// the flush trigger, segs the segment count, bytes the frame length.
-func (r *Recorder) BatchFlush(proc int, ts int64, reason string, segs, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.push(proc, Event{TS: ts, Kind: EvBatchFlush, Name: reason, Arg: segs, Arg2: bytes})
-}
-
-// Procs returns the number of per-processor tracks.
+// Procs returns the number of per-processor event tracks (0 without
+// rings).
 func (r *Recorder) Procs() int {
 	if r == nil {
 		return 0
@@ -376,10 +355,10 @@ func (r *Recorder) Dropped() int64 {
 // WaitHistogram returns the wait-time histogram of the named lock (nil
 // if that lock never contended).
 func (r *Recorder) WaitHistogram(name string) *Histogram {
-	if r == nil {
+	if r == nil || r.lockWait[name] == nil {
 		return nil
 	}
-	return r.lockWait[name]
+	return &r.lockWait[name].hist
 }
 
 // WaitNames returns the sorted names of locks with recorded waits.
@@ -388,6 +367,36 @@ func (r *Recorder) WaitNames() []string {
 		return nil
 	}
 	return sortedKeys(r.lockWait)
+}
+
+// LockAttr is one lock's contention attribution: total wait, wait
+// count, and the wait time broken down by the processor that held the
+// lock when each wait began. The last ByHolder slot collects unknown
+// holders.
+type LockAttr struct {
+	Name      string
+	WaitNs    int64
+	Contended int64
+	ByHolder  []int64
+}
+
+// TopLocks returns the n most-contended locks by total wait time (ties
+// broken by name), copied so callers cannot perturb the table.
+func (r *Recorder) TopLocks(n int) []LockAttr {
+	if r == nil || n <= 0 {
+		return nil
+	}
+	out := make([]LockAttr, 0, len(r.lockWait))
+	for name, w := range r.lockWait {
+		out = append(out, LockAttr{name, w.hist.Sum(), w.hist.Count(), append([]int64(nil), w.byHolder...)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].WaitNs != out[j].WaitNs {
+			return out[i].WaitNs > out[j].WaitNs
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out[:min(n, len(out))]
 }
 
 // LayerHistogram returns the residence histogram of the named layer.
@@ -414,7 +423,7 @@ func (r *Recorder) EndToEnd() *Histogram {
 	return &r.e2e
 }
 
-func sortedKeys(m map[string]*Histogram) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
@@ -524,14 +533,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.n)
-}
-
-// BucketCount returns bucket i's sample count.
-func (h *Histogram) BucketCount(i int) int64 {
-	if h == nil || i < 0 || i >= NumBuckets {
-		return 0
-	}
-	return h.counts[i]
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -25,8 +27,8 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
 	h.Observe(-42) // clamps to 0
-	if h.BucketCount(0) != 2 {
-		t.Fatalf("bucket 0 count = %d, want 2", h.BucketCount(0))
+	if h.counts[0] != 2 {
+		t.Fatalf("bucket 0 count = %d, want 2", h.counts[0])
 	}
 	if h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatalf("zero/negative samples leaked into sum/min/max: sum=%d min=%d max=%d",
@@ -55,8 +57,8 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	huge := int64(math.MaxInt64)
 	h.Observe(huge)
 	h.Observe(1 << 50) // also past the last finite bucket boundary
-	if h.BucketCount(NumBuckets-1) != 2 {
-		t.Fatalf("overflow bucket count = %d, want 2", h.BucketCount(NumBuckets-1))
+	if h.counts[NumBuckets-1] != 2 {
+		t.Fatalf("overflow bucket count = %d, want 2", h.counts[NumBuckets-1])
 	}
 	if h.Max() != huge {
 		t.Fatalf("Max = %d, want %d", h.Max(), huge)
@@ -109,7 +111,7 @@ func TestBucketBounds(t *testing.T) {
 func TestRingWrapAndDropped(t *testing.T) {
 	r := New(1, 4)
 	for i := int64(0); i < 10; i++ {
-		r.Arrive(0, i, i)
+		r.Record(0, Event{TS: i, Kind: EvArrive, Arg: i})
 	}
 	ev := r.Events(0)
 	if len(ev) != 4 {
@@ -129,23 +131,25 @@ func TestRingWrapAndDropped(t *testing.T) {
 func TestNilRecorderNoOps(t *testing.T) {
 	var r *Recorder
 	// None of these may panic, and all accessors report empty.
-	r.Arrive(0, 1, 1)
+	r.Record(0, Event{TS: 1, Kind: EvArrive, Arg: 1})
 	r.LayerSpan(0, "ip-recv", 1, 2)
+	r.LockAcquire(0)
 	r.LockWait(0, "tcp-state", 1, 2, 1)
 	r.LockHold(0, "tcp-state", 1, 2)
-	r.PredictHit(0, 1, 1)
-	r.PredictMiss(0, 1, 1)
-	r.OutOfOrder(0, 1, 2, 1)
-	r.Retransmit(0, 1, 1, true)
+	r.Tick(1)
+	r.Record(0, Event{TS: 1, Kind: EvPredictHit, Arg: 1})
+	r.Record(0, Event{TS: 1, Kind: EvPredictMiss, Arg: 1})
+	r.Record(0, Event{TS: 1, Kind: EvOOO, Arg: 2, Arg2: 1})
+	r.Record(0, Event{TS: 1, Kind: EvRexmt, Arg: 1, Arg2: 1})
 	r.Deliver(0, 2, 1)
-	r.Fault(0, 1, "drop")
+	r.Record(0, Event{TS: 1, Kind: EvFault, Name: "drop"})
 	if r.Enabled() {
 		t.Fatal("nil recorder claims Enabled")
 	}
 	if r.Procs() != 0 || r.Events(0) != nil || r.Dropped() != 0 {
 		t.Fatal("nil recorder reports non-empty state")
 	}
-	if r.WaitNames() != nil || r.LayerNames() != nil {
+	if r.WaitNames() != nil || r.LayerNames() != nil || r.TopLocks(3) != nil {
 		t.Fatal("nil recorder reports names")
 	}
 	if r.WaitHistogram("x").Count() != 0 || r.EndToEnd().Count() != 0 {
@@ -156,15 +160,99 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 }
 
+// TestUnnamedLocksSkipped: a nameless lock gets no event and no row of
+// the lock table, but its wait and hold still reach the sampler's
+// per-processor counters.
 func TestUnnamedLocksSkipped(t *testing.T) {
 	r := New(1, 16)
+	reg := telemetry.NewRegistry(0)
+	r.Tel = telemetry.NewSampler(reg, 10, 1)
 	r.LockWait(0, "", 1, 100, 2)
 	r.LockHold(0, "", 1, 100)
 	if len(r.Events(0)) != 0 {
 		t.Fatal("empty-name lock events recorded")
 	}
-	if len(r.WaitNames()) != 0 {
-		t.Fatal("empty-name lock fed a histogram")
+	if len(r.WaitNames()) != 0 || len(r.TopLocks(10)) != 0 {
+		t.Fatal("empty-name lock fed the lock table")
+	}
+	r.Tick(10)
+	for _, se := range reg.Series() {
+		_, v := se.Samples()
+		want := map[string]int64{"lock-wait-ns": 100, "lock-hold-ns": 100, "lock-acquires": 0}[se.Name]
+		if len(v) != 1 || v[0] != want {
+			t.Errorf("%s = %v, want [%d]", se.Name, v, want)
+		}
+	}
+}
+
+// TestRinglessRecorder: a recorder built with a negative depth (a run
+// that samples without tracing) allocates no event rings and records
+// no events, yet keeps the same lock table and feeds its sampler.
+func TestRinglessRecorder(t *testing.T) {
+	reg := telemetry.NewRegistry(0)
+	r := New(2, -1)
+	r.Tel = telemetry.NewSampler(reg, 10, 2)
+	if r.rings != nil || r.Enabled() || r.Procs() != 0 {
+		t.Fatalf("ringless recorder has %d rings, Enabled %v", len(r.rings), r.Enabled())
+	}
+	r.Record(0, Event{TS: 1, Kind: EvArrive, Arg: 1})
+	r.LayerSpan(1, "ip-recv", 1, 5)
+	r.Deliver(0, 9, 1)
+	r.LockAcquire(1)
+	r.LockWait(1, "tcp-state", 2, 30, 0)
+	r.LockHold(1, "tcp-state", 32, 7)
+	if len(r.LayerNames()) != 0 || r.EndToEnd().Count() != 0 || r.Dropped() != 0 {
+		t.Error("ringless recorder recorded events")
+	}
+	if h := r.WaitHistogram("tcp-state"); h.Count() != 1 || h.Sum() != 30 {
+		t.Errorf("lock table: n=%d sum=%d, want 1/30", h.Count(), h.Sum())
+	}
+	r.Tick(10)
+	var got []int64
+	for _, se := range reg.Series() {
+		if se.Proc == 1 {
+			_, v := se.Samples()
+			got = append(got, v...)
+		}
+	}
+	if len(got) != 3 || got[0] != 30 || got[1] != 7 || got[2] != 1 {
+		t.Errorf("proc 1 wait/hold/acquires = %v, want [30 7 1]", got)
+	}
+}
+
+// TestTopLocksOrdering: locks rank by total wait descending with name
+// as the tiebreak, holder waits attribute to the right buckets, and the
+// returned slices are copies.
+func TestTopLocksOrdering(t *testing.T) {
+	r := New(2, 16)
+	r.LockWait(0, "b", 0, 50, 1)
+	r.LockWait(1, "a", 0, 30, 0)
+	r.LockWait(0, "c", 0, 50, -1) // unknown holder
+	r.LockWait(1, "c", 0, 10, 5)  // out-of-range holder folds to unknown
+
+	top := r.TopLocks(10)
+	if len(top) != 3 {
+		t.Fatalf("len(top) = %d, want 3", len(top))
+	}
+	if top[0].Name != "c" || top[0].WaitNs != 60 || top[0].Contended != 2 {
+		t.Errorf("top[0] = %+v, want c/60/2", top[0])
+	}
+	if top[1].Name != "b" || top[2].Name != "a" {
+		t.Errorf("order = %s,%s,%s, want c,b,a", top[0].Name, top[1].Name, top[2].Name)
+	}
+	// "c": both waits had unknown holders -> last slot.
+	if unk := top[0].ByHolder[len(top[0].ByHolder)-1]; unk != 60 {
+		t.Errorf("unknown-holder bucket = %d, want 60", unk)
+	}
+	if top[1].ByHolder[1] != 50 {
+		t.Errorf("b holder p1 = %d, want 50", top[1].ByHolder[1])
+	}
+	top[0].ByHolder[0] = 999
+	if r.TopLocks(1)[0].ByHolder[0] == 999 {
+		t.Error("TopLocks must deep-copy holder slices")
+	}
+	if len(r.TopLocks(1)) != 1 {
+		t.Error("TopLocks(1) returned more than one row")
 	}
 }
 
@@ -184,8 +272,8 @@ func TestDeliverUnstampedSkipped(t *testing.T) {
 
 func TestProcClamping(t *testing.T) {
 	r := New(2, 8)
-	r.Arrive(-3, 1, 0) // clamps to track 0
-	r.Arrive(99, 2, 0) // clamps to last track
+	r.Record(-3, Event{TS: 1, Kind: EvArrive, Arg: 0}) // clamps to track 0
+	r.Record(99, Event{TS: 2, Kind: EvArrive, Arg: 0}) // clamps to last track
 	if len(r.Events(0)) != 1 || len(r.Events(1)) != 1 {
 		t.Fatalf("proc clamping lost events: %d/%d",
 			len(r.Events(0)), len(r.Events(1)))
@@ -196,16 +284,16 @@ func TestProcClamping(t *testing.T) {
 // encoding/json and checks the invariants Perfetto relies on.
 func TestChromeTraceParses(t *testing.T) {
 	r := New(2, 64)
-	r.Arrive(0, 10, 1)
+	r.Record(0, Event{TS: 10, Kind: EvArrive, Arg: 1})
 	r.LayerSpan(0, "fddi-recv", 10, 500)
 	r.LockWait(1, "tcp-state", 20, 300, 0)
 	r.LockHold(1, "tcp-state", 320, 40)
-	r.PredictHit(0, 30, 7)
-	r.PredictMiss(0, 31, 8)
-	r.OutOfOrder(1, 40, 9, 8)
-	r.Retransmit(1, 50, 9, true)
+	r.Record(0, Event{TS: 30, Kind: EvPredictHit, Arg: 7})
+	r.Record(0, Event{TS: 31, Kind: EvPredictMiss, Arg: 8})
+	r.Record(1, Event{TS: 40, Kind: EvOOO, Arg: 9, Arg2: 8})
+	r.Record(1, Event{TS: 50, Kind: EvRexmt, Arg: 9, Arg2: 1})
 	r.Deliver(0, 700, 10)
-	r.Fault(0, 60, "drop")
+	r.Record(0, Event{TS: 60, Kind: EvFault, Name: "drop"})
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
