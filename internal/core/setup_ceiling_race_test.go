@@ -3,9 +3,9 @@
 package core
 
 // TestSetupAllocsPerConn's one-connection byte ceilings under the race
-// detector, whose build reads 208 B more than plain go test
+// detector, whose build reads 16 B more than plain go test
 // (setup_ceiling_test.go).
 const (
-	udpSetupMaxBytes = 107720
-	tcpSetupMaxBytes = 112800
+	udpSetupMaxBytes = 41848
+	tcpSetupMaxBytes = 46928
 )

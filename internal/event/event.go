@@ -27,12 +27,27 @@ type pending struct {
 type Wheel struct {
 	Tick int64 // virtual ns per tick
 
-	heads  []*pending // one chain per slot
-	locks  []sim.Lock // slot i's chain lock is locks[i%len(locks)]
-	stop   *sim.Flag
-	nsched int64
-	nfired int64
+	heads []*pending // one chain per slot
+	// chunks holds the chain locks, lockChunk to a chunk, each built the
+	// first time Schedule or a tick touches one of its chains and
+	// published atomically: host threads schedule concurrently. Slot i's
+	// lock is lock number i%nlocks.
+	chunks   []atomic.Pointer[[lockChunk]sim.Lock]
+	nlocks   int
+	lockKind sim.LockKind
+	lockName string
+	stop     *sim.Flag
+	nsched   int64
+	nfired   int64
+	// wake ends the event thread's wait at Stop; host backend only, nil
+	// on the sim, whose wait ends in virtual time.
+	wake chan struct{}
 }
+
+// lockChunk is the number of chain locks built at once: a run from time
+// zero that neither lasts nor schedules past 64 ticks (640 ms at the
+// default tick) builds one chunk.
+const lockChunk = 64
 
 // Config controls wheel construction.
 type Config struct {
@@ -48,7 +63,7 @@ func DefaultConfig() Config {
 	return Config{Slots: 512, Tick: 10_000_000, PerChain: true, Kind: sim.KindMutex}
 }
 
-// New builds a wheel.
+// New builds a wheel. Its chain locks are built on first use (lock).
 func New(cfg Config) *Wheel {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 512
@@ -61,10 +76,13 @@ func New(cfg Config) *Wheel {
 		name, nlocks = "evchain", cfg.Slots
 	}
 	return &Wheel{
-		Tick:  cfg.Tick,
-		heads: make([]*pending, cfg.Slots),
-		locks: sim.NewLocks(cfg.Kind, name, nlocks),
-		stop:  &sim.Flag{},
+		Tick:     cfg.Tick,
+		heads:    make([]*pending, cfg.Slots),
+		chunks:   make([]atomic.Pointer[[lockChunk]sim.Lock], (nlocks+lockChunk-1)/lockChunk),
+		nlocks:   nlocks,
+		lockKind: cfg.Kind,
+		lockName: name,
+		stop:     &sim.Flag{},
 	}
 }
 
@@ -75,8 +93,21 @@ func (w *Wheel) slotFor(deadline int64) int {
 	return int(((deadline + w.Tick - 1) / w.Tick) % int64(len(w.heads)))
 }
 
-// lock returns the lock of slot i's chain.
-func (w *Wheel) lock(i int) *sim.Lock { return &w.locks[i%len(w.locks)] }
+// lock returns the lock of slot i's chain, building its chunk on first
+// use. Two threads that race to build one chunk both build it; the first
+// to publish wins and the other's is garbage.
+func (w *Wheel) lock(i int) *sim.Lock {
+	i %= w.nlocks
+	c := &w.chunks[i/lockChunk]
+	locks := c.Load()
+	if locks == nil {
+		locks = (*[lockChunk]sim.Lock)(sim.NewLocks(w.lockKind, w.lockName, lockChunk))
+		if !c.CompareAndSwap(nil, locks) {
+			locks = c.Load()
+		}
+	}
+	return &locks[i%lockChunk]
+}
 
 // Schedule registers fn to run delay virtual ns from the calling
 // thread's current time.
@@ -104,18 +135,28 @@ func (w *Wheel) Schedule(t *sim.Thread, fn func(*sim.Thread, any), arg any, dela
 // Start spawns the event-manager thread on the engine. proc is the
 // virtual processor charged with clock interrupts.
 func (w *Wheel) Start(e *sim.Engine, proc int) {
+	if e.IsHost() {
+		w.wake = make(chan struct{}, 1)
+	}
 	e.Spawn("event-manager", proc, func(t *sim.Thread) {
 		tick := (t.Now()/w.Tick + 1) * w.Tick
 		for !w.stop.Get() {
-			t.SleepUntil(tick)
+			t.SleepUntilWoken(tick, w.wake)
 			w.runDue(t, tick)
 			tick += w.Tick
 		}
 	})
 }
 
-// Stop makes the event thread exit at its next tick.
-func (w *Wheel) Stop() { w.stop.Set() }
+// Stop makes the event thread exit at its next tick, or at once on the
+// host backend, where that tick is up to a wall-clock Tick away.
+func (w *Wheel) Stop() {
+	w.stop.Set()
+	select {
+	case w.wake <- struct{}{}:
+	default: // the sim backend (nil wake), or a wake already sent
+	}
+}
 
 // runDue executes every event in the current tick's chain whose
 // deadline has arrived, unlinking them in chain order.

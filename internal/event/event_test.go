@@ -1,7 +1,9 @@
 package event
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -156,8 +158,9 @@ func TestZeroDelayFiresNextTick(t *testing.T) {
 	}
 }
 
-// TestNewAllocations: the chain locks are one array, not a heap object
-// per slot (New made 515 allocations that way).
+// TestNewAllocations: New builds no chain lock (they come in chunks on
+// first use), nor a heap object per slot (New made 515 allocations that
+// way).
 func TestNewAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { New(DefaultConfig()) }); n > 4 {
 		t.Errorf("New(DefaultConfig()): %v allocations, want at most 4", n)
@@ -182,5 +185,62 @@ func TestChainLocks(t *testing.T) {
 		if perChain && (a == b || na != 1 || nb != 1) || !perChain && (a != b || na != 2) {
 			t.Errorf("per-chain %v: the two slots' locks (same: %v) acquired %d and %d times", perChain, a == b, na, nb)
 		}
+	}
+}
+
+// TestChainLocksBuiltOnUse: a 75 ms run touches chains 0-8 of the
+// default wheel, so it builds one chunk of chain locks, and each lock in
+// it is the one the eager array NewLocks builds would hold: an untouched
+// lock equals it field for field, a touched one in name.
+func TestChainLocksBuiltOnUse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Kind = sim.KindMCS
+	w := New(cfg)
+	e := newEngine(3)
+	w.Start(e, 0)
+	e.Spawn("sched", 1, func(th *sim.Thread) {
+		for d := int64(5_000_000); d < 75_000_000; d += 10_000_000 {
+			w.Schedule(th, func(*sim.Thread, any) {}, nil, d)
+		}
+		th.Sleep(75_000_000)
+		w.Stop()
+	})
+	e.Run()
+	built := 0
+	for i := range w.chunks {
+		if w.chunks[i].Load() != nil {
+			built++
+		}
+	}
+	if built != 1 {
+		t.Errorf("a 75 ms run built %d chunks of chain locks, want 1", built)
+	}
+	eager := sim.NewLocks(cfg.Kind, "evchain", lockChunk)
+	chunk := w.chunks[0].Load()
+	for i := range chunk {
+		if l := &chunk[i]; l.Name != "evchain" {
+			t.Errorf("chain lock %d is named %q, want %q", i, l.Name, "evchain")
+		}
+		if i > 9 && !reflect.DeepEqual(&chunk[i], &eager[i]) {
+			t.Errorf("untouched chain lock %d differs from the eager array's", i)
+		}
+	}
+}
+
+// TestHostStopEndsWait: on the host backend the event thread sleeps in
+// wall-clock ticks, and Stop ends its sleep rather than leaving the run
+// to wait out the tick.
+func TestHostStopEndsWait(t *testing.T) {
+	e := sim.NewBackend(cost.NewModel(cost.Challenge100), 1, sim.BackendHost)
+	w := New(Config{Slots: 8, Tick: int64(10 * time.Second), PerChain: true})
+	w.Start(e, 0)
+	e.Spawn("stopper", 1, func(th *sim.Thread) {
+		th.Sleep(int64(time.Millisecond))
+		w.Stop()
+	})
+	start := time.Now()
+	e.Run()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("host run ended %v after Stop's thread started, want well inside the 10 s tick", d)
 	}
 }

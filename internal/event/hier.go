@@ -32,9 +32,6 @@ type TimerNode struct {
 	prev, next  *TimerNode
 }
 
-// Armed reports whether the node is linked into a wheel.
-func (n *TimerNode) Armed() bool { return n.linked }
-
 // Deadline returns the node's absolute expiry tick (meaningful while
 // armed).
 func (n *TimerNode) Deadline() int64 { return n.deadline }
@@ -43,15 +40,10 @@ func (n *TimerNode) Deadline() int64 { return n.deadline }
 // lock; handlers never run under it (Advance returns the due nodes and
 // the caller fires them).
 type TickWheel struct {
-	lock   *sim.Lock
-	now    int64 // last tick advanced to
-	levels [tickLevels][tickSlots]*TimerNode
-
-	armed     int64
-	cancelled int64
-	fired     int64
-	cascaded  int64
-	pending   int64
+	lock    *sim.Lock
+	now     int64 // last tick advanced to
+	levels  [tickLevels][tickSlots]*TimerNode
+	pending int64
 }
 
 // NewTickWheel builds an empty wheel guarded by a lock of the given
@@ -65,11 +57,6 @@ func (w *TickWheel) Now() int64 { return w.now }
 
 // Pending returns the number of armed nodes.
 func (w *TickWheel) Pending() int64 { return w.pending }
-
-// Counts returns (armed, cancelled, fired, cascaded) totals.
-func (w *TickWheel) Counts() (int64, int64, int64, int64) {
-	return w.armed, w.cancelled, w.fired, w.cascaded
-}
 
 // levelFor picks the level whose span covers a delta of d ticks.
 func levelFor(d int64) int {
@@ -137,7 +124,6 @@ func (w *TickWheel) Arm(t *sim.Thread, n *TimerNode, deadline int64) {
 	}
 	n.deadline = deadline
 	w.insertLocked(n)
-	w.armed++
 	w.lock.Release(t)
 }
 
@@ -149,7 +135,6 @@ func (w *TickWheel) Cancel(t *sim.Thread, n *TimerNode) bool {
 	was := n.linked
 	if was {
 		w.unlinkLocked(n)
-		w.cancelled++
 	}
 	w.lock.Release(t)
 	return was
@@ -166,7 +151,6 @@ func (w *TickWheel) cascadeLocked(lvl, slot int) {
 		n.prev, n.next = nil, nil
 		w.pending--
 		w.insertLocked(n)
-		w.cascaded++
 		n = next
 	}
 }
@@ -192,7 +176,6 @@ func (w *TickWheel) Advance(t *sim.Thread, to int64, due []*TimerNode) []*TimerN
 			if n.deadline <= tk {
 				t.ChargeRand(t.Engine().C.Stack.EventCancel)
 				w.unlinkLocked(n)
-				w.fired++
 				due = append(due, n)
 			}
 			n = next

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // raceEnabled reports a -race build (race_test.go).
@@ -68,5 +69,34 @@ func TestRecycledBuffersCarryNothing(t *testing.T) {
 	run("ext-loss")
 	if run("fig08-09") != first {
 		t.Error("fig08-09's tables changed after ext-loss released its buffers")
+	}
+}
+
+// TestPooledCoroutinesCarryNothing: a catalogue point's threads run on
+// coroutines that the points before it parked, whatever those points
+// ran. Figure 8-9's tables must be the same on new coroutines (the
+// process list drained first), on coroutines that ext-loss's fault
+// wire and fig14's MCS locks ran, and with two workers adopting from
+// the list at once.
+func TestPooledCoroutinesCarryNothing(t *testing.T) {
+	run := func(id string, workers int) string {
+		spec, _ := Lookup(id)
+		p := digestParams()
+		p.Workers = workers
+		tables, err := spec.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return render(tables)
+	}
+	sim.ReleaseParked()
+	fresh := run("fig08-09", 1)
+	run("ext-loss", 1)
+	run("fig14", 1)
+	if run("fig08-09", 1) != fresh {
+		t.Error("fig08-09's tables changed on coroutines ext-loss and fig14 parked")
+	}
+	if run("fig08-09", 2) != fresh {
+		t.Error("fig08-09's tables changed with two workers sharing the process list")
 	}
 }

@@ -8,7 +8,10 @@
 // runnable thread with the smallest virtual clock — with a direct
 // goroutine switch that never enters the Go scheduler, so execution is
 // sequential, race-free and reproducible, and costs the same at any
-// GOMAXPROCS. Protocol code is real; only time is virtual: threads
+// GOMAXPROCS. A coroutine outlives the engine that started it: a
+// completed Run hands its parked coroutines to a bounded process list,
+// and the next engine's Spawn adopts them rather than starting and
+// growing new goroutines. Protocol code is real; only time is virtual: threads
 // charge virtual nanoseconds from the cost model (internal/cost) as they
 // work, and synchronize through simulated locks whose contention,
 // backoff-probe timing and cache-coherence penalties are modeled
@@ -44,6 +47,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -82,10 +86,12 @@ func (s threadState) String() string {
 // passes implicitly: per-processor resource caches and statistics
 // shards key off Thread.Proc.
 //
-// Thread structs (and their coroutines) are pooled by the engine: when a
-// thread's body returns, the struct parks on a free list with its
+// Thread structs (and their coroutines) are pooled: when a thread's
+// body returns, the struct parks on its engine's free list with its
 // coroutine suspended, and the next Spawn reuses both instead of
-// allocating a new coroutine and stack.
+// allocating a new coroutine and stack. A completed engine hands its
+// parked threads to the process list (releasePool), where the next
+// engine's Spawn adopts them.
 type Thread struct {
 	eng  *Engine
 	name string
@@ -131,7 +137,8 @@ type Thread struct {
 
 // Engine is the discrete-event scheduler.
 //
-// Every thread is an iter.Pull coroutine and Run is the driver loop.
+// Every thread is an iter.Pull coroutine and Run is the driver loop; a
+// completed engine hands its parked coroutines to the process list.
 // Whoever gives up control (a yielding thread, a finishing thread, or
 // the driver itself) makes the scheduling decision in step, which
 // leaves the chosen thread in pending; a thread then switches back to
@@ -158,11 +165,12 @@ type Engine struct {
 	pending *Thread
 	// stopPanic carries a deadlock dump or thread panic to the driver.
 	stopPanic any
-	// threads registers every Thread struct ever spawned (live, parked
-	// and pooled); the deadlock dump walks it.
+	// threads registers every Thread struct the engine holds (live,
+	// parked and pooled); the deadlock dump walks it.
 	threads []*Thread
 	// free is the pool of done threads whose coroutines are suspended
-	// awaiting another Spawn.
+	// awaiting another Spawn. A completed Run hands it, and with it every
+	// registered thread, to the process list (releasePool).
 	free []*Thread
 
 	// Trace, when non-nil, receives one line per scheduling decision;
@@ -230,8 +238,9 @@ func (e *Engine) Now() int64 {
 
 // Spawn creates a thread bound to processor proc and schedules it at the
 // current virtual time. It may be called before Run or from a running
-// thread. Thread structs and their coroutines are reused from the
-// engine's pool when available.
+// thread. The thread struct and its coroutine come from the engine's
+// free list when it has one, then from the process list (adopt), and
+// only then are new.
 func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 	if h := e.host; h != nil {
 		t := &Thread{
@@ -256,27 +265,21 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 		t = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		t.name = name
-		t.Proc = proc
-		t.vt = e.now
-		t.state = stateNew
-		t.ID = e.nextID
-		t.rng = NewRand(e.rng.Uint64())
-		t.fn = fn
 	} else {
-		t = &Thread{
-			eng:   e,
-			name:  name,
-			ID:    e.nextID,
-			Proc:  proc,
-			vt:    e.now,
-			state: stateNew,
-			rng:   NewRand(e.rng.Uint64()),
-			fn:    fn,
+		if t = adopt(); t == nil {
+			t = new(Thread)
+			t.next, t.stop = iter.Pull(t.lives)
 		}
-		t.next, t.stop = iter.Pull(t.lives)
 		e.threads = append(e.threads, t)
 	}
+	t.eng = e
+	t.name = name
+	t.ID = e.nextID
+	t.Proc = proc
+	t.vt = e.now
+	t.state = stateNew
+	t.rng = NewRand(e.rng.Uint64())
+	t.fn = fn
 	e.nextID++
 	e.live++
 	e.push(t)
@@ -285,12 +288,14 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 
 // lives is the coroutine behind a Thread struct. Each iteration is one
 // thread lifetime: run the body, retire to the pool, hand the schedule
-// onward, and park until the next Spawn's first resume. It returns —
-// ending the coroutine — when the pool is released.
+// onward, and park until the next Spawn's first resume. A life reads its
+// engine afresh, since a parked coroutine may be adopted by another
+// engine. It returns — ending the coroutine — when its pool is released
+// past the process list's bound, or the process list is drained.
 func (t *Thread) lives(park func(struct{}) bool) {
-	e := t.eng
 	t.park = park
 	for {
+		e := t.eng
 		e.call(t)
 		e.retire(t)
 		// Choose the next runnable thread, or leave pending nil so the
@@ -369,14 +374,18 @@ func (e *Engine) dispatch(next *Thread) {
 }
 
 // Run drives the simulation until every thread has ended, then releases
-// the thread pool, so a completed engine holds no goroutines. It is the
-// engine's only driver, and must not be called from a simulated thread.
+// the thread pool: it hands its parked coroutines to the process list,
+// and a completed engine holds none of them. It is the engine's only
+// driver, and must not be called from a simulated thread, nor from a
+// goroutine locked to its OS thread (a coroutine adopted elsewhere would
+// then be resumed from another OS thread, which the runtime refuses).
 //
 // It panics with a state dump if every remaining thread is blocked
 // (deadlock). A panic in a thread body is re-raised here, on the
 // caller's goroutine, and a runtime.Goexit in one ends the caller's
 // goroutine. Either way the engine is finished: its other threads stay
-// parked in their coroutines, and nothing resumes or releases them.
+// parked in their coroutines, nothing resumes or releases them, and
+// none reaches the process list.
 func (e *Engine) Run() {
 	if h := e.host; h != nil {
 		h.wg.Wait()
@@ -402,16 +411,69 @@ func (e *Engine) Run() {
 	e.releasePool()
 }
 
-// releasePool ends the coroutines of all pooled done threads. Their
-// structs stay registered but are never resumed again; a later Spawn
-// starts new coroutines.
+// parkedMax bounds the process list. A parked coroutine keeps the stack
+// its last thread grew (6.7 KB on average for a catalogue point's
+// threads), so a full list holds about 2 MB; a point spawns about a dozen
+// threads, so the bound covers every engine a pool of workers runs at
+// once.
+const parkedMax = 256
+
+// parked is the process list: threads of completed engines, each
+// coroutine suspended in its park with no engine, for any engine's Spawn
+// to adopt. Engines on concurrent host goroutines share it, so a mutex
+// orders each hand-over, and with it each coroutine's next resume after
+// its last.
+var parked struct {
+	sync.Mutex
+	ts []*Thread
+}
+
+// releasePool hands the engine's done threads to the process list, up
+// to its bound, and ends the coroutines of the rest. Run calls it once
+// every thread has ended, so the free list holds every thread the engine
+// registered, and afterwards the engine holds none.
 func (e *Engine) releasePool() {
-	for i, t := range e.free {
-		t.stop()
-		t.next, t.stop, t.park = nil, nil, nil
-		e.free[i] = nil
+	parked.Lock()
+	n := min(len(e.free), parkedMax-len(parked.ts))
+	for _, t := range e.free[:n] {
+		t.eng = nil // a parked thread keeps no engine alive
 	}
-	e.free = e.free[:0]
+	parked.ts = append(parked.ts, e.free[:n]...)
+	parked.Unlock()
+	for _, t := range e.free[n:] {
+		t.stop()
+	}
+	e.free, e.threads = nil, nil
+}
+
+// adopt takes a thread from the process list, or returns nil when it is
+// empty. The caller resets every field a life reads.
+func adopt() *Thread {
+	parked.Lock()
+	defer parked.Unlock()
+	n := len(parked.ts)
+	if n == 0 {
+		return nil
+	}
+	t := parked.ts[n-1]
+	parked.ts[n-1] = nil
+	parked.ts = parked.ts[:n-1]
+	return t
+}
+
+// ReleaseParked ends every coroutine on the process list and returns how
+// many it ended, so a program done simulating can give their stacks back
+// and a test can start from new coroutines. Spawn starts new ones while
+// the list is empty.
+func ReleaseParked() int {
+	parked.Lock()
+	ts := parked.ts
+	parked.ts = nil
+	parked.Unlock()
+	for _, t := range ts {
+		t.stop()
+	}
+	return len(ts)
 }
 
 // Wake marks a blocked thread runnable no earlier than virtual time at.
@@ -626,10 +688,22 @@ func (t *Thread) Sleep(d int64) {
 
 // SleepUntil parks the thread until virtual time at (no-op if already
 // past). On the host backend, at is a monotonic-clock deadline.
-func (t *Thread) SleepUntil(at int64) {
+func (t *Thread) SleepUntil(at int64) { t.SleepUntilWoken(at, nil) }
+
+// SleepUntilWoken is SleepUntil, except that on the host backend a
+// receive from wake ends the sleep early, so a thread that sleeps out a
+// wall-clock period sees a stop at once. A nil wake never fires. The
+// sim backend ignores wake: its sleep costs no wall time, and the
+// thread sees the stop when the engine reaches at.
+func (t *Thread) SleepUntilWoken(at int64, wake <-chan struct{}) {
 	if h := t.eng.host; h != nil {
 		if d := at - h.now(); d > 0 {
-			time.Sleep(time.Duration(d))
+			tm := time.NewTimer(time.Duration(d))
+			select {
+			case <-tm.C:
+			case <-wake:
+			}
+			tm.Stop()
 		}
 		return
 	}

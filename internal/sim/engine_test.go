@@ -231,9 +231,11 @@ func checkGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestCompletedRunReleasesPool: a run that completes ends every pooled
-// coroutine, so a finished engine holds no goroutines.
+// TestCompletedRunReleasesPool: a run that completes hands its parked
+// coroutines to the process list, so the finished engine holds none,
+// the list stays within its bound, and draining the list ends them all.
 func TestCompletedRunReleasesPool(t *testing.T) {
+	ReleaseParked()
 	runtime.GC()
 	base := runtime.NumGoroutine()
 
@@ -245,13 +247,128 @@ func TestCompletedRunReleasesPool(t *testing.T) {
 		})
 	}
 	e.Run()
+	if len(e.free) != 0 || len(e.threads) != 0 {
+		t.Errorf("completed engine holds %d free and %d registered threads, want none", len(e.free), len(e.threads))
+	}
+	if n := parkedLen(); n != 8 || n > parkedMax {
+		t.Errorf("process list holds %d coroutines, want the run's 8 (bound %d)", n, parkedMax)
+	}
+	if n := ReleaseParked(); n != 8 {
+		t.Errorf("draining ended %d coroutines, want 8", n)
+	}
 	checkGoroutines(t, base)
+}
+
+// TestProcessListIsBounded: engines that complete with more parked
+// threads than the list has room for end the overflow, as every run
+// ended every pooled coroutine before the list existed.
+func TestProcessListIsBounded(t *testing.T) {
+	ReleaseParked()
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	// Three engines spawn before any runs, so none adopts another's.
+	var es []*Engine
+	for range 3 {
+		e := newTestEngine(1)
+		for i := 0; i < parkedMax/2+1; i++ {
+			e.Spawn("t", 0, func(th *Thread) { th.Sync() })
+		}
+		es = append(es, e)
+	}
+	for _, e := range es {
+		e.Run()
+	}
+	if n := parkedLen(); n != parkedMax {
+		t.Errorf("process list holds %d coroutines, want its bound %d", n, parkedMax)
+	}
+	if n := runtime.NumGoroutine() - base; n > parkedMax {
+		t.Errorf("%d goroutines above the baseline, want at most the list's %d", n, parkedMax)
+	}
+	ReleaseParked()
+	checkGoroutines(t, base)
+}
+
+// TestAdoptedThreadsStartFresh: threads adopted from the process list
+// run on their new engine, with its names, processors, IDs and random
+// streams, exactly as threads on new coroutines would.
+func TestAdoptedThreadsStartFresh(t *testing.T) {
+	run := func() string {
+		e := newTestEngine(9)
+		var b strings.Builder
+		for i := 0; i < 4; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
+				for j := 0; j < 3; j++ {
+					th.Charge(int64(th.Rand().Intn(1000)))
+					th.Sync()
+					if th.Engine() != e {
+						t.Errorf("%s runs on another engine", th.Name())
+					}
+					fmt.Fprintf(&b, "%s@%d/p%d/id%d ", th.Name(), th.Now(), th.Proc, th.ID)
+				}
+			})
+		}
+		e.Run()
+		return b.String()
+	}
+	ReleaseParked()
+	fresh := run()
+	// A first engine with another seed, names and processors leaves its
+	// threads on the list, mid-stream in their random sequences.
+	ReleaseParked()
+	other := newTestEngine(3)
+	for i := 0; i < 4; i++ {
+		other.Spawn("other", 7-i, func(th *Thread) {
+			th.Rand().Uint64()
+			th.Sleep(5000)
+		})
+	}
+	other.Run()
+	if n := parkedLen(); n != 4 {
+		t.Fatalf("process list holds %d coroutines after the first engine, want 4", n)
+	}
+	if got := run(); got != fresh {
+		t.Errorf("adopted threads ran\n%s\nwant, as on new coroutines,\n%s", got, fresh)
+	}
+	if n := parkedLen(); n != 4 {
+		t.Errorf("process list holds %d coroutines after the second engine, want the 4 it adopted", n)
+	}
+	ReleaseParked()
+}
+
+// TestFailedRunReturnsNothing: an engine that ends by a thread's panic
+// or by deadlock leaves its threads parked in their coroutines and hands
+// none of them to the process list.
+func TestFailedRunReturnsNothing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body func(*Thread)
+	}{
+		{"panic", func(th *Thread) { th.Sleep(100); panic("boom") }},
+		{"deadlock", func(th *Thread) { th.Block("forever") }},
+	} {
+		ReleaseParked()
+		e := newTestEngine(1)
+		e.Spawn("done", 0, func(th *Thread) { th.Sleep(50) })
+		e.Spawn("ender", 1, c.body)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Run returned normally", c.name)
+				}
+			}()
+			e.Run()
+		}()
+		if n := parkedLen(); n != 0 {
+			t.Errorf("%s: the failed engine handed %d coroutines to the process list, want none", c.name, n)
+		}
+	}
 }
 
 func TestSpawnReusesPooledThreads(t *testing.T) {
 	// A chain of 100 one-shot threads, each spawning its successor
 	// before exiting: after the first handoff every Spawn should reuse
-	// the just-retired struct, so the engine creates only two.
+	// the just-retired struct, so the engine creates only two. The last
+	// link counts them: a completed engine registers none.
 	e := newTestEngine(1)
 	var chain func(i int) func(*Thread)
 	chain = func(i int) func(*Thread) {
@@ -259,14 +376,13 @@ func TestSpawnReusesPooledThreads(t *testing.T) {
 			th.Charge(10)
 			if i < 100 {
 				e.Spawn("link", 0, chain(i+1))
+			} else if got := len(e.threads); got > 2 {
+				t.Errorf("100 chained spawns created %d thread structs, want <= 2 (pool reuse)", got)
 			}
 		}
 	}
 	e.Spawn("link", 0, chain(1))
 	e.Run()
-	if got := len(e.threads); got > 2 {
-		t.Fatalf("100 chained spawns created %d thread structs, want <= 2 (pool reuse)", got)
-	}
 }
 
 // TestThreadPanicReraisedOnRunCaller: a panic in a thread body must
@@ -326,4 +442,11 @@ func TestGoexitInThreadEndsRunCaller(t *testing.T) {
 	if returned {
 		t.Error("Run returned normally; want its goroutine ended by the Goexit")
 	}
+}
+
+// parkedLen returns the length of the process list.
+func parkedLen() int {
+	parked.Lock()
+	defer parked.Unlock()
+	return len(parked.ts)
 }

@@ -373,9 +373,6 @@ func (c *Counter) Add(t *Thread, delta int64) int64 {
 // Load returns the current value without synchronization cost.
 func (c *Counter) Load() int64 { return atomic.LoadInt64(&c.v) }
 
-// Store sets the value (setup/reset paths only).
-func (c *Counter) Store(v int64) { atomic.StoreInt64(&c.v, v) }
-
 // Count adds delta to a statistics counter: a plain int64 that any
 // thread may bump and that is read only as a snapshot, with
 // atomic.LoadInt64 (mid-run on the host backend, after the run on the
