@@ -329,7 +329,7 @@ func Build(c Config) (*Stack, error) {
 		MapLocking: cfg.MapLocking,
 		MapNoCache: !cfg.MapCache,
 	}, wire)
-	upper := xkernel.Upper(s.FDDI)
+	upper := xkernel.Demuxer(s.FDDI)
 	if s.fault != nil {
 		s.fault.SetUpper(s.FDDI)
 		upper = s.fault

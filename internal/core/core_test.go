@@ -35,7 +35,7 @@ func runOne(t *testing.T, cfg Config) RunResult {
 // failAfter is an upper layer that rejects every frame after its nth
 // (consuming it, as the real layers do), whichever threads bring them.
 type failAfter struct {
-	xkernel.Upper
+	xkernel.Demuxer
 	n     int64
 	calls atomic.Int64
 }
@@ -47,7 +47,7 @@ func (f *failAfter) Demux(t *sim.Thread, m *msg.Message) error {
 		m.Free(t)
 		return errInjected
 	}
-	return f.Upper.Demux(t, m)
+	return f.Demuxer.Demux(t, m)
 }
 
 // TestPumpFailureEndsRun: a pump whose inject fails mid-run, with no
@@ -84,7 +84,7 @@ func TestPumpFailureEndsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			up := &failAfter{Upper: st.FDDI, n: n}
+			up := &failAfter{Demuxer: st.FDDI, n: n}
 			st.sh.peer.SetUpper(up)
 			warmup, measure := int64(testWarmup), int64(testMeasure)
 			if st.Eng.IsHost() {

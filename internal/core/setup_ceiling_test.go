@@ -6,6 +6,6 @@ package core
 // test; the race detector's build reads 16 B more
 // (setup_ceiling_race_test.go).
 const (
-	udpSetupMaxBytes = 41832
-	tcpSetupMaxBytes = 46912
+	udpSetupMaxBytes = 41808
+	tcpSetupMaxBytes = 46888
 )

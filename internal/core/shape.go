@@ -25,7 +25,7 @@ import (
 // stack transmits on, injecting up into the layer SetUpper names.
 type peer interface {
 	xkernel.Wire
-	SetUpper(xkernel.Upper)
+	SetUpper(xkernel.Demuxer)
 }
 
 // pumper is one packet-level pump iteration on connection conn: produce

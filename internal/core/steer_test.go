@@ -166,7 +166,7 @@ func TestSteeredFailureEndsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := &failAfter{Upper: st.FDDI, n: 1000}
+	up := &failAfter{Demuxer: st.FDDI, n: 1000}
 	st.sh.peer.SetUpper(up)
 	_, err = st.Run(testWarmup, testMeasure)
 	if !errors.Is(err, errInjected) {

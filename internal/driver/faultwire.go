@@ -58,7 +58,7 @@ type FaultStats struct {
 }
 
 // FaultWire is a deterministic channel model inserted between the
-// simulated driver and the FDDI layer. It implements xkernel.Upper for
+// simulated driver and the FDDI layer. It implements xkernel.Demuxer for
 // the inbound path (the driver's SetUpper points here, and the wire
 // forwards to FDDI) and xkernel.Wire for the outbound path (FDDI's
 // wire points here, and the wire forwards to the real driver).
@@ -72,8 +72,7 @@ type FaultWire struct {
 	cfg   FaultConfig
 	alloc *msg.Allocator
 	down  xkernel.Wire
-	up    xkernel.Upper
-	ref   sim.RefCount
+	up    xkernel.Demuxer
 
 	rng   sim.Rand
 	armed sim.Flag
@@ -94,15 +93,11 @@ func NewFaultWire(cfg FaultConfig, seed uint64, alloc *msg.Allocator, down xkern
 		down:  down,
 		rng:   sim.NewRand(seed),
 	}
-	fw.ref.Init(sim.RefAtomic, 1)
 	return fw
 }
 
 // SetUpper connects the inbound side (normally the FDDI protocol).
-func (fw *FaultWire) SetUpper(up xkernel.Upper) { fw.up = up }
-
-// Ref implements xkernel.Upper.
-func (fw *FaultWire) Ref() *sim.RefCount { return &fw.ref }
+func (fw *FaultWire) SetUpper(up xkernel.Demuxer) { fw.up = up }
 
 // Arm starts injecting faults. Called after connection setup so the
 // synchronous handshakes cannot deadlock on a dropped SYN.
@@ -275,6 +270,6 @@ func (fw *FaultWire) corrupt(t *sim.Thread, m *msg.Message) (*msg.Message, error
 }
 
 var (
-	_ xkernel.Wire  = (*FaultWire)(nil)
-	_ xkernel.Upper = (*FaultWire)(nil)
+	_ xkernel.Wire    = (*FaultWire)(nil)
+	_ xkernel.Demuxer = (*FaultWire)(nil)
 )

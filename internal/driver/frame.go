@@ -139,7 +139,7 @@ func arrive(t *sim.Thread, m *msg.Message, id int64) {
 // thread: tmpl's headers, their IP total length cut back to the headers
 // alone, with the port pair, flags, sequence and acknowledgement patched
 // in.
-func control(t *sim.Thread, alloc *msg.Allocator, up xkernel.Upper, tmpl []byte, sport, dport uint16, flags uint8, seq, ack uint32) error {
+func control(t *sim.Thread, alloc *msg.Allocator, up xkernel.Demuxer, tmpl []byte, sport, dport uint16, flags uint8, seq, ack uint32) error {
 	t.ChargeRand(t.Engine().C.Stack.DriverAck)
 	m, err := alloc.New(t, tcpFrameHdr, 0)
 	if err != nil {

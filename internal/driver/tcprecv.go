@@ -24,7 +24,7 @@ import (
 // up connections, and measures the percentage of packets that were
 // misordered on the "wire" (the Section 4.1 send-side probe).
 type SimTCPReceiver struct {
-	up    xkernel.Upper
+	up    xkernel.Demuxer
 	alloc *msg.Allocator
 
 	// Window is the flow-control window the simulated peer advertises
@@ -110,7 +110,7 @@ func NewSimTCPReceiver(alloc *msg.Allocator, conns int) *SimTCPReceiver {
 }
 
 // SetUpper connects the driver to the MAC layer above it.
-func (d *SimTCPReceiver) SetUpper(up xkernel.Upper) { d.up = up }
+func (d *SimTCPReceiver) SetUpper(up xkernel.Demuxer) { d.up = up }
 
 // Bytes returns the payload bytes consumed — the send-side throughput
 // measurement point.

@@ -17,7 +17,7 @@ import (
 // acknowledgements and window information returned by the receiver
 // (Section 2.3). It also performs its role in setting up connections.
 type SimTCPSender struct {
-	up    xkernel.Upper
+	up    xkernel.Demuxer
 	alloc *msg.Allocator
 	ring  sim.Lock
 
@@ -79,7 +79,7 @@ func NewSimTCPSender(alloc *msg.Allocator, payload, conns int) *SimTCPSender {
 }
 
 // SetUpper connects the driver to the MAC layer above it.
-func (d *SimTCPSender) SetUpper(up xkernel.Upper) { d.up = up }
+func (d *SimTCPSender) SetUpper(up xkernel.Demuxer) { d.up = up }
 
 // Start injects connection conn's SYN on the calling thread. A
 // packet-level stack completes the handshake within the call; one that

@@ -54,7 +54,7 @@ func NewUDPSink() *UDPSink {
 }
 
 // SetUpper does nothing: a UDP receiver sends nothing back up.
-func (s *UDPSink) SetUpper(xkernel.Upper) {}
+func (s *UDPSink) SetUpper(xkernel.Demuxer) {}
 
 // TX consumes one frame, counting its payload bytes.
 func (s *UDPSink) TX(t *sim.Thread, m *msg.Message) error {
@@ -88,7 +88,7 @@ func (s *UDPSink) Packets() int64 { return atomic.LoadInt64(&s.pkts) }
 // frame, the steering decision picks a processor, and that processor's
 // worker Injects it.
 type UDPSource struct {
-	up    xkernel.Upper
+	up    xkernel.Demuxer
 	alloc *msg.Allocator
 	ring  sim.Lock
 	conns int
@@ -114,7 +114,7 @@ func NewUDPSource(alloc *msg.Allocator, payload, conns int) *UDPSource {
 }
 
 // SetUpper connects the source to the MAC layer it injects into.
-func (s *UDPSource) SetUpper(up xkernel.Upper) { s.up = up }
+func (s *UDPSource) SetUpper(up xkernel.Demuxer) { s.up = up }
 
 // TX absorbs anything the stack tries to transmit (nothing, on the
 // receive side).

@@ -45,10 +45,9 @@ type Config struct {
 type Protocol struct {
 	cfg   Config
 	wire  xkernel.Wire
-	upper *xmap.Map // protocol type -> xkernel.Upper
+	upper *xmap.Table[xkernel.Upper] // protocol type -> upper protocol
 	// sessLock serializes session creation and release only.
 	sessLock sim.Lock
-	ref      sim.RefCount
 	// open is the x-kernel active map, under sessLock: the sessions with
 	// a reference outstanding, one per (remote MAC, type). A slice, as in ip.
 	open []*Session
@@ -59,18 +58,13 @@ func New(cfg Config, wire xkernel.Wire) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
 		wire:  wire,
-		upper: xmap.New(16, sim.KindMutex, "fddi-demux"),
+		upper: xmap.NewTable[xkernel.Upper](16, sim.KindMutex, "fddi-demux"),
 	}
 	p.upper.Locking = cfg.MapLocking
 	p.upper.NoCache = cfg.MapNoCache
 	p.sessLock.Name = "fddi-sess"
-	p.ref.Init(cfg.RefMode, 1)
 	return p
 }
-
-// Ref implements xkernel.Upper-style refcounting for the protocol
-// object itself.
-func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 
 // OpenEnable registers an upper protocol to receive frames of the given
 // type (passive demux binding).
@@ -158,16 +152,15 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		return fmt.Errorf("fddi: short frame: %w", err)
 	}
 	proto := binary.BigEndian.Uint16(h[13:15])
-	v, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
+	up, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
 	if !ok {
 		m.Free(t)
 		return fmt.Errorf("fddi: no upper protocol for type %#04x", proto)
 	}
-	return xkernel.DispatchUp(t, v.(xkernel.Upper), m)
+	return xkernel.DispatchUp(t, up, m)
 }
 
 // DemuxMap exposes the demux map (statistics, tests).
-func (p *Protocol) DemuxMap() *xmap.Map { return p.upper }
+func (p *Protocol) DemuxMap() *xmap.Map { return &p.upper.Map }
 
 var _ xkernel.Session = (*Session)(nil)
-var _ xkernel.Upper = (*Protocol)(nil)

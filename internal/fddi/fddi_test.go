@@ -162,3 +162,18 @@ func TestSessionTemplateAddressing(t *testing.T) {
 type wireFunc func(*sim.Thread, *msg.Message) error
 
 func (f wireFunc) TX(t *sim.Thread, m *msg.Message) error { return f(t, m) }
+
+// TestDemuxMapIsLive: DemuxMap is the type table's own header, not a
+// copy: a protocol enabled after it was taken shows in its counters.
+func TestDemuxMapIsLive(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		p := New(Config{MapLocking: true}, &loopWire{})
+		dm := p.DemuxMap()
+		if err := p.OpenEnable(th, 0x0800, newSink()); err != nil {
+			t.Fatal(err)
+		}
+		if binds, n := dm.Stats().Binds, dm.Len(th); binds != 1 || n != 1 {
+			t.Errorf("DemuxMap after one OpenEnable: %d binds, %d bindings; want 1 and 1", binds, n)
+		}
+	})
+}

@@ -56,7 +56,7 @@ type Config struct {
 type Protocol struct {
 	cfg   Config
 	lower *fddiOpener
-	upper *xmap.Map // protocol number -> xkernel.Upper
+	upper *xmap.Table[xkernel.Upper] // protocol number -> transport
 
 	id sim.Counter // datagram identifier, atomically incremented
 
@@ -109,7 +109,7 @@ func New(cfg Config, low Lower) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
 		lower: low.lower(),
-		upper: xmap.New(16, sim.KindMutex, "ip-demux"),
+		upper: xmap.NewTable[xkernel.Upper](16, sim.KindMutex, "ip-demux"),
 	}
 	p.ref.Init(cfg.RefMode, 1)
 	return p
@@ -123,7 +123,7 @@ func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 
 // DemuxMap exposes the transport demux map (statistics, tests).
-func (p *Protocol) DemuxMap() *xmap.Map { return p.upper }
+func (p *Protocol) DemuxMap() *xmap.Map { return &p.upper.Map }
 
 // OpenEnable registers a transport to receive the given protocol
 // number.
@@ -281,13 +281,13 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	copy(m.SrcAddr[:], h[12:16])
 	copy(m.DstAddr[:], h[16:20])
 	t.Count(&p.stats.At(t).Received, 1)
-	v, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
+	up, ok := p.upper.Resolve(t, xmap.ProtoKey(uint32(proto)))
 	if !ok {
 		t.Count(&p.stats.At(t).NotDeliverable, 1)
 		m.Free(t)
 		return fmt.Errorf("ip: no transport for protocol %d", proto)
 	}
-	return xkernel.DispatchUp(t, v.(xkernel.Upper), m)
+	return xkernel.DispatchUp(t, up, m)
 }
 
 var _ xkernel.Upper = (*Protocol)(nil)

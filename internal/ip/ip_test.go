@@ -230,3 +230,18 @@ func TestTrailingPadTrimmed(t *testing.T) {
 		}
 	})
 }
+
+// TestDemuxMapIsLive: DemuxMap is the transport table's own header, not
+// a copy: a transport enabled after it was taken shows in its counters.
+func TestDemuxMapIsLive(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		p := New(Config{Local: hostA}, LowerFDDI(4352, nil))
+		dm := p.DemuxMap()
+		if err := p.OpenEnable(th, ProtoUDP, newSink()); err != nil {
+			t.Fatal(err)
+		}
+		if binds, n := dm.Stats().Binds, dm.Len(th); binds != 1 || n != 1 {
+			t.Errorf("DemuxMap after one OpenEnable: %d binds, %d bindings; want 1 and 1", binds, n)
+		}
+	})
+}

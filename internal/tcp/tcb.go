@@ -8,7 +8,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
-	"repro/internal/xmap"
 )
 
 // Connection states (the subset a simplex in-memory transfer exercises,
@@ -478,6 +477,3 @@ func (tcb *TCB) finishChecksum(t *sim.Thread, m *msg.Message) {
 	b[18] = byte(ck >> 8)
 	b[19] = byte(ck)
 }
-
-// Key returns the TCB's demux key (tests).
-func (tcb *TCB) Key() xmap.Key { return tcbKey(tcb.part) }

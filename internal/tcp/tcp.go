@@ -169,7 +169,7 @@ type Protocol struct {
 	alloc *msg.Allocator
 	wheel *event.Wheel
 
-	tcbs     *xmap.Map // 4-tuple -> *TCB
+	tcbs     *xmap.Table[*TCB] // 4-tuple -> *TCB
 	sessLock sim.Lock
 	iss      sim.Counter
 	ref      sim.RefCount
@@ -221,7 +221,7 @@ func New(cfg Config, lower IPOpener, alloc *msg.Allocator, wheel *event.Wheel) *
 		lower: lower,
 		alloc: alloc,
 		wheel: wheel,
-		tcbs:  xmap.New(buckets, sim.KindMutex, "tcp-demux"),
+		tcbs:  xmap.NewTable[*TCB](buckets, sim.KindMutex, "tcp-demux"),
 
 		tw:         event.NewTickWheel(sim.KindMutex, "tcp-tickwheel"),
 		delackLock: sim.NewLock(sim.KindMutex, "tcp-delackq"),
@@ -242,7 +242,7 @@ func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 
 // DemuxMap exposes the connection demux map.
-func (p *Protocol) DemuxMap() *xmap.Map { return p.tcbs }
+func (p *Protocol) DemuxMap() *xmap.Map { return &p.tcbs.Map }
 
 // nextISS draws an initial send sequence number.
 func (p *Protocol) nextISS(t *sim.Thread) uint32 {
@@ -329,13 +329,12 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 
 	// Demultiplex: local port is the destination.
 	key := xmap.AddrKey(dstOf(m), srcOf(m), sg.dport, sg.sport)
-	v, ok := p.tcbs.Resolve(t, key)
+	tcb, ok := p.tcbs.Resolve(t, key)
 	if !ok {
 		t.Count(&p.stats.At(t).Dropped, 1)
 		m.Free(t)
 		return fmt.Errorf("tcp: no connection for %v", sg)
 	}
-	tcb := v.(*TCB)
 
 	if p.cfg.Layout == Layout6 {
 		// SICS: header remove (and the checksum done there) under its

@@ -10,6 +10,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
+	"repro/internal/xmap"
 )
 
 var (
@@ -638,6 +639,28 @@ func TestThirty2BitWindowAdvertised(t *testing.T) {
 		h.tcbA.unlockAll(th)
 		if w != 1<<20 {
 			t.Fatalf("sender sees peer window %d, want %d (32-bit windows)", w, 1<<20)
+		}
+	})
+}
+
+// TestDemuxMapIsLive: DemuxMap is the connection table's own header, not
+// a copy: the connections opened after it was taken show in its
+// counters, at both ends.
+func TestDemuxMapIsLive(t *testing.T) {
+	run1(t, 1, func(th *sim.Thread) {
+		pa, pb := connect(configs()[0], &wire{}, nil)
+		da, db := pa.DemuxMap(), pb.DemuxMap()
+		part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 1000, RemotePort: 2000}
+		if _, err := pb.OpenEnable(th, part.Swap(), &recvSink{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pa.Open(th, part, &recvSink{}); err != nil {
+			t.Fatal(err)
+		}
+		for end, dm := range map[string]*xmap.Map{"active": da, "passive": db} {
+			if st, n := dm.Stats(), dm.Len(th); st.Binds != 1 || st.Resolves == 0 || n != 1 {
+				t.Errorf("%s end's DemuxMap after the handshake: %+v, %d bindings; want 1 bind, some resolves, 1 binding", end, st, n)
+			}
 		}
 	})
 }

@@ -73,7 +73,7 @@ type Protocol struct {
 	cfg   Config
 	lower IPOpener
 	// sessions demuxes (local port, remote port) to the session.
-	sessions *xmap.Map
+	sessions *xmap.Table[*Session]
 	sessLock sim.Lock
 	ref      sim.RefCount
 	stats    sim.Shards[Stats]
@@ -104,7 +104,7 @@ func New(cfg Config, lower IPOpener) *Protocol {
 	p := &Protocol{
 		cfg:      cfg,
 		lower:    lower,
-		sessions: xmap.New(buckets, sim.KindMutex, "udp-demux"),
+		sessions: xmap.NewTable[*Session](buckets, sim.KindMutex, "udp-demux"),
 	}
 	p.sessions.Locking = cfg.MapLocking
 	p.sessions.NoCache = cfg.MapNoCache
@@ -121,7 +121,7 @@ func (p *Protocol) Ref() *sim.RefCount { return &p.ref }
 func (p *Protocol) Stats() Stats { return p.stats.Sum() }
 
 // DemuxMap exposes the session demux map.
-func (p *Protocol) DemuxMap() *xmap.Map { return p.sessions }
+func (p *Protocol) DemuxMap() *xmap.Map { return &p.sessions.Map }
 
 // binding is what the sessions opened over one IP session to one
 // receiver have in common: at a million connections to one peer it is
@@ -242,13 +242,12 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 		return ErrShort
 	}
 	// Demux key from the receiver's perspective: local=dst port.
-	v, ok := p.sessions.Resolve(t, xmap.PortKey(dport, sport))
+	s, ok := p.sessions.Resolve(t, xmap.PortKey(dport, sport))
 	if !ok {
 		t.Count(&p.stats.At(t).NoPort, 1)
 		m.Free(t)
 		return fmt.Errorf("udp: no session for ports %d<-%d", dport, sport)
 	}
-	s := v.(*Session)
 	if p.cfg.Checksum != ChecksumOff {
 		t.ChargeBytes(st.ChecksumByte, m.Len())
 		if binary.BigEndian.Uint16(h[6:8]) != 0 {

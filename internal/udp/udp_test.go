@@ -347,3 +347,19 @@ func TestSessionLayout(t *testing.T) {
 		t.Errorf("Session is %d bytes, want 24", n)
 	}
 }
+
+// TestDemuxMapIsLive: DemuxMap is the session table's own header, not a
+// copy: a session opened after it was taken shows in its counters.
+func TestDemuxMapIsLive(t *testing.T) {
+	run(t, func(th *sim.Thread) {
+		p := New(Config{MapLocking: true}, &fakeIP{src: hostA, dst: hostB})
+		dm := p.DemuxMap()
+		part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 1000, RemotePort: 2000}
+		if _, err := p.Open(th, part, &recvSink{}); err != nil {
+			t.Fatal(err)
+		}
+		if binds, n := dm.Stats().Binds, dm.Len(th); binds != 1 || n != 1 {
+			t.Errorf("DemuxMap after one Open: %d binds, %d bindings; want 1 and 1", binds, n)
+		}
+	})
+}

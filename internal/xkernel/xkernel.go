@@ -43,11 +43,16 @@ type Session interface {
 	Close(t *sim.Thread) error
 }
 
-// Upper is a protocol as seen from the layer below: packets coming off
-// the wire are handed to Demux (xDemux), and the dispatching layer
-// manipulates the protocol's reference count around the call.
-type Upper interface {
+// Demuxer takes packets coming off the wire (xDemux). The device driver
+// hands frames to the MAC layer above it through one.
+type Demuxer interface {
 	Demux(t *sim.Thread, m *msg.Message) error
+}
+
+// Upper is a protocol as seen from the protocol below it, which
+// manipulates the protocol's reference count around each Demux.
+type Upper interface {
+	Demuxer
 	Ref() *sim.RefCount
 }
 

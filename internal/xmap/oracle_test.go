@@ -7,7 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-// oracleMap is the pointer-chained table Map's index-chained layout
+// oracleMap is the pointer-chained table Table's index-chained layout
 // replaced, kept as the reference the differential tests compare with:
 // the same hashing, growth, 1-behind cache and counters, one heap entry
 // per binding, no lock and no virtual-time charges.
@@ -105,11 +105,16 @@ type table struct {
 	state   func() string // Len, Buckets, Grows, Stats
 }
 
-func mapTable(th *sim.Thread, m *Map) table {
+// mapTable drives m, which stores the script's int values as Vs: wrap
+// makes one, unwrap reads one back.
+func mapTable[V any](th *sim.Thread, m *Table[V], wrap func(int) V, unwrap func(V) any) table {
 	return table{
-		bind:    func(k Key, v any) error { return m.Bind(th, k, v) },
-		resolve: func(k Key) (any, bool) { return m.Resolve(th, k) },
-		unbind:  func(k Key) error { return m.Unbind(th, k) },
+		bind: func(k Key, v any) error { return m.Bind(th, k, wrap(v.(int))) },
+		resolve: func(k Key) (any, bool) {
+			v, ok := m.Resolve(th, k)
+			return unwrap(v), ok
+		},
+		unbind: func(k Key) error { return m.Unbind(th, k) },
 		state: func() string {
 			return fmt.Sprintf("n=%d buckets=%d grows=%d %+v", m.Len(th), m.Buckets(), m.Grows(), m.Stats())
 		},
@@ -173,6 +178,40 @@ func script(tb table, seed uint64, ops, keys, maxWalk int) []string {
 	return log
 }
 
+// scriptOn runs body on m from an engine thread, m storing the script's
+// values through wrap and unwrap, checks m's storage and returns the
+// log and the number of entry chunks.
+func scriptOn[V comparable](t *testing.T, m *Table[V], wrap func(int) V, unwrap func(V) any, body func(table) []string) (log []string, chunks int) {
+	t.Helper()
+	run(t, func(th *sim.Thread) { log = body(mapTable(th, m, wrap, unwrap)) })
+	checkStorage(t, m)
+	return log, len(m.chunks)
+}
+
+// valueKinds are the instantiations the differential drives: New's any,
+// and a pointer, as the udp and tcp tables hold.
+var valueKinds = []struct {
+	name string
+	run  func(t *testing.T, buckets, maxLoad int, body func(table) []string) ([]string, int)
+}{
+	{"any", func(t *testing.T, buckets, maxLoad int, body func(table) []string) ([]string, int) {
+		m := New(buckets, sim.KindMutex, "t")
+		m.MaxLoad = maxLoad
+		return scriptOn(t, m, func(i int) any { return i }, func(v any) any { return v }, body)
+	}},
+	{"pointer", func(t *testing.T, buckets, maxLoad int, body func(table) []string) ([]string, int) {
+		m := NewTable[*int](buckets, sim.KindMutex, "t")
+		m.MaxLoad = maxLoad
+		unwrap := func(p *int) any {
+			if p == nil {
+				return nil
+			}
+			return *p
+		}
+		return scriptOn(t, m, func(i int) *int { return &i }, unwrap, body)
+	}},
+}
+
 func TestDifferentialAgainstPointerChainedOracle(t *testing.T) {
 	for _, c := range []struct {
 		name                                 string
@@ -186,28 +225,27 @@ func TestDifferentialAgainstPointerChainedOracle(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
 				o := newOracle(c.buckets, c.maxLoad)
 				want := script(oracleTable(o), seed, c.ops, c.keys, c.maxWalk)
-				var got []string
-				var m *Map
-				run(t, func(th *sim.Thread) {
-					m = New(c.buckets, sim.KindMutex, "t")
-					m.MaxLoad = c.maxLoad
-					got = script(mapTable(th, m), seed, c.ops, c.keys, c.maxWalk)
-				})
-				for i := range want {
-					if i >= len(got) || got[i] != want[i] {
-						t.Fatalf("log line %d of %d:\n map:    %s\n oracle: %s", i, len(want), at(got, i), want[i])
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("map logged %d lines, oracle %d", len(got), len(want))
-				}
 				if c.maxLoad > 0 && o.grows < 3 {
 					t.Errorf("script crossed only %d grows", o.grows)
 				}
-				if c.name == "many-chunks" && len(m.chunks) < 2 {
-					t.Errorf("entry storage is %d chunk", len(m.chunks))
+				for _, kind := range valueKinds {
+					t.Run(kind.name, func(t *testing.T) {
+						got, chunks := kind.run(t, c.buckets, c.maxLoad, func(tb table) []string {
+							return script(tb, seed, c.ops, c.keys, c.maxWalk)
+						})
+						for i := range want {
+							if i >= len(got) || got[i] != want[i] {
+								t.Fatalf("log line %d of %d:\n map:    %s\n oracle: %s", i, len(want), at(got, i), want[i])
+							}
+						}
+						if len(got) != len(want) {
+							t.Fatalf("map logged %d lines, oracle %d", len(got), len(want))
+						}
+						if c.name == "many-chunks" && chunks < 2 {
+							t.Errorf("entry storage is %d chunk", chunks)
+						}
+					})
 				}
-				checkStorage(t, m)
 			})
 		}
 	}
@@ -223,7 +261,7 @@ func at(log []string, i int) string {
 // checkStorage asserts the layout invariants of a quiescent map: every
 // entry slot is either on exactly one chain or zeroed on the free list,
 // and only the last chunk is short.
-func checkStorage(t *testing.T, m *Map) {
+func checkStorage[V comparable](t *testing.T, m *Table[V]) {
 	t.Helper()
 	slots := 0
 	for i, c := range m.chunks {
@@ -249,7 +287,7 @@ func checkStorage(t *testing.T, m *Map) {
 			t.Fatalf("entry %d is both bound and free (or free twice)", r)
 		}
 		seen[r] = true
-		if e := m.at(r); e.key() != (Key{}) || e.val != nil {
+		if e := m.at(r); *e != (entry[V]{next: e.next}) {
 			t.Errorf("free entry %d still holds %v -> %v", r, e.key(), e.val)
 		}
 		free++
@@ -259,10 +297,17 @@ func checkStorage(t *testing.T, m *Map) {
 	}
 }
 
+// TestUnbindZeroesAndRecyclesTheSlot: after Unbind neither the freed
+// slot nor the 1-behind cache holds the value (a stale *udp.Session
+// would keep its whole slab chunk alive), and Bind reuses the slot.
 func TestUnbindZeroesAndRecyclesTheSlot(t *testing.T) {
+	val := new(int)
+	t.Run("pointer", func(t *testing.T) { unbindZeroes(t, NewTable[*int](16, sim.KindMutex, "t"), val) })
+	t.Run("any", func(t *testing.T) { unbindZeroes(t, New(16, sim.KindMutex, "t"), any(val)) })
+}
+
+func unbindZeroes[V comparable](t *testing.T, m *Table[V], val V) {
 	run(t, func(th *sim.Thread) {
-		m := New(16, sim.KindMutex, "t")
-		val := new(int)
 		for i := 0; i < 100; i++ {
 			m.Bind(th, PortKey(uint16(i), 1), val)
 		}
@@ -275,10 +320,11 @@ func TestUnbindZeroesAndRecyclesTheSlot(t *testing.T) {
 		if err := m.Unbind(th, k); err != nil {
 			t.Fatal(err)
 		}
-		if e := *m.at(r); e != (entry{}) {
+		if e := *m.at(r); e != (entry[V]{}) {
 			t.Errorf("unbound slot still holds %+v", e)
 		}
-		if m.cacheVal != nil {
+		var zero V
+		if m.cacheVal != zero {
 			t.Error("1-behind cache still references the unbound value")
 		}
 		for i := 0; i < 100; i += 2 {

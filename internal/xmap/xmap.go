@@ -14,10 +14,13 @@
 // first entry (0: empty), an entry names its successor the same way, and
 // entries live in chunks in bind order, Unbind feeding a free list. By
 // index, not pointer, so that a million-binding table is one allocation
-// per chunk and its bucket array pointer-free and half the size. The
-// contract is that of the pointer-chained table this replaced, which the
-// tests keep as oracleMap: newest-first within a bucket, the same
-// results, cache and counters.
+// per chunk and its bucket array pointer-free and half the size. A
+// Table[V] stores its values as V, so an entry whose value is a pointer
+// is 24 B (an any took 16 of 32); its embedded Map is the part that does
+// not depend on V, which protocols expose for statistics. The contract
+// is that of the pointer-chained table this replaced, which the tests
+// keep as oracleMap: newest-first within a bucket, the same results,
+// cache and counters.
 // (Not an internal/slab: that hands out pointers and never takes one
 // back; a link here must be 4 bytes and Unbind must recycle.)
 package xmap
@@ -44,16 +47,16 @@ var (
 // ref names an entry: 1 + its index, 0 for none.
 type ref = uint32
 
-// entry is one binding in 32 B: its key's 96 bits, its successor and
-// its value.
-type entry struct {
+// entry is one binding: its key's 96 bits, its successor and its value,
+// 24 B for a pointer value.
+type entry[V any] struct {
 	k0   uint64
 	k1   uint32
 	next ref
-	val  any
+	val  V
 }
 
-func (e *entry) key() Key { return Key{e.k0, uint64(e.k1)} }
+func (e *entry[V]) key() Key { return Key{e.k0, uint64(e.k1)} }
 
 // Entry i is chunks[i>>chunkShift][i&chunkMask]. Every chunk is
 // chunkSize long except the last; the first grows 1, 2, 4, ... by copy
@@ -77,7 +80,9 @@ type Stats struct {
 	Unbinds   int64
 }
 
-// Map is one chained-bucket hash table.
+// Map is the part of a chained-bucket hash table that does not depend on
+// its values: the lock, buckets, counters, the 1-behind cache's key and
+// the free list. A Table embeds one.
 type Map struct {
 	// Locking can be disabled to reproduce the Section 3.1 experiment
 	// ("running the test without locking the maps yielded a small,
@@ -95,54 +100,68 @@ type Map struct {
 	// virtual time.
 	MaxLoad int
 
-	lock    *sim.Lock
+	lock *sim.Lock
+
+	// 1-behind cache: the key of the most recently resolved binding
+	// (its value is the Table's cacheVal, just before this Map).
+	cacheKey   Key
+	cacheValid bool
+
 	buckets []ref
 	mask    uint64
 	n       int
 	grows   int
-
-	// 1-behind cache: the most recently resolved binding.
-	cacheKey   Key
-	cacheVal   any
-	cacheValid bool
+	free    ref // freed entries, chained through next
 
 	stats sim.Shards[Stats]
-
-	// Entry storage, after the fields a cache-hit Resolve touches: on
-	// the host backend those lines bounce between processors.
-	chunks [][]entry
-	// chunk0 backs chunks until a second chunk is needed, so a small
-	// map makes no allocation for the chunk table.
-	chunk0 [1][]entry
-	free   ref // freed entries, chained through next
 }
 
-// New creates a map with the given number of buckets (rounded up to a
-// power of two) protected by a lock of the given kind.
-func New(buckets int, kind sim.LockKind, name string) *Map {
+// Table is one chained-bucket hash table whose values are Vs.
+type Table[V any] struct {
+	// cacheVal first, so that it shares a line with the fields of Map a
+	// cache-hit Resolve reads: on the host backend that line is read by
+	// every processor.
+	cacheVal V
+	Map
+
+	// Entry storage, after the fields a cache-hit Resolve touches.
+	chunks [][]entry[V]
+	// chunk0 backs chunks until a second chunk is needed, so a small
+	// map makes no allocation for the chunk table.
+	chunk0 [1][]entry[V]
+}
+
+// NewTable creates a table with the given number of buckets (rounded up
+// to a power of two) protected by a lock of the given kind.
+func NewTable[V any](buckets int, kind sim.LockKind, name string) *Table[V] {
 	sz := 1
 	for sz < buckets {
 		sz <<= 1
 	}
-	m := &Map{
+	m := &Table[V]{Map: Map{
 		Locking: true,
 		MaxLoad: 8,
 		lock:    sim.NewLock(kind, "map:"+name),
 		buckets: make([]ref, sz),
 		mask:    uint64(sz - 1),
-	}
+	}}
 	m.chunks = m.chunk0[:]
 	return m
 }
 
-func (m *Map) at(r ref) *entry {
+// New creates a table of any values (see NewTable).
+func New(buckets int, kind sim.LockKind, name string) *Table[any] {
+	return NewTable[any](buckets, kind, name)
+}
+
+func (m *Table[V]) at(r ref) *entry[V] {
 	i := r - 1
 	return &m.chunks[i>>chunkShift][i&chunkMask]
 }
 
 // newEntry returns an unused entry: the last freed one, else the next
 // slot of the last chunk.
-func (m *Map) newEntry() ref {
+func (m *Table[V]) newEntry() ref {
 	if r := m.free; r != 0 {
 		m.free = m.at(r).next
 		return r
@@ -158,7 +177,7 @@ func (m *Map) newEntry() ref {
 		if last == 0 {
 			size = min(max(2*cap(c), 1), chunkSize)
 		}
-		c = append(make([]entry, 0, size), c...)
+		c = append(make([]entry[V], 0, size), c...)
 	}
 	c = c[:len(c)+1]
 	m.chunks[last] = c
@@ -167,8 +186,8 @@ func (m *Map) newEntry() ref {
 
 // freeEntry zeroes an unbound entry, so the map no longer references
 // its value, and puts it on the free list.
-func (m *Map) freeEntry(r ref) {
-	*m.at(r) = entry{next: m.free}
+func (m *Table[V]) freeEntry(r ref) {
+	*m.at(r) = entry[V]{next: m.free}
 	m.free = r
 }
 
@@ -195,7 +214,7 @@ func (m *Map) release(t *sim.Thread) {
 // Bind inserts a key → value binding. A key whose k[1] does not fit in
 // 32 bits is refused (ErrKeyRange) before any charge, so no two keys
 // alias.
-func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
+func (m *Table[V]) Bind(t *sim.Thread, k Key, v V) error {
 	if k[1] > 1<<32-1 {
 		return ErrKeyRange
 	}
@@ -211,7 +230,7 @@ func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
 		r = e.next
 	}
 	r := m.newEntry()
-	*m.at(r) = entry{k0: k[0], k1: uint32(k[1]), next: m.buckets[b], val: v}
+	*m.at(r) = entry[V]{k0: k[0], k1: uint32(k[1]), next: m.buckets[b], val: v}
 	m.buckets[b] = r
 	m.n++
 	t.Count(&m.stats.At(t).Binds, 1)
@@ -224,7 +243,7 @@ func (m *Map) Bind(t *sim.Thread, k Key, v any) error {
 // grow doubles the bucket array until the average chain length is back
 // under MaxLoad, rehashing every entry. Called with the map lock held;
 // purely host-side (no virtual charge).
-func (m *Map) grow() {
+func (m *Table[V]) grow() {
 	sz := len(m.buckets)
 	for m.n > m.MaxLoad*sz {
 		sz <<= 1
@@ -252,7 +271,7 @@ func (m *Map) Buckets() int { return len(m.buckets) }
 func (m *Map) Grows() int { return m.grows }
 
 // Resolve looks up a binding, consulting the 1-behind cache first.
-func (m *Map) Resolve(t *sim.Thread, k Key) (any, bool) {
+func (m *Table[V]) Resolve(t *sim.Thread, k Key) (V, bool) {
 	m.acquire(t)
 	defer m.release(t)
 	t.Count(&m.stats.At(t).Resolves, 1)
@@ -271,11 +290,12 @@ func (m *Map) Resolve(t *sim.Thread, k Key) (any, bool) {
 		}
 		r = e.next
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Unbind removes a binding.
-func (m *Map) Unbind(t *sim.Thread, k Key) error {
+func (m *Table[V]) Unbind(t *sim.Thread, k Key) error {
 	m.acquire(t)
 	defer m.release(t)
 	t.ChargeRand(t.Engine().C.Stack.MapHash)
@@ -288,7 +308,8 @@ func (m *Map) Unbind(t *sim.Thread, k Key) error {
 			m.n--
 			t.Count(&m.stats.At(t).Unbinds, 1)
 			if m.cacheValid && m.cacheKey == k {
-				m.cacheVal, m.cacheValid = nil, false
+				var zero V
+				m.cacheVal, m.cacheValid = zero, false
 			}
 			m.freeEntry(r)
 			return nil
