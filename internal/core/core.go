@@ -125,9 +125,6 @@ type Config struct {
 	// MapCache keeps the map manager's 1-behind cache on (default).
 	MapCache bool
 	Wired    bool
-	// WheelPerChain selects per-chain timing-wheel locks (default) vs a
-	// single wheel lock (ablation).
-	WheelPerChain bool
 	// Strategy selects the parallelization strategy (Section 1):
 	// packet-level (default), connection-level, or layered.
 	Strategy Strategy
@@ -171,22 +168,21 @@ type Config struct {
 // Challenge.
 func DefaultConfig() Config {
 	return Config{
-		Proto:         ProtoUDP,
-		Side:          SideSend,
-		Procs:         1,
-		Connections:   1,
-		PacketSize:    4096,
-		Checksum:      true,
-		Machine:       cost.Challenge100,
-		Layout:        tcp.Layout1,
-		LockKind:      sim.KindMutex,
-		AckEvery:      2,
-		MsgCache:      true,
-		RefMode:       sim.RefAtomic,
-		MapLocking:    true,
-		MapCache:      true,
-		Wired:         true,
-		WheelPerChain: true,
+		Proto:       ProtoUDP,
+		Side:        SideSend,
+		Procs:       1,
+		Connections: 1,
+		PacketSize:  4096,
+		Checksum:    true,
+		Machine:     cost.Challenge100,
+		Layout:      tcp.Layout1,
+		LockKind:    sim.KindMutex,
+		AckEvery:    2,
+		MsgCache:    true,
+		RefMode:     sim.RefAtomic,
+		MapLocking:  true,
+		MapCache:    true,
+		Wired:       true,
 	}
 }
 
@@ -292,9 +288,7 @@ func Build(c Config) (*Stack, error) {
 		s.Eng.Rec = s.Rec
 	}
 
-	wcfg := event.DefaultConfig()
-	wcfg.PerChain = cfg.WheelPerChain
-	s.Wheel = event.New(wcfg)
+	s.Wheel = event.New()
 
 	mcfg := msg.Config{
 		CacheEnabled: cfg.MsgCache,

@@ -24,7 +24,6 @@ var notCLI = map[string]string{
 	"NoHeaderPrediction":          "ablation-hdrpred only",
 	"AckEvery":                    "ablation-ackrate only",
 	"MapCache":                    "ablation-mapcache only",
-	"WheelPerChain":               "ablation-wheel only",
 	"Steer.Policy":                "-steer sets it together with Steer.Enabled",
 	"Steer.LockKind":              "derived: validateSteer copies LockKind",
 	"Steer.RingCapacity":          "the steer-1m-skew-8p benchmark workload sizes it",
@@ -36,7 +35,7 @@ var notCLI = map[string]string{
 // knobCeiling is the most leaf fields Config may hold. Each is a knob a
 // reader has to learn, so each needs a user beyond its own tests; the
 // ceiling follows the count down so no unused one creeps back.
-const knobCeiling = 49
+const knobCeiling = 48
 
 // leaves walks v's exported fields and calls visit with each leaf's
 // dotted path and address. A struct whose pointer is a flag.Value

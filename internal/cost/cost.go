@@ -87,8 +87,7 @@ type Sync struct {
 	// unlock sequence (procedure call, three memory writes) when atomic
 	// primitives are not used (Section 5.2).
 	RefLockedWork int64
-	BackoffMin    int64 // initial backoff gap of the unfair spin lock
-	BackoffMax    int64 // backoff cap
+	BackoffMin    int64 // backoff gap of the unfair spin lock
 	// ArbWindow bounds test-and-set unfairness: on release, bus
 	// arbitration picks a random winner among the ArbWindow
 	// longest-spinning waiters (1 = FIFO).
@@ -157,7 +156,6 @@ type Stack struct {
 	TCPReassIns   int64 // insert one segment into the reassembly queue
 	TCPReassDrain int64 // remove one segment when the gap fills
 	TCPAckGen     int64 // building an ACK segment
-	TCPWindowUpd  int64 // window update bookkeeping
 
 	// Thread machinery.
 	Yield   int64 // explicit processor yield (send side, per packet)
@@ -200,13 +198,13 @@ var baseSync = Sync{
 	Atomic:        350,
 	RefLockedWork: 3000,
 	BackoffMin:    500,
-	BackoffMax:    64000,
 	ArbWindow:     3,
 }
 
 // powerSync is the Power Series sync-bus table: probes are flat bus
-// transactions, handoff pays no coherence transfer, and backoff does not
-// grow (hardware spinlocks poll the sync bus at a fixed rate).
+// transactions and handoff pays no coherence transfer. A spinner retries
+// after a fixed gap on both machines (BackoffMin); here it is the rate at
+// which hardware spinlocks poll the sync bus.
 var powerSync = Sync{
 	LockProbe:     600,
 	LockEnter:     200,
@@ -217,7 +215,6 @@ var powerSync = Sync{
 	Atomic:        800,
 	RefLockedWork: 3500,
 	BackoffMin:    800,
-	BackoffMax:    800,
 	// The dedicated synchronization bus serves lock requests in the
 	// order it polls them — effectively FIFO. The paper suspects this
 	// difference explains why the Power Series shows neither the
@@ -275,7 +272,6 @@ var baseStack = Stack{
 	TCPReassIns:   17000,
 	TCPReassDrain: 12000,
 	TCPAckGen:     9000,
-	TCPWindowUpd:  5000,
 
 	Yield:     2000,
 	Migrate:   25000,
@@ -335,7 +331,7 @@ func NewModel(m Machine) *Model {
 		&st.IPSend, &st.IPRecv,
 		&st.UDPSend, &st.UDPRecv,
 		&st.TCPSendPre, &st.TCPSendPost, &st.TCPRecvPre,
-		&st.TCPAckGen, &st.TCPWindowUpd,
+		&st.TCPAckGen,
 		&st.Yield, &st.Migrate, &st.QueueOp, &st.CtxSwitch,
 	} {
 		*p = scale(*p)

@@ -24,9 +24,6 @@ func TestPowerSeriesIsSlowCPUSyncBus(t *testing.T) {
 	if !p.Sync.SyncBus {
 		t.Error("Power Series must use the sync bus")
 	}
-	if p.Sync.BackoffMin != p.Sync.BackoffMax {
-		t.Error("sync-bus probes must not back off exponentially")
-	}
 	if c.Sync.SyncBus {
 		t.Error("Challenge must synchronize through memory")
 	}

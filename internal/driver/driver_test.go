@@ -134,6 +134,22 @@ func TestUDPSourceInjectsFrames(t *testing.T) {
 	})
 }
 
+// TestUDPSourceRefusesTX: the receive side transmits nothing, so a
+// frame handed to the source is an error, and freed.
+func TestUDPSourceRefusesTX(t *testing.T) {
+	run(t, 2, func(th *sim.Thread) {
+		a := newAlloc()
+		src := NewUDPSource(a, 512, 1)
+		m, _ := a.New(th, 64, 0)
+		if err := src.TX(th, m); err == nil {
+			t.Error("TX accepted a frame")
+		}
+		if frees := a.Stats().Frees; frees != 1 {
+			t.Errorf("%d frees after the refused TX, want 1", frees)
+		}
+	})
+}
+
 func TestSimTCPReceiverHandshakeAndAcks(t *testing.T) {
 	run(t, 3, func(th *sim.Thread) {
 		a := newAlloc()
@@ -278,6 +294,39 @@ func TestSimTCPSenderRoutesByPorts(t *testing.T) {
 		}
 		for _, pair := range [][2]uint16{{LocalPort(n), PeerPort(n)}, {LocalPort(3), PeerPort(5)}, {5000, 100}} {
 			if err := synAck(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "unknown connection") {
+				t.Errorf("ports %d->%d: err %v, want unknown connection", pair[0], pair[1], err)
+			}
+		}
+	})
+}
+
+// TestSimTCPReceiverRoutesByPorts: the receiver finds a segment's
+// connection by inverting its ports, as the sender does, and refuses a
+// pair that names none.
+func TestSimTCPReceiverRoutesByPorts(t *testing.T) {
+	const n = 1<<16 + 3
+	run(t, 4, func(th *sim.Thread) {
+		a := newAlloc()
+		d := NewSimTCPReceiver(a, n)
+		up := newCapture()
+		d.SetUpper(up)
+		syn := func(local, peer uint16) error {
+			f := tcpTemplate(0, HostLocal, HostPeer, local, peer, 4096)
+			f[offTCP+12] = tcp.FlagSYN
+			m, _ := a.New(th, len(f), 0)
+			m.CopyTemplate(0, f)
+			return d.TX(th, m)
+		}
+		for _, i := range []int{0, 7, 1<<16 - 1, 1 << 16, n - 1} {
+			if err := syn(LocalPort(i), PeerPort(i)); err != nil || !d.conns[i].started {
+				t.Fatalf("connection %d: started %v, err %v", i, d.conns[i].started, err)
+			}
+		}
+		if len(up.frames) != 5 {
+			t.Errorf("%d SYN-ACKs for 5 SYNs", len(up.frames))
+		}
+		for _, pair := range [][2]uint16{{LocalPort(n), PeerPort(n)}, {LocalPort(3), PeerPort(5)}, {5000, 100}} {
+			if err := syn(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "unknown connection") {
 				t.Errorf("ports %d->%d: err %v, want unknown connection", pair[0], pair[1], err)
 			}
 		}

@@ -42,8 +42,7 @@ type SimTCPReceiver struct {
 	Strict bool
 
 	ring  sim.Lock
-	conns map[uint32]*simRecvConn
-	list  []*simRecvConn
+	conns []*simRecvConn // indexed by connection
 
 	// Aggregate counters (Thread.Count: TX runs on whichever pump
 	// thread carries the frame, concurrently on the host backend, and
@@ -92,19 +91,15 @@ func NewSimTCPReceiver(alloc *msg.Allocator, conns int) *SimTCPReceiver {
 		alloc:    alloc,
 		Window:   4 << 20,
 		AckEvery: 2,
-		conns:    make(map[uint32]*simRecvConn),
 	}
 	d.ring.Name = "ring:tcp-recv"
 	d.ackTmpl = tcpTemplate(0, HostPeer, HostLocal, PeerPort(0), LocalPort(0), d.Window)
 	for i := 0; i < conns; i++ {
-		c := &simRecvConn{
+		d.conns = append(d.conns, &simRecvConn{
 			sport: LocalPort(i),
 			dport: PeerPort(i),
 			iss:   uint32(900000 + i*100000),
-		}
-		key := uint32(c.sport)<<16 | uint32(c.dport)
-		d.conns[key] = c
-		d.list = append(d.list, c)
+		})
 	}
 	return d
 }
@@ -143,11 +138,13 @@ func (d *SimTCPReceiver) TX(t *sim.Thread, m *msg.Message) error {
 		m.Free(t)
 		return fmt.Errorf("driver: non-TCP frame at SimTCPReceiver")
 	}
-	c := d.conns[uint32(sg.SPort)<<16|uint32(sg.DPort)]
-	if c == nil {
+	// The stack sends from connection i's local port to its peer port.
+	conn := connOf(sg.SPort, sg.DPort)
+	if conn >= len(d.conns) || d.conns[conn].sport != sg.SPort || d.conns[conn].dport != sg.DPort {
 		m.Free(t)
 		return fmt.Errorf("driver: unknown connection %d->%d", sg.SPort, sg.DPort)
 	}
+	c := d.conns[conn]
 	// In strict mode, verify any nonzero checksum before the frame goes
 	// away: a corrupt frame is treated exactly like a lost one. (Zero
 	// means the sender did not checksum; the drivers' templates leave it
@@ -353,7 +350,7 @@ func (d *SimTCPReceiver) StartAckFlush(t *sim.Thread, wheel *event.Wheel) {
 		if d.stopFlush.Get() {
 			return
 		}
-		for _, c := range d.list {
+		for _, c := range d.conns {
 			c.mu.Lock()
 			do := c.pendingAck && c.started
 			var ack uint32

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/msg"
@@ -53,7 +54,9 @@ func NewUDPSink() *UDPSink {
 	return s
 }
 
-// SetUpper does nothing: a UDP receiver sends nothing back up.
+// SetUpper does nothing: a UDP receiver sends nothing back up. It stays
+// because core.Build binds every peer's upper once FDDI exists, the
+// same call for every shape.
 func (s *UDPSink) SetUpper(xkernel.Demuxer) {}
 
 // TX consumes one frame, counting its payload bytes.
@@ -116,16 +119,14 @@ func NewUDPSource(alloc *msg.Allocator, payload, conns int) *UDPSource {
 // SetUpper connects the source to the MAC layer it injects into.
 func (s *UDPSource) SetUpper(up xkernel.Demuxer) { s.up = up }
 
-// TX absorbs anything the stack tries to transmit (nothing, on the
-// receive side).
+// errReceiveOnly is UDPSource.TX's error.
+var errReceiveOnly = errors.New("driver: the UDP receive side transmitted a frame")
+
+// TX frees the frame and refuses it: the receive side transmits
+// nothing, so a transmission is a fault the run reports.
 func (s *UDPSource) TX(t *sim.Thread, m *msg.Message) error {
-	st := &t.Engine().C.Stack
-	s.ring.Acquire(t)
-	t.ChargeRand(st.DriverRing)
-	s.ring.Release(t)
-	t.ChargeRand(st.DriverTX)
 	m.Free(t)
-	return nil
+	return errReceiveOnly
 }
 
 // PayloadLen returns the UDP payload size every connection shares —

@@ -1,5 +1,5 @@
 // Hierarchical timing wheel (Varghese & Lauck's Scheme 6) over integer
-// tick indices. Where the hashed Wheel above keys on virtual
+// tick indices. Where the Wheel's list (event.go) keys on virtual
 // nanoseconds and is advanced by its own manager thread, the TickWheel
 // is a passive structure advanced by whoever owns the tick cadence
 // (TCP's 500 ms slow timeout drives one): per-timer nodes sit in the

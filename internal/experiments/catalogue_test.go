@@ -59,7 +59,6 @@ var catalogueDigests = map[string]string{
 	"ext-steer":         "3babf626480b57b4985d92db08a27d02b1497a3e4cad375b7849906b2c145ebf",
 	"ext-batch":         "d07fb293929db351f46ca63f6370ce11657842d0c3a768f4ea33d31d43024fd2",
 	"ext-scale":         "27d471cd63a2fb8431ca2444cb13543cf0f625b32395c1ef92c385db7553985a",
-	"ablation-wheel":    "1e40711f788c24c69d7a391a2d0e87dd2739c030a768f609d650446c719003ad",
 }
 
 // TestCatalogueDigest is the in-tree twin of CI's results_full.txt

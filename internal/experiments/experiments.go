@@ -500,19 +500,6 @@ func specs() []Spec {
 			Brief:   "Sim-vs-host cross-validation: the TCP-1 mutex/MCS/conn-per-proc sweep on both substrates, with shape agreement",
 			Extra:   runExtHost,
 		},
-		{
-			ID:      "ablation-wheel",
-			Figures: "(ablation)",
-			Brief:   "Timing wheel: per-chain locks vs one lock (TCP send)",
-			Sweeps: []Sweep{{
-				Base: tcpSend,
-				Curves: []Curve{
-					{Label: "per-chain wheel locks"},
-					{Label: "single wheel lock", Set: func(c *core.Config) { c.WheelPerChain = false }},
-				},
-				Views: []View{{Title: "Ablation: timing wheel locking (TCP send, 4KB, checksum on)"}},
-			}},
-		},
 	}
 }
 

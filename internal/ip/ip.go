@@ -47,9 +47,6 @@ var (
 type Config struct {
 	Local   xkernel.IPAddr
 	RefMode sim.RefMode
-	// Promiscuous accepts any destination address (multi-connection
-	// drivers address several fake hosts).
-	Promiscuous bool
 }
 
 // Protocol is the IP protocol object.
@@ -265,7 +262,7 @@ func (p *Protocol) Demux(t *sim.Thread, m *msg.Message) error {
 	}
 	var dst xkernel.IPAddr
 	copy(dst[:], h[16:20])
-	if !p.cfg.Promiscuous && dst != p.cfg.Local {
+	if dst != p.cfg.Local {
 		t.Count(&p.stats.At(t).NotDeliverable, 1)
 		m.Free(t)
 		return ErrNotOurs

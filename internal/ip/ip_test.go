@@ -169,29 +169,6 @@ func TestWrongDestinationRejected(t *testing.T) {
 	})
 }
 
-func TestPromiscuousAcceptsAnyDestination(t *testing.T) {
-	run(t, func(th *sim.Thread) {
-		alloc := msg.NewAllocator(msg.DefaultConfig(4))
-		var loop loopLower
-		low := LowerFDDI(4352, func(*sim.Thread, xkernel.MAC, uint16) (xkernel.Session, error) {
-			return &loop, nil
-		})
-		p := New(Config{Local: hostA, Promiscuous: true}, low)
-		loop.p = p
-		up := newSink()
-		p.OpenEnable(th, ProtoUDP, up)
-		m, _ := alloc.New(th, HdrLen+8, 0)
-		other := xkernel.IPAddr{10, 0, 0, 99}
-		writeHeader(m.Bytes()[:HdrLen], HdrLen+8, 1, 0, ProtoUDP, hostA, other)
-		if err := p.Demux(th, m); err != nil {
-			t.Fatalf("promiscuous demux failed: %v", err)
-		}
-		if len(up.msgs) != 1 {
-			t.Error("promiscuous packet not delivered")
-		}
-	})
-}
-
 func TestUnknownTransportRejected(t *testing.T) {
 	run(t, func(th *sim.Thread) {
 		p, _, alloc := newStack(t, th, 4352)

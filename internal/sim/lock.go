@@ -118,20 +118,10 @@ type Lock struct {
 
 // NewLock builds a lock of the given kind.
 func NewLock(kind LockKind, name string) *Lock {
-	return &NewLocks(kind, name, 1)[0]
-}
-
-// NewLocks builds n locks of the given kind in one array, for owners of
-// many locks, like the timing wheel's chains.
-func NewLocks(kind LockKind, name string, n int) []Lock {
 	if kind.String() == "invalid" {
 		panic("sim: unknown lock kind") // kinds are validated where they are parsed
 	}
-	ls := make([]Lock, n)
-	for i := range ls {
-		ls[i].Name, ls[i].kind = name, kind
-	}
-	return ls
+	return &Lock{Name: name, kind: kind}
 }
 
 // Acquire blocks until the calling thread holds the lock.

@@ -376,7 +376,7 @@ func TestOutOfOrderArrivalReassembled(t *testing.T) {
 
 func TestRetransmissionRecoversLoss(t *testing.T) {
 	e := sim.New(cost.NewModel(cost.Challenge100), 5)
-	wheel := event.New(event.DefaultConfig())
+	wheel := event.New()
 	wheel.Start(e, 0)
 	e.Spawn("test", 1, func(th *sim.Thread) {
 		cfg := DefaultConfig()
@@ -408,7 +408,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 
 func TestDelayedAckFlushedByFastTimer(t *testing.T) {
 	e := sim.New(cost.NewModel(cost.Challenge100), 6)
-	wheel := event.New(event.DefaultConfig())
+	wheel := event.New()
 	wheel.Start(e, 0)
 	e.Spawn("test", 1, func(th *sim.Thread) {
 		cfg := DefaultConfig()
@@ -585,7 +585,7 @@ func TestWindowLimitsOutstandingData(t *testing.T) {
 	// acked; with delayed acks flushed by the fast timer this resolves
 	// rather than deadlocks.
 	e := sim.New(cost.NewModel(cost.Challenge100), 14)
-	wheel := event.New(event.DefaultConfig())
+	wheel := event.New()
 	wheel.Start(e, 0)
 	e.Spawn("test", 1, func(th *sim.Thread) {
 		cfg := DefaultConfig()

@@ -21,7 +21,7 @@ import (
 func withTimers(t *testing.T, seed uint64, cfg Config, w *wire, body func(th *sim.Thread, h *harness)) {
 	t.Helper()
 	e := sim.New(cost.NewModel(cost.Challenge100), seed)
-	wheel := event.New(event.DefaultConfig())
+	wheel := event.New()
 	wheel.Start(e, 0)
 	e.Spawn("test", 1, func(th *sim.Thread) {
 		h := build(t, th, cfg, w, wheel)
@@ -301,7 +301,7 @@ func TestTimerEquivalenceScanVsWheel(t *testing.T) {
 			var events []timerEvent
 			delivered := -1
 			run1(t, 11, func(th *sim.Thread) {
-				ew := event.New(event.DefaultConfig())
+				ew := event.New()
 				ew.Start(th.Engine(), 0)
 				h := build(t, th, DefaultConfig(), sc.wire(), ew)
 				oa := attachScanOracle(t, h.pa, "A", &events)
@@ -335,7 +335,7 @@ func TestTimerEquivalenceScanVsWheel(t *testing.T) {
 // churn ends.
 func TestWheelChurnCancelledTimersNeverFire(t *testing.T) {
 	run1(t, 13, func(th *sim.Thread) {
-		ew := event.New(event.DefaultConfig())
+		ew := event.New()
 		ew.Start(th.Engine(), 0)
 		cfg := DefaultConfig()
 		w := &wire{}
