@@ -354,13 +354,12 @@ func validateTicketing(cfg *Config) error {
 }
 
 // demuxBuckets sizes the transport demux table from the connection
-// count — max(64, next power of two >= 2x Connections) — so chains stay
-// short at 100k connections without growth. The floor of 64 (the
-// x-kernel default) keeps every small-connection shape on the seed's
-// table size.
+// count — max(64, next power of two >= Connections) — so chains average
+// at most one binding without growth. The floor of 64 (the x-kernel
+// default) keeps every small-connection shape on the seed's table size.
 func demuxBuckets(cfg *Config) int {
 	b := 64
-	for b < 2*cfg.Connections {
+	for b < cfg.Connections {
 		b <<= 1
 	}
 	return b

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/steer"
 	"repro/internal/tcp"
 )
@@ -124,6 +125,77 @@ func TestReportRendersProfile(t *testing.T) {
 		}
 		if line := fmt.Sprintf("flow table %d hits / %d misses", p.Steer.FlowHits, p.Steer.FlowMiss); !strings.Contains(rep, line) {
 			t.Errorf("report lacks %q", line)
+		}
+	}
+}
+
+// TestReportRendersFaultWire: a faulted TCP run's report carries the
+// fault wire's section, with every counter the profile's Fault value
+// holds: each direction's frames and what happened to them, and what
+// the driver peer did about it — the sending peer's retransmissions
+// (TCP receive) or the receiving peer's refused frames (TCP send).
+func TestReportRendersFaultWire(t *testing.T) {
+	recv := DefaultConfig()
+	recv.Proto, recv.Side, recv.Procs = ProtoTCP, SideRecv, 2
+	recv.Faults.Up = driver.FaultRates{Drop: 0.02, Dup: 0.02, Corrupt: 0.02, Reorder: 0.02}
+	send := recv
+	send.Side = SideSend
+	send.Faults.Up, send.Faults.Down = driver.FaultRates{}, driver.FaultRates{Drop: 0.02, Corrupt: 0.02}
+	for name, cfg := range map[string]Config{"tcp-recv": recv, "tcp-send": send} {
+		st, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Run(1_000_000_000, 2_000_000_000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f := st.Profile(name, res).Fault
+		if f == nil {
+			t.Fatalf("%s: the profile has no fault counters", name)
+		}
+		rep := st.ProfileReport()
+		lines := strings.Split(rep, "\n")
+		has := func(words ...string) bool {
+			return slices.ContainsFunc(lines, func(line string) bool { return slices.Equal(strings.Fields(line), words) })
+		}
+		if !has("Fault", "wire:") {
+			t.Errorf("%s: report lacks the fault wire's heading:\n%s", name, rep)
+		}
+		faulted := f.Up
+		if cfg.Side == SideSend {
+			faulted = f.Down
+		}
+		if faulted.Dropped == 0 || faulted.Corrupted == 0 {
+			t.Errorf("%s: the faulted direction dropped %d and corrupted %d frames, want some of each", name, faulted.Dropped, faulted.Corrupted)
+		}
+		for _, d := range []struct {
+			words []string
+			s     driver.FaultDirStats
+		}{{[]string{"up", "(wire->stack)"}, f.Up}, {[]string{"down", "(stack->wire)"}, f.Down}} {
+			line := append(d.words, fmt.Sprint(d.s.Frames), "frames:", fmt.Sprint(d.s.Dropped), "dropped,",
+				fmt.Sprint(d.s.Duplicated), "duplicated,", fmt.Sprint(d.s.Corrupted), "corrupted,",
+				fmt.Sprint(d.s.Reordered), "reordered")
+			if d.s.Frames > 0 && !has(line...) {
+				t.Errorf("%s: report lacks %q:\n%s", name, strings.Join(line, " "), rep)
+			}
+		}
+		switch cfg.Side {
+		case SideRecv:
+			if f.Up.Duplicated == 0 || f.Up.Reordered == 0 {
+				t.Errorf("%s: the wire duplicated %d and reordered %d frames, want some of each", name, f.Up.Duplicated, f.Up.Reordered)
+			}
+			if r := f.PeerRexmt; r == nil || r[0]+r[1] == 0 {
+				t.Errorf("%s: the sending peer's retransmissions are %v, want some", name, r)
+			} else if !has("peer", "retransmissions:", fmt.Sprint(r[0]), "on", "dup-acks,", fmt.Sprint(r[1]), "on", "timeout") {
+				t.Errorf("%s: report lacks the peer's retransmissions %v:\n%s", name, *r, rep)
+			}
+		case SideSend:
+			if bad := f.PeerBadChecksums; bad == nil || *bad == 0 {
+				t.Errorf("%s: the receiving peer refused %v frames, want some", name, bad)
+			} else if !has("peer", "rejected", fmt.Sprint(*bad), "bad-checksum", "frames") {
+				t.Errorf("%s: report lacks the peer's %d refused frames:\n%s", name, *bad, rep)
+			}
 		}
 	}
 }

@@ -7,6 +7,6 @@ package core
 // the same since the event manager holds its lock inline
 // (setup_ceiling_test.go).
 const (
-	udpSetupMaxBytes = 27424
-	tcpSetupMaxBytes = 32504
+	udpSetupMaxBytes = 27984
+	tcpSetupMaxBytes = 33056
 )

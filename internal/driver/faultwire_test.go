@@ -124,6 +124,42 @@ func TestFaultWireDuplicatesAndReorders(t *testing.T) {
 	})
 }
 
+// TestFaultWireShutdownFreesHeldFrames: at teardown a frame may sit in
+// either reorder slot, waiting for a successor that will never come;
+// Shutdown frees both, and a second Shutdown finds nothing to free.
+func TestFaultWireShutdownFreesHeldFrames(t *testing.T) {
+	run(t, 24, func(th *sim.Thread) {
+		a := newAlloc()
+		down, up := &captureWire{}, newCapture()
+		fw := NewFaultWire(FaultConfig{Up: FaultRates{Reorder: 1.0}, Down: FaultRates{Reorder: 1.0}}, 4, a, down)
+		fw.SetUpper(up)
+		fw.Arm()
+		txFrame(t, th, a, fw, 1)
+		f := tcpTemplate(256, HostPeer, HostLocal, PeerPort(0), LocalPort(0), 1<<20)
+		m, err := a.New(th, len(f), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.CopyTemplate(0, f)
+		if err := fw.Demux(th, m); err != nil {
+			t.Fatal(err)
+		}
+		if fw.heldUp == nil || fw.heldDown == nil || len(down.frames)+len(up.frames) != 0 {
+			t.Fatalf("held up %v, down %v, forwarded %d down and %d up; want one frame parked each way",
+				fw.heldUp != nil, fw.heldDown != nil, len(down.frames), len(up.frames))
+		}
+		for i := 0; i < 2; i++ {
+			fw.Shutdown(th)
+			if fw.heldUp != nil || fw.heldDown != nil {
+				t.Fatal("Shutdown left a frame in a reorder slot")
+			}
+			if st := a.Stats(); st.CacheHits+st.ArenaAllocs != st.Frees {
+				t.Errorf("after Shutdown %d: %d allocs, %d frees", i+1, st.CacheHits+st.ArenaAllocs, st.Frees)
+			}
+		}
+	})
+}
+
 func TestFaultWireCorruptionBreaksChecksumOnly(t *testing.T) {
 	run(t, 23, func(th *sim.Thread) {
 		a := newAlloc()

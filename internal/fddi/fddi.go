@@ -45,7 +45,7 @@ type Config struct {
 type Protocol struct {
 	cfg   Config
 	wire  xkernel.Wire
-	upper *xmap.Table[xkernel.Upper] // protocol type -> upper protocol
+	upper *xmap.Pairs[xkernel.Upper] // protocol type -> upper protocol
 	// sessLock serializes session creation and release only.
 	sessLock sim.Lock
 	// open is the x-kernel active map, under sessLock: the sessions with
@@ -58,7 +58,7 @@ func New(cfg Config, wire xkernel.Wire) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
 		wire:  wire,
-		upper: xmap.NewTable[xkernel.Upper](16, sim.KindMutex, "fddi-demux"),
+		upper: xmap.NewPairs[xkernel.Upper](16, sim.KindMutex, "fddi-demux"),
 	}
 	p.upper.Locking = cfg.MapLocking
 	p.upper.NoCache = cfg.MapNoCache

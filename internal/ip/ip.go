@@ -53,7 +53,7 @@ type Config struct {
 type Protocol struct {
 	cfg   Config
 	lower *fddiOpener
-	upper *xmap.Table[xkernel.Upper] // protocol number -> transport
+	upper *xmap.Pairs[xkernel.Upper] // protocol number -> transport
 
 	id sim.Counter // datagram identifier, atomically incremented
 
@@ -106,7 +106,7 @@ func New(cfg Config, low Lower) *Protocol {
 	p := &Protocol{
 		cfg:   cfg,
 		lower: low.lower(),
-		upper: xmap.NewTable[xkernel.Upper](16, sim.KindMutex, "ip-demux"),
+		upper: xmap.NewPairs[xkernel.Upper](16, sim.KindMutex, "ip-demux"),
 	}
 	p.ref.Init(cfg.RefMode, 1)
 	return p

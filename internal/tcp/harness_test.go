@@ -38,7 +38,7 @@ func NewBench(t *sim.Thread, cfg Config, alloc *msg.Allocator, n int) (*Protocol
 		tcb.iss = 1
 		tcb.sndUna, tcb.sndNxt, tcb.sndMax = 1, 1, 1
 		tcb.rcvNxt, tcb.lastAckSent = 1, 1
-		if err := p.tcbs.Bind(t, tcbKey(part), tcb); err != nil {
+		if err := p.tcbs.Bind(t, tcb); err != nil {
 			panic(fmt.Sprintf("tcp.NewBench: bind %d: %v", i, err))
 		}
 		tcbs[i] = tcb

@@ -8,6 +8,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/xkernel"
+	"repro/internal/xmap"
 )
 
 // Connection states (the subset a simplex in-memory transfer exercises,
@@ -257,9 +258,11 @@ type TCB struct {
 	closeCause string
 
 	// rcvBytes is the data taken in order (rcv_nxt's advance, exact past
-	// a sequence wrap), under the state lock. Last, so the TCB keeps its
-	// size class.
+	// a sequence wrap), under the state lock.
 	rcvBytes int64
+	// link chains the TCB in the demux table; last, so the TCB keeps its
+	// size class and the fields before it their cache lines.
+	link xmap.Link[*TCB]
 }
 
 func newTCB(p *Protocol, part xkernel.Part, lower IPSession, up xkernel.Receiver) *TCB {
@@ -404,7 +407,7 @@ func (tcb *TCB) drop(t *sim.Thread, cause string) error {
 		}
 	}
 	tcb.freeQueues(t)
-	return tcb.p.tcbs.Unbind(t, tcbKey(tcb.part))
+	return tcb.p.tcbs.Unbind(t, tcb.MapKey())
 }
 
 // freeQueues releases every message parked on the retransmission and

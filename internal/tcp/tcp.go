@@ -249,9 +249,14 @@ func (p *Protocol) nextISS(t *sim.Thread) uint32 {
 	return uint32(p.iss.Add(t, 1))*64000 + 1
 }
 
-func tcbKey(part xkernel.Part) xmap.Key {
-	return xmap.AddrKey(part.LocalIP, part.RemoteIP, part.LocalPort, part.RemotePort)
+// MapKey is the demux key the TCB is bound under: its participants.
+func (tcb *TCB) MapKey() xmap.Key {
+	p := &tcb.part
+	return xmap.AddrKey(p.LocalIP, p.RemoteIP, p.LocalPort, p.RemotePort)
 }
+
+// MapLink is the TCB's demux chain link.
+func (tcb *TCB) MapLink() *xmap.Link[*TCB] { return &tcb.link }
 
 // Open actively opens a connection (sends SYN) and blocks until it is
 // established. Inbound data is delivered to up.
@@ -263,7 +268,7 @@ func (p *Protocol) Open(t *sim.Thread, part xkernel.Part, up xkernel.Receiver) (
 		return nil, err
 	}
 	tcb := newTCB(p, part, low, up)
-	if err := p.tcbs.Bind(t, tcbKey(part), tcb); err != nil {
+	if err := p.tcbs.Bind(t, tcb); err != nil {
 		_ = low.Close(t) // as in OpenEnable
 		p.sessLock.Release(t)
 		return nil, err
@@ -301,7 +306,7 @@ func (p *Protocol) OpenEnable(t *sim.Thread, part xkernel.Part, up xkernel.Recei
 	}
 	tcb := newTCB(p, part, low, up)
 	tcb.state = stateListen
-	if err := p.tcbs.Bind(t, tcbKey(part), tcb); err != nil {
+	if err := p.tcbs.Bind(t, tcb); err != nil {
 		_ = low.Close(t) // drop the lower sessions' references; Bind's error is the one to report
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/event"
@@ -661,6 +662,42 @@ func TestDemuxMapIsLive(t *testing.T) {
 			if st, n := dm.Stats(), dm.Len(th); st.Binds != 1 || st.Resolves == 0 || n != 1 {
 				t.Errorf("%s end's DemuxMap after the handshake: %+v, %d bindings; want 1 bind, some resolves, 1 binding", end, st, n)
 			}
+		}
+	})
+}
+
+// TestTCBLayout: the demux link is the TCB's last field, and the TCB
+// stays in its 896 B size class (769-896 B): a million-connection stack
+// holds a million of them.
+func TestTCBLayout(t *testing.T) {
+	var tcb TCB
+	if n := unsafe.Sizeof(tcb); n <= 768 || n > 896 {
+		t.Errorf("TCB is %d bytes, want 769-896, the 896 B size class", n)
+	}
+	if off := unsafe.Offsetof(tcb.link); off+unsafe.Sizeof(tcb.link) != unsafe.Sizeof(tcb) {
+		t.Errorf("the demux link sits at %d of %d bytes, want last", off, unsafe.Sizeof(tcb))
+	}
+}
+
+// TestRecycledTCBStartsUnlinked: a block from the free list starts with
+// a zero demux link, whatever its last incarnation's link held, so
+// binding it never chains the connections its predecessor followed.
+func TestRecycledTCBStartsUnlinked(t *testing.T) {
+	run1(t, 1, func(th *sim.Thread) {
+		cfg := DefaultConfig()
+		cfg.Buckets = 1 // one chain: the newer TCB links to the older
+		p, tcbs := NewBench(th, cfg, msg.NewAllocator(msg.DefaultConfig(1)), 2)
+		if tcbs[1].link == (xmap.Link[*TCB]{}) {
+			t.Fatal("the newer of two TCBs on one chain has a zero link")
+		}
+		p.recycleTCB(tcbs[1])
+		part := xkernel.Part{LocalIP: hostA, RemoteIP: hostB, LocalPort: 7, RemotePort: 8}
+		tcb := newTCB(p, part, tcbs[0].lower, benchSink{})
+		if tcb != tcbs[1] {
+			t.Fatal("newTCB did not take the block from the free list")
+		}
+		if tcb.link != (xmap.Link[*TCB]{}) {
+			t.Error("a recycled TCB starts with its predecessor's demux link")
 		}
 	})
 }

@@ -132,13 +132,20 @@ type binding struct {
 	up    xkernel.Receiver
 }
 
-// Session is one open UDP channel: its shared binding, its ports and its
-// count, 24 B. The IP addresses are its IP session's.
+// Session is one open UDP channel: its shared binding, its demux link,
+// its ports and its count, 32 B. The IP addresses are its IP session's.
 type Session struct {
 	*binding
+	link         xmap.Link[*Session]
 	lport, rport uint16
 	ref          sim.RefCount
 }
+
+// MapKey is the demux key the session is bound under: its ports.
+func (s *Session) MapKey() xmap.Key { return xmap.PortKey(s.lport, s.rport) }
+
+// MapLink is the session's demux chain link.
+func (s *Session) MapLink() *xmap.Link[*Session] { return &s.link }
 
 // Open creates a session for the participant pair, delivering inbound
 // datagrams to up. Session creation locks; data transfer does not. The
@@ -166,8 +173,7 @@ func (p *Protocol) Open(t *sim.Thread, part xkernel.Part, up xkernel.Receiver) (
 	s := p.slab.New()
 	*s = Session{binding: b, lport: part.LocalPort, rport: part.RemotePort}
 	s.ref.Init(p.cfg.RefMode, 1)
-	key := xmap.PortKey(part.LocalPort, part.RemotePort)
-	if err := p.sessions.Bind(t, key, s); err != nil {
+	if err := p.sessions.Bind(t, s); err != nil {
 		_ = low.Close(t) // drop the lower sessions' references; Bind's error is the one to report
 		return nil, err
 	}
@@ -212,8 +218,7 @@ func (s *Session) Push(t *sim.Thread, m *msg.Message) error {
 func (s *Session) Close(t *sim.Thread) error {
 	s.p.sessLock.Acquire(t)
 	defer s.p.sessLock.Release(t)
-	key := xmap.PortKey(s.lport, s.rport)
-	if err := s.p.sessions.Unbind(t, key); err != nil {
+	if err := s.p.sessions.Unbind(t, s.MapKey()); err != nil {
 		return err
 	}
 	s.ref.Decr(t)

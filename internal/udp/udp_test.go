@@ -340,11 +340,12 @@ func TestMultiConnectionDemux(t *testing.T) {
 	})
 }
 
-// TestSessionLayout pins a session at 24 bytes, its binding pointer,
-// ports and count: a million-connection stack holds a million of them.
+// TestSessionLayout pins a session at 32 bytes, its binding pointer,
+// demux link, ports and count: a million-connection stack holds a
+// million of them.
 func TestSessionLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Session{}); n != 24 {
-		t.Errorf("Session is %d bytes, want 24", n)
+	if n := unsafe.Sizeof(Session{}); n != 32 {
+		t.Errorf("Session is %d bytes, want 32", n)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// oracleMap is the pointer-chained table Table's index-chained layout
-// replaced, kept as the reference the differential tests compare with:
-// the same hashing, growth, 1-behind cache and counters, one heap entry
-// per binding, no lock and no virtual-time charges.
+// oracleMap is a table of heap entries, each holding a copy of its key
+// and a pointer to its value, kept as the reference the differential
+// tests compare the intrusive Table with: the same hashing, growth,
+// 1-behind cache and counters, no lock and no virtual-time charges.
 type oracleMap struct {
 	maxLoad  int
 	buckets  []*oracleEntry
@@ -33,7 +33,7 @@ func newOracle(buckets, maxLoad int) *oracleMap {
 }
 
 func (o *oracleMap) hash(k Key) uint64 {
-	return (&Map{mask: uint64(len(o.buckets) - 1)}).hash(k)
+	return hash(k) & uint64(len(o.buckets)-1)
 }
 
 func (o *oracleMap) Bind(k Key, v any) error {
@@ -97,28 +97,81 @@ func (o *oracleMap) Unbind(k Key) error {
 	return ErrNotFound
 }
 
+// chains renders every bucket's chain, in order, as the keys' digest:
+// two tables with the same contents but another chain order differ.
+func chains[E any](buckets []E, walk func(E, func(Key))) string {
+	h := uint64(14695981039346656037)
+	for _, e := range buckets {
+		walk(e, func(k Key) { h = (h ^ k[0] ^ k[1]<<32) * 1099511628211 })
+		h = (h ^ 0xff) * 1099511628211
+	}
+	return fmt.Sprintf("%x", h)
+}
+
+func (o *oracleMap) chains() string {
+	return chains(o.buckets, func(e *oracleEntry, f func(Key)) {
+		for ; e != nil; e = e.next {
+			f(e.key)
+		}
+	})
+}
+
 // table is the surface the differential drives on both implementations.
 type table struct {
 	bind    func(Key, any) error
 	resolve func(Key) (any, bool)
 	unbind  func(Key) error
-	state   func() string // Len, Buckets, Grows, Stats
+	state   func() string // Len, bucket count, grows, Stats
+	chains  func() string // every chain's keys, in order
 }
 
-// mapTable drives m, which stores the script's int values as Vs: wrap
-// makes one, unwrap reads one back.
-func mapTable[V any](th *sim.Thread, m *Table[V], wrap func(int) V, unwrap func(V) any) table {
+// item is a value that carries its key, as a udp session or a TCB does.
+type item struct {
+	key  Key
+	link Link[*item]
+	val  int
+}
+
+func (it *item) MapKey() Key           { return it.key }
+func (it *item) MapLink() *Link[*item] { return &it.link }
+
+// tableOf drives m: bind binds a script's key and int, and unwrap reads
+// the int back from a resolved value.
+func tableOf[V Value[V]](th *sim.Thread, m *Table[V], bind func(Key, int) error, unwrap func(V) any) table {
 	return table{
-		bind: func(k Key, v any) error { return m.Bind(th, k, wrap(v.(int))) },
+		bind: func(k Key, v any) error { return bind(k, v.(int)) },
 		resolve: func(k Key) (any, bool) {
 			v, ok := m.Resolve(th, k)
+			var zero V
+			if v == zero {
+				return nil, ok
+			}
 			return unwrap(v), ok
 		},
 		unbind: func(k Key) error { return m.Unbind(th, k) },
 		state: func() string {
-			return fmt.Sprintf("n=%d buckets=%d grows=%d %+v", m.Len(th), m.Buckets(), m.Grows(), m.Stats())
+			return fmt.Sprintf("n=%d buckets=%d grows=%d %+v", m.Len(th), int(m.mask+1), m.grows, m.Stats())
 		},
+		chains: func() string { return tableChains(m) },
 	}
+}
+
+// heads returns m's chain heads in bucket order.
+func heads[V Value[V]](m *Table[V]) []V {
+	hs := make([]V, int(m.mask+1))
+	for b := range hs {
+		hs[b] = m.groups[b>>3].heads[b&7]
+	}
+	return hs
+}
+
+func tableChains[V Value[V]](m *Table[V]) string {
+	return chains(heads(m), func(e V, f func(Key)) {
+		var zero V
+		for ; e != zero; e = e.MapLink().next {
+			f(e.MapKey())
+		}
+	})
 }
 
 func oracleTable(o *oracleMap) table {
@@ -127,6 +180,7 @@ func oracleTable(o *oracleMap) table {
 		state: func() string {
 			return fmt.Sprintf("n=%d buckets=%d grows=%d %+v", o.n, len(o.buckets), o.grows, o.stats)
 		},
+		chains: o.chains,
 	}
 }
 
@@ -134,11 +188,11 @@ func oracleTable(o *oracleMap) table {
 // log of every result and error. One op in sixteen is a walk that
 // resolves a run of the script's key space from a random key, wrapping,
 // logged as one line (the bound count and an FNV-1a digest of the
-// results). A walk covers every key, or maxWalk keys when the key space
-// is larger (a 12k-key table cannot afford a full walk every sixteenth
-// op); the script ends with one full walk. Every choice comes from the
-// seed, never from the table, so two correct implementations produce
-// the same log.
+// results) with the digest of every chain in order. A walk covers every
+// key, or maxWalk keys when the key space is larger (a 12k-key table
+// cannot afford a full walk every sixteenth op); the script ends with
+// one full walk. Every choice comes from the seed, never from the
+// table, so two correct implementations produce the same log.
 func script(tb table, seed uint64, ops, keys, maxWalk int) []string {
 	r := sim.NewRand(seed)
 	key := func() Key { return PortKey(uint16(r.Intn(keys)), 7) }
@@ -155,7 +209,7 @@ func script(tb table, seed uint64, ops, keys, maxWalk int) []string {
 			}
 			h = (h ^ x) * 1099511628211
 		}
-		logf("%s: %d bound, digest %x", what, found, h)
+		logf("%s: %d bound, digest %x, chains %s", what, found, h, tb.chains())
 	}
 	for i := 0; i < ops; i++ {
 		switch op := r.Intn(16); {
@@ -178,37 +232,37 @@ func script(tb table, seed uint64, ops, keys, maxWalk int) []string {
 	return log
 }
 
-// scriptOn runs body on m from an engine thread, m storing the script's
-// values through wrap and unwrap, checks m's storage and returns the
-// log and the number of entry chunks.
-func scriptOn[V comparable](t *testing.T, m *Table[V], wrap func(int) V, unwrap func(V) any, body func(table) []string) (log []string, chunks int) {
-	t.Helper()
-	run(t, func(th *sim.Thread) { log = body(mapTable(th, m, wrap, unwrap)) })
-	checkStorage(t, m)
-	return log, len(m.chunks)
-}
-
-// valueKinds are the instantiations the differential drives: New's any,
-// and a pointer, as the udp and tcp tables hold.
+// valueKinds are the tables the differential drives: New's Pairs of any
+// values, and a Table of values that carry their keys, as the udp and
+// tcp tables are. Each runs body and checks the table's chains after.
 var valueKinds = []struct {
 	name string
-	run  func(t *testing.T, buckets, maxLoad int, body func(table) []string) ([]string, int)
+	run  func(t *testing.T, buckets, maxLoad int, body func(table) []string) []string
 }{
-	{"any", func(t *testing.T, buckets, maxLoad int, body func(table) []string) ([]string, int) {
+	{"any", func(t *testing.T, buckets, maxLoad int, body func(table) []string) (log []string) {
 		m := New(buckets, sim.KindMutex, "t")
 		m.MaxLoad = maxLoad
-		return scriptOn(t, m, func(i int) any { return i }, func(v any) any { return v }, body)
+		run(t, func(th *sim.Thread) {
+			bind := func(k Key, v int) error { return m.Bind(th, k, v) }
+			log = body(tableOf(th, &m.Table, bind, func(p *pair[any]) any { return p.val }))
+		})
+		checkChains(t, &m.Table, nil)
+		return log
 	}},
-	{"pointer", func(t *testing.T, buckets, maxLoad int, body func(table) []string) ([]string, int) {
-		m := NewTable[*int](buckets, sim.KindMutex, "t")
+	{"pointer", func(t *testing.T, buckets, maxLoad int, body func(table) []string) (log []string) {
+		m := NewTable[*item](buckets, sim.KindMutex, "t")
 		m.MaxLoad = maxLoad
-		unwrap := func(p *int) any {
-			if p == nil {
-				return nil
+		var made []*item
+		run(t, func(th *sim.Thread) {
+			bind := func(k Key, v int) error {
+				it := &item{key: k, val: v}
+				made = append(made, it)
+				return m.Bind(th, it)
 			}
-			return *p
-		}
-		return scriptOn(t, m, func(i int) *int { return &i }, unwrap, body)
+			log = body(tableOf(th, m, bind, func(it *item) any { return it.val }))
+		})
+		checkChains(t, m, made)
+		return log
 	}},
 }
 
@@ -217,9 +271,9 @@ func TestDifferentialAgainstPointerChainedOracle(t *testing.T) {
 		name                                 string
 		buckets, maxLoad, ops, keys, maxWalk int
 	}{
-		{"small-growing", 2, 2, 6000, 300, 300},      // several grows, heavy entry reuse
+		{"small-growing", 2, 2, 6000, 300, 300},      // several grows, heavy rebinding
 		{"fixed-size", 8, 0, 3000, 100, 100},         // no growth: long chains
-		{"many-chunks", 64, 8, 30000, 3 * 4096, 512}, // entry storage spans chunks
+		{"many-chunks", 64, 8, 30000, 3 * 4096, 512}, // a 12k-key space, walked in part
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
@@ -230,7 +284,7 @@ func TestDifferentialAgainstPointerChainedOracle(t *testing.T) {
 				}
 				for _, kind := range valueKinds {
 					t.Run(kind.name, func(t *testing.T) {
-						got, chunks := kind.run(t, c.buckets, c.maxLoad, func(tb table) []string {
+						got := kind.run(t, c.buckets, c.maxLoad, func(tb table) []string {
 							return script(tb, seed, c.ops, c.keys, c.maxWalk)
 						})
 						for i := range want {
@@ -240,9 +294,6 @@ func TestDifferentialAgainstPointerChainedOracle(t *testing.T) {
 						}
 						if len(got) != len(want) {
 							t.Fatalf("map logged %d lines, oracle %d", len(got), len(want))
-						}
-						if c.name == "many-chunks" && chunks < 2 {
-							t.Errorf("entry storage is %d chunk", chunks)
 						}
 					})
 				}
@@ -258,101 +309,100 @@ func at(log []string, i int) string {
 	return "<none>"
 }
 
-// checkStorage asserts the layout invariants of a quiescent map: every
-// entry slot is either on exactly one chain or zeroed on the free list,
-// and only the last chunk is short.
-func checkStorage[V comparable](t *testing.T, m *Table[V]) {
+// checkChains asserts the layout invariants of a quiescent table: every
+// bound value is on exactly one chain, the one its key hashes to, whose
+// tag has the key's bit, an empty chain's tag is zero, n counts the
+// values, and each of made that is on none has a zero link.
+func checkChains[V Value[V]](t *testing.T, m *Table[V], made []V) {
 	t.Helper()
-	slots := 0
-	for i, c := range m.chunks {
-		if i < len(m.chunks)-1 && len(c) != chunkSize {
-			t.Errorf("chunk %d of %d holds %d entries, want %d", i, len(m.chunks), len(c), chunkSize)
+	var zero V
+	bound := make(map[V]bool)
+	for b, e := range heads(m) {
+		tags := m.groups[b>>3].tags[b&7]
+		if e == zero && tags != 0 {
+			t.Errorf("empty bucket %d has tags %08b", b, tags)
 		}
-		slots += len(c)
-	}
-	seen := make(map[ref]bool)
-	bound := 0
-	for _, r := range m.buckets {
-		for ; r != 0; r = m.at(r).next {
-			if seen[r] {
-				t.Fatalf("entry %d is chained twice", r)
+		for ; e != zero; e = e.MapLink().next {
+			if bound[e] {
+				t.Fatalf("%v is chained twice", e.MapKey())
 			}
-			seen[r] = true
-			bound++
+			bound[e] = true
+			h := hash(e.MapKey())
+			if h&m.mask != uint64(b) {
+				t.Errorf("%v is chained in bucket %d, hashes to %d", e.MapKey(), b, h&m.mask)
+			}
+			if _, _, tag := m.bucket(h); tags&tag == 0 {
+				t.Errorf("%v is chained in bucket %d, whose tags %08b lack its bit", e.MapKey(), b, tags)
+			}
 		}
 	}
-	free := 0
-	for r := m.free; r != 0; r = m.at(r).next {
-		if seen[r] {
-			t.Fatalf("entry %d is both bound and free (or free twice)", r)
-		}
-		seen[r] = true
-		if e := m.at(r); *e != (entry[V]{next: e.next}) {
-			t.Errorf("free entry %d still holds %v -> %v", r, e.key(), e.val)
-		}
-		free++
+	if len(bound) != m.n {
+		t.Errorf("%d values chained, n=%d", len(bound), m.n)
 	}
-	if bound != m.n || bound+free != slots {
-		t.Errorf("%d bound (n=%d) + %d free != %d slots", bound, m.n, free, slots)
+	for _, v := range made {
+		if !bound[v] && *v.MapLink() != (Link[V]{}) {
+			t.Errorf("unbound %v still links to %v", v.MapKey(), v.MapLink().next)
+		}
 	}
 }
 
-// TestUnbindZeroesAndRecyclesTheSlot: after Unbind neither the freed
-// slot nor the 1-behind cache holds the value (a stale *udp.Session
-// would keep its whole slab chunk alive), and Bind reuses the slot.
+// TestUnbindZeroesAndRecyclesTheSlot: after Unbind neither the value's
+// link nor the 1-behind cache references anything (a stale link would
+// keep the rest of a chain alive, a stale cache a whole slab chunk of
+// udp sessions), and the value can be bound again, as a recycled TCB
+// is; a value already bound is refused.
 func TestUnbindZeroesAndRecyclesTheSlot(t *testing.T) {
-	val := new(int)
-	t.Run("pointer", func(t *testing.T) { unbindZeroes(t, NewTable[*int](16, sim.KindMutex, "t"), val) })
-	t.Run("any", func(t *testing.T) { unbindZeroes(t, New(16, sim.KindMutex, "t"), any(val)) })
+	t.Run("pointer", func(t *testing.T) {
+		m := NewTable[*item](4, sim.KindMutex, "t")
+		var items []*item
+		for i := 0; i < 100; i++ {
+			items = append(items, &item{key: PortKey(uint16(i), 1), val: i})
+		}
+		unbindZeroes(t, m, func(th *sim.Thread, i int) error { return m.Bind(th, items[i]) })
+	})
+	t.Run("any", func(t *testing.T) {
+		m := New(4, sim.KindMutex, "t")
+		unbindZeroes(t, &m.Table, func(th *sim.Thread, i int) error { return m.Bind(th, PortKey(uint16(i), 1), i) })
+	})
 }
 
-func unbindZeroes[V comparable](t *testing.T, m *Table[V], val V) {
+// unbindZeroes binds values 0..99 through bind, value i under
+// PortKey(i, 1), and unbinds and rebinds value 42.
+func unbindZeroes[V Value[V]](t *testing.T, m *Table[V], bind func(*sim.Thread, int) error) {
 	run(t, func(th *sim.Thread) {
+		var zero V
+		m.MaxLoad = 0 // chains of 25: an unbound value had a successor
 		for i := 0; i < 100; i++ {
-			m.Bind(th, PortKey(uint16(i), 1), val)
+			if err := bind(th, i); err != nil {
+				t.Fatal(err)
+			}
 		}
 		k := PortKey(42, 1)
-		m.Resolve(th, k) // the 1-behind cache references the value too
-		r := m.buckets[m.hash(k)]
-		for m.at(r).key() != k {
-			r = m.at(r).next
+		v, _ := m.Resolve(th, k) // the 1-behind cache references the value too
+		if *v.MapLink() == (Link[V]{}) {
+			t.Fatal("the value is last on its chain: a zero link after Unbind would show nothing")
 		}
 		if err := m.Unbind(th, k); err != nil {
 			t.Fatal(err)
 		}
-		if e := *m.at(r); e != (entry[V]{}) {
-			t.Errorf("unbound slot still holds %+v", e)
+		if l := *v.MapLink(); l != (Link[V]{}) {
+			t.Errorf("unbound value still links to %v", l.next)
 		}
-		var zero V
 		if m.cacheVal != zero {
 			t.Error("1-behind cache still references the unbound value")
 		}
-		for i := 0; i < 100; i += 2 {
-			m.Unbind(th, PortKey(uint16(i), 1))
+		if _, ok := m.Resolve(th, k); ok {
+			t.Error("resolved an unbound key")
 		}
-		for i := 0; i < 100; i += 2 {
-			m.Bind(th, PortKey(uint16(1000+i), 1), val)
+		if err := bind(th, 42); err != nil {
+			t.Fatalf("binding the unbound key again: %v", err)
 		}
-		if n := len(m.chunks[0]); len(m.chunks) != 1 || n != 100 {
-			t.Errorf("100 live bindings occupy %d chunks, %d slots in the first: freed slots were not reused", len(m.chunks), n)
+		if got, ok := m.Resolve(th, k); !ok || got.MapKey() != k {
+			t.Errorf("the rebound key resolves to %v, %v", got, ok)
 		}
-		checkStorage(t, m)
-	})
-}
-
-func TestSmallMapStorageStartsSmall(t *testing.T) {
-	run(t, func(th *sim.Thread) {
-		m := New(16, sim.KindMutex, "t")
-		var caps []int
-		for i := 0; i < 9; i++ {
-			m.Bind(th, ProtoKey(uint32(i)), i)
-			caps = append(caps, cap(m.chunks[0]))
+		if err := bind(th, 42); err != ErrExists {
+			t.Errorf("binding a bound key: %v, want %v", err, ErrExists)
 		}
-		if want := "[1 2 4 4 8 8 8 8 16]"; fmt.Sprint(caps) != want {
-			t.Errorf("first chunk capacities %v, want %s", caps, want)
-		}
-		if &m.chunks[0] != &m.chunk0[0] {
-			t.Error("a one-chunk map allocated its chunk table")
-		}
+		checkChains(t, m, nil)
 	})
 }

@@ -10,19 +10,14 @@
 // a plain sim.Lock, which charges what a counting lock that never
 // recurses does.
 //
-// Layout: a bucket is a uint32 holding 1 + the index of the chain's
-// first entry (0: empty), an entry names its successor the same way, and
-// entries live in chunks in bind order, Unbind feeding a free list. By
-// index, not pointer, so that a million-binding table is one allocation
-// per chunk and its bucket array pointer-free and half the size. A
-// Table[V] stores its values as V, so an entry whose value is a pointer
-// is 24 B (an any took 16 of 32); its embedded Map is the part that does
-// not depend on V, which protocols expose for statistics. The contract
-// is that of the pointer-chained table this replaced, which the tests
-// keep as oracleMap: newest-first within a bucket, the same results,
-// cache and counters.
-// (Not an internal/slab: that hands out pointers and never takes one
-// back; a link here must be 4 bytes and Unbind must recycle.)
+// Layout: the table is intrusive. A value already holds the identifier
+// it is bound under (a udp session its ports, a TCB its participants),
+// so it carries its own chain link and the table stores no entry and no
+// copy of the key: a connection is one object. Values whose type
+// carries no key go through Pairs, one node per binding. Table embeds
+// Map, the part that does not depend on the value type, which protocols
+// expose for statistics. The tests keep an entry-chained oracleMap:
+// newest-first within a bucket, the same results, cache and counters.
 package xmap
 
 import (
@@ -32,41 +27,27 @@ import (
 )
 
 // Key is a fixed-size binary external identifier. Demux keys (addresses,
-// ports, protocol numbers) are packed into 96 bits: all of k[0] and the
-// low 32 bits of k[1], which is all a map stores (Bind refuses a wider
-// k[1] with ErrKeyRange).
+// ports, protocol numbers) are packed into its 128 bits.
 type Key [2]uint64
 
 // Errors returned by map operations.
 var (
 	ErrExists   = errors.New("xmap: key already bound")
 	ErrNotFound = errors.New("xmap: key not bound")
-	ErrKeyRange = errors.New("xmap: key's second word exceeds 32 bits")
 )
 
-// ref names an entry: 1 + its index, 0 for none.
-type ref = uint32
+// Link is the successor pointer a value embeds to chain itself.
+type Link[V any] struct{ next V }
 
-// entry is one binding: its key's 96 bits, its successor and its value,
-// 24 B for a pointer value.
-type entry[V any] struct {
-	k0   uint64
-	k1   uint32
-	next ref
-	val  V
+// Value is what a Table chains: a pointer to a struct that returns the
+// key it is bound under and its embedded Link. MapKey must not change
+// while the value is bound: the table finds it, rehashes it and unbinds
+// it by that key.
+type Value[V any] interface {
+	comparable
+	MapKey() Key
+	MapLink() *Link[V]
 }
-
-func (e *entry[V]) key() Key { return Key{e.k0, uint64(e.k1)} }
-
-// Entry i is chunks[i>>chunkShift][i&chunkMask]. Every chunk is
-// chunkSize long except the last; the first grows 1, 2, 4, ... by copy
-// (nothing holds an entry pointer across a Bind), so a map with one
-// binding costs what one heap entry did.
-const (
-	chunkShift = 12
-	chunkSize  = 1 << chunkShift
-	chunkMask  = chunkSize - 1
-)
 
 // Stats counts map activity. The map keeps one Stats per processor
 // (sim.Shards), bumped with Thread.Count under the map lock and summed
@@ -81,8 +62,8 @@ type Stats struct {
 }
 
 // Map is the part of a chained-bucket hash table that does not depend on
-// its values: the lock, buckets, counters, the 1-behind cache's key and
-// the free list. A Table embeds one.
+// its values: the lock, the bucket count, counters and the 1-behind
+// cache's key. A Table embeds one.
 type Map struct {
 	// Locking can be disabled to reproduce the Section 3.1 experiment
 	// ("running the test without locking the maps yielded a small,
@@ -107,94 +88,65 @@ type Map struct {
 	cacheKey   Key
 	cacheValid bool
 
-	buckets []ref
-	mask    uint64
-	n       int
-	grows   int
-	free    ref // freed entries, chained through next
+	mask  uint64
+	n     int
+	grows int
 
 	stats sim.Shards[Stats]
 }
 
-// Table is one chained-bucket hash table whose values are Vs.
-type Table[V any] struct {
+// Table is one chained-bucket hash table whose values chain themselves.
+type Table[V Value[V]] struct {
 	// cacheVal first, so that it shares a line with the fields of Map a
 	// cache-hit Resolve reads: on the host backend that line is read by
 	// every processor.
 	cacheVal V
 	Map
 
-	// Entry storage, after the fields a cache-hit Resolve touches.
-	chunks [][]entry[V]
-	// chunk0 backs chunks until a second chunk is needed, so a small
-	// map makes no allocation for the chunk table.
-	chunk0 [1][]entry[V]
+	// groups holds the buckets, eight to a group, after the fields a
+	// cache-hit Resolve touches.
+	groups []group[V]
+}
+
+// group is eight buckets: each chain's newest value and a tag byte with
+// the tag bit of every key on the chain set (until the chain empties,
+// after an Unbind too). A clear bit spares Bind a walk that costs a
+// cache miss per chained value at a million bindings.
+type group[V any] struct {
+	tags  [8]uint8
+	heads [8]V
 }
 
 // NewTable creates a table with the given number of buckets (rounded up
 // to a power of two) protected by a lock of the given kind.
-func NewTable[V any](buckets int, kind sim.LockKind, name string) *Table[V] {
+func NewTable[V Value[V]](buckets int, kind sim.LockKind, name string) *Table[V] {
+	m := new(Table[V])
+	m.init(buckets, kind, name)
+	return m
+}
+
+func (m *Table[V]) init(buckets int, kind sim.LockKind, name string) {
 	sz := 1
 	for sz < buckets {
 		sz <<= 1
 	}
-	m := &Table[V]{Map: Map{
-		Locking: true,
-		MaxLoad: 8,
-		lock:    sim.NewLock(kind, "map:"+name),
-		buckets: make([]ref, sz),
-		mask:    uint64(sz - 1),
-	}}
-	m.chunks = m.chunk0[:]
-	return m
+	m.Locking, m.MaxLoad = true, 8
+	m.lock = sim.NewLock(kind, "map:"+name)
+	m.mask = uint64(sz - 1)
+	m.groups = make([]group[V], (sz+7)/8)
 }
 
-// New creates a table of any values (see NewTable).
-func New(buckets int, kind sim.LockKind, name string) *Table[any] {
-	return NewTable[any](buckets, kind, name)
-}
-
-func (m *Table[V]) at(r ref) *entry[V] {
-	i := r - 1
-	return &m.chunks[i>>chunkShift][i&chunkMask]
-}
-
-// newEntry returns an unused entry: the last freed one, else the next
-// slot of the last chunk.
-func (m *Table[V]) newEntry() ref {
-	if r := m.free; r != 0 {
-		m.free = m.at(r).next
-		return r
-	}
-	last := len(m.chunks) - 1
-	if len(m.chunks[last]) == chunkSize {
-		m.chunks = append(m.chunks, nil)
-		last++
-	}
-	c := m.chunks[last]
-	if len(c) == cap(c) {
-		size := chunkSize
-		if last == 0 {
-			size = min(max(2*cap(c), 1), chunkSize)
-		}
-		c = append(make([]entry[V], 0, size), c...)
-	}
-	c = c[:len(c)+1]
-	m.chunks[last] = c
-	return ref(last<<chunkShift + len(c))
-}
-
-// freeEntry zeroes an unbound entry, so the map no longer references
-// its value, and puts it on the free list.
-func (m *Table[V]) freeEntry(r ref) {
-	*m.at(r) = entry[V]{next: m.free}
-	m.free = r
-}
-
-func (m *Map) hash(k Key) uint64 {
+func hash(k Key) uint64 {
 	h := k[0]*0x9e3779b97f4a7c15 ^ k[1]*0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	return h & m.mask
+	return h ^ h>>29
+}
+
+// bucket returns the chain head for hash h, its tag byte and the key's
+// tag bit, picked by h's top three bits, which no bucket index reaches.
+func (m *Table[V]) bucket(h uint64) (head *V, tags *uint8, tag uint8) {
+	b := h & m.mask
+	g := &m.groups[b>>3]
+	return &g.heads[b&7], &g.tags[b&7], 1 << (h >> 61)
 }
 
 func (m *Map) acquire(t *sim.Thread) {
@@ -211,64 +163,57 @@ func (m *Map) release(t *sim.Thread) {
 	}
 }
 
-// Bind inserts a key → value binding. A key whose k[1] does not fit in
-// 32 bits is refused (ErrKeyRange) before any charge, so no two keys
-// alias.
-func (m *Table[V]) Bind(t *sim.Thread, k Key, v V) error {
-	if k[1] > 1<<32-1 {
-		return ErrKeyRange
-	}
+// Bind binds v under its own key. A value already bound, or another
+// under the same key, is ErrExists.
+func (m *Table[V]) Bind(t *sim.Thread, v V) error {
 	m.acquire(t)
 	defer m.release(t)
 	t.ChargeRand(t.Engine().C.Stack.MapHash)
-	b := m.hash(k)
-	for r := m.buckets[b]; r != 0; {
-		e := m.at(r)
-		if e.key() == k {
-			return ErrExists
+	k := v.MapKey()
+	head, tags, tag := m.bucket(hash(k))
+	var zero V
+	if *tags&tag != 0 {
+		for e := *head; e != zero; e = e.MapLink().next {
+			if e.MapKey() == k {
+				return ErrExists
+			}
 		}
-		r = e.next
 	}
-	r := m.newEntry()
-	*m.at(r) = entry[V]{k0: k[0], k1: uint32(k[1]), next: m.buckets[b], val: v}
-	m.buckets[b] = r
+	v.MapLink().next = *head
+	*head, *tags = v, *tags|tag
 	m.n++
 	t.Count(&m.stats.At(t).Binds, 1)
-	if m.MaxLoad > 0 && m.n > m.MaxLoad*len(m.buckets) {
+	if m.MaxLoad > 0 && m.n > m.MaxLoad*int(m.mask+1) {
 		m.grow()
 	}
 	return nil
 }
 
-// grow doubles the bucket array until the average chain length is back
-// under MaxLoad, rehashing every entry. Called with the map lock held;
+// grow doubles the bucket count until the average chain length is back
+// under MaxLoad, rehashing every value. Called with the map lock held;
 // purely host-side (no virtual charge).
 func (m *Table[V]) grow() {
-	sz := len(m.buckets)
+	sz := int(m.mask + 1)
 	for m.n > m.MaxLoad*sz {
 		sz <<= 1
 	}
-	old := m.buckets
-	m.buckets = make([]ref, sz)
+	old := m.groups
+	m.groups = make([]group[V], (sz+7)/8)
 	m.mask = uint64(sz - 1)
 	m.grows++
-	for _, r := range old {
-		for r != 0 {
-			e := m.at(r)
-			next := e.next
-			b := m.hash(e.key())
-			e.next = m.buckets[b]
-			m.buckets[b] = r
-			r = next
+	var zero V
+	for i := range old {
+		for _, e := range old[i].heads {
+			for e != zero {
+				l := e.MapLink()
+				next := l.next
+				head, tags, tag := m.bucket(hash(e.MapKey()))
+				l.next, *head, *tags = *head, e, *tags|tag
+				e = next
+			}
 		}
 	}
 }
-
-// Buckets returns the current bucket-array size (tests, reports).
-func (m *Map) Buckets() int { return len(m.buckets) }
-
-// Grows returns how many times the bucket array has grown.
-func (m *Map) Grows() int { return m.grows }
 
 // Resolve looks up a binding, consulting the 1-behind cache first.
 func (m *Table[V]) Resolve(t *sim.Thread, k Key) (V, bool) {
@@ -282,39 +227,41 @@ func (m *Table[V]) Resolve(t *sim.Thread, k Key) (V, bool) {
 		return m.cacheVal, true
 	}
 	t.ChargeRand(st.MapHash)
-	for r := m.buckets[m.hash(k)]; r != 0; {
-		e := m.at(r)
-		if e.key() == k {
-			m.cacheKey, m.cacheVal, m.cacheValid = k, e.val, true
-			return e.val, true
-		}
-		r = e.next
-	}
+	head, _, _ := m.bucket(hash(k))
 	var zero V
+	for e := *head; e != zero; e = e.MapLink().next {
+		if e.MapKey() == k {
+			m.cacheKey, m.cacheVal, m.cacheValid = k, e, true
+			return e, true
+		}
+	}
 	return zero, false
 }
 
-// Unbind removes a binding.
+// Unbind removes the binding under k and zeroes the removed value's
+// link, so neither the table nor the value references the other.
 func (m *Table[V]) Unbind(t *sim.Thread, k Key) error {
 	m.acquire(t)
 	defer m.release(t)
 	t.ChargeRand(t.Engine().C.Stack.MapHash)
-	b := m.hash(k)
-	for pr := &m.buckets[b]; *pr != 0; {
-		r := *pr
-		e := m.at(r)
-		if e.key() == k {
-			*pr = e.next
+	head, tags, _ := m.bucket(hash(k))
+	var zero V
+	for pe := head; *pe != zero; {
+		e := *pe
+		l := e.MapLink()
+		if e.MapKey() == k {
+			*pe, *l = l.next, Link[V]{}
+			if *head == zero {
+				*tags = 0
+			}
 			m.n--
 			t.Count(&m.stats.At(t).Unbinds, 1)
 			if m.cacheValid && m.cacheKey == k {
-				var zero V
 				m.cacheVal, m.cacheValid = zero, false
 			}
-			m.freeEntry(r)
 			return nil
 		}
-		pr = &e.next
+		pe = &l.next
 	}
 	return ErrNotFound
 }
@@ -332,6 +279,47 @@ func (m *Map) Stats() Stats { return m.stats.Sum() }
 
 // LockStats exposes the map lock's contention statistics.
 func (m *Map) LockStats() sim.LockStats { return m.lock.Stats() }
+
+// pair is one Pairs binding: the key, the link and the value.
+type pair[U any] struct {
+	key  Key
+	link Link[*pair[U]]
+	val  U
+}
+
+func (p *pair[U]) MapKey() Key              { return p.key }
+func (p *pair[U]) MapLink() *Link[*pair[U]] { return &p.link }
+
+// Pairs binds explicit keys to values that carry none (ip's and fddi's
+// protocol numbers to the layer above): a Table of one node per binding.
+type Pairs[U any] struct {
+	Table[*pair[U]]
+}
+
+// NewPairs creates a Pairs table (see NewTable).
+func NewPairs[U any](buckets int, kind sim.LockKind, name string) *Pairs[U] {
+	m := new(Pairs[U])
+	m.init(buckets, kind, name)
+	return m
+}
+
+// New creates a table of any values (see NewTable).
+func New(buckets int, kind sim.LockKind, name string) *Pairs[any] {
+	return NewPairs[any](buckets, kind, name)
+}
+
+// Bind inserts a key → value binding.
+func (m *Pairs[U]) Bind(t *sim.Thread, k Key, v U) error {
+	return m.Table.Bind(t, &pair[U]{key: k, val: v})
+}
+
+// Resolve looks up a binding, consulting the 1-behind cache first.
+func (m *Pairs[U]) Resolve(t *sim.Thread, k Key) (v U, ok bool) {
+	if p, ok := m.Table.Resolve(t, k); ok {
+		return p.val, true
+	}
+	return v, false
+}
 
 // PortKey packs a local/remote port pair demux key.
 func PortKey(localPort, remotePort uint16) Key {
